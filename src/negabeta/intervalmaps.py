@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from negabeta.ldp import DeviationEstimate, WindowNeverHit, _sample_fixed_point, wilson_interval
+from negabeta.ldp import DeviationEstimate, _sample_fixed_point, deviation_estimate
 from negabeta.shiftgraph import FoldedAutomaton, LabeledGraph, enumerate_words
 from negabeta.specprop import SoficPresentation
 from negabeta.transform import HitBoundary, Word
@@ -129,7 +129,6 @@ def example31_word_admissible(word: Sequence[int]) -> bool:
     word = tuple(word)
     if any(not 0 <= d <= 4 for d in word):
         return False
-    seen_high = False
     for prev, cur in zip(word, word[1:]):
         if prev >= 2 and cur <= 1:
             return False
@@ -294,15 +293,7 @@ def circle_mc_deviation(a_window: tuple[float, float], n: int, sample_count: int
         theta = _vectorized_circle(theta, fmap.strength)
     fractions = near / n
     hits = int(np.count_nonzero((fractions >= lo) & (fractions <= hi)))
-    p_lo, p_hi = wilson_interval(hits, sample_count)
-    if hits == 0:
-        estimate = DeviationEstimate(n, sample_count, 0, None,
-                                     -math.log(max(p_hi, 1e-300)) / n, float("inf"), seed)
-        raise WindowNeverHit(estimate)
-    rate = -math.log(hits / sample_count) / n
-    ci_lo = -math.log(p_hi) / n
-    ci_hi = -math.log(p_lo) / n if p_lo > 0 else float("inf")
-    return DeviationEstimate(n, sample_count, hits, rate, ci_lo, ci_hi, seed)
+    return deviation_estimate(n, sample_count, hits, seed)
 
 
 def predicted_occupation_rate(a: float, fmap: Optional[CircleMap] = None) -> float:

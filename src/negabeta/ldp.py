@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -339,16 +337,6 @@ def _digit_means_beta2(psi: Psi, n: int, indices: range, seed: int) -> list[floa
     return out
 
 
-def _thread_count() -> int:
-    env = os.environ.get("NEGABETA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
-
-
 def wilson_interval(hits: int, total: int, z: float = _Z95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if total == 0:
@@ -362,16 +350,33 @@ def wilson_interval(hits: int, total: int, z: float = _Z95) -> tuple[float, floa
     return lo, hi
 
 
+def deviation_estimate(n: int, sample_count: int, hits: int, seed: int) -> DeviationEstimate:
+    """Rate -log(hits/N)/n with its Wilson interval mapped to rates.
+
+    Raises :class:`WindowNeverHit` when ``hits`` is zero; the estimate it
+    carries keeps the Wilson upper bound as the certified rate lower bound.
+    """
+    p_lo, p_hi = wilson_interval(hits, sample_count)
+    if hits == 0:
+        estimate = DeviationEstimate(n, sample_count, 0, None,
+                                     -math.log(max(p_hi, 1e-300)) / n, float("inf"), seed)
+        raise WindowNeverHit(estimate)
+    rate = -math.log(hits / sample_count) / n
+    ci_lo = -math.log(p_hi) / n
+    ci_hi = -math.log(p_lo) / n if p_lo > 0 else float("inf")
+    return DeviationEstimate(n, sample_count, hits, rate, ci_lo, ci_hi, seed)
+
+
 def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
                  n: int, sample_count: int, seed: int,
                  audit_fraction: float = 0.01) -> DeviationEstimate:
     """Lebesgue probability that the n-step observable mean falls in the window.
 
     Samples are counter-based in the seed and the sample index, so results
-    are byte-identical for a fixed (seed, N) regardless of chunking or worker
-    count.  Orbits run at a fixed-point precision of n*log2(beta) + 64 bits;
-    an audit re-runs a sample slice at doubled precision and insists on the
-    same digits.  Raises :class:`WindowNeverHit` when nothing lands inside.
+    are byte-identical for a fixed (seed, N).  Orbits run at a fixed-point
+    precision of n*log2(beta) + 64 bits; an audit re-runs a sample slice at
+    doubled precision and insists on the same digits.  Raises
+    :class:`WindowNeverHit` when nothing lands inside.
     """
     if n < 1 or sample_count < 1:
         raise ValueError("need n >= 1 and sample_count >= 1")
@@ -384,21 +389,11 @@ def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
             and system.beta.generator().as_fraction() == 2)
     ) and n <= _SAMPLE_BITS
 
-    workers = _thread_count()
-    chunk = (sample_count + workers - 1) // workers
-    ranges = [range(k, min(k + chunk, sample_count)) for k in range(0, sample_count, chunk)]
-
-    def run(indices: range) -> list[float]:
-        if is_base2:
-            return _digit_means_beta2(psi, n, indices, seed)
-        return _digit_means_generic(system, psi, n, indices, seed, precision)
-
-    if len(ranges) == 1:
-        parts = [run(ranges[0])]
+    indices = range(sample_count)
+    if is_base2:
+        means = _digit_means_beta2(psi, n, indices, seed)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, ranges))
-    means: list[float] = [m for part in parts for m in part]
+        means = _digit_means_generic(system, psi, n, indices, seed, precision)
 
     if not is_base2 and audit_fraction > 0:
         step = max(1, int(1 / audit_fraction))
@@ -412,15 +407,7 @@ def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
                 )
 
     hits = sum(1 for m in means if lo <= m <= hi)
-    p_lo, p_hi = wilson_interval(hits, sample_count)
-    if hits == 0:
-        estimate = DeviationEstimate(n, sample_count, 0, None,
-                                     -math.log(max(p_hi, 1e-300)) / n, float("inf"), seed)
-        raise WindowNeverHit(estimate)
-    rate = -math.log(hits / sample_count) / n
-    ci_lo = -math.log(p_hi) / n
-    ci_hi = -math.log(p_lo) / n if p_lo > 0 else float("inf")
-    return DeviationEstimate(n, sample_count, hits, rate, ci_lo, ci_hi, seed)
+    return deviation_estimate(n, sample_count, hits, seed)
 
 
 # -- the two rate functions of the cubic Pisot base -------------------------------------------

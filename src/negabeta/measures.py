@@ -166,11 +166,10 @@ def _g_from_followers(aut: FoldedAutomaton, start: frozenset[int]) -> int:
     while frontier:
         nxt = []
         for states in frontier:
-            available = [a for a in labels if aut.step(states, a)]
-            if len(available) >= 2:
+            followers = [t for t in (aut.step(states, a) for a in labels) if t]
+            if len(followers) >= 2:
                 return depth
-            for a in available:
-                t = aut.step(states, a)
+            for t in followers:
                 if t not in seen:
                     seen.add(t)
                     nxt.append(t)

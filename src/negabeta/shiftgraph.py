@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +37,22 @@ class FoldNotVerified(ShiftGraphError):
 
 
 @dataclass(frozen=True)
+class _GraphIndex:
+    out: tuple[tuple[Edge, ...], ...]  # sorted out-edges per vertex
+    into: tuple[tuple[Edge, ...], ...]  # sorted in-edges per vertex
+    succ: dict[int, frozenset[int]]  # vertex -> successors
+    targets: dict[tuple[int, int], frozenset[int]]  # (source, label) -> targets
+    sources: dict[tuple[int, int], frozenset[int]]  # (target, label) -> sources
+
+
+def _union(sets: Mapping, keys: Iterable) -> frozenset[int]:
+    out: set[int] = set()
+    for k in keys:
+        out.update(sets.get(k, ()))
+    return frozenset(out)
+
+
+@dataclass(frozen=True)
 class LabeledGraph:
     """Immutable labeled directed graph on vertices 0..vertex_count-1."""
 
@@ -49,17 +66,64 @@ class LabeledGraph:
             if label < 0:
                 raise ValueError("labels are nonnegative digits")
 
+    @cached_property
+    def _index(self) -> _GraphIndex:
+        """Edge lists and endpoint sets per vertex, built on first use."""
+        out: list[list[Edge]] = [[] for _ in range(self.vertex_count)]
+        into: list[list[Edge]] = [[] for _ in range(self.vertex_count)]
+        targets: dict[tuple[int, int], set[int]] = {}
+        sources: dict[tuple[int, int], set[int]] = {}
+        for e in sorted(self.edges):
+            s, a, t = e
+            out[s].append(e)
+            into[t].append(e)
+            targets.setdefault((s, a), set()).add(t)
+            sources.setdefault((t, a), set()).add(s)
+        return _GraphIndex(
+            out=tuple(map(tuple, out)),
+            into=tuple(map(tuple, into)),
+            succ={v: frozenset(t for _, _, t in es) for v, es in enumerate(out)},
+            targets={k: frozenset(v) for k, v in targets.items()},
+            sources={k: frozenset(v) for k, v in sources.items()},
+        )
+
     def out_edges(self, v: int) -> list[Edge]:
-        return sorted(e for e in self.edges if e[0] == v)
+        return list(self._index.out[v])
 
     def in_edges(self, v: int) -> list[Edge]:
-        return sorted(e for e in self.edges if e[2] == v)
+        return list(self._index.into[v])
 
     def labels(self) -> set[int]:
         return {label for _, label, _ in self.edges}
 
-    def successors(self, v: int) -> set[int]:
-        return {dst for src, _, dst in self.edges if src == v}
+    def successors(self, v: int) -> frozenset[int]:
+        return self._index.succ[v]
+
+    def step(self, states: Iterable[int], label: int) -> frozenset[int]:
+        """End states of the edges labeled ``label`` that leave ``states``."""
+        return _union(self._index.targets, ((s, label) for s in states))
+
+    def back_step(self, states: Iterable[int], label: int) -> frozenset[int]:
+        """Start states of the edges labeled ``label`` that enter ``states``."""
+        return _union(self._index.sources, ((t, label) for t in states))
+
+    def forward(self, states: Iterable[int]) -> frozenset[int]:
+        """Successors of ``states`` along edges of any label."""
+        return _union(self._index.succ, states)
+
+    def reads(self, word: Sequence[int]) -> frozenset[int]:
+        """End states of all readings of the word, starting anywhere."""
+        states = frozenset(range(self.vertex_count))
+        for a in word:
+            states = self.step(states, a)
+        return states
+
+    def back_reads(self, word: Sequence[int]) -> frozenset[int]:
+        """Start states of all readings of the word, ending anywhere."""
+        states = frozenset(range(self.vertex_count))
+        for a in reversed(word):
+            states = self.back_step(states, a)
+        return states
 
     def induced(self, vertices: Iterable[int]) -> "LabeledGraph":
         """Subgraph on the given vertices, re-indexed in sorted order."""
@@ -169,7 +233,7 @@ def build_gamma(s: DigitSequence, horizon: int) -> LabeledGraph:
 
 
 def _back_edges(g: LabeledGraph, i: int, spine_label: int) -> frozenset[tuple[int, int]]:
-    return frozenset((a, t) for s, a, t in g.edges if s == i and not (a == spine_label and t == i + 1))
+    return frozenset((a, t) for _, a, t in g.out_edges(i) if not (a == spine_label and t == i + 1))
 
 
 @dataclass(frozen=True)
@@ -192,19 +256,14 @@ class FoldedAutomaton:
         return self.graph.vertex_count
 
     def step(self, states: frozenset[int], label: int) -> frozenset[int]:
-        return frozenset(t for s, a, t in self.graph.edges if s in states and a == label)
+        return self.graph.step(states, label)
 
     def all_states(self) -> frozenset[int]:
         return frozenset(range(self.state_count))
 
     def reads(self, word: Sequence[int]) -> frozenset[int]:
         """End states of all readings of the word, starting anywhere."""
-        states = self.all_states()
-        for a in word:
-            states = self.step(states, a)
-            if not states:
-                break
-        return states
+        return self.graph.reads(word)
 
     def accepts(self, word: Sequence[int]) -> bool:
         return bool(self.reads(word))
@@ -245,14 +304,9 @@ def fold(g: LabeledGraph, u: int, v: int) -> FoldedAutomaton:
 
 
 def _spine_digit(g: LabeledGraph, i: int) -> int:
-    lbls = [a for (src, a, t) in g.edges if src == i and t == i + 1]
+    lbls = [a for _, a, t in g.out_edges(i) if t == i + 1]
     if len(lbls) == 1:
         return lbls[0]
-    # a back edge can coincide with the spine position; the spine label is
-    # the one that continues at every index, recover it from edge structure:
-    # the spine edge is the unique (i, a, i+1) that is not also a back edge
-    # pattern.  All graphs produced by build_gamma keep them distinct except
-    # possibly at i+1 == back target, where labels still differ.
     raise FoldNotVerified(f"ambiguous spine at V{i}", periodicity_violated=True)
 
 
@@ -310,37 +364,28 @@ def is_irreducible(g: LabeledGraph, vertices: Iterable[int]) -> bool:
     if not verts:
         raise ValueError("vertex subset must be nonempty")
     vset = set(verts)
+    root = verts[0]
     if len(verts) == 1:
-        v = verts[0]
-        return any(s == v and t == v for s, _, t in g.edges)
-    adj: dict[int, set[int]] = {v: set() for v in verts}
-    radj: dict[int, set[int]] = {v: set() for v in verts}
-    for s, _, t in g.edges:
-        if s in vset and t in vset:
-            adj[s].add(t)
-            radj[t].add(s)
+        return root in g.successors(root)
 
-    def reach(start, nbrs):
-        seen = {start}
-        stack = [start]
+    def reach(nbrs) -> set[int]:
+        seen = {root}
+        stack = [root]
         while stack:
-            x = stack.pop()
-            for y in nbrs[x]:
-                if y not in seen:
+            for y in nbrs(stack.pop()):
+                if y in vset and y not in seen:
                     seen.add(y)
                     stack.append(y)
         return seen
 
-    root = verts[0]
-    return reach(root, adj) == vset and reach(root, radj) == vset
+    return (reach(g.successors) == vset
+            and reach(lambda v: (s for s, _, _ in g.in_edges(v))) == vset)
 
 
 def cycle_vertices(g: LabeledGraph) -> set[int]:
     """Vertices lying on some directed cycle (nontrivial SCC or a self-loop)."""
     n = g.vertex_count
-    adj = [[] for _ in range(n)]
-    for s, _, t in g.edges:
-        adj[s].append(t)
+    adj = [sorted(g.successors(v)) for v in range(n)]
     index = [0] * n
     low = [0] * n
     onstack = [False] * n
@@ -387,7 +432,7 @@ def cycle_vertices(g: LabeledGraph) -> set[int]:
                     out.update(comp)
                 else:
                     w = comp[0]
-                    if any(s == w and t == w for s, _, t in g.edges):
+                    if w in g.successors(w):
                         out.add(w)
 
     for v in range(n):

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cache
+from typing import Iterator, Optional, Sequence
 
 from negabeta.measures import point_mass_on_cycle, random_markov_measure
 from negabeta.shiftgraph import LabeledGraph, ComponentChain, cycle_vertices, is_irreducible
@@ -159,18 +160,21 @@ def _shortest_cross_word(graph: LabeledGraph, src: Sequence[int], dst: Sequence[
 # -- subset families (end states / start states of component words) ----------------
 
 
-def _forward_family(graph: LabeledGraph, comp: Sequence[int]) -> set[frozenset[int]]:
-    cset = set(comp)
-    labels = {a for s, a, _ in graph.edges if s in cset}
-    family = set()
-    frontier = [frozenset(cset)]
-    family.add(frozenset(cset))
+def _subset_family(graph: LabeledGraph, comp: Sequence[int], step) -> set[frozenset[int]]:
+    """State sets reached inside the component by single-label steps from all of it.
+
+    With ``graph.step`` these are the end-state sets of component words, with
+    ``graph.back_step`` their start-state sets.
+    """
+    cset = frozenset(comp)
+    labels = graph.labels()
+    family = {cset}
+    frontier = [cset]
     while frontier:
         nxt = []
         for states in frontier:
             for a in labels:
-                t = frozenset(t for s, lbl, t in graph.edges
-                              if s in states and lbl == a and t in cset)
+                t = step(states, a) & cset
                 if t and t not in family:
                     family.add(t)
                     nxt.append(t)
@@ -178,46 +182,18 @@ def _forward_family(graph: LabeledGraph, comp: Sequence[int]) -> set[frozenset[i
     return family
 
 
-def _backward_family(graph: LabeledGraph, comp: Sequence[int]) -> set[frozenset[int]]:
-    cset = set(comp)
-    labels = {a for s, a, t in graph.edges if t in cset and s in cset}
-    family = set()
-    frontier = [frozenset(cset)]
-    family.add(frozenset(cset))
-    while frontier:
-        nxt = []
-        for states in frontier:
-            for a in labels:
-                t = frozenset(s for s, lbl, tt in graph.edges
-                              if tt in states and lbl == a and s in cset)
-                if t and t not in family:
-                    family.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return family
-
-
-def _bool_power_reach(graph: LabeledGraph, max_power: int) -> list[dict[int, set[int]]]:
+def _bool_power_reach(graph: LabeledGraph, max_power: int) -> list[dict[int, frozenset[int]]]:
     """reach[m][p] = set of vertices reachable from p along exactly m edges."""
-    succ: dict[int, set[int]] = {v: set() for v in range(graph.vertex_count)}
-    for s, _, t in graph.edges:
-        succ[s].add(t)
-    reach = [{v: {v} for v in range(graph.vertex_count)}]
+    reach = [{v: frozenset((v,)) for v in range(graph.vertex_count)}]
     for _ in range(max_power):
         prev = reach[-1]
-        cur = {v: set().union(*(succ[w] for w in prev[v])) if prev[v] else set()
-               for v in range(graph.vertex_count)}
-        reach.append(cur)
+        reach.append({v: graph.forward(prev[v]) for v in range(graph.vertex_count)})
     return reach
 
 
 def _loops_everywhere(p: SoficPresentation) -> bool:
     """Every component state carries a self-loop inside its component."""
-    for comp in p.components:
-        for v in comp:
-            if not any(s == v and t == v for s, _, t in p.graph.edges):
-                return False
-    return True
+    return all(v in p.graph.successors(v) for comp in p.components for v in comp)
 
 
 # -- the certifier ------------------------------------------------------------------
@@ -256,8 +232,8 @@ def spec_bound(p: SoficPresentation, with_oracle: bool = False,
     )
 
     if _loops_everywhere(p):
-        forward = [_forward_family(p.graph, comp) for comp in p.components]
-        backward = [_backward_family(p.graph, comp) for comp in p.components]
+        forward = [_subset_family(p.graph, comp, p.graph.step) for comp in p.components]
+        backward = [_subset_family(p.graph, comp, p.graph.back_step) for comp in p.components]
         reach = _bool_power_reach(p.graph, m_bound)
         strong_m = None
         for m in range(m_bound + 1):
@@ -305,17 +281,16 @@ class BruteForceTable:
 
 def _component_words(p: SoficPresentation, i: int, maxlen: int,
                      cap: int) -> list[Word]:
-    comp = set(p.components[i])
-    sub = [(s, a, t) for s, a, t in p.graph.edges if s in comp and t in comp]
-    labels = sorted({a for _, a, _ in sub})
+    comp = frozenset(p.components[i])
+    labels = sorted(p.graph.labels())
     words: list[Word] = [()]
-    frontier: list[tuple[Word, frozenset[int]]] = [((), frozenset(comp))]
+    frontier: list[tuple[Word, frozenset[int]]] = [((), comp)]
     while frontier:
         word, states = frontier.pop()
         if len(word) >= maxlen:
             continue
         for a in labels:
-            t = frozenset(tt for s, lbl, tt in sub if s in states and lbl == a)
+            t = p.graph.step(states, a) & comp
             if t:
                 w2 = word + (a,)
                 words.append(w2)
@@ -327,39 +302,33 @@ def _component_words(p: SoficPresentation, i: int, maxlen: int,
     return words
 
 
-def _full_end_states(p: SoficPresentation, word: Word) -> frozenset[int]:
-    states = frozenset(range(p.graph.vertex_count))
-    for a in word:
-        states = frozenset(t for s, lbl, t in p.graph.edges if s in states and lbl == a)
-        if not states:
-            break
-    return states
+def _state_classes(p: SoficPresentation, i: int, maxlen: int,
+                   cap: int) -> tuple[set[frozenset[int]], set[frozenset[int]]]:
+    """End-state and start-state sets, in the full graph, of component i's words."""
+    words = _component_words(p, i, maxlen, cap)
+    return {p.graph.reads(w) for w in words}, {p.graph.back_reads(w) for w in words}
 
 
-def _full_start_states(p: SoficPresentation, word: Word) -> frozenset[int]:
-    states = frozenset(range(p.graph.vertex_count))
-    for a in reversed(word):
-        states = frozenset(s for s, lbl, t in p.graph.edges if t in states and lbl == a)
-        if not states:
-            break
-    return states
+def _default_gap_cap(p: SoficPresentation) -> int:
+    diams = [_component_diameter(p.graph, comp) for comp in p.components]
+    return 2 * max(diams) + p.graph.vertex_count + 2
+
+
+def _gap_frontiers(graph: LabeledGraph, ends: frozenset[int],
+                   gap_cap: int) -> Iterator[tuple[int, frozenset[int]]]:
+    """(g, states reached from ends along exactly g edges) for g <= gap_cap, while nonempty."""
+    current = ends
+    for g in range(gap_cap + 1):
+        if not current:
+            return
+        yield g, current
+        current = graph.forward(current)
 
 
 def _gluable_gaps(p: SoficPresentation, ends: frozenset[int], starts: frozenset[int],
                   gap_cap: int) -> set[int]:
     """Gap lengths g <= gap_cap for which some length-g path joins the sets."""
-    succ: dict[int, set[int]] = {v: set() for v in range(p.graph.vertex_count)}
-    for s, _, t in p.graph.edges:
-        succ[s].add(t)
-    out = set()
-    current = set(ends)
-    for g in range(gap_cap + 1):
-        if current.intersection(starts):
-            out.add(g)
-        current = set().union(*(succ[v] for v in current)) if current else set()
-        if not current:
-            break
-    return out
+    return {g for g, current in _gap_frontiers(p.graph, ends, gap_cap) if current & starts}
 
 
 def spec_bruteforce(p: SoficPresentation, maxlen: int, cap: int = 50000,
@@ -371,21 +340,15 @@ def spec_bruteforce(p: SoficPresentation, maxlen: int, cap: int = 50000,
     """
     q = len(p.components)
     if gap_cap is None:
-        diams = [_component_diameter(p.graph, comp) for comp in p.components]
-        gap_cap = 2 * max(diams) + p.graph.vertex_count + 2
-    end_classes: list[set[frozenset[int]]] = []
-    start_classes: list[set[frozenset[int]]] = []
-    for i in range(q):
-        words = _component_words(p, i, maxlen, cap)
-        end_classes.append({_full_end_states(p, w) for w in words})
-        start_classes.append({_full_start_states(p, w) for w in words})
+        gap_cap = _default_gap_cap(p)
+    classes = [_state_classes(p, i, maxlen, cap) for i in range(q)]
     pair_max = []
     overall = 0
     for i in range(q):
         for j in range(i, q):
             worst = 0
-            for ends in end_classes[i]:
-                for starts in start_classes[j]:
+            for ends in classes[i][0]:
+                for starts in classes[j][1]:
                     gaps = _gluable_gaps(p, ends, starts, gap_cap)
                     if not gaps:
                         raise DisconnectedPair(i, j)
@@ -400,17 +363,14 @@ def bruteforce_exact_min(p: SoficPresentation, maxlen: int, cap: int = 50000,
     """Smallest M such that every ordered word pair glues with a gap of exactly M."""
     q = len(p.components)
     if gap_cap is None:
-        diams = [_component_diameter(p.graph, comp) for comp in p.components]
-        gap_cap = 2 * max(diams) + p.graph.vertex_count + 2
+        gap_cap = _default_gap_cap(p)
+    # computed on first use, in the order the pairs reach each component
+    classes = cache(lambda i: _state_classes(p, i, maxlen, cap))
     achievable: Optional[set[int]] = None
     for i in range(q):
-        words_i = _component_words(p, i, maxlen, cap)
-        ends_i = {_full_end_states(p, w) for w in words_i}
         for j in range(i, q):
-            words_j = _component_words(p, j, maxlen, cap)
-            starts_j = {_full_start_states(p, w) for w in words_j}
-            for ends in ends_i:
-                for starts in starts_j:
+            for ends in classes(i)[0]:
+                for starts in classes(j)[1]:
                     gaps = _gluable_gaps(p, ends, starts, gap_cap)
                     achievable = gaps if achievable is None else achievable & gaps
                     if not achievable:
@@ -498,17 +458,13 @@ def gluing_test(p: SoficPresentation, cert: SpecCertificate, k: int, trials: int
     """
     rng = random.Random(seed)
     q = len(p.components)
-    succ: dict[int, set[int]] = {v: set() for v in range(p.graph.vertex_count)}
-    for s, _, t in p.graph.edges:
-        succ[s].add(t)
 
     def random_component_word(i: int) -> Word:
         comp = set(p.components[i])
-        sub = [(s, a, t) for s, a, t in p.graph.edges if s in comp and t in comp]
         v = rng.choice(sorted(comp))
         word = []
         for _ in range(rng.randrange(1, word_len + 1)):
-            options = [e for e in sub if e[0] == v]
+            options = [e for e in p.graph.out_edges(v) if e[2] in comp]
             if not options:
                 break
             e = rng.choice(options)
@@ -519,30 +475,19 @@ def gluing_test(p: SoficPresentation, cert: SpecCertificate, k: int, trials: int
     for _ in range(trials):
         idx = sorted(rng.randrange(q) for _ in range(k))
         words = [random_component_word(i) for i in idx]
-        states = _full_end_states(p, words[0])
+        states = p.graph.reads(words[0])
         if not states:
             return False
-        ok = True
+        gaps = [cert.M] if cert.kind == "strong_one_way" else range(cert.M + 1)
         for w in words[1:]:
-            starts = _full_start_states(p, w)
-            if cert.kind == "strong_one_way":
-                gaps = [cert.M]
-            else:
-                gaps = range(cert.M + 1)
-            matched = None
-            current = set(states)
-            for g in range(max(gaps) + 1):
-                if g in gaps and current.intersection(starts):
-                    matched = (g, current.intersection(starts))
-                    break
-                current = set().union(*(succ[v] for v in current)) if current else set()
-            if matched is None:
-                ok = False
-                break
+            starts = p.graph.back_reads(w)
+            glued = next((current & starts
+                          for g, current in _gap_frontiers(p.graph, states, cert.M)
+                          if g in gaps and current & starts), None)
+            if glued is None:
+                return False
             # continue from the glued start states after reading w
-            states = matched[1]
+            states = glued
             for a in w:
-                states = {t for s, lbl, t in p.graph.edges if s in states and lbl == a}
-        if not ok:
-            return False
+                states = p.graph.step(states, a)
     return True

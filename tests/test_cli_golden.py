@@ -1,0 +1,77 @@
+"""Byte identity of CLI stdout on the exact commands, pinned by sha256.
+
+Every command here prints only exact data (digits, graphs, integers,
+booleans), so the digests hold on any platform.  A change that alters one of
+these outputs must say why and update its digest.
+"""
+
+import hashlib
+
+import pytest
+
+from negabeta.cli import main
+
+BASES = {
+    "cubic": "poly:-1,-1,0,1;interval:1,2",  # x^3 - x - 1
+    "two": "poly:-2,1;interval:1,3",
+    "three": "poly:-3,1;interval:2,4",
+    "golden": "poly:-1,-1,1;interval:1,2",  # x^2 - x - 1
+    "defective": "poly:-1,-1,-2,1;interval:2,3",  # x^3 - 2x^2 - x - 1, over-accepting automaton
+}
+
+COMMANDS = {
+    "yrrap": ["yrrap"],
+    "graph_json": ["graph"],
+    "graph_dot": ["graph", "--format", "dot"],
+    "components": ["components"],
+    "spec": ["spec", "--oracle-maxlen", "5"],
+    "gbeta": ["gbeta", "--n", "12"],
+    "validate": ["validate", "--maxlen", "7", "--seed", "3"],
+}
+
+# (base, command) -> (exit code, sha256 of stdout)
+GOLDEN = {
+    ("cubic", "yrrap"): (0, "7b481bc8d7e049f5bd099cab51646406da8e358a6b44d0973c87da5844e5d545"),
+    ("cubic", "graph_json"): (0, "9a42acc418cd530a2fcade0195b6e27130ad959590c9116e06f03fd7053d2628"),
+    ("cubic", "graph_dot"): (0, "762fb9a0fe99f2246fbe494212b617bcc5816c1db06fabd06940e17009d1d5d5"),
+    ("cubic", "components"): (0, "4105754adc58602315f114a9f57c379ab331ccaa500701aaff7d3c4295d25796"),
+    ("cubic", "spec"): (0, "77384c04086355939b5ab9f7990c837bdaa3c7f3fef8b66b234cdab0b4938b2c"),
+    ("cubic", "gbeta"): (0, "08544959134b766bc878629fac2b9a45307d6321a462283d555fbe5622713ece"),
+    ("cubic", "validate"): (0, "f8c4b1cb93d2a1fafd87b8bc9994863031f286bcddefa2d3f35ff80dc1689679"),
+    ("two", "yrrap"): (0, "963c96693130d5b51840b1ae0d00b2a039dc59123007444edf2321e971606627"),
+    ("two", "graph_json"): (0, "c46bd9d4574512985760b3f31c69ea225ba07205400daa5111f7def9eb77411a"),
+    ("two", "graph_dot"): (0, "0abc67a9a5ead95357f2fe0b5a52d62478e8ae3d26b78ea5f7200b5ace155e1f"),
+    ("two", "components"): (0, "939cead274985a1de2a68a91b932e3d6ea542bff69af54a0becc0a32cc7ac906"),
+    ("two", "spec"): (0, "8a72074503c44ffc3e023d95b81aca82b8943b80bd3bf493c64ea5ca0df95915"),
+    ("two", "gbeta"): (0, "cec8d7c5cf4bb05a99304c6ac0d5b7ece5c54841acd53a8d4d7e8ce08afa63ca"),
+    ("two", "validate"): (0, "f8c4b1cb93d2a1fafd87b8bc9994863031f286bcddefa2d3f35ff80dc1689679"),
+    ("three", "yrrap"): (0, "229671a1e0d913e0c92d68dc7891ac100bb52677550b43f5bafdc36e56bc2173"),
+    ("three", "graph_json"): (0, "213d24af529f38b15640efd730199c2928374730bc0a0ed9ea4553c227b0f5f4"),
+    ("three", "graph_dot"): (0, "a9f624a2f522b2dc5e0265d7c587468a19430938a391bdce0deb30a58573bee4"),
+    ("three", "components"): (0, "6b484250afe954906ea7eb652ac413abdf46d623767177ddfa588c1a49c90995"),
+    ("three", "spec"): (0, "8a72074503c44ffc3e023d95b81aca82b8943b80bd3bf493c64ea5ca0df95915"),
+    ("three", "gbeta"): (0, "cec8d7c5cf4bb05a99304c6ac0d5b7ece5c54841acd53a8d4d7e8ce08afa63ca"),
+    ("three", "validate"): (0, "f8c4b1cb93d2a1fafd87b8bc9994863031f286bcddefa2d3f35ff80dc1689679"),
+    ("golden", "yrrap"): (0, "61be564998738001ad1d353803073e094fe8a4c155f281eca1e8a6fce2e1e9c4"),
+    ("golden", "graph_json"): (0, "59a2a384d17be239d4444a72ed32ef9652c9308843e37340901d9654e1d503e4"),
+    ("golden", "graph_dot"): (0, "f329a2af642f1ad3224f1f66a1cc7f61e19b22ed8451068e33315f3273c05f89"),
+    ("golden", "components"): (0, "6e022aec9d780dfee93d9b3c1534f993fd07b5f4a0cbc847563aa08172301d75"),
+    ("golden", "spec"): (0, "b18182833728c601ee2ca8c671a6682884db33a029b09b871157f067a48ed3be"),
+    ("golden", "gbeta"): (0, "db3d54858607186088ac7c4be854092ccc08abad1e6b402c5095853b42672cad"),
+    ("golden", "validate"): (0, "f8c4b1cb93d2a1fafd87b8bc9994863031f286bcddefa2d3f35ff80dc1689679"),
+    ("defective", "yrrap"): (0, "dea7637e5caeeaf8966214aa47c5396d3bea0e8ba44e765e6565f3e43211a0be"),
+    ("defective", "graph_json"): (0, "5477e8130c955dedc2526ecd5bfeae3d309eeb56c51a42831541ca2615ac3421"),
+    ("defective", "graph_dot"): (0, "8d4af900afbff824f6fb7bfa8a48e277f298f199e3ef368ff0eed51e9022aa88"),
+    ("defective", "components"): (0, "fd7fca78641cf52d53beda9481b6b49e6089cf279910ddd3bb3425234c74fce8"),
+    ("defective", "spec"): (0, "e7aae46693bf5e6f708b1741808d72441a6cb017e5fb0947dde5d9c81271ff29"),
+    ("defective", "gbeta"): (0, "7a8cebfbc7ae53cef2b61ea65a42944c5825ba5df1ade4db060fdc05730456f1"),
+    ("defective", "validate"): (1, "274a25b372f51db1b3ea760f397f5d2817cde846fda1623500abbf6582ccf7a2"),
+}
+
+
+@pytest.mark.parametrize("base, command", sorted(GOLDEN))
+def test_cli_stdout_is_pinned(base, command, capsys):
+    name, *options = COMMANDS[command]
+    code = main([name, "--beta", BASES[base], *options])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[(base, command)]

@@ -13,6 +13,7 @@ from negabeta.ldp import (
     _digit_means_beta2,
     _digit_means_generic,
     compare_rate_functions,
+    deviation_estimate,
     free_energy,
     level1_rate,
     mc_deviation,
@@ -204,6 +205,22 @@ def test_wilson_interval_sane():
     assert 0.4 < lo < 0.5 < hi < 0.6
     lo0, hi0 = wilson_interval(0, 100)
     assert lo0 == 0.0 and hi0 > 0
+
+
+def test_deviation_estimate_maps_wilson_to_rates():
+    est = deviation_estimate(10, 100, 25, seed=3)
+    p_lo, p_hi = wilson_interval(25, 100)
+    assert est.rate == -math.log(0.25) / 10
+    assert (est.ci_lo, est.ci_hi) == (-math.log(p_hi) / 10, -math.log(p_lo) / 10)
+    assert (est.n, est.sample_count, est.hits, est.seed) == (10, 100, 25, 3)
+
+
+def test_deviation_estimate_zero_hits_certifies_lower_bound():
+    with pytest.raises(WindowNeverHit) as info:
+        deviation_estimate(10, 100, 0, seed=3)
+    est = info.value.estimate
+    assert est.hits == 0 and est.rate is None and est.ci_hi == float("inf")
+    assert est.rate_lower_bound == -math.log(wilson_interval(0, 100)[1]) / 10 > 0
 
 
 # -- exact decay anchor ------------------------------------------------------------------
