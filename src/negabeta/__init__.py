@@ -63,6 +63,7 @@ from negabeta.measures import (
     MarkovMeasure,
     cylinder_interval,
     cylinder_measure,
+    cylinder_walk,
     empirical_measure,
     g_beta_n,
     g_beta_word,
@@ -104,7 +105,7 @@ __all__ = [
     "DisconnectedPair", "SoficPresentation", "SpecCertificate",
     "ergodic_support_check", "omega_coverage_check", "spec_bound", "spec_bruteforce",
     "CylinderInterval", "EmpiricalMeasure", "InadmissibleWord", "MarkovMeasure",
-    "cylinder_interval", "cylinder_measure", "empirical_measure",
+    "cylinder_interval", "cylinder_measure", "cylinder_walk", "empirical_measure",
     "g_beta_n", "g_beta_word", "markov_entropy", "parry_measure",
     "weak_metric_truncated",
     "DeviationEstimate", "RateQuery", "RateResult", "UnachievableLevel",

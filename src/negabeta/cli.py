@@ -237,12 +237,11 @@ def _cmd_spec(config: RunConfig):
 
 def _cylinder_rows(system: MinusBetaSystem, maxlen: int, digits: int) -> list[dict]:
     rows = []
-    for word in system.enumerate_admissible(maxlen):
-        report = measures.cylinder_measure(system, word)
-        interval = measures.cylinder_interval(system, word)
+    for report in measures.cylinder_walk(system, maxlen):
+        interval = report.interval
         rows.append(
             {
-                "word": word_to_text(word, system.b),
+                "word": word_to_text(interval.word, system.b),
                 "lo": _coeff_text(interval.lo),
                 "hi": _coeff_text(interval.hi),
                 "lo_decimal": algebraic.to_decimal(interval.lo, digits),
@@ -260,12 +259,20 @@ def _coeff_text(element) -> str:
     return "[" + ",".join(str(c) for c in element.coeffs) + "]"
 
 
+def _maxlen(config: RunConfig) -> int:
+    maxlen = config.params["maxlen"]
+    if maxlen < 1:
+        raise UsageError(f"--maxlen must be >= 1, got {maxlen}")
+    return maxlen
+
+
 def _cmd_cyl(config: RunConfig):
+    maxlen = _maxlen(config)
     system = _system_for(config)
     if not system.exact:
         raise InexactMode("cylinder tables need an exact algebraic beta")
     system.expansion_of_one()
-    rows = _cylinder_rows(system, config.params["maxlen"], config.digits)
+    rows = _cylinder_rows(system, maxlen, config.digits)
     return {"rows": rows}
 
 
@@ -330,7 +337,7 @@ def _cmd_compare_rates(config: RunConfig):
 
 
 def _cmd_example31(config: RunConfig):
-    maxlen = config.params["maxlen"]
+    maxlen = _maxlen(config)
     _, pres = intervalmaps.example31_system()
     cert = specprop.spec_bound(pres, with_oracle=True, oracle_maxlen=min(maxlen, 6))
     reports = intervalmaps.example31_measure_bounds(maxlen)
@@ -357,8 +364,8 @@ def _cmd_example32(config: RunConfig):
 
 
 def _cmd_validate(config: RunConfig):
+    maxlen = _maxlen(config)
     system = _system_for(config)
-    maxlen = config.params["maxlen"]
     checks = []
 
     def record(name: str, ok: bool, detail: str = ""):
@@ -373,7 +380,7 @@ def _cmd_validate(config: RunConfig):
 
     sweep = measures.cylinder_sweep(system, maxlen)
     record("cylinder_upper_bounds", all(r.upper_bound_ok for r in sweep))
-    corrected = (system.beta.one() - system.b / system.beta_element) / system.beta_element
+    corrected = (system.beta.one() - system.b * system.beta_inverse) * system.beta_inverse
     lower_ok = all(
         r.length * system.beta_element ** len(r.word) >= corrected
         for r in sweep
@@ -449,7 +456,9 @@ def _jsonable(value):
 def emit_report(result, fmt: str, out: Optional[str]) -> str:
     """Serialize a command result with stable field ordering."""
     if fmt == "dot":
-        text = result if isinstance(result, str) else str(result)
+        if not isinstance(result, str):
+            raise UsageError("dot format applies to graph-shaped results (graph, components)")
+        text = result
     elif fmt == "csv":
         rows = result.get("rows") if isinstance(result, dict) else None
         if rows is None:

@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from negabeta.ldp import DeviationEstimate, _sample_fixed_point, deviation_estimate
+from negabeta.measures import Branch, affine_cylinder, affine_cylinder_walk
 from negabeta.shiftgraph import FoldedAutomaton, LabeledGraph, enumerate_words
 from negabeta.specprop import SoficPresentation
 from negabeta.transform import HitBoundary, Word
@@ -137,21 +138,20 @@ def example31_word_admissible(word: Sequence[int]) -> bool:
     return True
 
 
+def _walk_branches(fmap: PiecewiseExpandingMap) -> list[Branch]:
+    return [Branch(br, br.intercept, 1 / br.slope, br.slope < 0) for br in fmap.branches]
+
+
 def example31_cylinder(fmap: PiecewiseExpandingMap, word: Sequence[int]):
-    """Exact rational cylinder of a word under the half-open coding cells."""
-    lo, hi = Fraction(0), Fraction(1)
-    lo_closed, hi_closed = True, True
-    for digit in reversed(tuple(word)):
-        br = fmap.branches[digit]
-        # inverse branch y -> (y - intercept)/slope is increasing
-        lo, hi = (lo - br.intercept) / br.slope, (hi - br.intercept) / br.slope
-        if br.lo > lo or (br.lo == lo and not br.lo_closed and lo_closed):
-            lo, lo_closed = br.lo, br.lo_closed
-        if br.hi < hi or (br.hi == hi and not br.hi_closed and hi_closed):
-            hi, hi_closed = br.hi, br.hi_closed
-        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-            return None
-    return lo, hi, lo_closed, hi_closed
+    """Exact rational cylinder of a word under the half-open coding cells.
+
+    Returns (lo, hi, lo_closed, hi_closed), or None when the cylinder is empty.
+    """
+    frame = affine_cylinder(word, _walk_branches(fmap), Fraction(1))
+    if frame is None:
+        return None
+    cyl = frame.cylinder
+    return cyl.lo, cyl.hi, cyl.lo_closed, cyl.hi_closed
 
 
 @dataclass(frozen=True)
@@ -169,21 +169,12 @@ def example31_measure_bounds(maxlen: int) -> list[Example31BoundsReport]:
     fmap, presentation = example31_system()
     aut = FoldedAutomaton(presentation.graph, 0, 1, None, 4)
     reports = []
-    for word in enumerate_words(aut, maxlen):
-        n = len(word)
-        cyl = example31_cylinder(fmap, word)
-        if cyl is None:
-            raise IntervalMapError(f"admissible word {word} has an empty cylinder")
-        lo, hi, _, _ = cyl
-        length = hi - lo
-        reports.append(
-            Example31BoundsReport(
-                word,
-                length,
-                Fraction(1, 2) * Fraction(3) ** (-n) <= length,
-                length <= Fraction(3) ** (-n),
-            )
-        )
+    for frame in affine_cylinder_walk(enumerate_words(aut, maxlen), _walk_branches(fmap),
+                                      Fraction(1)):
+        cyl, scale = frame.cylinder, frame.scale
+        length = cyl.length
+        reports.append(Example31BoundsReport(cyl.word, length, scale / 2 <= length,
+                                             length <= scale))
     return reports
 
 

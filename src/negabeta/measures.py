@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -64,48 +64,152 @@ class CylinderInterval:
         return True
 
 
-def cylinder_interval(system: MinusBetaSystem, word: Sequence[int]) -> CylinderInterval:
-    """Exact coding cylinder, by backward recursion through inverse branches.
+class Branch(NamedTuple):
+    """One monotone affine branch x -> slope*x + intercept, on its coding cell.
 
-    Starting from [0, 1], each step intersects with the partition cell of the
-    next digit and pulls back through the orientation-reversing inverse
-    branch y -> (digit + 1 - y)/beta.  Raises :class:`InadmissibleWord` when
-    the interior becomes empty.
+    The cell has the endpoint fields of :class:`negabeta.transform.JInterval`.
+    The branch keeps 1/slope and its orientation, so a walk through it needs
+    no division and no sign test.
+    """
+
+    cell: object
+    intercept: object
+    inv_slope: object
+    decreasing: bool
+
+
+class CylinderFrame(NamedTuple):
+    """The cylinder [w] of a word of length n and the inverse of T^n on it.
+
+    phi_w(y) = slope*y + intercept maps T^n[w] onto [w]; it is the composite
+    of the inverse branches along w, so |slope| is the product of their
+    contractions (beta^-n for the negative-beta map).
+    """
+
+    cylinder: CylinderInterval
+    slope: object
+    intercept: object
+    decreasing: bool
+
+    @property
+    def scale(self):
+        """|slope|, the contraction of phi_w."""
+        return -self.slope if self.decreasing else self.slope
+
+
+def _root_frame(one) -> CylinderFrame:
+    zero = one - one
+    return CylinderFrame(CylinderInterval((), zero, one, True, True), one, zero, False)
+
+
+def _extend(frame: CylinderFrame, branch: Branch, word: Word) -> Optional[CylinderFrame]:
+    """Frame of `word`, one digit longer than the frame's word; None when empty.
+
+    [wa] = [w] intersected with phi_w(cell_a), and phi_wa is phi_w after the
+    inverse of branch a: a fixed number of field operations at any depth.
+    """
+    s, c = frame.slope, frame.intercept
+    cell = branch.cell
+    lo, hi = s * cell.lo + c, s * cell.hi + c
+    lo_closed, hi_closed = cell.lo_closed, cell.hi_closed
+    if frame.decreasing:
+        lo, hi, lo_closed, hi_closed = hi, lo, hi_closed, lo_closed
+    parent = frame.cylinder
+    if parent.lo == lo:
+        lo_closed = lo_closed and parent.lo_closed
+    elif parent.lo > lo:
+        lo, lo_closed = parent.lo, parent.lo_closed
+    if parent.hi == hi:
+        hi_closed = hi_closed and parent.hi_closed
+    elif parent.hi < hi:
+        hi, hi_closed = parent.hi, parent.hi_closed
+    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+        return None
+    slope = s * branch.inv_slope
+    return CylinderFrame(CylinderInterval(word, lo, hi, lo_closed, hi_closed),
+                         slope, c - slope * branch.intercept,
+                         frame.decreasing != branch.decreasing)
+
+
+def affine_cylinder(word: Sequence[int], branches: Sequence[Branch],
+                    one) -> Optional[CylinderFrame]:
+    """Frame of one word, by the walk's step folded over its digits.
+
+    Returns None when the cylinder is empty; a single point is returned as a
+    degenerate interval.  `one` fixes the arithmetic (a field element or a
+    Fraction).
     """
     word = tuple(word)
-    cells = system.partition()
-    one = system.beta.one()
-    zero = system.beta.zero()
-    beta = system.beta_element
-    lo, hi = zero, one
-    lo_closed = hi_closed = True
-    for digit in reversed(word):
+    frame = _root_frame(one)
+    for n in range(1, len(word) + 1):
+        frame = _extend(frame, branches[word[n - 1]], word[:n])
+        if frame is None:
+            return None
+    return frame
+
+
+def affine_cylinder_walk(words: Iterable[Word], branches: Sequence[Branch],
+                         one) -> Iterator[CylinderFrame]:
+    """Frames of words given in preorder, one step per word.
+
+    Each word must come after its parent, with no word of the parent's length
+    or shorter in between (the order of a depth-first enumeration).  A stack
+    holds one frame per depth, so a word costs O(1) field operations instead
+    of an O(n) pullback.  Raises :class:`InadmissibleWord` when a word's
+    cylinder has no interior.
+    """
+    stack = [_root_frame(one)]
+    for word in words:
+        if not 1 <= len(word) <= len(stack):
+            raise ValueError(f"word {word} does not follow its parent")
+        del stack[len(word):]
+        frame = _extend(stack[-1], branches[word[-1]], word)
+        if frame is None or frame.cylinder.lo == frame.cylinder.hi:
+            raise InadmissibleWord(f"no interior in the cylinder of word {word}")
+        stack.append(frame)
+        yield frame
+
+
+def _branches(system: MinusBetaSystem) -> list[Branch]:
+    """Branches x -> (a+1) - beta*x of the negative-beta map on its partition."""
+    inv_slope = -system.beta_inverse
+    return [Branch(cell, a + 1, inv_slope, True) for a, cell in enumerate(system.partition())]
+
+
+def _fold(system: MinusBetaSystem, word: Sequence[int]) -> CylinderFrame:
+    word = tuple(word)
+    for digit in word:
         if not 0 <= digit <= system.b:
             raise InadmissibleWord(f"digit {digit} outside the alphabet")
-        # inverse branch flips orientation and closure flags
-        lo, hi = (digit + 1 - hi) / beta, (digit + 1 - lo) / beta
-        lo_closed, hi_closed = hi_closed, lo_closed
-        cell = cells[digit]
-        if cell.lo > lo or (cell.lo == lo and not cell.lo_closed and lo_closed):
-            lo, lo_closed = cell.lo, cell.lo_closed
-        if cell.hi < hi or (cell.hi == hi and not cell.hi_closed and hi_closed):
-            hi, hi_closed = cell.hi, cell.hi_closed
-        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-            raise InadmissibleWord(f"empty cylinder for word {word}")
-    if lo == hi:
+    frame = affine_cylinder(word, _branches(system), system.beta.one())
+    if frame is None:
+        raise InadmissibleWord(f"empty cylinder for word {word}")
+    if frame.cylinder.lo == frame.cylinder.hi:
         raise InadmissibleWord(f"degenerate cylinder for word {word}")
-    return CylinderInterval(word, lo, hi, lo_closed, hi_closed)
+    return frame
+
+
+def cylinder_interval(system: MinusBetaSystem, word: Sequence[int]) -> CylinderInterval:
+    """Exact coding cylinder, through the inverse branches y -> (digit + 1 - y)/beta.
+
+    Raises :class:`InadmissibleWord` when the cylinder has no interior.
+    """
+    return _fold(system, word).cylinder
 
 
 @dataclass(frozen=True)
 class CylinderReport:
-    """Exact cylinder length together with the two decay bound checks."""
+    """Exact cylinder and its length together with the two decay bound checks."""
 
-    word: Word
+    interval: CylinderInterval
     length: object
     upper_bound_ok: bool
     lower_bound_applicable: bool
     lower_bound_ok: Optional[bool]
+
+    @property
+    def word(self) -> Word:
+        return self.interval.word
 
 
 def _has_double_extension(system: MinusBetaSystem, word: Word) -> bool:
@@ -118,6 +222,20 @@ def _has_double_extension(system: MinusBetaSystem, word: Word) -> bool:
     return False
 
 
+def _report(system: MinusBetaSystem, frame: CylinderFrame, lower_constant) -> CylinderReport:
+    interval = frame.cylinder
+    length = interval.length
+    scale = frame.scale
+    applicable = _has_double_extension(system, interval.word)
+    lower_ok = length >= lower_constant * scale if applicable else None
+    return CylinderReport(interval, length, length <= scale, applicable, lower_ok)
+
+
+def _lower_constant(system: MinusBetaSystem):
+    """1 - b/beta, the constant of the lower bound on branching words."""
+    return system.beta.one() - system.b * system.beta_inverse
+
+
 def cylinder_measure(system: MinusBetaSystem, word: Sequence[int]) -> CylinderReport:
     """Exact Lebesgue length of the cylinder, with its bound report.
 
@@ -125,20 +243,21 @@ def cylinder_measure(system: MinusBetaSystem, word: Sequence[int]) -> CylinderRe
     one-letter extensions it is also at least (1 - b/beta) * beta^-n.  Both
     comparisons are exact field arithmetic.
     """
-    word = tuple(word)
-    interval = cylinder_interval(system, word)
-    n = len(word)
-    beta = system.beta_element
-    one = system.beta.one()
-    length = interval.length
-    upper = one / beta**n
-    upper_ok = length <= upper
-    applicable = _has_double_extension(system, word)
-    lower_ok = None
-    if applicable:
-        lower = (one - system.b / beta) / beta**n
-        lower_ok = length >= lower
-    return CylinderReport(word, length, upper_ok, applicable, lower_ok)
+    return _report(system, _fold(system, word), _lower_constant(system))
+
+
+def cylinder_walk(system: MinusBetaSystem, maxlen: int) -> Iterator[CylinderReport]:
+    """Reports for every admissible word up to maxlen, in enumeration order.
+
+    Walks :meth:`MinusBetaSystem.enumerate_admissible` depth first through
+    :func:`affine_cylinder_walk`, so each report costs O(1) field operations
+    (plus the admissibility test of its one-letter extensions).
+    """
+    lower = _lower_constant(system)
+    frames = affine_cylinder_walk(system.enumerate_admissible(maxlen), _branches(system),
+                                  system.beta.one())
+    for frame in frames:
+        yield _report(system, frame, lower)
 
 
 # -- branching distance ------------------------------------------------------------
@@ -488,26 +607,26 @@ def weak_metric_truncated(mu, nu, K: int, alphabet_bound: int) -> float:
 
 def cylinder_sweep(system: MinusBetaSystem, maxlen: int) -> list[CylinderReport]:
     """Reports for every admissible word up to the given length."""
-    return [cylinder_measure(system, w) for w in system.enumerate_admissible(maxlen)]
+    return list(cylinder_walk(system, maxlen))
 
 
 def partition_identity_holds(system: MinusBetaSystem, n: int) -> bool:
     """Sum of cylinder lengths at length n equals one exactly."""
     total = system.beta.zero()
-    for w in system.enumerate_admissible(n):
-        if len(w) == n:
-            total = total + cylinder_interval(system, w).length
+    frames = affine_cylinder_walk(system.enumerate_admissible(n), _branches(system),
+                                  system.beta.one())
+    for frame in frames:
+        if len(frame.cylinder.word) == n:
+            total = total + frame.cylinder.length
     return total == 1
 
 
 def additivity_holds(system: MinusBetaSystem, word: Sequence[int]) -> bool:
     """Cylinder length equals the sum over its admissible one-letter extensions."""
-    word = tuple(word)
-    parent = cylinder_interval(system, word).length
+    parent = _fold(system, word)
     total = system.beta.zero()
-    for c in range(system.b + 1):
-        try:
-            total = total + cylinder_interval(system, word + (c,)).length
-        except InadmissibleWord:
-            continue
-    return total == parent
+    for c, branch in enumerate(_branches(system)):
+        child = _extend(parent, branch, parent.cylinder.word + (c,))
+        if child is not None:
+            total = total + child.cylinder.length
+    return total == parent.cylinder.length

@@ -15,6 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterator, Sequence, Union
 
@@ -269,6 +270,7 @@ class MinusBetaSystem:
             self.b = self._floor_of_beta()
         self._expansion: DigitSequence | None = None
         self._case = Case.UNKNOWN
+        self._partition: tuple[JInterval, ...] | None = None
         self._aut_cache = None  # set lazily by negabeta.shiftgraph
 
     def _floor_of_beta(self) -> int:
@@ -282,6 +284,12 @@ class MinusBetaSystem:
     def beta_element(self):
         """beta as an exact arithmetic object (field element or Fraction)."""
         return self._beta_el
+
+    @cached_property
+    def beta_inverse(self) -> FieldElement:
+        """1/beta as an exact field element, computed once per system."""
+        self._require_exact("beta_inverse")
+        return self.beta.one() / self._beta_el
 
     def beta_float(self) -> float:
         return float(self._beta_el)
@@ -479,7 +487,7 @@ class MinusBetaSystem:
     def value_of(self, s: DigitSequence) -> FieldElement:
         """The unique point whose itinerary is s, by exact geometric summation."""
         self._require_exact("value_of")
-        inv = self.beta.one() / self._beta_el
+        inv = self.beta_inverse
         acc = self.beta.zero()
         power = inv
         sign = 1
@@ -504,23 +512,23 @@ class MinusBetaSystem:
     # -- coding partition --------------------------------------------------------------------
 
     def partition(self) -> tuple[JInterval, ...]:
-        """The coding partition, with case-dependent endpoint inclusions."""
+        """The coding partition, with case-dependent endpoint inclusions (cached)."""
         self._require_exact("partition")
         if self._case is Case.UNKNOWN:
             raise CaseUnknown("run expansion_of_one first")
-        inv = self.beta.one() / self._beta_el
-        cells = []
-        if self._case is Case.CASE1:
+        if self._partition is None:
+            inv = self.beta_inverse
+            case1 = self._case is Case.CASE1
+            cells = []
             for i in range(self.b + 1):
                 lo = inv * i
                 hi = self._one() if i == self.b else inv * (i + 1)
-                cells.append(JInterval(i, lo, hi, lo_closed=(i == 0), hi_closed=True))
-        else:
-            for i in range(self.b + 1):
-                lo = inv * i
-                hi = self._one() if i == self.b else inv * (i + 1)
-                cells.append(JInterval(i, lo, hi, lo_closed=True, hi_closed=(i == self.b)))
-        return tuple(cells)
+                if case1:
+                    cells.append(JInterval(i, lo, hi, lo_closed=(i == 0), hi_closed=True))
+                else:
+                    cells.append(JInterval(i, lo, hi, lo_closed=True, hi_closed=(i == self.b)))
+            self._partition = tuple(cells)
+        return self._partition
 
     def __repr__(self):
         if self.exact:

@@ -132,6 +132,25 @@ def test_cyl_json_and_csv(capsys, tmp_path):
     assert b"\r\n" in raw  # RFC 4180 line endings
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cyl", "--beta", PISOT, "--maxlen", "0"],
+        ["cyl", "--beta", PISOT, "--maxlen", "-2", "--format", "csv"],
+        ["example31", "--maxlen", "0"],
+        ["cyl", "--beta", PISOT, "--maxlen", "2", "--format", "dot"],
+        ["validate", "--beta", PISOT, "--maxlen", "0", "--seed", "1"],
+    ],
+    ids=["cyl-maxlen-0", "cyl-maxlen-negative-csv", "example31-maxlen-0", "cyl-dot",
+         "validate-maxlen-0"],
+)
+def test_cylinder_command_usage_errors(argv, capsys):
+    code, out, err = invoke(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error:")
+
+
 def test_gbeta_command(capsys):
     code, out, _ = invoke(["gbeta", "--beta", PISOT, "--n", "8"], capsys)
     payload = json.loads(out)

@@ -27,6 +27,10 @@ COMMANDS = {
     "spec": ["spec", "--oracle-maxlen", "5"],
     "gbeta": ["gbeta", "--n", "12"],
     "validate": ["validate", "--maxlen", "7", "--seed", "3"],
+    "cyl_csv_8": ["cyl", "--format", "csv", "--maxlen", "8"],
+    "cyl_csv_7": ["cyl", "--format", "csv", "--maxlen", "7"],
+    "cyl_csv_6": ["cyl", "--format", "csv", "--maxlen", "6"],
+    "cyl_json_5": ["cyl", "--format", "json", "--maxlen", "5"],
 }
 
 # (base, command) -> (exit code, sha256 of stdout)
@@ -66,7 +70,15 @@ GOLDEN = {
     ("defective", "spec"): (0, "e7aae46693bf5e6f708b1741808d72441a6cb017e5fb0947dde5d9c81271ff29"),
     ("defective", "gbeta"): (0, "7a8cebfbc7ae53cef2b61ea65a42944c5825ba5df1ade4db060fdc05730456f1"),
     ("defective", "validate"): (1, "274a25b372f51db1b3ea760f397f5d2817cde846fda1623500abbf6582ccf7a2"),
+    ("cubic", "cyl_csv_8"): (0, "ae3e35deaa878799d9c5a9096a93d417ccc484a365227395cc20c2cad50f85cc"),
+    ("cubic", "cyl_json_5"): (0, "43f7fbe9d3881aac5efda9f0a0f6be79d89015a9e168747067bbf3e6c90ab73a"),
+    ("two", "cyl_csv_7"): (0, "ed2faa9d4c51893c0ed103fcda0ffe54413575c21da749ba0be58fe0bbc1001d"),
+    ("golden", "cyl_csv_7"): (0, "4076e3e38af4a68ded792cd0483a63740fb426d4a54fbede9c2be675a8a6e5e2"),
+    ("defective", "cyl_csv_6"): (0, "c20ebb9f379b6ace4f9f5b7571798402f8920fc27ddcad1ad403a2a32a859d2f"),
 }
+
+# example31 takes no --beta: (exit code, sha256 of stdout) of `example31 --maxlen 6`
+EXAMPLE31 = (0, "9f58c3da97989784cc10a1ca2fe5681d7697b7c464d9040ea7218d667e731694")
 
 
 @pytest.mark.parametrize("base, command", sorted(GOLDEN))
@@ -75,3 +87,9 @@ def test_cli_stdout_is_pinned(base, command, capsys):
     code = main([name, "--beta", BASES[base], *options])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[(base, command)]
+
+
+def test_example31_stdout_is_pinned(capsys):
+    code = main(["example31", "--maxlen", "6"])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == EXAMPLE31

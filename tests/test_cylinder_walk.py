@@ -1,0 +1,142 @@
+"""The depth-first cylinder walk against the backward pullback it replaced.
+
+`reference_interval` and `reference_example31` are the pullbacks the walk
+replaced: each word is pulled back from [0, 1] through the inverse branches,
+last digit first, dividing by the slope at every step (memoized on suffixes
+here, which changes no value).  The walk and the
+one-word fold must reproduce them exactly: the same words in the same order,
+the same exact endpoints and the same closure flags, and the same refusals.
+"""
+
+import functools
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from negabeta.algebraic import IntPolynomial, make_algebraic
+from negabeta.intervalmaps import example31_cylinder, example31_measure_bounds, example31_system
+from negabeta.measures import InadmissibleWord, cylinder_interval, cylinder_walk
+from negabeta.transform import MinusBetaSystem
+
+BASES = {
+    "cubic": ((-1, -1, 0, 1), 1, 2),  # x^3 - x - 1
+    "two": ((-2, 1), 1, 3),
+    "three": ((-3, 1), 2, 4),
+    "golden": ((-1, -1, 1), 1, 2),  # x^2 - x - 1
+    "silver": ((-1, -2, 1), 2, 3),  # x^2 - 2x - 1
+    "defective": ((-1, -1, -2, 1), 2, 3),  # x^3 - 2x^2 - x - 1, over-accepting automaton
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BASES))
+def system(request):
+    coeffs, lo, hi = BASES[request.param]
+    sys = MinusBetaSystem(make_algebraic(IntPolynomial(coeffs), lo, hi))
+    sys.expansion_of_one()
+    return sys
+
+
+def reference_interval(system, word):
+    """(lo, hi, lo_closed, hi_closed) by backward pullback; None when refused."""
+    pulled = _pullback(system, tuple(word))
+    if pulled is None or pulled[0] == pulled[1]:
+        return None
+    return pulled
+
+
+@functools.lru_cache(maxsize=None)
+def _pullback(system, word):
+    """The pullback of word[1:] (memoized: suffixes repeat), pulled back once more."""
+    if not word:
+        return system.beta.zero(), system.beta.one(), True, True
+    digit = word[0]
+    if not 0 <= digit <= system.b:
+        return None
+    rest = _pullback(system, word[1:])
+    if rest is None:
+        return None
+    lo, hi, lo_closed, hi_closed = rest
+    beta = system.beta_element
+    lo, hi = (digit + 1 - hi) / beta, (digit + 1 - lo) / beta
+    lo_closed, hi_closed = hi_closed, lo_closed
+    cell = system.partition()[digit]
+    if cell.lo > lo or (cell.lo == lo and not cell.lo_closed and lo_closed):
+        lo, lo_closed = cell.lo, cell.lo_closed
+    if cell.hi < hi or (cell.hi == hi and not cell.hi_closed and hi_closed):
+        hi, hi_closed = cell.hi, cell.hi_closed
+    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+        return None
+    return lo, hi, lo_closed, hi_closed
+
+
+def reference_example31(fmap, word):
+    lo, hi = Fraction(0), Fraction(1)
+    lo_closed, hi_closed = True, True
+    for digit in reversed(tuple(word)):
+        br = fmap.branches[digit]
+        lo, hi = (lo - br.intercept) / br.slope, (hi - br.intercept) / br.slope
+        if br.lo > lo or (br.lo == lo and not br.lo_closed and lo_closed):
+            lo, lo_closed = br.lo, br.lo_closed
+        if br.hi < hi or (br.hi == hi and not br.hi_closed and hi_closed):
+            hi, hi_closed = br.hi, br.hi_closed
+        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+            return None
+    return lo, hi, lo_closed, hi_closed
+
+
+def _fields(interval):
+    return interval.lo, interval.hi, interval.lo_closed, interval.hi_closed
+
+
+def test_walk_matches_pullback(system):
+    one, beta = system.beta.one(), system.beta_element
+    lower = one - system.b / beta
+    scales = [one]  # beta^-n
+    for _ in range(7):
+        scales.append(scales[-1] / beta)
+    words = list(system.enumerate_admissible(7))
+    reports = list(cylinder_walk(system, 7))
+    assert [r.word for r in reports] == words
+    for report in reports:
+        scale = scales[len(report.word)]
+        ref = reference_interval(system, report.word)
+        assert ref is not None
+        assert _fields(report.interval) == ref
+        length = ref[1] - ref[0]
+        assert report.length == length
+        assert report.upper_bound_ok == (length <= scale)
+        if report.lower_bound_applicable:
+            assert report.lower_bound_ok == (length >= lower * scale)
+        else:
+            assert report.lower_bound_ok is None
+
+
+def test_fold_matches_pullback_on_every_word(system):
+    """All digit strings up to length 4, admissible or not, and stray digits."""
+    alphabet = range(-1, system.b + 2)
+    for n in range(5):
+        for word in itertools.product(alphabet, repeat=n):
+            ref = reference_interval(system, word)
+            if ref is None:
+                with pytest.raises(InadmissibleWord):
+                    cylinder_interval(system, word)
+            else:
+                assert _fields(cylinder_interval(system, word)) == ref
+
+
+def test_example31_fold_matches_pullback():
+    fmap, _ = example31_system()
+    for n in range(6):
+        for word in itertools.product(range(5), repeat=n):
+            assert example31_cylinder(fmap, word) == reference_example31(fmap, word)
+
+
+def test_example31_walk_matches_pullback():
+    fmap, _ = example31_system()
+    for report in example31_measure_bounds(7):
+        lo, hi, _, _ = reference_example31(fmap, report.word)
+        scale = Fraction(1, 3 ** len(report.word))
+        assert report.length == hi - lo
+        assert report.upper_ok == (hi - lo <= scale)
+        assert report.lower_ok == (scale / 2 <= hi - lo)
