@@ -2,8 +2,10 @@
 
 A field is described by an integer polynomial together with a rational
 isolating interval pinning down a single real root.  Elements are stored as
-rational coefficient vectors in the power basis of that root, so equality,
-signs and correctly rounded decimal output are all decided exactly.  No
+integer coefficient vectors over one positive denominator in the power basis
+of that root, and signs and bounds come from integer interval arithmetic on
+the isolating interval, so equality, signs and correctly rounded decimal
+output are all decided exactly.  No
 floating point enters any exactness-bearing path; floats only appear in
 convenience accessors.
 """
@@ -11,6 +13,7 @@ convenience accessors.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -105,84 +108,26 @@ class IntPolynomial:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-# -- dense polynomial helpers over Fraction, low degree first ----------------
-
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        coef = a[k + len(b) - 1] * inv_lead
-        q[k] = coef
-        if coef:
-            for j, bj in enumerate(b):
-                a[k + j] -= coef * bj
-    return q, _poly_trim(a[: len(b) - 1])
-
-
-def _poly_xgcd(a: Sequence[Fraction], b: Sequence[Fraction]):
-    """Extended gcd of two polynomials; returns monic g and s with s*a = g mod b."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        prod = _poly_mul(q, s1)
-        s0, s1 = s1, _poly_sub(s0, prod)
-    lead = r0[-1]
-    return [c / lead for c in r0], [c / lead for c in s0]
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
-
-
-def _interval_eval(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction):
-    """Exact interval Horner evaluation of a polynomial over [lo, hi]."""
-    vlo = vhi = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        candidates = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
-        vlo, vhi = min(candidates) + c, max(candidates) + c
-    return vlo, vhi
+def _halvings(num: int, den: int) -> int:
+    """Least k >= 0 with num <= den * 2**k, for positive den."""
+    return ((num - 1) // den).bit_length() if num > den else 0
 
 
 class AlgebraicNumber:
     """One real root of an irreducible integer polynomial.
 
-    The isolating interval only ever shrinks; refinement results are cached
-    on the instance, which keeps the value immutable as observed through the
-    public operations and safe to share between threads.
+    The isolating interval [a/q, b/q] is held as the integers (a, b, q) and
+    only ever shrinks; refinement results are cached on the instance, which
+    keeps the value immutable as observed through the public operations and
+    safe to share between threads.
     """
 
     def __init__(self, minpoly: IntPolynomial, lo: Fraction, hi: Fraction):
         self.minpoly = minpoly
-        self._iv = (lo, hi)
-        if minpoly.degree == 1:
+        self.degree = minpoly.degree
+        if self.degree == 1:
             c0, c1 = minpoly.coefficients
-            root = Fraction(-c0, c1)
-            self._iv = (root, root)
+            lo = hi = Fraction(-c0, c1)
             self._sign_lo = 0
         else:
             s_lo = minpoly(lo)
@@ -190,86 +135,102 @@ class AlgebraicNumber:
             if s_lo == 0 or s_hi == 0 or (s_lo > 0) == (s_hi > 0):
                 raise ValueError("interval endpoints must straddle the root")
             self._sign_lo = 1 if s_lo > 0 else -1
-        d = minpoly.degree
-        self._pow_table = self._build_pow_table()
-        self.degree = d
+        q = math.lcm(lo.denominator, hi.denominator)
+        self._box = (lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator), q)
+        self._reduction, self._reduction_den = self._build_reduction()
 
-    def _build_pow_table(self) -> list[tuple[Fraction, ...]]:
-        d = self.minpoly.degree
-        lead = Fraction(self.minpoly.coefficients[-1])
-        # X^d = -(c_0 + c_1 X + ... + c_{d-1} X^{d-1}) / c_d
-        top = tuple(Fraction(-c, 1) / lead for c in self.minpoly.coefficients[:-1])
-        table = []
-        for k in range(d):
-            row = [Fraction(0)] * d
-            row[k] = Fraction(1)
-            table.append(tuple(row))
+    def _build_reduction(self) -> tuple[list[tuple[int, ...]], int]:
+        """X^d .. X^(2d-2) in the power basis, as integer rows over lead^(d-1).
+
+        With X^d = -(c_0 + ... + c_{d-1} X^{d-1}) / lead, the power X^(d+j)
+        is an integer row over lead^(j+1); the rows are brought to one
+        denominator so a product reduces with integer arithmetic alone.
+        """
+        *low, lead = self.minpoly.coefficients
+        d = len(low)
+        rows, row = [], [-c for c in low]
         for _ in range(d - 1):
-            prev = table[-1]
-            shifted = [Fraction(0)] + list(prev[:-1])
-            overflow = prev[-1]
-            row = [shifted[i] + overflow * top[i] for i in range(d)]
-            table.append(tuple(row))
-        return table
+            rows.append(row)
+            shifted = [0] + row[:-1]
+            row = [lead * s - row[-1] * c for s, c in zip(shifted, low)]
+        return ([tuple(r * lead ** (d - 2 - j) for r in rw) for j, rw in enumerate(rows)],
+                lead ** (d - 1))
 
     # -- isolating interval ---------------------------------------------------
 
     def interval(self) -> tuple[Fraction, Fraction]:
-        return self._iv
+        a, b, q = self._box
+        return Fraction(a, q), Fraction(b, q)
 
-    def _refine_step(self):
-        lo, hi = self._iv
-        if lo == hi:
+    def _refine_step(self, steps: int = 1) -> None:
+        """Bisect the isolating interval `steps` times, in integers."""
+        a, b, q = self._box
+        if a == b:
             return
-        mid = (lo + hi) / 2
-        s_mid = self.minpoly(mid)
-        # irreducible of degree >= 2 has no rational roots, so s_mid != 0
-        if (s_mid > 0) == (self._sign_lo > 0):
-            self._iv = (mid, hi)
-        else:
-            self._iv = (lo, mid)
+        coeffs = self.minpoly.coefficients
+        for _ in range(steps):
+            mid = a + b
+            a, b, q = 2 * a, 2 * b, 2 * q
+            # q^d * minpoly(mid/q); nonzero, since an irreducible polynomial
+            # of degree >= 2 has no rational root
+            acc, q_pow = coeffs[-1], 1
+            for c in reversed(coeffs[:-1]):
+                q_pow *= q
+                acc = acc * mid + c * q_pow
+            if (acc > 0) == (self._sign_lo > 0):
+                a = mid
+            else:
+                b = mid
+        self._box = (a, b, q)
 
     def refine(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
-        lo, hi = self._iv
-        while hi - lo > max_width:
-            self._refine_step()
-            lo, hi = self._iv
-        return lo, hi
+        max_width = _frac(max_width)
+        a, b, q = self._box
+        self._refine_step(_halvings((b - a) * max_width.denominator, q * max_width.numerator))
+        return self.interval()
 
     # -- element constructors -------------------------------------------------
 
+    def _element(self, nums: Sequence[int], den: int) -> "FieldElement":
+        """The element nums/den in canonical form: den > 0, overall gcd 1."""
+        if den < 0:
+            nums, den = [-n for n in nums], -den
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [n // g for n in nums], den // g
+        return FieldElement(self, tuple(nums), den)
+
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (Fraction(0),) * self.degree)
+        return FieldElement(self, (0,) * self.degree, 1)
 
     def one(self) -> "FieldElement":
         return self.from_rational(1)
 
     def from_rational(self, r: Rational) -> "FieldElement":
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = _frac(r)
-        return FieldElement(self, tuple(coeffs))
+        r = _frac(r)
+        return FieldElement(self, (r.numerator,) + (0,) * (self.degree - 1), r.denominator)
 
     def from_coeffs(self, coeffs: Iterable[Rational]) -> "FieldElement":
         vec = [_frac(c) for c in coeffs]
         if len(vec) > self.degree:
             raise ValueError("coefficient vector longer than the field degree")
         vec += [Fraction(0)] * (self.degree - len(vec))
-        return FieldElement(self, tuple(vec))
+        den = math.lcm(*(c.denominator for c in vec))
+        return self._element([c.numerator * (den // c.denominator) for c in vec], den)
 
     def generator(self) -> "FieldElement":
         """The root itself, as a field element."""
         if self.degree == 1:
-            return self.from_rational(self._iv[0])
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[1] = Fraction(1)
-        return FieldElement(self, tuple(coeffs))
+            return self.from_rational(self.interval()[0])
+        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def __float__(self) -> float:
-        lo, hi = self.refine(Fraction(1, 10**18))
-        return float((lo + hi) / 2)
+        self.refine(Fraction(1, 10**18))
+        a, b, q = self._box
+        return (a + b) / (2 * q)
 
     def __repr__(self) -> str:
-        lo, hi = self._iv
+        lo, hi = self.interval()
         return f"AlgebraicNumber({self.minpoly}, [{lo}, {hi}])"
 
 
@@ -285,13 +246,23 @@ def _compatible(a: "FieldElement", b: "FieldElement") -> bool:
 
 
 class FieldElement:
-    """Element of Q(root), as a rational vector in the power basis."""
+    """Element of Q(root): the integer vector nums over den, in the power basis.
 
-    __slots__ = ("field", "coeffs")
+    The form is canonical (den > 0 and gcd(nums, den) = 1), so equal elements
+    have equal fields and hashes.
+    """
 
-    def __init__(self, field: AlgebraicNumber, coeffs: tuple[Fraction, ...]):
+    __slots__ = ("field", "nums", "den")
+
+    def __init__(self, field: AlgebraicNumber, nums: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficient vector in the power basis."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     # -- ring structure --------------------------------------------------------
 
@@ -304,74 +275,89 @@ class FieldElement:
             return self.field.from_rational(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "FieldElement":
+        """self + sign * other, over the least common denominator."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        g = math.gcd(da, db)
+        ma, mb = db // g, sign * (da // g)
+        nums = [x * ma + y * mb for x, y in zip(self.nums, other.nums)]
+        return self.field._element(nums, da * ma)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return (-self)._combine(other, 1)
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-a for a in self.nums), self.den)
+
+    def _scaled(self, num: int, den: int) -> "FieldElement":
+        if den == 0:
+            raise ZeroDivisionError("division by zero")
+        return self.field._element([a * num for a in self.nums], self.den * den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            r = _frac(other)
-            return FieldElement(self.field, tuple(a * r for a in self.coeffs))
+            return self._scaled(other.numerator, other.denominator)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = self.field.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, ai in enumerate(self.coeffs):
+        field = self.field
+        d = field.degree
+        conv = [0] * (2 * d - 1)
+        for i, ai in enumerate(self.nums):
             if ai:
-                for j, bj in enumerate(other.coeffs):
+                for j, bj in enumerate(other.nums):
                     if bj:
                         conv[i + j] += ai * bj
-        table = self.field._pow_table
-        out = [Fraction(0)] * d
-        for k, ck in enumerate(conv):
+        scale = field._reduction_den
+        out = [c * scale for c in conv[:d]] if scale != 1 else conv[:d]
+        for ck, row in zip(conv[d:], field._reduction):
             if ck:
-                row = table[k]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += ck * row[i]
-        return FieldElement(self.field, tuple(out))
+                for i, r in enumerate(row):
+                    if r:
+                        out[i] += ck * r
+        return field._element(out, self.den * other.den * scale)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("field element is zero")
+        if self.is_rational():
+            return self.field.from_rational(Fraction(self.den, self.nums[0]))
+        # Solve self * y = 1: the columns of y -> self * y are self * X^j.
+        # The matrix is invertible because the field has no zero divisors.
         d = self.field.degree
-        if d == 1 or self.is_rational():
-            return self.field.from_rational(1 / self.coeffs[0])
-        p = [Fraction(c) for c in self.field.minpoly.coefficients]
-        a = _poly_trim(list(self.coeffs))
-        g, s = _poly_xgcd(a, p)
-        if len(g) != 1:
-            # cannot happen for an irreducible minimal polynomial
-            raise ArithmeticError("gcd with the minimal polynomial is not constant")
-        _, rem = _poly_divmod(s, p)
-        return self.field.from_coeffs(rem)
+        x = self.field.generator()
+        columns, column = [], self
+        for _ in range(d):
+            columns.append(column.coeffs)
+            column = column * x
+        rows = [[col[i] for col in columns] + [Fraction(i == 0)] for i in range(d)]
+        for k in range(d):
+            pivot = next(i for i in range(k, d) if rows[i][k])
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            head = rows[k][k]
+            rows[k] = [v / head for v in rows[k]]
+            for i in range(d):
+                factor = rows[i][k]
+                if i != k and factor:
+                    rows[i] = [v - factor * w for v, w in zip(rows[i], rows[k])]
+        return self.field.from_coeffs(row[d] for row in rows)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            r = _frac(other)
-            return FieldElement(self.field, tuple(a / r for a in self.coeffs))
+            return self._scaled(other.denominator, other.numerator)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -398,43 +384,74 @@ class FieldElement:
     # -- predicates and comparisons -------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
+
+    def _enclosure(self) -> tuple[int, int, int]:
+        """(lo, hi, den) with the value in [lo/den, hi/den].
+
+        Interval Horner evaluation on the isolating interval [a/q, b/q],
+        scaled by q at every step so that it stays in integers.
+        """
+        a, b, q = self.field._box
+        nums = self.nums
+        lo = hi = nums[-1]
+        q_pow = 1
+        for c in reversed(nums[:-1]):
+            q_pow *= q
+            products = (lo * a, lo * b, hi * a, hi * b)
+            c_scaled = c * q_pow
+            lo, hi = min(products) + c_scaled, max(products) + c_scaled
+        return lo, hi, self.den * q_pow
+
+    def _bracket(self, width_num: int, width_den: int) -> tuple[int, int, int]:
+        """An enclosure at most width_num/width_den wide.
+
+        The enclosure width roughly halves with each bisection of the
+        isolating interval, so one batch of bisections usually suffices.
+        """
+        lo, hi, den = self._enclosure()
+        while (hi - lo) * width_den > width_num * den:
+            self.field._refine_step(_halvings((hi - lo) * width_den, width_num * den))
+            lo, hi, den = self._enclosure()
+        return lo, hi, den
 
     def sign(self) -> int:
-        if self.is_zero():
-            return 0
         if self.is_rational():
-            return 1 if self.coeffs[0] > 0 else -1
-        lo, hi = self.field.interval()
-        for _ in range(_SIGN_REFINE_CAP):
-            elo, ehi = _interval_eval(self.coeffs, lo, hi)
-            if elo > 0:
+            first = self.nums[0]
+            return (first > 0) - (first < 0)
+        steps = spent = 0
+        while True:
+            lo, hi, _ = self._enclosure()
+            if lo > 0:
                 return 1
-            if ehi < 0:
+            if hi < 0:
                 return -1
-            self.field._refine_step()
-            lo, hi = self.field.interval()
-        raise RuntimeError("sign determination did not converge")
+            if spent >= _SIGN_REFINE_CAP:
+                raise RuntimeError("sign determination did not converge")
+            steps = 2 * steps or 1
+            self.field._refine_step(steps)
+            spent += steps
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.is_rational() and self.nums[0] == other.numerator
+                    and self.den == other.denominator)
         if not isinstance(other, FieldElement):
             return NotImplemented
         if not _compatible(self, other):
             return False
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __lt__(self, other):
         return (self - self._coerce(other)).sign() < 0
@@ -453,40 +470,39 @@ class FieldElement:
     def approx(self, max_width: Fraction) -> tuple[Fraction, Fraction]:
         """Exact rational bounds on the value, at most max_width apart."""
         if self.is_rational():
-            return self.coeffs[0], self.coeffs[0]
-        lo, hi = self.field.interval()
-        while True:
-            elo, ehi = _interval_eval(self.coeffs, lo, hi)
-            if ehi - elo <= max_width:
-                return elo, ehi
-            self.field._refine_step()
-            lo, hi = self.field.interval()
+            value = self.as_fraction()
+            return value, value
+        max_width = _frac(max_width)
+        lo, hi, den = self._bracket(max_width.numerator, max_width.denominator)
+        return Fraction(lo, den), Fraction(hi, den)
 
     def decimal(self, digits: int) -> str:
         if digits < 1:
             raise ValueError("digits must be >= 1")
         scale = 10**digits
         if self.is_rational():
-            r = self.coeffs[0]
-            neg = r < 0
-            n = (abs(r) * scale + Fraction(1, 2)).__floor__()
+            neg = self.nums[0] < 0
+            n = (2 * abs(self.nums[0]) * scale + self.den) // (2 * self.den)
         else:
             neg = self.sign() < 0
-            width = Fraction(1, scale * 1000)
+            width_den = scale * 1000
             while True:
-                lo, hi = self.approx(width)
-                slo = abs(lo if not neg else hi) * scale + Fraction(1, 2)
-                shi = abs(hi if not neg else lo) * scale + Fraction(1, 2)
-                if slo.__floor__() == shi.__floor__():
-                    n = slo.__floor__()
+                lo, hi, den = self._bracket(1, width_den)
+                if neg:
+                    lo, hi = hi, lo
+                # round half up: floor(|x| * scale + 1/2) at both ends
+                n = (2 * abs(lo) * scale + den) // (2 * den)
+                if n == (2 * abs(hi) * scale + den) // (2 * den):
                     break
-                width /= 16
+                width_den *= 16
         whole, frac = divmod(n, scale)
         return f"{'-' if neg else ''}{whole}.{frac:0{digits}d}"
 
     def __float__(self) -> float:
-        lo, hi = self.approx(Fraction(1, 10**18))
-        return float((lo + hi) / 2)
+        if self.is_rational():
+            return self.nums[0] / self.den
+        lo, hi, den = self._bracket(1, 10**18)
+        return (lo + hi) / (2 * den)
 
     def __repr__(self):
         return f"FieldElement({list(self.coeffs)})"

@@ -178,10 +178,9 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 def _system_for(config: RunConfig) -> MinusBetaSystem:
     try:
-        beta = parse_beta_spec(config.beta_text)
-    except ValueError as exc:
+        return MinusBetaSystem(parse_beta_spec(config.beta_text))
+    except (ValueError, algebraic.AlgebraicError) as exc:
         raise UsageError(str(exc)) from exc
-    return MinusBetaSystem(beta)
 
 
 # -- command bodies --------------------------------------------------------------------
@@ -259,15 +258,15 @@ def _coeff_text(element) -> str:
     return "[" + ",".join(str(c) for c in element.coeffs) + "]"
 
 
-def _maxlen(config: RunConfig) -> int:
-    maxlen = config.params["maxlen"]
-    if maxlen < 1:
-        raise UsageError(f"--maxlen must be >= 1, got {maxlen}")
-    return maxlen
+def _positive(config: RunConfig, key: str, flag: str) -> int:
+    value = config.params[key]
+    if value < 1:
+        raise UsageError(f"{flag} must be >= 1, got {value}")
+    return value
 
 
 def _cmd_cyl(config: RunConfig):
-    maxlen = _maxlen(config)
+    maxlen = _positive(config, "maxlen", "--maxlen")
     system = _system_for(config)
     if not system.exact:
         raise InexactMode("cylinder tables need an exact algebraic beta")
@@ -277,9 +276,9 @@ def _cmd_cyl(config: RunConfig):
 
 
 def _cmd_gbeta(config: RunConfig):
+    n = _positive(config, "n", "--n")
     system = _system_for(config)
     system.expansion_of_one()
-    n = config.params["n"]
     values = [measures.g_beta_n(system, k) for k in range(1, n + 1)]
     return {"n": n, "g": values, "max": max(values)}
 
@@ -316,28 +315,34 @@ def _cmd_rate(config: RunConfig):
         targets.extend(lo + (hi - lo) * k / max(count - 1, 1) for k in range(count))
     if not targets:
         raise UsageError("give --a or --a-grid")
-    rows = [ldp.level1_rate(chain, psi, a, phi_const).to_json_dict() for a in targets]
+    try:
+        rows = [ldp.level1_rate(chain, psi, a, phi_const).to_json_dict() for a in targets]
+    except ldp.UnachievableLevel as exc:
+        raise UsageError(f"unachievable level: {exc}") from exc
     return {"rows": rows, "phi_const": phi_const, "note": "level-1 values are derived consequences"}
 
 
 def _cmd_mc(config: RunConfig):
+    n = _positive(config, "n", "--n")
+    samples = _positive(config, "samples", "--N")
     system = _system_for(config)
     psi = parse_observable(config.params["obs"], system.b)
     window = _parse_window(config.params["window"])
-    estimate = ldp.mc_deviation(
-        system, psi, window, config.params["n"], config.params["samples"], config.seed
-    )
+    estimate = ldp.mc_deviation(system, psi, window, n, samples, config.seed)
     return estimate.to_json_dict()
 
 
 def _cmd_compare_rates(config: RunConfig):
     system = _system_for(config)
-    rows = ldp.compare_rate_functions(system)
+    try:
+        rows = ldp.compare_rate_functions(system)
+    except ldp.WrongBeta as exc:
+        raise UsageError(str(exc)) from exc
     return {"rows": [_jsonable(r.to_json_dict()) for r in rows]}
 
 
 def _cmd_example31(config: RunConfig):
-    maxlen = _maxlen(config)
+    maxlen = _positive(config, "maxlen", "--maxlen")
     _, pres = intervalmaps.example31_system()
     cert = specprop.spec_bound(pres, with_oracle=True, oracle_maxlen=min(maxlen, 6))
     reports = intervalmaps.example31_measure_bounds(maxlen)
@@ -364,7 +369,7 @@ def _cmd_example32(config: RunConfig):
 
 
 def _cmd_validate(config: RunConfig):
-    maxlen = _maxlen(config)
+    maxlen = _positive(config, "maxlen", "--maxlen")
     system = _system_for(config)
     checks = []
 
@@ -381,16 +386,10 @@ def _cmd_validate(config: RunConfig):
     sweep = measures.cylinder_sweep(system, maxlen)
     record("cylinder_upper_bounds", all(r.upper_bound_ok for r in sweep))
     corrected = (system.beta.one() - system.b * system.beta_inverse) * system.beta_inverse
-    lower_ok = all(
-        r.length * system.beta_element ** len(r.word) >= corrected
-        for r in sweep
-        if r.lower_bound_applicable
-    )
+    lower_ok = all(r.length >= corrected * r.scale for r in sweep if r.lower_bound_applicable)
     record("cylinder_lower_bounds_corrected", lower_ok)
-    record(
-        "partition_identity",
-        all(measures.partition_identity_holds(system, n) for n in range(1, min(maxlen, 8) + 1)),
-    )
+    totals = measures.length_totals(r.interval for r in sweep)
+    record("partition_identity", all(totals.get(n) == 1 for n in range(1, min(maxlen, 8) + 1)))
 
     pres = specprop.SoficPresentation.from_chain(chain)
     cert = specprop.spec_bound(pres)

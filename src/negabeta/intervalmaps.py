@@ -146,6 +146,8 @@ def example31_cylinder(fmap: PiecewiseExpandingMap, word: Sequence[int]):
     """Exact rational cylinder of a word under the half-open coding cells.
 
     Returns (lo, hi, lo_closed, hi_closed), or None when the cylinder is empty.
+    Raises :class:`negabeta.measures.InadmissibleWord` for a digit outside
+    the alphabet of branches.
     """
     frame = affine_cylinder(word, _walk_branches(fmap), Fraction(1))
     if frame is None:

@@ -277,10 +277,11 @@ def _beta_fixed_point(system: MinusBetaSystem, precision: int) -> int:
 
 
 def _orbit_digits(system: MinusBetaSystem, n: int, sample: int, precision: int,
-                  beta_fixed: Optional[int] = None) -> tuple[int, ...]:
-    """Digit string of one fixed-point orbit (used directly by the audit)."""
-    if beta_fixed is None:
-        beta_fixed = _beta_fixed_point(system, precision)
+                  beta_fixed: int) -> tuple[int, ...]:
+    """Digit string of one fixed-point orbit (used directly by the audit).
+
+    `beta_fixed` is beta in the same fixed point, from :func:`_beta_fixed_point`.
+    """
     b = system.b
     table = [(d + 1) << (2 * precision) for d in range(b + 1)]
     x = _scale_sample(sample, precision)
@@ -294,10 +295,9 @@ def _orbit_digits(system: MinusBetaSystem, n: int, sample: int, precision: int,
     return tuple(digits)
 
 
-def _digit_means_generic(system: MinusBetaSystem, psi: Psi, n: int,
-                         indices: range, seed: int, precision: int) -> list[float]:
+def _digit_means_generic(system: MinusBetaSystem, psi: Psi, n: int, indices: range, seed: int,
+                         precision: int, beta_fixed: int) -> list[float]:
     """Exact-start fixed-point orbits; one mean of the observable per sample."""
-    beta_fixed = _beta_fixed_point(system, precision)
     b = system.b
     table = [(d + 1) << (2 * precision) for d in range(b + 1)]
     psi_vals = [_psi_value(psi, d) for d in range(b + 1)]
@@ -393,14 +393,16 @@ def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
     if is_base2:
         means = _digit_means_beta2(psi, n, indices, seed)
     else:
-        means = _digit_means_generic(system, psi, n, indices, seed, precision)
+        beta_fixed = _beta_fixed_point(system, precision)
+        means = _digit_means_generic(system, psi, n, indices, seed, precision, beta_fixed)
 
     if not is_base2 and audit_fraction > 0:
         step = max(1, int(1 / audit_fraction))
+        beta_double = _beta_fixed_point(system, 2 * precision)
         for idx in range(0, sample_count, step):
             sample = _sample_fixed_point(seed, idx)
-            base = _orbit_digits(system, n, sample, precision)
-            double = _orbit_digits(system, n, sample, 2 * precision)
+            base = _orbit_digits(system, n, sample, precision, beta_fixed)
+            double = _orbit_digits(system, n, sample, 2 * precision, beta_double)
             if base != double:
                 raise ArithmeticError(
                     f"precision audit failed at sample {idx}: digit strings differ"

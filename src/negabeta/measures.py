@@ -136,10 +136,14 @@ def affine_cylinder(word: Sequence[int], branches: Sequence[Branch],
     """Frame of one word, by the walk's step folded over its digits.
 
     Returns None when the cylinder is empty; a single point is returned as a
-    degenerate interval.  `one` fixes the arithmetic (a field element or a
+    degenerate interval.  Raises :class:`InadmissibleWord` for a digit that
+    names no branch.  `one` fixes the arithmetic (a field element or a
     Fraction).
     """
     word = tuple(word)
+    for digit in word:
+        if not 0 <= digit < len(branches):
+            raise InadmissibleWord(f"digit {digit} outside the alphabet")
     frame = _root_frame(one)
     for n in range(1, len(word) + 1):
         frame = _extend(frame, branches[word[n - 1]], word[:n])
@@ -178,9 +182,6 @@ def _branches(system: MinusBetaSystem) -> list[Branch]:
 
 def _fold(system: MinusBetaSystem, word: Sequence[int]) -> CylinderFrame:
     word = tuple(word)
-    for digit in word:
-        if not 0 <= digit <= system.b:
-            raise InadmissibleWord(f"digit {digit} outside the alphabet")
     frame = affine_cylinder(word, _branches(system), system.beta.one())
     if frame is None:
         raise InadmissibleWord(f"empty cylinder for word {word}")
@@ -199,10 +200,15 @@ def cylinder_interval(system: MinusBetaSystem, word: Sequence[int]) -> CylinderI
 
 @dataclass(frozen=True)
 class CylinderReport:
-    """Exact cylinder and its length together with the two decay bound checks."""
+    """Exact cylinder and its length together with the two decay bound checks.
+
+    `scale` is the contraction of the inverse branch on the cylinder
+    (beta^-n for a word of length n).
+    """
 
     interval: CylinderInterval
     length: object
+    scale: object
     upper_bound_ok: bool
     lower_bound_applicable: bool
     lower_bound_ok: Optional[bool]
@@ -228,7 +234,7 @@ def _report(system: MinusBetaSystem, frame: CylinderFrame, lower_constant) -> Cy
     scale = frame.scale
     applicable = _has_double_extension(system, interval.word)
     lower_ok = length >= lower_constant * scale if applicable else None
-    return CylinderReport(interval, length, length <= scale, applicable, lower_ok)
+    return CylinderReport(interval, length, scale, length <= scale, applicable, lower_ok)
 
 
 def _lower_constant(system: MinusBetaSystem):
@@ -610,15 +616,20 @@ def cylinder_sweep(system: MinusBetaSystem, maxlen: int) -> list[CylinderReport]
     return list(cylinder_walk(system, maxlen))
 
 
+def length_totals(cylinders: Iterable[CylinderInterval]) -> dict:
+    """Exact sum of the cylinder lengths at each word length."""
+    totals: dict = {}
+    for cyl in cylinders:
+        n = len(cyl.word)
+        totals[n] = totals[n] + cyl.length if n in totals else cyl.length
+    return totals
+
+
 def partition_identity_holds(system: MinusBetaSystem, n: int) -> bool:
     """Sum of cylinder lengths at length n equals one exactly."""
-    total = system.beta.zero()
     frames = affine_cylinder_walk(system.enumerate_admissible(n), _branches(system),
                                   system.beta.one())
-    for frame in frames:
-        if len(frame.cylinder.word) == n:
-            total = total + frame.cylinder.length
-    return total == 1
+    return length_totals(f.cylinder for f in frames if len(f.cylinder.word) == n).get(n) == 1
 
 
 def additivity_holds(system: MinusBetaSystem, word: Sequence[int]) -> bool:

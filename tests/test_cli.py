@@ -151,6 +151,28 @@ def test_cylinder_command_usage_errors(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("usage error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["yrrap", "--beta", "poly:-2,0,1;interval:-2,2"],
+        ["yrrap", "--beta", "poly:-2,0,1;interval:3,4"],
+        ["yrrap", "--beta", "poly:-1,2;interval:0,1"],
+        ["gbeta", "--beta", PISOT, "--n", "0"],
+        ["mc", "--beta", PISOT, "--window", "0.1:0.2", "--n", "0", "--N", "10", "--seed", "1"],
+        ["mc", "--beta", PISOT, "--window", "0.1:0.2", "--n", "5", "--N", "0", "--seed", "1"],
+        ["rate", "--beta", PISOT, "--a", "5"],
+        ["compare-rates", "--beta", TWO],
+    ],
+    ids=["beta-not-isolating", "beta-no-root", "beta-below-one", "gbeta-n-0", "mc-n-0",
+         "mc-N-0", "rate-unachievable", "compare-rates-wrong-base"],
+)
+def test_bad_input_usage_errors(argv, capsys):
+    code, out, err = invoke(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error:")
+
+
 def test_gbeta_command(capsys):
     code, out, _ = invoke(["gbeta", "--beta", PISOT, "--n", "8"], capsys)
     payload = json.loads(out)

@@ -18,6 +18,7 @@ from negabeta.intervalmaps import (
     predicted_occupation_rate,
 )
 from negabeta.ldp import WindowNeverHit
+from negabeta.measures import InadmissibleWord
 from negabeta.shiftgraph import FoldedAutomaton, enumerate_words
 from negabeta.specprop import spec_bound
 from negabeta.transform import HitBoundary
@@ -122,6 +123,13 @@ def test_cylinder_single_digit(system):
     lo, hi, lo_closed, hi_closed = example31_cylinder(fmap, (1,))
     assert (lo, hi) == (Fraction(1, 6), Fraction(1, 2))
     assert lo_closed and not hi_closed
+
+
+@pytest.mark.parametrize("word", [(-1,), (5,), (1, -1), (0, 5)])
+def test_cylinder_rejects_digits_outside_alphabet(system, word):
+    fmap, _ = system
+    with pytest.raises(InadmissibleWord):
+        example31_cylinder(fmap, word)
 
 
 def test_measure_bounds_exhaustive():

@@ -10,6 +10,7 @@ from negabeta.ldp import (
     UnachievableLevel,
     WindowNeverHit,
     WrongBeta,
+    _beta_fixed_point,
     _digit_means_beta2,
     _digit_means_generic,
     compare_rate_functions,
@@ -181,7 +182,8 @@ def test_mc_never_hit(two_sys):
 
 def test_mc_engines_agree(two_sys):
     fast = _digit_means_beta2(DIGIT1, 24, range(500), seed=9)
-    slow = _digit_means_generic(two_sys, DIGIT1, 24, range(500), seed=9, precision=90)
+    slow = _digit_means_generic(two_sys, DIGIT1, 24, range(500), seed=9, precision=90,
+                                beta_fixed=_beta_fixed_point(two_sys, 90))
     assert fast == slow
 
 
