@@ -550,27 +550,11 @@ def make_algebraic(p: IntPolynomial | Sequence[int], lo: Rational, hi: Rational)
         coeffs = [-c for c in coeffs]
     minpoly = IntPolynomial(tuple(coeffs))
 
-    if minpoly.degree == 1:
-        return AlgebraicNumber(minpoly, lo, hi)
-
-    # shrink until the endpoints straddle the root, then refine a little more
-    while True:
-        s_lo, s_hi = minpoly(lo), minpoly(hi)
-        if s_lo != 0 and s_hi != 0 and (s_lo > 0) != (s_hi > 0):
-            break
-        third = (hi - lo) / 3
-        cand_lo, cand_hi = lo + third, hi - third
-        poly_c = sympy.Poly(list(reversed(minpoly.coefficients)), x, domain="ZZ")
-        if poly_c.count_roots(sympy.Rational(cand_lo.numerator, cand_lo.denominator),
-                              sympy.Rational(cand_hi.numerator, cand_hi.denominator)) == 1:
-            lo, hi = cand_lo, cand_hi
-        elif poly_c.count_roots(sympy.Rational(lo.numerator, lo.denominator),
-                                sympy.Rational(cand_hi.numerator, cand_hi.denominator)) == 1:
-            hi = cand_hi
-        else:
-            lo = cand_lo
+    # An irreducible minpoly of degree >= 2 has no rational root, and its one
+    # root in [lo, hi] is simple, so the endpoints already straddle it.
     number = AlgebraicNumber(minpoly, lo, hi)
-    number.refine((hi - lo) / 1024)
+    if minpoly.degree > 1:
+        number.refine((hi - lo) / 1024)
     return number
 
 

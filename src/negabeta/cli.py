@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,7 +22,9 @@ from typing import Optional, Sequence
 
 from negabeta import algebraic, intervalmaps, ldp, measures, shiftgraph, specprop
 from negabeta.algebraic import parse_beta_spec
-from negabeta.transform import InexactMode, MinusBetaSystem, NotEventuallyPeriodic, word_to_text
+from negabeta.transform import (
+    EXPANSION_STEPS, InexactMode, MinusBetaSystem, NotEventuallyPeriodic, word_to_text,
+)
 
 
 class UsageError(Exception):
@@ -62,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("yrrap", help="digit expansion of 1 and the case tag")
     common(p)
-    p.add_argument("--max-steps", type=int, default=4096)
+    p.add_argument("--max-steps", type=int, default=EXPANSION_STEPS)
 
     p = sub.add_parser("graph", help="folded automaton of the expansion")
     common(p)
@@ -121,11 +124,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def parse_config(argv: Sequence[str]) -> RunConfig:
     """Parse and validate an argument vector into a RunConfig."""
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(list(argv))
+        ns = _PARSER.parse_args(list(argv))
     except SystemExit as exc:
         if exc.code == 0:  # --help
             raise
@@ -135,6 +140,8 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         raise UsageError("a subcommand is required")
     if ns.command in _STOCHASTIC and ns.seed is None:
         raise UsageError(f"--seed is mandatory for '{ns.command}'")
+    if ns.digits < 1:
+        raise UsageError(f"--digits must be >= 1, got {ns.digits}")
     params = {
         k: v
         for k, v in vars(ns).items()
@@ -171,6 +178,8 @@ def _parse_window(text: str) -> tuple[float, float]:
         lo, hi = (float(part) for part in text.split(":"))
     except ValueError as exc:
         raise UsageError(f"window must be lo:hi, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"window ends must be finite, got {text!r}")
     if lo > hi:
         raise UsageError("window lower end exceeds upper end")
     return lo, hi
@@ -187,8 +196,9 @@ def _system_for(config: RunConfig) -> MinusBetaSystem:
 
 
 def _cmd_yrrap(config: RunConfig):
+    max_steps = _positive(config, "max_steps", "--max-steps")
     system = _system_for(config)
-    seq = system.expansion_of_one(max_steps=config.params["max_steps"])
+    seq = system.expansion_of_one(max_steps=max_steps)
     beta_text = (
         algebraic.to_decimal(system.beta.generator(), config.digits)
         if system.exact
@@ -207,7 +217,10 @@ def _cmd_yrrap(config: RunConfig):
 
 def _cmd_graph(config: RunConfig):
     system = _system_for(config)
-    aut = shiftgraph.automaton_for(system, horizon=config.params.get("horizon"))
+    try:
+        aut = shiftgraph.automaton_for(system, horizon=config.params["horizon"])
+    except shiftgraph.HorizonTooSmall as exc:
+        raise UsageError(f"--horizon too small: {exc}") from exc
     payload = aut.graph.to_json_dict()
     payload["fold"] = {"start": aut.fold_start, "period": aut.fold_period}
     if config.fmt == "dot":
@@ -315,6 +328,8 @@ def _cmd_rate(config: RunConfig):
         targets.extend(lo + (hi - lo) * k / max(count - 1, 1) for k in range(count))
     if not targets:
         raise UsageError("give --a or --a-grid")
+    if not all(math.isfinite(a) for a in targets):
+        raise UsageError("target means must be finite")
     try:
         rows = [ldp.level1_rate(chain, psi, a, phi_const).to_json_dict() for a in targets]
     except ldp.UnachievableLevel as exc:
@@ -355,17 +370,22 @@ def _cmd_example31(config: RunConfig):
 
 
 def _cmd_example32(config: RunConfig):
+    n = _positive(config, "n", "--n")
+    samples = _positive(config, "samples", "--N")
     window = _parse_window(config.params["a_window"])
     fmap = intervalmaps.CircleMap()
-    clusters = intervalmaps.circle_nonwandering(fmap)
-    estimate = intervalmaps.circle_mc_deviation(
-        window, config.params["n"], config.params["samples"], config.seed,
-        eps=config.params["eps"], fmap=fmap,
-    )
-    payload = estimate.to_json_dict()
-    payload["nonwandering"] = clusters
-    payload["predicted_rate"] = intervalmaps.predicted_occupation_rate(window[0], fmap)
-    return payload
+    circle = {
+        "nonwandering": intervalmaps.circle_nonwandering(fmap),
+        "predicted_rate": intervalmaps.predicted_occupation_rate(window[0], fmap),
+    }
+    try:
+        estimate = intervalmaps.circle_mc_deviation(
+            window, n, samples, config.seed, eps=config.params["eps"], fmap=fmap,
+        )
+    except ldp.WindowNeverHit as exc:
+        exc.report.update(circle)
+        raise
+    return {**estimate.to_json_dict(), **circle}
 
 
 def _cmd_validate(config: RunConfig):
@@ -507,7 +527,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except ldp.WindowNeverHit as exc:
         # emit the rate lower bound that a zero-hit run still certifies
-        sys.stdout.write(emit_report(exc.estimate.to_json_dict(), "json", None))
+        sys.stdout.write(emit_report(exc.report, "json", None))
         print(f"window never hit: {exc}", file=sys.stderr)
         return 3
     except IOError as exc:

@@ -40,6 +40,7 @@ class WindowNeverHit(LdpError):
 
     def __init__(self, estimate: "DeviationEstimate"):
         self.estimate = estimate
+        self.report = estimate.to_json_dict()  # the command's zero-hit stdout
         super().__init__(
             f"0 of {estimate.sample_count} samples hit the window; "
             f"empirical rate exceeds {estimate.rate_lower_bound:.6f}"

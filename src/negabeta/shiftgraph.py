@@ -526,44 +526,14 @@ def enumerate_words(aut: FoldedAutomaton, maxlen: int) -> Iterator[Word]:
 
 
 def spectral_radius(mat: np.ndarray) -> float:
-    """Largest eigenvalue magnitude of a nonnegative matrix.
+    """Largest eigenvalue magnitude of a square matrix, 0.0 when it is empty.
 
-    Power iteration with a residual-based convergence test; for matrices of
-    at most six states the result is cross-checked against the roots of the
-    characteristic polynomial, which also rescues the nearly nilpotent cases
-    where power iteration legitimately stalls (tiny spectral gap).
+    One direct eigenvalue solve.  For the automaton, the tail component's
+    value is anchored exactly by h_top = log beta.
     """
-    n = mat.shape[0]
-    if n == 0 or not mat.any():
+    if mat.shape[0] == 0:
         return 0.0
-    scale = float(np.max(np.sum(mat, axis=1)))
-    scaled = mat / scale
-    shifted = scaled + np.eye(n)  # damps oscillation on periodic graphs
-    vec = np.ones(n) / math.sqrt(n)
-    lam = 1.0
-    converged = False
-    for _ in range(20000):
-        nxt = shifted @ vec
-        norm = np.linalg.norm(nxt)
-        if norm == 0:
-            return 0.0
-        nxt /= norm
-        lam = float(nxt @ shifted @ nxt)
-        residual = float(np.linalg.norm(shifted @ nxt - lam * nxt))
-        vec = nxt
-        if residual <= 1e-13 * max(1.0, abs(lam)):
-            converged = True
-            break
-    rho = (lam - 1.0) * scale
-    if n <= 6:
-        rho_poly = float(max(abs(np.roots(np.poly(mat)))))
-        if abs(rho_poly - rho) > 1e-8 * max(1.0, rho_poly):
-            if not converged:
-                return max(rho_poly, 0.0)
-            raise ArithmeticError(
-                f"power iteration ({rho}) and characteristic polynomial ({rho_poly}) disagree"
-            )
-    return max(rho, 0.0)
+    return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
 def entropy_estimate(aut: FoldedAutomaton, vertices: Optional[Sequence[int]] = None) -> float:

@@ -92,17 +92,15 @@ class SpecCertificate:
 # -- graph distance helpers ------------------------------------------------------
 
 
-def _distances_from(graph: LabeledGraph, start: int,
-                    allowed: Optional[set[int]] = None) -> dict[int, int]:
+def _distances_from(graph: LabeledGraph, start: int, allowed: set[int]) -> dict[int, int]:
+    """BFS distances from ``start`` along edges that stay inside ``allowed``."""
     dist = {start: 0}
     frontier = [start]
     while frontier:
         nxt = []
         for v in frontier:
             for _, _, t in graph.out_edges(v):
-                if allowed is not None and t not in allowed:
-                    continue
-                if t not in dist:
+                if t in allowed and t not in dist:
                     dist[t] = dist[v] + 1
                     nxt.append(t)
         frontier = nxt
@@ -121,18 +119,9 @@ def _component_diameter(graph: LabeledGraph, comp: Sequence[int]) -> int:
     return diam
 
 
-def _min_cross(graph: LabeledGraph, src: Sequence[int], dst: Sequence[int]) -> Optional[int]:
-    best = None
-    targets = set(dst)
-    for p in src:
-        dist = _distances_from(graph, p)
-        for q in targets:
-            if q in dist and (best is None or dist[q] < best):
-                best = dist[q]
-    return best
-
-
-def _shortest_cross_word(graph: LabeledGraph, src: Sequence[int], dst: Sequence[int]) -> Word:
+def _shortest_cross_word(graph: LabeledGraph, src: Sequence[int],
+                         dst: Sequence[int]) -> Optional[Word]:
+    """Labels of a shortest path from ``src`` into ``dst``; None when there is none."""
     targets = set(dst)
     starts = list(src)
     parent: dict[int, tuple[Optional[int], Optional[int]]] = {p: (None, None) for p in starts}
@@ -154,7 +143,7 @@ def _shortest_cross_word(graph: LabeledGraph, src: Sequence[int], dst: Sequence[
                         return tuple(reversed(word))
                     nxt.append(t)
         frontier = nxt
-    raise DisconnectedPair(-1, -1)
+    return None
 
 
 # -- subset families (end states / start states of component words) ----------------
@@ -216,20 +205,14 @@ def spec_bound(p: SoficPresentation, with_oracle: bool = False,
     if q == 0:
         raise ValueError("presentation has no components")
     diams = [_component_diameter(p.graph, comp) for comp in p.components]
-    cross: dict[tuple[int, int], int] = {}
+    witnesses = []
     for i in range(q):
         for j in range(i, q):
-            c = _min_cross(p.graph, p.components[i], p.components[j])
-            if c is None:
+            word = _shortest_cross_word(p.graph, p.components[i], p.components[j])
+            if word is None:
                 raise DisconnectedPair(i, j)
-            cross[(i, j)] = c
-    m_bound = max(diams) + max(cross.values()) + max(diams)
-
-    witnesses = tuple(
-        ((i, j), _shortest_cross_word(p.graph, p.components[i], p.components[j]))
-        for i in range(q)
-        for j in range(i, q)
-    )
+            witnesses.append(((i, j), word))
+    m_bound = max(diams) + max(len(word) for _, word in witnesses) + max(diams)
 
     if _loops_everywhere(p):
         forward = [_subset_family(p.graph, comp, p.graph.step) for comp in p.components]
@@ -244,13 +227,13 @@ def spec_bound(p: SoficPresentation, with_oracle: bool = False,
             exact = None
             if with_oracle:
                 exact = bruteforce_exact_min(p, oracle_maxlen)
-            return SpecCertificate("strong_one_way", strong_m, witnesses, exact)
+            return SpecCertificate("strong_one_way", strong_m, tuple(witnesses), exact)
 
     exact = None
     if with_oracle:
         table = spec_bruteforce(p, oracle_maxlen)
         exact = table.overall_max
-    return SpecCertificate("w_one_way", m_bound, witnesses, exact)
+    return SpecCertificate("w_one_way", m_bound, tuple(witnesses), exact)
 
 
 def _exact_gap_everywhere(p, forward, backward, reach_m) -> bool:

@@ -29,6 +29,9 @@ from negabeta.algebraic import (
 Word = tuple[int, ...]
 PointLike = Union[FieldElement, Fraction, int]
 
+# Step budget of the expansion of 1, shared by every command that needs it.
+EXPANSION_STEPS = 4096
+
 
 class TransformError(Exception):
     """Base class for errors raised by this module."""
@@ -365,7 +368,7 @@ class MinusBetaSystem:
 
     # -- expansion of 1 -------------------------------------------------------------
 
-    def expansion_of_one(self, max_steps: int = 512) -> DigitSequence:
+    def expansion_of_one(self, max_steps: int = EXPANSION_STEPS) -> DigitSequence:
         """Digit expansion of 1 (limit from below), with cycle detection.
 
         Iterates the side-tagged point (1, from_below); the digit at an

@@ -1,5 +1,7 @@
 """Command-line surface: parsing, outputs, determinism, schemas, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,11 +10,16 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negabeta.cli import RunConfig, UsageError, emit_report, main, parse_config
+from negabeta.transform import EXPANSION_STEPS, MinusBetaSystem
 
 PISOT = "poly:-1,-1,0,1;interval:1,2"
 TWO = "poly:-2,1;interval:1,3"
+GOLDEN = "poly:-1,-1,1;interval:1,2"
+DEFECT = "poly:-1,-1,-2,1;interval:2,3"  # x^3-2x^2-x-1: its automaton accepts "20"
 
 
 def invoke(argv, capsys):
@@ -162,15 +169,92 @@ def test_cylinder_command_usage_errors(argv, capsys):
         ["mc", "--beta", PISOT, "--window", "0.1:0.2", "--n", "5", "--N", "0", "--seed", "1"],
         ["rate", "--beta", PISOT, "--a", "5"],
         ["compare-rates", "--beta", TWO],
+        ["yrrap", "--beta", PISOT, "--max-steps", "0"],
+        ["graph", "--beta", PISOT, "--horizon", "1"],
+        ["example32", "--n", "0", "--seed", "1"],
+        ["example32", "--N", "0", "--seed", "1"],
+        ["yrrap", "--beta", PISOT, "--digits", "0"],
+        ["cyl", "--beta", PISOT, "--maxlen", "2", "--digits", "-1"],
+        ["rate", "--beta", PISOT, "--a", "nan"],
+        ["mc", "--beta", PISOT, "--window", "0.3:nan", "--n", "5", "--N", "10", "--seed", "1"],
     ],
     ids=["beta-not-isolating", "beta-no-root", "beta-below-one", "gbeta-n-0", "mc-n-0",
-         "mc-N-0", "rate-unachievable", "compare-rates-wrong-base"],
+         "mc-N-0", "rate-unachievable", "compare-rates-wrong-base", "yrrap-max-steps-0",
+         "graph-horizon-1", "example32-n-0", "example32-N-0", "yrrap-digits-0",
+         "cyl-digits-negative", "rate-a-nan", "mc-window-nan"],
 )
 def test_bad_input_usage_errors(argv, capsys):
     code, out, err = invoke(argv, capsys)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("usage error:")
+
+
+def test_one_expansion_budget():
+    library = MinusBetaSystem.expansion_of_one.__defaults__[0]
+    assert library == parse_config(["yrrap", "--beta", PISOT]).params["max_steps"]
+    assert library == EXPANSION_STEPS
+
+
+# -- the exit-code contract on generated argv --------------------------------------------
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+_INTS = st.integers(-1, 4).map(str)
+_FLOATS = st.sampled_from(
+    ["nan", "inf", "-inf", "-1", "0", "0.1", "0.3", "0.5", "0.6", "0.75", "1", "2.5"]
+)
+_WINDOWS = st.builds("{}:{}".format, _FLOATS, _FLOATS)
+_OBS = st.sampled_from(["digit", "digit0", "digit1", "digit9", "bogus"])
+_REQUIRED = {"gbeta": ("--n",), "mc": ("--window", "--n", "--N"), "cyl": ("--maxlen",)}
+
+
+@st.composite
+def _argv(draw):
+    """Cheap commands on four bases, with small or invalid ints and non-finite floats."""
+    command = draw(st.sampled_from([
+        "yrrap", "graph", "components", "spec", "entropy", "gbeta", "rate", "mc",
+        "compare-rates", "cyl", "example31", "example32", "validate",
+    ]))
+    options = {
+        "yrrap": {"--max-steps": _INTS},
+        "graph": {"--horizon": st.integers(-1, 12).map(str)},
+        "spec": {"--oracle-maxlen": _INTS},
+        "gbeta": {"--n": _INTS},
+        "rate": {"--obs": _OBS, "--a": _FLOATS,
+                 "--a-grid": st.builds("{}:{}:{}".format, _FLOATS, _FLOATS, _INTS)},
+        "mc": {"--obs": _OBS, "--window": _WINDOWS, "--n": _INTS, "--N": _INTS},
+        "cyl": {"--maxlen": _INTS},
+        "example31": {"--maxlen": _INTS},
+        "example32": {"--a-window": _WINDOWS, "--n": _INTS, "--N": _INTS, "--eps": _FLOATS},
+        "validate": {"--maxlen": _INTS},
+    }.get(command, {})
+    options["--digits"] = _INTS
+    options["--seed"] = st.sampled_from(["-1", "0", "7"])
+    argv = [command]
+    if command not in ("example31", "example32"):
+        argv += ["--beta", draw(st.sampled_from([PISOT, TWO, GOLDEN, DEFECT]))]
+    for flag, values in options.items():
+        if flag in _REQUIRED.get(command, ()) or draw(st.sampled_from([True, True, False])):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_argv())
+def test_exit_code_contract(argv):
+    """Any argv ends in a contracted exit code; an escaping exception is a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in {0, 1, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        jsonschema.validate(payload, schema_for(argv[0].replace("-", "_")))
 
 
 def test_gbeta_command(capsys):
@@ -239,6 +323,16 @@ def test_example32_schema(capsys):
     payload = json.loads(out)
     jsonschema.validate(payload, schema_for("example32"))
     assert len(payload["nonwandering"]) == 2
+
+
+def test_example32_zero_hit_report_keeps_schema(capsys):
+    code, out, err = invoke(
+        ["example32", "--a-window", "0.99:1.0", "--n", "30", "--N", "50", "--seed", "1"], capsys
+    )
+    assert code == 3 and "window never hit" in err
+    payload = json.loads(out)
+    assert payload["hits"] == 0 and payload["rate"] is None
+    jsonschema.validate(payload, schema_for("example32"))
 
 
 def test_validate_command_green(capsys):

@@ -255,8 +255,12 @@ def test_tail_component_spectral_radius_is_beta(pisot_sys):
 
 
 def test_full_chain_entropy(pisot_sys, two_sys, three_sys):
-    for sys in (pisot_sys, two_sys, three_sys):
-        assert abs(entropy_estimate(automaton_for(sys)) - sys.log_beta()) < 1e-9
+    # x^2-x-1, x^2-3x+1, x^4-2x^3+x-1 (7 states), x^4-x^3-x^2-2x-1 (11 states)
+    more = [((-1, -1, 1), 1), ((1, -3, 1), 2), ((-1, 1, 0, -2, 1), 1), ((-1, -2, -1, -1, 1), 2)]
+    systems = [pisot_sys, two_sys, three_sys]
+    systems += [MinusBetaSystem(make_algebraic(IntPolynomial(c), b, b + 1)) for c, b in more]
+    for sys in systems:
+        assert abs(entropy_estimate(automaton_for(sys)) - sys.log_beta()) < 1e-12
 
 
 def test_spectral_radius_crosscheck():
@@ -265,6 +269,24 @@ def test_spectral_radius_crosscheck():
     mat = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     rho = spectral_radius(mat)
     assert abs(rho**3 - rho - 1) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "rows, rho",
+    [
+        ([], 0.0),
+        ([[0, 0], [0, 0]], 0.0),
+        ([[0, 1, 1], [0, 0, 1], [0, 0, 0]], 0.0),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1.0),
+        ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], 1.0),
+    ],
+    ids=["empty", "zero", "nilpotent", "3-cycle", "jordan"],
+)
+def test_spectral_radius_exact_cases(rows, rho):
+    import numpy as np
+
+    mat = np.array(rows, dtype=float).reshape(len(rows), len(rows))
+    assert abs(spectral_radius(mat) - rho) < 1e-12
 
 
 # -- language cross-validation ----------------------------------------------------------
