@@ -45,7 +45,6 @@ from negabeta.shiftgraph import (
     entropy_estimate,
     fold,
     is_irreducible,
-    max_prefix_suffix,
 )
 from negabeta.specprop import (
     DisconnectedPair,
@@ -73,7 +72,6 @@ from negabeta.measures import (
 )
 from negabeta.ldp import (
     DeviationEstimate,
-    RateQuery,
     RateResult,
     UnachievableLevel,
     WindowNeverHit,
@@ -101,14 +99,14 @@ __all__ = [
     "NotEventuallyPeriodic", "Ordering", "Side", "SignedPoint", "alt_compare",
     "ComponentChain", "FoldedAutomaton", "LabeledGraph", "automaton_for",
     "build_gamma", "chain_for", "count_words", "cross_validate", "decompose",
-    "entropy_estimate", "fold", "is_irreducible", "max_prefix_suffix",
+    "entropy_estimate", "fold", "is_irreducible",
     "DisconnectedPair", "SoficPresentation", "SpecCertificate",
     "ergodic_support_check", "omega_coverage_check", "spec_bound", "spec_bruteforce",
     "CylinderInterval", "EmpiricalMeasure", "InadmissibleWord", "MarkovMeasure",
     "cylinder_interval", "cylinder_measure", "cylinder_walk", "empirical_measure",
     "g_beta_n", "g_beta_word", "markov_entropy", "parry_measure",
     "weak_metric_truncated",
-    "DeviationEstimate", "RateQuery", "RateResult", "UnachievableLevel",
+    "DeviationEstimate", "RateResult", "UnachievableLevel",
     "WindowNeverHit", "WrongBeta", "compare_rate_functions", "free_energy",
     "level1_rate", "mc_deviation", "pressure",
     "CircleMap", "PiecewiseExpandingMap", "circle_mc_deviation",

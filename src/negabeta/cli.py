@@ -373,6 +373,9 @@ def _cmd_example32(config: RunConfig):
     n = _positive(config, "n", "--n")
     samples = _positive(config, "samples", "--N")
     window = _parse_window(config.params["a_window"])
+    eps = config.params["eps"]
+    if not 0 < eps < 0.5:  # nan too; from 0.5 on, the neighbourhood holds the sink 1/2
+        raise UsageError(f"--eps must lie in (0, 0.5), got {eps}")
     fmap = intervalmaps.CircleMap()
     circle = {
         "nonwandering": intervalmaps.circle_nonwandering(fmap),
@@ -380,7 +383,7 @@ def _cmd_example32(config: RunConfig):
     }
     try:
         estimate = intervalmaps.circle_mc_deviation(
-            window, n, samples, config.seed, eps=config.params["eps"], fmap=fmap,
+            window, n, samples, config.seed, eps=eps, fmap=fmap,
         )
     except ldp.WindowNeverHit as exc:
         exc.report.update(circle)

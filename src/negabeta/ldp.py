@@ -52,15 +52,6 @@ class WrongBeta(LdpError):
 
 
 @dataclass(frozen=True)
-class RateQuery:
-    """A level-1 rate request: observable, target window, reference constant."""
-
-    observable: Psi
-    window: tuple[float, float]
-    phi_const: float
-
-
-@dataclass(frozen=True)
 class RateResult:
     """Level-1 rate at one target mean."""
 

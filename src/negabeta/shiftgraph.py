@@ -1,9 +1,10 @@
 """Finite presentations of the symbolic system attached to an expansion of 1.
 
-Builds the infinite labeled graph prescribed by the expansion (spine plus
-three families of back edges), folds it to a finite automaton using the
-periodicity of the tail, and decomposes the result into the ordered chain of
-irreducible pieces that carries every invariant measure.
+Builds the infinite labeled graph prescribed by the expansion (a spine
+through the prefixes of the expansion, and the back edges that the border
+step of :func:`negabeta.transform.border_step` admits), folds it to a finite
+automaton using the periodicity of the tail, and decomposes the result into
+the ordered chain of irreducible pieces that carries every invariant measure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from negabeta.transform import DigitSequence, MinusBetaSystem, Word, word_to_text
+from negabeta.transform import DigitSequence, MinusBetaSystem, Word, border_step, word_to_text
 
 Edge = tuple[int, int, int]  # (source, label, target)
 
@@ -170,65 +171,34 @@ class LabeledGraph:
         }
 
 
-def max_prefix_suffix(w: Sequence[int], s: DigitSequence) -> int:
-    """Length of the longest prefix of s that is a suffix of w.
-
-    Runs the prefix-function automaton of the stream s over w, so each step
-    costs amortized O(1) instead of rescanning all suffixes.
-    """
-    w = tuple(w)
-    m = len(w)
-    if m == 0:
-        return 0
-    pattern = s.prefix(m)
-    # failure table over the prefix structure of s
-    fail = [0] * (m + 1)
-    fail[0] = -1
-    for i in range(1, m + 1):
-        j = fail[i - 1]
-        while j >= 0 and pattern[j] != pattern[i - 1]:
-            j = fail[j]
-        fail[i] = j + 1
-    state = 0
-    for c in w:
-        while state >= 0 and (state >= m or pattern[state] != c):
-            state = fail[state]
-        state += 1
-    return state
-
-
 def build_gamma(s: DigitSequence, horizon: int) -> LabeledGraph:
-    """Vertices V0..V_horizon and the four edge families driven by s.
+    """Vertices V0..V_horizon and the edges of the admissible language of s.
 
-    Spine edges V_i -> V_{i+1} carry digit s_i.  At even i every smaller
-    digit falls back to the vertex indexed by the maximal prefix-suffix
-    overlap; at odd i every larger digit up to s_0 does the same, and when
-    s_i < s_0 an extra edge labeled s_0 returns to V_1 (merged with the
-    previous family when they coincide).  Every back edge must land at index
-    at most u+v; that bound is asserted during the build.
+    V_i stands for the borders of the spine word s_0..s_{i-1} (the lengths
+    of its suffixes that are prefixes of s), which its longest border i
+    fixes.  Every digit a that :func:`border_step` accepts at V_i gets an
+    edge to V_j, where j is the longest border of the extended word, or 0
+    when none is left: a = s_i is the spine edge V_i -> V_{i+1}, any other
+    digit a back edge.  Every back edge must land at index at most u+v;
+    that bound is asserted during the build.
     """
     u, v = s.u, s.v
     if horizon < u + 2 * v:
         raise HorizonTooSmall(f"horizon {horizon} < {u + 2 * v}")
     edges: set[Edge] = set()
-    s0 = s.digit(0)
-    prefix = s.prefix(horizon + 1)
+    borders: tuple[int, ...] = ()
     for i in range(horizon):
-        si = prefix[i]
-        edges.add((i, si, i + 1))
-        if i % 2 == 0:
-            candidates = range(0, si)
-        else:
-            candidates = range(si + 1, s0 + 1)
-        for a in candidates:
-            j = max_prefix_suffix(prefix[:i] + (a,), s)
-            if j > u + v:
+        for a in range(s.alphabet_bound + 1):
+            new = border_step(s, borders, a)
+            if new is None:
+                continue
+            j = max(new, default=0)
+            if u + v < j <= i:
                 raise ShiftGraphError(
                     f"back edge from V{i} lands at V{j} beyond u+v={u + v}"
                 )
             edges.add((i, a, j))
-        if i % 2 == 1 and si < s0:
-            edges.add((i, s0, 1))
+        borders = border_step(s, borders, s.digit(i))
     return LabeledGraph(horizon + 1, edges)
 
 

@@ -215,6 +215,26 @@ def alt_compare(s: Union[DigitSequence, Sequence[int]],
     return Ordering.EQUAL if len(s) == len(t) else Ordering.PREFIX
 
 
+def border_step(ref: DigitSequence, active: tuple[int, ...], a: int) -> tuple[int, ...] | None:
+    """Borders of the word w+a, from the borders ``active`` of w.
+
+    A border of w is the length of a suffix of w that is a prefix of ``ref``
+    (the expansion of 1); ``active`` lists the nonzero ones, longest first.
+    Each of them, and the empty one, either extends (``a == ref_j``) or makes
+    the suffix of w+a differ from ``ref`` at index j.  Returns None when such
+    a suffix exceeds ``ref`` in the alternating order, so w+a is
+    inadmissible; otherwise the borders of w+a, longest first.
+    """
+    new = []
+    for pos in active + (0,):
+        r = ref.digit(pos)
+        if a == r:
+            new.append(pos + 1)
+        elif (a - r if pos % 2 == 0 else r - a) > 0:
+            return None
+    return tuple(new)
+
+
 def _floor_exact(t) -> tuple[int, bool]:
     """Floor of an exact nonnegative value; flags whether t is an integer."""
     if isinstance(t, Fraction):
@@ -453,11 +473,10 @@ class MinusBetaSystem:
     def enumerate_admissible(self, maxlen: int) -> Iterator[Word]:
         """Yield every admissible word of length 1..maxlen, shortest first.
 
-        Keeps, for the current word, the set of suffix positions still
-        matching a prefix of the expansion of 1; a word dies exactly when one
-        of those positions extends on the wrong side of the alternating
-        order.  Equivalent to filtering by :meth:`word_admissible` but
-        exponentially cheaper on the inadmissible subtrees.
+        Carries the borders of the current word through :func:`border_step`;
+        a word dies exactly when one of them extends on the wrong side of the
+        alternating order.  Equivalent to filtering by :meth:`word_admissible`
+        but exponentially cheaper on the inadmissible subtrees.
         """
         self._require_exact("enumerate_admissible")
         ref = self.expansion_of_one()
@@ -466,22 +485,12 @@ class MinusBetaSystem:
             if len(word) >= maxlen:
                 return
             for a in range(self.b + 1):
-                new_active = []
-                dead = False
-                for pos in active + (0,):
-                    r = ref.digit(pos)
-                    if a == r:
-                        new_active.append(pos + 1)
-                    else:
-                        diff = a - r if pos % 2 == 0 else r - a
-                        if diff > 0:
-                            dead = True
-                            break
-                if dead:
+                new_active = border_step(ref, active, a)
+                if new_active is None:
                     continue
                 w2 = word + (a,)
                 yield w2
-                yield from extend(w2, tuple(new_active))
+                yield from extend(w2, new_active)
 
         yield from extend((), ())
 

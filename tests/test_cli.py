@@ -19,7 +19,7 @@ from negabeta.transform import EXPANSION_STEPS, MinusBetaSystem
 PISOT = "poly:-1,-1,0,1;interval:1,2"
 TWO = "poly:-2,1;interval:1,3"
 GOLDEN = "poly:-1,-1,1;interval:1,2"
-DEFECT = "poly:-1,-1,-2,1;interval:2,3"  # x^3-2x^2-x-1: its automaton accepts "20"
+DEFECT = "poly:-1,-1,-2,1;interval:2,3"  # x^3-2x^2-x-1: d(1) = 21(2), so "20" is inadmissible
 
 
 def invoke(argv, capsys):
@@ -177,11 +177,17 @@ def test_cylinder_command_usage_errors(argv, capsys):
         ["cyl", "--beta", PISOT, "--maxlen", "2", "--digits", "-1"],
         ["rate", "--beta", PISOT, "--a", "nan"],
         ["mc", "--beta", PISOT, "--window", "0.3:nan", "--n", "5", "--N", "10", "--seed", "1"],
+        ["example32", "--eps", "nan", "--seed", "1"],
+        ["example32", "--eps", "-1", "--seed", "1"],
+        ["example32", "--eps", "0", "--seed", "1"],
+        ["example32", "--eps", "0.5", "--seed", "1"],
+        ["example32", "--eps", "inf", "--seed", "1"],
     ],
     ids=["beta-not-isolating", "beta-no-root", "beta-below-one", "gbeta-n-0", "mc-n-0",
          "mc-N-0", "rate-unachievable", "compare-rates-wrong-base", "yrrap-max-steps-0",
          "graph-horizon-1", "example32-n-0", "example32-N-0", "yrrap-digits-0",
-         "cyl-digits-negative", "rate-a-nan", "mc-window-nan"],
+         "cyl-digits-negative", "rate-a-nan", "mc-window-nan", "example32-eps-nan",
+         "example32-eps-negative", "example32-eps-0", "example32-eps-half", "example32-eps-inf"],
 )
 def test_bad_input_usage_errors(argv, capsys):
     code, out, err = invoke(argv, capsys)

@@ -16,7 +16,7 @@ BASES = {
     "two": "poly:-2,1;interval:1,3",
     "three": "poly:-3,1;interval:2,4",
     "golden": "poly:-1,-1,1;interval:1,2",  # x^2 - x - 1
-    "defective": "poly:-1,-1,-2,1;interval:2,3",  # x^3 - 2x^2 - x - 1, over-accepting automaton
+    "defective": "poly:-1,-1,-2,1;interval:2,3",  # x^3 - 2x^2 - x - 1: d(1) = 21(2), so "20" is inadmissible
 }
 
 COMMANDS = {
@@ -64,12 +64,12 @@ GOLDEN = {
     ("golden", "gbeta"): (0, "db3d54858607186088ac7c4be854092ccc08abad1e6b402c5095853b42672cad"),
     ("golden", "validate"): (0, "f8c4b1cb93d2a1fafd87b8bc9994863031f286bcddefa2d3f35ff80dc1689679"),
     ("defective", "yrrap"): (0, "dea7637e5caeeaf8966214aa47c5396d3bea0e8ba44e765e6565f3e43211a0be"),
-    ("defective", "graph_json"): (0, "5477e8130c955dedc2526ecd5bfeae3d309eeb56c51a42831541ca2615ac3421"),
-    ("defective", "graph_dot"): (0, "8d4af900afbff824f6fb7bfa8a48e277f298f199e3ef368ff0eed51e9022aa88"),
-    ("defective", "components"): (0, "fd7fca78641cf52d53beda9481b6b49e6089cf279910ddd3bb3425234c74fce8"),
-    ("defective", "spec"): (0, "e7aae46693bf5e6f708b1741808d72441a6cb017e5fb0947dde5d9c81271ff29"),
+    ("defective", "graph_json"): (0, "c5c3847bb7e8ae846d938b1827be91b1787350b761989eb83295a204bc53c409"),
+    ("defective", "graph_dot"): (0, "668c338ddd3067185ef8a25eb80686ea8902949d85f1ca9dd9d3aacb9087fab8"),
+    ("defective", "components"): (0, "9cb7a2a086cfb5d7710f9dc6ca8c77f01db2febeba3f5abe3f272dc16d09c304"),
+    ("defective", "spec"): (0, "1b58cc7f76576117e6de8a16509daa4100740b8fa6392ec26c89e58ef89ff998"),
     ("defective", "gbeta"): (0, "7a8cebfbc7ae53cef2b61ea65a42944c5825ba5df1ade4db060fdc05730456f1"),
-    ("defective", "validate"): (1, "274a25b372f51db1b3ea760f397f5d2817cde846fda1623500abbf6582ccf7a2"),
+    ("defective", "validate"): (0, "f8c4b1cb93d2a1fafd87b8bc9994863031f286bcddefa2d3f35ff80dc1689679"),
     ("cubic", "cyl_csv_8"): (0, "ae3e35deaa878799d9c5a9096a93d417ccc484a365227395cc20c2cad50f85cc"),
     ("cubic", "cyl_json_5"): (0, "43f7fbe9d3881aac5efda9f0a0f6be79d89015a9e168747067bbf3e6c90ab73a"),
     ("two", "cyl_csv_7"): (0, "ed2faa9d4c51893c0ed103fcda0ffe54413575c21da749ba0be58fe0bbc1001d"),

@@ -25,7 +25,7 @@ BASES = {
     "three": ((-3, 1), 2, 4),
     "golden": ((-1, -1, 1), 1, 2),  # x^2 - x - 1
     "silver": ((-1, -2, 1), 2, 3),  # x^2 - 2x - 1
-    "defective": ((-1, -1, -2, 1), 2, 3),  # x^3 - 2x^2 - x - 1, over-accepting automaton
+    "defective": ((-1, -1, -2, 1), 2, 3),  # x^3 - 2x^2 - x - 1: d(1) = 21(2), so "20" is inadmissible
 }
 
 

@@ -1,7 +1,6 @@
 """Graph construction, folding, decomposition, counting, cross-validation."""
 
 import math
-import random
 
 import pytest
 
@@ -21,7 +20,6 @@ from negabeta.shiftgraph import (
     enumerate_words,
     fold,
     is_irreducible,
-    max_prefix_suffix,
     spectral_radius,
 )
 from negabeta.transform import MinusBetaSystem
@@ -46,34 +44,6 @@ def three_sys():
     sys = MinusBetaSystem(make_algebraic(IntPolynomial((-3, 1)), 2, 4))
     sys.expansion_of_one()
     return sys
-
-
-# -- prefix-suffix overlap -----------------------------------------------------
-
-
-def brute_prefix_suffix(w, s):
-    """Oracle: check every suffix of w against the prefixes of s."""
-    best = 0
-    for j in range(1, len(w) + 1):
-        if tuple(w[len(w) - j:]) == s.prefix(j):
-            best = j
-    return best
-
-
-def test_max_prefix_suffix_examples(pisot_sys):
-    s = pisot_sys.expansion_of_one()
-    assert max_prefix_suffix((1, 0, 0, 1, 0), s) == 2
-    assert max_prefix_suffix((0,), s) == 0
-    assert max_prefix_suffix((), s) == 0
-
-
-def test_max_prefix_suffix_against_brute_force(pisot_sys, two_sys):
-    rng = random.Random(17)
-    for sys in (pisot_sys, two_sys):
-        s = sys.expansion_of_one()
-        for _ in range(300):
-            w = tuple(rng.randrange(0, sys.b + 1) for _ in range(rng.randrange(0, 12)))
-            assert max_prefix_suffix(w, s) == brute_prefix_suffix(w, s)
 
 
 # -- graph construction --------------------------------------------------------
@@ -297,6 +267,58 @@ def test_cross_validate_to_length_ten(fixture, request):
     sys = request.getfixturevalue(fixture)
     ok, counterexample = cross_validate(automaton_for(sys), sys, 10)
     assert ok, f"language mismatch at {counterexample}"
+
+
+# (coefficients, lowest degree first; an interval isolating beta).  The first
+# 13 need a border other than the longest one to reject a word (for
+# x^3-2x^2-x-1, with d(1) = 21(2), the word "20"); back edges drawn from s_i
+# alone accept it.
+BORDER_BASES = {
+    "x^3-2x^2-3x-3": ((-3, -3, -2, 1), 3, 4),
+    "x^3-3x^2-x-3": ((-3, -1, -3, 1), 3, 4),
+    "x^3-3x^2-3": ((-3, 0, -3, 1), 3, 4),
+    "x^3-2x^2-3x-2": ((-2, -3, -2, 1), 3, 4),
+    "x^3-x^2-3x-2": ((-2, -3, -1, 1), 2, 3),
+    "x^3-3x^2-2x-2": ((-2, -2, -3, 1), 3, 4),
+    "x^3-x^2-2x-2": ((-2, -2, -1, 1), 2, 3),
+    "x^3-2x^2-2": ((-2, 0, -2, 1), 2, 3),
+    "x^3-3x^2-x-1": ((-1, -1, -3, 1), 3, 4),
+    "x^3-2x^2-x-1": ((-1, -1, -2, 1), 2, 3),
+    "x^4-x^3-2x^2-2x-1": ((-1, -2, -2, -1, 1), 2, 3),
+    "x^4-2x^3-x^2+1": ((1, 0, -1, -2, 1), 2, 3),
+    "x^4-x^3-1": ((-1, 0, 0, -1, 1), 1, 2),
+    "x^3-x-1": ((-1, -1, 0, 1), 1, 2),
+    "2": ((-2, 1), 1, 3),
+    "3": ((-3, 1), 2, 4),
+    "x^2-x-1": ((-1, -1, 1), 1, 2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BORDER_BASES))
+def border_sys(request):
+    coeffs, lo, hi = BORDER_BASES[request.param]
+    sys = MinusBetaSystem(make_algebraic(IntPolynomial(coeffs), lo, hi))
+    sys.expansion_of_one()
+    return sys
+
+
+def test_automaton_language_is_admissible_language(border_sys):
+    aut = automaton_for(border_sys)
+    ok, counterexample = cross_validate(aut, border_sys, 8)
+    assert ok, f"language mismatch at {counterexample}"
+    assert abs(entropy_estimate(aut) - border_sys.log_beta()) <= 1e-12
+
+
+def test_every_follower_set_lies_in_that_of_v0(border_sys):
+    # every word of length <= 6 read from a state is also read from V0
+    aut = automaton_for(border_sys)
+    labels = sorted(aut.graph.labels())
+    for state in range(aut.state_count):
+        pairs = {(frozenset([state]), frozenset([0]))}
+        for _ in range(6):
+            pairs = {(aut.step(here, a), aut.step(root, a)) for here, root in pairs for a in labels}
+            pairs = {(here, root) for here, root in pairs if here}
+            assert all(root for _, root in pairs), f"V{state} reads a word V0 does not"
 
 
 def test_out_degree_bounds(pisot_sys, two_sys, three_sys):
