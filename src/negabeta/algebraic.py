@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-import sympy
-
 log = logging.getLogger(__name__)
 
 Rational = Union[int, Fraction]
@@ -508,44 +506,263 @@ class FieldElement:
         return f"FieldElement({list(self.coeffs)})"
 
 
+# -- the minimal polynomial, in integers -----------------------------------------------------
+#
+# Integer polynomials below are coefficient tuples, lowest degree first, with
+# no leading zeros.
+
+_RABIN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+
+
+def _primitive(c: Sequence[int]) -> tuple[int, ...]:
+    """c divided by the gcd of its coefficients, signs kept."""
+    g = math.gcd(*c)
+    return tuple(x // g for x in c)
+
+
+def _trim(c: list[int]) -> list[int]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The pseudo-remainder of a by b: lead(b)^(deg a - deg b + 1) * a mod b."""
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    for k in range(len(a) - len(b), -1, -1):
+        top = r.pop()
+        r = [lead * x for x in r]
+        for j in range(db):
+            r[k + j] -= top * b[j]
+    return _trim(r)
+
+
+def _divide_exact(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """a / b for a primitive divisor b of a; by Gauss's lemma the quotient is integral."""
+    r = list(a)
+    quotient = [0] * (len(a) - len(b) + 1)
+    for k in range(len(quotient) - 1, -1, -1):
+        c, rest = divmod(r[k + len(b) - 1], b[-1])
+        if rest:
+            raise ArithmeticError("divisor does not divide")
+        quotient[k] = c
+        for j, bj in enumerate(b):
+            r[k + j] -= c * bj
+    return tuple(quotient)
+
+
+def _sturm_chain(f: Sequence[int]) -> list[tuple[int, ...]]:
+    """f, f' and the negated remainders, each scaled by a positive rational.
+
+    The chain ends at a nonzero constant when f is squarefree, and at a
+    multiple of gcd(f, f') otherwise.
+    """
+    chain = [tuple(f), _primitive([k * c for k, c in enumerate(f) if k])]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        r = _prem(a, b)
+        if not r:
+            break
+        # r is lead(b)^e times the remainder, e = len(a) - len(b) + 1
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            r = [-x for x in r]
+        chain.append(_primitive(r))
+    return chain
+
+
+def _sign_at(c: Sequence[int], num: int, den: int) -> int:
+    """Sign of c(num/den), for den > 0."""
+    acc, den_pow = c[-1], 1
+    for x in reversed(c[:-1]):
+        den_pow *= den
+        acc = acc * num + x * den_pow
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(values: Iterable[int]) -> int:
+    """Sign changes along the sequence, zeros skipped."""
+    positive = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(positive, positive[1:]))
+
+
+def _variations_at(chain: list[tuple[int, ...]], num: int, den: int) -> int:
+    return _variations(_sign_at(c, num, den) for c in chain)
+
+
+def _real_root_count(chain: list[tuple[int, ...]]) -> int:
+    """Distinct real roots of the squarefree chain[0]: V(-oo) - V(+oo)."""
+    at_minus = _variations(c[-1] if len(c) % 2 else -c[-1] for c in chain)
+    return at_minus - _variations(c[-1] for c in chain)
+
+
+def _roots_in(chain: list[tuple[int, ...]], lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots of the squarefree chain[0] in the closed interval [lo, hi].
+
+    V(lo) - V(hi) counts the roots in (lo, hi]; a root at lo is added.
+    """
+    at_lo = [_sign_at(c, lo.numerator, lo.denominator) for c in chain]
+    return (_variations(at_lo) - _variations_at(chain, hi.numerator, hi.denominator)
+            + (at_lo[0] == 0))
+
+
+def _rational_roots(f: tuple[int, ...], chain: list[tuple[int, ...]]) -> list[Fraction]:
+    """The rational roots of the squarefree f, whose leading coefficient is positive.
+
+    Every rational root is k/lead for an integer k, and a half-open interval
+    narrower than 1/lead holds at most one such point.  So Sturm bisection of
+    (-B, B], B a power of two above Cauchy's root bound, down to that width
+    leaves one candidate per interval that holds a root; the number of steps
+    grows with the bit length of the coefficients, not with their divisors.
+    """
+    lead = f[-1]
+    bound = 1 << (-(-max(abs(c) for c in f[:-1]) // lead)).bit_length()
+    roots = []
+    stack = [(-bound, bound, 0, _variations_at(chain, -bound, 1), _variations_at(chain, bound, 1))]
+    while stack:
+        a, b, e, va, vb = stack.pop()  # the interval (a/2^e, b/2^e]
+        if va == vb:
+            continue
+        if (b - a) * lead < 1 << e:
+            k = (b * lead) >> e
+            if k << e > a * lead and _sign_at(f, k, lead) == 0:
+                roots.append(Fraction(k, lead))
+            continue
+        mid = a + b
+        vm = _variations_at(chain, mid, 1 << (e + 1))
+        stack += [(2 * a, mid, e + 1, va, vm), (mid, 2 * b, e + 1, vm, vb)]
+    return roots
+
+
+def _mulmod(u: list[int], v: list[int], f: list[int], p: int) -> list[int]:
+    """u * v modulo the monic f and the prime p."""
+    prod = [0] * (len(u) + len(v) - 1)
+    for i, ui in enumerate(u):
+        if ui:
+            for j, vj in enumerate(v):
+                prod[i + j] += ui * vj
+    n = len(f) - 1
+    for k in range(len(prod) - 1, n - 1, -1):
+        top = prod[k] % p
+        if top:
+            for j in range(n):
+                prod[k - n + j] -= top * f[j]
+    return _trim([c % p for c in prod[:n]])
+
+
+def _gcd_degree_mod(a: list[int], b: list[int], p: int) -> int:
+    """Degree of gcd(a, b) over the field of p elements, for a nonzero a."""
+    while b:
+        r, inv = list(a), pow(b[-1], -1, p)
+        for k in range(len(a) - len(b), -1, -1):
+            top = r.pop() * inv % p
+            for j in range(len(b) - 1):
+                r[k + j] = (r[k + j] - top * b[j]) % p
+        a, b = b, _trim(r)
+    return len(a) - 1
+
+
+def _irreducible_mod(f: Sequence[int], p: int) -> bool:
+    """Rabin's test of f modulo p, for deg f >= 2 and a prime p not dividing lead(f).
+
+    Over the field of p elements the monic f of degree n is irreducible iff
+    f divides x^(p^n) - x and gcd(f, x^(p^(n/q)) - x) = 1 for each prime q
+    dividing n.
+    """
+    inv = pow(f[-1], -1, p)
+    monic = [c * inv % p for c in f]
+    n = len(f) - 1
+    x = [0, 1]
+    frobenius = [x]  # x^(p^k) mod f, for k = 0..n
+    for _ in range(n):
+        power, base, e = [1], frobenius[-1], p
+        while e:
+            if e & 1:
+                power = _mulmod(power, base, monic, p)
+            base = _mulmod(base, base, monic, p)
+            e >>= 1
+        frobenius.append(power)
+    if frobenius[n] != x:
+        return False
+    prime_divisors = [q for q in range(2, n + 1) if n % q == 0 and all(q % s for s in range(2, q))]
+    for q in prime_divisors:
+        h = frobenius[n // q] + [0, 0]  # padded, so that x can be subtracted
+        if _gcd_degree_mod(monic, _trim([h[0], (h[1] - 1) % p, *h[2:]]), p) > 0:
+            return False
+    return True
+
+
+def _factor_owning_root(g: tuple[int, ...], lo: Fraction, hi: Fraction) -> tuple[int, ...]:
+    """The irreducible factor of the squarefree g with a root in [lo, hi], by sympy."""
+    import sympy  # only for factors that no prime below 60 certifies
+
+    log.debug("no prime below 60 certifies %s; factoring with sympy", IntPolynomial(g))
+    _, factors = sympy.Poly(list(reversed(g)), sympy.Symbol("x"), domain="ZZ").factor_list()
+    for factor, _ in factors:
+        coeffs = tuple(int(c) for c in reversed(factor.all_coeffs()))
+        if _roots_in(_sturm_chain(coeffs), lo, hi):
+            return coeffs
+    raise ArithmeticError("no factor owns the root")
+
+
+def _minimal_polynomial(f: tuple[int, ...], chain: list[tuple[int, ...]],
+                        lo: Fraction, hi: Fraction) -> tuple[int, ...]:
+    """The irreducible factor of the squarefree f owning its one root in [lo, hi]."""
+    if len(f) == 2:
+        return f
+    rest = f
+    for r in _rational_roots(f, chain):
+        linear = (-r.numerator, r.denominator)
+        if lo <= r <= hi:
+            return linear
+        rest = _divide_exact(rest, linear)
+    # The root is irrational and rest has no rational root, so rest is
+    # irreducible when its degree is 2 or 3; a prime modulo which it stays
+    # irreducible, with its degree kept, certifies it for any degree.
+    if len(rest) <= 4 or any(rest[-1] % p and _irreducible_mod(rest, p) for p in _RABIN_PRIMES):
+        return rest
+    return _factor_owning_root(rest, lo, hi)
+
+
 def make_algebraic(p: IntPolynomial | Sequence[int], lo: Rational, hi: Rational) -> AlgebraicNumber:
     """Pin down the unique real root of p inside [lo, hi].
 
-    The polynomial is factored over the integers; the (unique) irreducible
-    factor owning the root becomes the minimal polynomial, so squarefree
-    reduction happens silently as a byproduct.  Raises
+    Everything runs in integers.  p is reduced to its squarefree part
+    p / gcd(p, p'), made primitive with a positive leading coefficient, and
+    a Sturm chain of primitive pseudo-remainders counts its distinct real
+    roots, over all of R and in the closed interval [lo, hi].  Raises
     :class:`NoRootInInterval` or :class:`MultipleRootsInInterval` when the
-    interval does not isolate exactly one root of p.
+    interval does not hold exactly one of them.  The minimal polynomial of
+    that root is the linear factor of a rational root (found by Sturm
+    bisection), or else the part of p left after the rational roots are
+    divided out, once it is certified irreducible: by having degree 2 or 3,
+    or by Rabin's test modulo a prime below 60.  Only a factor no prime
+    certifies is handed to sympy's ``factor_list``, the one use of sympy.
     """
     if not isinstance(p, IntPolynomial):
         p = IntPolynomial(tuple(p))
     lo, hi = _frac(lo), _frac(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(p.coefficients)), x, domain="ZZ")
-    _, factors = poly.factor_list()
-    if any(mult > 1 for _, mult in factors):
+    chain = _sturm_chain(p.coefficients)
+    if len(chain[-1]) > 1:
         log.info("input polynomial was not squarefree; reduced to its squarefree part")
+        f = _primitive(_divide_exact(p.coefficients, chain[-1]))
+    else:
+        f = _primitive(p.coefficients)
+    if f[-1] < 0:
+        f = tuple(-c for c in f)
+    if f != chain[0]:
+        chain = _sturm_chain(f)
 
-    total_real = 0
-    in_interval = 0
-    chosen = None
-    for factor, _ in factors:
-        if factor.degree() < 1:
-            continue
-        total_real += factor.count_roots()
-        count = factor.count_roots(sympy.Rational(lo.numerator, lo.denominator),
-                                   sympy.Rational(hi.numerator, hi.denominator))
-        in_interval += count
-        if count == 1 and chosen is None:
-            chosen = factor
+    total_real = _real_root_count(chain)
+    in_interval = _roots_in(chain, lo, hi)
     if in_interval == 0:
         raise NoRootInInterval(0, total_real)
     if in_interval > 1:
         raise MultipleRootsInInterval(in_interval, total_real)
 
-    coeffs = [int(c) for c in reversed(chosen.all_coeffs())]
+    coeffs = list(_minimal_polynomial(f, chain, lo, hi))
     if coeffs[-1] < 0:
         coeffs = [-c for c in coeffs]
     minpoly = IntPolynomial(tuple(coeffs))
@@ -589,6 +806,13 @@ class DecimalBeta:
     precision: int
 
 
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
 def parse_beta_spec(text: str) -> AlgebraicNumber | DecimalBeta:
     """Parse the shared beta grammar.
 
@@ -611,11 +835,11 @@ def parse_beta_spec(text: str) -> AlgebraicNumber | DecimalBeta:
         bounds = fields["interval"].split(",")
         if len(bounds) != 2:
             raise ValueError("interval must be two comma-separated rationals")
-        lo, hi = (Fraction(b.strip()) for b in bounds)
+        lo, hi = (_parse_rational(b) for b in bounds)
         return make_algebraic(IntPolynomial(coeffs), lo, hi)
     if "decimal" in fields:
         precision = int(fields.get("precision", "64"))
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        return DecimalBeta(Fraction(fields["decimal"]), precision)
+        return DecimalBeta(_parse_rational(fields["decimal"]), precision)
     raise ValueError("beta spec must start with poly: or decimal:")

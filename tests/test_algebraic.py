@@ -77,11 +77,13 @@ def test_minpoly_vanishes_at_root(pisot):
     assert acc.is_zero()
 
 
-def test_squarefree_reduction_applied():
-    # (x-2)^2 has the single root 2; the squarefree part is taken silently
+def test_squarefree_reduction_applied(caplog):
+    # (x-2)^2 has the single root 2; the squarefree part is taken, with a log line
     squared = IntPolynomial((4, -4, 1))
-    two = make_algebraic(squared, 1, 3)
+    with caplog.at_level("INFO", logger="negabeta.algebraic"):
+        two = make_algebraic(squared, 1, 3)
     assert two.minpoly.coefficients == (-2, 1)
+    assert "not squarefree" in caplog.text
 
 
 def test_no_root_in_interval():
@@ -194,3 +196,4 @@ def test_parse_beta_spec_decimal():
 def test_parse_beta_spec_rejects(bad):
     with pytest.raises(ValueError):
         parse_beta_spec(bad)
+

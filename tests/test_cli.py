@@ -182,12 +182,16 @@ def test_cylinder_command_usage_errors(argv, capsys):
         ["example32", "--eps", "0", "--seed", "1"],
         ["example32", "--eps", "0.5", "--seed", "1"],
         ["example32", "--eps", "inf", "--seed", "1"],
+        ["yrrap", "--beta", "poly:-1,-1,0,1;interval:1/0,2"],
+        ["yrrap", "--beta", "poly:-1,-1,0,1;interval:0/0,2"],
+        ["yrrap", "--beta", "decimal:1/0"],
     ],
     ids=["beta-not-isolating", "beta-no-root", "beta-below-one", "gbeta-n-0", "mc-n-0",
          "mc-N-0", "rate-unachievable", "compare-rates-wrong-base", "yrrap-max-steps-0",
          "graph-horizon-1", "example32-n-0", "example32-N-0", "yrrap-digits-0",
          "cyl-digits-negative", "rate-a-nan", "mc-window-nan", "example32-eps-nan",
-         "example32-eps-negative", "example32-eps-0", "example32-eps-half", "example32-eps-inf"],
+         "example32-eps-negative", "example32-eps-0", "example32-eps-half", "example32-eps-inf",
+         "beta-bound-zero-denominator", "beta-bound-zero-over-zero", "beta-decimal-zero-denominator"],
 )
 def test_bad_input_usage_errors(argv, capsys):
     code, out, err = invoke(argv, capsys)
