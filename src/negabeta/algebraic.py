@@ -730,7 +730,9 @@ def make_algebraic(p: IntPolynomial | Sequence[int], lo: Rational, hi: Rational)
     Everything runs in integers.  p is reduced to its squarefree part
     p / gcd(p, p'), made primitive with a positive leading coefficient, and
     a Sturm chain of primitive pseudo-remainders counts its distinct real
-    roots, over all of R and in the closed interval [lo, hi].  Raises
+    roots, over all of R and in the closed interval [lo, hi]; an interval
+    more than 1024 times wider than Cauchy's root bound B is first cut down
+    to [-B, B].  Raises
     :class:`NoRootInInterval` or :class:`MultipleRootsInInterval` when the
     interval does not hold exactly one of them.  The minimal polynomial of
     that root is the linear factor of a rational root (found by Sturm
@@ -756,7 +758,12 @@ def make_algebraic(p: IntPolynomial | Sequence[int], lo: Rational, hi: Rational)
         chain = _sturm_chain(f)
 
     total_real = _real_root_count(chain)
-    in_interval = _roots_in(chain, lo, hi)
+    # Every root lies strictly inside Cauchy's bound (-B, B).  A far wider
+    # interval is cut down to it, so refinement never starts from a huge width.
+    bound = 1 + Fraction(max(abs(c) for c in f[:-1]), f[-1])
+    if hi - lo > 1024 * bound:
+        lo, hi = max(lo, -bound), min(hi, bound)
+    in_interval = _roots_in(chain, lo, hi) if lo <= hi else 0
     if in_interval == 0:
         raise NoRootInInterval(0, total_real)
     if in_interval > 1:

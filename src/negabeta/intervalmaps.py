@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from negabeta.ldp import DeviationEstimate, _sample_fixed_point, deviation_estimate
+from negabeta.ldp import DeviationEstimate, _samples, deviation_estimate
 from negabeta.measures import Branch, affine_cylinder, affine_cylinder_walk
 from negabeta.shiftgraph import FoldedAutomaton, LabeledGraph, enumerate_words
 from negabeta.specprop import SoficPresentation
@@ -276,9 +276,7 @@ def circle_mc_deviation(a_window: tuple[float, float], n: int, sample_count: int
         raise ValueError("need n >= 1 and sample_count >= 1")
     fmap = fmap or CircleMap()
     lo, hi = a_window
-    theta = np.array(
-        [_sample_fixed_point(seed, i) / 2.0**128 for i in range(sample_count)]
-    )
+    theta = np.array([s / 2.0**128 for s in _samples(seed, range(sample_count))])
     near = np.zeros(sample_count)
     for _ in range(n):
         dist = np.minimum(theta, 1.0 - theta)

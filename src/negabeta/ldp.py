@@ -245,13 +245,26 @@ def level1_rate(chain: ComponentChain, psi: Psi, a: float, phi_const: float,
 # -- Monte Carlo -----------------------------------------------------------------------------
 
 
-def _sample_fixed_point(seed: int, index: int) -> int:
-    """Counter-based uniform sample on [0, 1) as a 128-bit fixed-point integer."""
-    digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
-    return int.from_bytes(digest[:16], "big")
-
-
 _SAMPLE_BITS = 128
+
+# Samples per lane batch: hits are counted chunk by chunk, so memory stays
+# flat in the sample count.
+_CHUNK = 4096
+
+
+def _samples(seed: int, indices: Sequence[int]) -> list[int]:
+    """Counter-based uniform samples on [0, 1) as 128-bit fixed-point integers.
+
+    Sample ``i`` is the first 16 bytes of sha256 of ``f"{seed}:{i}"``, read
+    big-endian; the prefix is hashed once and copied per index.
+    """
+    prefix = hashlib.sha256(f"{seed}:".encode())
+    out = []
+    for i in indices:
+        h = prefix.copy()
+        h.update(b"%d" % i)
+        out.append(int.from_bytes(h.digest()[:16], "big"))
+    return out
 
 
 def _scale_sample(sample: int, precision: int) -> int:
@@ -270,7 +283,7 @@ def _beta_fixed_point(system: MinusBetaSystem, precision: int) -> int:
 
 def _orbit_digits(system: MinusBetaSystem, n: int, sample: int, precision: int,
                   beta_fixed: int) -> tuple[int, ...]:
-    """Digit string of one fixed-point orbit (used directly by the audit).
+    """Digit string of one fixed-point orbit: the scalar reference of the lanes.
 
     `beta_fixed` is beta in the same fixed point, from :func:`_beta_fixed_point`.
     """
@@ -287,30 +300,76 @@ def _orbit_digits(system: MinusBetaSystem, n: int, sample: int, precision: int,
     return tuple(digits)
 
 
-def _digit_means_generic(system: MinusBetaSystem, psi: Psi, n: int, indices: range, seed: int,
-                         precision: int, beta_fixed: int) -> list[float]:
-    """Exact-start fixed-point orbits; one mean of the observable per sample."""
+def _digit_mean(digits: Sequence[int], psi_vals: Sequence[float]) -> float:
+    acc = 0.0
+    for d in digits:
+        acc += psi_vals[d]
+    return acc / len(digits)
+
+
+def _digit_means_generic(system: MinusBetaSystem, psi: Psi, n: int, samples: Sequence[int],
+                         precision: int, beta_fixed: int) -> np.ndarray:
+    """Exact-start fixed-point orbits; one mean of the observable per sample.
+
+    The samples run as lanes of one Python integer, each lane a whole number
+    of bytes and at least 2p + 8 bits wide (p the precision).  Per lane, a
+    step is the scalar step of :func:`_orbit_digits`: with t = beta_fixed * x
+    the digit is t >> 2p and the next point is (2^2p - (t mod 2^2p)) >> p,
+    which lies in [0, 2^p].  The lanes never carry or borrow into each other,
+    so every lane does exactly the scalar integer arithmetic.  The digits of
+    consecutive steps are gathered side by side in each lane and come out of
+    one ``to_bytes`` per block of steps; the means add the observable step by
+    step in the scalar order, so they are bit-identical to it.
+
+    The scalar loop clamps the digit to b.  Since x <= 2^p, the clamp can
+    only act when beta_fixed >= (b + 1) << p, as for an integer beta; the
+    lanes then watch for a digit above b, and a batch that shows one is
+    rerun by :func:`_orbit_digits`.
+    """
     b = system.b
-    table = [(d + 1) << (2 * precision) for d in range(b + 1)]
     psi_vals = [_psi_value(psi, d) for d in range(b + 1)]
-    out = []
-    for i in indices:
-        x = _scale_sample(_sample_fixed_point(seed, i), precision)
-        acc = 0.0
-        for _ in range(n):
+    count = len(samples)
+    top = beta_fixed >> precision  # the largest digit a step can produce
+    width = next(w for w in (1, 2, 4, 8) if top < 256**w)  # bytes per digit
+    digit_bits = 8 * width
+    # whole bytes per lane, a multiple of the digit width: 2p bits below the
+    # digit field, and at least 17 bytes so a raw 128-bit sample shifts cleanly
+    lane_bytes = max((2 * precision + digit_bits + 7) // 8, 17)
+    lane_bytes += -lane_bytes % width
+    ones = int.from_bytes(b"\x01".ljust(lane_bytes, b"\x00") * count, "little")
+    unit = ones << (2 * precision)
+    low_mask = unit - ones
+    x_mask = (ones << (precision + 1)) - ones
+    digit_field = (unit << digit_bits) - unit
+    # a block of steps gathers its digits side by side in each lane, step j
+    # at bit j * digit_bits, for one to_bytes per block
+    block = min(lane_bytes // width, 2 * precision // digit_bits + 1)
+
+    x = int.from_bytes(b"".join([s.to_bytes(lane_bytes, "little") for s in samples]), "little")
+    if precision >= _SAMPLE_BITS:
+        x <<= precision - _SAMPLE_BITS
+    else:
+        x = (x >> (_SAMPLE_BITS - precision)) & x_mask
+    psi_arr = np.array(psi_vals, dtype=np.float64)
+    acc = np.zeros(count)
+    for first in range(0, n, block):
+        steps = min(block, n - first)
+        packed = 0
+        for j in range(steps):
             t = beta_fixed * x
-            d = t >> (2 * precision)
-            if d > b:
-                d = b
-            elif d < 0:
-                d = 0
-            acc += psi_vals[d]
-            x = (table[d] - t) >> precision
-        out.append(acc / n)
-    return out
+            packed |= (t & digit_field) >> (2 * precision - j * digit_bits)
+            x = ((unit - (t & low_mask)) >> precision) & x_mask
+        digits = np.frombuffer(packed.to_bytes(count * lane_bytes, "little"),
+                               dtype=f"<u{width}").reshape(count, -1)[:, :steps]
+        if top > b and digits.max() > b:
+            return np.array([_digit_mean(_orbit_digits(system, n, s, precision, beta_fixed),
+                                         psi_vals) for s in samples])
+        for values in psi_arr[digits.T]:
+            acc += values
+    return acc / n
 
 
-def _digit_means_beta2(psi: Psi, n: int, indices: range, seed: int) -> list[float]:
+def _digit_means_beta2(psi: Psi, n: int, samples: Sequence[int]) -> np.ndarray:
     """Base-2 fast path: the exact fixed-point orbit digits of x are the
     alternately complemented leading bits of x, so digit means reduce to
     popcounts.  Bit-for-bit equal to the generic engine away from dyadic
@@ -320,13 +379,25 @@ def _digit_means_beta2(psi: Psi, n: int, indices: range, seed: int) -> list[floa
     for k in range(n):
         if k % 2 == 1:
             odd_mask |= 1 << (n - 1 - k)
-    out = []
-    for i in indices:
-        x = _sample_fixed_point(seed, i)
-        top = x >> (_SAMPLE_BITS - n)
-        ones = bin(top ^ odd_mask).count("1")
-        out.append((ones * psi1 + (n - ones) * psi0) / n)
-    return out
+    shift = _SAMPLE_BITS - n
+    ones = np.fromiter([((x >> shift) ^ odd_mask).bit_count() for x in samples],
+                       dtype=np.int64, count=len(samples))
+    return (ones * psi1 + (n - ones) * psi0) / n
+
+
+def _audit_sample(system: MinusBetaSystem, psi_vals: Sequence[float], n: int, index: int,
+                  sample: int, mean: float, precision: int, beta_fixed: int,
+                  beta_double: int) -> None:
+    """Rerun one sample in scalar: its digits at p and 2p bits must agree, and
+    the engine's mean must be the mean of those digits."""
+    digits = _orbit_digits(system, n, sample, precision, beta_fixed)
+    if digits != _orbit_digits(system, n, sample, 2 * precision, beta_double):
+        raise ArithmeticError(f"precision audit failed at sample {index}: digit strings differ")
+    scalar = _digit_mean(digits, psi_vals)
+    if mean != scalar and not (math.isnan(mean) and math.isnan(scalar)):
+        raise ArithmeticError(
+            f"lane audit failed at sample {index}: engine mean {mean!r}, scalar mean {scalar!r}"
+        )
 
 
 def wilson_interval(hits: int, total: int, z: float = _Z95) -> tuple[float, float]:
@@ -366,8 +437,10 @@ def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
 
     Samples are counter-based in the seed and the sample index, so results
     are byte-identical for a fixed (seed, N).  Orbits run at a fixed-point
-    precision of n*log2(beta) + 64 bits; an audit re-runs a sample slice at
-    doubled precision and insists on the same digits.  Raises
+    precision of n*log2(beta) + 64 bits, in lane batches of ``_CHUNK``
+    samples whose hits are counted batch by batch.  An audit re-runs a sample
+    slice in scalar: at doubled precision it must give the same digits, and
+    the mean of those digits must equal the engine's mean.  Raises
     :class:`WindowNeverHit` when nothing lands inside.
     """
     if n < 1 or sample_count < 1:
@@ -381,26 +454,25 @@ def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
             and system.beta.generator().as_fraction() == 2)
     ) and n <= _SAMPLE_BITS
 
-    indices = range(sample_count)
-    if is_base2:
-        means = _digit_means_beta2(psi, n, indices, seed)
-    else:
+    if not is_base2:
         beta_fixed = _beta_fixed_point(system, precision)
-        means = _digit_means_generic(system, psi, n, indices, seed, precision, beta_fixed)
-
-    if not is_base2 and audit_fraction > 0:
-        step = max(1, int(1 / audit_fraction))
+    step = max(1, int(1 / audit_fraction)) if audit_fraction > 0 and not is_base2 else 0
+    if step:
         beta_double = _beta_fixed_point(system, 2 * precision)
-        for idx in range(0, sample_count, step):
-            sample = _sample_fixed_point(seed, idx)
-            base = _orbit_digits(system, n, sample, precision, beta_fixed)
-            double = _orbit_digits(system, n, sample, 2 * precision, beta_double)
-            if base != double:
-                raise ArithmeticError(
-                    f"precision audit failed at sample {idx}: digit strings differ"
-                )
-
-    hits = sum(1 for m in means if lo <= m <= hi)
+        psi_vals = [_psi_value(psi, d) for d in range(system.b + 1)]
+    hits = 0
+    for start in range(0, sample_count, _CHUNK):
+        stop = min(start + _CHUNK, sample_count)
+        samples = _samples(seed, range(start, stop))
+        if is_base2:
+            means = _digit_means_beta2(psi, n, samples)
+        else:
+            means = _digit_means_generic(system, psi, n, samples, precision, beta_fixed)
+        # the audited indices are the multiples of step
+        for idx in range(start - start % -step, stop, step) if step else ():
+            _audit_sample(system, psi_vals, n, idx, samples[idx - start], float(means[idx - start]),
+                          precision, beta_fixed, beta_double)
+        hits += int(np.count_nonzero((means >= lo) & (means <= hi)))
     return deviation_estimate(n, sample_count, hits, seed)
 
 

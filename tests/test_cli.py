@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -198,6 +199,16 @@ def test_bad_input_usage_errors(argv, capsys):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("upper", ["1e3000", "1e6000", "1e10000"])
+def test_huge_interval_bound_is_cut_to_the_root_bound(upper, capsys):
+    # the interval is cut to Cauchy's bound [-2, 2] before any refinement
+    expected = invoke(["yrrap", "--beta", PISOT], capsys)
+    start = time.perf_counter()
+    got = invoke(["yrrap", "--beta", f"poly:-1,-1,0,1;interval:1,{upper}"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert got == expected and got[0] == 0
 
 
 def test_one_expansion_budget():

@@ -1,8 +1,11 @@
-"""Byte identity of CLI stdout on the exact commands, pinned by sha256.
+"""Byte identity of CLI stdout, pinned by sha256.
 
-Every command here prints only exact data (digits, graphs, integers,
-booleans), so the digests hold on any platform.  A change that alters one of
-these outputs must say why and update its digest.
+The exact commands print only exact data (digits, graphs, integers,
+booleans), so their digests hold on any platform.  The stochastic commands
+(`mc`, `example32`) are pinned for a fixed seed and sample count: their
+samples are counter-based and their orbits run in integers, with IEEE double
+sums in a fixed order.  A change that alters one of these outputs must say
+why and update its digest.
 """
 
 import hashlib
@@ -93,3 +96,48 @@ def test_example31_stdout_is_pinned(capsys):
     code = main(["example31", "--maxlen", "6"])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == EXAMPLE31
+
+
+# Stochastic commands, each with an explicit seed: name -> (argv, (exit code, sha256 of stdout)).
+# The sample counts straddle the lane batch of 4096 (4095, 4097, 8192, 10000);
+# exit 3 is a window no sample hit.
+STOCHASTIC = {
+    "mc_cubic": (["mc", "--beta", BASES["cubic"], "--obs", "digit1", "--window", "0.0:0.2",
+                  "--n", "30", "--N", "10000", "--seed", "1"],
+                 (0, "ce82758c514cecb48036f99654baeb012639e4b7713b08a26a40b1579ea9ab03")),
+    "mc_golden": (["mc", "--beta", BASES["golden"], "--obs", "digit1", "--window", "0.0:0.3",
+                   "--n", "30", "--N", "8192", "--seed", "2"],
+                  (0, "adb5c7ba9d70b70bb29ce262098519f84647b334e6ed2fdfcf69b6b2615488f3")),
+    "mc_two": (["mc", "--beta", BASES["two"], "--obs", "digit1", "--window", "0.7:0.8",
+                "--n", "30", "--N", "20000", "--seed", "3"],
+               (0, "b88a40fc82c88e425dcf3ffcbad2c23f3fa8def6dea64e06eaff5b36eba74347")),
+    "mc_silver": (["mc", "--beta", "poly:-1,-2,1;interval:2,3", "--obs", "digit1",
+                   "--window", "0.4:0.6", "--n", "25", "--N", "4097", "--seed", "4"],
+                  (0, "29fabd501a9b4da97c48d88f32c9bbc63e30331e8c88fbaea2b8cb4c1253a866")),
+    "mc_decimal": (["mc", "--beta", "decimal:1.7;precision:30", "--obs", "digit1",
+                    "--window", "0.0:0.3", "--n", "30", "--N", "5000", "--seed", "5"],
+                   (0, "3d75eab960783dae2bec0ecf485e83e6fc9df6014775b3030a60d783ae213ab6")),
+    "mc_b300": (["mc", "--beta", "poly:-300,1;interval:299,301", "--obs", "digit",
+                 "--window", "140:160", "--n", "10", "--N", "3000", "--seed", "6"],
+                (0, "b5c4484c162d20058cafed6ad7d4b3c1baf62f7d619c28c2b5df400928031509")),
+    "mc_three": (["mc", "--beta", BASES["three"], "--obs", "digit2", "--window", "0.5:1.0",
+                  "--n", "20", "--N", "4095", "--seed", "7"],
+                 (0, "916206e2456b256ba75eafe12d6560362f0eac76d04d318ca4cf2c2f5f0bfe87")),
+    "mc_never_hit": (["mc", "--beta", BASES["cubic"], "--obs", "digit1", "--window", "0.99:1.0",
+                      "--n", "40", "--N", "500", "--seed", "8"],
+                     (3, "095ebd26b8e797fdf824b5d3d20fca6b15b995b740586cccfe6a72d9b04b7f87")),
+    "example32": (["example32", "--n", "30", "--N", "20000", "--eps", "0.1",
+                   "--a-window", "0.3:1.0", "--seed", "1"],
+                  (0, "58652c625bb9242273166d2f61fae35bee0f02b95731c9b472affbbb72d7d284")),
+    "example32_never_hit": (["example32", "--n", "50", "--N", "2000", "--a-window", "0.99:1.0",
+                             "--seed", "3"],
+                            (3, "ce70cb2c7bc3eec4bef7e780f13256f31d3c07db1ef503361eb5abe6876bfa26")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STOCHASTIC))
+def test_stochastic_stdout_is_pinned(name, capsys):
+    argv, expected = STOCHASTIC[name]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected

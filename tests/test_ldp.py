@@ -13,6 +13,7 @@ from negabeta.ldp import (
     _beta_fixed_point,
     _digit_means_beta2,
     _digit_means_generic,
+    _samples,
     compare_rate_functions,
     deviation_estimate,
     free_energy,
@@ -181,9 +182,10 @@ def test_mc_never_hit(two_sys):
 
 
 def test_mc_engines_agree(two_sys):
-    fast = _digit_means_beta2(DIGIT1, 24, range(500), seed=9)
-    slow = _digit_means_generic(two_sys, DIGIT1, 24, range(500), seed=9, precision=90,
-                                beta_fixed=_beta_fixed_point(two_sys, 90))
+    samples = _samples(9, range(500))
+    fast = _digit_means_beta2(DIGIT1, 24, samples).tolist()
+    slow = _digit_means_generic(two_sys, DIGIT1, 24, samples, precision=90,
+                                beta_fixed=_beta_fixed_point(two_sys, 90)).tolist()
     assert fast == slow
 
 

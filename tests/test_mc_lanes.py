@@ -1,0 +1,224 @@
+"""The lane-packed Monte Carlo engine against the scalar loop it replaced.
+
+`ldp._digit_means_generic` runs a batch of fixed-point orbits as lanes of one
+Python integer.  The reference below is the plain loop: one sample at a time,
+hashed on its own, stepped in Python integers with the digit clamped to
+[0, b], and the observable added in step order.  Lanes do the same integer
+arithmetic and add in the same order, so the means must be equal, not close.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from negabeta import ldp
+from negabeta.algebraic import parse_beta_spec
+from negabeta.ldp import (
+    _CHUNK,
+    _beta_fixed_point,
+    _digit_means_beta2,
+    _digit_means_generic,
+    _samples,
+    mc_deviation,
+)
+from negabeta.transform import MinusBetaSystem
+
+# -- the scalar reference -----------------------------------------------------------------
+
+
+def _sample_fixed_point(seed, index):
+    digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
+    return int.from_bytes(digest[:16], "big")
+
+
+def _scale_sample(sample, precision):
+    if precision >= 128:
+        return sample << (precision - 128)
+    return sample >> (128 - precision)
+
+
+def _psi_value(psi, label):
+    return float(psi(label)) if callable(psi) else float(psi[label])
+
+
+def reference_means(system, psi, n, samples, precision, beta_fixed):
+    b = system.b
+    table = [(d + 1) << (2 * precision) for d in range(b + 1)]
+    psi_vals = [_psi_value(psi, d) for d in range(b + 1)]
+    out = []
+    for sample in samples:
+        x = _scale_sample(sample, precision)
+        acc = 0.0
+        for _ in range(n):
+            t = beta_fixed * x
+            d = t >> (2 * precision)
+            if d > b:
+                d = b
+            elif d < 0:
+                d = 0
+            acc += psi_vals[d]
+            x = (table[d] - t) >> precision
+        out.append(acc / n)
+    return out
+
+
+def _precision(system, n):
+    return int(math.ceil(n * math.log2(system.beta_float()))) + 64
+
+
+# -- bases and observables ----------------------------------------------------------------
+
+SPECS = {
+    "cubic": "poly:-1,-1,0,1;interval:1,2",
+    "golden": "poly:-1,-1,1;interval:1,2",
+    "x^2-3x+1": "poly:1,-3,1;interval:2,3",
+    "three": "poly:-3,1;interval:2,4",
+    "b300": "poly:-300,1;interval:299,301",
+    "decimal": "decimal:1.7;precision:30",
+}
+SYSTEMS = {name: MinusBetaSystem(parse_beta_spec(spec)) for name, spec in SPECS.items()}
+
+
+def _observable(kind, b):
+    if kind == "digit":
+        return {d: float(d) for d in range(b + 1)}
+    if kind == "digitK":
+        return {d: 1.0 if d == b else 0.0 for d in range(b + 1)}
+    return lambda d: math.sin(d) / 3 + d / 7  # non-integer values: the summation order shows
+
+
+# -- tests ---------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3, 10**12])
+def test_shared_prefix_sampler_matches_one_shot_hash(seed):
+    indices = list(range(50)) + [_CHUNK - 1, _CHUNK, 10**9 + 7]
+    assert _samples(seed, indices) == [_sample_fixed_point(seed, i) for i in indices]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(SPECS)),
+    n=st.integers(1, 60),
+    count=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
+    kind=st.sampled_from(["digit", "digitK", "callable"]),
+    seed=st.integers(0, 10**6),
+)
+def test_lanes_match_scalar_loop(name, n, count, kind, seed):
+    system = SYSTEMS[name]
+    psi = _observable(kind, system.b)
+    precision = _precision(system, n)
+    beta_fixed = _beta_fixed_point(system, precision)
+    samples = _samples(seed, range(count))
+    lanes = _digit_means_generic(system, psi, n, samples, precision, beta_fixed)
+    assert lanes.tolist() == reference_means(system, psi, n, samples, precision, beta_fixed)
+
+
+def test_small_precision_and_edge_samples():
+    # precisions below and above the 128 sample bits, and the extreme samples
+    system = SYSTEMS["cubic"]
+    samples = [0, 1, (1 << 128) - 1, 1 << 127] + _samples(4, range(60))
+    for precision in (40, 65, 127, 128, 129, 200):
+        beta_fixed = _beta_fixed_point(system, precision)
+        lanes = _digit_means_generic(system, {0: 0.0, 1: 1.0}, 17, samples, precision, beta_fixed)
+        assert lanes.tolist() == reference_means(system, {0: 0.0, 1: 1.0}, 17, samples,
+                                                 precision, beta_fixed)
+
+
+def _count_scalar_reruns(monkeypatch):
+    calls = []
+    real = ldp._orbit_digits
+    monkeypatch.setattr(ldp, "_orbit_digits", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_clamp_batches_rerun_in_scalar(monkeypatch):
+    # For an integer beta, beta_fixed = (b + 1) << p, so a step from x = 2^p
+    # reads the digit b + 1, which the scalar loop clamps to b.  The sample 0
+    # gets there in one step.  A batch where that happens is rerun in scalar;
+    # a batch where it does not stays in the lanes.
+    system = SYSTEMS["three"]
+    psi = _observable("callable", system.b)
+    n, precision = 12, _precision(system, 12)
+    beta_fixed = _beta_fixed_point(system, precision)
+    assert beta_fixed == (system.b + 1) << precision
+    plain = _samples(2, range(40))
+    calls = _count_scalar_reruns(monkeypatch)
+    assert (_digit_means_generic(system, psi, n, plain, precision, beta_fixed).tolist()
+            == reference_means(system, psi, n, plain, precision, beta_fixed))
+    assert calls == []
+    clamped = plain + [0]
+    assert (_digit_means_generic(system, psi, n, clamped, precision, beta_fixed).tolist()
+            == reference_means(system, psi, n, clamped, precision, beta_fixed))
+    assert len(calls) == len(clamped)
+
+
+def test_beta_just_below_an_integer():
+    # beta_fixed rounds up to 3 << p, so the clamp can act as for beta = 3
+    system = MinusBetaSystem(parse_beta_spec("decimal:2.99999999999999999999999999999999;precision:40"))
+    n = 10
+    precision = _precision(system, n)
+    beta_fixed = _beta_fixed_point(system, precision)
+    assert system.b == 2 and beta_fixed == 3 << precision
+    samples = [0] + _samples(5, range(300))
+    psi = _observable("digit", system.b)
+    assert (_digit_means_generic(system, psi, n, samples, precision, beta_fixed).tolist()
+            == reference_means(system, psi, n, samples, precision, beta_fixed))
+
+
+def reference_means_beta2(psi, n, samples):
+    psi0, psi1 = _psi_value(psi, 0), _psi_value(psi, 1)
+    odd_mask = sum(1 << (n - 1 - k) for k in range(1, n, 2))
+    out = []
+    for x in samples:
+        ones = bin((x >> (128 - n)) ^ odd_mask).count("1")
+        out.append((ones * psi1 + (n - ones) * psi0) / n)
+    return out
+
+
+def test_base2_engine_matches_its_loop_and_the_scalar_orbit():
+    # Its float operations are those of the popcount loop.  With 0/1 values
+    # every sum is exact, so it also equals the scalar orbit while n is well
+    # below the 128 sample bits; near 128 the orbit reaches the dyadic
+    # boundary points where the two differ.
+    system = MinusBetaSystem(parse_beta_spec("poly:-2,1;interval:1,3"))
+    samples = _samples(11, range(_CHUNK + 1))
+    for n in (1, 2, 29, 64, 128):
+        for psi in ({0: 0.3, 1: 1.1}, {0: 0.0, 1: 1.0}, {0: 1.0, 1: 0.0}):
+            assert _digit_means_beta2(psi, n, samples).tolist() == reference_means_beta2(psi, n, samples)
+        if n == 128:
+            continue
+        precision = _precision(system, n)
+        assert (_digit_means_beta2({0: 0.0, 1: 1.0}, n, samples).tolist()
+                == reference_means(system, {0: 0.0, 1: 1.0}, n, samples, precision,
+                                   _beta_fixed_point(system, precision)))
+
+
+def test_audit_checks_the_engine_that_ran(monkeypatch):
+    system = SYSTEMS["cubic"]
+    psi = {0: 0.0, 1: 1.0}
+    real = ldp._digit_means_generic
+
+    def off_by_one_ulp(*args):
+        means = real(*args)
+        return np.nextafter(means, np.inf)
+
+    monkeypatch.setattr(ldp, "_digit_means_generic", off_by_one_ulp)
+    with pytest.raises(ArithmeticError, match="lane audit failed at sample 0"):
+        mc_deviation(system, psi, (0.0, 1.0), 20, 300, seed=1)
+
+
+def test_hits_counted_across_batches():
+    # the count over several batches equals the count over the reference means
+    system = SYSTEMS["golden"]
+    psi = {0: 0.0, 1: 1.0}
+    n, count, seed, window = 15, 2 * _CHUNK + 3, 9, (0.0, 0.3)
+    precision = _precision(system, n)
+    means = reference_means(system, psi, n, [_sample_fixed_point(seed, i) for i in range(count)],
+                            precision, _beta_fixed_point(system, precision))
+    est = mc_deviation(system, psi, window, n, count, seed)
+    assert est.hits == sum(1 for m in means if window[0] <= m <= window[1])
