@@ -65,6 +65,7 @@ from negabeta.measures import (
     cylinder_walk,
     empirical_measure,
     g_beta_n,
+    g_beta_values,
     g_beta_word,
     markov_entropy,
     parry_measure,
@@ -104,7 +105,7 @@ __all__ = [
     "ergodic_support_check", "omega_coverage_check", "spec_bound", "spec_bruteforce",
     "CylinderInterval", "EmpiricalMeasure", "InadmissibleWord", "MarkovMeasure",
     "cylinder_interval", "cylinder_measure", "cylinder_walk", "empirical_measure",
-    "g_beta_n", "g_beta_word", "markov_entropy", "parry_measure",
+    "g_beta_n", "g_beta_values", "g_beta_word", "markov_entropy", "parry_measure",
     "weak_metric_truncated",
     "DeviationEstimate", "RateResult", "UnachievableLevel",
     "WindowNeverHit", "WrongBeta", "compare_rate_functions", "free_energy",

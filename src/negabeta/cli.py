@@ -292,7 +292,7 @@ def _cmd_gbeta(config: RunConfig):
     n = _positive(config, "n", "--n")
     system = _system_for(config)
     system.expansion_of_one()
-    values = [measures.g_beta_n(system, k) for k in range(1, n + 1)]
+    values = measures.g_beta_values(system, n)
     return {"n": n, "g": values, "max": max(values)}
 
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from negabeta.ldp import DeviationEstimate, _samples, deviation_estimate
+from negabeta.ldp import _CHUNK, DeviationEstimate, _samples, deviation_estimate
 from negabeta.measures import Branch, affine_cylinder, affine_cylinder_walk
 from negabeta.shiftgraph import FoldedAutomaton, LabeledGraph, enumerate_words
 from negabeta.specprop import SoficPresentation
@@ -270,20 +270,24 @@ def circle_mc_deviation(a_window: tuple[float, float], n: int, sample_count: int
     The occupation observable is the fraction of the first n iterates within
     eps of 0 (circle distance); the predicted decay rate of the tail at
     fraction a is a * log f'(0).  Uses the same counter-based sampler as the
-    digit engine, iterated in double precision.
+    digit engine, iterated in double precision, and counts hits per batch of
+    ``_CHUNK`` samples, so memory stays flat in the sample count.
     """
     if n < 1 or sample_count < 1:
         raise ValueError("need n >= 1 and sample_count >= 1")
     fmap = fmap or CircleMap()
     lo, hi = a_window
-    theta = np.array([s / 2.0**128 for s in _samples(seed, range(sample_count))])
-    near = np.zeros(sample_count)
-    for _ in range(n):
-        dist = np.minimum(theta, 1.0 - theta)
-        near += dist <= eps
-        theta = _vectorized_circle(theta, fmap.strength)
-    fractions = near / n
-    hits = int(np.count_nonzero((fractions >= lo) & (fractions <= hi)))
+    hits = 0
+    for start in range(0, sample_count, _CHUNK):
+        stop = min(start + _CHUNK, sample_count)
+        theta = np.array([s / 2.0**128 for s in _samples(seed, range(start, stop))])
+        near = np.zeros(stop - start)
+        for _ in range(n):
+            dist = np.minimum(theta, 1.0 - theta)
+            near += dist <= eps
+            theta = _vectorized_circle(theta, fmap.strength)
+        fractions = near / n
+        hits += int(np.count_nonzero((fractions >= lo) & (fractions <= hi)))
     return deviation_estimate(n, sample_count, hits, seed)
 
 

@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -303,19 +304,31 @@ def _g_from_followers(aut: FoldedAutomaton, start: frozenset[int]) -> int:
     raise NoBranchReachable("no extension reaches a branching state")
 
 
-def g_beta_n(system: MinusBetaSystem, n: int) -> int:
-    """Worst branching distance over all admissible words of length n."""
+def g_beta_values(system: MinusBetaSystem, n: int) -> list[int]:
+    """[g_beta(1), ..., g_beta(n)]: worst branching distances per word length.
+
+    One sweep over the lengths: the subset frontier advances once per step,
+    and each state set's distance is computed once per call.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     aut = automaton_for(system)
     labels = sorted(aut.graph.labels())
+    distance = cache(lambda states: _g_from_followers(aut, states))
     frontier = {aut.all_states()}
-    for _ in range(n):
+    values = []
+    for k in range(1, n + 1):
         frontier = {aut.step(states, a) for states in frontier for a in labels}
         frontier.discard(frozenset())
-    if not frontier:
-        raise InadmissibleWord(f"no admissible words of length {n}")
-    return max(_g_from_followers(aut, states) for states in frontier)
+        if not frontier:
+            raise InadmissibleWord(f"no admissible words of length {k}")
+        values.append(max(distance(states) for states in frontier))
+    return values
+
+
+def g_beta_n(system: MinusBetaSystem, n: int) -> int:
+    """Worst branching distance over all admissible words of length n."""
+    return g_beta_values(system, n)[-1]
 
 
 # -- Markov measures -----------------------------------------------------------------
@@ -363,15 +376,24 @@ class MarkovMeasure:
                 acc += float(pi[src]) * float(p) * _psi_value(psi, label)
         return acc
 
+    @cached_property
+    def _edges_by_label(self) -> dict[int, list[tuple[int, int, float]]]:
+        """label -> (src, dst, p) of its positive edges, in ``edge_probs`` order."""
+        out: dict[int, list[tuple[int, int, float]]] = {}
+        for (src, label, dst), p in self.edge_probs:
+            if p > 0:
+                out.setdefault(label, []).append((src, dst, float(p)))
+        return out
+
     def cylinder_mass(self, word: Sequence[int]) -> float:
         """Stationary probability of reading the word from the start."""
         word = tuple(word)
         states = {v: float(p) for v, p in self.stationary if p > 0}
         for a in word:
             nxt: dict[int, float] = {}
-            for (src, label, dst), p in self.edge_probs:
-                if label == a and src in states and p > 0:
-                    nxt[dst] = nxt.get(dst, 0.0) + states[src] * float(p)
+            for src, dst, p in self._edges_by_label.get(a, ()):
+                if src in states:
+                    nxt[dst] = nxt.get(dst, 0.0) + states[src] * p
             states = nxt
             if not states:
                 return 0.0

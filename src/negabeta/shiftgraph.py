@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -202,10 +202,6 @@ def build_gamma(s: DigitSequence, horizon: int) -> LabeledGraph:
     return LabeledGraph(horizon + 1, edges)
 
 
-def _back_edges(g: LabeledGraph, i: int, spine_label: int) -> frozenset[tuple[int, int]]:
-    return frozenset((a, t) for _, a, t in g.out_edges(i) if not (a == spine_label and t == i + 1))
-
-
 @dataclass(frozen=True)
 class FoldedAutomaton:
     """Finite quotient of the infinite graph under verified tail periodicity."""
@@ -250,34 +246,31 @@ def fold(g: LabeledGraph, u: int, v: int) -> FoldedAutomaton:
     """
     horizon = g.vertex_count - 1
     periods = sorted(d for d in range(1, 2 * v + 1) if (2 * v) % d == 0)
+    out: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    for s_, a, t in g.edges:
+        out[s_].append((a, t))
+
+    @cache  # filled on first use, so an ambiguous spine raises where it is first read
+    def signature(i: int) -> tuple[int, frozenset[tuple[int, int]]]:
+        """The spine digit of V_i and its back edges (label, target)."""
+        lbls = [a for a, t in out[i] if t == i + 1]
+        if len(lbls) != 1:
+            raise FoldNotVerified(f"ambiguous spine at V{i}", periodicity_violated=True)
+        return lbls[0], frozenset((a, t) for a, t in out[i] if (a, t) != (lbls[0], i + 1))
+
     last_error = None
     for p in periods:
         max_start = horizon - (2 * v + p)
         for start in range(u, max(u, max_start) + 1):
             if start + 2 * v + p > horizon:
                 break
-            ok = True
-            for i in range(start, start + 2 * v):
-                if _spine_digit(g, i) != _spine_digit(g, i + p):
-                    ok = False
-                    break
-                if _back_edges(g, i, _spine_digit(g, i)) != _back_edges(g, i + p, _spine_digit(g, i + p)):
-                    ok = False
-                    break
-            if ok:
+            if all(signature(i) == signature(i + p) for i in range(start, start + 2 * v)):
                 return _build_folded(g, start, p, u, v)
         last_error = f"period {p} not verified within horizon {horizon}"
     # period 2v is mathematically guaranteed for start >= u given enough room
     if horizon < u + 6 * v:
         raise FoldNotVerified(f"horizon {horizon} too small to verify folding")
     raise FoldNotVerified(last_error or "fold failed", periodicity_violated=True)
-
-
-def _spine_digit(g: LabeledGraph, i: int) -> int:
-    lbls = [a for _, a, t in g.out_edges(i) if t == i + 1]
-    if len(lbls) == 1:
-        return lbls[0]
-    raise FoldNotVerified(f"ambiguous spine at V{i}", periodicity_violated=True)
 
 
 def _build_folded(g: LabeledGraph, start: int, period: int, u: int, v: int) -> FoldedAutomaton:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from negabeta.measures import point_mass_on_cycle, random_markov_measure
 from negabeta.shiftgraph import LabeledGraph, ComponentChain, cycle_vertices, is_irreducible
@@ -287,9 +287,19 @@ def _component_words(p: SoficPresentation, i: int, maxlen: int,
 
 def _state_classes(p: SoficPresentation, i: int, maxlen: int,
                    cap: int) -> tuple[set[frozenset[int]], set[frozenset[int]]]:
-    """End-state and start-state sets, in the full graph, of component i's words."""
-    words = _component_words(p, i, maxlen, cap)
-    return {p.graph.reads(w) for w in words}, {p.graph.back_reads(w) for w in words}
+    """End-state and start-state sets, in the full graph, of component i's words.
+
+    The words are closed under prefixes and suffixes, so taken shortest first
+    each one's sets are one step from those of a word already seen.
+    """
+    everything = frozenset(range(p.graph.vertex_count))
+    ends: dict[Word, frozenset[int]] = {(): everything}
+    starts: dict[Word, frozenset[int]] = {(): everything}
+    step, back_step = cache(p.graph.step), cache(p.graph.back_step)
+    for w in sorted(_component_words(p, i, maxlen, cap), key=len)[1:]:
+        ends[w] = step(ends[w[:-1]], w[-1])
+        starts[w] = back_step(starts[w[1:]], w[0])
+    return set(ends.values()), set(starts.values())
 
 
 def _default_gap_cap(p: SoficPresentation) -> int:
@@ -297,21 +307,26 @@ def _default_gap_cap(p: SoficPresentation) -> int:
     return 2 * max(diams) + p.graph.vertex_count + 2
 
 
-def _gap_frontiers(graph: LabeledGraph, ends: frozenset[int],
+def _gap_frontiers(forward: Callable[[frozenset[int]], frozenset[int]], ends: frozenset[int],
                    gap_cap: int) -> Iterator[tuple[int, frozenset[int]]]:
-    """(g, states reached from ends along exactly g edges) for g <= gap_cap, while nonempty."""
+    """(g, states reached from ends along exactly g edges) for g <= gap_cap, while nonempty.
+
+    ``forward`` is the graph's ``forward`` step, or a memo of it.
+    """
     current = ends
     for g in range(gap_cap + 1):
         if not current:
             return
         yield g, current
-        current = graph.forward(current)
+        current = forward(current)
 
 
-def _gluable_gaps(p: SoficPresentation, ends: frozenset[int], starts: frozenset[int],
-                  gap_cap: int) -> set[int]:
-    """Gap lengths g <= gap_cap for which some length-g path joins the sets."""
-    return {g for g, current in _gap_frontiers(p.graph, ends, gap_cap) if current & starts}
+def _frontier_lists(p: SoficPresentation, end_sets: Iterable[frozenset[int]],
+                    gap_cap: int) -> list[list[frozenset[int]]]:
+    """Per end set, its gap frontiers as a list indexed by the gap length."""
+    forward = cache(p.graph.forward)  # the walks of different end sets merge
+    return [[current for _, current in _gap_frontiers(forward, ends, gap_cap)]
+            for ends in end_sets]
 
 
 def spec_bruteforce(p: SoficPresentation, maxlen: int, cap: int = 50000,
@@ -319,7 +334,9 @@ def spec_bruteforce(p: SoficPresentation, maxlen: int, cap: int = 50000,
     """Word-level minimal gaps for every ordered pair of component words.
 
     Pairs are grouped by (end-state set, start-state set), which preserves the
-    word-level semantics exactly while collapsing the quadratic blowup.
+    word-level semantics exactly while collapsing the quadratic blowup.  The
+    gap frontiers of each end set are walked once and shared by every start
+    set.
     """
     q = len(p.components)
     if gap_cap is None:
@@ -328,14 +345,15 @@ def spec_bruteforce(p: SoficPresentation, maxlen: int, cap: int = 50000,
     pair_max = []
     overall = 0
     for i in range(q):
+        fronts = _frontier_lists(p, classes[i][0], gap_cap)
         for j in range(i, q):
             worst = 0
-            for ends in classes[i][0]:
+            for front in fronts:
                 for starts in classes[j][1]:
-                    gaps = _gluable_gaps(p, ends, starts, gap_cap)
-                    if not gaps:
+                    gap = next((g for g, current in enumerate(front) if current & starts), None)
+                    if gap is None:
                         raise DisconnectedPair(i, j)
-                    worst = max(worst, min(gaps))
+                    worst = max(worst, gap)
             pair_max.append(((i, j), worst))
             overall = max(overall, worst)
     return BruteForceTable(tuple(pair_max), overall, maxlen)
@@ -351,10 +369,11 @@ def bruteforce_exact_min(p: SoficPresentation, maxlen: int, cap: int = 50000,
     classes = cache(lambda i: _state_classes(p, i, maxlen, cap))
     achievable: Optional[set[int]] = None
     for i in range(q):
+        fronts = _frontier_lists(p, classes(i)[0], gap_cap)
         for j in range(i, q):
-            for ends in classes(i)[0]:
+            for front in fronts:
                 for starts in classes(j)[1]:
-                    gaps = _gluable_gaps(p, ends, starts, gap_cap)
+                    gaps = {g for g, current in enumerate(front) if current & starts}
                     achievable = gaps if achievable is None else achievable & gaps
                     if not achievable:
                         return None
@@ -465,7 +484,7 @@ def gluing_test(p: SoficPresentation, cert: SpecCertificate, k: int, trials: int
         for w in words[1:]:
             starts = p.graph.back_reads(w)
             glued = next((current & starts
-                          for g, current in _gap_frontiers(p.graph, states, cert.M)
+                          for g, current in _gap_frontiers(p.graph.forward, states, cert.M)
                           if g in gaps and current & starts), None)
             if glued is None:
                 return False

@@ -20,6 +20,7 @@ BASES = {
     "three": "poly:-3,1;interval:2,4",
     "golden": "poly:-1,-1,1;interval:1,2",  # x^2 - x - 1
     "defective": "poly:-1,-1,-2,1;interval:2,3",  # x^3 - 2x^2 - x - 1: d(1) = 21(2), so "20" is inadmissible
+    "quartic": "poly:-1,0,0,-1,1;interval:1,2",  # x^4 - x^3 - 1: 14 states, 2 components
 }
 
 COMMANDS = {
@@ -29,6 +30,8 @@ COMMANDS = {
     "components": ["components"],
     "spec": ["spec", "--oracle-maxlen", "5"],
     "gbeta": ["gbeta", "--n", "12"],
+    "spec_6": ["spec", "--oracle-maxlen", "6"],
+    "gbeta_30": ["gbeta", "--n", "30"],
     "validate": ["validate", "--maxlen", "7", "--seed", "3"],
     "cyl_csv_8": ["cyl", "--format", "csv", "--maxlen", "8"],
     "cyl_csv_7": ["cyl", "--format", "csv", "--maxlen", "7"],
@@ -78,6 +81,9 @@ GOLDEN = {
     ("two", "cyl_csv_7"): (0, "ed2faa9d4c51893c0ed103fcda0ffe54413575c21da749ba0be58fe0bbc1001d"),
     ("golden", "cyl_csv_7"): (0, "4076e3e38af4a68ded792cd0483a63740fb426d4a54fbede9c2be675a8a6e5e2"),
     ("defective", "cyl_csv_6"): (0, "c20ebb9f379b6ace4f9f5b7571798402f8920fc27ddcad1ad403a2a32a859d2f"),
+    ("cubic", "spec_6"): (0, "77384c04086355939b5ab9f7990c837bdaa3c7f3fef8b66b234cdab0b4938b2c"),
+    ("quartic", "spec_6"): (0, "b8b7cbd6237a8e4658f5ded9dc90ab4c250cc32787d4d3dc2e5fff3c5c7c9669"),
+    ("quartic", "gbeta_30"): (0, "a77f575af8d96b09645794817661d4633949fd9d377a42aa2d2adff3dcfa56b0"),
 }
 
 # example31 takes no --beta: (exit code, sha256 of stdout) of `example31 --maxlen 6`

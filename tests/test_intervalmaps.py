@@ -1,14 +1,20 @@
 """The slope-3 five-branch system and the circle map with source and sink."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from negabeta.intervalmaps import (
     CircleMap,
     IntervalMapError,
+    _vectorized_circle,
     circle_mc_deviation,
     circle_nonwandering,
     example31_cylinder,
@@ -17,7 +23,7 @@ from negabeta.intervalmaps import (
     example31_word_admissible,
     predicted_occupation_rate,
 )
-from negabeta.ldp import WindowNeverHit
+from negabeta.ldp import WindowNeverHit, _samples
 from negabeta.measures import InadmissibleWord
 from negabeta.shiftgraph import FoldedAutomaton, enumerate_words
 from negabeta.specprop import spec_bound
@@ -225,3 +231,57 @@ def test_occupation_window_never_hit():
 def test_full_window_is_certain():
     est = circle_mc_deviation((0.0, 1.0), 20, 5000, seed=4)
     assert est.hits == est.sample_count and est.rate == 0.0
+
+
+def whole_array_hits(a_window, n, sample_count, seed, eps):
+    """The loop circle_mc_deviation had: all samples in one array."""
+    strength = CircleMap().strength
+    lo, hi = a_window
+    theta = np.array([s / 2.0**128 for s in _samples(seed, range(sample_count))])
+    near = np.zeros(sample_count)
+    for _ in range(n):
+        dist = np.minimum(theta, 1.0 - theta)
+        near += dist <= eps
+        theta = _vectorized_circle(theta, strength)
+    fractions = near / n
+    return int(np.count_nonzero((fractions >= lo) & (fractions <= hi)))
+
+
+def test_circle_map_is_elementwise_across_batch_sizes():
+    theta = np.array([s / 2.0**128 for s in _samples(6, range(4096 + 4095 + 7 + 1))])
+    whole, parts = theta, np.split(theta, [4096, 4096 + 4095, 4096 + 4095 + 7])
+    for _ in range(30):
+        whole = _vectorized_circle(whole, CircleMap().strength)
+        parts = [_vectorized_circle(part, CircleMap().strength) for part in parts]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("count", [4095, 4097, 10001])
+def test_circle_hits_counted_per_batch(count):
+    for window, eps in (((0.3, 1.0), 0.1), ((0.0, 0.25), 0.05)):
+        est = circle_mc_deviation(window, 30, count, seed=5, eps=eps)
+        assert est.hits == whole_array_hits(window, 30, count, 5, eps)
+
+
+def _example32_peak_rss_kb(samples):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = (
+        "import contextlib, io, resource, sys\n"
+        "from negabeta.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['example32', '--n', '30', '--N', '{samples}', '--eps', '0.1',"
+        " '--seed', '1'])\n"
+        "assert code == 0, code\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def test_example32_memory_flat_in_sample_count():
+    # ru_maxrss is in KiB on Linux; 10x the samples may add at most 5 MB
+    assert _example32_peak_rss_kb(10**6) - _example32_peak_rss_kb(10**5) <= 5 * 1024

@@ -1,5 +1,6 @@
 """Cylinders, decay bounds, branching distances, Markov and empirical measures."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -224,6 +225,43 @@ def test_point_mass_on_cycle():
     mass = point_mass_on_cycle(cycle, [0, 1], [(0, 1, 1), (1, 0, 0)], 1)
     assert sum(p for _, p in mass.stationary) == 1
     assert mass.entropy() == 0
+
+
+def reference_cylinder_mass(measure, word):
+    """The loop cylinder_mass had: a scan of every edge probability per step."""
+    states = {v: float(p) for v, p in measure.stationary if p > 0}
+    for a in tuple(word):
+        nxt = {}
+        for (src, label, dst), p in measure.edge_probs:
+            if label == a and src in states and p > 0:
+                nxt[dst] = nxt.get(dst, 0.0) + states[src] * float(p)
+        states = nxt
+        if not states:
+            return 0.0
+    return sum(states.values())
+
+
+def test_cylinder_mass_matches_edge_scan(pisot_sys, two_sys):
+    # per-label edge lists keep the edge_probs order, so every float sum is
+    # added in the same order and the masses are equal, not close
+    golden_sys = MinusBetaSystem(make_algebraic(IntPolynomial((-1, -1, 1)), 1, 2))
+    # every vertex reads 0 and 1 into every vertex, so each mass sums 4 terms
+    dense = LabeledGraph(4, frozenset(itertools.product(range(4), (0, 1), range(4))))
+    rng = random.Random(17)
+    cases = [(dense, [range(4)], 1)]
+    for system in (pisot_sys, two_sys, golden_sys):
+        chain = decompose(automaton_for(system))
+        cases.append((chain.automaton.graph, chain.components, system.b))
+    for g, components, b in cases:
+        measures = []
+        for comp in components:
+            measures.append(parry_measure(g, comp))
+            measures += [random_markov_measure(g, comp, rng) for _ in range(3)]
+        alphabet = range(b + 2)  # one label that no edge carries
+        words = [w for n in range(6) for w in itertools.product(alphabet, repeat=n)]
+        for measure in measures:
+            for w in words:
+                assert measure.cylinder_mass(w) == reference_cylinder_mass(measure, w), w
 
 
 # -- empirical measures ------------------------------------------------------------------

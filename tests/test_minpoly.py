@@ -36,6 +36,8 @@ from negabeta.algebraic import (
     parse_beta_spec,
 )
 
+from pisot_bases import BASES
+
 # -- the sympy reference --------------------------------------------------------------------------
 
 
@@ -171,29 +173,6 @@ def test_parse_beta_spec_returns_or_raises_value_or_algebraic_error(text):
 
 
 # -- pinned cases ---------------------------------------------------------------------------------
-
-# The benchmark pools: monic irreducible Pisot polynomials (lower coefficients
-# in [-3, 3] up to degree 3, in [-2, 2] for degree 4) with b = floor(beta) <= 3,
-# keyed by b.
-POOL = {
-    1: [(-1, -1, 1), (-1, -1, -1, 1), (-1, -1, 0, 1), (-1, 0, -1, 1), (-1, 1, -2, 1),
-        (-1, -1, -1, -1, 1), (-1, 0, 0, -1, 1), (-1, 1, 0, -2, 1), (1, 0, -2, -1, 1)],
-    2: [(-2, -2, 1), (-1, -2, 1), (1, -3, 1), (-2, -3, -1, 1), (-2, -2, -2, 1), (-2, -2, -1, 1),
-        (-2, -1, -2, 1), (-2, 0, -2, 1), (-2, 1, -3, 1), (-2, 2, -3, 1), (-1, -2, -2, 1),
-        (-1, -2, -1, 1), (-1, -1, -2, 1), (-1, 0, -2, 1), (-1, 1, -3, 1), (-1, 2, -3, 1),
-        (1, -1, -2, 1), (1, 0, -3, 1), (-2, -2, -2, -2, 1), (-2, -1, -1, -2, 1),
-        (-1, -2, -2, -2, 1), (-1, -2, -2, -1, 1), (-1, -2, -1, -2, 1), (-1, -2, -1, -1, 1),
-        (-1, -1, -2, -2, 1), (-1, -1, -1, -2, 1), (-1, -1, 0, -2, 1), (-1, 0, -1, -2, 1),
-        (-1, 0, 0, -2, 1), (1, -1, -2, -2, 1), (1, -1, -1, -2, 1), (1, -1, 0, -2, 1),
-        (1, 0, -2, -2, 1), (1, 0, -1, -2, 1), (1, 1, -2, -2, 1), (2, 0, -2, -2, 1)],
-    3: [(-3, -3, 1), (-2, -3, 1), (-1, -3, 1), (-3, -3, -3, 1), (-3, -3, -2, 1), (-3, -2, -3, 1),
-        (-3, -1, -3, 1), (-3, 0, -3, 1), (-2, -3, -3, 1), (-2, -3, -2, 1), (-2, -2, -3, 1),
-        (-2, -1, -3, 1), (-2, 0, -3, 1), (-1, -3, -3, 1), (-1, -3, -2, 1), (-1, -2, -3, 1),
-        (-1, -1, -3, 1), (-1, 0, -3, 1), (1, -2, -3, 1), (1, -1, -3, 1), (2, -1, -3, 1)],
-}
-# (polynomial, lo, hi) as the benchmark writes them; 2 and 3 get [b - 1, b + 1]
-BASES = [(c, b, b + 1) for b, family in POOL.items() for c in family]
-BASES += [((-2, 1), 1, 3), ((-3, 1), 2, 4)]
 
 
 def test_pool_bases_match_sympy_without_fallback(fallbacks):

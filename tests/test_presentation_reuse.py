@@ -1,0 +1,352 @@
+"""The presentation layer's shared state-set facts against the per-pair code they replaced.
+
+`spec_bruteforce` and `bruteforce_exact_min` walk each end set's gap
+frontiers once for every start set, `_state_classes` takes each word's sets
+one step from a shorter word's, `g_beta_values` sweeps the lengths once, and
+`fold` reads each vertex's spine digit and back edges once, from one pass
+over the edges.  The references below are the plain versions: one frontier
+walk per (end set, start set) pair, `reads`/`back_reads` from scratch per
+word, one subset frontier per length, and both signatures recomputed from
+the graph's edge lists per candidate fold.  Results and errors must be
+equal, not close.
+"""
+
+from types import SimpleNamespace
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from negabeta.algebraic import IntPolynomial, make_algebraic
+from negabeta.intervalmaps import example31_system
+from negabeta.measures import (
+    InadmissibleWord,
+    NoBranchReachable,
+    _g_from_followers,
+    g_beta_n,
+    g_beta_values,
+)
+from negabeta.shiftgraph import (
+    FoldedAutomaton,
+    FoldNotVerified,
+    LabeledGraph,
+    _build_folded,
+    automaton_for,
+    build_gamma,
+    decompose,
+    fold,
+)
+from negabeta.specprop import (
+    DisconnectedPair,
+    EnumerationCapExceeded,
+    SoficPresentation,
+    _component_words,
+    _default_gap_cap,
+    _state_classes,
+    bruteforce_exact_min,
+    spec_bound,
+    spec_bruteforce,
+)
+from negabeta.transform import MinusBetaSystem
+
+from pisot_bases import BASES
+
+# -- the per-pair references ------------------------------------------------------------------
+
+
+def reference_state_classes(p, i, maxlen, cap):
+    words = _component_words(p, i, maxlen, cap)
+    return {p.graph.reads(w) for w in words}, {p.graph.back_reads(w) for w in words}
+
+
+def reference_gluable_gaps(p, ends, starts, gap_cap):
+    gaps, current = set(), ends
+    for g in range(gap_cap + 1):
+        if not current:
+            break
+        if current & starts:
+            gaps.add(g)
+        current = p.graph.forward(current)
+    return gaps
+
+
+def reference_spec_bruteforce(p, maxlen, cap=50000, gap_cap=None):
+    q = len(p.components)
+    if gap_cap is None:
+        gap_cap = _default_gap_cap(p)
+    classes = [reference_state_classes(p, i, maxlen, cap) for i in range(q)]
+    pair_max = []
+    overall = 0
+    for i in range(q):
+        for j in range(i, q):
+            worst = 0
+            for ends in classes[i][0]:
+                for starts in classes[j][1]:
+                    gaps = reference_gluable_gaps(p, ends, starts, gap_cap)
+                    if not gaps:
+                        raise DisconnectedPair(i, j)
+                    worst = max(worst, min(gaps))
+            pair_max.append(((i, j), worst))
+            overall = max(overall, worst)
+    return tuple(pair_max), overall, maxlen
+
+
+def reference_exact_min(p, maxlen, cap=50000, gap_cap=None) -> Optional[int]:
+    q = len(p.components)
+    if gap_cap is None:
+        gap_cap = _default_gap_cap(p)
+    classes: dict = {}
+
+    def get(i):
+        if i not in classes:
+            classes[i] = reference_state_classes(p, i, maxlen, cap)
+        return classes[i]
+
+    achievable = None
+    for i in range(q):
+        for j in range(i, q):
+            for ends in get(i)[0]:
+                for starts in get(j)[1]:
+                    gaps = reference_gluable_gaps(p, ends, starts, gap_cap)
+                    achievable = gaps if achievable is None else achievable & gaps
+                    if not achievable:
+                        return None
+    return min(achievable) if achievable else None
+
+
+def reference_g_beta_n(system, n):
+    aut = automaton_for(system)
+    labels = sorted(aut.graph.labels())
+    frontier = {aut.all_states()}
+    for _ in range(n):
+        frontier = {aut.step(states, a) for states in frontier for a in labels}
+        frontier.discard(frozenset())
+    if not frontier:
+        raise InadmissibleWord(f"no admissible words of length {n}")
+    return max(_g_from_followers(aut, states) for states in frontier)
+
+
+def _spine_digit(g, i):
+    lbls = [a for _, a, t in g.out_edges(i) if t == i + 1]
+    if len(lbls) == 1:
+        return lbls[0]
+    raise FoldNotVerified(f"ambiguous spine at V{i}", periodicity_violated=True)
+
+
+def _back_edges(g, i, spine_label):
+    return frozenset((a, t) for _, a, t in g.out_edges(i) if not (a == spine_label and t == i + 1))
+
+
+def reference_fold(g, u, v):
+    horizon = g.vertex_count - 1
+    periods = sorted(d for d in range(1, 2 * v + 1) if (2 * v) % d == 0)
+    last_error = None
+    for p in periods:
+        max_start = horizon - (2 * v + p)
+        for start in range(u, max(u, max_start) + 1):
+            if start + 2 * v + p > horizon:
+                break
+            ok = True
+            for i in range(start, start + 2 * v):
+                if _spine_digit(g, i) != _spine_digit(g, i + p):
+                    ok = False
+                    break
+                if _back_edges(g, i, _spine_digit(g, i)) != _back_edges(g, i + p, _spine_digit(g, i + p)):
+                    ok = False
+                    break
+            if ok:
+                return _build_folded(g, start, p, u, v)
+        last_error = f"period {p} not verified within horizon {horizon}"
+    if horizon < u + 6 * v:
+        raise FoldNotVerified(f"horizon {horizon} too small to verify folding")
+    raise FoldNotVerified(last_error or "fold failed", periodicity_violated=True)
+
+
+def outcome(fn, *args, **kwargs):
+    """The value, or the error's class, message and payload, so errors compare with ==."""
+    try:
+        return "value", fn(*args, **kwargs)
+    except (DisconnectedPair, EnumerationCapExceeded, InadmissibleWord, NoBranchReachable,
+            FoldNotVerified) as exc:
+        return ("error", type(exc).__name__, str(exc), getattr(exc, "pair", None),
+                getattr(exc, "periodicity_violated", None))
+
+
+def table_outcome(p, maxlen, **kwargs):
+    got = outcome(spec_bruteforce, p, maxlen, **kwargs)
+    if got[0] == "value":
+        table = got[1]
+        return "value", (table.pair_max, table.overall_max, table.maxlen)
+    return got
+
+
+def assert_oracles_agree(p, maxlens, **kwargs):
+    for maxlen in maxlens:
+        assert table_outcome(p, maxlen, **kwargs) == outcome(reference_spec_bruteforce, p, maxlen,
+                                                             **kwargs)
+        assert (outcome(bruteforce_exact_min, p, maxlen, **kwargs)
+                == outcome(reference_exact_min, p, maxlen, **kwargs))
+        cap = kwargs.get("cap", 50000)
+        for i in range(len(p.components)):
+            assert (outcome(_state_classes, p, i, maxlen, cap)
+                    == outcome(reference_state_classes, p, i, maxlen, cap))
+
+
+# -- the 68 bases ------------------------------------------------------------------------------
+
+
+def _system(coeffs, lo, hi):
+    system = MinusBetaSystem(make_algebraic(IntPolynomial(coeffs), lo, hi))
+    system.expansion_of_one()
+    return system
+
+
+@pytest.fixture(scope="module")
+def systems():
+    assert len(BASES) == 68
+    return [_system(*base) for base in BASES]
+
+
+def test_oracles_agree_on_every_base(systems):
+    for system in systems:
+        p = SoficPresentation.from_chain(decompose(automaton_for(system)))
+        assert_oracles_agree(p, range(6))
+
+
+def test_g_beta_sweep_agrees_on_every_base(systems):
+    for system in systems:
+        expected = [reference_g_beta_n(system, k) for k in range(1, 21)]
+        assert g_beta_values(system, 20) == expected
+        assert [g_beta_n(system, k) for k in range(1, 21)] == expected
+
+
+def test_fold_agrees_on_every_base(systems):
+    for system in systems:
+        s = system.expansion_of_one()
+        base = s.u + 6 * s.v + 4
+        for horizon in (s.u + 2 * s.v, base - 1, base, 2 * base):
+            g = build_gamma(s, horizon)
+            assert outcome(fold, g, s.u, s.v) == outcome(reference_fold, g, s.u, s.v)
+
+
+def test_example31_takes_the_strong_path():
+    _, p = example31_system()
+    assert spec_bound(p).kind == "strong_one_way"
+    assert_oracles_agree(p, range(8))
+    assert bruteforce_exact_min(p, 6) == reference_exact_min(p, 6) == 1
+
+
+# -- the errors --------------------------------------------------------------------------------
+
+
+def test_disconnected_pair_names_the_same_pair():
+    # the word 0 of component 0 ends in {0, 1}, and no path leads from there to the word 2
+    graph = LabeledGraph(3, frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 1), (2, 2, 2)}))
+    p = SoficPresentation(graph, ((0,), (1,), (2,)))
+    got = table_outcome(p, 3)
+    assert got == outcome(reference_spec_bruteforce, p, 3)
+    assert got[0] == "error" and got[3] == (0, 2)
+    assert (outcome(bruteforce_exact_min, p, 3) == outcome(reference_exact_min, p, 3)
+            == ("value", None))
+
+
+def test_cap_exceeded_alike(systems):
+    p = SoficPresentation.from_chain(decompose(automaton_for(systems[0])))
+    got = table_outcome(p, 5, cap=7)
+    assert got[0] == "error" and got[1] == "EnumerationCapExceeded"
+    assert_oracles_agree(p, range(6), cap=7)
+
+
+def _fake_system(graph):
+    # automaton_for returns a system's cached automaton as it is
+    return SimpleNamespace(_aut_cache=FoldedAutomaton(graph, 0, 1, None, 0))
+
+
+def _g_beta_loop(system, n):
+    return [reference_g_beta_n(system, k) for k in range(1, n + 1)]
+
+
+def test_g_beta_errors_at_the_same_length():
+    no_edges = _fake_system(LabeledGraph(2, frozenset()))
+    assert outcome(g_beta_values, no_edges, 4) == outcome(_g_beta_loop, no_edges, 4)
+    assert outcome(g_beta_values, no_edges, 4)[1] == "InadmissibleWord"
+    # every state set's one follower is itself, so no branching is reachable
+    chain = _fake_system(LabeledGraph(2, frozenset({(0, 0, 0), (1, 0, 1)})))
+    assert outcome(g_beta_values, chain, 4) == outcome(_g_beta_loop, chain, 4)
+    assert outcome(g_beta_values, chain, 4)[1] == "NoBranchReachable"
+
+
+def test_ambiguous_spine_raises_alike():
+    # V2 -> V3 carries two labels
+    edges = {(i, 0, i + 1) for i in range(12)} | {(i, 1, 0) for i in range(13)} | {(2, 1, 3)}
+    g = LabeledGraph(13, frozenset(edges))
+    got = outcome(fold, g, 1, 1)
+    assert got == outcome(reference_fold, g, 1, 1)
+    assert got[:3] == ("error", "FoldNotVerified", "ambiguous spine at V2")
+
+
+# -- random presentations ----------------------------------------------------------------------
+
+
+@st.composite
+def presentations(draw):
+    """Two or three strongly connected pieces in order, with random edges forward."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    extra = draw(st.integers(0, 2))  # vertices outside every piece
+    n = sum(sizes) + extra
+    label = st.integers(0, 2)
+    edges, pieces, first = set(), [], 0
+    for size in sizes:
+        piece = tuple(range(first, first + size))
+        first += size
+        for k, v in enumerate(piece):  # a cycle through the piece keeps it strongly connected
+            edges.add((v, draw(label), piece[(k + 1) % size]))
+        inner = st.tuples(st.sampled_from(piece), label, st.sampled_from(piece))
+        edges |= draw(st.sets(inner, max_size=4))
+        pieces.append(piece)
+    vertex = st.integers(0, n - 1)
+    forward = [(s, a, t) for s, a, t in draw(st.sets(st.tuples(vertex, label, vertex), max_size=8))
+               if _rank(s, pieces) <= _rank(t, pieces)]
+    edges |= set(forward)
+    return SoficPresentation(LabeledGraph(n, frozenset(edges)), tuple(pieces))
+
+
+def _rank(v, pieces):
+    """Forward edges only, so the pieces stay the strongly connected ones."""
+    for k, piece in enumerate(pieces):
+        if v in piece:
+            return 2 * k
+    return 2 * len(pieces) + 1 if v % 2 else -1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(presentations(), st.sampled_from([None, 1, 3]), st.sampled_from([50000, 20]))
+def test_oracles_agree_on_random_presentations(p, gap_cap, cap):
+    assert_oracles_agree(p, range(5), cap=cap, gap_cap=gap_cap)
+
+
+@st.composite
+def spines(draw):
+    """A spine V0 -> V_h with random back edges, sometimes a doubled spine edge."""
+    u, v = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    h = draw(st.integers(u + 2 * v, u + 8 * v + 2))
+    digits = draw(st.lists(st.integers(0, 2), min_size=h, max_size=h))
+    edges = {(i, d, i + 1) for i, d in enumerate(digits)}
+    back = st.tuples(st.integers(0, h), st.integers(0, 2), st.integers(0, u + v))
+    edges |= draw(st.sets(back, max_size=3 * h))
+    return LabeledGraph(h + 1, frozenset(edges)), u, v
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spines())
+def test_fold_agrees_on_random_spines(spine):
+    g, u, v = spine
+    assert outcome(fold, g, u, v) == outcome(reference_fold, g, u, v)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(presentations(), st.integers(1, 8))
+def test_g_beta_agrees_on_random_graphs(p, n):
+    system = _fake_system(p.graph)
+    assert outcome(g_beta_values, system, n) == outcome(_g_beta_loop, system, n)
