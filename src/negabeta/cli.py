@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spec", help="gluing certificate for the component chain")
     common(p)
     p.add_argument("--oracle-maxlen", type=int, default=0,
-                   help="when > 0, refine exact_min_M by brute force to this word length")
+                   help="when > 0, refine exact_min_M by the word oracle to this word length")
 
     p = sub.add_parser("cyl", help="exact cylinder table")
     common(p)
@@ -239,11 +239,13 @@ def _cmd_components(config: RunConfig):
 
 
 def _cmd_spec(config: RunConfig):
+    maxlen = config.params["oracle_maxlen"]
+    if maxlen < 0:
+        raise UsageError(f"--oracle-maxlen must be >= 0, got {maxlen}")
     system = _system_for(config)
     chain = shiftgraph.chain_for(system)
     pres = specprop.SoficPresentation.from_chain(chain)
-    maxlen = config.params["oracle_maxlen"]
-    cert = specprop.spec_bound(pres, with_oracle=maxlen > 0, oracle_maxlen=maxlen or 4)
+    cert = specprop.spec_bound(pres, oracle_maxlen=maxlen or None)
     return cert.to_json_dict(system.b)
 
 
@@ -359,7 +361,7 @@ def _cmd_compare_rates(config: RunConfig):
 def _cmd_example31(config: RunConfig):
     maxlen = _positive(config, "maxlen", "--maxlen")
     _, pres = intervalmaps.example31_system()
-    cert = specprop.spec_bound(pres, with_oracle=True, oracle_maxlen=min(maxlen, 6))
+    cert = specprop.spec_bound(pres, oracle_maxlen=maxlen)
     reports = intervalmaps.example31_measure_bounds(maxlen)
     return {
         "certificate": cert.to_json_dict(4),

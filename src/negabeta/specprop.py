@@ -4,8 +4,8 @@ A presentation is a labeled graph together with an ordered list of strongly
 connected vertex subsets.  The checker certifies that words drawn from the
 pieces, in order, can always be concatenated through bounded gap words: with
 gaps of one fixed exact length (strong form) or gaps bounded by a common
-length (the weaker form).  An exhaustive word-level oracle backs the state
-machinery on small scales.
+length (the weaker form).  A word oracle, exact for the words up to a given
+length, backs the state machinery.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ class DisconnectedPair(SpecError):
     def __init__(self, i: int, j: int):
         self.pair = (i, j)
         super().__init__(f"no path from component {i + 1} to component {j + 1}")
-
-
-class EnumerationCapExceeded(SpecError):
-    """A component language is too large for the exhaustive oracle."""
 
 
 @dataclass(frozen=True)
@@ -146,38 +142,44 @@ def _shortest_cross_word(graph: LabeledGraph, src: Sequence[int],
     return None
 
 
-# -- subset families (end states / start states of component words) ----------------
+# -- state sets of component words ---------------------------------------------------
 
 
-def _subset_family(graph: LabeledGraph, comp: Sequence[int], step) -> set[frozenset[int]]:
-    """State sets reached inside the component by single-label steps from all of it.
+def _word_classes(graph: LabeledGraph, comp: Sequence[int], step,
+                  maxlen: Optional[int] = None) -> set[tuple[frozenset[int], frozenset[int]]]:
+    """(inside, anywhere) state sets of the component's words of length at most ``maxlen``.
 
-    With ``graph.step`` these are the end-state sets of component words, with
-    ``graph.back_step`` their start-state sets.
+    ``inside`` is what a word reaches within the component, ``anywhere`` what it
+    reaches in the full graph from every vertex.  With ``graph.step`` these are
+    end sets, with ``graph.back_step`` start sets.  A pair fixes the pairs of all
+    its one-symbol extensions, so the breadth-first search over pairs stops at
+    the first level that adds none; ``maxlen=None`` sets no depth limit.
     """
     cset = frozenset(comp)
     labels = graph.labels()
-    family = {cset}
-    frontier = [cset]
-    while frontier:
-        nxt = []
-        for states in frontier:
+    pairs = level = {(cset, frozenset(range(graph.vertex_count)))}
+    depth = 0
+    while level and (maxlen is None or depth < maxlen):
+        nxt = set()
+        for inside, anywhere in level:
             for a in labels:
-                t = step(states, a) & cset
-                if t and t not in family:
-                    family.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return family
+                t = step(inside, a) & cset
+                if t:
+                    nxt.add((t, step(anywhere, a)))
+        level = nxt - pairs
+        pairs = pairs | level
+        depth += 1
+    return pairs
 
 
-def _bool_power_reach(graph: LabeledGraph, max_power: int) -> list[dict[int, frozenset[int]]]:
-    """reach[m][p] = set of vertices reachable from p along exactly m edges."""
-    reach = [{v: frozenset((v,)) for v in range(graph.vertex_count)}]
-    for _ in range(max_power):
-        prev = reach[-1]
-        reach.append({v: graph.forward(prev[v]) for v in range(graph.vertex_count)})
-    return reach
+def _end_start_sets(p: SoficPresentation, maxlen: Optional[int],
+                    inside: bool) -> list[tuple[set[frozenset[int]], set[frozenset[int]]]]:
+    """Per component, the end sets and the start sets of its words, taken inside
+    the component or in the full graph."""
+    side = 0 if inside else 1
+    return [tuple({pair[side] for pair in _word_classes(p.graph, comp, step, maxlen)}
+                  for step in (p.graph.step, p.graph.back_step))
+            for comp in p.components]
 
 
 def _loops_everywhere(p: SoficPresentation) -> bool:
@@ -188,8 +190,7 @@ def _loops_everywhere(p: SoficPresentation) -> bool:
 # -- the certifier ------------------------------------------------------------------
 
 
-def spec_bound(p: SoficPresentation, with_oracle: bool = False,
-               oracle_maxlen: int = 4) -> SpecCertificate:
+def spec_bound(p: SoficPresentation, oracle_maxlen: Optional[int] = None) -> SpecCertificate:
     """Certify ordered gluing with bounded gaps.
 
     The weak bound M is the sum of the worst in-component diameter, the worst
@@ -199,7 +200,8 @@ def spec_bound(p: SoficPresentation, with_oracle: bool = False,
     loop at each end state is what upgrades a bounded gap to an exact one for
     tuples of any length; the certified exact length is then the smallest
     value that connects every end-state set to every start-state set.  When
-    ``with_oracle`` is set, the exhaustive word oracle refines ``exact_min_M``.
+    ``oracle_maxlen`` is given, the word oracle to that length refines
+    ``exact_min_M``.
     """
     q = len(p.components)
     if q == 0:
@@ -215,39 +217,20 @@ def spec_bound(p: SoficPresentation, with_oracle: bool = False,
     m_bound = max(diams) + max(len(word) for _, word in witnesses) + max(diams)
 
     if _loops_everywhere(p):
-        forward = [_subset_family(p.graph, comp, p.graph.step) for comp in p.components]
-        backward = [_subset_family(p.graph, comp, p.graph.back_step) for comp in p.components]
-        reach = _bool_power_reach(p.graph, m_bound)
-        strong_m = None
-        for m in range(m_bound + 1):
-            if _exact_gap_everywhere(p, forward, backward, reach[m]):
-                strong_m = m
-                break
+        strong_m = _exact_gap(p, _end_start_sets(p, None, inside=True), m_bound)
         if strong_m is not None:
             exact = None
-            if with_oracle:
+            if oracle_maxlen is not None:
                 exact = bruteforce_exact_min(p, oracle_maxlen)
             return SpecCertificate("strong_one_way", strong_m, tuple(witnesses), exact)
 
     exact = None
-    if with_oracle:
-        table = spec_bruteforce(p, oracle_maxlen)
-        exact = table.overall_max
+    if oracle_maxlen is not None:
+        exact = spec_bruteforce(p, oracle_maxlen).overall_max
     return SpecCertificate("w_one_way", m_bound, tuple(witnesses), exact)
 
 
-def _exact_gap_everywhere(p, forward, backward, reach_m) -> bool:
-    q = len(p.components)
-    for i in range(q):
-        for j in range(i, q):
-            for ends in forward[i]:
-                for starts in backward[j]:
-                    if not any(reach_m[e].intersection(starts) for e in ends):
-                        return False
-    return True
-
-
-# -- exhaustive word oracle ------------------------------------------------------------
+# -- word oracle ------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -260,46 +243,6 @@ class BruteForceTable:
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.pair_max)
-
-
-def _component_words(p: SoficPresentation, i: int, maxlen: int,
-                     cap: int) -> list[Word]:
-    comp = frozenset(p.components[i])
-    labels = sorted(p.graph.labels())
-    words: list[Word] = [()]
-    frontier: list[tuple[Word, frozenset[int]]] = [((), comp)]
-    while frontier:
-        word, states = frontier.pop()
-        if len(word) >= maxlen:
-            continue
-        for a in labels:
-            t = p.graph.step(states, a) & comp
-            if t:
-                w2 = word + (a,)
-                words.append(w2)
-                if len(words) > cap:
-                    raise EnumerationCapExceeded(
-                        f"component {i + 1} exceeds {cap} words at length {maxlen}"
-                    )
-                frontier.append((w2, t))
-    return words
-
-
-def _state_classes(p: SoficPresentation, i: int, maxlen: int,
-                   cap: int) -> tuple[set[frozenset[int]], set[frozenset[int]]]:
-    """End-state and start-state sets, in the full graph, of component i's words.
-
-    The words are closed under prefixes and suffixes, so taken shortest first
-    each one's sets are one step from those of a word already seen.
-    """
-    everything = frozenset(range(p.graph.vertex_count))
-    ends: dict[Word, frozenset[int]] = {(): everything}
-    starts: dict[Word, frozenset[int]] = {(): everything}
-    step, back_step = cache(p.graph.step), cache(p.graph.back_step)
-    for w in sorted(_component_words(p, i, maxlen, cap), key=len)[1:]:
-        ends[w] = step(ends[w[:-1]], w[-1])
-        starts[w] = back_step(starts[w[1:]], w[0])
-    return set(ends.values()), set(starts.values())
 
 
 def _default_gap_cap(p: SoficPresentation) -> int:
@@ -329,7 +272,25 @@ def _frontier_lists(p: SoficPresentation, end_sets: Iterable[frozenset[int]],
             for ends in end_sets]
 
 
-def spec_bruteforce(p: SoficPresentation, maxlen: int, cap: int = 50000,
+def _exact_gap(p: SoficPresentation, classes, gap_cap: int) -> Optional[int]:
+    """Smallest g <= gap_cap that glues every end set of each component to every start
+    set of itself and of each later component in exactly g symbols; None when none does.
+    """
+    q = len(p.components)
+    achievable: Optional[set[int]] = None
+    for i in range(q):
+        fronts = _frontier_lists(p, classes[i][0], gap_cap)
+        for j in range(i, q):
+            for front in fronts:
+                for starts in classes[j][1]:
+                    gaps = {g for g, current in enumerate(front) if current & starts}
+                    achievable = gaps if achievable is None else achievable & gaps
+                    if not achievable:
+                        return None
+    return min(achievable) if achievable else None
+
+
+def spec_bruteforce(p: SoficPresentation, maxlen: int,
                     gap_cap: Optional[int] = None) -> BruteForceTable:
     """Word-level minimal gaps for every ordered pair of component words.
 
@@ -341,7 +302,7 @@ def spec_bruteforce(p: SoficPresentation, maxlen: int, cap: int = 50000,
     q = len(p.components)
     if gap_cap is None:
         gap_cap = _default_gap_cap(p)
-    classes = [_state_classes(p, i, maxlen, cap) for i in range(q)]
+    classes = _end_start_sets(p, maxlen, inside=False)
     pair_max = []
     overall = 0
     for i in range(q):
@@ -359,25 +320,12 @@ def spec_bruteforce(p: SoficPresentation, maxlen: int, cap: int = 50000,
     return BruteForceTable(tuple(pair_max), overall, maxlen)
 
 
-def bruteforce_exact_min(p: SoficPresentation, maxlen: int, cap: int = 50000,
+def bruteforce_exact_min(p: SoficPresentation, maxlen: int,
                          gap_cap: Optional[int] = None) -> Optional[int]:
     """Smallest M such that every ordered word pair glues with a gap of exactly M."""
-    q = len(p.components)
     if gap_cap is None:
         gap_cap = _default_gap_cap(p)
-    # computed on first use, in the order the pairs reach each component
-    classes = cache(lambda i: _state_classes(p, i, maxlen, cap))
-    achievable: Optional[set[int]] = None
-    for i in range(q):
-        fronts = _frontier_lists(p, classes(i)[0], gap_cap)
-        for j in range(i, q):
-            for front in fronts:
-                for starts in classes(j)[1]:
-                    gaps = {g for g, current in enumerate(front) if current & starts}
-                    achievable = gaps if achievable is None else achievable & gaps
-                    if not achievable:
-                        return None
-    return min(achievable) if achievable else None
+    return _exact_gap(p, _end_start_sets(p, maxlen, inside=False), gap_cap)
 
 
 # -- coverage and support checks ----------------------------------------------------------

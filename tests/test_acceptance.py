@@ -186,7 +186,7 @@ def test_c06_branching_distance(pisot_sys, two_sys):
 
 def test_c07_specification_certificates(pisot_sys):
     _, ex31 = example31_system()
-    cert31 = spec_bound(ex31, with_oracle=True, oracle_maxlen=6)
+    cert31 = spec_bound(ex31, oracle_maxlen=6)
     ex31_ok = (
         cert31.kind == "strong_one_way"
         and cert31.M == 1
@@ -194,7 +194,7 @@ def test_c07_specification_certificates(pisot_sys):
         and bruteforce_exact_min(ex31, 6) == 1
     )
     pres = SoficPresentation.from_chain(decompose(automaton_for(pisot_sys)))
-    certp = spec_bound(pres, with_oracle=True, oracle_maxlen=5)
+    certp = spec_bound(pres, oracle_maxlen=5)
     pisot_ok = (
         certp.kind == "w_one_way"
         and certp.M < math.inf

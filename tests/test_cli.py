@@ -122,6 +122,16 @@ def test_spec_command(capsys):
     jsonschema.validate(payload, schema_for("spec"))
 
 
+@pytest.mark.parametrize("beta, maxlen", [("poly:-3,1;interval:2,4", "11"), (DEFECT, "12")],
+                         ids=["three-11", "defect-12"])
+def test_oracle_has_no_word_cap(beta, maxlen, capsys):
+    # these lengths once overflowed a word count cap; the state-set pairs saturate long before
+    code, out, err = invoke(["spec", "--beta", beta, "--oracle-maxlen", maxlen], capsys)
+    assert code == 0 and err == ""
+    jsonschema.validate(json.loads(out), schema_for("spec"))
+    assert invoke(["spec", "--beta", beta, "--oracle-maxlen", "40"], capsys) == (code, out, err)
+
+
 def test_cyl_json_and_csv(capsys, tmp_path):
     code, out, _ = invoke(["cyl", "--beta", TWO, "--maxlen", "3"], capsys)
     assert code == 0
@@ -186,13 +196,15 @@ def test_cylinder_command_usage_errors(argv, capsys):
         ["yrrap", "--beta", "poly:-1,-1,0,1;interval:1/0,2"],
         ["yrrap", "--beta", "poly:-1,-1,0,1;interval:0/0,2"],
         ["yrrap", "--beta", "decimal:1/0"],
+        ["spec", "--beta", PISOT, "--oracle-maxlen", "-1"],
     ],
     ids=["beta-not-isolating", "beta-no-root", "beta-below-one", "gbeta-n-0", "mc-n-0",
          "mc-N-0", "rate-unachievable", "compare-rates-wrong-base", "yrrap-max-steps-0",
          "graph-horizon-1", "example32-n-0", "example32-N-0", "yrrap-digits-0",
          "cyl-digits-negative", "rate-a-nan", "mc-window-nan", "example32-eps-nan",
          "example32-eps-negative", "example32-eps-0", "example32-eps-half", "example32-eps-inf",
-         "beta-bound-zero-denominator", "beta-bound-zero-over-zero", "beta-decimal-zero-denominator"],
+         "beta-bound-zero-denominator", "beta-bound-zero-over-zero", "beta-decimal-zero-denominator",
+         "spec-oracle-maxlen-negative"],
 )
 def test_bad_input_usage_errors(argv, capsys):
     code, out, err = invoke(argv, capsys)
@@ -243,7 +255,7 @@ def _argv(draw):
     options = {
         "yrrap": {"--max-steps": _INTS},
         "graph": {"--horizon": st.integers(-1, 12).map(str)},
-        "spec": {"--oracle-maxlen": _INTS},
+        "spec": {"--oracle-maxlen": st.integers(-1, 40).map(str)},
         "gbeta": {"--n": _INTS},
         "rate": {"--obs": _OBS, "--a": _FLOATS,
                  "--a-grid": st.builds("{}:{}:{}".format, _FLOATS, _FLOATS, _INTS)},

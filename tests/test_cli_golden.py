@@ -86,8 +86,11 @@ GOLDEN = {
     ("quartic", "gbeta_30"): (0, "a77f575af8d96b09645794817661d4633949fd9d377a42aa2d2adff3dcfa56b0"),
 }
 
-# example31 takes no --beta: (exit code, sha256 of stdout) of `example31 --maxlen 6`
-EXAMPLE31 = (0, "9f58c3da97989784cc10a1ca2fe5681d7697b7c464d9040ea7218d667e731694")
+# example31 takes no --beta: maxlen -> (exit code, sha256 of stdout) of `example31 --maxlen <maxlen>`
+EXAMPLE31 = {
+    6: (0, "9f58c3da97989784cc10a1ca2fe5681d7697b7c464d9040ea7218d667e731694"),
+    7: (0, "2b6270f6a61f410ee031f1affa1127092cfcd7cc7ca1b7111949c9a088543980"),
+}
 
 
 @pytest.mark.parametrize("base, command", sorted(GOLDEN))
@@ -99,9 +102,10 @@ def test_cli_stdout_is_pinned(base, command, capsys):
 
 
 def test_example31_stdout_is_pinned(capsys):
-    code = main(["example31", "--maxlen", "6"])
-    out = capsys.readouterr().out
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == EXAMPLE31
+    for maxlen, expected in EXAMPLE31.items():
+        code = main(["example31", "--maxlen", str(maxlen)])
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected
 
 
 # Stochastic commands, each with an explicit seed: name -> (argv, (exit code, sha256 of stdout)).

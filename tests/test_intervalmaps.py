@@ -157,7 +157,7 @@ def test_cylinder_denominators_divide_2_3n():
 
 def test_presentation_certificate():
     _, presentation = example31_system()
-    cert = spec_bound(presentation, with_oracle=True, oracle_maxlen=6)
+    cert = spec_bound(presentation, oracle_maxlen=6)
     assert cert.kind == "strong_one_way"
     assert cert.M == 1
     assert cert.exact_min_M == 1

@@ -1,14 +1,16 @@
 """The presentation layer's shared state-set facts against the per-pair code they replaced.
 
 `spec_bruteforce` and `bruteforce_exact_min` walk each end set's gap
-frontiers once for every start set, `_state_classes` takes each word's sets
-one step from a shorter word's, `g_beta_values` sweeps the lengths once, and
-`fold` reads each vertex's spine digit and back edges once, from one pass
-over the edges.  The references below are the plain versions: one frontier
-walk per (end set, start set) pair, `reads`/`back_reads` from scratch per
-word, one subset frontier per length, and both signatures recomputed from
-the graph's edge lists per candidate fold.  Results and errors must be
-equal, not close.
+frontiers once for every start set, `_word_classes` takes the state sets of
+a component's words from one search over state-set pairs, `spec_bound`'s
+strong gap is the same gap intersection as `bruteforce_exact_min`,
+`g_beta_values` sweeps the lengths once, and `fold` reads each vertex's spine
+digit and back edges once, from one pass over the edges.  The references
+below are the plain versions: every component word listed and read with
+`reads`/`back_reads` from scratch, one frontier walk per (end set, start
+set) pair, the strong gap from per-vertex reachability powers, one subset
+frontier per length, and both signatures recomputed from the graph's edge
+lists per candidate fold.  Results and errors must be equal, not close.
 """
 
 from types import SimpleNamespace
@@ -39,11 +41,13 @@ from negabeta.shiftgraph import (
 )
 from negabeta.specprop import (
     DisconnectedPair,
-    EnumerationCapExceeded,
     SoficPresentation,
-    _component_words,
+    SpecCertificate,
+    _component_diameter,
     _default_gap_cap,
-    _state_classes,
+    _end_start_sets,
+    _loops_everywhere,
+    _shortest_cross_word,
     bruteforce_exact_min,
     spec_bound,
     spec_bruteforce,
@@ -55,8 +59,26 @@ from pisot_bases import BASES
 # -- the per-pair references ------------------------------------------------------------------
 
 
-def reference_state_classes(p, i, maxlen, cap):
-    words = _component_words(p, i, maxlen, cap)
+def component_words(p, i, maxlen):
+    """Every word of length at most maxlen that labels a path inside component i."""
+    comp = frozenset(p.components[i])
+    labels = sorted(p.graph.labels())
+    words = [()]
+    frontier = [((), comp)]
+    while frontier:
+        word, states = frontier.pop()
+        if len(word) >= maxlen:
+            continue
+        for a in labels:
+            t = p.graph.step(states, a) & comp
+            if t:
+                words.append(word + (a,))
+                frontier.append((word + (a,), t))
+    return words
+
+
+def reference_state_classes(p, i, maxlen):
+    words = component_words(p, i, maxlen)
     return {p.graph.reads(w) for w in words}, {p.graph.back_reads(w) for w in words}
 
 
@@ -71,11 +93,11 @@ def reference_gluable_gaps(p, ends, starts, gap_cap):
     return gaps
 
 
-def reference_spec_bruteforce(p, maxlen, cap=50000, gap_cap=None):
+def reference_spec_bruteforce(p, maxlen, gap_cap=None):
     q = len(p.components)
     if gap_cap is None:
         gap_cap = _default_gap_cap(p)
-    classes = [reference_state_classes(p, i, maxlen, cap) for i in range(q)]
+    classes = [reference_state_classes(p, i, maxlen) for i in range(q)]
     pair_max = []
     overall = 0
     for i in range(q):
@@ -92,27 +114,82 @@ def reference_spec_bruteforce(p, maxlen, cap=50000, gap_cap=None):
     return tuple(pair_max), overall, maxlen
 
 
-def reference_exact_min(p, maxlen, cap=50000, gap_cap=None) -> Optional[int]:
+def reference_exact_min(p, maxlen, gap_cap=None) -> Optional[int]:
     q = len(p.components)
     if gap_cap is None:
         gap_cap = _default_gap_cap(p)
-    classes: dict = {}
-
-    def get(i):
-        if i not in classes:
-            classes[i] = reference_state_classes(p, i, maxlen, cap)
-        return classes[i]
-
+    classes = [reference_state_classes(p, i, maxlen) for i in range(q)]
     achievable = None
     for i in range(q):
         for j in range(i, q):
-            for ends in get(i)[0]:
-                for starts in get(j)[1]:
+            for ends in classes[i][0]:
+                for starts in classes[j][1]:
                     gaps = reference_gluable_gaps(p, ends, starts, gap_cap)
                     achievable = gaps if achievable is None else achievable & gaps
                     if not achievable:
                         return None
     return min(achievable) if achievable else None
+
+
+def subset_family(graph, comp, step):
+    """State sets reached inside the component by single-label steps from all of it."""
+    cset = frozenset(comp)
+    family = {cset}
+    frontier = [cset]
+    while frontier:
+        nxt = []
+        for states in frontier:
+            for a in graph.labels():
+                t = step(states, a) & cset
+                if t and t not in family:
+                    family.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return family
+
+
+def bool_power_reach(graph, max_power):
+    """reach[m][p] = set of vertices reachable from p along exactly m edges."""
+    reach = [{v: frozenset((v,)) for v in range(graph.vertex_count)}]
+    for _ in range(max_power):
+        prev = reach[-1]
+        reach.append({v: graph.forward(prev[v]) for v in range(graph.vertex_count)})
+    return reach
+
+
+def exact_gap_everywhere(p, forward, backward, reach_m):
+    q = len(p.components)
+    for i in range(q):
+        for j in range(i, q):
+            for ends in forward[i]:
+                for starts in backward[j]:
+                    if not any(reach_m[e].intersection(starts) for e in ends):
+                        return False
+    return True
+
+
+def reference_spec_bound(p, oracle_maxlen=None):
+    q = len(p.components)
+    diams = [_component_diameter(p.graph, comp) for comp in p.components]
+    witnesses = []
+    for i in range(q):
+        for j in range(i, q):
+            word = _shortest_cross_word(p.graph, p.components[i], p.components[j])
+            if word is None:
+                raise DisconnectedPair(i, j)
+            witnesses.append(((i, j), word))
+    m_bound = max(diams) + max(len(word) for _, word in witnesses) + max(diams)
+    if _loops_everywhere(p):
+        forward = [subset_family(p.graph, comp, p.graph.step) for comp in p.components]
+        backward = [subset_family(p.graph, comp, p.graph.back_step) for comp in p.components]
+        reach = bool_power_reach(p.graph, m_bound)
+        strong_m = next((m for m in range(m_bound + 1)
+                         if exact_gap_everywhere(p, forward, backward, reach[m])), None)
+        if strong_m is not None:
+            exact = None if oracle_maxlen is None else reference_exact_min(p, oracle_maxlen)
+            return SpecCertificate("strong_one_way", strong_m, tuple(witnesses), exact)
+    exact = None if oracle_maxlen is None else reference_spec_bruteforce(p, oracle_maxlen)[1]
+    return SpecCertificate("w_one_way", m_bound, tuple(witnesses), exact)
 
 
 def reference_g_beta_n(system, n):
@@ -167,8 +244,7 @@ def outcome(fn, *args, **kwargs):
     """The value, or the error's class, message and payload, so errors compare with ==."""
     try:
         return "value", fn(*args, **kwargs)
-    except (DisconnectedPair, EnumerationCapExceeded, InadmissibleWord, NoBranchReachable,
-            FoldNotVerified) as exc:
+    except (DisconnectedPair, InadmissibleWord, NoBranchReachable, FoldNotVerified) as exc:
         return ("error", type(exc).__name__, str(exc), getattr(exc, "pair", None),
                 getattr(exc, "periodicity_violated", None))
 
@@ -187,10 +263,19 @@ def assert_oracles_agree(p, maxlens, **kwargs):
                                                              **kwargs)
         assert (outcome(bruteforce_exact_min, p, maxlen, **kwargs)
                 == outcome(reference_exact_min, p, maxlen, **kwargs))
-        cap = kwargs.get("cap", 50000)
-        for i in range(len(p.components)):
-            assert (outcome(_state_classes, p, i, maxlen, cap)
-                    == outcome(reference_state_classes, p, i, maxlen, cap))
+        assert _end_start_sets(p, maxlen, inside=False) == [reference_state_classes(p, i, maxlen)
+                                                 for i in range(len(p.components))]
+
+
+def assert_certificates_agree(p, maxlens):
+    assert _end_start_sets(p, None, inside=True) == [
+        (subset_family(p.graph, comp, p.graph.step), subset_family(p.graph, comp, p.graph.back_step))
+        for comp in p.components
+    ]
+    assert outcome(spec_bound, p) == outcome(reference_spec_bound, p)
+    for maxlen in maxlens:
+        assert (outcome(spec_bound, p, oracle_maxlen=maxlen)
+                == outcome(reference_spec_bound, p, oracle_maxlen=maxlen))
 
 
 # -- the 68 bases ------------------------------------------------------------------------------
@@ -214,6 +299,12 @@ def test_oracles_agree_on_every_base(systems):
         assert_oracles_agree(p, range(6))
 
 
+def test_certificates_agree_on_every_base(systems):
+    for system in systems:
+        p = SoficPresentation.from_chain(decompose(automaton_for(system)))
+        assert_certificates_agree(p, range(5))
+
+
 def test_g_beta_sweep_agrees_on_every_base(systems):
     for system in systems:
         expected = [reference_g_beta_n(system, k) for k in range(1, 21)]
@@ -234,6 +325,7 @@ def test_example31_takes_the_strong_path():
     _, p = example31_system()
     assert spec_bound(p).kind == "strong_one_way"
     assert_oracles_agree(p, range(8))
+    assert_certificates_agree(p, range(8))
     assert bruteforce_exact_min(p, 6) == reference_exact_min(p, 6) == 1
 
 
@@ -249,13 +341,6 @@ def test_disconnected_pair_names_the_same_pair():
     assert got[0] == "error" and got[3] == (0, 2)
     assert (outcome(bruteforce_exact_min, p, 3) == outcome(reference_exact_min, p, 3)
             == ("value", None))
-
-
-def test_cap_exceeded_alike(systems):
-    p = SoficPresentation.from_chain(decompose(automaton_for(systems[0])))
-    got = table_outcome(p, 5, cap=7)
-    assert got[0] == "error" and got[1] == "EnumerationCapExceeded"
-    assert_oracles_agree(p, range(6), cap=7)
 
 
 def _fake_system(graph):
@@ -290,8 +375,13 @@ def test_ambiguous_spine_raises_alike():
 
 
 @st.composite
-def presentations(draw):
-    """Two or three strongly connected pieces in order, with random edges forward."""
+def presentations(draw, loops=False):
+    """Two or three strongly connected pieces in order, with random edges forward.
+
+    With ``loops`` every piece vertex carries a self-loop, so that `spec_bound`
+    searches for a strong certificate, and each piece has an edge into the
+    next, so that every ordered pair of pieces connects.
+    """
     sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
     extra = draw(st.integers(0, 2))  # vertices outside every piece
     n = sum(sizes) + extra
@@ -304,11 +394,15 @@ def presentations(draw):
             edges.add((v, draw(label), piece[(k + 1) % size]))
         inner = st.tuples(st.sampled_from(piece), label, st.sampled_from(piece))
         edges |= draw(st.sets(inner, max_size=4))
+        if loops:
+            edges |= {(v, draw(label), v) for v in piece}
         pieces.append(piece)
     vertex = st.integers(0, n - 1)
     forward = [(s, a, t) for s, a, t in draw(st.sets(st.tuples(vertex, label, vertex), max_size=8))
                if _rank(s, pieces) <= _rank(t, pieces)]
     edges |= set(forward)
+    if loops:
+        edges |= {(s[-1], draw(label), t[0]) for s, t in zip(pieces, pieces[1:])}
     return SoficPresentation(LabeledGraph(n, frozenset(edges)), tuple(pieces))
 
 
@@ -321,9 +415,16 @@ def _rank(v, pieces):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(presentations(), st.sampled_from([None, 1, 3]), st.sampled_from([50000, 20]))
-def test_oracles_agree_on_random_presentations(p, gap_cap, cap):
-    assert_oracles_agree(p, range(5), cap=cap, gap_cap=gap_cap)
+@given(presentations(), st.sampled_from([None, 1, 3]))
+def test_oracles_agree_on_random_presentations(p, gap_cap):
+    assert_oracles_agree(p, range(5), gap_cap=gap_cap)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(presentations(loops=True))
+def test_certificates_agree_on_looped_presentations(p):
+    assert _loops_everywhere(p)
+    assert_certificates_agree(p, range(5))
 
 
 @st.composite

@@ -6,7 +6,6 @@ from negabeta.algebraic import IntPolynomial, make_algebraic
 from negabeta.shiftgraph import LabeledGraph, automaton_for, decompose
 from negabeta.specprop import (
     DisconnectedPair,
-    EnumerationCapExceeded,
     SoficPresentation,
     SpecCertificate,
     ergodic_support_check,
@@ -41,7 +40,7 @@ def full_shift():
 
 
 def test_example31_strong_with_minimal_gap_one(ex31):
-    cert = spec_bound(ex31, with_oracle=True, oracle_maxlen=6)
+    cert = spec_bound(ex31, oracle_maxlen=6)
     assert cert.kind == "strong_one_way"
     assert cert.M == 1
     assert cert.exact_min_M == 1
@@ -55,7 +54,7 @@ def test_example31_bruteforce_table(ex31):
 
 
 def test_pisot_gets_weak_certificate(pisot_presentation):
-    cert = spec_bound(pisot_presentation, with_oracle=True, oracle_maxlen=5)
+    cert = spec_bound(pisot_presentation, oracle_maxlen=5)
     assert cert.kind == "w_one_way"
     assert cert.M >= 2
     assert cert.exact_min_M is not None
@@ -66,7 +65,7 @@ def test_pisot_gets_weak_certificate(pisot_presentation):
 
 
 def test_full_shift_strong_gap_zero(full_shift):
-    cert = spec_bound(full_shift, with_oracle=True, oracle_maxlen=5)
+    cert = spec_bound(full_shift, oracle_maxlen=5)
     assert cert.kind == "strong_one_way"
     assert cert.M == 0
     assert cert.exact_min_M == 0
@@ -99,15 +98,6 @@ def test_disconnected_pair_reported():
     with pytest.raises(DisconnectedPair) as err:
         spec_bound(pres)
     assert err.value.pair == (0, 1)
-
-
-def test_enumeration_cap():
-    graph = LabeledGraph(
-        2, frozenset({(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 2, 1), (1, 3, 1), (1, 4, 1)})
-    )
-    pres = SoficPresentation(graph, ((0,), (1,)))
-    with pytest.raises(EnumerationCapExceeded):
-        spec_bruteforce(pres, 10, cap=50)
 
 
 def test_randomized_gluing_strong(ex31):
