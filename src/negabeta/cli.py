@@ -45,6 +45,8 @@ class RunConfig:
 
 
 _STOCHASTIC = {"mc", "example32", "validate"}
+# cap on --digits, below Python's 4300-digit limit on int-to-str conversion
+MAX_DIGITS = 1000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,8 +142,8 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         raise UsageError("a subcommand is required")
     if ns.command in _STOCHASTIC and ns.seed is None:
         raise UsageError(f"--seed is mandatory for '{ns.command}'")
-    if ns.digits < 1:
-        raise UsageError(f"--digits must be >= 1, got {ns.digits}")
+    if not 1 <= ns.digits <= MAX_DIGITS:
+        raise UsageError(f"--digits must be in 1..{MAX_DIGITS}, got {ns.digits}")
     params = {
         k: v
         for k, v in vars(ns).items()
@@ -327,6 +329,8 @@ def _cmd_rate(config: RunConfig):
             lo, hi, count = float(lo), float(hi), int(count)
         except ValueError as exc:
             raise UsageError("a-grid must be lo:hi:count") from exc
+        if count < 1:
+            raise UsageError(f"a-grid count must be >= 1, got {count}")
         targets.extend(lo + (hi - lo) * k / max(count - 1, 1) for k in range(count))
     if not targets:
         raise UsageError("give --a or --a-grid")

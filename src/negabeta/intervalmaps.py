@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from negabeta.ldp import _CHUNK, DeviationEstimate, _samples, deviation_estimate
 from negabeta.measures import Branch, affine_cylinder, affine_cylinder_walk
 from negabeta.shiftgraph import FoldedAutomaton, LabeledGraph, enumerate_words
@@ -229,6 +227,8 @@ class CircleMap:
 
 
 def _vectorized_circle(theta: np.ndarray, strength: float) -> np.ndarray:
+    import numpy as np
+
     t = theta - np.floor(theta)
     reduced = np.where(t >= 0.5, t - 0.5, t)
     folded = np.where(reduced > 0.25, 0.5 - reduced, reduced)
@@ -241,6 +241,8 @@ def _vectorized_circle(theta: np.ndarray, strength: float) -> np.ndarray:
 def circle_nonwandering(fmap: CircleMap, grid: int = 2000, iters: int = 400,
                         tol: float = 1e-6) -> list[float]:
     """Cluster points of late forward orbits plus backward-detected repellers."""
+    import numpy as np
+
     if grid < 1000:
         raise ValueError("grid must be at least 1000")
     theta = np.linspace(0.0, 1.0, grid, endpoint=False)
@@ -273,6 +275,8 @@ def circle_mc_deviation(a_window: tuple[float, float], n: int, sample_count: int
     digit engine, iterated in double precision, and counts hits per batch of
     ``_CHUNK`` samples, so memory stays flat in the sample count.
     """
+    import numpy as np
+
     if n < 1 or sample_count < 1:
         raise ValueError("need n >= 1 and sample_count >= 1")
     fmap = fmap or CircleMap()

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-import numpy as np
-
 from negabeta.measures import MarkovMeasure, parry_measure, _psi_value
 from negabeta.shiftgraph import ComponentChain, chain_for, spectral_radius
 from negabeta.transform import MinusBetaSystem
@@ -124,6 +122,8 @@ def free_energy(mu: Union[MarkovMeasure, float], phi_const: float,
 
 
 def _component_pressure(chain: ComponentChain, comp_index: int, psi: Psi, t: float) -> float:
+    import numpy as np
+
     graph = chain.component_graph(comp_index)
     n = graph.vertex_count
     weights = [t * _psi_value(psi, a) for _, a, _ in sorted(graph.edges)]
@@ -326,6 +326,8 @@ def _digit_means_generic(system: MinusBetaSystem, psi: Psi, n: int, samples: Seq
     lanes then watch for a digit above b, and a batch that shows one is
     rerun by :func:`_orbit_digits`.
     """
+    import numpy as np
+
     b = system.b
     psi_vals = [_psi_value(psi, d) for d in range(b + 1)]
     count = len(samples)
@@ -374,6 +376,8 @@ def _digit_means_beta2(psi: Psi, n: int, samples: Sequence[int]) -> np.ndarray:
     alternately complemented leading bits of x, so digit means reduce to
     popcounts.  Bit-for-bit equal to the generic engine away from dyadic
     boundary points (a zero-probability set for hashed samples)."""
+    import numpy as np
+
     psi0, psi1 = _psi_value(psi, 0), _psi_value(psi, 1)
     odd_mask = 0
     for k in range(n):
@@ -443,6 +447,8 @@ def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
     the mean of those digits must equal the engine's mean.  Raises
     :class:`WindowNeverHit` when nothing lands inside.
     """
+    import numpy as np
+
     if n < 1 or sample_count < 1:
         raise ValueError("need n >= 1 and sample_count >= 1")
     lo, hi = window

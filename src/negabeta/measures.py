@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from negabeta.shiftgraph import FoldedAutomaton, LabeledGraph, automaton_for, spectral_radius
 from negabeta.transform import MinusBetaSystem, Word
 
@@ -408,6 +406,8 @@ def _psi_value(psi, label: int) -> float:
 
 def _perron_vector(mat: np.ndarray, rho: float) -> np.ndarray:
     """Strictly positive eigenvector for the leading eigenvalue."""
+    import numpy as np
+
     values, vectors = np.linalg.eig(mat)
     k = int(np.argmin(np.abs(values - rho)))
     vec = np.real(vectors[:, k])

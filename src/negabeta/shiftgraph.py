@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-import numpy as np
-
 from negabeta.transform import DigitSequence, MinusBetaSystem, Word, border_step, word_to_text
 
 Edge = tuple[int, int, int]  # (source, label, target)
@@ -136,6 +134,8 @@ class LabeledGraph:
         return LabeledGraph(len(keep), edges)
 
     def adjacency(self, vertices: Optional[Sequence[int]] = None) -> np.ndarray:
+        import numpy as np
+
         verts = list(vertices) if vertices is not None else list(range(self.vertex_count))
         index = {v: i for i, v in enumerate(verts)}
         mat = np.zeros((len(verts), len(verts)))
@@ -494,6 +494,8 @@ def spectral_radius(mat: np.ndarray) -> float:
     One direct eigenvalue solve.  For the automaton, the tail component's
     value is anchored exactly by h_top = log beta.
     """
+    import numpy as np
+
     if mat.shape[0] == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(mat))))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negabeta.cli import RunConfig, UsageError, emit_report, main, parse_config
+from negabeta.cli import MAX_DIGITS, RunConfig, UsageError, emit_report, main, parse_config
 from negabeta.transform import EXPANSION_STEPS, MinusBetaSystem
 
 PISOT = "poly:-1,-1,0,1;interval:1,2"
@@ -197,6 +197,10 @@ def test_cylinder_command_usage_errors(argv, capsys):
         ["yrrap", "--beta", "poly:-1,-1,0,1;interval:0/0,2"],
         ["yrrap", "--beta", "decimal:1/0"],
         ["spec", "--beta", PISOT, "--oracle-maxlen", "-1"],
+        ["yrrap", "--beta", PISOT, "--digits", "5000"],
+        ["cyl", "--beta", PISOT, "--maxlen", "2", "--digits", str(MAX_DIGITS + 1)],
+        ["rate", "--beta", PISOT, "--a-grid", "0.1:0.9:0"],
+        ["rate", "--beta", PISOT, "--a", "0.5", "--a-grid", "0.1:0.9:-3"],
     ],
     ids=["beta-not-isolating", "beta-no-root", "beta-below-one", "gbeta-n-0", "mc-n-0",
          "mc-N-0", "rate-unachievable", "compare-rates-wrong-base", "yrrap-max-steps-0",
@@ -204,13 +208,25 @@ def test_cylinder_command_usage_errors(argv, capsys):
          "cyl-digits-negative", "rate-a-nan", "mc-window-nan", "example32-eps-nan",
          "example32-eps-negative", "example32-eps-0", "example32-eps-half", "example32-eps-inf",
          "beta-bound-zero-denominator", "beta-bound-zero-over-zero", "beta-decimal-zero-denominator",
-         "spec-oracle-maxlen-negative"],
+         "spec-oracle-maxlen-negative", "yrrap-digits-5000", "cyl-digits-above-cap",
+         "rate-a-grid-count-0", "rate-a-grid-count-negative"],
 )
 def test_bad_input_usage_errors(argv, capsys):
     code, out, err = invoke(argv, capsys)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("usage error:")
+
+
+def test_a_grid_count_message_names_the_count(capsys):
+    _, _, err = invoke(["rate", "--beta", PISOT, "--a-grid", "0.1:0.9:0"], capsys)
+    assert "count must be >= 1" in err
+
+
+def test_digits_cap_is_printable(capsys):
+    code, out, _ = invoke(["yrrap", "--beta", PISOT, "--digits", str(MAX_DIGITS)], capsys)
+    assert code == 0
+    assert len(json.loads(out)["beta"].split(".")[1]) == MAX_DIGITS
 
 
 @pytest.mark.parametrize("upper", ["1e3000", "1e6000", "1e10000"])

@@ -238,13 +238,22 @@ def test_sympy_is_not_imported():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    # neither sympy nor numpy may load for the package or for any exact command
     code = (
         "import sys\n"
+        "def check(step):\n"
+        "    loaded = {'sympy', 'numpy'} & set(sys.modules)\n"
+        "    assert not loaded, f'{step} loaded {sorted(loaded)}'\n"
         "import negabeta\n"
-        "assert 'sympy' not in sys.modules, 'import negabeta'\n"
+        "check('import negabeta')\n"
         "from negabeta import cli\n"
-        "assert cli.main(['yrrap', '--beta', 'poly:-1,-1,0,1;interval:1,2']) == 0\n"
-        "assert 'sympy' not in sys.modules, 'yrrap'\n"
+        "beta = ['--beta', 'poly:-1,-1,0,1;interval:1,2']\n"
+        "for argv in (['yrrap', *beta], ['graph', *beta], ['components', *beta],\n"
+        "             ['spec', *beta, '--oracle-maxlen', '4'], ['cyl', *beta, '--maxlen', '4'],\n"
+        "             ['gbeta', *beta, '--n', '10'], ['example31', '--maxlen', '4'],\n"
+        "             ['validate', *beta, '--maxlen', '4', '--seed', '3']):\n"
+        "    assert cli.main(argv) == 0, argv[0]\n"
+        "    check(argv[0])\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)

@@ -1,6 +1,7 @@
 """Graph construction, folding, decomposition, counting, cross-validation."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,8 @@ from negabeta.shiftgraph import (
     spectral_radius,
 )
 from negabeta.transform import MinusBetaSystem
+
+from pisot_bases import BASES
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +234,55 @@ def test_full_chain_entropy(pisot_sys, two_sys, three_sys):
     systems += [MinusBetaSystem(make_algebraic(IntPolynomial(c), b, b + 1)) for c, b in more]
     for sys in systems:
         assert abs(entropy_estimate(automaton_for(sys)) - sys.log_beta()) < 1e-12
+
+
+def _charpoly(adj):
+    """det(xI - A), low degree first, by Faddeev-LeVerrier in integers."""
+    n = len(adj)
+    coeffs = [0] * n + [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        # M_k = A M_{k-1} + c_{n-k+1} I, then c_{n-k} = -tr(A M_k) / k
+        m = [[sum(adj[i][l] * m[l][j] for l in range(n)) + (coeffs[n - k + 1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        trace = sum(adj[i][l] * m[l][i] for i in range(n) for l in range(n))
+        assert trace % k == 0
+        coeffs[n - k] = -trace // k
+    return coeffs
+
+
+def _remainder(num, den):
+    rem = [Fraction(c) for c in num]
+    while len(rem) >= len(den):
+        q, shift = rem[-1] / den[-1], len(rem) - len(den)
+        for i, d in enumerate(den):
+            rem[shift + i] -= q * d
+        rem.pop()
+    return rem
+
+
+def test_charpoly_examples():
+    assert _charpoly([[0, 1, 0], [0, 0, 1], [1, 1, 0]]) == [-1, -1, 0, 1]  # x^3 - x - 1
+    assert _charpoly([[2, 1], [1, 1]]) == [1, -3, 1]
+    assert _charpoly([[1, 1, 0], [0, 1, 0], [0, 0, 0]]) == [0, 1, -2, 1]  # x (x - 1)^2
+    assert _remainder([0, 1, -2, 1], [-1, 1]) == [0]
+    assert _remainder([1, 0, 1], [-1, 1]) == [2]
+
+
+def test_minimal_polynomial_divides_automaton_charpoly():
+    """The exact anchor of the float entropy: beta is an eigenvalue of the
+    automaton's integer adjacency, and the float spectral radius is beta."""
+    assert len(BASES) == 68
+    for coeffs, lo, hi in BASES:
+        beta = make_algebraic(IntPolynomial(coeffs), lo, hi)
+        graph = automaton_for(MinusBetaSystem(beta)).graph
+        n = graph.vertex_count
+        adj = [[0] * n for _ in range(n)]
+        for s, _, t in graph.edges:
+            adj[s][t] += 1
+        assert not any(_remainder(_charpoly(adj), beta.minpoly.coefficients)), coeffs
+        assert graph.adjacency().tolist() == adj
+        assert abs(spectral_radius(graph.adjacency()) - float(beta.generator())) <= 1e-12, coeffs
 
 
 def test_spectral_radius_crosscheck():
