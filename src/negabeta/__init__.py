@@ -73,6 +73,7 @@ from negabeta.measures import (
 )
 from negabeta.ldp import (
     DeviationEstimate,
+    OrbitTooLong,
     RateResult,
     UnachievableLevel,
     WindowNeverHit,
@@ -107,7 +108,7 @@ __all__ = [
     "cylinder_interval", "cylinder_measure", "cylinder_walk", "empirical_measure",
     "g_beta_n", "g_beta_values", "g_beta_word", "markov_entropy", "parry_measure",
     "weak_metric_truncated",
-    "DeviationEstimate", "RateResult", "UnachievableLevel",
+    "DeviationEstimate", "OrbitTooLong", "RateResult", "UnachievableLevel",
     "WindowNeverHit", "WrongBeta", "compare_rate_functions", "free_energy",
     "level1_rate", "mc_deviation", "pressure",
     "CircleMap", "PiecewiseExpandingMap", "circle_mc_deviation",

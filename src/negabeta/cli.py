@@ -349,7 +349,10 @@ def _cmd_mc(config: RunConfig):
     system = _system_for(config)
     psi = parse_observable(config.params["obs"], system.b)
     window = _parse_window(config.params["window"])
-    estimate = ldp.mc_deviation(system, psi, window, n, samples, config.seed)
+    try:
+        estimate = ldp.mc_deviation(system, psi, window, n, samples, config.seed)
+    except ldp.OrbitTooLong as exc:
+        raise UsageError(str(exc)) from exc
     return estimate.to_json_dict()
 
 
@@ -412,7 +415,7 @@ def _cmd_validate(config: RunConfig):
     record("language_cross_validation", ok,
            "" if ok else f"counterexample {word_to_text(counterexample, system.b)}")
 
-    sweep = measures.cylinder_sweep(system, maxlen)
+    sweep = list(measures.cylinder_walk(system, maxlen))
     record("cylinder_upper_bounds", all(r.upper_bound_ok for r in sweep))
     corrected = (system.beta.one() - system.b * system.beta_inverse) * system.beta_inverse
     lower_ok = all(r.length >= corrected * r.scale for r in sweep if r.lower_bound_applicable)
@@ -427,11 +430,11 @@ def _cmd_validate(config: RunConfig):
     record("gluing_certificate", specprop.gluing_test(pres, cert, 3, 100, seed=config.seed + 1))
 
     out_deg_ok = all(
-        1 <= len(aut.graph.out_edges(v)) <= system.b + 1 for v in range(aut.state_count)
+        1 <= len(aut.graph.out_edges(v)) <= system.b + 1 for v in range(aut.graph.vertex_count)
     )
     record("out_degree_bounds", out_deg_ok)
 
-    counts = [shiftgraph.count_words(aut, n) for n in range(0, min(maxlen, 8) + 1)]
+    counts = [shiftgraph.count_words(aut.graph, n) for n in range(0, min(maxlen, 8) + 1)]
     submult = all(
         counts[n + m] <= counts[n] * counts[m]
         for n in range(len(counts))

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from negabeta.ldp import _CHUNK, DeviationEstimate, _samples, deviation_estimate
+from negabeta.ldp import DeviationEstimate, _window_deviation
 from negabeta.measures import Branch, affine_cylinder, affine_cylinder_walk
-from negabeta.shiftgraph import FoldedAutomaton, LabeledGraph, enumerate_words
+from negabeta.shiftgraph import LabeledGraph, enumerate_words
 from negabeta.specprop import SoficPresentation
 from negabeta.transform import HitBoundary, Word
 
@@ -167,10 +167,9 @@ def example31_measure_bounds(maxlen: int) -> list[Example31BoundsReport]:
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
     fmap, presentation = example31_system()
-    aut = FoldedAutomaton(presentation.graph, 0, 1, None, 4)
+    words = (w for w, _ in enumerate_words(presentation.graph, maxlen))
     reports = []
-    for frame in affine_cylinder_walk(enumerate_words(aut, maxlen), _walk_branches(fmap),
-                                      Fraction(1)):
+    for frame in affine_cylinder_walk(words, _walk_branches(fmap), Fraction(1)):
         cyl, scale = frame.cylinder, frame.scale
         length = cyl.length
         reports.append(Example31BoundsReport(cyl.word, length, scale / 2 <= length,
@@ -277,22 +276,18 @@ def circle_mc_deviation(a_window: tuple[float, float], n: int, sample_count: int
     """
     import numpy as np
 
-    if n < 1 or sample_count < 1:
-        raise ValueError("need n >= 1 and sample_count >= 1")
     fmap = fmap or CircleMap()
-    lo, hi = a_window
-    hits = 0
-    for start in range(0, sample_count, _CHUNK):
-        stop = min(start + _CHUNK, sample_count)
-        theta = np.array([s / 2.0**128 for s in _samples(seed, range(start, stop))])
-        near = np.zeros(stop - start)
+
+    def occupation_fractions(start: int, samples: list[int]) -> np.ndarray:
+        theta = np.array([s / 2.0**128 for s in samples])
+        near = np.zeros(len(samples))
         for _ in range(n):
             dist = np.minimum(theta, 1.0 - theta)
             near += dist <= eps
             theta = _vectorized_circle(theta, fmap.strength)
-        fractions = near / n
-        hits += int(np.count_nonzero((fractions >= lo) & (fractions <= hi)))
-    return deviation_estimate(n, sample_count, hits, seed)
+        return near / n
+
+    return _window_deviation(a_window, n, sample_count, seed, occupation_fractions)
 
 
 def predicted_occupation_rate(a: float, fmap: Optional[CircleMap] = None) -> float:

@@ -33,6 +33,10 @@ class UnachievableLevel(LdpError):
     """The requested mean lies outside the closed hull of achievable means."""
 
 
+class OrbitTooLong(LdpError):
+    """The orbit needs more bits than a sample carries."""
+
+
 class WindowNeverHit(LdpError):
     """No sample fell in the target window; only a rate lower bound exists."""
 
@@ -246,6 +250,9 @@ def level1_rate(chain: ComponentChain, psi: Psi, a: float, phi_const: float,
 
 
 _SAMPLE_BITS = 128
+# An orbit of n steps uses about n*log2(beta) bits of its sample; beyond this
+# cap (a 32-bit margin below the sample's bits) it would read the truncation.
+_ORBIT_BITS = _SAMPLE_BITS - 32
 
 # Samples per lane batch: hits are counted chunk by chunk, so memory stays
 # flat in the sample count.
@@ -434,6 +441,25 @@ def deviation_estimate(n: int, sample_count: int, hits: int, seed: int) -> Devia
     return DeviationEstimate(n, sample_count, hits, rate, ci_lo, ci_hi, seed)
 
 
+def _window_deviation(window: tuple[float, float], n: int, sample_count: int, seed: int,
+                      batch_means: Callable[[int, list[int]], np.ndarray]) -> DeviationEstimate:
+    """Deviation estimate from the n-step means, counted per batch of ``_CHUNK`` samples.
+
+    ``batch_means(start, samples)`` gives the means of the batch that starts
+    at sample index ``start``; memory stays flat in the sample count.
+    """
+    import numpy as np
+
+    if n < 1 or sample_count < 1:
+        raise ValueError("need n >= 1 and sample_count >= 1")
+    lo, hi = window
+    hits = 0
+    for start in range(0, sample_count, _CHUNK):
+        means = batch_means(start, _samples(seed, range(start, min(start + _CHUNK, sample_count))))
+        hits += int(np.count_nonzero((means >= lo) & (means <= hi)))
+    return deviation_estimate(n, sample_count, hits, seed)
+
+
 def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
                  n: int, sample_count: int, seed: int,
                  audit_fraction: float = 0.01) -> DeviationEstimate:
@@ -445,41 +471,37 @@ def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
     samples whose hits are counted batch by batch.  An audit re-runs a sample
     slice in scalar: at doubled precision it must give the same digits, and
     the mean of those digits must equal the engine's mean.  Raises
+    :class:`OrbitTooLong` when n*log2(beta) exceeds ``_ORBIT_BITS``, and
     :class:`WindowNeverHit` when nothing lands inside.
     """
-    import numpy as np
+    bits = n * math.log2(system.beta_float())
+    if bits > _ORBIT_BITS:
+        raise OrbitTooLong(
+            f"n*log2(beta) = {bits:.2f} exceeds the {_ORBIT_BITS} bits an orbit may use "
+            f"of a {_SAMPLE_BITS}-bit sample"
+        )
+    if (not system.exact and system.beta.value == 2) or (
+            system.exact and system.beta.degree == 1
+            and system.beta.generator().as_fraction() == 2):
+        return _window_deviation(window, n, sample_count, seed,
+                                 lambda start, samples: _digit_means_beta2(psi, n, samples))
 
-    if n < 1 or sample_count < 1:
-        raise ValueError("need n >= 1 and sample_count >= 1")
-    lo, hi = window
-    beta_float = system.beta_float()
-    precision = int(math.ceil(n * math.log2(beta_float))) + 64
-    is_base2 = (
-        (not system.exact and system.beta.value == 2)
-        or (system.exact and system.beta.degree == 1
-            and system.beta.generator().as_fraction() == 2)
-    ) and n <= _SAMPLE_BITS
-
-    if not is_base2:
-        beta_fixed = _beta_fixed_point(system, precision)
-    step = max(1, int(1 / audit_fraction)) if audit_fraction > 0 and not is_base2 else 0
+    precision = max(int(math.ceil(bits)), 0) + 64  # n < 1 is refused by _window_deviation
+    beta_fixed = _beta_fixed_point(system, precision)
+    step = max(1, int(1 / audit_fraction)) if audit_fraction > 0 else 0
     if step:
         beta_double = _beta_fixed_point(system, 2 * precision)
         psi_vals = [_psi_value(psi, d) for d in range(system.b + 1)]
-    hits = 0
-    for start in range(0, sample_count, _CHUNK):
-        stop = min(start + _CHUNK, sample_count)
-        samples = _samples(seed, range(start, stop))
-        if is_base2:
-            means = _digit_means_beta2(psi, n, samples)
-        else:
-            means = _digit_means_generic(system, psi, n, samples, precision, beta_fixed)
+
+    def audited_means(start: int, samples: list[int]) -> np.ndarray:
+        means = _digit_means_generic(system, psi, n, samples, precision, beta_fixed)
         # the audited indices are the multiples of step
-        for idx in range(start - start % -step, stop, step) if step else ():
+        for idx in range(start - start % -step, start + len(samples), step) if step else ():
             _audit_sample(system, psi_vals, n, idx, samples[idx - start], float(means[idx - start]),
                           precision, beta_fixed, beta_double)
-        hits += int(np.count_nonzero((means >= lo) & (means <= hi)))
-    return deviation_estimate(n, sample_count, hits, seed)
+        return means
+
+    return _window_deviation(window, n, sample_count, seed, audited_means)
 
 
 # -- the two rate functions of the cubic Pisot base -------------------------------------------

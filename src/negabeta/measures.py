@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from negabeta.shiftgraph import FoldedAutomaton, LabeledGraph, automaton_for, spectral_radius
+from negabeta.shiftgraph import LabeledGraph, automaton_for, enumerate_words, spectral_radius
 from negabeta.transform import MinusBetaSystem, Word
 
 
@@ -217,28 +217,23 @@ class CylinderReport:
         return self.interval.word
 
 
-def _has_double_extension(system: MinusBetaSystem, word: Word) -> bool:
-    count = 0
-    for c in range(system.b + 1):
-        if system.word_admissible(word + (c,)):
-            count += 1
-            if count >= 2:
-                return True
-    return False
-
-
-def _report(system: MinusBetaSystem, frame: CylinderFrame, lower_constant) -> CylinderReport:
+def _report(frame: CylinderFrame, lower_constant, branching: bool) -> CylinderReport:
     interval = frame.cylinder
     length = interval.length
     scale = frame.scale
-    applicable = _has_double_extension(system, interval.word)
-    lower_ok = length >= lower_constant * scale if applicable else None
-    return CylinderReport(interval, length, scale, length <= scale, applicable, lower_ok)
+    lower_ok = length >= lower_constant * scale if branching else None
+    return CylinderReport(interval, length, scale, length <= scale, branching, lower_ok)
 
 
 def _lower_constant(system: MinusBetaSystem):
     """1 - b/beta, the constant of the lower bound on branching words."""
     return system.beta.one() - system.b * system.beta_inverse
+
+
+def _followers(graph: LabeledGraph, labels: Sequence[int],
+               states: frozenset[int]) -> list[frozenset[int]]:
+    """The nonempty state sets the labels step to; two make a word ending in ``states`` branch."""
+    return [t for t in (graph.step(states, a) for a in labels) if t]
 
 
 def cylinder_measure(system: MinusBetaSystem, word: Sequence[int]) -> CylinderReport:
@@ -248,21 +243,29 @@ def cylinder_measure(system: MinusBetaSystem, word: Sequence[int]) -> CylinderRe
     one-letter extensions it is also at least (1 - b/beta) * beta^-n.  Both
     comparisons are exact field arithmetic.
     """
-    return _report(system, _fold(system, word), _lower_constant(system))
+    frame = _fold(system, word)
+    graph = automaton_for(system).graph
+    ends = graph.reads(frame.cylinder.word)
+    branching = len(_followers(graph, sorted(graph.labels()), ends)) >= 2
+    return _report(frame, _lower_constant(system), branching)
 
 
 def cylinder_walk(system: MinusBetaSystem, maxlen: int) -> Iterator[CylinderReport]:
-    """Reports for every admissible word up to maxlen, in enumeration order.
+    """Reports for every admissible word up to maxlen, in preorder.
 
-    Walks :meth:`MinusBetaSystem.enumerate_admissible` depth first through
-    :func:`affine_cylinder_walk`, so each report costs O(1) field operations
-    (plus the admissibility test of its one-letter extensions).
+    Walks the folded automaton's words (the admissible words, in the order of
+    :meth:`MinusBetaSystem.enumerate_admissible`) through
+    :func:`affine_cylinder_walk`, so each report costs O(1) field operations;
+    branching is decided once per end-state set.
     """
+    graph = automaton_for(system).graph
+    labels = sorted(graph.labels())
+    branching = cache(lambda states: len(_followers(graph, labels, states)) >= 2)
     lower = _lower_constant(system)
-    frames = affine_cylinder_walk(system.enumerate_admissible(maxlen), _branches(system),
-                                  system.beta.one())
-    for frame in frames:
-        yield _report(system, frame, lower)
+    words, ends = itertools.tee(enumerate_words(graph, maxlen))
+    frames = affine_cylinder_walk((w for w, _ in words), _branches(system), system.beta.one())
+    for frame, (_, states) in zip(frames, ends):
+        yield _report(frame, lower, branching(states))
 
 
 # -- branching distance ------------------------------------------------------------
@@ -275,22 +278,22 @@ def g_beta_word(system: MinusBetaSystem, word: Sequence[int]) -> int:
     word only through the set of states its readings end in, so this is a
     breadth-first search over subsets rather than over words.
     """
-    aut = automaton_for(system)
-    start = aut.reads(tuple(word))
+    graph = automaton_for(system).graph
+    start = graph.reads(tuple(word))
     if not start:
         raise InadmissibleWord(f"word {tuple(word)} is not admissible")
-    return _g_from_followers(aut, start)
+    return _g_from_followers(graph, start)
 
 
-def _g_from_followers(aut: FoldedAutomaton, start: frozenset[int]) -> int:
-    labels = sorted(aut.graph.labels())
+def _g_from_followers(graph: LabeledGraph, start: frozenset[int]) -> int:
+    labels = sorted(graph.labels())
     seen = {start}
     frontier = [start]
     depth = 0
     while frontier:
         nxt = []
         for states in frontier:
-            followers = [t for t in (aut.step(states, a) for a in labels) if t]
+            followers = _followers(graph, labels, states)
             if len(followers) >= 2:
                 return depth
             for t in followers:
@@ -310,13 +313,13 @@ def g_beta_values(system: MinusBetaSystem, n: int) -> list[int]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    aut = automaton_for(system)
-    labels = sorted(aut.graph.labels())
-    distance = cache(lambda states: _g_from_followers(aut, states))
-    frontier = {aut.all_states()}
+    graph = automaton_for(system).graph
+    labels = sorted(graph.labels())
+    distance = cache(lambda states: _g_from_followers(graph, states))
+    frontier = {frozenset(range(graph.vertex_count))}
     values = []
     for k in range(1, n + 1):
-        frontier = {aut.step(states, a) for states in frontier for a in labels}
+        frontier = {graph.step(states, a) for states in frontier for a in labels}
         frontier.discard(frozenset())
         if not frontier:
             raise InadmissibleWord(f"no admissible words of length {k}")
@@ -633,11 +636,6 @@ def weak_metric_truncated(mu, nu, K: int, alphabet_bound: int) -> float:
 # -- exhaustive cylinder sweeps ---------------------------------------------------------------
 
 
-def cylinder_sweep(system: MinusBetaSystem, maxlen: int) -> list[CylinderReport]:
-    """Reports for every admissible word up to the given length."""
-    return list(cylinder_walk(system, maxlen))
-
-
 def length_totals(cylinders: Iterable[CylinderInterval]) -> dict:
     """Exact sum of the cylinder lengths at each word length."""
     totals: dict = {}
@@ -649,9 +647,8 @@ def length_totals(cylinders: Iterable[CylinderInterval]) -> dict:
 
 def partition_identity_holds(system: MinusBetaSystem, n: int) -> bool:
     """Sum of cylinder lengths at length n equals one exactly."""
-    frames = affine_cylinder_walk(system.enumerate_admissible(n), _branches(system),
-                                  system.beta.one())
-    return length_totals(f.cylinder for f in frames if len(f.cylinder.word) == n).get(n) == 1
+    reports = cylinder_walk(system, n)
+    return length_totals(r.interval for r in reports if len(r.word) == n).get(n) == 1
 
 
 def additivity_holds(system: MinusBetaSystem, word: Sequence[int]) -> bool:

@@ -10,7 +10,7 @@ the ordered chain of irreducible pieces that carries every invariant measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -209,30 +209,11 @@ class FoldedAutomaton:
     graph: LabeledGraph
     fold_start: int
     fold_period: int
-    source: Optional[DigitSequence]
-    alphabet_bound: int
 
     def fold_index(self, i: int) -> int:
         if i < self.fold_start + self.fold_period:
             return i
         return self.fold_start + (i - self.fold_start) % self.fold_period
-
-    @property
-    def state_count(self) -> int:
-        return self.graph.vertex_count
-
-    def step(self, states: frozenset[int], label: int) -> frozenset[int]:
-        return self.graph.step(states, label)
-
-    def all_states(self) -> frozenset[int]:
-        return frozenset(range(self.state_count))
-
-    def reads(self, word: Sequence[int]) -> frozenset[int]:
-        """End states of all readings of the word, starting anywhere."""
-        return self.graph.reads(word)
-
-    def accepts(self, word: Sequence[int]) -> bool:
-        return bool(self.reads(word))
 
 
 def fold(g: LabeledGraph, u: int, v: int) -> FoldedAutomaton:
@@ -275,23 +256,18 @@ def fold(g: LabeledGraph, u: int, v: int) -> FoldedAutomaton:
 
 def _build_folded(g: LabeledGraph, start: int, period: int, u: int, v: int) -> FoldedAutomaton:
     total = start + period
-
-    def fold_index(i: int) -> int:
-        return i if i < total else start + (i - start) % period
-
+    shape = FoldedAutomaton(LabeledGraph(total, frozenset()), start, period)
     edges = set()
     for s_, a, t in g.edges:
         if s_ < total:
-            target = fold_index(t)
+            target = shape.fold_index(t)
             if t != s_ + 1 and target > u + v:
                 raise FoldNotVerified(
                     f"folded back edge V{s_}->V{target} beyond u+v={u + v}",
                     periodicity_violated=True,
                 )
             edges.add((s_, a, target))
-    folded = LabeledGraph(total, frozenset(edges))
-    bound = max(folded.labels()) if folded.edges else 0
-    return FoldedAutomaton(folded, start, period, None, bound)
+    return replace(shape, graph=LabeledGraph(total, frozenset(edges)))
 
 
 @dataclass(frozen=True)
@@ -452,17 +428,17 @@ def decompose(aut: FoldedAutomaton) -> ComponentChain:
 # -- counting and entropy --------------------------------------------------------
 
 
-def count_words(aut: FoldedAutomaton, n: int) -> int:
+def count_words(graph: LabeledGraph, n: int) -> int:
     """Number of distinct label words of length n readable from any state."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    labels = sorted(aut.graph.labels())
-    counts: dict[frozenset[int], int] = {aut.all_states(): 1}
+    labels = sorted(graph.labels())
+    counts: dict[frozenset[int], int] = {frozenset(range(graph.vertex_count)): 1}
     for _ in range(n):
         nxt: dict[frozenset[int], int] = {}
         for states, c in counts.items():
             for a in labels:
-                t = aut.step(states, a)
+                t = graph.step(states, a)
                 if t:
                     nxt[t] = nxt.get(t, 0) + c
         counts = nxt
@@ -471,21 +447,27 @@ def count_words(aut: FoldedAutomaton, n: int) -> int:
     return sum(counts.values())
 
 
-def enumerate_words(aut: FoldedAutomaton, maxlen: int) -> Iterator[Word]:
-    """All distinct readable words of length 1..maxlen, shortest first."""
-    labels = sorted(aut.graph.labels())
+def enumerate_words(graph: LabeledGraph,
+                    maxlen: int) -> Iterator[tuple[Word, frozenset[int]]]:
+    """All distinct readable words of length 1..maxlen, each with its end states.
 
-    def expand(word: Word, states: frozenset[int]) -> Iterator[Word]:
+    The end states of a word are those of all its readings, starting anywhere.
+    Words come in preorder, children in label order: each word follows its
+    parent, with no word of the parent's length or shorter in between.
+    """
+    labels = sorted(graph.labels())
+
+    def expand(word: Word, states: frozenset[int]) -> Iterator[tuple[Word, frozenset[int]]]:
         if len(word) >= maxlen:
             return
         for a in labels:
-            t = aut.step(states, a)
+            t = graph.step(states, a)
             if t:
                 w2 = word + (a,)
-                yield w2
+                yield w2, t
                 yield from expand(w2, t)
 
-    yield from expand((), aut.all_states())
+    yield from expand((), frozenset(range(graph.vertex_count)))
 
 
 def spectral_radius(mat: np.ndarray) -> float:
@@ -515,7 +497,7 @@ def cross_validate(aut: FoldedAutomaton, system: MinusBetaSystem,
     Returns (True, None) when the two languages agree on every length up to
     n, else (False, first counterexample word).
     """
-    automaton_words = set(enumerate_words(aut, n))
+    automaton_words = {w for w, _ in enumerate_words(aut.graph, n)}
     admissible = set(system.enumerate_admissible(n))
     if automaton_words == admissible:
         return True, None
@@ -539,18 +521,15 @@ def automaton_for(system: MinusBetaSystem, horizon: Optional[int] = None) -> Fol
     s = system.expansion_of_one()
     base = s.u + 6 * s.v + 4
     h = horizon if horizon is not None else base
-    attempts = 0
     while True:
         g = build_gamma(s, h)
         try:
             aut = fold(g, s.u, s.v)
-            aut = FoldedAutomaton(aut.graph, aut.fold_start, aut.fold_period, s, system.b)
             break
         except FoldNotVerified as err:
             if err.periodicity_violated or h >= base * _HORIZON_CAP_FACTOR:
                 raise
             h *= 2
-            attempts += 1
     if horizon is None:
         system._aut_cache = aut
     return aut

@@ -101,14 +101,14 @@ def test_c02_graph_fidelity(pisot_sys, two_sys):
     aut = automaton_for(pisot_sys)
     chain = decompose(aut)
     pisot_ok = (
-        aut.state_count == 5
+        aut.graph.vertex_count == 5
         and chain.q == 3
         and chain.components == ((0,), (1,), (2, 3, 4))
         and aut.graph.out_edges(0) == [(0, 0, 0), (0, 1, 1)]
         and aut.graph.out_edges(1) == [(1, 0, 2), (1, 1, 1)]
     )
     aut2 = automaton_for(two_sys)
-    two_ok = aut2.state_count == 2 and aut2.graph.edges == frozenset(
+    two_ok = aut2.graph.vertex_count == 2 and aut2.graph.edges == frozenset(
         {(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)}
     )
     _report(2, "five-state chain with q=3 for the cubic base; full 2-shift for base 2",

@@ -201,6 +201,10 @@ def test_cylinder_command_usage_errors(argv, capsys):
         ["cyl", "--beta", PISOT, "--maxlen", "2", "--digits", str(MAX_DIGITS + 1)],
         ["rate", "--beta", PISOT, "--a-grid", "0.1:0.9:0"],
         ["rate", "--beta", PISOT, "--a", "0.5", "--a-grid", "0.1:0.9:-3"],
+        ["mc", "--beta", TWO, "--window", "0.0:1.0", "--n", "97", "--N", "10", "--seed", "1"],
+        ["mc", "--beta", PISOT, "--window", "0.0:1.0", "--n", "237", "--N", "10", "--seed", "1"],
+        ["mc", "--beta", GOLDEN, "--window", "0.0:1.0", "--n", "139", "--N", "10", "--seed", "1"],
+        ["mc", "--beta", TWO, "--window", "0.0:1.0", "--n", "1000000", "--N", "10", "--seed", "1"],
     ],
     ids=["beta-not-isolating", "beta-no-root", "beta-below-one", "gbeta-n-0", "mc-n-0",
          "mc-N-0", "rate-unachievable", "compare-rates-wrong-base", "yrrap-max-steps-0",
@@ -209,13 +213,39 @@ def test_cylinder_command_usage_errors(argv, capsys):
          "example32-eps-negative", "example32-eps-0", "example32-eps-half", "example32-eps-inf",
          "beta-bound-zero-denominator", "beta-bound-zero-over-zero", "beta-decimal-zero-denominator",
          "spec-oracle-maxlen-negative", "yrrap-digits-5000", "cyl-digits-above-cap",
-         "rate-a-grid-count-0", "rate-a-grid-count-negative"],
+         "rate-a-grid-count-0", "rate-a-grid-count-negative", "mc-base2-above-bit-cap",
+         "mc-cubic-above-bit-cap", "mc-golden-above-bit-cap", "mc-huge-n"],
 )
 def test_bad_input_usage_errors(argv, capsys):
     code, out, err = invoke(argv, capsys)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("beta, n", [(TWO, 96), (PISOT, 236), (GOLDEN, 138)],
+                         ids=["two", "cubic", "golden"])
+def test_mc_runs_at_the_bit_cap(beta, n, capsys):
+    # the largest n with n*log2(beta) <= 96, 32 bits below the 128 sample bits
+    code, out, _ = invoke(["mc", "--beta", beta, "--window", "0.0:1.0", "--n", str(n),
+                           "--N", "200", "--seed", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["hits"] == 200
+
+
+def test_cyl_and_validate_read_the_automaton_only(monkeypatch, capsys):
+    """The cylinder walk decides branching from the automaton's state sets;
+    the word-level admissibility test is a reference for the tests alone."""
+    argvs = [["cyl", "--beta", PISOT, "--maxlen", "6", "--format", "csv"],
+             ["validate", "--beta", PISOT, "--maxlen", "6", "--seed", "3"]]
+    expected = [invoke(argv, capsys) for argv in argvs]
+
+    def refuse(self, word):
+        raise AssertionError("word_admissible called")
+
+    monkeypatch.setattr(MinusBetaSystem, "word_admissible", refuse)
+    assert [invoke(argv, capsys) for argv in argvs] == expected
+    assert [code for code, _, _ in expected] == [0, 0]
 
 
 def test_a_grid_count_message_names_the_count(capsys):

@@ -15,7 +15,7 @@ from negabeta.measures import (
     additivity_holds,
     cylinder_interval,
     cylinder_measure,
-    cylinder_sweep,
+    cylinder_walk,
     empirical_measure,
     g_beta_n,
     g_beta_word,
@@ -29,6 +29,8 @@ from negabeta.measures import (
 )
 from negabeta.shiftgraph import LabeledGraph, automaton_for, decompose
 from negabeta.transform import MinusBetaSystem
+
+from pisot_bases import BASES
 
 
 @pytest.fixture(scope="module")
@@ -90,12 +92,24 @@ def test_exhaustive_bounds_pisot(pisot_sys):
     g = pisot_sys.beta.generator()
     one = pisot_sys.beta.one()
     corrected = (one - 1 / g) / g
-    for report in cylinder_sweep(pisot_sys, 8):
+    for report in cylinder_walk(pisot_sys, 8):
         assert report.upper_bound_ok
         if report.lower_bound_applicable:
             # the stated constant can fail (see the counterexample test); the
             # corrected constant, one branch contraction smaller, never does
             assert report.length * g ** len(report.word) >= corrected
+
+
+@pytest.mark.parametrize("coeffs, lo, hi", BASES, ids=[str(c) for c, _, _ in BASES])
+def test_branching_flag_counts_admissible_extensions(coeffs, lo, hi):
+    """The walk reads branching off the automaton's state sets; counting the
+    one-letter extensions that word_admissible accepts is the reference."""
+    sys = MinusBetaSystem(make_algebraic(IntPolynomial(coeffs), lo, hi))
+    for report in cylinder_walk(sys, 6):
+        count = sum(1 for c in range(sys.b + 1) if sys.word_admissible(report.word + (c,)))
+        assert report.lower_bound_applicable == (count >= 2), report.word
+        if len(report.word) <= 3:
+            assert cylinder_measure(sys, report.word) == report
 
 
 def test_per_word_lower_bound_counterexample(pisot_sys):
@@ -125,7 +139,7 @@ def test_additivity_exact(pisot_sys):
 
 def test_cylinder_shorter_than_scale(pisot_sys):
     g = pisot_sys.beta.generator()
-    for report in cylinder_sweep(pisot_sys, 6):
+    for report in cylinder_walk(pisot_sys, 6):
         assert report.length <= 1 / g ** len(report.word)
 
 

@@ -195,13 +195,13 @@ def reference_spec_bound(p, oracle_maxlen=None):
 def reference_g_beta_n(system, n):
     aut = automaton_for(system)
     labels = sorted(aut.graph.labels())
-    frontier = {aut.all_states()}
+    frontier = {frozenset(range(aut.graph.vertex_count))}
     for _ in range(n):
-        frontier = {aut.step(states, a) for states in frontier for a in labels}
+        frontier = {aut.graph.step(states, a) for states in frontier for a in labels}
         frontier.discard(frozenset())
     if not frontier:
         raise InadmissibleWord(f"no admissible words of length {n}")
-    return max(_g_from_followers(aut, states) for states in frontier)
+    return max(_g_from_followers(aut.graph, states) for states in frontier)
 
 
 def _spine_digit(g, i):
@@ -345,7 +345,7 @@ def test_disconnected_pair_names_the_same_pair():
 
 def _fake_system(graph):
     # automaton_for returns a system's cached automaton as it is
-    return SimpleNamespace(_aut_cache=FoldedAutomaton(graph, 0, 1, None, 0))
+    return SimpleNamespace(_aut_cache=FoldedAutomaton(graph, 0, 1))
 
 
 def _g_beta_loop(system, n):

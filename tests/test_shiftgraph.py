@@ -95,7 +95,7 @@ def test_back_edges_land_at_most_u_plus_v(pisot_sys, two_sys, three_sys):
 
 def test_fold_pisot_five_states(pisot_sys):
     aut = automaton_for(pisot_sys)
-    assert aut.state_count == 5
+    assert aut.graph.vertex_count == 5
     assert aut.fold_start == 3
     assert aut.fold_index(5) == 3
     assert aut.fold_index(6) == 4
@@ -103,7 +103,7 @@ def test_fold_pisot_five_states(pisot_sys):
 
 def test_fold_beta2_two_states(two_sys):
     aut = automaton_for(two_sys)
-    assert aut.state_count == 2
+    assert aut.graph.vertex_count == 2
     assert aut.graph.edges == frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)})
 
 
@@ -153,7 +153,7 @@ def test_decompose_single_loop_vertex():
     g = LabeledGraph(1, frozenset({(0, 0, 0)}))
     from negabeta.shiftgraph import FoldedAutomaton
 
-    aut = FoldedAutomaton(g, 0, 1, None, 0)
+    aut = FoldedAutomaton(g, 0, 1)
     chain = decompose(aut)
     assert chain.q == 1 and chain.components == ((0,),)
 
@@ -180,22 +180,23 @@ def test_is_irreducible_cases(pisot_sys):
 def test_count_words_beta2_powers_of_two(two_sys):
     aut = automaton_for(two_sys)
     for n in range(15):
-        assert count_words(aut, n) == 2**n
+        assert count_words(aut.graph, n) == 2**n
 
 
 def test_count_words_matches_enumeration(pisot_sys):
     aut = automaton_for(pisot_sys)
     for n in range(1, 9):
-        assert count_words(aut, n) == sum(1 for w in enumerate_words(aut, n) if len(w) == n)
+        assert count_words(aut.graph, n) == sum(
+            1 for w, _ in enumerate_words(aut.graph, n) if len(w) == n)
 
 
 def test_count_words_empty_word(pisot_sys):
-    assert count_words(automaton_for(pisot_sys), 0) == 1
+    assert count_words(automaton_for(pisot_sys).graph, 0) == 1
 
 
 def test_count_words_submultiplicative(pisot_sys):
     aut = automaton_for(pisot_sys)
-    counts = [count_words(aut, n) for n in range(12)]
+    counts = [count_words(aut.graph, n) for n in range(12)]
     for n in range(12):
         for m in range(12 - n):
             assert counts[n + m] <= counts[n] * counts[m]
@@ -285,6 +286,15 @@ def test_minimal_polynomial_divides_automaton_charpoly():
         assert abs(spectral_radius(graph.adjacency()) - float(beta.generator())) <= 1e-12, coeffs
 
 
+def test_automaton_walk_lists_the_admissible_words_in_order():
+    """cyl prints its rows in this order, so its CSV bytes depend on it."""
+    assert len(BASES) == 68
+    for coeffs, lo, hi in BASES:
+        sys = MinusBetaSystem(make_algebraic(IntPolynomial(coeffs), lo, hi))
+        words = [w for w, _ in enumerate_words(automaton_for(sys).graph, 7)]
+        assert words == list(sys.enumerate_admissible(7)), coeffs
+
+
 def test_spectral_radius_crosscheck():
     import numpy as np
 
@@ -365,10 +375,11 @@ def test_every_follower_set_lies_in_that_of_v0(border_sys):
     # every word of length <= 6 read from a state is also read from V0
     aut = automaton_for(border_sys)
     labels = sorted(aut.graph.labels())
-    for state in range(aut.state_count):
+    for state in range(aut.graph.vertex_count):
         pairs = {(frozenset([state]), frozenset([0]))}
         for _ in range(6):
-            pairs = {(aut.step(here, a), aut.step(root, a)) for here, root in pairs for a in labels}
+            pairs = {(aut.graph.step(here, a), aut.graph.step(root, a))
+                     for here, root in pairs for a in labels}
             pairs = {(here, root) for here, root in pairs if here}
             assert all(root for _, root in pairs), f"V{state} reads a word V0 does not"
 
@@ -376,7 +387,7 @@ def test_every_follower_set_lies_in_that_of_v0(border_sys):
 def test_out_degree_bounds(pisot_sys, two_sys, three_sys):
     for sys in (pisot_sys, two_sys, three_sys):
         aut = automaton_for(sys)
-        for v in range(aut.state_count):
+        for v in range(aut.graph.vertex_count):
             out = aut.graph.out_edges(v)
             assert 1 <= len(out) <= sys.b + 1
 
@@ -386,7 +397,7 @@ def test_golden_ratio_system_end_to_end():
     seq = golden.expansion_of_one()
     assert (seq.preperiod, seq.period) == ((1,), (0,))
     aut = automaton_for(golden)
-    assert aut.state_count == 3
+    assert aut.graph.vertex_count == 3
     chain = decompose(aut)
     assert chain.q == 2
     assert abs(entropy_estimate(aut) - golden.log_beta()) < 1e-9
