@@ -12,13 +12,10 @@ convenience accessors.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-log = logging.getLogger(__name__)
 
 Rational = Union[int, Fraction]
 
@@ -694,9 +691,12 @@ def _irreducible_mod(f: Sequence[int], p: int) -> bool:
 
 def _factor_owning_root(g: tuple[int, ...], lo: Fraction, hi: Fraction) -> tuple[int, ...]:
     """The irreducible factor of the squarefree g with a root in [lo, hi], by sympy."""
+    import logging
+
     import sympy  # only for factors that no prime below 60 certifies
 
-    log.debug("no prime below 60 certifies %s; factoring with sympy", IntPolynomial(g))
+    logging.getLogger(__name__).debug(
+        "no prime below 60 certifies %s; factoring with sympy", IntPolynomial(g))
     _, factors = sympy.Poly(list(reversed(g)), sympy.Symbol("x"), domain="ZZ").factor_list()
     for factor, _ in factors:
         coeffs = tuple(int(c) for c in reversed(factor.all_coeffs()))
@@ -748,7 +748,10 @@ def make_algebraic(p: IntPolynomial | Sequence[int], lo: Rational, hi: Rational)
         raise ValueError("empty interval")
     chain = _sturm_chain(p.coefficients)
     if len(chain[-1]) > 1:
-        log.info("input polynomial was not squarefree; reduced to its squarefree part")
+        import logging  # only on this rare path, off the import floor
+
+        logging.getLogger(__name__).info(
+            "input polynomial was not squarefree; reduced to its squarefree part")
         f = _primitive(_divide_exact(p.coefficients, chain[-1]))
     else:
         f = _primitive(p.coefficients)

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from negabeta import algebraic, intervalmaps, ldp, measures, shiftgraph, specprop
+# The other modules are imported by the commands that run them, so a process
+# loads only what its subcommand needs.
+from negabeta import algebraic
 from negabeta.algebraic import parse_beta_spec
 from negabeta.transform import (
     EXPANSION_STEPS, InexactMode, MinusBetaSystem, NotEventuallyPeriodic, word_to_text,
@@ -29,6 +31,14 @@ from negabeta.transform import (
 
 class UsageError(Exception):
     """Bad command line; maps to exit code 2."""
+
+
+class _NeverHit(Exception):
+    """A Monte Carlo window that no sample hit; maps to exit code 3.
+
+    Carries the message and the report, which still certifies a rate lower
+    bound and is printed to stdout.
+    """
 
 
 @dataclass
@@ -218,6 +228,8 @@ def _cmd_yrrap(config: RunConfig):
 
 
 def _cmd_graph(config: RunConfig):
+    from negabeta import shiftgraph
+
     system = _system_for(config)
     try:
         aut = shiftgraph.automaton_for(system, horizon=config.params["horizon"])
@@ -231,6 +243,8 @@ def _cmd_graph(config: RunConfig):
 
 
 def _cmd_components(config: RunConfig):
+    from negabeta import shiftgraph
+
     system = _system_for(config)
     chain = shiftgraph.chain_for(system)
     if config.fmt == "dot":
@@ -241,6 +255,8 @@ def _cmd_components(config: RunConfig):
 
 
 def _cmd_spec(config: RunConfig):
+    from negabeta import shiftgraph, specprop
+
     maxlen = config.params["oracle_maxlen"]
     if maxlen < 0:
         raise UsageError(f"--oracle-maxlen must be >= 0, got {maxlen}")
@@ -252,6 +268,8 @@ def _cmd_spec(config: RunConfig):
 
 
 def _cylinder_rows(system: MinusBetaSystem, maxlen: int, digits: int) -> list[dict]:
+    from negabeta import measures
+
     rows = []
     for report in measures.cylinder_walk(system, maxlen):
         interval = report.interval
@@ -293,6 +311,8 @@ def _cmd_cyl(config: RunConfig):
 
 
 def _cmd_gbeta(config: RunConfig):
+    from negabeta import measures
+
     n = _positive(config, "n", "--n")
     system = _system_for(config)
     system.expansion_of_one()
@@ -301,6 +321,8 @@ def _cmd_gbeta(config: RunConfig):
 
 
 def _cmd_entropy(config: RunConfig):
+    from negabeta import shiftgraph
+
     system = _system_for(config)
     chain = shiftgraph.chain_for(system)
     comps = []
@@ -316,6 +338,8 @@ def _cmd_entropy(config: RunConfig):
 
 
 def _cmd_rate(config: RunConfig):
+    from negabeta import ldp, shiftgraph
+
     system = _system_for(config)
     chain = shiftgraph.chain_for(system)
     psi = parse_observable(config.params["obs"], system.b)
@@ -344,6 +368,8 @@ def _cmd_rate(config: RunConfig):
 
 
 def _cmd_mc(config: RunConfig):
+    from negabeta import ldp
+
     n = _positive(config, "n", "--n")
     samples = _positive(config, "samples", "--N")
     system = _system_for(config)
@@ -353,10 +379,14 @@ def _cmd_mc(config: RunConfig):
         estimate = ldp.mc_deviation(system, psi, window, n, samples, config.seed)
     except ldp.OrbitTooLong as exc:
         raise UsageError(str(exc)) from exc
+    except ldp.WindowNeverHit as exc:
+        raise _NeverHit(str(exc), exc.report) from exc
     return estimate.to_json_dict()
 
 
 def _cmd_compare_rates(config: RunConfig):
+    from negabeta import ldp
+
     system = _system_for(config)
     try:
         rows = ldp.compare_rate_functions(system)
@@ -366,6 +396,8 @@ def _cmd_compare_rates(config: RunConfig):
 
 
 def _cmd_example31(config: RunConfig):
+    from negabeta import intervalmaps, specprop
+
     maxlen = _positive(config, "maxlen", "--maxlen")
     _, pres = intervalmaps.example31_system()
     cert = specprop.spec_bound(pres, oracle_maxlen=maxlen)
@@ -379,6 +411,8 @@ def _cmd_example31(config: RunConfig):
 
 
 def _cmd_example32(config: RunConfig):
+    from negabeta import intervalmaps, ldp
+
     n = _positive(config, "n", "--n")
     samples = _positive(config, "samples", "--N")
     window = _parse_window(config.params["a_window"])
@@ -395,12 +429,13 @@ def _cmd_example32(config: RunConfig):
             window, n, samples, config.seed, eps=eps, fmap=fmap,
         )
     except ldp.WindowNeverHit as exc:
-        exc.report.update(circle)
-        raise
+        raise _NeverHit(str(exc), {**exc.report, **circle}) from exc
     return {**estimate.to_json_dict(), **circle}
 
 
 def _cmd_validate(config: RunConfig):
+    from negabeta import measures, shiftgraph, specprop
+
     maxlen = _positive(config, "maxlen", "--maxlen")
     system = _system_for(config)
     checks = []
@@ -537,10 +572,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InexactMode, NotEventuallyPeriodic) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except ldp.WindowNeverHit as exc:
+    except _NeverHit as exc:
+        message, report = exc.args
         # emit the rate lower bound that a zero-hit run still certifies
-        sys.stdout.write(emit_report(exc.report, "json", None))
-        print(f"window never hit: {exc}", file=sys.stderr)
+        sys.stdout.write(emit_report(report, "json", None))
+        print(f"window never hit: {message}", file=sys.stderr)
         return 3
     except IOError as exc:
         print(f"output error: {exc}", file=sys.stderr)

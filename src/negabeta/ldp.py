@@ -10,7 +10,6 @@ being counted.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -197,7 +196,7 @@ def _extreme_cycle_means(chain: ComponentChain, psi: Psi) -> tuple[float, float]
                 if sign == 1:
                     lo = min(lo, best)
                 else:
-                    hi = max(hi, -best)
+                    hi = max(hi, 0.0 - best)  # not -best: a zero maximum is 0.0, not -0.0
     return lo, hi
 
 
@@ -265,6 +264,8 @@ def _samples(seed: int, indices: Sequence[int]) -> list[int]:
     Sample ``i`` is the first 16 bytes of sha256 of ``f"{seed}:{i}"``, read
     big-endian; the prefix is hashed once and copied per index.
     """
+    import hashlib  # loaded by the sampling commands only
+
     prefix = hashlib.sha256(f"{seed}:".encode())
     out = []
     for i in indices:

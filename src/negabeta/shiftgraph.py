@@ -455,19 +455,20 @@ def enumerate_words(graph: LabeledGraph,
     Words come in preorder, children in label order: each word follows its
     parent, with no word of the parent's length or shorter in between.
     """
-    labels = sorted(graph.labels())
-
-    def expand(word: Word, states: frozenset[int]) -> Iterator[tuple[Word, frozenset[int]]]:
-        if len(word) >= maxlen:
-            return
-        for a in labels:
-            t = graph.step(states, a)
-            if t:
-                w2 = word + (a,)
-                yield w2, t
-                yield from expand(w2, t)
-
-    yield from expand((), frozenset(range(graph.vertex_count)))
+    # An explicit stack, not recursion: words may be longer than Python's
+    # recursion limit.  Children are pushed in reverse label order, so the
+    # smallest label comes off first.
+    labels = sorted(graph.labels(), reverse=True)
+    stack = [((), frozenset(range(graph.vertex_count)))]
+    while stack:
+        word, states = stack.pop()
+        if word:
+            yield word, states
+        if len(word) < maxlen:
+            for a in labels:
+                t = graph.step(states, a)
+                if t:
+                    stack.append((word + (a,), t))
 
 
 def spectral_radius(mat: np.ndarray) -> float:

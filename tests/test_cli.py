@@ -205,6 +205,7 @@ def test_cylinder_command_usage_errors(argv, capsys):
         ["mc", "--beta", PISOT, "--window", "0.0:1.0", "--n", "237", "--N", "10", "--seed", "1"],
         ["mc", "--beta", GOLDEN, "--window", "0.0:1.0", "--n", "139", "--N", "10", "--seed", "1"],
         ["mc", "--beta", TWO, "--window", "0.0:1.0", "--n", "1000000", "--N", "10", "--seed", "1"],
+        ["rate", "--beta", PISOT, "--obs", "digit9", "--a", "0.5"],
     ],
     ids=["beta-not-isolating", "beta-no-root", "beta-below-one", "gbeta-n-0", "mc-n-0",
          "mc-N-0", "rate-unachievable", "compare-rates-wrong-base", "yrrap-max-steps-0",
@@ -214,13 +215,15 @@ def test_cylinder_command_usage_errors(argv, capsys):
          "beta-bound-zero-denominator", "beta-bound-zero-over-zero", "beta-decimal-zero-denominator",
          "spec-oracle-maxlen-negative", "yrrap-digits-5000", "cyl-digits-above-cap",
          "rate-a-grid-count-0", "rate-a-grid-count-negative", "mc-base2-above-bit-cap",
-         "mc-cubic-above-bit-cap", "mc-golden-above-bit-cap", "mc-huge-n"],
+         "mc-cubic-above-bit-cap", "mc-golden-above-bit-cap", "mc-huge-n",
+         "rate-constant-observable"],
 )
 def test_bad_input_usage_errors(argv, capsys):
     code, out, err = invoke(argv, capsys)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("usage error:")
+    assert "-0.0" not in err
 
 
 @pytest.mark.parametrize("beta, n", [(TWO, 96), (PISOT, 236), (GOLDEN, 138)],

@@ -295,6 +295,12 @@ def test_automaton_walk_lists_the_admissible_words_in_order():
         assert words == list(sys.enumerate_admissible(7)), coeffs
 
 
+def test_word_walk_is_not_bounded_by_the_recursion_limit():
+    loop = LabeledGraph(1, frozenset({(0, 0, 0)}))
+    lengths = [len(w) for w, ends in enumerate_words(loop, 5000) if ends == {0}]
+    assert lengths == list(range(1, 5001))
+
+
 def test_spectral_radius_crosscheck():
     import numpy as np
 
