@@ -211,11 +211,6 @@ def _cmd_yrrap(config: RunConfig):
     max_steps = _positive(config, "max_steps", "--max-steps")
     system = _system_for(config)
     seq = system.expansion_of_one(max_steps=max_steps)
-    beta_text = (
-        algebraic.to_decimal(system.beta.generator(), config.digits)
-        if system.exact
-        else str(float(system.beta_element))
-    )
     return {
         "preperiod": word_to_text(seq.preperiod, system.b),
         "period": word_to_text(seq.period, system.b),
@@ -223,7 +218,7 @@ def _cmd_yrrap(config: RunConfig):
         "b": system.b,
         "u": seq.u,
         "v": seq.v,
-        "beta": beta_text,
+        "beta": algebraic.to_decimal(system.beta.generator(), config.digits),
     }
 
 

@@ -69,9 +69,6 @@ class PiecewiseExpandingMap:
                 return i
         raise IntervalMapError(f"{x} lies in no branch cell")
 
-    def apply(self, x: Fraction) -> Fraction:
-        return self.branches[self.branch_of(x)](x)
-
     def on_open_boundary(self, x: Fraction) -> bool:
         return any(x == p for p in self.breakpoints[1:-1])
 
@@ -237,26 +234,28 @@ def _vectorized_circle(theta: np.ndarray, strength: float) -> np.ndarray:
     return out - np.floor(out)
 
 
-def circle_nonwandering(fmap: CircleMap, grid: int = 2000, iters: int = 400,
-                        tol: float = 1e-6) -> list[float]:
+_NW_GRID = 2000  # forward orbits start on this many equally spaced points
+_NW_ITERS = 400  # steps each forward or backward orbit runs
+_NW_TOL = 1e-6  # circle distance within which two late points form one cluster
+
+
+def circle_nonwandering(fmap: CircleMap) -> list[float]:
     """Cluster points of late forward orbits plus backward-detected repellers."""
     import numpy as np
 
-    if grid < 1000:
-        raise ValueError("grid must be at least 1000")
-    theta = np.linspace(0.0, 1.0, grid, endpoint=False)
-    for _ in range(iters):
+    theta = np.linspace(0.0, 1.0, _NW_GRID, endpoint=False)
+    for _ in range(_NW_ITERS):
         theta = _vectorized_circle(theta, fmap.strength)
     points = {round(float(v), 9) for v in theta}
     # backward orbits converge to the repeller
     for x in (0.17, 0.33, 0.71):
-        for _ in range(iters):
+        for _ in range(_NW_ITERS):
             x = fmap.inverse(x)
         points.add(round(float(x), 9))
     clusters: list[float] = []
     for p in sorted(points):
         for c in clusters:
-            if min(abs(p - c), 1 - abs(p - c)) <= tol:
+            if min(abs(p - c), 1 - abs(p - c)) <= _NW_TOL:
                 break
         else:
             clusters.append(p)

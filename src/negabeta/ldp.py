@@ -200,8 +200,11 @@ def _extreme_cycle_means(chain: ComponentChain, psi: Psi) -> tuple[float, float]
     return lo, hi
 
 
-def level1_rate(chain: ComponentChain, psi: Psi, a: float, phi_const: float,
-                t_cap: float = 256.0, tol: float = 1e-12) -> RateResult:
+_T_CAP = 256.0  # largest |t| the bracket of the rate's dual search grows to
+_T_TOL = 1e-12  # width at which the golden-section search stops
+
+
+def level1_rate(chain: ComponentChain, psi: Psi, a: float, phi_const: float) -> RateResult:
     """Level-1 rate at mean a, by convex duality against the pressure.
 
     H(a) = inf_t (pressure(t) - t a) via golden-section search on the convex
@@ -217,19 +220,19 @@ def level1_rate(chain: ComponentChain, psi: Psi, a: float, phi_const: float,
         return pressure_value(chain, psi, t) - t * a
 
     span = 1.0
-    while span < t_cap:
+    while span < _T_CAP:
         d_lo = objective(-span + 1e-6) - objective(-span)
         d_hi = objective(span) - objective(span - 1e-6)
         if d_lo < 0 and d_hi > 0:
             break
         span *= 2
-    span = min(span, t_cap)
+    span = min(span, _T_CAP)
     lo, hi = -span, span
     phi = (math.sqrt(5) - 1) / 2
     x1 = hi - phi * (hi - lo)
     x2 = lo + phi * (hi - lo)
     f1, f2 = objective(x1), objective(x2)
-    while hi - lo > tol:
+    while hi - lo > _T_TOL:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - phi * (hi - lo)
@@ -256,6 +259,9 @@ _ORBIT_BITS = _SAMPLE_BITS - 32
 # Samples per lane batch: hits are counted chunk by chunk, so memory stays
 # flat in the sample count.
 _CHUNK = 4096
+
+# The scalar audit reruns every sample whose index is a multiple of this.
+_AUDIT_STEP = 100
 
 
 def _samples(seed: int, indices: Sequence[int]) -> list[int]:
@@ -412,8 +418,9 @@ def _audit_sample(system: MinusBetaSystem, psi_vals: Sequence[float], n: int, in
         )
 
 
-def wilson_interval(hits: int, total: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, total: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
+    z = _Z95
     if total == 0:
         return 0.0, 1.0
     phat = hits / total
@@ -462,16 +469,16 @@ def _window_deviation(window: tuple[float, float], n: int, sample_count: int, se
 
 
 def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
-                 n: int, sample_count: int, seed: int,
-                 audit_fraction: float = 0.01) -> DeviationEstimate:
+                 n: int, sample_count: int, seed: int) -> DeviationEstimate:
     """Lebesgue probability that the n-step observable mean falls in the window.
 
     Samples are counter-based in the seed and the sample index, so results
     are byte-identical for a fixed (seed, N).  Orbits run at a fixed-point
     precision of n*log2(beta) + 64 bits, in lane batches of ``_CHUNK``
-    samples whose hits are counted batch by batch.  An audit re-runs a sample
-    slice in scalar: at doubled precision it must give the same digits, and
-    the mean of those digits must equal the engine's mean.  Raises
+    samples whose hits are counted batch by batch.  An audit re-runs every
+    sample whose index is a multiple of ``_AUDIT_STEP`` in scalar: at doubled
+    precision it must give the same digits, and the mean of those digits must
+    equal the engine's mean.  Raises
     :class:`OrbitTooLong` when n*log2(beta) exceeds ``_ORBIT_BITS``, and
     :class:`WindowNeverHit` when nothing lands inside.
     """
@@ -489,15 +496,13 @@ def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
 
     precision = max(int(math.ceil(bits)), 0) + 64  # n < 1 is refused by _window_deviation
     beta_fixed = _beta_fixed_point(system, precision)
-    step = max(1, int(1 / audit_fraction)) if audit_fraction > 0 else 0
-    if step:
-        beta_double = _beta_fixed_point(system, 2 * precision)
-        psi_vals = [_psi_value(psi, d) for d in range(system.b + 1)]
+    beta_double = _beta_fixed_point(system, 2 * precision)
+    psi_vals = [_psi_value(psi, d) for d in range(system.b + 1)]
 
     def audited_means(start: int, samples: list[int]) -> np.ndarray:
         means = _digit_means_generic(system, psi, n, samples, precision, beta_fixed)
-        # the audited indices are the multiples of step
-        for idx in range(start - start % -step, start + len(samples), step) if step else ():
+        # the audited indices are the multiples of _AUDIT_STEP
+        for idx in range(start - start % -_AUDIT_STEP, start + len(samples), _AUDIT_STEP):
             _audit_sample(system, psi_vals, n, idx, samples[idx - start], float(means[idx - start]),
                           precision, beta_fixed, beta_double)
         return means
@@ -531,9 +536,10 @@ class RateComparisonRow:
         }
 
 
-def compare_rate_functions(system: MinusBetaSystem,
-                           mixture_weights: Sequence[float] = (0.25, 0.5, 0.75),
-                           ) -> list[RateComparisonRow]:
+_MIXTURE_WEIGHTS = (0.25, 0.5, 0.75)  # fixed-point weights of the mixture rows
+
+
+def compare_rate_functions(system: MinusBetaSystem) -> list[RateComparisonRow]:
     """Lebesgue-reference rate versus maximal-entropy-reference rate.
 
     Evaluates both rate functions on a family of invariant measures: the two
@@ -564,7 +570,7 @@ def compare_rate_functions(system: MinusBetaSystem,
         RateComparisonRow("maximal entropy on tail component", h_tail, True,
                           q_leb(h_tail), q_max(h_tail, True)),
     ]
-    for a in mixture_weights:
+    for a in _MIXTURE_WEIGHTS:
         # entropy is affine in the mixture weight; the mixture sees the
         # off-tail point mass, so the maximal-entropy rate is -inf
         h = (1 - a) * h_tail

@@ -355,9 +355,6 @@ class MarkovMeasure:
     def pi(self) -> dict:
         return dict(self.stationary)
 
-    def support_vertices(self) -> set[int]:
-        return {v for v, p in self.stationary if p > 0}
-
     def support_edges(self) -> set:
         return {e for e, p in self.edge_probs if p > 0}
 

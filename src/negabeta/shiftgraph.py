@@ -40,6 +40,7 @@ class _GraphIndex:
     out: tuple[tuple[Edge, ...], ...]  # sorted out-edges per vertex
     into: tuple[tuple[Edge, ...], ...]  # sorted in-edges per vertex
     succ: dict[int, frozenset[int]]  # vertex -> successors
+    pred: dict[int, frozenset[int]]  # vertex -> predecessors
     targets: dict[tuple[int, int], frozenset[int]]  # (source, label) -> targets
     sources: dict[tuple[int, int], frozenset[int]]  # (target, label) -> sources
 
@@ -82,6 +83,7 @@ class LabeledGraph:
             out=tuple(map(tuple, out)),
             into=tuple(map(tuple, into)),
             succ={v: frozenset(t for _, _, t in es) for v, es in enumerate(out)},
+            pred={v: frozenset(s for s, _, _ in es) for v, es in enumerate(into)},
             targets={k: frozenset(v) for k, v in targets.items()},
             sources={k: frozenset(v) for k, v in sources.items()},
         )
@@ -109,6 +111,10 @@ class LabeledGraph:
     def forward(self, states: Iterable[int]) -> frozenset[int]:
         """Successors of ``states`` along edges of any label."""
         return _union(self._index.succ, states)
+
+    def backward(self, states: Iterable[int]) -> frozenset[int]:
+        """Predecessors of ``states`` along edges of any label."""
+        return _union(self._index.pred, states)
 
     def reads(self, word: Sequence[int]) -> frozenset[int]:
         """End states of all readings of the word, starting anywhere."""
@@ -293,91 +299,40 @@ class ComponentChain:
         return {"N": self.N, "components": out}
 
 
+def _levels(step, start: frozenset[int], within: frozenset[int]) -> Iterator[frozenset[int]]:
+    """The states of ``within`` first reached from ``start`` after 0, 1, 2, ... steps.
+
+    ``step`` is a graph's ``forward`` or ``backward``; the walk stops at the
+    first empty level.
+    """
+    seen = level = start & within
+    while level:
+        yield level
+        level = (step(level) & within) - seen
+        seen |= level
+
+
 def is_irreducible(g: LabeledGraph, vertices: Iterable[int]) -> bool:
     """True iff the induced subgraph is strongly connected.
 
     A single vertex counts only when it carries a self-loop: a loop-free
     vertex generates no shift-invariant set.
     """
-    verts = sorted(set(vertices))
-    if not verts:
+    vset = frozenset(vertices)
+    if not vset:
         raise ValueError("vertex subset must be nonempty")
-    vset = set(verts)
-    root = verts[0]
-    if len(verts) == 1:
+    root = min(vset)
+    if len(vset) == 1:
         return root in g.successors(root)
-
-    def reach(nbrs) -> set[int]:
-        seen = {root}
-        stack = [root]
-        while stack:
-            for y in nbrs(stack.pop()):
-                if y in vset and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
-
-    return (reach(g.successors) == vset
-            and reach(lambda v: (s for s, _, _ in g.in_edges(v))) == vset)
+    return all(frozenset().union(*_levels(step, frozenset((root,)), vset)) == vset
+               for step in (g.forward, g.backward))
 
 
 def cycle_vertices(g: LabeledGraph) -> set[int]:
-    """Vertices lying on some directed cycle (nontrivial SCC or a self-loop)."""
-    n = g.vertex_count
-    adj = [sorted(g.successors(v)) for v in range(n)]
-    index = [0] * n
-    low = [0] * n
-    onstack = [False] * n
-    visited = [False] * n
-    stack: list[int] = []
-    counter = [1]
-    out: set[int] = set()
-
-    def strongconnect(root):
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                visited[v] = True
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                onstack[v] = True
-            advanced = False
-            for nxt in range(pi, len(adj[v])):
-                w = adj[v][nxt]
-                if not visited[w]:
-                    work[-1] = (v, nxt + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                elif onstack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                if len(comp) > 1:
-                    out.update(comp)
-                else:
-                    w = comp[0]
-                    if w in g.successors(w):
-                        out.add(w)
-
-    for v in range(n):
-        if not visited[v]:
-            strongconnect(v)
-    return out
+    """Vertices lying on some directed cycle: those reached again from their successors."""
+    everything = frozenset(range(g.vertex_count))
+    return {v for v in everything
+            if any(v in level for level in _levels(g.forward, g.successors(v), everything))}
 
 
 def decompose(aut: FoldedAutomaton) -> ComponentChain:

@@ -13,10 +13,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
 
 from negabeta.measures import point_mass_on_cycle, random_markov_measure
-from negabeta.shiftgraph import LabeledGraph, ComponentChain, cycle_vertices, is_irreducible
+from negabeta.shiftgraph import (
+    ComponentChain, Edge, LabeledGraph, _levels, cycle_vertices, is_irreducible,
+)
 from negabeta.transform import Word, word_to_text
 
 
@@ -88,58 +90,52 @@ class SpecCertificate:
 # -- graph distance helpers ------------------------------------------------------
 
 
-def _distances_from(graph: LabeledGraph, start: int, allowed: set[int]) -> dict[int, int]:
-    """BFS distances from ``start`` along edges that stay inside ``allowed``."""
-    dist = {start: 0}
-    frontier = [start]
+def _component_diameter(graph: LabeledGraph, comp: Sequence[int]) -> int:
+    within = frozenset(comp)
+    diam = 0
+    for p in comp:
+        levels = list(_levels(graph.forward, frozenset((p,)), within))
+        if sum(map(len, levels)) != len(within):
+            raise ValueError("component not strongly connected")
+        diam = max(diam, len(levels) - 1)
+    return diam
+
+
+def _shortest_path(graph: LabeledGraph, starts: Sequence[int], targets: AbstractSet[int],
+                   within: AbstractSet[int]) -> Optional[list[Edge]]:
+    """Edges of a shortest path from ``starts`` into ``targets`` inside ``within``.
+
+    Breadth-first from the starts in their given order along sorted out-edges;
+    each vertex keeps the edge it was first reached by, and the search stops at
+    the first target reached.  None when no target is reachable.
+    """
+    parent: dict[int, Optional[Edge]] = {v: None for v in starts}
+    if targets.intersection(starts):
+        return []
+    frontier = list(starts)
     while frontier:
         nxt = []
         for v in frontier:
-            for _, _, t in graph.out_edges(v):
-                if t in allowed and t not in dist:
-                    dist[t] = dist[v] + 1
+            for e in graph.out_edges(v):
+                t = e[2]
+                if t in within and t not in parent:
+                    parent[t] = e
+                    if t in targets:
+                        path = []
+                        while parent[t] is not None:
+                            path.append(parent[t])
+                            t = parent[t][0]
+                        return path[::-1]
                     nxt.append(t)
         frontier = nxt
-    return dist
-
-
-def _component_diameter(graph: LabeledGraph, comp: Sequence[int]) -> int:
-    allowed = set(comp)
-    diam = 0
-    for p in comp:
-        dist = _distances_from(graph, p, allowed)
-        for q in comp:
-            if q not in dist:
-                raise ValueError("component not strongly connected")
-            diam = max(diam, dist[q])
-    return diam
+    return None
 
 
 def _shortest_cross_word(graph: LabeledGraph, src: Sequence[int],
                          dst: Sequence[int]) -> Optional[Word]:
     """Labels of a shortest path from ``src`` into ``dst``; None when there is none."""
-    targets = set(dst)
-    starts = list(src)
-    parent: dict[int, tuple[Optional[int], Optional[int]]] = {p: (None, None) for p in starts}
-    frontier = starts[:]
-    if targets.intersection(starts):
-        return ()
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for _, a, t in graph.out_edges(v):
-                if t not in parent:
-                    parent[t] = (v, a)
-                    if t in targets:
-                        word = []
-                        cur = t
-                        while parent[cur][0] is not None:
-                            word.append(parent[cur][1])
-                            cur = parent[cur][0]
-                        return tuple(reversed(word))
-                    nxt.append(t)
-        frontier = nxt
-    return None
+    path = _shortest_path(graph, src, frozenset(dst), frozenset(range(graph.vertex_count)))
+    return None if path is None else tuple(a for _, a, _ in path)
 
 
 # -- state sets of component words ---------------------------------------------------
@@ -290,8 +286,7 @@ def _exact_gap(p: SoficPresentation, classes, gap_cap: int) -> Optional[int]:
     return min(achievable) if achievable else None
 
 
-def spec_bruteforce(p: SoficPresentation, maxlen: int,
-                    gap_cap: Optional[int] = None) -> BruteForceTable:
+def spec_bruteforce(p: SoficPresentation, maxlen: int) -> BruteForceTable:
     """Word-level minimal gaps for every ordered pair of component words.
 
     Pairs are grouped by (end-state set, start-state set), which preserves the
@@ -300,8 +295,7 @@ def spec_bruteforce(p: SoficPresentation, maxlen: int,
     set.
     """
     q = len(p.components)
-    if gap_cap is None:
-        gap_cap = _default_gap_cap(p)
+    gap_cap = _default_gap_cap(p)
     classes = _end_start_sets(p, maxlen, inside=False)
     pair_max = []
     overall = 0
@@ -320,12 +314,9 @@ def spec_bruteforce(p: SoficPresentation, maxlen: int,
     return BruteForceTable(tuple(pair_max), overall, maxlen)
 
 
-def bruteforce_exact_min(p: SoficPresentation, maxlen: int,
-                         gap_cap: Optional[int] = None) -> Optional[int]:
+def bruteforce_exact_min(p: SoficPresentation, maxlen: int) -> Optional[int]:
     """Smallest M such that every ordered word pair glues with a gap of exactly M."""
-    if gap_cap is None:
-        gap_cap = _default_gap_cap(p)
-    return _exact_gap(p, _end_start_sets(p, maxlen, inside=False), gap_cap)
+    return _exact_gap(p, _end_start_sets(p, maxlen, inside=False), _default_gap_cap(p))
 
 
 # -- coverage and support checks ----------------------------------------------------------
@@ -368,43 +359,29 @@ def ergodic_support_check(p: SoficPresentation, trials: int, seed: int = 0) -> b
 
 def _some_cycle(graph: LabeledGraph, comp: Sequence[int], rng: random.Random):
     """A directed cycle through a random vertex of the component, if any."""
-    cset = set(comp)
     start = rng.choice(list(comp))
-    parent: dict[int, tuple[Optional[int], Optional[tuple]]] = {start: (None, None)}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for e in graph.out_edges(v):
-                _, _, t = e
-                if t not in cset:
-                    continue
-                if t == start:
-                    edges = [e]
-                    cur = v
-                    while parent[cur][0] is not None:
-                        edges.append(parent[cur][1])
-                        cur = parent[cur][0]
-                    edges.reverse()
-                    verts = [edge[0] for edge in edges]
-                    return verts, edges
-                if t not in parent:
-                    parent[t] = (v, e)
-                    nxt.append(t)
-        frontier = nxt
-    return None
+    cset = frozenset(comp)
+    path = _shortest_path(graph, [start], graph.backward((start,)) & cset, cset)
+    if path is None:
+        return None
+    last = path[-1][2] if path else start
+    edges = path + [next(e for e in graph.out_edges(last) if e[2] == start)]
+    return [e[0] for e in edges], edges
 
 
 # -- randomized soundness of issued certificates ---------------------------------------------
 
 
+_GLUING_WORD_LEN = 4  # longest component word a gluing trial draws
+
+
 def gluing_test(p: SoficPresentation, cert: SpecCertificate, k: int, trials: int,
-                seed: int, word_len: int = 4) -> bool:
+                seed: int) -> bool:
     """Randomized k-segment gluing trials against an issued certificate.
 
-    Draws k component words with nondecreasing component indices and checks
-    that gaps of exactly M (strong) or at most M (weak) realize the
-    concatenation in the full graph.
+    Draws k component words of at most ``_GLUING_WORD_LEN`` symbols with
+    nondecreasing component indices and checks that gaps of exactly M
+    (strong) or at most M (weak) realize the concatenation in the full graph.
     """
     rng = random.Random(seed)
     q = len(p.components)
@@ -413,7 +390,7 @@ def gluing_test(p: SoficPresentation, cert: SpecCertificate, k: int, trials: int
         comp = set(p.components[i])
         v = rng.choice(sorted(comp))
         word = []
-        for _ in range(rng.randrange(1, word_len + 1)):
+        for _ in range(rng.randrange(1, _GLUING_WORD_LEN + 1)):
             options = [e for e in p.graph.out_edges(v) if e[2] in comp]
             if not options:
                 break

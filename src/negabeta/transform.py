@@ -471,28 +471,29 @@ class MinusBetaSystem:
         return True
 
     def enumerate_admissible(self, maxlen: int) -> Iterator[Word]:
-        """Yield every admissible word of length 1..maxlen, shortest first.
+        """Yield every admissible word of length 1..maxlen, in preorder.
 
-        Carries the borders of the current word through :func:`border_step`;
-        a word dies exactly when one of them extends on the wrong side of the
-        alternating order.  Equivalent to filtering by :meth:`word_admissible`
-        but exponentially cheaper on the inadmissible subtrees.
+        Each word follows its parent, children in digit order.  Carries the
+        borders of the current word through :func:`border_step`; a word dies
+        exactly when one of them extends on the wrong side of the alternating
+        order.  Equivalent to filtering by :meth:`word_admissible` but
+        exponentially cheaper on the inadmissible subtrees.
         """
         self._require_exact("enumerate_admissible")
         ref = self.expansion_of_one()
-
-        def extend(word: Word, active: tuple[int, ...]) -> Iterator[Word]:
-            if len(word) >= maxlen:
-                return
-            for a in range(self.b + 1):
-                new_active = border_step(ref, active, a)
-                if new_active is None:
-                    continue
-                w2 = word + (a,)
-                yield w2
-                yield from extend(w2, new_active)
-
-        yield from extend((), ())
+        # An explicit stack, not recursion: words may be longer than Python's
+        # recursion limit.  Children are pushed in reverse digit order, so the
+        # smallest digit comes off first.
+        stack: list[tuple[Word, tuple[int, ...]]] = [((), ())]
+        while stack:
+            word, active = stack.pop()
+            if word:
+                yield word
+            if len(word) < maxlen:
+                for a in range(self.b, -1, -1):
+                    new_active = border_step(ref, active, a)
+                    if new_active is not None:
+                        stack.append((word + (a,), new_active))
 
     # -- coding inverse -------------------------------------------------------------------
 

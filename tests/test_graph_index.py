@@ -59,6 +59,13 @@ def test_forward_matches_scan(gs):
 
 
 @settings(max_examples=200, deadline=None)
+@given(graph_and_states())
+def test_backward_matches_scan(gs):
+    g, states = gs
+    assert g.backward(states) == frozenset(s for s, _, t in g.edges if t in states)
+
+
+@settings(max_examples=200, deadline=None)
 @given(graphs(), words)
 def test_reads_match_scan(g, word):
     assert g.reads(word) == scan_reads(g, word, scan_step)

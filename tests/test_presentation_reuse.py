@@ -15,11 +15,13 @@ lists per candidate fold.  Results and errors must be equal, not close.
 
 from types import SimpleNamespace
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negabeta import specprop
 from negabeta.algebraic import IntPolynomial, make_algebraic
 from negabeta.intervalmaps import example31_system
 from negabeta.measures import (
@@ -249,22 +251,26 @@ def outcome(fn, *args, **kwargs):
                 getattr(exc, "periodicity_violated", None))
 
 
-def table_outcome(p, maxlen, **kwargs):
-    got = outcome(spec_bruteforce, p, maxlen, **kwargs)
+def table_outcome(p, maxlen):
+    got = outcome(spec_bruteforce, p, maxlen)
     if got[0] == "value":
         table = got[1]
         return "value", (table.pair_max, table.overall_max, table.maxlen)
     return got
 
 
-def assert_oracles_agree(p, maxlens, **kwargs):
-    for maxlen in maxlens:
-        assert table_outcome(p, maxlen, **kwargs) == outcome(reference_spec_bruteforce, p, maxlen,
-                                                             **kwargs)
-        assert (outcome(bruteforce_exact_min, p, maxlen, **kwargs)
-                == outcome(reference_exact_min, p, maxlen, **kwargs))
-        assert _end_start_sets(p, maxlen, inside=False) == [reference_state_classes(p, i, maxlen)
-                                                 for i in range(len(p.components))]
+def assert_oracles_agree(p, maxlens, gap_cap=None):
+    """With ``gap_cap``, the oracles' cap is pinned to it in place of `_default_gap_cap`,
+    so that a small cap drives them into their capped paths."""
+    cap = _default_gap_cap if gap_cap is None else (lambda _: gap_cap)
+    with mock.patch.object(specprop, "_default_gap_cap", cap):
+        for maxlen in maxlens:
+            assert table_outcome(p, maxlen) == outcome(reference_spec_bruteforce, p, maxlen,
+                                                       gap_cap=gap_cap)
+            assert (outcome(bruteforce_exact_min, p, maxlen)
+                    == outcome(reference_exact_min, p, maxlen, gap_cap=gap_cap))
+            assert _end_start_sets(p, maxlen, inside=False) == [
+                reference_state_classes(p, i, maxlen) for i in range(len(p.components))]
 
 
 def assert_certificates_agree(p, maxlens):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -264,6 +265,12 @@ def test_enumerate_admissible_matches_filter(pisot_sys, three_sys):
             if len(w) < n:
                 stack.extend(w + (a,) for a in range(sys.b + 1))
         assert listed == brute
+
+
+def test_enumerate_admissible_is_not_bounded_by_the_recursion_limit(pisot_sys):
+    # in preorder the first words run down the smallest-digit branch, one letter longer each
+    words = list(islice(pisot_sys.enumerate_admissible(1500), 1500))
+    assert len(words[-1]) == 1500
 
 
 # -- value_of / round trips -------------------------------------------------------------
