@@ -85,10 +85,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "IntPolynomial":
-        d = tuple(k * c for k, c in enumerate(self.coefficients) if k > 0)
-        return IntPolynomial(d)
-
     def __str__(self) -> str:
         parts = []
         for k, c in enumerate(self.coefficients):

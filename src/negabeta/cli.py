@@ -33,6 +33,13 @@ class UsageError(Exception):
     """Bad command line; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises what argparse rejects as a usage error, which prints one line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 class _NeverHit(Exception):
     """A Monte Carlo window that no sample hit; maps to exit code 3.
 
@@ -60,7 +67,7 @@ MAX_DIGITS = 1000
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="negabeta",
         description="negative-beta transformation toolkit (batch, machine-readable output)",
     )
@@ -81,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="folded automaton of the expansion")
     common(p)
-    p.add_argument("--horizon", type=int, default=None)
 
     p = sub.add_parser("components", help="ordered irreducible component chain")
     common(p)
@@ -141,13 +147,7 @@ _PARSER = _build_parser()
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
     """Parse and validate an argument vector into a RunConfig."""
-    try:
-        ns = _PARSER.parse_args(list(argv))
-    except SystemExit as exc:
-        if exc.code == 0:  # --help
-            raise
-        # argparse exits on its own; normalize to the usage error contract
-        raise UsageError("invalid arguments") from exc
+    ns = _PARSER.parse_args(list(argv))
     if not ns.command:
         raise UsageError("a subcommand is required")
     if ns.command in _STOCHASTIC and ns.seed is None:
@@ -226,10 +226,7 @@ def _cmd_graph(config: RunConfig):
     from negabeta import shiftgraph
 
     system = _system_for(config)
-    try:
-        aut = shiftgraph.automaton_for(system, horizon=config.params["horizon"])
-    except shiftgraph.HorizonTooSmall as exc:
-        raise UsageError(f"--horizon too small: {exc}") from exc
+    aut = shiftgraph.automaton_for(system)
     payload = aut.graph.to_json_dict()
     payload["fold"] = {"start": aut.fold_start, "period": aut.fold_period}
     if config.fmt == "dot":
@@ -414,15 +411,12 @@ def _cmd_example32(config: RunConfig):
     eps = config.params["eps"]
     if not 0 < eps < 0.5:  # nan too; from 0.5 on, the neighbourhood holds the sink 1/2
         raise UsageError(f"--eps must lie in (0, 0.5), got {eps}")
-    fmap = intervalmaps.CircleMap()
     circle = {
-        "nonwandering": intervalmaps.circle_nonwandering(fmap),
-        "predicted_rate": intervalmaps.predicted_occupation_rate(window[0], fmap),
+        "nonwandering": intervalmaps.circle_nonwandering(intervalmaps.CircleMap()),
+        "predicted_rate": intervalmaps.predicted_occupation_rate(window[0]),
     }
     try:
-        estimate = intervalmaps.circle_mc_deviation(
-            window, n, samples, config.seed, eps=eps, fmap=fmap,
-        )
+        estimate = intervalmaps.circle_mc_deviation(window, n, samples, config.seed, eps=eps)
     except ldp.WindowNeverHit as exc:
         raise _NeverHit(str(exc), {**exc.report, **circle}) from exc
     return {**estimate.to_json_dict(), **circle}

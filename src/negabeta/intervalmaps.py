@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from negabeta.ldp import DeviationEstimate, _window_deviation
 from negabeta.measures import Branch, affine_cylinder, affine_cylinder_walk
@@ -263,8 +263,7 @@ def circle_nonwandering(fmap: CircleMap) -> list[float]:
 
 
 def circle_mc_deviation(a_window: tuple[float, float], n: int, sample_count: int,
-                        seed: int, eps: float = 0.05,
-                        fmap: Optional[CircleMap] = None) -> DeviationEstimate:
+                        seed: int, eps: float = 0.05) -> DeviationEstimate:
     """Lebesgue probability of spending a given fraction of time near the source.
 
     The occupation observable is the fraction of the first n iterates within
@@ -275,7 +274,7 @@ def circle_mc_deviation(a_window: tuple[float, float], n: int, sample_count: int
     """
     import numpy as np
 
-    fmap = fmap or CircleMap()
+    fmap = CircleMap()
 
     def occupation_fractions(start: int, samples: list[int]) -> np.ndarray:
         theta = np.array([s / 2.0**128 for s in samples])
@@ -289,7 +288,6 @@ def circle_mc_deviation(a_window: tuple[float, float], n: int, sample_count: int
     return _window_deviation(a_window, n, sample_count, seed, occupation_fractions)
 
 
-def predicted_occupation_rate(a: float, fmap: Optional[CircleMap] = None) -> float:
+def predicted_occupation_rate(a: float) -> float:
     """Closed-form rate for occupation fraction a near the source."""
-    fmap = fmap or CircleMap()
-    return a * fmap.source_rate()
+    return a * CircleMap().source_rate()

@@ -105,7 +105,7 @@ class DeviationEstimate:
 
 
 def free_energy(mu: Union[MarkovMeasure, float], phi_const: float,
-                invariant: bool = True, entropy: Optional[float] = None) -> float:
+                invariant: bool = True) -> float:
     """Entropy minus the constant reference, or -inf off the invariant set.
 
     Accepts a Markov measure (stationary, hence invariant) or an explicit
@@ -117,7 +117,7 @@ def free_energy(mu: Union[MarkovMeasure, float], phi_const: float,
     if isinstance(mu, MarkovMeasure):
         h = mu.entropy()
     else:
-        h = float(entropy if entropy is not None else mu)
+        h = float(mu)
     return h - phi_const
 
 

@@ -16,7 +16,9 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from negabeta.shiftgraph import LabeledGraph, automaton_for, enumerate_words, spectral_radius
+from negabeta.shiftgraph import (
+    LabeledGraph, _levels, automaton_for, enumerate_words, spectral_radius,
+)
 from negabeta.transform import MinusBetaSystem, Word
 
 
@@ -230,12 +232,6 @@ def _lower_constant(system: MinusBetaSystem):
     return system.beta.one() - system.b * system.beta_inverse
 
 
-def _followers(graph: LabeledGraph, labels: Sequence[int],
-               states: frozenset[int]) -> list[frozenset[int]]:
-    """The nonempty state sets the labels step to; two make a word ending in ``states`` branch."""
-    return [t for t in (graph.step(states, a) for a in labels) if t]
-
-
 def cylinder_measure(system: MinusBetaSystem, word: Sequence[int]) -> CylinderReport:
     """Exact Lebesgue length of the cylinder, with its bound report.
 
@@ -245,8 +241,7 @@ def cylinder_measure(system: MinusBetaSystem, word: Sequence[int]) -> CylinderRe
     """
     frame = _fold(system, word)
     graph = automaton_for(system).graph
-    ends = graph.reads(frame.cylinder.word)
-    branching = len(_followers(graph, sorted(graph.labels()), ends)) >= 2
+    branching = len(graph.followers(graph.reads(frame.cylinder.word))) >= 2
     return _report(frame, _lower_constant(system), branching)
 
 
@@ -256,16 +251,14 @@ def cylinder_walk(system: MinusBetaSystem, maxlen: int) -> Iterator[CylinderRepo
     Walks the folded automaton's words (the admissible words, in the order of
     :meth:`MinusBetaSystem.enumerate_admissible`) through
     :func:`affine_cylinder_walk`, so each report costs O(1) field operations;
-    branching is decided once per end-state set.
+    a word branches when its end states have two followers.
     """
     graph = automaton_for(system).graph
-    labels = sorted(graph.labels())
-    branching = cache(lambda states: len(_followers(graph, labels, states)) >= 2)
     lower = _lower_constant(system)
     words, ends = itertools.tee(enumerate_words(graph, maxlen))
     frames = affine_cylinder_walk((w for w, _ in words), _branches(system), system.beta.one())
     for frame, (_, states) in zip(frames, ends):
-        yield _report(frame, lower, branching(states))
+        yield _report(frame, lower, len(graph.followers(states)) >= 2)
 
 
 # -- branching distance ------------------------------------------------------------
@@ -286,22 +279,12 @@ def g_beta_word(system: MinusBetaSystem, word: Sequence[int]) -> int:
 
 
 def _g_from_followers(graph: LabeledGraph, start: frozenset[int]) -> int:
-    labels = sorted(graph.labels())
-    seen = {start}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        nxt = []
-        for states in frontier:
-            followers = _followers(graph, labels, states)
-            if len(followers) >= 2:
-                return depth
-            for t in followers:
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-        depth += 1
+    def step(level: frozenset[frozenset[int]]) -> frozenset[frozenset[int]]:
+        return frozenset(t for states in level for _, t in graph.followers(states))
+
+    for depth, level in enumerate(_levels(step, frozenset((start,)))):
+        if any(len(graph.followers(states)) >= 2 for states in level):
+            return depth
     raise NoBranchReachable("no extension reaches a branching state")
 
 
@@ -314,13 +297,11 @@ def g_beta_values(system: MinusBetaSystem, n: int) -> list[int]:
     if n < 1:
         raise ValueError("n must be >= 1")
     graph = automaton_for(system).graph
-    labels = sorted(graph.labels())
     distance = cache(lambda states: _g_from_followers(graph, states))
     frontier = {frozenset(range(graph.vertex_count))}
     values = []
     for k in range(1, n + 1):
-        frontier = {graph.step(states, a) for states in frontier for a in labels}
-        frontier.discard(frozenset())
+        frontier = {t for states in frontier for _, t in graph.followers(states)}
         if not frontier:
             raise InadmissibleWord(f"no admissible words of length {k}")
         values.append(max(distance(states) for states in frontier))
@@ -485,7 +466,7 @@ def random_markov_measure(graph: LabeledGraph, vertices: Sequence[int],
     # stationary distribution: solve pi P = pi exactly by Gaussian elimination
     n = len(verts)
     idx = {v: i for i, v in enumerate(verts)}
-    # build (P^T - I) with the normalization row appended
+    # (P^T - I) with its last row replaced by the normalization: nonsingular for irreducible P
     rows = [[Fraction(0)] * n for _ in range(n)]
     for e, p in edge_probs.items():
         s, _, t = e
@@ -501,33 +482,18 @@ def random_markov_measure(graph: LabeledGraph, vertices: Sequence[int],
 
 
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Gauss-Jordan elimination over the rationals; the system must be nonsingular."""
     n = len(rows)
     aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    col = 0
-    for row in range(n):
-        pivot = None
-        for r in range(row, n):
-            if aug[r][col] != 0:
-                pivot = r
-                break
-        while pivot is None and col < n - 1:
-            col += 1
-            for r in range(row, n):
-                if aug[r][col] != 0:
-                    pivot = r
-                    break
-        if pivot is None:
-            break
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
-            if r != row and aug[r][col] != 0:
+            if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        col += 1
-        if col >= n:
-            break
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return [aug[i][n] for i in range(n)]
 
 

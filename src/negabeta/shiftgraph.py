@@ -30,10 +30,6 @@ class HorizonTooSmall(ShiftGraphError):
 class FoldNotVerified(ShiftGraphError):
     """No verified folding was found within the horizon."""
 
-    def __init__(self, message: str, periodicity_violated: bool = False):
-        self.periodicity_violated = periodicity_violated
-        super().__init__(message)
-
 
 @dataclass(frozen=True)
 class _GraphIndex:
@@ -43,6 +39,8 @@ class _GraphIndex:
     pred: dict[int, frozenset[int]]  # vertex -> predecessors
     targets: dict[tuple[int, int], frozenset[int]]  # (source, label) -> targets
     sources: dict[tuple[int, int], frozenset[int]]  # (target, label) -> sources
+    labels: tuple[int, ...]  # ascending
+    followers: dict  # state set -> its (label, end set) pairs, filled by LabeledGraph.followers
 
 
 def _union(sets: Mapping, keys: Iterable) -> frozenset[int]:
@@ -86,6 +84,8 @@ class LabeledGraph:
             pred={v: frozenset(s for s, _, _ in es) for v, es in enumerate(into)},
             targets={k: frozenset(v) for k, v in targets.items()},
             sources={k: frozenset(v) for k, v in sources.items()},
+            labels=tuple(sorted({a for _, a, _ in self.edges})),
+            followers={},
         )
 
     def out_edges(self, v: int) -> list[Edge]:
@@ -95,7 +95,7 @@ class LabeledGraph:
         return list(self._index.into[v])
 
     def labels(self) -> set[int]:
-        return {label for _, label, _ in self.edges}
+        return set(self._index.labels)
 
     def successors(self, v: int) -> frozenset[int]:
         return self._index.succ[v]
@@ -103,6 +103,17 @@ class LabeledGraph:
     def step(self, states: Iterable[int], label: int) -> frozenset[int]:
         """End states of the edges labeled ``label`` that leave ``states``."""
         return _union(self._index.targets, ((s, label) for s in states))
+
+    def followers(self, states: frozenset[int]) -> tuple[tuple[int, frozenset[int]], ...]:
+        """(label, end states) for each label, ascending, whose step from ``states`` is nonempty.
+
+        Computed once per state set and kept on the graph index.
+        """
+        pairs = self._index.followers.get(states)
+        if pairs is None:
+            pairs = tuple((a, t) for a in self._index.labels if (t := self.step(states, a)))
+            self._index.followers[states] = pairs
+        return pairs
 
     def back_step(self, states: Iterable[int], label: int) -> frozenset[int]:
         """Start states of the edges labeled ``label`` that enter ``states``."""
@@ -242,7 +253,7 @@ def fold(g: LabeledGraph, u: int, v: int) -> FoldedAutomaton:
         """The spine digit of V_i and its back edges (label, target)."""
         lbls = [a for a, t in out[i] if t == i + 1]
         if len(lbls) != 1:
-            raise FoldNotVerified(f"ambiguous spine at V{i}", periodicity_violated=True)
+            raise FoldNotVerified(f"ambiguous spine at V{i}")
         return lbls[0], frozenset((a, t) for a, t in out[i] if (a, t) != (lbls[0], i + 1))
 
     last_error = None
@@ -257,7 +268,7 @@ def fold(g: LabeledGraph, u: int, v: int) -> FoldedAutomaton:
     # period 2v is mathematically guaranteed for start >= u given enough room
     if horizon < u + 6 * v:
         raise FoldNotVerified(f"horizon {horizon} too small to verify folding")
-    raise FoldNotVerified(last_error or "fold failed", periodicity_violated=True)
+    raise FoldNotVerified(last_error or "fold failed")
 
 
 def _build_folded(g: LabeledGraph, start: int, period: int, u: int, v: int) -> FoldedAutomaton:
@@ -268,10 +279,7 @@ def _build_folded(g: LabeledGraph, start: int, period: int, u: int, v: int) -> F
         if s_ < total:
             target = shape.fold_index(t)
             if t != s_ + 1 and target > u + v:
-                raise FoldNotVerified(
-                    f"folded back edge V{s_}->V{target} beyond u+v={u + v}",
-                    periodicity_violated=True,
-                )
+                raise FoldNotVerified(f"folded back edge V{s_}->V{target} beyond u+v={u + v}")
             edges.add((s_, a, target))
     return replace(shape, graph=LabeledGraph(total, frozenset(edges)))
 
@@ -299,17 +307,18 @@ class ComponentChain:
         return {"N": self.N, "components": out}
 
 
-def _levels(step, start: frozenset[int], within: frozenset[int]) -> Iterator[frozenset[int]]:
-    """The states of ``within`` first reached from ``start`` after 0, 1, 2, ... steps.
+def _levels(step, start: frozenset) -> Iterator[frozenset]:
+    """The items first reached from ``start`` after 0, 1, 2, ... steps.
 
-    ``step`` is a graph's ``forward`` or ``backward``; the walk stops at the
-    first empty level.
+    ``step`` maps a level to everything one step on: a graph's ``forward`` or
+    ``backward``, or a step over state sets.  A caller that bounds the walk
+    intersects inside its step.  The walk stops at the first empty level.
     """
-    seen = level = start & within
+    seen = level = start
     while level:
         yield level
-        level = (step(level) & within) - seen
-        seen |= level
+        level = step(level) - seen
+        seen = seen | level  # rebound: ``start`` may be the caller's set
 
 
 def is_irreducible(g: LabeledGraph, vertices: Iterable[int]) -> bool:
@@ -324,15 +333,15 @@ def is_irreducible(g: LabeledGraph, vertices: Iterable[int]) -> bool:
     root = min(vset)
     if len(vset) == 1:
         return root in g.successors(root)
-    return all(frozenset().union(*_levels(step, frozenset((root,)), vset)) == vset
+    return all(frozenset().union(*_levels(lambda level, step=step: step(level) & vset,
+                                          frozenset((root,)))) == vset
                for step in (g.forward, g.backward))
 
 
 def cycle_vertices(g: LabeledGraph) -> set[int]:
     """Vertices lying on some directed cycle: those reached again from their successors."""
-    everything = frozenset(range(g.vertex_count))
-    return {v for v in everything
-            if any(v in level for level in _levels(g.forward, g.successors(v), everything))}
+    return {v for v in range(g.vertex_count)
+            if any(v in level for level in _levels(g.forward, g.successors(v)))}
 
 
 def decompose(aut: FoldedAutomaton) -> ComponentChain:
@@ -387,18 +396,13 @@ def count_words(graph: LabeledGraph, n: int) -> int:
     """Number of distinct label words of length n readable from any state."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    labels = sorted(graph.labels())
     counts: dict[frozenset[int], int] = {frozenset(range(graph.vertex_count)): 1}
     for _ in range(n):
         nxt: dict[frozenset[int], int] = {}
         for states, c in counts.items():
-            for a in labels:
-                t = graph.step(states, a)
-                if t:
-                    nxt[t] = nxt.get(t, 0) + c
+            for _, t in graph.followers(states):
+                nxt[t] = nxt.get(t, 0) + c
         counts = nxt
-        if not counts:
-            return 0
     return sum(counts.values())
 
 
@@ -413,17 +417,13 @@ def enumerate_words(graph: LabeledGraph,
     # An explicit stack, not recursion: words may be longer than Python's
     # recursion limit.  Children are pushed in reverse label order, so the
     # smallest label comes off first.
-    labels = sorted(graph.labels(), reverse=True)
     stack = [((), frozenset(range(graph.vertex_count)))]
     while stack:
         word, states = stack.pop()
         if word:
             yield word, states
         if len(word) < maxlen:
-            for a in labels:
-                t = graph.step(states, a)
-                if t:
-                    stack.append((word + (a,), t))
+            stack.extend((word + (a,), t) for a, t in reversed(graph.followers(states)))
 
 
 def spectral_radius(mat: np.ndarray) -> float:
@@ -463,32 +463,16 @@ def cross_validate(aut: FoldedAutomaton, system: MinusBetaSystem,
 
 # -- construction convenience -----------------------------------------------------
 
-_HORIZON_CAP_FACTOR = 8
+def automaton_for(system: MinusBetaSystem) -> FoldedAutomaton:
+    """The folded automaton of an exact system, built once and cached on it.
 
-
-def automaton_for(system: MinusBetaSystem, horizon: Optional[int] = None) -> FoldedAutomaton:
-    """Build (and cache) the folded automaton of an exact system.
-
-    The default horizon is u+6v+4; a failed fold verification doubles it, up
-    to a hard cap, before giving up.
+    The graph is built to horizon u+6v+4, which leaves the guaranteed period
+    2v from index u the room that :func:`fold` needs to verify it.
     """
-    if system._aut_cache is not None and horizon is None:
-        return system._aut_cache
-    s = system.expansion_of_one()
-    base = s.u + 6 * s.v + 4
-    h = horizon if horizon is not None else base
-    while True:
-        g = build_gamma(s, h)
-        try:
-            aut = fold(g, s.u, s.v)
-            break
-        except FoldNotVerified as err:
-            if err.periodicity_violated or h >= base * _HORIZON_CAP_FACTOR:
-                raise
-            h *= 2
-    if horizon is None:
-        system._aut_cache = aut
-    return aut
+    if system._aut_cache is None:
+        s = system.expansion_of_one()
+        system._aut_cache = fold(build_gamma(s, s.u + 6 * s.v + 4), s.u, s.v)
+    return system._aut_cache
 
 
 def chain_for(system: MinusBetaSystem) -> ComponentChain:

@@ -94,7 +94,7 @@ def _component_diameter(graph: LabeledGraph, comp: Sequence[int]) -> int:
     within = frozenset(comp)
     diam = 0
     for p in comp:
-        levels = list(_levels(graph.forward, frozenset((p,)), within))
+        levels = list(_levels(lambda level: graph.forward(level) & within, frozenset((p,))))
         if sum(map(len, levels)) != len(within):
             raise ValueError("component not strongly connected")
         diam = max(diam, len(levels) - 1)
@@ -148,24 +148,23 @@ def _word_classes(graph: LabeledGraph, comp: Sequence[int], step,
     ``inside`` is what a word reaches within the component, ``anywhere`` what it
     reaches in the full graph from every vertex.  With ``graph.step`` these are
     end sets, with ``graph.back_step`` start sets.  A pair fixes the pairs of all
-    its one-symbol extensions, so the breadth-first search over pairs stops at
-    the first level that adds none; ``maxlen=None`` sets no depth limit.
+    its one-symbol extensions, so the level walk over pairs stops at the first
+    level that adds none; ``maxlen=None`` sets no depth limit.
     """
     cset = frozenset(comp)
     labels = graph.labels()
-    pairs = level = {(cset, frozenset(range(graph.vertex_count)))}
-    depth = 0
-    while level and (maxlen is None or depth < maxlen):
-        nxt = set()
-        for inside, anywhere in level:
-            for a in labels:
-                t = step(inside, a) & cset
-                if t:
-                    nxt.add((t, step(anywhere, a)))
-        level = nxt - pairs
-        pairs = pairs | level
-        depth += 1
-    return pairs
+
+    def extend(level: frozenset) -> frozenset:
+        return frozenset((t, step(anywhere, a)) for inside, anywhere in level for a in labels
+                         if (t := step(inside, a) & cset))
+
+    classes: set[tuple[frozenset[int], frozenset[int]]] = set()
+    start = frozenset({(cset, frozenset(range(graph.vertex_count)))})
+    for depth, level in enumerate(_levels(extend, start)):
+        classes |= level
+        if depth == maxlen:  # the first maxlen + 1 levels
+            break
+    return classes
 
 
 def _end_start_sets(p: SoficPresentation, maxlen: Optional[int],
@@ -268,21 +267,29 @@ def _frontier_lists(p: SoficPresentation, end_sets: Iterable[frozenset[int]],
             for ends in end_sets]
 
 
-def _exact_gap(p: SoficPresentation, classes, gap_cap: int) -> Optional[int]:
-    """Smallest g <= gap_cap that glues every end set of each component to every start
-    set of itself and of each later component in exactly g symbols; None when none does.
-    """
+def _gap_pairs(p: SoficPresentation, classes,
+               gap_cap: int) -> Iterator[tuple[int, int, list[frozenset[int]], frozenset[int]]]:
+    """(i, j, gap frontiers of an end set of component i, a start set of component j)
+    for every ordered pair i <= j; the frontiers of each end set are walked once."""
     q = len(p.components)
-    achievable: Optional[set[int]] = None
     for i in range(q):
         fronts = _frontier_lists(p, classes[i][0], gap_cap)
         for j in range(i, q):
             for front in fronts:
                 for starts in classes[j][1]:
-                    gaps = {g for g, current in enumerate(front) if current & starts}
-                    achievable = gaps if achievable is None else achievable & gaps
-                    if not achievable:
-                        return None
+                    yield i, j, front, starts
+
+
+def _exact_gap(p: SoficPresentation, classes, gap_cap: int) -> Optional[int]:
+    """Smallest g <= gap_cap that glues every end set of each component to every start
+    set of itself and of each later component in exactly g symbols; None when none does.
+    """
+    achievable: Optional[set[int]] = None
+    for _, _, front, starts in _gap_pairs(p, classes, gap_cap):
+        gaps = {g for g, current in enumerate(front) if current & starts}
+        achievable = gaps if achievable is None else achievable & gaps
+        if not achievable:
+            return None
     return min(achievable) if achievable else None
 
 
@@ -294,24 +301,14 @@ def spec_bruteforce(p: SoficPresentation, maxlen: int) -> BruteForceTable:
     gap frontiers of each end set are walked once and shared by every start
     set.
     """
-    q = len(p.components)
-    gap_cap = _default_gap_cap(p)
     classes = _end_start_sets(p, maxlen, inside=False)
-    pair_max = []
-    overall = 0
-    for i in range(q):
-        fronts = _frontier_lists(p, classes[i][0], gap_cap)
-        for j in range(i, q):
-            worst = 0
-            for front in fronts:
-                for starts in classes[j][1]:
-                    gap = next((g for g, current in enumerate(front) if current & starts), None)
-                    if gap is None:
-                        raise DisconnectedPair(i, j)
-                    worst = max(worst, gap)
-            pair_max.append(((i, j), worst))
-            overall = max(overall, worst)
-    return BruteForceTable(tuple(pair_max), overall, maxlen)
+    worst: dict[tuple[int, int], int] = {}
+    for i, j, front, starts in _gap_pairs(p, classes, _default_gap_cap(p)):
+        gap = next((g for g, current in enumerate(front) if current & starts), None)
+        if gap is None:
+            raise DisconnectedPair(i, j)
+        worst[i, j] = max(worst.get((i, j), 0), gap)
+    return BruteForceTable(tuple(worst.items()), max(worst.values(), default=0), maxlen)
 
 
 def bruteforce_exact_min(p: SoficPresentation, maxlen: int) -> Optional[int]:

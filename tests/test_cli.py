@@ -206,6 +206,10 @@ def test_cylinder_command_usage_errors(argv, capsys):
         ["mc", "--beta", GOLDEN, "--window", "0.0:1.0", "--n", "139", "--N", "10", "--seed", "1"],
         ["mc", "--beta", TWO, "--window", "0.0:1.0", "--n", "1000000", "--N", "10", "--seed", "1"],
         ["rate", "--beta", PISOT, "--obs", "digit9", "--a", "0.5"],
+        ["cyl", "--beta", PISOT],
+        ["gbeta", "--beta", PISOT, "--n", "abc"],
+        ["frobnicate"],
+        ["spec", "--beta", PISOT, "--frobnicate"],
     ],
     ids=["beta-not-isolating", "beta-no-root", "beta-below-one", "gbeta-n-0", "mc-n-0",
          "mc-N-0", "rate-unachievable", "compare-rates-wrong-base", "yrrap-max-steps-0",
@@ -216,7 +220,8 @@ def test_cylinder_command_usage_errors(argv, capsys):
          "spec-oracle-maxlen-negative", "yrrap-digits-5000", "cyl-digits-above-cap",
          "rate-a-grid-count-0", "rate-a-grid-count-negative", "mc-base2-above-bit-cap",
          "mc-cubic-above-bit-cap", "mc-golden-above-bit-cap", "mc-huge-n",
-         "rate-constant-observable"],
+         "rate-constant-observable", "cyl-missing-maxlen", "gbeta-n-not-an-int",
+         "unknown-subcommand", "spec-unknown-flag"],
 )
 def test_bad_input_usage_errors(argv, capsys):
     code, out, err = invoke(argv, capsys)
@@ -334,6 +339,8 @@ def test_exit_code_contract(argv):
         code = main(argv)
     assert code in {0, 1, 2, 3, 4}
     assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("usage error:") and len(err.getvalue().splitlines()) == 1
     if out.getvalue():
         payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
         jsonschema.validate(payload, schema_for(argv[0].replace("-", "_")))

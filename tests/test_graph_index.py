@@ -66,6 +66,16 @@ def test_backward_matches_scan(gs):
 
 
 @settings(max_examples=200, deadline=None)
+@given(graph_and_states())
+def test_followers_match_scan(gs):
+    g, states = gs
+    labels = sorted({a for _, a, _ in g.edges})
+    expected = tuple((a, t) for a in labels if (t := scan_step(g, states, a)))
+    assert g.followers(states) == expected
+    assert g.followers(states) == expected  # the second call reads the memo
+
+
+@settings(max_examples=200, deadline=None)
 @given(graphs(), words)
 def test_reads_match_scan(g, word):
     assert g.reads(word) == scan_reads(g, word, scan_step)

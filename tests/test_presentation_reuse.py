@@ -210,7 +210,7 @@ def _spine_digit(g, i):
     lbls = [a for _, a, t in g.out_edges(i) if t == i + 1]
     if len(lbls) == 1:
         return lbls[0]
-    raise FoldNotVerified(f"ambiguous spine at V{i}", periodicity_violated=True)
+    raise FoldNotVerified(f"ambiguous spine at V{i}")
 
 
 def _back_edges(g, i, spine_label):
@@ -239,7 +239,7 @@ def reference_fold(g, u, v):
         last_error = f"period {p} not verified within horizon {horizon}"
     if horizon < u + 6 * v:
         raise FoldNotVerified(f"horizon {horizon} too small to verify folding")
-    raise FoldNotVerified(last_error or "fold failed", periodicity_violated=True)
+    raise FoldNotVerified(last_error or "fold failed")
 
 
 def outcome(fn, *args, **kwargs):
@@ -247,8 +247,7 @@ def outcome(fn, *args, **kwargs):
     try:
         return "value", fn(*args, **kwargs)
     except (DisconnectedPair, InadmissibleWord, NoBranchReachable, FoldNotVerified) as exc:
-        return ("error", type(exc).__name__, str(exc), getattr(exc, "pair", None),
-                getattr(exc, "periodicity_violated", None))
+        return "error", type(exc).__name__, str(exc), getattr(exc, "pair", None)
 
 
 def table_outcome(p, maxlen):

@@ -131,6 +131,21 @@ def test_fold_insufficient_horizon(pisot_sys):
         fold(g, s.u, s.v)
 
 
+def test_automaton_is_the_fold_at_one_horizon():
+    """Horizons u+6v, u+6v+4, 2(u+6v+4) and 200 all fold to the automaton that
+    automaton_for builds at u+6v+4; at u+2v the fold cannot verify on any base."""
+    assert len(BASES) == 68
+    for coeffs, lo, hi in BASES:
+        sys = MinusBetaSystem(make_algebraic(IntPolynomial(coeffs), lo, hi))
+        s = sys.expansion_of_one()
+        base = s.u + 6 * s.v + 4
+        aut = automaton_for(sys)
+        for horizon in (base - 4, base, 2 * base, 200):
+            assert fold(build_gamma(s, horizon), s.u, s.v) == aut, (coeffs, horizon)
+        with pytest.raises(FoldNotVerified):
+            fold(build_gamma(s, s.u + 2 * s.v), s.u, s.v)
+
+
 # -- decomposition ------------------------------------------------------------------
 
 
