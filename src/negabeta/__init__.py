@@ -15,12 +15,12 @@ import importlib
 # The public names of each module; ``__all__`` is their union.
 _EXPORTS = {
     "algebraic": (
-        "AlgebraicNumber", "DecimalBeta", "FieldElement", "IntPolynomial",
+        "AlgebraicNumber", "FieldElement", "IntPolynomial",
         "MixedFields", "MultipleRootsInInterval", "NoRootInInterval",
         "field_arith", "make_algebraic", "parse_beta_spec", "sign_of", "to_decimal",
     ),
     "transform": (
-        "Case", "DigitSequence", "HitBoundary", "InexactMode", "MinusBetaSystem",
+        "Case", "DigitSequence", "HitBoundary", "MinusBetaSystem",
         "NotEventuallyPeriodic", "Ordering", "Side", "SignedPoint", "alt_compare",
     ),
     "shiftgraph": (

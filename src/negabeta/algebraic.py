@@ -804,14 +804,6 @@ def to_decimal(a: FieldElement, digits: int) -> str:
 
 # -- shared beta input grammar -------------------------------------------------
 
-@dataclass(frozen=True)
-class DecimalBeta:
-    """Inexact beta given as a plain decimal; blocks every exactness-bearing path."""
-
-    value: Fraction
-    precision: int
-
-
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -819,11 +811,13 @@ def _parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
-def parse_beta_spec(text: str) -> AlgebraicNumber | DecimalBeta:
+def parse_beta_spec(text: str) -> AlgebraicNumber:
     """Parse the shared beta grammar.
 
     Either ``poly:<c0,c1,...,ck>;interval:<lo>,<hi>`` with rational bounds
-    written as ``p/q``, or ``decimal:<d>;precision:<digits>``.
+    written as ``p/q``, or ``decimal:<d>;precision:<digits>``, which is the
+    exact rational d as a number of degree 1; precision is range-checked and
+    not read.
     """
     fields = {}
     for chunk in text.split(";"):
@@ -844,8 +838,8 @@ def parse_beta_spec(text: str) -> AlgebraicNumber | DecimalBeta:
         lo, hi = (_parse_rational(b) for b in bounds)
         return make_algebraic(IntPolynomial(coeffs), lo, hi)
     if "decimal" in fields:
-        precision = int(fields.get("precision", "64"))
-        if precision < 1:
+        if int(fields.get("precision", "64")) < 1:
             raise ValueError("precision must be >= 1")
-        return DecimalBeta(_parse_rational(fields["decimal"]), precision)
+        d = _parse_rational(fields["decimal"])
+        return make_algebraic(IntPolynomial((-d.numerator, d.denominator)), d, d)
     raise ValueError("beta spec must start with poly: or decimal:")

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 from negabeta import algebraic
 from negabeta.algebraic import parse_beta_spec
 from negabeta.transform import (
-    EXPANSION_STEPS, InexactMode, MinusBetaSystem, NotEventuallyPeriodic, word_to_text,
+    EXPANSION_STEPS, MinusBetaSystem, NotEventuallyPeriodic, word_to_text,
 )
 
 
@@ -34,7 +35,16 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises what argparse rejects as a usage error, which prints one line."""
+    """Raises what argparse rejects as a usage error, which prints one line.
+
+    A token that starts like a negative number (``-0.1:0.5:3``, ``-.5``,
+    ``-inf``, ``-nan``) is a flag value, not a flag, so it reaches the
+    command's own check; subparsers are built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise UsageError(message)
@@ -76,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, beta=True):
         if beta:
             p.add_argument("--beta", required=True,
-                           help="poly:<c0,...,ck>;interval:<lo>,<hi> or decimal:<d>;precision:<n>")
+                           help="poly:<c0,...,ck>;interval:<lo>,<hi> or decimal:<d>;precision:<n> "
+                                "(the exact rational d; precision is accepted and not read)")
         p.add_argument("--format", dest="fmt", default="json", choices=["json", "csv", "dot"])
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--seed", type=int, default=None)
@@ -295,8 +306,6 @@ def _positive(config: RunConfig, key: str, flag: str) -> int:
 def _cmd_cyl(config: RunConfig):
     maxlen = _positive(config, "maxlen", "--maxlen")
     system = _system_for(config)
-    if not system.exact:
-        raise InexactMode("cylinder tables need an exact algebraic beta")
     system.expansion_of_one()
     rows = _cylinder_rows(system, maxlen, config.digits)
     return {"rows": rows}
@@ -442,8 +451,13 @@ def _cmd_validate(config: RunConfig):
     sweep = list(measures.cylinder_walk(system, maxlen))
     record("cylinder_upper_bounds", all(r.upper_bound_ok for r in sweep))
     corrected = (system.beta.one() - system.b * system.beta_inverse) * system.beta_inverse
-    lower_ok = all(r.length >= corrected * r.scale for r in sweep if r.lower_bound_applicable)
-    record("cylinder_lower_bounds_corrected", lower_ok)
+    low = next((r for r in sweep
+                if r.lower_bound_applicable and r.length < corrected * r.scale), None)
+    record("cylinder_lower_bounds_corrected", low is None,
+           "" if low is None else
+           f"word {word_to_text(low.interval.word, system.b)} has length/scale "
+           f"{algebraic.to_decimal(low.length / low.scale, 6)} below (1 - b/beta)/beta = "
+           f"{algebraic.to_decimal(corrected, 6)}")
     totals = measures.length_totals(r.interval for r in sweep)
     record("partition_identity", all(totals.get(n) == 1 for n in range(1, min(maxlen, 8) + 1)))
 
@@ -558,7 +572,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (InexactMode, NotEventuallyPeriodic) as exc:
+    except NotEventuallyPeriodic as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
     except _NeverHit as exc:

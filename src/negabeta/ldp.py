@@ -288,11 +288,8 @@ def _scale_sample(sample: int, precision: int) -> int:
 
 
 def _beta_fixed_point(system: MinusBetaSystem, precision: int) -> int:
-    beta_val = system.beta_element
-    if system.exact:
-        lo, hi = beta_val.approx(Fraction(1, 2 ** (precision + 8)))
-        return round((lo + hi) / 2 * (1 << precision))
-    return round(beta_val * (1 << precision))
+    lo, hi = system.beta_element.approx(Fraction(1, 2 ** (precision + 8)))
+    return round((lo + hi) / 2 * (1 << precision))
 
 
 def _orbit_digits(system: MinusBetaSystem, n: int, sample: int, precision: int,
@@ -488,9 +485,7 @@ def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
             f"n*log2(beta) = {bits:.2f} exceeds the {_ORBIT_BITS} bits an orbit may use "
             f"of a {_SAMPLE_BITS}-bit sample"
         )
-    if (not system.exact and system.beta.value == 2) or (
-            system.exact and system.beta.degree == 1
-            and system.beta.generator().as_fraction() == 2):
+    if system.beta_element == 2:
         return _window_deviation(window, n, sample_count, seed,
                                  lambda start, samples: _digit_means_beta2(psi, n, samples))
 
@@ -549,7 +544,7 @@ def compare_rate_functions(system: MinusBetaSystem) -> list[RateComparisonRow]:
     component, so the fixed-point mass at the smallest fixed point separates
     the two.  Only defined for the cubic base (root of x^3 - x - 1).
     """
-    if not system.exact or system.beta.minpoly.coefficients != _PISOT_MINPOLY:
+    if system.beta.minpoly.coefficients != _PISOT_MINPOLY:
         raise WrongBeta("the comparison is specific to the cubic Pisot base")
     log_beta = system.log_beta()
     chain = chain_for(system)

@@ -2,11 +2,10 @@
 
 The map acts on [0, 1], is affine with slope -beta on each branch, and its
 symbolic dynamics is governed by the expansion of 1 taken as the limit from
-below.  Exact systems (algebraic beta) track orbit points as field elements
-together with a side tag, so endpoint conventions and eventual periodicity
-are decided without any numerical perturbation.  Decimal-mode systems only
-support itineraries and sampling; everything that certifies an exact fact
-refuses them.
+below.  Beta is an algebraic number (a decimal input is the exact rational
+it names), and orbit points are field elements together with a side tag, so
+endpoint conventions and eventual periodicity are decided without any
+numerical perturbation.
 """
 
 from __future__ import annotations
@@ -19,12 +18,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterator, Sequence, Union
 
-from negabeta.algebraic import (
-    AlgebraicNumber,
-    DecimalBeta,
-    FieldElement,
-    Rational,
-)
+from negabeta.algebraic import AlgebraicNumber, FieldElement
 
 Word = tuple[int, ...]
 PointLike = Union[FieldElement, Fraction, int]
@@ -46,11 +40,7 @@ class CaseUnknown(TransformError):
 
 
 class NotEventuallyPeriodic(TransformError):
-    """Orbit of 1 showed no cycle within the step budget (not a proof)."""
-
-
-class InexactMode(TransformError):
-    """Operation needs an exact (algebraic) beta but the system is decimal-mode."""
+    """Orbit of 1 is not eventually periodic, or showed no cycle within the step budget."""
 
 
 class HitBoundary(TransformError):
@@ -237,9 +227,6 @@ def border_step(ref: DigitSequence, active: tuple[int, ...], a: int) -> tuple[in
 
 def _floor_exact(t) -> tuple[int, bool]:
     """Floor of an exact nonnegative value; flags whether t is an integer."""
-    if isinstance(t, Fraction):
-        k = t.numerator // t.denominator
-        return k, t.denominator == 1
     if t.is_rational():
         r = t.as_fraction()
         k = r.numerator // r.denominator
@@ -268,29 +255,19 @@ class JInterval:
 class MinusBetaSystem:
     """The negative-beta map for a fixed beta > 1.
 
-    Exact systems carry an algebraic beta; ``DecimalBeta`` input builds an
-    inexact system restricted to itineraries and Monte Carlo sampling.  The
-    instance is immutable after the expansion of 1 has been computed; the
-    expansion itself is cached.
+    Beta is an algebraic number; a rational beta (the ``decimal:`` input) is
+    one of degree 1 and takes the same arithmetic.  The instance is immutable
+    after the expansion of 1 has been computed; the expansion itself is
+    cached.
     """
 
-    def __init__(self, beta: Union[AlgebraicNumber, DecimalBeta]):
-        if isinstance(beta, DecimalBeta):
-            self.exact = False
-            self.beta = beta
-            if beta.value <= 1:
-                raise ValueError("beta must exceed 1")
-            num, den = beta.value.numerator, beta.value.denominator
-            self.b = (num - 1) // den
-            self._beta_el = beta.value
-        else:
-            self.exact = True
-            self.beta = beta
-            gen = beta.generator()
-            if (gen - 1).sign() <= 0:
-                raise ValueError("beta must exceed 1")
-            self._beta_el = gen
-            self.b = self._floor_of_beta()
+    def __init__(self, beta: AlgebraicNumber):
+        self.beta = beta
+        gen = beta.generator()
+        if (gen - 1).sign() <= 0:
+            raise ValueError("beta must exceed 1")
+        self._beta_el = gen
+        self.b = self._floor_of_beta()
         self._expansion: DigitSequence | None = None
         self._case = Case.UNKNOWN
         self._partition: tuple[JInterval, ...] | None = None
@@ -304,14 +281,13 @@ class MinusBetaSystem:
     # -- basic numbers ----------------------------------------------------------
 
     @property
-    def beta_element(self):
-        """beta as an exact arithmetic object (field element or Fraction)."""
+    def beta_element(self) -> FieldElement:
+        """beta as an exact field element."""
         return self._beta_el
 
     @cached_property
     def beta_inverse(self) -> FieldElement:
         """1/beta as an exact field element, computed once per system."""
-        self._require_exact("beta_inverse")
         return self.beta.one() / self._beta_el
 
     def beta_float(self) -> float:
@@ -323,19 +299,6 @@ class MinusBetaSystem:
     @property
     def case(self) -> Case:
         return self._case
-
-    def _require_exact(self, what: str):
-        if not self.exact:
-            raise InexactMode(f"{what} needs an exact algebraic beta")
-
-    def _one(self):
-        return self.beta.one() if self.exact else Fraction(1)
-
-    def _zero(self):
-        return self.beta.zero() if self.exact else Fraction(0)
-
-    def _num(self, r: Rational):
-        return self.beta.from_rational(r) if self.exact else Fraction(r)
 
     # -- the map ------------------------------------------------------------------
 
@@ -367,11 +330,9 @@ class MinusBetaSystem:
 
     def apply_map(self, x: PointLike):
         """Map value at x, honoring the endpoint tables of the active case."""
-        if self.exact and isinstance(x, (int, Fraction)):
+        if isinstance(x, (int, Fraction)):
             x = self.beta.from_rational(x)
-        if not self.exact and not isinstance(x, (int, Fraction)):
-            raise InexactMode("decimal-mode systems take rational points")
-        zero, one = self._zero(), self._one()
+        zero, one = self.beta.zero(), self.beta.one()
         if x < zero or x > one:
             raise OutOfDomain("point outside [0, 1]")
         if x == zero:
@@ -394,15 +355,21 @@ class MinusBetaSystem:
         Iterates the side-tagged point (1, from_below); the digit at an
         endpoint k/beta is k-1 when approaching from below and k from above,
         and the side flips at every step because each branch is decreasing.
-        Raises :class:`NotEventuallyPeriodic` when the budget runs out, which
-        is not a proof that the orbit is aperiodic.
+        Raises :class:`NotEventuallyPeriodic` at once, before any step, when
+        the minimal polynomial of beta is not monic: every orbit point is
+        (d+1) - beta*x of the one before, an integer polynomial in beta with
+        leading coefficient +-1, so a repeat makes beta a root of a monic
+        integer polynomial, and that refusal is a proof.  Raises it too when
+        the budget runs out, which is not a proof that the orbit is aperiodic.
         """
-        self._require_exact("expansion_of_one")
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self._expansion is not None:
             return self._expansion
-        value, side = self._one(), Side.BELOW
+        if self.beta.minpoly.coefficients[-1] != 1:
+            raise NotEventuallyPeriodic(
+                "beta is not an algebraic integer, so the orbit of 1 is not eventually periodic")
+        value, side = self.beta.one(), Side.BELOW
         seen: dict = {}
         digits: list[int] = []
         for step in range(max_steps):
@@ -438,9 +405,9 @@ class MinusBetaSystem:
                 digit, value, side = self._signed_step(value, side)
                 digits.append(digit)
             return tuple(digits)
-        if self.exact and isinstance(x, (int, Fraction)):
+        if isinstance(x, (int, Fraction)):
             x = self.beta.from_rational(x)
-        zero, one = self._zero(), self._one()
+        zero, one = self.beta.zero(), self.beta.one()
         if x < zero or x > one:
             raise OutOfDomain("point outside [0, 1]")
         digits = []
@@ -459,7 +426,6 @@ class MinusBetaSystem:
 
     def word_admissible(self, w: Sequence[int]) -> bool:
         """True iff no suffix of w exceeds the expansion of 1 in alternating order."""
-        self._require_exact("word_admissible")
         ref = self.expansion_of_one()
         w = tuple(w)
         for d in w:
@@ -479,7 +445,6 @@ class MinusBetaSystem:
         order.  Equivalent to filtering by :meth:`word_admissible` but
         exponentially cheaper on the inadmissible subtrees.
         """
-        self._require_exact("enumerate_admissible")
         ref = self.expansion_of_one()
         # An explicit stack, not recursion: words may be longer than Python's
         # recursion limit.  Children are pushed in reverse digit order, so the
@@ -499,7 +464,6 @@ class MinusBetaSystem:
 
     def value_of(self, s: DigitSequence) -> FieldElement:
         """The unique point whose itinerary is s, by exact geometric summation."""
-        self._require_exact("value_of")
         inv = self.beta_inverse
         acc = self.beta.zero()
         power = inv
@@ -526,7 +490,6 @@ class MinusBetaSystem:
 
     def partition(self) -> tuple[JInterval, ...]:
         """The coding partition, with case-dependent endpoint inclusions (cached)."""
-        self._require_exact("partition")
         if self._case is Case.UNKNOWN:
             raise CaseUnknown("run expansion_of_one first")
         if self._partition is None:
@@ -535,7 +498,7 @@ class MinusBetaSystem:
             cells = []
             for i in range(self.b + 1):
                 lo = inv * i
-                hi = self._one() if i == self.b else inv * (i + 1)
+                hi = self.beta.one() if i == self.b else inv * (i + 1)
                 if case1:
                     cells.append(JInterval(i, lo, hi, lo_closed=(i == 0), hi_closed=True))
                 else:
@@ -544,6 +507,4 @@ class MinusBetaSystem:
         return self._partition
 
     def __repr__(self):
-        if self.exact:
-            return f"MinusBetaSystem(beta~{float(self._beta_el):.6f}, b={self.b}, {self._case.value})"
-        return f"MinusBetaSystem(decimal beta={float(self._beta_el):.6f}, b={self.b})"
+        return f"MinusBetaSystem(beta~{float(self._beta_el):.6f}, b={self.b}, {self._case.value})"

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negabeta.algebraic import (
+    AlgebraicNumber,
     IntPolynomial,
     MixedFields,
     MultipleRootsInInterval,
     NoRootInInterval,
-    DecimalBeta,
     field_arith,
     make_algebraic,
     parse_beta_spec,
@@ -180,10 +180,13 @@ def test_parse_beta_spec_poly():
 
 
 def test_parse_beta_spec_decimal():
+    """decimal:d is the exact rational d, a number of degree 1."""
     spec = parse_beta_spec("decimal:1.8;precision:200")
-    assert isinstance(spec, DecimalBeta)
-    assert spec.value == Fraction(9, 5)
-    assert spec.precision == 200
+    assert isinstance(spec, AlgebraicNumber)
+    assert spec.minpoly.coefficients == (-9, 5)
+    assert spec.generator().as_fraction() == Fraction(9, 5)
+    # precision is range-checked and not read
+    assert parse_beta_spec("decimal:1.8;precision:1").minpoly == spec.minpoly
 
 
 @pytest.mark.parametrize("bad", [

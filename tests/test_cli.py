@@ -21,6 +21,8 @@ PISOT = "poly:-1,-1,0,1;interval:1,2"
 TWO = "poly:-2,1;interval:1,3"
 GOLDEN = "poly:-1,-1,1;interval:1,2"
 DEFECT = "poly:-1,-1,-2,1;interval:2,3"  # x^3-2x^2-x-1: d(1) = 21(2), so "20" is inadmissible
+NON_MONIC = ("budget exhausted: beta is not an algebraic integer, "
+             "so the orbit of 1 is not eventually periodic\n")
 
 
 def invoke(argv, capsys):
@@ -85,7 +87,29 @@ def test_yrrap_pisot_json(capsys):
 def test_yrrap_decimal_mode_is_budget_exit(capsys):
     code, _, err = invoke(["yrrap", "--beta", "decimal:1.8;precision:64"], capsys)
     assert code == 3
-    assert "exact" in err
+    assert err == NON_MONIC
+
+
+@pytest.mark.parametrize("beta", ["poly:-3,0,2;interval:1,2", "poly:-9,5;interval:1,2"])
+def test_yrrap_refuses_non_monic_base(beta, capsys):
+    assert invoke(["yrrap", "--beta", beta], capsys) == (3, "", NON_MONIC)
+
+
+_EXACT_COMMANDS = [
+    ["yrrap"], ["graph"], ["components"], ["spec"], ["entropy"], ["gbeta", "--n", "8"],
+    ["cyl", "--maxlen", "6"], ["rate", "--a", "0.4"], ["validate", "--maxlen", "6", "--seed", "3"],
+    ["mc", "--window", "0.3:0.6", "--n", "10", "--N", "2000", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("decimal, poly",
+                         [("decimal:2", TWO), ("decimal:3", "poly:-3,1;interval:2,4")])
+def test_integer_decimal_base_matches_its_poly_form(decimal, poly, capsys):
+    """decimal:d is the exact rational d, so every command prints the poly form's bytes."""
+    for name, *rest in _EXACT_COMMANDS:
+        got = invoke([name, "--beta", decimal, *rest], capsys)
+        assert got == invoke([name, "--beta", poly, *rest], capsys), name
+        assert got[0] == 0, name
 
 
 def test_graph_json_and_dot(capsys):
@@ -254,6 +278,32 @@ def test_cyl_and_validate_read_the_automaton_only(monkeypatch, capsys):
     monkeypatch.setattr(MinusBetaSystem, "word_admissible", refuse)
     assert [invoke(argv, capsys) for argv in argvs] == expected
     assert [code for code, _, _ in expected] == [0, 0]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["rate", "--beta", TWO], "--a-grid", "-0.1:0.5:3"),
+    (["rate", "--beta", TWO], "--a", "-inf"),
+    (["mc", "--beta", TWO, "--n", "5", "--N", "100", "--seed", "1"], "--window", "-0.1:0.2"),
+    (["example32", "--n", "5", "--N", "100", "--seed", "1"], "--a-window", "-0.1:0.2"),
+], ids=["rate-a-grid", "rate-a", "mc-window", "example32-a-window"])
+def test_negative_flag_value_spaced_form_matches_equals_form(argv, flag, value, capsys):
+    """A value that starts like a negative number reaches the command's own check."""
+    spaced = invoke([*argv, flag, value], capsys)
+    assert spaced == invoke([*argv, f"{flag}={value}"], capsys)
+    assert "expected one argument" not in spaced[2]
+
+
+def test_validate_names_the_word_below_the_corrected_lower_bound(capsys):
+    """On x^4-x-1 a branching word's length/scale falls below (1 - b/beta)/beta."""
+    code, out, _ = invoke(["validate", "--beta", "poly:-1,-1,0,0,1;interval:1,2",
+                           "--maxlen", "7", "--seed", "3"], capsys)
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    lower = checks["cylinder_lower_bounds_corrected"]
+    assert lower["ok"] is False
+    assert lower["detail"] == ("word 0001001 has length/scale 0.072615 "
+                               "below (1 - b/beta)/beta = 0.148129")
+    assert all(c["detail"] == "" for c in checks.values() if c["ok"])
 
 
 def test_a_grid_count_message_names_the_count(capsys):

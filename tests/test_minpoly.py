@@ -28,7 +28,6 @@ from negabeta import algebraic
 from negabeta.algebraic import (
     AlgebraicError,
     AlgebraicNumber,
-    DecimalBeta,
     IntPolynomial,
     MultipleRootsInInterval,
     NoRootInInterval,
@@ -169,7 +168,10 @@ def test_parse_beta_spec_returns_or_raises_value_or_algebraic_error(text):
         beta = parse_beta_spec(text)
     except (ValueError, AlgebraicError):
         return
-    assert isinstance(beta, (AlgebraicNumber, DecimalBeta))
+    assert isinstance(beta, AlgebraicNumber)
+    if text.startswith("decimal:"):
+        d = Fraction(text[len("decimal:"):].split(";")[0])
+        assert beta.minpoly.coefficients == (-d.numerator, d.denominator)
 
 
 # -- pinned cases ---------------------------------------------------------------------------------

@@ -6,13 +6,12 @@ from itertools import islice
 
 import pytest
 
-from negabeta.algebraic import DecimalBeta, IntPolynomial, make_algebraic
+from negabeta.algebraic import IntPolynomial, make_algebraic, parse_beta_spec
 from negabeta.transform import (
     Case,
     CaseUnknown,
     DigitSequence,
     HitBoundary,
-    InexactMode,
     MinusBetaSystem,
     NotEventuallyPeriodic,
     Ordering,
@@ -21,6 +20,8 @@ from negabeta.transform import (
     SignedPoint,
     alt_compare,
 )
+
+from pisot_bases import BASES
 
 PISOT = IntPolynomial((-1, -1, 0, 1))
 
@@ -119,11 +120,8 @@ def limit_expansion_oracle(sys, steps):
     with it.  Iteration here stays on interior points only.
     """
     delta_exp = steps + 30
-    if sys.exact:
-        one = sys.beta.one()
-        x = one - (one / sys.beta_element ** delta_exp)
-    else:
-        x = 1 - Fraction(1, 2**delta_exp)
+    one = sys.beta.one()
+    x = one - (one / sys.beta_element ** delta_exp)
     return sys.itinerary(x, steps)
 
 
@@ -148,10 +146,27 @@ def test_expansion_budget_exhaustion():
         sys.expansion_of_one(max_steps=2)
 
 
-def test_expansion_refused_in_decimal_mode():
-    sys = MinusBetaSystem(DecimalBeta(Fraction(9, 5), 64))
-    with pytest.raises(InexactMode):
+@pytest.mark.parametrize("spec", [
+    "poly:-3,0,2;interval:1,2", "poly:-9,5;interval:1,2", "decimal:1.8;precision:64",
+])
+def test_expansion_refused_for_non_monic_minpoly(spec, monkeypatch):
+    """A base that is not an algebraic integer is refused before the first step."""
+    sys = MinusBetaSystem(parse_beta_spec(spec))
+
+    def no_step(*args):
+        raise AssertionError("expansion_of_one took a step")
+
+    monkeypatch.setattr(MinusBetaSystem, "_signed_step", no_step)
+    with pytest.raises(NotEventuallyPeriodic, match="not an algebraic integer"):
         sys.expansion_of_one()
+
+
+def test_no_pisot_base_is_refused_as_non_monic():
+    assert len(BASES) == 68
+    for coeffs, lo, hi in BASES:
+        beta = make_algebraic(IntPolynomial(coeffs), lo, hi)
+        assert beta.minpoly.coefficients[-1] == 1, coeffs
+        MinusBetaSystem(beta).expansion_of_one()
 
 
 # -- itineraries ------------------------------------------------------------------
@@ -186,7 +201,8 @@ def test_itinerary_signed_point_through_boundary(two_sys):
 
 
 def test_itinerary_decimal_mode():
-    sys = MinusBetaSystem(DecimalBeta(Fraction(9, 5), 64))
+    sys = MinusBetaSystem(parse_beta_spec("decimal:1.8;precision:64"))
+    assert sys.beta.degree == 1
     word = sys.itinerary(Fraction(1, 3), 10)
     assert len(word) == 10
     assert all(0 <= d <= sys.b for d in word)
@@ -314,12 +330,6 @@ def test_round_trip_small_periods(pisot_sys, two_sys):
             except HitBoundary:
                 continue
             done += 1
-
-
-def test_value_of_refused_in_decimal_mode():
-    sys = MinusBetaSystem(DecimalBeta(Fraction(9, 5), 64))
-    with pytest.raises(InexactMode):
-        sys.value_of(DigitSequence((), (0,), 1))
 
 
 # -- digit sequences ----------------------------------------------------------------------
