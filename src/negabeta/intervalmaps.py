@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from negabeta.ldp import DeviationEstimate, _window_deviation
+from negabeta.ldp import DeviationEstimate, _sample_int, _window_deviation
 from negabeta.measures import Branch, affine_cylinder, affine_cylinder_walk
 from negabeta.shiftgraph import LabeledGraph, enumerate_words
 from negabeta.specprop import SoficPresentation
@@ -262,6 +262,27 @@ def circle_nonwandering(fmap: CircleMap) -> list[float]:
     return clusters
 
 
+_EXACT_HI = 2**55  # a sample whose top 64 bits reach this rounds from them and a sticky bit
+
+
+def _circle_thetas(block: np.ndarray) -> np.ndarray:
+    """The rows of a sample block as doubles: s / 2.0**128 for each 128-bit s.
+
+    With s = hi * 2^64 + lo and hi >= 2^55, hi carries at least 56 bits, so
+    rounding s to 53 bits looks at lo only as a sticky bit: setting the last
+    bit of hi when lo != 0 and converting hi rounds the same way.  The few
+    rows with a smaller hi (about 1 in 512) are divided as Python integers.
+    """
+    import numpy as np
+
+    words = block.view(">u8")
+    hi, lo = words[:, 0], words[:, 1]
+    theta = (hi | (lo != 0)).astype(np.float64) * 2.0**-64
+    for k in np.flatnonzero(hi < _EXACT_HI):
+        theta[k] = _sample_int(block[k]) / 2.0**128
+    return theta
+
+
 def circle_mc_deviation(a_window: tuple[float, float], n: int, sample_count: int,
                         seed: int, eps: float = 0.05) -> DeviationEstimate:
     """Lebesgue probability of spending a given fraction of time near the source.
@@ -269,16 +290,18 @@ def circle_mc_deviation(a_window: tuple[float, float], n: int, sample_count: int
     The occupation observable is the fraction of the first n iterates within
     eps of 0 (circle distance); the predicted decay rate of the tail at
     fraction a is a * log f'(0).  Uses the same counter-based sampler as the
-    digit engine, iterated in double precision, and counts hits per batch of
-    ``_CHUNK`` samples, so memory stays flat in the sample count.
+    digit engine: each batch of ``_CHUNK`` samples is hashed into one buffer,
+    whose rows are read as doubles (:func:`_circle_thetas`; only the rare row
+    below 2^-9 becomes a Python integer) and iterated in double precision.
+    Hits are counted per batch, so memory stays flat in the sample count.
     """
     import numpy as np
 
     fmap = CircleMap()
 
-    def occupation_fractions(start: int, samples: list[int]) -> np.ndarray:
-        theta = np.array([s / 2.0**128 for s in samples])
-        near = np.zeros(len(samples))
+    def occupation_fractions(start: int, block: np.ndarray) -> np.ndarray:
+        theta = _circle_thetas(block)
+        near = np.zeros(len(block))
         for _ in range(n):
             dist = np.minimum(theta, 1.0 - theta)
             near += dist <= eps

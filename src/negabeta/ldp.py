@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from negabeta.measures import MarkovMeasure, parry_measure, _psi_value
 from negabeta.shiftgraph import ComponentChain, chain_for, spectral_radius
@@ -124,35 +124,57 @@ def free_energy(mu: Union[MarkovMeasure, float], phi_const: float,
 # -- pressure over the component chain --------------------------------------------------
 
 
-def _component_pressure(chain: ComponentChain, comp_index: int, psi: Psi, t: float) -> float:
+# One component of the chain with the observable on its edges: the vertex
+# count and the edges as (src, dst, psi(label)), in sorted (src, label, dst) order.
+_WeightedComponent = tuple[int, list[tuple[int, int, float]]]
+
+
+def _weighted_components(chain: ComponentChain, psi: Psi) -> list[_WeightedComponent]:
+    """The chain's components with the observable's value on every edge.
+
+    :func:`pressure` builds them on each call unless it is given them;
+    :func:`level1_rate`, which evaluates it at many t, builds them once.
+    """
+    out = []
+    for i in range(chain.q):
+        graph = chain.component_graph(i)
+        out.append((graph.vertex_count,
+                    [(s, d, _psi_value(psi, a)) for s, a, d in sorted(graph.edges)]))
+    return out
+
+
+def _component_pressure(component: _WeightedComponent, t: float) -> float:
     import numpy as np
 
-    graph = chain.component_graph(comp_index)
-    n = graph.vertex_count
-    weights = [t * _psi_value(psi, a) for _, a, _ in sorted(graph.edges)]
+    n, edges = component
+    weights = [t * value for _, _, value in edges]
     if not weights:
         return float("-inf")
     shift = max(weights)
     mat = np.zeros((n, n))
-    for (s, a, d) in sorted(graph.edges):
-        mat[s, d] += math.exp(t * _psi_value(psi, a) - shift)
+    for (s, d, _), weight in zip(edges, weights):
+        mat[s, d] += math.exp(weight - shift)
     rho = spectral_radius(mat)
     if rho <= 0:
         return float("-inf")
     return shift + math.log(rho)
 
 
-def pressure(chain: ComponentChain, psi: Psi, t: float) -> tuple[float, int]:
+def pressure(chain: ComponentChain, psi: Psi, t: float, *,
+             components: Optional[list[_WeightedComponent]] = None) -> tuple[float, int]:
     """Best weighted growth rate over the chain, with the achieving component.
 
     Invariant measures decompose over the ordered pieces, so the supremum
     over all of them is the maximum of the per-component weighted spectral
-    radii; mixtures never beat the best piece.
+    radii; mixtures never beat the best piece.  ``components``, if given,
+    is ``_weighted_components(chain, psi)``.
     """
+    if components is None:
+        components = _weighted_components(chain, psi)
     best = float("-inf")
     arg = 0
-    for i in range(chain.q):
-        val = _component_pressure(chain, i, psi, t)
+    for i, component in enumerate(components):
+        val = _component_pressure(component, t)
         if val > best:
             best, arg = val, i
     return best, arg
@@ -165,21 +187,19 @@ def pressure_value(chain: ComponentChain, psi: Psi, t: float) -> float:
 # -- achievable means ----------------------------------------------------------------------
 
 
-def _extreme_cycle_means(chain: ComponentChain, psi: Psi) -> tuple[float, float]:
+def _extreme_cycle_means(components: list[_WeightedComponent]) -> tuple[float, float]:
     """Min and max mean of the observable over directed cycles of the chain."""
     lo = math.inf
     hi = -math.inf
-    for i in range(chain.q):
-        graph = chain.component_graph(i)
-        n = graph.vertex_count
+    for n, edges in components:
         for sign in (1, -1):
             # Karp's minimum mean cycle on the (possibly negated) labels
             dist = [[math.inf] * n for _ in range(n + 1)]
             for v in range(n):
                 dist[0][v] = 0.0
             for k in range(1, n + 1):
-                for s, a, t_ in graph.edges:
-                    w = sign * _psi_value(psi, a)
+                for s, t_, value in edges:
+                    w = sign * value
                     if dist[k - 1][s] + w < dist[k][t_]:
                         dist[k][t_] = dist[k - 1][s] + w
             best = math.inf
@@ -212,12 +232,13 @@ def level1_rate(chain: ComponentChain, psi: Psi, a: float, phi_const: float) -> 
     the cap is reached (the cap handles means attained only in the limit).
     The rate is phi_const - H(a).
     """
-    lo_mean, hi_mean = _extreme_cycle_means(chain, psi)
+    components = _weighted_components(chain, psi)
+    lo_mean, hi_mean = _extreme_cycle_means(components)
     if a < lo_mean - 1e-9 or a > hi_mean + 1e-9:
         raise UnachievableLevel(f"mean {a} outside [{lo_mean}, {hi_mean}]")
 
     def objective(t: float) -> float:
-        return pressure_value(chain, psi, t) - t * a
+        return pressure(chain, psi, t, components=components)[0] - t * a
 
     span = 1.0
     while span < _T_CAP:
@@ -243,7 +264,7 @@ def level1_rate(chain: ComponentChain, psi: Psi, a: float, phi_const: float) -> 
             f2 = objective(x2)
     t_star = (lo + hi) / 2
     entropy = objective(t_star)
-    _, comp = pressure(chain, psi, t_star)
+    _, comp = pressure(chain, psi, t_star, components=components)
     rate = phi_const - entropy
     return RateResult(a, rate, entropy, t_star, comp)
 
@@ -251,7 +272,8 @@ def level1_rate(chain: ComponentChain, psi: Psi, a: float, phi_const: float) -> 
 # -- Monte Carlo -----------------------------------------------------------------------------
 
 
-_SAMPLE_BITS = 128
+_SAMPLE_BYTES = 16
+_SAMPLE_BITS = 8 * _SAMPLE_BYTES
 # An orbit of n steps uses about n*log2(beta) bits of its sample; beyond this
 # cap (a 32-bit margin below the sample's bits) it would read the truncation.
 _ORBIT_BITS = _SAMPLE_BITS - 32
@@ -264,21 +286,30 @@ _CHUNK = 4096
 _AUDIT_STEP = 100
 
 
-def _samples(seed: int, indices: Sequence[int]) -> list[int]:
-    """Counter-based uniform samples on [0, 1) as 128-bit fixed-point integers.
+def _sample_block(seed: int, indices: Iterable[int]) -> np.ndarray:
+    """Counter-based uniform samples on [0, 1), one row of 16 bytes per index.
 
-    Sample ``i`` is the first 16 bytes of sha256 of ``f"{seed}:{i}"``, read
-    big-endian; the prefix is hashed once and copied per index.
+    Row k is the first 16 bytes of sha256 of ``f"{seed}:{i}"`` for the k-th
+    index i: a 128-bit fixed-point number, big-endian.  The prefix is hashed
+    once and copied per index, and the digests are joined into one buffer, so
+    the batch is one ``(count, 16)`` uint8 array that every engine reads.
     """
     import hashlib  # loaded by the sampling commands only
 
+    import numpy as np
+
     prefix = hashlib.sha256(f"{seed}:".encode())
-    out = []
+    digests = []
     for i in indices:
         h = prefix.copy()
         h.update(b"%d" % i)
-        out.append(int.from_bytes(h.digest()[:16], "big"))
-    return out
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(-1, 32)[:, :16]
+
+
+def _sample_int(row: np.ndarray) -> int:
+    """One row of a sample block as its 128-bit integer."""
+    return int.from_bytes(row.tobytes(), "big")
 
 
 def _scale_sample(sample: int, precision: int) -> int:
@@ -318,18 +349,20 @@ def _digit_mean(digits: Sequence[int], psi_vals: Sequence[float]) -> float:
     return acc / len(digits)
 
 
-def _digit_means_generic(system: MinusBetaSystem, psi: Psi, n: int, samples: Sequence[int],
+def _digit_means_generic(system: MinusBetaSystem, psi: Psi, n: int, block: np.ndarray,
                          precision: int, beta_fixed: int) -> np.ndarray:
     """Exact-start fixed-point orbits; one mean of the observable per sample.
 
-    The samples run as lanes of one Python integer, each lane a whole number
-    of bytes and at least 2p + 8 bits wide (p the precision).  Per lane, a
-    step is the scalar step of :func:`_orbit_digits`: with t = beta_fixed * x
-    the digit is t >> 2p and the next point is (2^2p - (t mod 2^2p)) >> p,
-    which lies in [0, 2^p].  The lanes never carry or borrow into each other,
-    so every lane does exactly the scalar integer arithmetic.  The digits of
+    The rows of the sample block run as lanes of one Python integer, each
+    lane a whole number of bytes and at least 2p + 8 bits wide (p the
+    precision): the rows are copied byte-reversed into a zeroed array, which
+    one ``int.from_bytes`` reads.  Per lane, a step is the scalar step of
+    :func:`_orbit_digits`: with t = beta_fixed * x the digit is t >> 2p and
+    the next point is (2^2p - (t mod 2^2p)) >> p, which lies in [0, 2^p].
+    The lanes never carry or borrow into each other, so every lane does
+    exactly the scalar integer arithmetic.  The digits of
     consecutive steps are gathered side by side in each lane and come out of
-    one ``to_bytes`` per block of steps; the means add the observable step by
+    one ``to_bytes`` per group of steps; the means add the observable step by
     step in the scalar order, so they are bit-identical to it.
 
     The scalar loop clamps the digit to b.  Since x <= 2^p, the clamp can
@@ -341,7 +374,7 @@ def _digit_means_generic(system: MinusBetaSystem, psi: Psi, n: int, samples: Seq
 
     b = system.b
     psi_vals = [_psi_value(psi, d) for d in range(b + 1)]
-    count = len(samples)
+    count = len(block)
     top = beta_fixed >> precision  # the largest digit a step can produce
     width = next(w for w in (1, 2, 4, 8) if top < 256**w)  # bytes per digit
     digit_bits = 8 * width
@@ -354,19 +387,21 @@ def _digit_means_generic(system: MinusBetaSystem, psi: Psi, n: int, samples: Seq
     low_mask = unit - ones
     x_mask = (ones << (precision + 1)) - ones
     digit_field = (unit << digit_bits) - unit
-    # a block of steps gathers its digits side by side in each lane, step j
-    # at bit j * digit_bits, for one to_bytes per block
-    block = min(lane_bytes // width, 2 * precision // digit_bits + 1)
+    # a group of steps gathers its digits side by side in each lane, step j
+    # at bit j * digit_bits, for one to_bytes per group
+    group = min(lane_bytes // width, 2 * precision // digit_bits + 1)
 
-    x = int.from_bytes(b"".join([s.to_bytes(lane_bytes, "little") for s in samples]), "little")
+    lanes = np.zeros((count, lane_bytes), dtype=np.uint8)
+    lanes[:, :_SAMPLE_BYTES] = block[:, ::-1]
+    x = int.from_bytes(lanes.tobytes(), "little")
     if precision >= _SAMPLE_BITS:
         x <<= precision - _SAMPLE_BITS
     else:
         x = (x >> (_SAMPLE_BITS - precision)) & x_mask
     psi_arr = np.array(psi_vals, dtype=np.float64)
     acc = np.zeros(count)
-    for first in range(0, n, block):
-        steps = min(block, n - first)
+    for first in range(0, n, group):
+        steps = min(group, n - first)
         packed = 0
         for j in range(steps):
             t = beta_fixed * x
@@ -375,28 +410,24 @@ def _digit_means_generic(system: MinusBetaSystem, psi: Psi, n: int, samples: Seq
         digits = np.frombuffer(packed.to_bytes(count * lane_bytes, "little"),
                                dtype=f"<u{width}").reshape(count, -1)[:, :steps]
         if top > b and digits.max() > b:
-            return np.array([_digit_mean(_orbit_digits(system, n, s, precision, beta_fixed),
-                                         psi_vals) for s in samples])
+            return np.array([_digit_mean(_orbit_digits(system, n, _sample_int(row), precision,
+                                                       beta_fixed), psi_vals) for row in block])
         for values in psi_arr[digits.T]:
             acc += values
     return acc / n
 
 
-def _digit_means_beta2(psi: Psi, n: int, samples: Sequence[int]) -> np.ndarray:
+def _digit_means_beta2(psi: Psi, n: int, block: np.ndarray) -> np.ndarray:
     """Base-2 fast path: the exact fixed-point orbit digits of x are the
     alternately complemented leading bits of x, so digit means reduce to
-    popcounts.  Bit-for-bit equal to the generic engine away from dyadic
-    boundary points (a zero-probability set for hashed samples)."""
+    counts of ones.  The bytes of the block are complemented at the odd bit
+    positions (0x55), unpacked, and the first n bits of each row summed.
+    Bit-for-bit equal to the generic engine away from dyadic boundary points
+    (a zero-probability set for hashed samples)."""
     import numpy as np
 
     psi0, psi1 = _psi_value(psi, 0), _psi_value(psi, 1)
-    odd_mask = 0
-    for k in range(n):
-        if k % 2 == 1:
-            odd_mask |= 1 << (n - 1 - k)
-    shift = _SAMPLE_BITS - n
-    ones = np.fromiter([((x >> shift) ^ odd_mask).bit_count() for x in samples],
-                       dtype=np.int64, count=len(samples))
+    ones = np.unpackbits(block ^ np.uint8(0x55), axis=1, count=n).sum(axis=1, dtype=np.int64)
     return (ones * psi1 + (n - ones) * psi0) / n
 
 
@@ -447,11 +478,12 @@ def deviation_estimate(n: int, sample_count: int, hits: int, seed: int) -> Devia
 
 
 def _window_deviation(window: tuple[float, float], n: int, sample_count: int, seed: int,
-                      batch_means: Callable[[int, list[int]], np.ndarray]) -> DeviationEstimate:
+                      batch_means: Callable[[int, np.ndarray], np.ndarray]) -> DeviationEstimate:
     """Deviation estimate from the n-step means, counted per batch of ``_CHUNK`` samples.
 
-    ``batch_means(start, samples)`` gives the means of the batch that starts
-    at sample index ``start``; memory stays flat in the sample count.
+    ``batch_means(start, block)`` gives the means of the batch that starts
+    at sample index ``start``, whose samples are the rows of the
+    :func:`_sample_block` ``block``; memory stays flat in the sample count.
     """
     import numpy as np
 
@@ -460,7 +492,8 @@ def _window_deviation(window: tuple[float, float], n: int, sample_count: int, se
     lo, hi = window
     hits = 0
     for start in range(0, sample_count, _CHUNK):
-        means = batch_means(start, _samples(seed, range(start, min(start + _CHUNK, sample_count))))
+        block = _sample_block(seed, range(start, min(start + _CHUNK, sample_count)))
+        means = batch_means(start, block)
         hits += int(np.count_nonzero((means >= lo) & (means <= hi)))
     return deviation_estimate(n, sample_count, hits, seed)
 
@@ -470,12 +503,16 @@ def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
     """Lebesgue probability that the n-step observable mean falls in the window.
 
     Samples are counter-based in the seed and the sample index, so results
-    are byte-identical for a fixed (seed, N).  Orbits run at a fixed-point
-    precision of n*log2(beta) + 64 bits, in lane batches of ``_CHUNK``
-    samples whose hits are counted batch by batch.  An audit re-runs every
-    sample whose index is a multiple of ``_AUDIT_STEP`` in scalar: at doubled
-    precision it must give the same digits, and the mean of those digits must
-    equal the engine's mean.  Raises
+    are byte-identical for a fixed (seed, N).  Each batch of ``_CHUNK``
+    samples is hashed into one buffer (:func:`_sample_block`), and the engine
+    reads its lanes from those bytes: the base-2 engine unpacks their bits, the
+    generic one runs them as fixed-point orbits at a precision of
+    n*log2(beta) + 64 bits.  Hits are counted batch by batch.  A sample becomes
+    a Python integer only when it is rerun in scalar: the audit reruns every
+    sample whose index is a multiple of ``_AUDIT_STEP`` (at doubled precision
+    it must give the same digits, and the mean of those digits must equal the
+    engine's mean), and a generic batch whose digit needed the clamp is rerun
+    whole.  Raises
     :class:`OrbitTooLong` when n*log2(beta) exceeds ``_ORBIT_BITS``, and
     :class:`WindowNeverHit` when nothing lands inside.
     """
@@ -487,19 +524,19 @@ def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
         )
     if system.beta_element == 2:
         return _window_deviation(window, n, sample_count, seed,
-                                 lambda start, samples: _digit_means_beta2(psi, n, samples))
+                                 lambda start, block: _digit_means_beta2(psi, n, block))
 
     precision = max(int(math.ceil(bits)), 0) + 64  # n < 1 is refused by _window_deviation
     beta_fixed = _beta_fixed_point(system, precision)
     beta_double = _beta_fixed_point(system, 2 * precision)
     psi_vals = [_psi_value(psi, d) for d in range(system.b + 1)]
 
-    def audited_means(start: int, samples: list[int]) -> np.ndarray:
-        means = _digit_means_generic(system, psi, n, samples, precision, beta_fixed)
+    def audited_means(start: int, block: np.ndarray) -> np.ndarray:
+        means = _digit_means_generic(system, psi, n, block, precision, beta_fixed)
         # the audited indices are the multiples of _AUDIT_STEP
-        for idx in range(start - start % -_AUDIT_STEP, start + len(samples), _AUDIT_STEP):
-            _audit_sample(system, psi_vals, n, idx, samples[idx - start], float(means[idx - start]),
-                          precision, beta_fixed, beta_double)
+        for idx in range(start - start % -_AUDIT_STEP, start + len(block), _AUDIT_STEP):
+            _audit_sample(system, psi_vals, n, idx, _sample_int(block[idx - start]),
+                          float(means[idx - start]), precision, beta_fixed, beta_double)
         return means
 
     return _window_deviation(window, n, sample_count, seed, audited_means)

@@ -1,5 +1,6 @@
 """The slope-3 five-branch system and the circle map with source and sink."""
 
+import hashlib
 import math
 import os
 import random
@@ -14,6 +15,7 @@ import pytest
 from negabeta.intervalmaps import (
     CircleMap,
     IntervalMapError,
+    _circle_thetas,
     _vectorized_circle,
     circle_mc_deviation,
     circle_nonwandering,
@@ -23,7 +25,7 @@ from negabeta.intervalmaps import (
     example31_word_admissible,
     predicted_occupation_rate,
 )
-from negabeta.ldp import WindowNeverHit, _samples
+from negabeta.ldp import _CHUNK, WindowNeverHit, _sample_block
 from negabeta.measures import InadmissibleWord
 from negabeta.shiftgraph import enumerate_words
 from negabeta.specprop import spec_bound
@@ -231,11 +233,55 @@ def test_full_window_is_certain():
     assert est.hits == est.sample_count and est.rate == 0.0
 
 
+def _sample_ints(seed, count):
+    """The counter-based samples, each hashed on its own, as 128-bit integers."""
+    return [int.from_bytes(hashlib.sha256(f"{seed}:{i}".encode()).digest()[:16], "big")
+            for i in range(count)]
+
+
+def _pack(samples):
+    return np.frombuffer(b"".join(s.to_bytes(16, "big") for s in samples),
+                         dtype=np.uint8).reshape(-1, 16)
+
+
+def test_circle_thetas_of_hashed_samples_are_the_divided_integers():
+    count = 5 * _CHUNK  # about 40 rows below 2^-9
+    expected = np.array([s / 2.0**128 for s in _sample_ints(8, count)])
+    assert _circle_thetas(_sample_block(8, range(count))).tobytes() == expected.tobytes()
+
+
+def _crafted_samples():
+    # 0, 1, the largest sample, and values at and next to the 53-bit rounding
+    # point for every bit length; some have hi < 2**55 and take the slow rows
+    out = [0, 1, 2, (1 << 128) - 1, (1 << 55) << 64, ((1 << 55) << 64) - 1]
+    for length in range(1, 129):
+        top = 1 << (length - 1)
+        drop = max(length - 53, 0)  # bits below the last kept one
+        for mantissa in (top, top | 1 << drop, (2 * top - 1) >> drop << drop):
+            out.append(mantissa)
+            if drop:
+                half = 1 << (drop - 1)
+                for low in (half, half - 1, half + 1, (1 << drop) - 1):
+                    out.append((mantissa >> drop << drop) | low)
+                    out.append(((mantissa >> drop << drop) | low) ^ (1 << drop))
+    return [s for s in out if 0 <= s < 1 << 128]
+
+
+def test_circle_thetas_of_crafted_samples_round_as_the_integers():
+    samples = _crafted_samples()
+    block = np.frombuffer(b"".join(s.to_bytes(16, "big") + bytes(16) for s in samples),
+                          dtype=np.uint8).reshape(-1, 32)[:, :16]  # rows with a stride, as hashed
+    assert any(s >> 64 < 2**55 for s in samples) and any(s >> 64 >= 2**55 for s in samples)
+    expected = np.array([s / 2.0**128 for s in samples])
+    assert _circle_thetas(block).tobytes() == expected.tobytes()
+    assert _circle_thetas(_pack(samples)).tobytes() == expected.tobytes()
+
+
 def whole_array_hits(a_window, n, sample_count, seed, eps):
     """The loop circle_mc_deviation had: all samples in one array."""
     strength = CircleMap().strength
     lo, hi = a_window
-    theta = np.array([s / 2.0**128 for s in _samples(seed, range(sample_count))])
+    theta = np.array([s / 2.0**128 for s in _sample_ints(seed, sample_count)])
     near = np.zeros(sample_count)
     for _ in range(n):
         dist = np.minimum(theta, 1.0 - theta)
@@ -246,7 +292,7 @@ def whole_array_hits(a_window, n, sample_count, seed, eps):
 
 
 def test_circle_map_is_elementwise_across_batch_sizes():
-    theta = np.array([s / 2.0**128 for s in _samples(6, range(4096 + 4095 + 7 + 1))])
+    theta = np.array([s / 2.0**128 for s in _sample_ints(6, 4096 + 4095 + 7 + 1)])
     whole, parts = theta, np.split(theta, [4096, 4096 + 4095, 4096 + 4095 + 7])
     for _ in range(30):
         whole = _vectorized_circle(whole, CircleMap().strength)
@@ -261,7 +307,8 @@ def test_circle_hits_counted_per_batch(count):
         assert est.hits == whole_array_hits(window, 30, count, 5, eps)
 
 
-def _example32_peak_rss_kb(samples):
+def _peak_rss_kb(argv):
+    """Peak resident memory (ru_maxrss) of one command run in a fresh process."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -269,8 +316,7 @@ def _example32_peak_rss_kb(samples):
         "import contextlib, io, resource, sys\n"
         "from negabeta.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main(['example32', '--n', '30', '--N', '{samples}', '--eps', '0.1',"
-        " '--seed', '1'])\n"
+        f"    code = main({argv!r})\n"
         "assert code == 0, code\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
@@ -280,6 +326,22 @@ def _example32_peak_rss_kb(samples):
     return int(proc.stdout)
 
 
+def _example32_peak_rss_kb(samples):
+    return _peak_rss_kb(["example32", "--n", "30", "--N", str(samples), "--eps", "0.1",
+                         "--seed", "1"])
+
+
+def _mc_base2_peak_rss_kb(samples):
+    return _peak_rss_kb(["mc", "--beta", "poly:-2,1;interval:1,3", "--obs", "digit1",
+                         "--n", "30", "--N", str(samples), "--window", "0.0:0.4",
+                         "--seed", "1"])
+
+
 def test_example32_memory_flat_in_sample_count():
     # ru_maxrss is in KiB on Linux; 10x the samples may add at most 5 MB
     assert _example32_peak_rss_kb(10**6) - _example32_peak_rss_kb(10**5) <= 5 * 1024
+
+
+def test_mc_memory_flat_in_sample_count():
+    # the base-2 engine draws one sample block per batch, as example32 does
+    assert _mc_base2_peak_rss_kb(10**6) - _mc_base2_peak_rss_kb(10**5) <= 5 * 1024

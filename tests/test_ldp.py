@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from negabeta import ldp
 from negabeta.algebraic import IntPolynomial, make_algebraic
 from negabeta.ldp import (
     UnachievableLevel,
@@ -13,7 +14,7 @@ from negabeta.ldp import (
     _beta_fixed_point,
     _digit_means_beta2,
     _digit_means_generic,
-    _samples,
+    _sample_block,
     compare_rate_functions,
     deviation_estimate,
     free_energy,
@@ -129,6 +130,21 @@ def test_rate_nonnegative_on_grid(two_sys):
         assert result.rate >= -1e-10
 
 
+def test_rate_builds_the_component_graphs_once_per_point(pisot_sys, monkeypatch):
+    # the ~70 pressure evaluations of one rate point share one weighted copy
+    # of the chain's components
+    chain = chain_for(pisot_sys)
+    built, evaluations = [], []
+    real_graph, real_pressure = type(chain).component_graph, ldp.pressure
+    monkeypatch.setattr(type(chain), "component_graph",
+                        lambda self, i: built.append(i) or real_graph(self, i))
+    monkeypatch.setattr(ldp, "pressure",
+                        lambda *args, **kwargs: evaluations.append(1) or real_pressure(*args, **kwargs))
+    level1_rate(chain, DIGIT1, 0.4, pisot_sys.log_beta())
+    assert built == list(range(chain.q))
+    assert len(evaluations) > 50
+
+
 def test_rate_unachievable(two_sys):
     chain = chain_for(two_sys)
     with pytest.raises(UnachievableLevel):
@@ -182,9 +198,9 @@ def test_mc_never_hit(two_sys):
 
 
 def test_mc_engines_agree(two_sys):
-    samples = _samples(9, range(500))
-    fast = _digit_means_beta2(DIGIT1, 24, samples).tolist()
-    slow = _digit_means_generic(two_sys, DIGIT1, 24, samples, precision=90,
+    block = _sample_block(9, range(500))
+    fast = _digit_means_beta2(DIGIT1, 24, block).tolist()
+    slow = _digit_means_generic(two_sys, DIGIT1, 24, block, precision=90,
                                 beta_fixed=_beta_fixed_point(two_sys, 90)).tolist()
     assert fast == slow
 

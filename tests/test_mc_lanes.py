@@ -22,7 +22,9 @@ from negabeta.ldp import (
     _beta_fixed_point,
     _digit_means_beta2,
     _digit_means_generic,
-    _samples,
+    _digit_mean,
+    _orbit_digits,
+    _sample_block,
     mc_deviation,
 )
 from negabeta.transform import MinusBetaSystem
@@ -33,6 +35,12 @@ from negabeta.transform import MinusBetaSystem
 def _sample_fixed_point(seed, index):
     digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
     return int.from_bytes(digest[:16], "big")
+
+
+def _pack(samples):
+    """128-bit integers as the rows of a sample block."""
+    return np.frombuffer(b"".join(s.to_bytes(16, "big") for s in samples),
+                         dtype=np.uint8).reshape(-1, 16)
 
 
 def _scale_sample(sample, precision):
@@ -94,10 +102,24 @@ def _observable(kind, b):
 # -- tests ---------------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", [0, 7, -3, 10**12])
+@pytest.mark.parametrize("seed", [0, 7, -3, 10**12, 12345678901234567890])
 def test_shared_prefix_sampler_matches_one_shot_hash(seed):
     indices = list(range(50)) + [_CHUNK - 1, _CHUNK, 10**9 + 7]
-    assert _samples(seed, indices) == [_sample_fixed_point(seed, i) for i in indices]
+    expected = _pack([_sample_fixed_point(seed, i) for i in indices])
+    assert _sample_block(seed, indices).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, -3, 12345678901234567890])
+def test_sample_blocks_match_one_shot_hash_across_chunks(seed):
+    # the batches _window_deviation draws, joined, are the one-shot digests in order
+    count = 2 * _CHUNK + 5
+    blocks = [_sample_block(seed, range(start, min(start + _CHUNK, count)))
+              for start in range(0, count, _CHUNK)]
+    assert [len(block) for block in blocks] == [_CHUNK, _CHUNK, 5]
+    assert all(block.shape[1] == 16 and block.dtype == np.uint8 for block in blocks)
+    reference = b"".join(hashlib.sha256(f"{seed}:{i}".encode()).digest()[:16]
+                         for i in range(count))
+    assert b"".join(block.tobytes() for block in blocks) == reference
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -113,18 +135,20 @@ def test_lanes_match_scalar_loop(name, n, count, kind, seed):
     psi = _observable(kind, system.b)
     precision = _precision(system, n)
     beta_fixed = _beta_fixed_point(system, precision)
-    samples = _samples(seed, range(count))
-    lanes = _digit_means_generic(system, psi, n, samples, precision, beta_fixed)
+    block = _sample_block(seed, range(count))
+    lanes = _digit_means_generic(system, psi, n, block, precision, beta_fixed)
+    samples = [_sample_fixed_point(seed, i) for i in range(count)]
     assert lanes.tolist() == reference_means(system, psi, n, samples, precision, beta_fixed)
 
 
 def test_small_precision_and_edge_samples():
     # precisions below and above the 128 sample bits, and the extreme samples
     system = SYSTEMS["cubic"]
-    samples = [0, 1, (1 << 128) - 1, 1 << 127] + _samples(4, range(60))
+    samples = [0, 1, (1 << 128) - 1, 1 << 127] + [_sample_fixed_point(4, i) for i in range(60)]
     for precision in (40, 65, 127, 128, 129, 200):
         beta_fixed = _beta_fixed_point(system, precision)
-        lanes = _digit_means_generic(system, {0: 0.0, 1: 1.0}, 17, samples, precision, beta_fixed)
+        lanes = _digit_means_generic(system, {0: 0.0, 1: 1.0}, 17, _pack(samples), precision,
+                                     beta_fixed)
         assert lanes.tolist() == reference_means(system, {0: 0.0, 1: 1.0}, 17, samples,
                                                  precision, beta_fixed)
 
@@ -146,13 +170,13 @@ def test_clamp_batches_rerun_in_scalar(monkeypatch):
     n, precision = 12, _precision(system, 12)
     beta_fixed = _beta_fixed_point(system, precision)
     assert beta_fixed == (system.b + 1) << precision
-    plain = _samples(2, range(40))
+    plain = [_sample_fixed_point(2, i) for i in range(40)]
     calls = _count_scalar_reruns(monkeypatch)
-    assert (_digit_means_generic(system, psi, n, plain, precision, beta_fixed).tolist()
+    assert (_digit_means_generic(system, psi, n, _pack(plain), precision, beta_fixed).tolist()
             == reference_means(system, psi, n, plain, precision, beta_fixed))
     assert calls == []
     clamped = plain + [0]
-    assert (_digit_means_generic(system, psi, n, clamped, precision, beta_fixed).tolist()
+    assert (_digit_means_generic(system, psi, n, _pack(clamped), precision, beta_fixed).tolist()
             == reference_means(system, psi, n, clamped, precision, beta_fixed))
     assert len(calls) == len(clamped)
 
@@ -164,9 +188,9 @@ def test_beta_just_below_an_integer():
     precision = _precision(system, n)
     beta_fixed = _beta_fixed_point(system, precision)
     assert system.b == 2 and beta_fixed == 3 << precision
-    samples = [0] + _samples(5, range(300))
+    samples = [0] + [_sample_fixed_point(5, i) for i in range(300)]
     psi = _observable("digit", system.b)
-    assert (_digit_means_generic(system, psi, n, samples, precision, beta_fixed).tolist()
+    assert (_digit_means_generic(system, psi, n, _pack(samples), precision, beta_fixed).tolist()
             == reference_means(system, psi, n, samples, precision, beta_fixed))
 
 
@@ -186,16 +210,30 @@ def test_base2_engine_matches_its_loop_and_the_scalar_orbit():
     # below the 128 sample bits; near 128 the orbit reaches the dyadic
     # boundary points where the two differ.
     system = MinusBetaSystem(parse_beta_spec("poly:-2,1;interval:1,3"))
-    samples = _samples(11, range(_CHUNK + 1))
+    block = _sample_block(11, range(_CHUNK + 1))
+    samples = [_sample_fixed_point(11, i) for i in range(_CHUNK + 1)]
     for n in (1, 2, 29, 64, 128):
         for psi in ({0: 0.3, 1: 1.1}, {0: 0.0, 1: 1.0}, {0: 1.0, 1: 0.0}):
-            assert _digit_means_beta2(psi, n, samples).tolist() == reference_means_beta2(psi, n, samples)
+            assert _digit_means_beta2(psi, n, block).tolist() == reference_means_beta2(psi, n, samples)
         if n == 128:
             continue
         precision = _precision(system, n)
-        assert (_digit_means_beta2({0: 0.0, 1: 1.0}, n, samples).tolist()
+        assert (_digit_means_beta2({0: 0.0, 1: 1.0}, n, block).tolist()
                 == reference_means(system, {0: 0.0, 1: 1.0}, n, samples, precision,
                                    _beta_fixed_point(system, precision)))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 96])
+def test_base2_block_means_equal_the_scalar_orbit(n):
+    # the bits unpacked from the block are the digits of the exact orbit
+    system = MinusBetaSystem(parse_beta_spec("poly:-2,1;interval:1,3"))
+    psi = {0: 0.0, 1: 1.0}
+    precision = _precision(system, n)
+    beta_fixed = _beta_fixed_point(system, precision)
+    indices = range(_CHUNK - 50, _CHUNK + 50)
+    scalar = [_digit_mean(_orbit_digits(system, n, _sample_fixed_point(3, i), precision,
+                                        beta_fixed), [0.0, 1.0]) for i in indices]
+    assert _digit_means_beta2(psi, n, _sample_block(3, indices)).tolist() == scalar
 
 
 def test_audit_checks_the_engine_that_ran(monkeypatch):
