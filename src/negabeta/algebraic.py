@@ -121,11 +121,11 @@ class AlgebraicNumber:
             lo = hi = Fraction(-c0, c1)
             self._sign_lo = 0
         else:
-            s_lo = minpoly(lo)
-            s_hi = minpoly(hi)
-            if s_lo == 0 or s_hi == 0 or (s_lo > 0) == (s_hi > 0):
+            s_lo = _sign_at(minpoly.coefficients, lo.numerator, lo.denominator)
+            s_hi = _sign_at(minpoly.coefficients, hi.numerator, hi.denominator)
+            if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
                 raise ValueError("interval endpoints must straddle the root")
-            self._sign_lo = 1 if s_lo > 0 else -1
+            self._sign_lo = s_lo
         q = math.lcm(lo.denominator, hi.denominator)
         self._box = (lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator), q)
         self._reduction, self._reduction_den = self._build_reduction()
@@ -198,7 +198,8 @@ class AlgebraicNumber:
         return self.from_rational(1)
 
     def from_rational(self, r: Rational) -> "FieldElement":
-        r = _frac(r)
+        if not isinstance(r, (int, Fraction)):
+            raise TypeError(f"expected an exact rational, got {type(r).__name__}")
         return FieldElement(self, (r.numerator,) + (0,) * (self.degree - 1), r.denominator)
 
     def from_coeffs(self, coeffs: Iterable[Rational]) -> "FieldElement":
@@ -240,7 +241,8 @@ class FieldElement:
     """Element of Q(root): the integer vector nums over den, in the power basis.
 
     The form is canonical (den > 0 and gcd(nums, den) = 1), so equal elements
-    have equal fields and hashes.
+    have equal vectors and hashes; a rational element also equals, and hashes
+    as, the int or Fraction of its value.
     """
 
     __slots__ = ("field", "nums", "den")
@@ -286,6 +288,11 @@ class FieldElement:
         return self._combine(other, -1)
 
     def __rsub__(self, other):
+        if isinstance(other, int):
+            # other*den - nums[0] keeps the gcd with den, so the form stays canonical
+            first, *rest = self.nums
+            nums = (other * self.den - first, *(-a for a in rest))
+            return FieldElement(self.field, nums, self.den)
         return (-self)._combine(other, 1)
 
     def __neg__(self):
@@ -442,7 +449,12 @@ class FieldElement:
         return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.nums, self.den))
+        """Equal values hash alike: a rational element hashes as the int or
+        Fraction it equals, any other element by its canonical vector."""
+        nums = self.nums
+        if not any(nums[1:]):
+            return hash(nums[0]) if self.den == 1 else hash(Fraction(nums[0], self.den))
+        return hash((nums, self.den))
 
     def __lt__(self, other):
         return (self - self._coerce(other)).sign() < 0
@@ -573,6 +585,14 @@ def _sign_at(c: Sequence[int], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _value_mod(c: Sequence[int], x: int, p: int) -> int:
+    """c(x) modulo p."""
+    acc = 0
+    for a in reversed(c):
+        acc = (acc * x + a) % p
+    return acc
+
+
 def _variations(values: Iterable[int]) -> int:
     """Sign changes along the sequence, zeros skipped."""
     positive = [v > 0 for v in values if v]
@@ -609,6 +629,10 @@ def _rational_roots(f: tuple[int, ...], chain: list[tuple[int, ...]]) -> list[Fr
     grows with the bit length of the coefficients, not with their divisors.
     """
     lead = f[-1]
+    # A rational root k/lead is a root modulo every prime not dividing lead,
+    # so a prime modulo which f has no root rules all of them out.
+    if any(lead % p and all(_value_mod(f, x, p) for x in range(p)) for p in (2, 3, 5, 7)):
+        return []
     bound = 1 << (-(-max(abs(c) for c in f[:-1]) // lead)).bit_length()
     roots = []
     stack = [(-bound, bound, 0, _variations_at(chain, -bound, 1), _variations_at(chain, bound, 1))]
@@ -656,30 +680,25 @@ def _gcd_degree_mod(a: list[int], b: list[int], p: int) -> int:
 
 
 def _irreducible_mod(f: Sequence[int], p: int) -> bool:
-    """Rabin's test of f modulo p, for deg f >= 2 and a prime p not dividing lead(f).
+    """Irreducibility of f modulo p, for deg f >= 2 and a prime p not dividing lead(f).
 
-    Over the field of p elements the monic f of degree n is irreducible iff
-    f divides x^(p^n) - x and gcd(f, x^(p^(n/q)) - x) = 1 for each prime q
-    dividing n.
+    Over the field of p elements every irreducible factor of degree k
+    divides x^(p^k) - x, so the monic f of degree n is irreducible iff
+    gcd(f, x^(p^k) - x) = 1 for k = 1 .. n // 2; the test stops at the
+    first k with a common factor.
     """
     inv = pow(f[-1], -1, p)
     monic = [c * inv % p for c in f]
-    n = len(f) - 1
-    x = [0, 1]
-    frobenius = [x]  # x^(p^k) mod f, for k = 0..n
-    for _ in range(n):
-        power, base, e = [1], frobenius[-1], p
+    frobenius = [0, 1]  # x^(p^k) mod f
+    for _ in range((len(f) - 1) // 2):
+        power, base, e = [1], frobenius, p
         while e:
             if e & 1:
                 power = _mulmod(power, base, monic, p)
             base = _mulmod(base, base, monic, p)
             e >>= 1
-        frobenius.append(power)
-    if frobenius[n] != x:
-        return False
-    prime_divisors = [q for q in range(2, n + 1) if n % q == 0 and all(q % s for s in range(2, q))]
-    for q in prime_divisors:
-        h = frobenius[n // q] + [0, 0]  # padded, so that x can be subtracted
+        frobenius = power
+        h = frobenius + [0, 0]  # padded, so that x can be subtracted
         if _gcd_degree_mod(monic, _trim([h[0], (h[1] - 1) % p, *h[2:]]), p) > 0:
             return False
     return True
@@ -734,7 +753,7 @@ def make_algebraic(p: IntPolynomial | Sequence[int], lo: Rational, hi: Rational)
     that root is the linear factor of a rational root (found by Sturm
     bisection), or else the part of p left after the rational roots are
     divided out, once it is certified irreducible: by having degree 2 or 3,
-    or by Rabin's test modulo a prime below 60.  Only a factor no prime
+    or by staying irreducible modulo a prime below 60.  Only a factor no prime
     certifies is handed to sympy's ``factor_list``, the one use of sympy.
     """
     if not isinstance(p, IntPolynomial):
@@ -759,8 +778,11 @@ def make_algebraic(p: IntPolynomial | Sequence[int], lo: Rational, hi: Rational)
     total_real = _real_root_count(chain)
     # Every root lies strictly inside Cauchy's bound (-B, B).  A far wider
     # interval is cut down to it, so refinement never starts from a huge width.
-    bound = 1 + Fraction(max(abs(c) for c in f[:-1]), f[-1])
-    if hi - lo > 1024 * bound:
+    # B = (lead + top) / lead, compared with hi - lo in integers.
+    lead, top = f[-1], max(abs(c) for c in f[:-1])
+    width = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    if width * lead > 1024 * (lead + top) * lo.denominator * hi.denominator:
+        bound = Fraction(lead + top, lead)
         lo, hi = max(lo, -bound), min(hi, bound)
     in_interval = _roots_in(chain, lo, hi) if lo <= hi else 0
     if in_interval == 0:
@@ -777,7 +799,7 @@ def make_algebraic(p: IntPolynomial | Sequence[int], lo: Rational, hi: Rational)
     # root in [lo, hi] is simple, so the endpoints already straddle it.
     number = AlgebraicNumber(minpoly, lo, hi)
     if minpoly.degree > 1:
-        number.refine((hi - lo) / 1024)
+        number._refine_step(10)  # refine((hi - lo) / 1024), which takes ten bisections
     return number
 
 
@@ -811,13 +833,17 @@ def _parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
+_SPEC_KEYS = {"poly": {"poly", "interval"}, "decimal": {"decimal", "precision"}}
+
+
 def parse_beta_spec(text: str) -> AlgebraicNumber:
     """Parse the shared beta grammar.
 
     Either ``poly:<c0,c1,...,ck>;interval:<lo>,<hi>`` with rational bounds
     written as ``p/q``, or ``decimal:<d>;precision:<digits>``, which is the
     exact rational d as a number of degree 1; precision is range-checked and
-    not read.
+    not read.  A repeated key, a key the form does not know, or the two
+    forms together are a ValueError.
     """
     fields = {}
     for chunk in text.split(";"):
@@ -827,7 +853,17 @@ def parse_beta_spec(text: str) -> AlgebraicNumber:
         key, sep, value = chunk.partition(":")
         if not sep:
             raise ValueError(f"malformed beta spec near {chunk!r}")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ValueError(f"repeated key {key!r} in beta spec")
+        fields[key] = value.strip()
+    forms = [form for form in _SPEC_KEYS if form in fields]
+    if len(forms) != 1:
+        raise ValueError("beta spec must start with poly: or decimal:" if not forms
+                         else "beta spec mixes the poly: and decimal: forms")
+    unknown = sorted(set(fields) - _SPEC_KEYS[forms[0]])
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in the {forms[0]}: form of beta spec")
     if "poly" in fields:
         if "interval" not in fields:
             raise ValueError("poly form needs an interval:<lo>,<hi> part")
@@ -837,9 +873,7 @@ def parse_beta_spec(text: str) -> AlgebraicNumber:
             raise ValueError("interval must be two comma-separated rationals")
         lo, hi = (_parse_rational(b) for b in bounds)
         return make_algebraic(IntPolynomial(coeffs), lo, hi)
-    if "decimal" in fields:
-        if int(fields.get("precision", "64")) < 1:
-            raise ValueError("precision must be >= 1")
-        d = _parse_rational(fields["decimal"])
-        return make_algebraic(IntPolynomial((-d.numerator, d.denominator)), d, d)
-    raise ValueError("beta spec must start with poly: or decimal:")
+    if int(fields.get("precision", "64")) < 1:
+        raise ValueError("precision must be >= 1")
+    d = _parse_rational(fields["decimal"])
+    return make_algebraic(IntPolynomial((-d.numerator, d.denominator)), d, d)

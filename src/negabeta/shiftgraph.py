@@ -202,20 +202,21 @@ def build_gamma(s: DigitSequence, horizon: int) -> LabeledGraph:
     u, v = s.u, s.v
     if horizon < u + 2 * v:
         raise HorizonTooSmall(f"horizon {horizon} < {u + 2 * v}")
+    spine = s.prefix(horizon + 1)
     edges: set[Edge] = set()
     borders: tuple[int, ...] = ()
     for i in range(horizon):
         for a in range(s.alphabet_bound + 1):
-            new = border_step(s, borders, a)
+            new = border_step(spine, borders, a)
             if new is None:
                 continue
-            j = max(new, default=0)
+            j = new[0] if new else 0  # the longest border, or none
             if u + v < j <= i:
                 raise ShiftGraphError(
                     f"back edge from V{i} lands at V{j} beyond u+v={u + v}"
                 )
             edges.add((i, a, j))
-        borders = border_step(s, borders, s.digit(i))
+        borders = border_step(spine, borders, spine[i])
     return LabeledGraph(horizon + 1, edges)
 
 
@@ -238,9 +239,14 @@ def fold(g: LabeledGraph, u: int, v: int) -> FoldedAutomaton:
 
     Periodicity of the edge structure is guaranteed with period 2v, but a
     proper divisor of 2v may already work (integer bases fold at period v);
-    candidates are tried smallest first, and for each one every start index
-    from u upward.  Verification compares spine labels and exact back-edge
-    sets over a full 2v window, which cannot be fooled by the quotient map.
+    candidates are tried smallest first.  A start index s (from u upward)
+    verifies period p when V_i and V_(i+p) carry the same spine label and
+    exact back-edge sets for every i in the 2v window from s, which cannot be
+    fooled by the quotient map.  Each period is checked in one scan of i
+    from u that counts the run of matching pairs, restarting it after a
+    mismatch; the first run of 2v gives the smallest start.  Signatures are
+    read in the order of that scan, so an ambiguous spine raises at the first
+    vertex the scan reaches.
     """
     horizon = g.vertex_count - 1
     periods = sorted(d for d in range(1, 2 * v + 1) if (2 * v) % d == 0)
@@ -258,11 +264,14 @@ def fold(g: LabeledGraph, u: int, v: int) -> FoldedAutomaton:
 
     last_error = None
     for p in periods:
-        max_start = horizon - (2 * v + p)
-        for start in range(u, max(u, max_start) + 1):
-            if start + 2 * v + p > horizon:
+        max_start = horizon - (2 * v + p)  # the last start whose window fits
+        start = u
+        for i in range(u, max_start + 2 * v):
+            if start > max_start:
                 break
-            if all(signature(i) == signature(i + p) for i in range(start, start + 2 * v)):
+            if signature(i) != signature(i + p):
+                start = i + 1
+            elif i - start + 1 == 2 * v:
                 return _build_folded(g, start, p, u, v)
         last_error = f"period {p} not verified within horizon {horizon}"
     # period 2v is mathematically guaranteed for start >= u given enough room

@@ -119,7 +119,9 @@ class DigitSequence:
         return self.period[(k - u) % len(self.period)]
 
     def prefix(self, n: int) -> Word:
-        return tuple(self.digit(k) for k in range(n))
+        """The first n digits (none for n <= 0)."""
+        n = max(n, 0)
+        return (self.preperiod + self.period * -(-max(0, n - self.u) // self.v))[:n]
 
     @property
     def u(self) -> int:
@@ -205,11 +207,12 @@ def alt_compare(s: Union[DigitSequence, Sequence[int]],
     return Ordering.EQUAL if len(s) == len(t) else Ordering.PREFIX
 
 
-def border_step(ref: DigitSequence, active: tuple[int, ...], a: int) -> tuple[int, ...] | None:
+def border_step(ref: Sequence[int], active: tuple[int, ...], a: int) -> tuple[int, ...] | None:
     """Borders of the word w+a, from the borders ``active`` of w.
 
-    A border of w is the length of a suffix of w that is a prefix of ``ref``
-    (the expansion of 1); ``active`` lists the nonzero ones, longest first.
+    A border of w is the length of a suffix of w that is a prefix of ``ref``,
+    the digits of the expansion of 1 at least as far as index len(w);
+    ``active`` lists the nonzero borders, longest first.
     Each of them, and the empty one, either extends (``a == ref_j``) or makes
     the suffix of w+a differ from ``ref`` at index j.  Returns None when such
     a suffix exceeds ``ref`` in the alternating order, so w+a is
@@ -217,7 +220,7 @@ def border_step(ref: DigitSequence, active: tuple[int, ...], a: int) -> tuple[in
     """
     new = []
     for pos in active + (0,):
-        r = ref.digit(pos)
+        r = ref[pos]
         if a == r:
             new.append(pos + 1)
         elif (a - r if pos % 2 == 0 else r - a) > 0:
@@ -226,14 +229,24 @@ def border_step(ref: DigitSequence, active: tuple[int, ...], a: int) -> tuple[in
 
 
 def _floor_exact(t) -> tuple[int, bool]:
-    """Floor of an exact nonnegative value; flags whether t is an integer."""
-    if t.is_rational():
-        r = t.as_fraction()
-        k = r.numerator // r.denominator
-        return k, r.denominator == 1
-    lo, hi = t.approx(Fraction(1, 4))
-    k = lo.__floor__()
-    # verify k <= t < k+1 exactly; t irrational so equality cannot occur
+    """Floor of an exact value; flags whether t is an integer.
+
+    A rational t is read off its vector.  Otherwise the floor comes from one
+    integer enclosure [lo/den, hi/den] at most 1/4 wide: t is irrational, so
+    when the enclosure lies strictly between k = floor(lo/den) and k+1 the
+    floor is k.  Only an enclosure that touches or straddles an integer falls
+    back to the exact signs of t - k and t - (k+1), which refine as far as
+    they need.  Those signs would answer from a strictly inside enclosure
+    without a bisection, so the isolating interval ends as it would with
+    the signs alone, and so does every float read from it later.
+    """
+    nums, den = t.nums, t.den
+    if not any(nums[1:]):
+        return nums[0] // den, den == 1
+    lo, hi, den = t._bracket(1, 4)
+    k = lo // den
+    if lo > k * den and hi < (k + 1) * den:
+        return k, False
     while (t - k).sign() < 0:
         k -= 1
     while (t - (k + 1)).sign() >= 0:
@@ -445,7 +458,7 @@ class MinusBetaSystem:
         order.  Equivalent to filtering by :meth:`word_admissible` but
         exponentially cheaper on the inadmissible subtrees.
         """
-        ref = self.expansion_of_one()
+        ref = self.expansion_of_one().prefix(maxlen)
         # An explicit stack, not recursion: words may be longer than Python's
         # recursion limit.  Children are pushed in reverse digit order, so the
         # smallest digit comes off first.

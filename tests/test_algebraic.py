@@ -195,6 +195,11 @@ def test_parse_beta_spec_decimal():
     "decimal:1.8;precision:0",
     "nonsense",
     "poly:1,2;interval:1",
+    "poly:-1,-1,0,1;interval:3,4;interval:1,2",
+    "poly:-1,-1,0,1;interval:1,2;foo:3",
+    "poly:-1,-1,0,1;interval:1,2;precision:64",
+    "poly:-1,-1,0,1;interval:1,2;decimal:2",
+    "decimal:2;interval:1,3",
 ])
 def test_parse_beta_spec_rejects(bad):
     with pytest.raises(ValueError):

@@ -234,6 +234,11 @@ def test_cylinder_command_usage_errors(argv, capsys):
         ["gbeta", "--beta", PISOT, "--n", "abc"],
         ["frobnicate"],
         ["spec", "--beta", PISOT, "--frobnicate"],
+        ["yrrap", "--beta", "poly:-1,-1,0,1;interval:3,4;interval:1,2"],
+        ["yrrap", "--beta", "poly:-1,-1,0,1;interval:1,2;foo:3"],
+        ["yrrap", "--beta", "poly:-1,-1,0,1;interval:1,2;precison:64"],
+        ["yrrap", "--beta", "poly:-1,-1,0,1;interval:1,2;decimal:2"],
+        ["yrrap", "--beta", "decimal:2;precision:8;precision:9"],
     ],
     ids=["beta-not-isolating", "beta-no-root", "beta-below-one", "gbeta-n-0", "mc-n-0",
          "mc-N-0", "rate-unachievable", "compare-rates-wrong-base", "yrrap-max-steps-0",
@@ -245,7 +250,8 @@ def test_cylinder_command_usage_errors(argv, capsys):
          "rate-a-grid-count-0", "rate-a-grid-count-negative", "mc-base2-above-bit-cap",
          "mc-cubic-above-bit-cap", "mc-golden-above-bit-cap", "mc-huge-n",
          "rate-constant-observable", "cyl-missing-maxlen", "gbeta-n-not-an-int",
-         "unknown-subcommand", "spec-unknown-flag"],
+         "unknown-subcommand", "spec-unknown-flag", "beta-repeated-key", "beta-unknown-key",
+         "beta-misspelt-key", "beta-poly-and-decimal", "beta-repeated-precision"],
 )
 def test_bad_input_usage_errors(argv, capsys):
     code, out, err = invoke(argv, capsys)

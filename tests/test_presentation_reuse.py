@@ -326,6 +326,28 @@ def test_fold_agrees_on_every_base(systems):
             assert outcome(fold, g, s.u, s.v) == outcome(reference_fold, g, s.u, s.v)
 
 
+def test_fold_agrees_with_an_ambiguous_spine_anywhere(systems):
+    """A doubled spine edge before, inside and after the first verified window.
+
+    The one-scan fold reads signatures in the reference's order, so it raises
+    at the same vertex, or folds the same way when the vertex is never read.
+    """
+    places = set()
+    for system in systems[::7]:
+        s = system.expansion_of_one()
+        g = build_gamma(s, s.u + 6 * s.v + 4)
+        aut = fold(g, s.u, s.v)
+        window = range(aut.fold_start, aut.fold_start + 2 * s.v + aut.fold_period + 1)
+        for i in range(g.vertex_count - 1):
+            spine = next(a for _, a, t in g.out_edges(i) if t == i + 1)
+            doubled = LabeledGraph(g.vertex_count, g.edges | {(i, spine + 1, i + 1)})
+            got = outcome(fold, doubled, s.u, s.v)
+            assert got == outcome(reference_fold, doubled, s.u, s.v), (s, i)
+            side = "before" if i < window.start else "inside" if i in window else "after"
+            places.add((side, got[0]))
+    assert {("before", "error"), ("inside", "error"), ("after", "value")} <= places
+
+
 def test_example31_takes_the_strong_path():
     _, p = example31_system()
     assert spec_bound(p).kind == "strong_one_way"
