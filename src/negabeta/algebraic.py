@@ -62,6 +62,22 @@ def _frac(x: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
+    """Gauss-Jordan elimination over the rationals; the system must be nonsingular."""
+    n = len(rows)
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
 @dataclass(frozen=True)
 class IntPolynomial:
     """Integer polynomial, coefficients listed low degree first."""
@@ -341,17 +357,8 @@ class FieldElement:
         for _ in range(d):
             columns.append(column.coeffs)
             column = column * x
-        rows = [[col[i] for col in columns] + [Fraction(i == 0)] for i in range(d)]
-        for k in range(d):
-            pivot = next(i for i in range(k, d) if rows[i][k])
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            head = rows[k][k]
-            rows[k] = [v / head for v in rows[k]]
-            for i in range(d):
-                factor = rows[i][k]
-                if i != k and factor:
-                    rows[i] = [v - factor * w for v, w in zip(rows[i], rows[k])]
-        return self.field.from_coeffs(row[d] for row in rows)
+        rhs = [Fraction(i == 0) for i in range(d)]
+        return self.field.from_coeffs(_solve_exact(list(zip(*columns)), rhs))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -18,7 +18,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 # The other modules are imported by the commands that run them, so a process
@@ -306,7 +305,6 @@ def _positive(config: RunConfig, key: str, flag: str) -> int:
 def _cmd_cyl(config: RunConfig):
     maxlen = _positive(config, "maxlen", "--maxlen")
     system = _system_for(config)
-    system.expansion_of_one()
     rows = _cylinder_rows(system, maxlen, config.digits)
     return {"rows": rows}
 
@@ -316,7 +314,6 @@ def _cmd_gbeta(config: RunConfig):
 
     n = _positive(config, "n", "--n")
     system = _system_for(config)
-    system.expansion_of_one()
     values = measures.g_beta_values(system, n)
     return {"n": n, "g": values, "max": max(values)}
 
@@ -393,7 +390,7 @@ def _cmd_compare_rates(config: RunConfig):
         rows = ldp.compare_rate_functions(system)
     except ldp.WrongBeta as exc:
         raise UsageError(str(exc)) from exc
-    return {"rows": [_jsonable(r.to_json_dict()) for r in rows]}
+    return {"rows": [r.to_json_dict() for r in rows]}
 
 
 def _cmd_example31(config: RunConfig):
@@ -441,7 +438,6 @@ def _cmd_validate(config: RunConfig):
     def record(name: str, ok: bool, detail: str = ""):
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
 
-    system.expansion_of_one()
     aut = shiftgraph.automaton_for(system)
     chain = shiftgraph.decompose(aut)
     ok, counterexample = shiftgraph.cross_validate(aut, system, maxlen)
@@ -504,24 +500,6 @@ _COMMANDS = {
 # -- report emission ----------------------------------------------------------------------
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        if value == float("-inf"):
-            return "-inf"
-        if value == float("inf"):
-            return "inf"
-        return value
-    if hasattr(value, "item"):  # numpy scalars
-        return value.item()
-    return value
-
-
 def emit_report(result, fmt: str, out: Optional[str]) -> str:
     """Serialize a command result with stable field ordering."""
     if fmt == "dot":
@@ -536,11 +514,10 @@ def emit_report(result, fmt: str, out: Optional[str]) -> str:
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()) if rows else [],
                                 lineterminator="\r\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(_jsonable(row))
+        writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(_jsonable(result), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(result, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         try:
             with open(out, "w", encoding="utf-8", newline="") as handle:

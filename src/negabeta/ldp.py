@@ -96,7 +96,7 @@ class DeviationEstimate:
             "hits": self.hits,
             "rate": self.rate,
             "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
+            "ci_hi": "inf" if self.ci_hi == math.inf else self.ci_hi,  # JSON has no infinity
             "seed": self.seed,
         }
 
@@ -564,7 +564,8 @@ class RateComparisonRow:
             "h": self.entropy,
             "on_tail_component": self.carried_on_tail,
             "q_lebesgue": self.lebesgue_rate,
-            "q_max_entropy": self.max_entropy_rate,
+            "q_max_entropy": ("-inf" if self.max_entropy_rate == -math.inf  # JSON has no infinity
+                              else self.max_entropy_rate),
         }
 
 

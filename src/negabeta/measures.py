@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from negabeta.algebraic import _solve_exact
 from negabeta.shiftgraph import (
     LabeledGraph, _levels, automaton_for, enumerate_words, spectral_radius,
 )
@@ -479,22 +480,6 @@ def random_markov_measure(graph: LabeledGraph, vertices: Sequence[int],
     stationary = tuple((v, pi[idx[v]]) for v in verts)
     bound = max(graph.labels()) if graph.edges else 0
     return MarkovMeasure(graph, tuple(sorted(edge_probs.items())), stationary, bound)
-
-
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gauss-Jordan elimination over the rationals; the system must be nonsingular."""
-    n = len(rows)
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 def point_mass_on_cycle(graph: LabeledGraph, cycle_vertices_list: Sequence[int],

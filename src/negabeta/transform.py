@@ -35,10 +35,6 @@ class OutOfDomain(TransformError):
     """Point lies outside [0, 1]."""
 
 
-class CaseUnknown(TransformError):
-    """Endpoint value requested before the expansion of 1 fixed the case tag."""
-
-
 class NotEventuallyPeriodic(TransformError):
     """Orbit of 1 is not eventually periodic, or showed no cycle within the step budget."""
 
@@ -60,7 +56,6 @@ class Side(enum.Enum):
 class Case(enum.Enum):
     CASE1 = "Case1"
     CASE2 = "Case2"
-    UNKNOWN = "Unknown"
 
 
 class Ordering(enum.Enum):
@@ -269,9 +264,9 @@ class MinusBetaSystem:
     """The negative-beta map for a fixed beta > 1.
 
     Beta is an algebraic number; a rational beta (the ``decimal:`` input) is
-    one of degree 1 and takes the same arithmetic.  The instance is immutable
-    after the expansion of 1 has been computed; the expansion itself is
-    cached.
+    one of degree 1 and takes the same arithmetic.  The expansion of 1 is
+    computed on first use and cached; the case tag and the coding partition
+    are read off it.
     """
 
     def __init__(self, beta: AlgebraicNumber):
@@ -282,7 +277,6 @@ class MinusBetaSystem:
         self._beta_el = gen
         self.b = self._floor_of_beta()
         self._expansion: DigitSequence | None = None
-        self._case = Case.UNKNOWN
         self._partition: tuple[JInterval, ...] | None = None
         self._aut_cache = None  # set lazily by negabeta.shiftgraph
 
@@ -311,7 +305,9 @@ class MinusBetaSystem:
 
     @property
     def case(self) -> Case:
-        return self._case
+        """Case1 when the expansion of 1 is purely periodic with last period digit 0."""
+        seq = self.expansion_of_one()
+        return Case.CASE1 if seq.u == 0 and seq.period[-1] == 0 else Case.CASE2
 
     # -- the map ------------------------------------------------------------------
 
@@ -355,9 +351,7 @@ class MinusBetaSystem:
         t = self._beta_el * x
         k, is_int = _floor_exact(t)
         if is_int:
-            if self._case is Case.UNKNOWN:
-                raise CaseUnknown("endpoint value requested before expansion_of_one")
-            return zero if self._case is Case.CASE1 else one
+            return zero if self.case is Case.CASE1 else one
         return (k + 1) - t
 
     # -- expansion of 1 -------------------------------------------------------------
@@ -389,12 +383,8 @@ class MinusBetaSystem:
             key = (value, side)
             if key in seen:
                 first = seen[key]
-                seq = DigitSequence.from_parts(digits[:first], digits[first:], self.b)
-                self._expansion = seq
-                self._case = (
-                    Case.CASE1 if seq.u == 0 and seq.period[-1] == 0 else Case.CASE2
-                )
-                return seq
+                self._expansion = DigitSequence.from_parts(digits[:first], digits[first:], self.b)
+                return self._expansion
             seen[key] = step
             digit, value, side = self._signed_step(value, side)
             digits.append(digit)
@@ -503,11 +493,9 @@ class MinusBetaSystem:
 
     def partition(self) -> tuple[JInterval, ...]:
         """The coding partition, with case-dependent endpoint inclusions (cached)."""
-        if self._case is Case.UNKNOWN:
-            raise CaseUnknown("run expansion_of_one first")
         if self._partition is None:
             inv = self.beta_inverse
-            case1 = self._case is Case.CASE1
+            case1 = self.case is Case.CASE1
             cells = []
             for i in range(self.b + 1):
                 lo = inv * i
@@ -520,4 +508,6 @@ class MinusBetaSystem:
         return self._partition
 
     def __repr__(self):
-        return f"MinusBetaSystem(beta~{float(self._beta_el):.6f}, b={self.b}, {self._case.value})"
+        # the case shows once the expansion is cached; repr never computes it
+        case = "" if self._expansion is None else f", {self.case.value}"
+        return f"MinusBetaSystem(beta~{float(self._beta_el):.6f}, b={self.b}{case})"

@@ -7,9 +7,11 @@ from itertools import islice
 import pytest
 
 from negabeta.algebraic import IntPolynomial, make_algebraic, parse_beta_spec
+from negabeta.measures import (
+    InadmissibleWord, additivity_holds, cylinder_interval, cylinder_measure,
+)
 from negabeta.transform import (
     Case,
-    CaseUnknown,
     DigitSequence,
     HitBoundary,
     MinusBetaSystem,
@@ -83,10 +85,41 @@ def test_apply_map_out_of_domain(two_sys):
         two_sys.apply_map(Fraction(-1, 2))
 
 
-def test_endpoint_before_expansion_raises():
+def test_endpoint_before_expansion_reads_the_case():
     fresh = MinusBetaSystem(make_algebraic(IntPolynomial((-2, 1)), 1, 3))
-    with pytest.raises(CaseUnknown):
-        fresh.apply_map(Fraction(1, 2))
+    assert fresh.apply_map(Fraction(1, 2)) == 0  # Case1: the endpoint maps to 0
+
+
+def _outcome(call):
+    try:
+        return call()
+    except InadmissibleWord:
+        return InadmissibleWord
+
+
+def test_a_fresh_system_computes_the_expansion_on_first_use():
+    """Each case-dependent entry point, first on a fresh system, matches a warm one."""
+    for coeffs, lo, hi in BASES:
+        beta = make_algebraic(IntPolynomial(coeffs), lo, hi)
+        warm = MinusBetaSystem(beta)
+        words = [(d,) for d in range(warm.b + 1)] + [warm.expansion_of_one().prefix(3)]
+        endpoints = [warm.beta_inverse * k for k in range(1, warm.b + 1)]
+        assert MinusBetaSystem(beta).partition() == warm.partition()
+        assert MinusBetaSystem(beta).case is warm.case
+        fresh = MinusBetaSystem(beta)
+        assert [fresh.apply_map(x) for x in endpoints] == [warm.apply_map(x) for x in endpoints]
+        for probe in (cylinder_interval, cylinder_measure, additivity_holds):
+            for w in words:
+                got = _outcome(lambda: probe(MinusBetaSystem(beta), w))
+                assert got == _outcome(lambda: probe(warm, w)), (coeffs, probe.__name__, w)
+
+
+def test_repr_does_not_compute_the_expansion():
+    fresh = MinusBetaSystem(make_algebraic(PISOT, 1, 2))
+    assert repr(fresh) == "MinusBetaSystem(beta~1.324718, b=1)"
+    assert fresh._expansion is None
+    fresh.expansion_of_one()
+    assert repr(fresh) == "MinusBetaSystem(beta~1.324718, b=1, Case2)"
 
 
 # -- expansion_of_one -----------------------------------------------------------
