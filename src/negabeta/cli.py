@@ -18,6 +18,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional, Sequence
 
 # The other modules are imported by the commands that run them, so a process
@@ -272,17 +273,20 @@ def _cmd_spec(config: RunConfig):
 def _cylinder_rows(system: MinusBetaSystem, maxlen: int, digits: int) -> list[dict]:
     from negabeta import measures
 
+    # neighbouring cylinders share endpoints and many share a length: format each value once
+    coeff_text = cache(_coeff_text)
+    decimal = cache(lambda value: algebraic.to_decimal(value, digits))
     rows = []
     for report in measures.cylinder_walk(system, maxlen):
         interval = report.interval
         rows.append(
             {
                 "word": word_to_text(interval.word, system.b),
-                "lo": _coeff_text(interval.lo),
-                "hi": _coeff_text(interval.hi),
-                "lo_decimal": algebraic.to_decimal(interval.lo, digits),
-                "hi_decimal": algebraic.to_decimal(interval.hi, digits),
-                "length": algebraic.to_decimal(report.length, digits),
+                "lo": coeff_text(interval.lo),
+                "hi": coeff_text(interval.hi),
+                "lo_decimal": decimal(interval.lo),
+                "hi_decimal": decimal(interval.hi),
+                "length": decimal(report.length),
                 "upper_bound_ok": report.upper_bound_ok,
                 "lower_bound_applicable": report.lower_bound_applicable,
                 "lower_bound_ok": report.lower_bound_ok,

@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 from negabeta.ldp import DeviationEstimate, _sample_int, _window_deviation
-from negabeta.measures import Branch, affine_cylinder, affine_cylinder_walk
+from negabeta.measures import ImageTable, image_walk
 from negabeta.shiftgraph import LabeledGraph, enumerate_words
 from negabeta.specprop import SoficPresentation
 from negabeta.transform import HitBoundary, Word
@@ -68,6 +69,18 @@ class PiecewiseExpandingMap:
             if br.contains(x):
                 return i
         raise IntervalMapError(f"{x} lies in no branch cell")
+
+    @cached_property
+    def image_table(self) -> ImageTable:
+        """The branches acting on the endpoints of the images T^n[w], built once per map.
+
+        For Example 3.1 the table is the six cell endpoints.
+        """
+        slope = self.branches[0].slope
+        if any(br.slope != slope for br in self.branches):
+            raise IntervalMapError("the image table needs one slope for all branches")
+        return ImageTable(self.branches, [br.intercept for br in self.branches], 1 / slope,
+                          slope < 0, Fraction(1))
 
     def on_open_boundary(self, x: Fraction) -> bool:
         return any(x == p for p in self.breakpoints[1:-1])
@@ -133,10 +146,6 @@ def example31_word_admissible(word: Sequence[int]) -> bool:
     return True
 
 
-def _walk_branches(fmap: PiecewiseExpandingMap) -> list[Branch]:
-    return [Branch(br, br.intercept, 1 / br.slope, br.slope < 0) for br in fmap.branches]
-
-
 def example31_cylinder(fmap: PiecewiseExpandingMap, word: Sequence[int]):
     """Exact rational cylinder of a word under the half-open coding cells.
 
@@ -144,10 +153,12 @@ def example31_cylinder(fmap: PiecewiseExpandingMap, word: Sequence[int]):
     Raises :class:`negabeta.measures.InadmissibleWord` for a digit outside
     the alphabet of branches.
     """
-    frame = affine_cylinder(word, _walk_branches(fmap), Fraction(1))
-    if frame is None:
+    table = fmap.image_table
+    word = tuple(word)
+    folded = table.fold(word)
+    if folded is None:
         return None
-    cyl = frame.cylinder
+    cyl = table.cylinder(word, *folded)
     return cyl.lo, cyl.hi, cyl.lo_closed, cyl.hi_closed
 
 
@@ -160,17 +171,23 @@ class Example31BoundsReport:
 
 
 def example31_measure_bounds(maxlen: int) -> list[Example31BoundsReport]:
-    """Exhaustive exact cylinder lengths with the (1/2)3^-n <= L <= 3^-n bounds."""
+    """Exhaustive exact cylinder lengths with the (1/2)3^-n <= L <= 3^-n bounds.
+
+    Walks the presentation's words through the map's image table: a word's
+    length is 3^-n times the length of its image T^n[w], so both bounds are
+    bounds on the image (1/2 <= |T^n[w]| <= 1), decided once per image, and
+    no endpoint of [w] is computed.
+    """
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
     fmap, presentation = example31_system()
-    words = (w for w, _ in enumerate_words(presentation.graph, maxlen))
+    table = fmap.image_table
+    bounds = table.bounds(Fraction(1, 2))
     reports = []
-    for frame in affine_cylinder_walk(words, _walk_branches(fmap), Fraction(1)):
-        cyl, scale = frame.cylinder, frame.scale
-        length = cyl.length
-        reports.append(Example31BoundsReport(cyl.word, length, scale / 2 <= length,
-                                             length <= scale))
+    for word, _, image in image_walk(table, enumerate_words(presentation.graph, maxlen)):
+        upper_ok, lower_ok = bounds(image[0], image[2])
+        reports.append(Example31BoundsReport(word, table.length(len(word), image), lower_ok,
+                                             upper_ok))
     return reports
 
 

@@ -66,138 +66,193 @@ class CylinderInterval:
         return True
 
 
-class Branch(NamedTuple):
-    """One monotone affine branch x -> slope*x + intercept, on its coding cell.
+# An interval with endpoints in ImageTable.points: (lo index, lo_closed, hi index, hi_closed).
+Image = tuple[int, bool, int, bool]
 
-    The cell has the endpoint fields of :class:`negabeta.transform.JInterval`.
-    The branch keeps 1/slope and its orientation, so a walk through it needs
-    no division and no sign test.
+
+class _Depth(NamedTuple):
+    """The constants of phi_w(y) = slope*y + c_w shared by all words of one length."""
+
+    slope: object  # s_n = inv_slope^n
+    scale: object  # |s_n|
+    decreasing: bool  # s_n < 0, read off the branches' orientation
+    ends: tuple  # s_n * p for each table point p
+    terms: tuple  # s_n * intercept_a for each digit a
+    lengths: dict  # (lo index, hi index) of J_w -> |[w]|
+
+
+class ImageTable:
+    """The branches of an interval map acting on the endpoints of its images T^n[w].
+
+    The branches T_a(x) = x/inv_slope + intercept_a share one slope, each on
+    its cell of a partition of [0, 1].  T^n maps the cylinder [w] of a word of
+    length n onto its image J_w = T^n[w], and J_wa is T_a of the cut of J_w
+    by cell_a.  So every image endpoint lies in the closure P of {0, 1} and
+    the cell endpoints under the branches, each acting on its closed cell.
+    P must be finite: for the negative-beta map of a Yrrap beta it is
+    {0, 1}, the k/beta and the orbit of 1; for Example 3.1 it is the six
+    cell endpoints.  P is sorted once with exact comparisons, after which an
+    image is an :data:`Image` of indices and a digit's step compares integers.
+
+    The inverse of T^n on [w] is phi_w(y) = s_n*y + c_w, with s_n = inv_slope^n
+    and c_wa = c_w - s_{n+1}*intercept_a.  So [w] = phi_w(J_w) and
+    |[w]| = |s_n| * |J_w|, exactly.
     """
 
-    cell: object
-    intercept: object
-    inv_slope: object
-    decreasing: bool
+    def __init__(self, cells: Sequence, intercepts: Sequence, inv_slope, decreasing: bool, one):
+        slope = one / inv_slope
+        zero = one - one
 
+        def forward(level: frozenset) -> frozenset:
+            return frozenset(slope * p + c for p in level
+                             for cell, c in zip(cells, intercepts) if cell.lo <= p <= cell.hi)
 
-class CylinderFrame(NamedTuple):
-    """The cylinder [w] of a word of length n and the inverse of T^n on it.
+        start = frozenset((zero, one, *(x for cell in cells for x in (cell.lo, cell.hi))))
+        self.points = tuple(sorted(frozenset().union(*_levels(forward, start))))
+        index = {p: i for i, p in enumerate(self.points)}
+        self.cells = tuple((index[cell.lo], cell.lo_closed, index[cell.hi], cell.hi_closed)
+                           for cell in cells)
+        # the index of T_a(p) for each point p of the closed cell a, None off it
+        self.maps = tuple(tuple(index[slope * p + c] if lo <= i <= hi else None
+                                for i, p in enumerate(self.points))
+                          for (lo, _, hi, _), c in zip(self.cells, intercepts))
+        self.root: Image = (index[zero], True, index[one], True)
+        self.zero = zero
+        self.inv_slope = inv_slope
+        self.intercepts = tuple(intercepts)
+        self.decreasing = decreasing
+        self._depths = [_Depth(one, one, False, self.points, (), {})]
 
-    phi_w(y) = slope*y + intercept maps T^n[w] onto [w]; it is the composite
-    of the inverse branches along w, so |slope| is the product of their
-    contractions (beta^-n for the negative-beta map).
-    """
+    def depth(self, n: int) -> _Depth:
+        """The constants of phi_w for words of length n, computed once per depth."""
+        depths = self._depths
+        while len(depths) <= n:
+            slope = depths[-1].slope * self.inv_slope
+            decreasing = depths[-1].decreasing != self.decreasing
+            depths.append(_Depth(slope, -slope if decreasing else slope, decreasing,
+                                 tuple(slope * p for p in self.points),
+                                 tuple(slope * c for c in self.intercepts), {}))
+        return depths[n]
 
-    cylinder: CylinderInterval
-    slope: object
-    intercept: object
-    decreasing: bool
+    def step(self, image: Image, digit: int) -> Optional[Image]:
+        """J_wa from J_w = image: T_a of the cut of J_w by cell_a; None when the cut is empty.
 
-    @property
-    def scale(self):
-        """|slope|, the contraction of phi_w."""
-        return -self.slope if self.decreasing else self.slope
-
-
-def _root_frame(one) -> CylinderFrame:
-    zero = one - one
-    return CylinderFrame(CylinderInterval((), zero, one, True, True), one, zero, False)
-
-
-def _extend(frame: CylinderFrame, branch: Branch, word: Word) -> Optional[CylinderFrame]:
-    """Frame of `word`, one digit longer than the frame's word; None when empty.
-
-    [wa] = [w] intersected with phi_w(cell_a), and phi_wa is phi_w after the
-    inverse of branch a: a fixed number of field operations at any depth.
-    """
-    s, c = frame.slope, frame.intercept
-    cell = branch.cell
-    lo, hi = s * cell.lo + c, s * cell.hi + c
-    lo_closed, hi_closed = cell.lo_closed, cell.hi_closed
-    if frame.decreasing:
-        lo, hi, lo_closed, hi_closed = hi, lo, hi_closed, lo_closed
-    parent = frame.cylinder
-    if parent.lo == lo:
-        lo_closed = lo_closed and parent.lo_closed
-    elif parent.lo > lo:
-        lo, lo_closed = parent.lo, parent.lo_closed
-    if parent.hi == hi:
-        hi_closed = hi_closed and parent.hi_closed
-    elif parent.hi < hi:
-        hi, hi_closed = parent.hi, parent.hi_closed
-    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-        return None
-    slope = s * branch.inv_slope
-    return CylinderFrame(CylinderInterval(word, lo, hi, lo_closed, hi_closed),
-                         slope, c - slope * branch.intercept,
-                         frame.decreasing != branch.decreasing)
-
-
-def affine_cylinder(word: Sequence[int], branches: Sequence[Branch],
-                    one) -> Optional[CylinderFrame]:
-    """Frame of one word, by the walk's step folded over its digits.
-
-    Returns None when the cylinder is empty; a single point is returned as a
-    degenerate interval.  Raises :class:`InadmissibleWord` for a digit that
-    names no branch.  `one` fixes the arithmetic (a field element or a
-    Fraction).
-    """
-    word = tuple(word)
-    for digit in word:
-        if not 0 <= digit < len(branches):
-            raise InadmissibleWord(f"digit {digit} outside the alphabet")
-    frame = _root_frame(one)
-    for n in range(1, len(word) + 1):
-        frame = _extend(frame, branches[word[n - 1]], word[:n])
-        if frame is None:
+        A cut of one point gives an image with lo == hi.  The flags of T_a's
+        endpoints swap when the branch decreases.
+        """
+        lo, lo_closed, hi, hi_closed = image
+        cell_lo, cell_lo_closed, cell_hi, cell_hi_closed = self.cells[digit]
+        if lo == cell_lo:
+            lo_closed = lo_closed and cell_lo_closed
+        elif lo < cell_lo:
+            lo, lo_closed = cell_lo, cell_lo_closed
+        if hi == cell_hi:
+            hi_closed = hi_closed and cell_hi_closed
+        elif hi > cell_hi:
+            hi, hi_closed = cell_hi, cell_hi_closed
+        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
             return None
-    return frame
+        image_of = self.maps[digit]
+        if self.decreasing:
+            return image_of[hi], hi_closed, image_of[lo], lo_closed
+        return image_of[lo], lo_closed, image_of[hi], hi_closed
+
+    def fold(self, word: Word) -> Optional[tuple[Image, object]]:
+        """(J_w, c_w) of one word by :meth:`step`; None when [w] is empty.
+
+        Raises :class:`InadmissibleWord` for a digit that names no branch.
+        """
+        for digit in word:
+            if not 0 <= digit < len(self.cells):
+                raise InadmissibleWord(f"digit {digit} outside the alphabet")
+        image, offset = self.root, self.zero
+        for n, digit in enumerate(word, 1):
+            image = self.step(image, digit)
+            if image is None:
+                return None
+            offset = offset - self.depth(n).terms[digit]
+        return image, offset
+
+    def cylinder(self, word: Word, image: Image, offset) -> CylinderInterval:
+        """[w] = phi_w(J_w), from J_w and c_w: two additions."""
+        depth = self.depth(len(word))
+        lo, lo_closed, hi, hi_closed = image
+        lo_end, hi_end = depth.ends[lo] + offset, depth.ends[hi] + offset
+        if depth.decreasing:
+            return CylinderInterval(word, hi_end, lo_end, hi_closed, lo_closed)
+        return CylinderInterval(word, lo_end, hi_end, lo_closed, hi_closed)
+
+    def length(self, n: int, image: Image):
+        """|[w]| = |s_n| * |J_w| for a word of length n, once per (depth, image)."""
+        depth = self.depth(n)
+        key = image[0], image[2]
+        if key not in depth.lengths:
+            depth.lengths[key] = depth.scale * (self.points[key[1]] - self.points[key[0]])
+        return depth.lengths[key]
+
+    def bounds(self, lower):
+        """(|J| <= 1, |J| >= lower) of an image J, given its two indices; once per image.
+
+        |[w]| = |s_n| * |J_w|, so the decay bounds |[w]| <= |s_n| and
+        |[w]| >= lower * |s_n| are bounds on the image alone.
+        """
+        points = self.points
+
+        @cache
+        def bounds(lo: int, hi: int) -> tuple[bool, bool]:
+            width = points[hi] - points[lo]
+            return width <= 1, width >= lower
+
+        return bounds
 
 
-def affine_cylinder_walk(words: Iterable[Word], branches: Sequence[Branch],
-                         one) -> Iterator[CylinderFrame]:
-    """Frames of words given in preorder, one step per word.
+def image_walk(table: ImageTable,
+               words: Iterable[tuple[Word, object]]) -> Iterator[tuple[Word, object, Image]]:
+    """(word, tag, J_w) for each (word, tag) given in preorder, one step per word.
 
     Each word must come after its parent, with no word of the parent's length
-    or shorter in between (the order of a depth-first enumeration).  A stack
-    holds one frame per depth, so a word costs O(1) field operations instead
-    of an O(n) pullback.  Raises :class:`InadmissibleWord` when a word's
-    cylinder has no interior.
+    or shorter in between (the order of :func:`negabeta.shiftgraph.enumerate_words`,
+    whose end states are the tags).  A stack holds one image per depth.
+    Raises :class:`InadmissibleWord` when a word's cylinder has no interior.
     """
-    stack = [_root_frame(one)]
-    for word in words:
-        if not 1 <= len(word) <= len(stack):
-            raise ValueError(f"word {word} does not follow its parent")
+    stack = [table.root]
+    for word, tag in words:
         del stack[len(word):]
-        frame = _extend(stack[-1], branches[word[-1]], word)
-        if frame is None or frame.cylinder.lo == frame.cylinder.hi:
+        image = table.step(stack[-1], word[-1])
+        if image is None or image[0] == image[2]:
             raise InadmissibleWord(f"no interior in the cylinder of word {word}")
-        stack.append(frame)
-        yield frame
+        stack.append(image)
+        yield word, tag, image
 
 
-def _branches(system: MinusBetaSystem) -> list[Branch]:
-    """Branches x -> (a+1) - beta*x of the negative-beta map on its partition."""
-    inv_slope = -system.beta_inverse
-    return [Branch(cell, a + 1, inv_slope, True) for a, cell in enumerate(system.partition())]
+def image_table(system: MinusBetaSystem) -> ImageTable:
+    """The image table of x -> (a+1) - beta*x on the partition, cached on the system."""
+    if system._table_cache is None:
+        cells = system.partition()
+        system._table_cache = ImageTable(cells, [a + 1 for a in range(len(cells))],
+                                         -system.beta_inverse, True, system.beta.one())
+    return system._table_cache
 
 
-def _fold(system: MinusBetaSystem, word: Sequence[int]) -> CylinderFrame:
-    word = tuple(word)
-    frame = affine_cylinder(word, _branches(system), system.beta.one())
-    if frame is None:
+def _fold(system: MinusBetaSystem, word: Word) -> tuple[ImageTable, Image, object]:
+    table = image_table(system)
+    folded = table.fold(word)
+    if folded is None:
         raise InadmissibleWord(f"empty cylinder for word {word}")
-    if frame.cylinder.lo == frame.cylinder.hi:
+    image, offset = folded
+    if image[0] == image[2]:
         raise InadmissibleWord(f"degenerate cylinder for word {word}")
-    return frame
+    return table, image, offset
 
 
 def cylinder_interval(system: MinusBetaSystem, word: Sequence[int]) -> CylinderInterval:
-    """Exact coding cylinder, through the inverse branches y -> (digit + 1 - y)/beta.
+    """Exact coding cylinder, read off the word's image in the image table.
 
     Raises :class:`InadmissibleWord` when the cylinder has no interior.
     """
-    return _fold(system, word).cylinder
+    word = tuple(word)
+    table, image, offset = _fold(system, word)
+    return table.cylinder(word, image, offset)
 
 
 @dataclass(frozen=True)
@@ -220,12 +275,12 @@ class CylinderReport:
         return self.interval.word
 
 
-def _report(frame: CylinderFrame, lower_constant, branching: bool) -> CylinderReport:
-    interval = frame.cylinder
-    length = interval.length
-    scale = frame.scale
-    lower_ok = length >= lower_constant * scale if branching else None
-    return CylinderReport(interval, length, scale, length <= scale, branching, lower_ok)
+def _report(table: ImageTable, interval: CylinderInterval, image: Image, bounds,
+            branching: bool) -> CylinderReport:
+    n = len(interval.word)
+    upper_ok, lower_ok = bounds(image[0], image[2])
+    return CylinderReport(interval, table.length(n, image), table.depth(n).scale, upper_ok,
+                          branching, lower_ok if branching else None)
 
 
 def _lower_constant(system: MinusBetaSystem):
@@ -238,28 +293,36 @@ def cylinder_measure(system: MinusBetaSystem, word: Sequence[int]) -> CylinderRe
 
     The length never exceeds beta^-n; when the word admits two distinct
     one-letter extensions it is also at least (1 - b/beta) * beta^-n.  Both
-    comparisons are exact field arithmetic.
+    are decided exactly on the word's image (see :meth:`ImageTable.bounds`).
     """
-    frame = _fold(system, word)
+    word = tuple(word)
+    table, image, offset = _fold(system, word)
     graph = automaton_for(system).graph
-    branching = len(graph.followers(graph.reads(frame.cylinder.word))) >= 2
-    return _report(frame, _lower_constant(system), branching)
+    branching = len(graph.followers(graph.reads(word))) >= 2
+    return _report(table, table.cylinder(word, image, offset), image,
+                   table.bounds(_lower_constant(system)), branching)
 
 
 def cylinder_walk(system: MinusBetaSystem, maxlen: int) -> Iterator[CylinderReport]:
     """Reports for every admissible word up to maxlen, in preorder.
 
     Walks the folded automaton's words (the admissible words, in the order of
-    :meth:`MinusBetaSystem.enumerate_admissible`) through
-    :func:`affine_cylinder_walk`, so each report costs O(1) field operations;
-    a word branches when its end states have two followers.
+    :meth:`MinusBetaSystem.enumerate_admissible`) through :func:`image_walk`.
+    A word costs index comparisons in the image table, one subtraction for
+    c_w and two additions for the endpoints of [w]; its length and bound
+    checks are read off its image, once per (depth, image), so no word needs
+    a sign test.  A word branches when its end states have two followers.
     """
     graph = automaton_for(system).graph
-    lower = _lower_constant(system)
-    words, ends = itertools.tee(enumerate_words(graph, maxlen))
-    frames = affine_cylinder_walk((w for w, _ in words), _branches(system), system.beta.one())
-    for frame, (_, states) in zip(frames, ends):
-        yield _report(frame, lower, len(graph.followers(states)) >= 2)
+    table = image_table(system)
+    bounds = table.bounds(_lower_constant(system))
+    offsets = [table.zero]  # c_w for each prefix of the current word
+    for word, states, image in image_walk(table, enumerate_words(graph, maxlen)):
+        n = len(word)
+        del offsets[n:]
+        offsets.append(offsets[-1] - table.depth(n).terms[word[-1]])
+        yield _report(table, table.cylinder(word, image, offsets[-1]), image, bounds,
+                      len(graph.followers(states)) >= 2)
 
 
 # -- branching distance ------------------------------------------------------------
@@ -600,11 +663,14 @@ def partition_identity_holds(system: MinusBetaSystem, n: int) -> bool:
 
 
 def additivity_holds(system: MinusBetaSystem, word: Sequence[int]) -> bool:
-    """Cylinder length equals the sum over its admissible one-letter extensions."""
-    parent = _fold(system, word)
-    total = system.beta.zero()
-    for c, branch in enumerate(_branches(system)):
-        child = _extend(parent, branch, parent.cylinder.word + (c,))
-        if child is not None:
-            total = total + child.cylinder.length
-    return total == parent.cylinder.length
+    """Cylinder length equals the sum over its one-letter extensions.
+
+    Each extension's length is read off its image, |[wa]| = beta^-(n+1) |J_wa|,
+    so the identity checks the table's branch maps against the partition.
+    """
+    word = tuple(word)
+    table, image, _ = _fold(system, word)
+    n = len(word)
+    children = (table.step(image, digit) for digit in range(len(table.cells)))
+    return sum((table.length(n + 1, child) for child in children if child is not None),
+               system.beta.zero()) == table.length(n, image)

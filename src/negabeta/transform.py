@@ -279,6 +279,7 @@ class MinusBetaSystem:
         self._expansion: DigitSequence | None = None
         self._partition: tuple[JInterval, ...] | None = None
         self._aut_cache = None  # set lazily by negabeta.shiftgraph
+        self._table_cache = None  # set lazily by negabeta.measures
 
     def _floor_of_beta(self) -> int:
         gen = self._beta_el

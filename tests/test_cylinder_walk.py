@@ -6,6 +6,8 @@ last digit first, dividing by the slope at every step (memoized on suffixes
 here, which changes no value).  The walk and the
 one-word fold must reproduce them exactly: the same words in the same order,
 the same exact endpoints and the same closure flags, and the same refusals.
+The image table they read is checked against the paper's point set, computed
+here from the orbit of 1 under `apply_map`.
 """
 
 import functools
@@ -14,10 +16,13 @@ from fractions import Fraction
 
 import pytest
 
-from negabeta.algebraic import IntPolynomial, make_algebraic
+from negabeta.algebraic import FieldElement, IntPolynomial, make_algebraic
 from negabeta.intervalmaps import example31_cylinder, example31_measure_bounds, example31_system
-from negabeta.measures import InadmissibleWord, cylinder_interval, cylinder_walk
+from negabeta.measures import InadmissibleWord, cylinder_interval, cylinder_walk, image_table
+from negabeta.shiftgraph import automaton_for
 from negabeta.transform import MinusBetaSystem
+
+from pisot_bases import BASES as POOL_BASES
 
 BASES = {
     "cubic": ((-1, -1, 0, 1), 1, 2),  # x^3 - x - 1
@@ -26,7 +31,11 @@ BASES = {
     "golden": ((-1, -1, 1), 1, 2),  # x^2 - x - 1
     "silver": ((-1, -2, 1), 2, 3),  # x^2 - 2x - 1
     "defective": ((-1, -1, -2, 1), 2, 3),  # x^3 - 2x^2 - x - 1: d(1) = 21(2), so "20" is inadmissible
+    # Yrrap but not Pisot: the image table is finite because the orbit of 1 is
+    "quartic": ((-1, -1, 0, 0, 1), 1, 2),  # x^4 - x - 1
+    "salem": ((1, -1, -1, -1, 1), 1, 2),  # x^4 - x^3 - x^2 - x + 1
 }
+NON_PISOT = [BASES["quartic"], BASES["salem"], ((-1, 0, -1, 0, 0, 1), 1, 2)]  # and x^5 - x^2 - 1
 
 
 @pytest.fixture(scope="module", params=sorted(BASES))
@@ -140,3 +149,57 @@ def test_example31_walk_matches_pullback():
         assert report.length == hi - lo
         assert report.upper_ok == (hi - lo <= scale)
         assert report.lower_ok == (scale / 2 <= hi - lo)
+
+
+def _system(coeffs, lo, hi):
+    return MinusBetaSystem(make_algebraic(IntPolynomial(coeffs), lo, hi))
+
+
+@pytest.mark.parametrize("coeffs, lo, hi", POOL_BASES + NON_PISOT,
+                         ids=[str(c) for c, _, _ in POOL_BASES + NON_PISOT])
+def test_image_table_is_the_orbit_of_one(coeffs, lo, hi):
+    """P = {0, 1} + {k/beta} + the orbit of 1, with at most b+u+v+2 points."""
+    system = _system(coeffs, lo, hi)
+    points = image_table(system).points
+    assert list(points) == sorted(points) and len(set(points)) == len(points)
+    expected = {system.beta.zero(), system.beta.one()}
+    expected |= {system.beta_inverse * k for k in range(1, system.b + 1)}
+    x = system.beta.one()
+    while (x := system.apply_map(x)) not in expected:
+        expected.add(x)
+    assert set(points) == expected
+    s = system.expansion_of_one()
+    assert len(points) <= system.b + s.u + s.v + 2
+
+
+SWEEP_DEPTH = 4  # the reference pullback's sign tests take about 3 s here, 9 s at depth 5
+
+
+def test_walk_matches_pullback_on_every_base():
+    for coeffs, lo, hi in POOL_BASES:
+        system = _system(coeffs, lo, hi)
+        reports = list(cylinder_walk(system, SWEEP_DEPTH))
+        assert [r.word for r in reports] == list(system.enumerate_admissible(SWEEP_DEPTH))
+        for report in reports:
+            assert _fields(report.interval) == reference_interval(system, report.word), coeffs
+
+
+def test_no_word_needs_a_sign_test(monkeypatch):
+    """The walk's sign tests build the table and decide each image's bounds
+    once, so their count stops growing with the depth."""
+    sign = FieldElement.sign
+    calls = [0]
+
+    def counted(self):
+        calls[0] += 1
+        return sign(self)
+
+    monkeypatch.setattr(FieldElement, "sign", counted)
+    counts = []
+    for n in (8, 12):
+        system = _system(*BASES["cubic"])
+        automaton_for(system)
+        before = calls[0]
+        list(cylinder_walk(system, n))
+        counts.append(calls[0] - before)
+    assert counts[0] == counts[1]

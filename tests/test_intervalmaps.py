@@ -1,5 +1,6 @@
 """The slope-3 five-branch system and the circle map with source and sink."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -15,6 +16,7 @@ import pytest
 from negabeta.intervalmaps import (
     CircleMap,
     IntervalMapError,
+    PiecewiseExpandingMap,
     _circle_thetas,
     _vectorized_circle,
     circle_mc_deviation,
@@ -136,6 +138,19 @@ def test_cylinder_rejects_digits_outside_alphabet(system, word):
     fmap, _ = system
     with pytest.raises(InadmissibleWord):
         example31_cylinder(fmap, word)
+
+
+def test_image_table_is_the_cell_endpoints(system):
+    fmap, _ = system
+    assert fmap.image_table.points == fmap.breakpoints
+
+
+def test_image_table_needs_one_slope(system):
+    fmap, _ = system
+    first, *rest = fmap.branches
+    mixed = PiecewiseExpandingMap((dataclasses.replace(first, slope=Fraction(6)), *rest))
+    with pytest.raises(IntervalMapError):
+        example31_cylinder(mixed, (0,))
 
 
 def test_measure_bounds_exhaustive():
