@@ -192,6 +192,8 @@ def parse_observable(text: str, alphabet_bound: int):
             k = int(text[len("digit"):])
         except ValueError as exc:
             raise UsageError(f"unknown observable {text!r}") from exc
+        if not 0 <= k <= alphabet_bound:
+            raise UsageError(f"observable {text!r} names no digit: digits are 0..{alphabet_bound}")
         return {d: 1.0 if d == k else 0.0 for d in range(alphabet_bound + 1)}
     raise UsageError(f"unknown observable {text!r}")
 

@@ -471,9 +471,10 @@ def deviation_estimate(n: int, sample_count: int, hits: int, seed: int) -> Devia
         estimate = DeviationEstimate(n, sample_count, 0, None,
                                      -math.log(max(p_hi, 1e-300)) / n, float("inf"), seed)
         raise WindowNeverHit(estimate)
-    rate = -math.log(hits / sample_count) / n
-    ci_lo = -math.log(p_hi) / n
-    ci_hi = -math.log(p_lo) / n if p_lo > 0 else float("inf")
+    # 0.0 - x, not -x: when every sample hits, the rate is 0.0, not -0.0
+    rate = 0.0 - math.log(hits / sample_count) / n
+    ci_lo = 0.0 - math.log(p_hi) / n
+    ci_hi = 0.0 - math.log(p_lo) / n if p_lo > 0 else float("inf")
     return DeviationEstimate(n, sample_count, hits, rate, ci_lo, ci_hi, seed)
 
 

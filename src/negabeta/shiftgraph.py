@@ -34,7 +34,6 @@ class FoldNotVerified(ShiftGraphError):
 @dataclass(frozen=True)
 class _GraphIndex:
     out: tuple[tuple[Edge, ...], ...]  # sorted out-edges per vertex
-    into: tuple[tuple[Edge, ...], ...]  # sorted in-edges per vertex
     succ: dict[int, frozenset[int]]  # vertex -> successors
     pred: dict[int, frozenset[int]]  # vertex -> predecessors
     targets: dict[tuple[int, int], frozenset[int]]  # (source, label) -> targets
@@ -68,20 +67,19 @@ class LabeledGraph:
     def _index(self) -> _GraphIndex:
         """Edge lists and endpoint sets per vertex, built on first use."""
         out: list[list[Edge]] = [[] for _ in range(self.vertex_count)]
-        into: list[list[Edge]] = [[] for _ in range(self.vertex_count)]
+        pred: list[set[int]] = [set() for _ in range(self.vertex_count)]
         targets: dict[tuple[int, int], set[int]] = {}
         sources: dict[tuple[int, int], set[int]] = {}
         for e in sorted(self.edges):
             s, a, t = e
             out[s].append(e)
-            into[t].append(e)
+            pred[t].add(s)
             targets.setdefault((s, a), set()).add(t)
             sources.setdefault((t, a), set()).add(s)
         return _GraphIndex(
             out=tuple(map(tuple, out)),
-            into=tuple(map(tuple, into)),
             succ={v: frozenset(t for _, _, t in es) for v, es in enumerate(out)},
-            pred={v: frozenset(s for s, _, _ in es) for v, es in enumerate(into)},
+            pred={v: frozenset(ss) for v, ss in enumerate(pred)},
             targets={k: frozenset(v) for k, v in targets.items()},
             sources={k: frozenset(v) for k, v in sources.items()},
             labels=tuple(sorted({a for _, a, _ in self.edges})),
@@ -90,9 +88,6 @@ class LabeledGraph:
 
     def out_edges(self, v: int) -> list[Edge]:
         return list(self._index.out[v])
-
-    def in_edges(self, v: int) -> list[Edge]:
-        return list(self._index.into[v])
 
     def labels(self) -> set[int]:
         return set(self._index.labels)
@@ -295,12 +290,18 @@ def _build_folded(g: LabeledGraph, start: int, period: int, u: int, v: int) -> F
 
 @dataclass(frozen=True)
 class ComponentChain:
-    """Ordered irreducible pieces (l_i, n_i), the last one open-ended."""
+    """Ordered irreducible pieces (l_i, n_i), the last one open-ended from N."""
 
-    pairs: tuple[tuple[int, Optional[int]], ...]
-    N: int
     components: tuple[tuple[int, ...], ...]
     automaton: FoldedAutomaton
+
+    @property
+    def pairs(self) -> tuple[tuple[int, Optional[int]], ...]:
+        return tuple((c[0], c[-1]) for c in self.components[:-1]) + ((self.N, None),)
+
+    @property
+    def N(self) -> int:
+        return self.components[-1][0]
 
     @property
     def q(self) -> int:
@@ -347,55 +348,50 @@ def is_irreducible(g: LabeledGraph, vertices: Iterable[int]) -> bool:
                for step in (g.forward, g.backward))
 
 
+def _cyclic_components(g: LabeledGraph) -> list[tuple[int, ...]]:
+    """The strong components with a cycle (more than one vertex, or a self-loop), sorted.
+
+    Each takes what a backward level walk reaches inside a forward one, both off assigned states.
+    """
+    free = frozenset(range(g.vertex_count))
+    found = []
+    while free:
+        v = min(free)
+        root = frozenset((v,))
+        ahead = frozenset().union(*_levels(lambda level: g.forward(level) & free, root))
+        comp = frozenset().union(*_levels(lambda level: g.backward(level) & ahead, root))
+        free -= comp
+        if len(comp) > 1 or v in g.successors(v):
+            found.append(tuple(sorted(comp)))
+    return found
+
+
 def cycle_vertices(g: LabeledGraph) -> set[int]:
-    """Vertices lying on some directed cycle: those reached again from their successors."""
-    return {v for v in range(g.vertex_count)
-            if any(v in level for level in _levels(g.forward, g.successors(v)))}
+    """Vertices lying on some directed cycle: the union of the cyclic strong components."""
+    return set().union(*_cyclic_components(g))
 
 
 def decompose(aut: FoldedAutomaton) -> ComponentChain:
     """Ordered chain of irreducible pieces of the folded automaton.
 
-    N is the least index whose tail sub-automaton is strongly connected;
-    earlier pieces are grown greedily from each entry vertex (a vertex with
-    at least two in-edges), exactly mirroring the inductive construction the
-    folding makes finite.
+    The pieces are the strong components with a cycle, in index order, the
+    last one holding the last vertex.  This is the paper's construction (N
+    the least k with V_k..V_last irreducible, each earlier piece the largest
+    irreducible range, the next one from the next vertex of in-degree >= 2):
+    every folded edge is a spine edge V_i -> V_(i+1) or goes to an index no
+    larger than its source, so the target of a back edge lies on a cycle,
+    strong components are ranges, and a vertex on no cycle has in-degree at
+    most 1.  V0 always has the digit-0 loop, because s_0 = b >= 1.  Raises
+    :class:`ShiftGraphError` when a component is not a range or the last vertex is on no cycle.
     """
     g = aut.graph
-    total = g.vertex_count
-    N = None
-    for k in range(total):
-        if is_irreducible(g, range(k, total)):
-            N = k
-            break
-    if N is None:
-        raise ShiftGraphError("no irreducible tail found; folding is inconsistent")
-
-    pairs: list[tuple[int, Optional[int]]] = []
-    components: list[tuple[int, ...]] = []
-    l = 0
-    while True:
-        if l == N:
-            pairs.append((N, None))
-            components.append(tuple(range(N, total)))
-            break
-        n_i = None
-        for k in range(l, N):
-            if is_irreducible(g, range(l, k + 1)):
-                n_i = k
-        if n_i is None:
-            raise ShiftGraphError(f"no irreducible block starts at V{l}")
-        pairs.append((l, n_i))
-        components.append(tuple(range(l, n_i + 1)))
-        nxt = None
-        for k in range(n_i + 1, N + 1):
-            if len(g.in_edges(k)) >= 2:
-                nxt = k
-                break
-        if nxt is None:
-            raise ShiftGraphError("chain construction found no further entry vertex")
-        l = nxt
-    return ComponentChain(tuple(pairs), N, tuple(components), aut)
+    components = _cyclic_components(g)
+    for comp in components:
+        if comp != tuple(range(comp[0], comp[-1] + 1)):
+            raise ShiftGraphError(f"strong component {comp} is not a vertex range")
+    if not components or components[-1][-1] != g.vertex_count - 1:
+        raise ShiftGraphError("the last vertex lies on no cycle; folding is inconsistent")
+    return ComponentChain(tuple(components), aut)
 
 
 # -- counting and entropy --------------------------------------------------------

@@ -239,6 +239,9 @@ def test_cylinder_command_usage_errors(argv, capsys):
         ["yrrap", "--beta", "poly:-1,-1,0,1;interval:1,2;precison:64"],
         ["yrrap", "--beta", "poly:-1,-1,0,1;interval:1,2;decimal:2"],
         ["yrrap", "--beta", "decimal:2;precision:8;precision:9"],
+        ["rate", "--beta", PISOT, "--obs", "digit5", "--a", "0.0"],
+        ["mc", "--beta", PISOT, "--obs", "digit7", "--window", "0:0", "--n", "5", "--N", "100",
+         "--seed", "1"],
     ],
     ids=["beta-not-isolating", "beta-no-root", "beta-below-one", "gbeta-n-0", "mc-n-0",
          "mc-N-0", "rate-unachievable", "compare-rates-wrong-base", "yrrap-max-steps-0",
@@ -251,7 +254,8 @@ def test_cylinder_command_usage_errors(argv, capsys):
          "mc-cubic-above-bit-cap", "mc-golden-above-bit-cap", "mc-huge-n",
          "rate-constant-observable", "cyl-missing-maxlen", "gbeta-n-not-an-int",
          "unknown-subcommand", "spec-unknown-flag", "beta-repeated-key", "beta-unknown-key",
-         "beta-misspelt-key", "beta-poly-and-decimal", "beta-repeated-precision"],
+         "beta-misspelt-key", "beta-poly-and-decimal", "beta-repeated-precision",
+         "rate-obs-digit-above-b", "mc-obs-digit-above-b"],
 )
 def test_bad_input_usage_errors(argv, capsys):
     code, out, err = invoke(argv, capsys)
@@ -269,6 +273,18 @@ def test_mc_runs_at_the_bit_cap(beta, n, capsys):
                            "--N", "200", "--seed", "1"], capsys)
     assert code == 0
     assert json.loads(out)["hits"] == 200
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--beta", PISOT, "--obs", "digit1", "--window", "0:1"],
+    ["example32", "--a-window", "0:1"],
+], ids=["mc", "example32"])
+def test_every_sample_hit_prints_zero_rate(argv, capsys):
+    code, out, _ = invoke(argv + ["--n", "5", "--N", "100", "--seed", "1"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["hits"] == 100 and payload["rate"] == payload["ci_lo"] == 0.0
+    assert "-0.0" not in out
 
 
 def test_cyl_and_validate_read_the_automaton_only(monkeypatch, capsys):
@@ -364,7 +380,6 @@ def _argv(draw):
     ]))
     options = {
         "yrrap": {"--max-steps": _INTS},
-        "graph": {"--horizon": st.integers(-1, 12).map(str)},
         "spec": {"--oracle-maxlen": st.integers(-1, 40).map(str)},
         "gbeta": {"--n": _INTS},
         "rate": {"--obs": _OBS, "--a": _FLOATS,

@@ -1,9 +1,10 @@
 """The graph layer's reachability answers against a Floyd-Warshall closure.
 
-`is_irreducible`, `cycle_vertices`, `_component_diameter`, `_shortest_cross_word`
-and `_some_cycle` walk the graph index level by level.  The reference here
-is the closure of the edge relation: the length of a shortest path of one or
-more edges between every pair of vertices, built by the Warshall triple loop.
+`is_irreducible`, `cycle_vertices`, `_cyclic_components`, `_component_diameter`,
+`_shortest_cross_word` and `_some_cycle` walk the graph index level by level.
+The reference here is the closure of the edge relation: the length of a
+shortest path of one or more edges between every pair of vertices, built by
+the Warshall triple loop.
 """
 
 import math
@@ -12,7 +13,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negabeta.shiftgraph import LabeledGraph, cycle_vertices, is_irreducible
+from negabeta.shiftgraph import LabeledGraph, _cyclic_components, cycle_vertices, is_irreducible
 from negabeta.specprop import _component_diameter, _shortest_cross_word, _some_cycle
 
 MAX_VERTICES = 8
@@ -67,6 +68,17 @@ def test_is_irreducible_matches_closure(gs):
 def test_cycle_vertices_match_closure(g):
     dist = closure(g)
     assert cycle_vertices(g) == {v for v in range(g.vertex_count) if dist[v][v] < math.inf}
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_cyclic_components_match_closure(g):
+    dist = closure(g)
+    on_cycle = [v for v in range(g.vertex_count) if dist[v][v] < math.inf]
+    # the classes of "reach each other" among the cycle vertices, by smallest vertex
+    expected = sorted({tuple(w for w in on_cycle if dist[v][w] < math.inf and dist[w][v] < math.inf)
+                       for v in on_cycle})
+    assert _cyclic_components(g) == expected
 
 
 @settings(max_examples=300, deadline=None)
