@@ -286,9 +286,10 @@ class FieldElement:
 
     def _combine(self, other, sign: int) -> "FieldElement":
         """self + sign * other, over the least common denominator."""
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not (isinstance(other, FieldElement) and other.field is self.field):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         da, db = self.den, other.den
         g = math.gcd(da, db)
         ma, mb = db // g, sign * (da // g)

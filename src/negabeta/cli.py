@@ -18,7 +18,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Optional, Sequence
 
 # The other modules are imported by the commands that run them, so a process
@@ -187,10 +186,12 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 def parse_observable(text: str, alphabet_bound: int):
     if text == "digit":
         return {d: float(d) for d in range(alphabet_bound + 1)}
-    if text.startswith("digit"):
+    # a run of ASCII digits only: int() would also take signs, spaces and underscores
+    match = re.fullmatch("digit([0-9]+)", text)
+    if match:
         try:
-            k = int(text[len("digit"):])
-        except ValueError as exc:
+            k = int(match[1])
+        except ValueError as exc:  # more digits than int() converts
             raise UsageError(f"unknown observable {text!r}") from exc
         if not 0 <= k <= alphabet_bound:
             raise UsageError(f"observable {text!r} names no digit: digits are 0..{alphabet_bound}")
@@ -275,20 +276,31 @@ def _cmd_spec(config: RunConfig):
 def _cylinder_rows(system: MinusBetaSystem, maxlen: int, digits: int) -> list[dict]:
     from negabeta import measures
 
-    # neighbouring cylinders share endpoints and many share a length: format each value once
-    coeff_text = cache(_coeff_text)
-    decimal = cache(lambda value: algebraic.to_decimal(value, digits))
+    # Neighbouring cylinders share endpoints and many share a length, so each
+    # value is formatted once, keyed by its canonical vector: a value costs one
+    # tuple lookup instead of a hash of the element.
+    formatted: dict[tuple, tuple[str, str]] = {}
+
+    def texts(value) -> tuple[str, str]:
+        key = value.nums, value.den
+        pair = formatted.get(key)
+        if pair is None:
+            pair = formatted[key] = (_coeff_text(value), algebraic.to_decimal(value, digits))
+        return pair
+
     rows = []
     for report in measures.cylinder_walk(system, maxlen):
         interval = report.interval
+        lo, lo_decimal = texts(interval.lo)
+        hi, hi_decimal = texts(interval.hi)
         rows.append(
             {
                 "word": word_to_text(interval.word, system.b),
-                "lo": coeff_text(interval.lo),
-                "hi": coeff_text(interval.hi),
-                "lo_decimal": decimal(interval.lo),
-                "hi_decimal": decimal(interval.hi),
-                "length": decimal(report.length),
+                "lo": lo,
+                "hi": hi,
+                "lo_decimal": lo_decimal,
+                "hi_decimal": hi_decimal,
+                "length": texts(report.length)[1],
                 "upper_bound_ok": report.upper_bound_ok,
                 "lower_bound_applicable": report.lower_bound_applicable,
                 "lower_bound_ok": report.lower_bound_ok,
@@ -408,7 +420,7 @@ def _cmd_example31(config: RunConfig):
     reports = intervalmaps.example31_measure_bounds(maxlen)
     return {
         "certificate": cert.to_json_dict(4),
-        "words_checked": len(reports),
+        "words_checked": sum(r.words for r in reports),
         "bounds_ok": all(r.lower_ok and r.upper_ok for r in reports),
         "maxlen": maxlen,
     }
@@ -453,8 +465,10 @@ def _cmd_validate(config: RunConfig):
     sweep = list(measures.cylinder_walk(system, maxlen))
     record("cylinder_upper_bounds", all(r.upper_bound_ok for r in sweep))
     corrected = (system.beta.one() - system.b * system.beta_inverse) * system.beta_inverse
+    # length/scale is the width of the word's image: decide the bound once per image
+    bounds = measures.image_table(system).bounds(corrected)
     low = next((r for r in sweep
-                if r.lower_bound_applicable and r.length < corrected * r.scale), None)
+                if r.lower_bound_applicable and not bounds(r.image[0], r.image[2])[1]), None)
     record("cylinder_lower_bounds_corrected", low is None,
            "" if low is None else
            f"word {word_to_text(low.interval.word, system.b)} has length/scale "
@@ -516,11 +530,11 @@ def emit_report(result, fmt: str, out: Optional[str]) -> str:
         rows = result.get("rows") if isinstance(result, dict) else None
         if rows is None:
             raise UsageError("csv format applies to row-shaped results (cyl, rate, compare-rates)")
+        header = list(rows[0]) if rows else []
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()) if rows else [],
-                                lineterminator="\r\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows([row[key] for key in header] for row in rows)
         text = buf.getvalue()
     else:
         text = json.dumps(result, sort_keys=True, indent=2, allow_nan=False) + "\n"

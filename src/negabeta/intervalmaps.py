@@ -17,8 +17,8 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from negabeta.ldp import DeviationEstimate, _sample_int, _window_deviation
-from negabeta.measures import ImageTable, image_walk
-from negabeta.shiftgraph import LabeledGraph, enumerate_words
+from negabeta.measures import Image, ImageTable, InadmissibleWord
+from negabeta.shiftgraph import LabeledGraph
 from negabeta.specprop import SoficPresentation
 from negabeta.transform import HitBoundary, Word
 
@@ -164,30 +164,61 @@ def example31_cylinder(fmap: PiecewiseExpandingMap, word: Sequence[int]):
 
 @dataclass(frozen=True)
 class Example31BoundsReport:
-    word: Word
+    """The words of length n whose image T^n[w] is one interval, counted.
+
+    All of them share the cylinder length 3^-n * |image|, so the two bounds
+    hold for all of them or for none.
+    """
+
+    n: int
+    image: Image
     length: Fraction
+    words: int
     lower_ok: bool
     upper_ok: bool
 
 
 def example31_measure_bounds(maxlen: int) -> list[Example31BoundsReport]:
-    """Exhaustive exact cylinder lengths with the (1/2)3^-n <= L <= 3^-n bounds.
+    """Exact cylinder lengths with the (1/2)3^-n <= L <= 3^-n bounds, for all words up to maxlen.
 
-    Walks the presentation's words through the map's image table: a word's
-    length is 3^-n times the length of its image T^n[w], so both bounds are
-    bounds on the image (1/2 <= |T^n[w]| <= 1), decided once per image, and
-    no endpoint of [w] is computed.
+    Counts words instead of listing them.  A word's end-state set in the
+    presentation (read from all states) fixes its one-letter extensions, and
+    its image J_w = T^n[w] in the map's image table fixes theirs; so the
+    words of one length fall into classes keyed by (end states, J_w), each
+    class steps by ``graph.followers`` and :meth:`ImageTable.step`, and the
+    counts of classes that merge add.  The subset step is deterministic, so
+    each word lies in exactly one class and the counts are exact.  A word's
+    length is 3^-n times the length of its image, so both bounds are bounds
+    on the image (1/2 <= |J_w| <= 1), decided once per image.  Returns one
+    report per (length, image); ``words`` sums to the number of words.
+    Raises :class:`negabeta.measures.InadmissibleWord` when some word's
+    cylinder has no interior, naming one word of its class.
     """
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
     fmap, presentation = example31_system()
-    table = fmap.image_table
+    graph, table = presentation.graph, fmap.image_table
     bounds = table.bounds(Fraction(1, 2))
+    # (end states, image) -> [one word of the class, for error messages; number of words]
+    level = {(frozenset(range(graph.vertex_count)), table.root): [(), 1]}
     reports = []
-    for word, _, image in image_walk(table, enumerate_words(presentation.graph, maxlen)):
-        upper_ok, lower_ok = bounds(image[0], image[2])
-        reports.append(Example31BoundsReport(word, table.length(len(word), image), lower_ok,
-                                             upper_ok))
+    for n in range(1, maxlen + 1):
+        children: dict = {}
+        for (states, image), (word, count) in level.items():
+            for digit, ends in graph.followers(states):
+                child = table.step(image, digit)
+                if child is None or child[0] == child[2]:
+                    raise InadmissibleWord(f"no interior in the cylinder of word {word + (digit,)}")
+                entry = children.setdefault((ends, child), [word + (digit,), 0])
+                entry[1] += count
+        counts: dict[Image, int] = {}
+        for (_, image), (_, count) in children.items():
+            counts[image] = counts.get(image, 0) + count
+        for image, count in counts.items():
+            upper_ok, lower_ok = bounds(image[0], image[2])
+            reports.append(Example31BoundsReport(n, image, table.length(n, image), count,
+                                                 lower_ok, upper_ok))
+        level = children
     return reports
 
 

@@ -260,7 +260,8 @@ class CylinderReport:
     """Exact cylinder and its length together with the two decay bound checks.
 
     `scale` is the contraction of the inverse branch on the cylinder
-    (beta^-n for a word of length n).
+    (beta^-n for a word of length n), and `image` is the word's image T^n[w]
+    in the image table, so that length = scale * |image|.
     """
 
     interval: CylinderInterval
@@ -269,6 +270,7 @@ class CylinderReport:
     upper_bound_ok: bool
     lower_bound_applicable: bool
     lower_bound_ok: Optional[bool]
+    image: Image
 
     @property
     def word(self) -> Word:
@@ -280,7 +282,7 @@ def _report(table: ImageTable, interval: CylinderInterval, image: Image, bounds,
     n = len(interval.word)
     upper_ok, lower_ok = bounds(image[0], image[2])
     return CylinderReport(interval, table.length(n, image), table.depth(n).scale, upper_ok,
-                          branching, lower_ok if branching else None)
+                          branching, lower_ok if branching else None, image)
 
 
 def _lower_constant(system: MinusBetaSystem):

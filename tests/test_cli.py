@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negabeta.algebraic import FieldElement
 from negabeta.cli import MAX_DIGITS, RunConfig, UsageError, emit_report, main, parse_config
 from negabeta.transform import EXPANSION_STEPS, MinusBetaSystem
 
@@ -242,6 +243,11 @@ def test_cylinder_command_usage_errors(argv, capsys):
         ["rate", "--beta", PISOT, "--obs", "digit5", "--a", "0.0"],
         ["mc", "--beta", PISOT, "--obs", "digit7", "--window", "0:0", "--n", "5", "--N", "100",
          "--seed", "1"],
+        ["rate", "--beta", PISOT, "--obs", "digit0_1", "--a", "0.3"],
+        ["rate", "--beta", PISOT, "--obs", "digit+1", "--a", "0.3"],
+        ["rate", "--beta", PISOT, "--obs", "digit 1", "--a", "0.3"],
+        ["rate", "--beta", PISOT, "--obs", "digit1\n", "--a", "0.3"],
+        ["rate", "--beta", PISOT, "--obs", "digit\u0661", "--a", "0.3"],
     ],
     ids=["beta-not-isolating", "beta-no-root", "beta-below-one", "gbeta-n-0", "mc-n-0",
          "mc-N-0", "rate-unachievable", "compare-rates-wrong-base", "yrrap-max-steps-0",
@@ -255,7 +261,9 @@ def test_cylinder_command_usage_errors(argv, capsys):
          "rate-constant-observable", "cyl-missing-maxlen", "gbeta-n-not-an-int",
          "unknown-subcommand", "spec-unknown-flag", "beta-repeated-key", "beta-unknown-key",
          "beta-misspelt-key", "beta-poly-and-decimal", "beta-repeated-precision",
-         "rate-obs-digit-above-b", "mc-obs-digit-above-b"],
+         "rate-obs-digit-above-b", "mc-obs-digit-above-b", "rate-obs-digit-underscore",
+         "rate-obs-digit-sign", "rate-obs-digit-space", "rate-obs-digit-newline",
+         "rate-obs-digit-non-ascii"],
 )
 def test_bad_input_usage_errors(argv, capsys):
     code, out, err = invoke(argv, capsys)
@@ -326,6 +334,23 @@ def test_validate_names_the_word_below_the_corrected_lower_bound(capsys):
     assert lower["detail"] == ("word 0001001 has length/scale 0.072615 "
                                "below (1 - b/beta)/beta = 0.148129")
     assert all(c["detail"] == "" for c in checks.values() if c["ok"])
+
+
+def test_validate_decides_the_corrected_bound_per_image(monkeypatch, capsys):
+    """length/scale is the width of the word's image, so the corrected lower bound
+    costs sign tests per image, not per branching row (286 calls when it was per row)."""
+    sign = FieldElement.sign
+    calls = [0]
+
+    def counted(self):
+        calls[0] += 1
+        return sign(self)
+
+    monkeypatch.setattr(FieldElement, "sign", counted)
+    argv = ["validate", "--beta", PISOT, "--maxlen", "12", "--seed", "3"]
+    code, out, _ = invoke(argv, capsys)
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert calls[0] <= 60
 
 
 def test_a_grid_count_message_names_the_count(capsys):

@@ -18,8 +18,10 @@ import pytest
 
 from negabeta.algebraic import FieldElement, IntPolynomial, make_algebraic
 from negabeta.intervalmaps import example31_cylinder, example31_measure_bounds, example31_system
-from negabeta.measures import InadmissibleWord, cylinder_interval, cylinder_walk, image_table
-from negabeta.shiftgraph import automaton_for
+from negabeta.measures import (
+    InadmissibleWord, cylinder_interval, cylinder_walk, image_table, image_walk,
+)
+from negabeta.shiftgraph import automaton_for, enumerate_words
 from negabeta.transform import MinusBetaSystem
 
 from pisot_bases import BASES as POOL_BASES
@@ -142,10 +144,13 @@ def test_example31_fold_matches_pullback():
 
 
 def test_example31_walk_matches_pullback():
-    fmap, _ = example31_system()
-    for report in example31_measure_bounds(7):
-        lo, hi, _, _ = reference_example31(fmap, report.word)
-        scale = Fraction(1, 3 ** len(report.word))
+    """Each word, listed one by one, has the length and bounds of its counted class."""
+    fmap, presentation = example31_system()
+    reports = {(r.n, r.image): r for r in example31_measure_bounds(7)}
+    for word, _, image in image_walk(fmap.image_table, enumerate_words(presentation.graph, 7)):
+        report = reports[len(word), image]
+        lo, hi, _, _ = reference_example31(fmap, word)
+        scale = Fraction(1, 3 ** len(word))
         assert report.length == hi - lo
         assert report.upper_ok == (hi - lo <= scale)
         assert report.lower_ok == (scale / 2 <= hi - lo)

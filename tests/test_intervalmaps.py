@@ -2,17 +2,20 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from negabeta import cli
 from negabeta.intervalmaps import (
     CircleMap,
     IntervalMapError,
@@ -28,7 +31,7 @@ from negabeta.intervalmaps import (
     predicted_occupation_rate,
 )
 from negabeta.ldp import _CHUNK, WindowNeverHit, _sample_block
-from negabeta.measures import InadmissibleWord
+from negabeta.measures import InadmissibleWord, image_walk
 from negabeta.shiftgraph import enumerate_words
 from negabeta.specprop import spec_bound
 from negabeta.transform import HitBoundary
@@ -153,10 +156,53 @@ def test_image_table_needs_one_slope(system):
         example31_cylinder(mixed, (0,))
 
 
+def listing(maxlen):
+    """(word, end states, image) of every word up to maxlen, one by one, in preorder."""
+    fmap, presentation = example31_system()
+    return list(image_walk(fmap.image_table, enumerate_words(presentation.graph, maxlen)))
+
+
+def classes(maxlen):
+    return {(r.n, r.image): r for r in example31_measure_bounds(maxlen)}
+
+
 def test_measure_bounds_exhaustive():
     reports = example31_measure_bounds(8)
     assert all(r.lower_ok and r.upper_ok for r in reports)
-    assert any(len(r.word) == 8 for r in reports)
+    assert any(r.n == 8 for r in reports)
+
+
+@pytest.mark.parametrize("maxlen", range(1, 8))
+def test_class_counts_equal_the_word_listing(maxlen):
+    """Per (length, image), the counted classes hold exactly the listed words."""
+    listed = Counter((len(word), image) for word, _, image in listing(maxlen))
+    assert {key: r.words for key, r in classes(maxlen).items()} == listed
+
+
+def test_words_checked_has_a_closed_form(capsys):
+    """The words are {0,1}^i {2,3,4}^(n-i) with a 1 at the join when 0 < i < n: per
+    length n, 2^n + 3^n + sum_{0<i<n} 2^(i-1) 3^(n-i) = 2*3^n - 2^(n-1), which sums
+    to 3^(L+1) - 2^L - 2 over n = 1..L."""
+    for maxlen in range(1, 41):
+        assert cli.main(["example31", "--maxlen", str(maxlen)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["words_checked"] == 3 ** (maxlen + 1) - 2 ** maxlen - 2
+        assert payload["bounds_ok"] is True
+
+
+def test_example31_lists_no_word(monkeypatch, capsys):
+    """The CLI reaches neither the word enumeration nor the per-word image walk."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word listing was reached")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("negabeta")]:
+        for name in ("enumerate_words", "image_walk"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert cli.main(["example31", "--maxlen", "12"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["bounds_ok"] is True
+    assert payload["words_checked"] == 3 ** 13 - 2 ** 12 - 2
 
 
 def test_measure_bounds_empty_word_is_unit(system):
@@ -166,8 +212,9 @@ def test_measure_bounds_empty_word_is_unit(system):
 
 
 def test_cylinder_denominators_divide_2_3n():
-    for r in example31_measure_bounds(6):
-        assert (2 * 3 ** len(r.word)) % r.length.denominator == 0
+    reports = classes(6)
+    for word, _, image in listing(6):
+        assert (2 * 3 ** len(word)) % reports[len(word), image].length.denominator == 0
 
 
 def test_presentation_certificate():
