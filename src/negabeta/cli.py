@@ -53,7 +53,7 @@ class _NeverHit(Exception):
     """A Monte Carlo window that no sample hit; maps to exit code 3.
 
     Carries the message and the report, which still certifies a rate lower
-    bound and is printed to stdout.
+    bound and is emitted like any report: to ``--out`` if given, else stdout.
     """
 
 
@@ -71,6 +71,14 @@ class RunConfig:
 
 
 _STOCHASTIC = {"mc", "example32", "validate"}
+# the commands whose results each non-JSON format can write, and the usage
+# error for the others
+_FORMAT_COMMANDS = {
+    "csv": ({"cyl", "rate", "compare-rates"},
+            "csv format applies to row-shaped results (cyl, rate, compare-rates)"),
+    "dot": ({"graph", "components"},
+            "dot format applies to graph-shaped results (graph, components)"),
+}
 # cap on --digits, below Python's 4300-digit limit on int-to-str conversion
 MAX_DIGITS = 1000
 
@@ -164,6 +172,8 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         raise UsageError(f"--seed is mandatory for '{ns.command}'")
     if not 1 <= ns.digits <= MAX_DIGITS:
         raise UsageError(f"--digits must be in 1..{MAX_DIGITS}, got {ns.digits}")
+    if ns.fmt in _FORMAT_COMMANDS and ns.command not in _FORMAT_COMMANDS[ns.fmt][0]:
+        raise UsageError(_FORMAT_COMMANDS[ns.fmt][1])
     params = {
         k: v
         for k, v in vars(ns).items()
@@ -524,12 +534,12 @@ def emit_report(result, fmt: str, out: Optional[str]) -> str:
     """Serialize a command result with stable field ordering."""
     if fmt == "dot":
         if not isinstance(result, str):
-            raise UsageError("dot format applies to graph-shaped results (graph, components)")
+            raise UsageError(_FORMAT_COMMANDS["dot"][1])
         text = result
     elif fmt == "csv":
         rows = result.get("rows") if isinstance(result, dict) else None
         if rows is None:
-            raise UsageError("csv format applies to row-shaped results (cyl, rate, compare-rates)")
+            raise UsageError(_FORMAT_COMMANDS["csv"][1])
         header = list(rows[0]) if rows else []
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
@@ -552,10 +562,18 @@ def run(config: RunConfig) -> int:
     body = _COMMANDS.get(config.command)
     if body is None:
         raise UsageError(f"unknown command {config.command!r}")
-    result = body(config)
+    never_hit = None
+    try:
+        result = body(config)
+    except _NeverHit as exc:
+        # a zero-hit run still certifies a rate lower bound: its report goes out like any other
+        never_hit, result = exc.args
     text = emit_report(result, config.fmt, config.out)
     if not config.out:
         sys.stdout.write(text)
+    if never_hit is not None:
+        print(f"window never hit: {never_hit}", file=sys.stderr)
+        return 3
     if isinstance(result, dict) and result.get("ok") is False:
         return 1
     return 0
@@ -571,12 +589,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except NotEventuallyPeriodic as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 3
-    except _NeverHit as exc:
-        message, report = exc.args
-        # emit the rate lower bound that a zero-hit run still certifies
-        sys.stdout.write(emit_report(report, "json", None))
-        print(f"window never hit: {message}", file=sys.stderr)
         return 3
     except IOError as exc:
         print(f"output error: {exc}", file=sys.stderr)

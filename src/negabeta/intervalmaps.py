@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
-from negabeta.ldp import DeviationEstimate, _sample_int, _window_deviation
+from negabeta.ldp import DeviationEstimate, _sample_doubles, _window_deviation
 from negabeta.measures import Image, ImageTable, InadmissibleWord
 from negabeta.shiftgraph import LabeledGraph
 from negabeta.specprop import SoficPresentation
@@ -252,19 +252,6 @@ class CircleMap:
     def derivative(self, theta: float) -> float:
         return 1.0 + self.strength * 2.0 * math.pi * math.cos(2.0 * math.pi * theta)
 
-    def inverse(self, y: float) -> float:
-        """Unique preimage on the circle (the map is an increasing homeomorphism)."""
-        x = y
-        for _ in range(100):
-            diff = self(x) - y
-            # lift difference to the nearest representative
-            diff -= round(diff)
-            if abs(diff) < 1e-15:
-                break
-            x -= diff / self.derivative(x)
-            x -= math.floor(x)
-        return x
-
     def source_rate(self) -> float:
         """log of the derivative at the repelling fixed point 0."""
         return math.log(self.derivative(0.0))
@@ -282,53 +269,20 @@ def _vectorized_circle(theta: np.ndarray, strength: float) -> np.ndarray:
     return out - np.floor(out)
 
 
-_NW_GRID = 2000  # forward orbits start on this many equally spaced points
-_NW_ITERS = 400  # steps each forward or backward orbit runs
-_NW_TOL = 1e-6  # circle distance within which two late points form one cluster
-
-
 def circle_nonwandering(fmap: CircleMap) -> list[float]:
-    """Cluster points of late forward orbits plus backward-detected repellers."""
-    import numpy as np
+    """The non-wandering set of the circle map: its fixed points, [0.0, 0.5].
 
-    theta = np.linspace(0.0, 1.0, _NW_GRID, endpoint=False)
-    for _ in range(_NW_ITERS):
-        theta = _vectorized_circle(theta, fmap.strength)
-    points = {round(float(v), 9) for v in theta}
-    # backward orbits converge to the repeller
-    for x in (0.17, 0.33, 0.71):
-        for _ in range(_NW_ITERS):
-            x = fmap.inverse(x)
-        points.add(round(float(x), 9))
-    clusters: list[float] = []
-    for p in sorted(points):
-        for c in clusters:
-            if min(abs(p - c), 1 - abs(p - c)) <= _NW_TOL:
-                break
-        else:
-            clusters.append(p)
-    return clusters
-
-
-_EXACT_HI = 2**55  # a sample whose top 64 bits reach this rounds from them and a sticky bit
-
-
-def _circle_thetas(block: np.ndarray) -> np.ndarray:
-    """The rows of a sample block as doubles: s / 2.0**128 for each 128-bit s.
-
-    With s = hi * 2^64 + lo and hi >= 2^55, hi carries at least 56 bits, so
-    rounding s to 53 bits looks at lo only as a sticky bit: setting the last
-    bit of hi when lo != 0 and converting hi rounds the same way.  The few
-    rows with a smaller hi (about 1 in 512) are divided as Python integers.
+    For 0 < s < 1/(2 pi), theta -> theta + s sin(2 pi theta) has derivative
+    1 + 2 pi s cos(2 pi theta) > 0, so it is an orientation-preserving
+    homeomorphism of the circle.  Since |s sin(2 pi theta)| < 1, its fixed
+    points are exactly the zeros {0, 1/2} of sin(2 pi theta); so its
+    rotation number is 0, and by Poincare's classification every orbit
+    converges to a fixed point: the non-wandering set is the fixed-point
+    set.  Raises ValueError for any other strength.
     """
-    import numpy as np
-
-    words = block.view(">u8")
-    hi, lo = words[:, 0], words[:, 1]
-    theta = (hi | (lo != 0)).astype(np.float64) * 2.0**-64
-    for k in np.flatnonzero(hi < _EXACT_HI):
-        theta[k] = _sample_int(block[k]) / 2.0**128
-    return theta
+    if not 0 < fmap.strength < 1 / (2 * math.pi):
+        raise ValueError(f"strength must lie in (0, 1/(2 pi)), got {fmap.strength}")
+    return [0.0, 0.5]
 
 
 def circle_mc_deviation(a_window: tuple[float, float], n: int, sample_count: int,
@@ -339,8 +293,9 @@ def circle_mc_deviation(a_window: tuple[float, float], n: int, sample_count: int
     eps of 0 (circle distance); the predicted decay rate of the tail at
     fraction a is a * log f'(0).  Uses the same counter-based sampler as the
     digit engine: each batch of ``_CHUNK`` samples is hashed into one buffer,
-    whose rows are read as doubles (:func:`_circle_thetas`; only the rare row
-    below 2^-9 becomes a Python integer) and iterated in double precision.
+    whose rows are read as doubles (:func:`negabeta.ldp._sample_doubles`,
+    which the generic digit engine reads too; only the rare row below 2^-9
+    becomes a Python integer) and iterated in double precision.
     Hits are counted per batch, so memory stays flat in the sample count.
     """
     import numpy as np
@@ -348,7 +303,7 @@ def circle_mc_deviation(a_window: tuple[float, float], n: int, sample_count: int
     fmap = CircleMap()
 
     def occupation_fractions(start: int, block: np.ndarray) -> np.ndarray:
-        theta = _circle_thetas(block)
+        theta = _sample_doubles(block)
         near = np.zeros(len(block))
         for _ in range(n):
             dist = np.minimum(theta, 1.0 - theta)

@@ -3,13 +3,15 @@
 The pressure of a label observable is the best weighted spectral radius over
 the component chain; one-dimensional convex duality turns it into level-1
 rate functions, which Monte Carlo estimates of digit-frequency deviations
-are checked against.  Orbit sampling runs in fixed-point integer arithmetic
-with enough guard bits that the expanding dynamics cannot corrupt the digits
-being counted.
+are checked against.  Orbit sampling reads the digits of fixed-point integer
+orbits with enough guard bits that the expanding dynamics cannot corrupt
+them; double orbits stand in for them where an error bound certifies that
+they read the same digits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,36 +127,57 @@ def free_energy(mu: Union[MarkovMeasure, float], phi_const: float,
 
 
 # One component of the chain with the observable on its edges: the vertex
-# count and the edges as (src, dst, psi(label)), in sorted (src, label, dst) order.
-_WeightedComponent = tuple[int, list[tuple[int, int, float]]]
+# count, the edges as (src, dst, psi(label)) in sorted (src, label, dst) order,
+# and, when psi takes one finite value on every edge, the log of the spectral
+# radius of the component's t-independent matrix (else None).
+_WeightedComponent = tuple[int, list[tuple[int, int, float]], Optional[float]]
 
 
 def _weighted_components(chain: ComponentChain, psi: Psi) -> list[_WeightedComponent]:
     """The chain's components with the observable's value on every edge.
 
     :func:`pressure` builds them on each call unless it is given them;
-    :func:`level1_rate`, which evaluates it at many t, builds them once.
+    :func:`level1_rate`, which evaluates it at many t, builds them once.  A
+    component on whose edges psi is one value v has every shifted weight
+    ``t*v - t*v = 0.0`` at every t, so its matrix does not depend on t and its
+    spectral radius is found here, once.
     """
     out = []
     for i in range(chain.q):
         graph = chain.component_graph(i)
-        out.append((graph.vertex_count,
-                    [(s, d, _psi_value(psi, a)) for s, a, d in sorted(graph.edges)]))
+        n = graph.vertex_count
+        edges = [(s, d, _psi_value(psi, a)) for s, a, d in sorted(graph.edges)]
+        constant = None
+        if len({value for _, _, value in edges}) == 1 and math.isfinite(edges[0][2]):
+            rho = _radius(n, edges, [0.0] * len(edges))
+            constant = math.log(rho) if rho > 0 else float("-inf")
+        out.append((n, edges, constant))
     return out
 
 
-def _component_pressure(component: _WeightedComponent, t: float) -> float:
+def _radius(n: int, edges: list[tuple[int, int, float]], shifted: list[float]) -> float:
+    """Spectral radius of the n x n matrix that sums exp(w) over the edges
+    (src, dst, _) with shifted weights w."""
     import numpy as np
 
-    n, edges = component
-    weights = [t * value for _, _, value in edges]
-    if not weights:
-        return float("-inf")
-    shift = max(weights)
     mat = np.zeros((n, n))
-    for (s, d, _), weight in zip(edges, weights):
-        mat[s, d] += math.exp(weight - shift)
-    rho = spectral_radius(mat)
+    for (s, d, _), weight in zip(edges, shifted):
+        mat[s, d] += math.exp(weight)
+    return spectral_radius(mat)
+
+
+def _component_pressure(component: _WeightedComponent, t: float) -> float:
+    n, edges, constant = component
+    if not edges:
+        return float("-inf")
+    if constant is not None:
+        # t*v is the shift of every weight; a non-finite one takes the general path
+        shift = t * edges[0][2]
+        if math.isfinite(shift):
+            return shift + constant
+    weights = [t * value for _, _, value in edges]
+    shift = max(weights)
+    rho = _radius(n, edges, [weight - shift for weight in weights])
     if rho <= 0:
         return float("-inf")
     return shift + math.log(rho)
@@ -191,7 +214,7 @@ def _extreme_cycle_means(components: list[_WeightedComponent]) -> tuple[float, f
     """Min and max mean of the observable over directed cycles of the chain."""
     lo = math.inf
     hi = -math.inf
-    for n, edges in components:
+    for n, edges, _ in components:
         for sign in (1, -1):
             # Karp's minimum mean cycle on the (possibly negated) labels
             dist = [[math.inf] * n for _ in range(n + 1)]
@@ -312,6 +335,27 @@ def _sample_int(row: np.ndarray) -> int:
     return int.from_bytes(row.tobytes(), "big")
 
 
+_EXACT_HI = 2**55  # a sample whose top 64 bits reach this rounds from them and a sticky bit
+
+
+def _sample_doubles(block: np.ndarray) -> np.ndarray:
+    """The rows of a sample block as doubles: s / 2.0**128 for each 128-bit s.
+
+    With s = hi * 2^64 + lo and hi >= 2^55, hi carries at least 56 bits, so
+    rounding s to 53 bits looks at lo only as a sticky bit: setting the last
+    bit of hi when lo != 0 and converting hi rounds the same way.  The few
+    rows with a smaller hi (about 1 in 512) are divided as Python integers.
+    """
+    import numpy as np
+
+    words = block.view(">u8")
+    hi, lo = words[:, 0], words[:, 1]
+    x = (hi | (lo != 0)).astype(np.float64) * 2.0**-64
+    for k in np.flatnonzero(hi < _EXACT_HI):
+        x[k] = _sample_int(block[k]) / 2.0**128
+    return x
+
+
 def _scale_sample(sample: int, precision: int) -> int:
     if precision >= _SAMPLE_BITS:
         return sample << (precision - _SAMPLE_BITS)
@@ -349,8 +393,8 @@ def _digit_mean(digits: Sequence[int], psi_vals: Sequence[float]) -> float:
     return acc / len(digits)
 
 
-def _digit_means_generic(system: MinusBetaSystem, psi: Psi, n: int, block: np.ndarray,
-                         precision: int, beta_fixed: int) -> np.ndarray:
+def _lane_means(system: MinusBetaSystem, psi: Psi, n: int, block: np.ndarray,
+                precision: int, beta_fixed: int) -> np.ndarray:
     """Exact-start fixed-point orbits; one mean of the observable per sample.
 
     The rows of the sample block run as lanes of one Python integer, each
@@ -368,7 +412,8 @@ def _digit_means_generic(system: MinusBetaSystem, psi: Psi, n: int, block: np.nd
     The scalar loop clamps the digit to b.  Since x <= 2^p, the clamp can
     only act when beta_fixed >= (b + 1) << p, as for an integer beta; the
     lanes then watch for a digit above b, and a batch that shows one is
-    rerun by :func:`_orbit_digits`.
+    rerun by :func:`_orbit_digits`.  :func:`_digit_means_generic` runs here
+    only the rows its double orbits do not certify.
     """
     import numpy as np
 
@@ -415,6 +460,128 @@ def _digit_means_generic(system: MinusBetaSystem, psi: Psi, n: int, block: np.nd
         for values in psi_arr[digits.T]:
             acc += values
     return acc / n
+
+
+def _up(x: float) -> float:
+    """The next double above x: an upper bound of any real that rounds to x."""
+    return math.nextafter(x, math.inf)
+
+
+@functools.lru_cache(maxsize=16)
+def _certificate_bounds(beta_fixed: int, precision: int, n: int) -> Optional[tuple[float, ...]]:
+    """Per-step bounds B_0..B_{n-1} that certify a double orbit, or None.
+
+    Three orbits of a sample s start near xi_0 = s / 2^128: the exact orbit
+    xi of the map x -> (d+1) - beta*x, the fixed-point orbit X of
+    :func:`_orbit_digits` at p bits, and the double orbit z of
+    :func:`_double_means`, with products tau = beta*xi, T = (beta_fixed/2^p)*X
+    and t = fl(beta_hat*z).  While the three share their digits, the errors
+    e_k = |z_k - xi_k| and delta_k = |X_k - xi_k| obey, with beta_up an upper
+    bound of beta, beta_hat and beta_fixed/2^p, and u = 2^-53:
+
+    - |t_k - tau_k| <= beta_up*u + |beta_hat - beta| + beta_up*e_k (the
+      rounded product, the rounded slope, the inherited error), and
+      e_{k+1} <= |t_k - tau_k| + u/2 (the rounded 1 - frac(t_k));
+      e_0 <= u/2 (the sample rounded to a double);
+    - |T_k - tau_k| <= 2^-p + beta_up*delta_k (|beta_fixed/2^p - beta| < 2^-p
+      for the beta_fixed of :func:`_beta_fixed_point`),
+      and delta_{k+1} <= |T_k - tau_k| + 2^-p (the truncation to p bits);
+      delta_0 <= 2^-p.
+
+    B_k bounds |t_k - tau_k| + |T_k - tau_k|.  If t_k is farther than B_k
+    from every integer, then tau_k and T_k lie strictly between the same two
+    integers as t_k, so all three orbits read the digit floor(t_k); tau_k is
+    not an integer, so xi_{k+1} < 1 and the digit is at most b, which the
+    fixed-point orbit's clamp leaves alone.  By induction a row certified
+    at every step reads exactly the digits of :func:`_orbit_digits`.  The
+    recurrences run in doubles, each result moved one ulp up.  Returns None
+    when B_{n-1} >= 1/2, where no row can be certified.
+    """
+    unit = 2.0**-53
+    fixed = math.ldexp(1.0, -precision)
+    beta_hat = beta_fixed / (1 << precision)  # correctly rounded
+    # beta_fixed/2^p lies within half an ulp of beta_hat, and beta within 2^-p of it
+    beta_up = _up(_up(beta_hat) + fixed)
+    slope_err = _up(beta_up * unit + fixed)  # |beta_hat - beta|
+    step_err = _up(_up(beta_up * unit + slope_err) + fixed)  # the terms that do not grow
+    fresh = _up(unit / 2 + fixed)  # e_0 + delta_0, and the rounding added per step
+    bounds = []
+    carried = fresh  # e_k + delta_k
+    for _ in range(n):
+        bound = _up(step_err + _up(beta_up * carried))
+        if bound >= 0.5:
+            return None
+        bounds.append(bound)
+        carried = _up(bound + fresh)
+    return tuple(bounds)
+
+
+def _double_means(psi_vals: Sequence[float], n: int, block: np.ndarray, precision: int,
+                  beta_fixed: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Means of the double orbits of the block's rows, with the rows they are certified for.
+
+    Each row is read as the double nearest to it (:func:`_sample_doubles`);
+    a step is t = beta_hat * z, d = floor(t), z <- 1 - (t - d) = (d+1) - t,
+    where beta_hat is the double nearest to beta_fixed / 2^p, and the
+    observable is added in step order.  A row is certified when at every
+    step k, t lies farther than B_k of :func:`_certificate_bounds` from
+    every integer: its digits are then those of :func:`_orbit_digits`, so
+    its mean is bit-identical to the scalar one.  Returns None, without
+    running, when the bounds rule every row out.
+    """
+    import numpy as np
+
+    bounds = _certificate_bounds(beta_fixed, precision, n)
+    if bounds is None:
+        return None
+    beta_hat = beta_fixed / (1 << precision)
+    # an uncertified step may read floor(beta_hat) = b + 1; its mean is discarded
+    psi_arr = np.array(list(psi_vals) + [0.0] * (int(beta_hat) + 1 - len(psi_vals)))
+    count = len(block)
+    z = _sample_doubles(block)
+    t = np.empty(count)
+    frac = np.empty(count)
+    digit = np.empty(count)
+    near = np.empty(count)
+    index = np.empty(count, dtype=np.intp)
+    values = np.empty(count)
+    acc = np.zeros(count)
+    certified = np.ones(count, dtype=bool)
+    for bound in bounds:
+        np.multiply(z, beta_hat, out=t)
+        np.floor(t, out=digit)
+        np.subtract(t, digit, out=frac)  # exact: t < 1, or floor(t) <= t <= 2 floor(t)
+        np.subtract(1.0, frac, out=z)
+        np.minimum(frac, z, out=near)  # the distance to the nearest integer (z is exact when it wins)
+        certified &= near > bound
+        np.copyto(index, digit, casting="unsafe")
+        np.take(psi_arr, index, out=values)
+        acc += values
+    return acc / n, certified
+
+
+def _digit_means_generic(system: MinusBetaSystem, psi: Psi, n: int, block: np.ndarray,
+                         precision: int, beta_fixed: int) -> np.ndarray:
+    """Exact-start fixed-point orbit means; one mean of the observable per sample.
+
+    Every mean equals the one :func:`_orbit_digits` gives at p = ``precision``
+    bits, float for float.  The block first runs as double orbits
+    (:func:`_double_means`), each row with a certificate that its digits are
+    the fixed-point ones; only the rows left uncertified run through the
+    integer lanes of :func:`_lane_means`.  Past about 49 bits of orbit the
+    double error bound reaches 1/2, and every row runs in the lanes.
+    """
+    import numpy as np
+
+    psi_vals = [_psi_value(psi, d) for d in range(system.b + 1)]
+    doubles = _double_means(psi_vals, n, block, precision, beta_fixed)
+    if doubles is None:
+        return _lane_means(system, psi, n, block, precision, beta_fixed)
+    means, certified = doubles
+    rest = np.flatnonzero(~certified)
+    if len(rest):
+        means[rest] = _lane_means(system, psi, n, block[rest], precision, beta_fixed)
+    return means
 
 
 def _digit_means_beta2(psi: Psi, n: int, block: np.ndarray) -> np.ndarray:
@@ -507,13 +674,15 @@ def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
     are byte-identical for a fixed (seed, N).  Each batch of ``_CHUNK``
     samples is hashed into one buffer (:func:`_sample_block`), and the engine
     reads its lanes from those bytes: the base-2 engine unpacks their bits, the
-    generic one runs them as fixed-point orbits at a precision of
-    n*log2(beta) + 64 bits.  Hits are counted batch by batch.  A sample becomes
-    a Python integer only when it is rerun in scalar: the audit reruns every
-    sample whose index is a multiple of ``_AUDIT_STEP`` (at doubled precision
-    it must give the same digits, and the mean of those digits must equal the
-    engine's mean), and a generic batch whose digit needed the clamp is rerun
-    whole.  Raises
+    generic one (:func:`_digit_means_generic`) gives the means of fixed-point
+    orbits at a precision of n*log2(beta) + 64 bits, from certified double
+    orbits where it can and from integer lanes for the other rows.  Hits are
+    counted batch by batch.  A sample becomes a Python integer only when it
+    is rerun in scalar: the audit reruns every sample whose index is a
+    multiple of ``_AUDIT_STEP`` (at doubled precision it must give the same
+    digits, and the mean of those digits must equal the engine's mean), and
+    the uncertified rows of a batch are rerun whole when one of their digits
+    needed the clamp.  Raises
     :class:`OrbitTooLong` when n*log2(beta) exceeds ``_ORBIT_BITS``, and
     :class:`WindowNeverHit` when nothing lands inside.
     """

@@ -520,6 +520,43 @@ def test_example32_zero_hit_report_keeps_schema(capsys):
     jsonschema.validate(payload, schema_for("example32"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["mc", "--beta", PISOT, "--window", "0.99:1", "--n", "30", "--N", "10", "--seed", "1"],
+    ["example32", "--a-window", "0.99:1.0", "--n", "30", "--N", "50", "--seed", "1"],
+], ids=["mc", "example32"])
+def test_zero_hit_report_goes_to_out(argv, capsys, tmp_path):
+    code, report, err = invoke(argv, capsys)
+    assert code == 3 and json.loads(report)["hits"] == 0
+    target = tmp_path / "report.json"
+    assert invoke([*argv, "--out", str(target)], capsys) == (3, "", err)
+    assert target.read_text(encoding="utf-8") == report
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mc", "--beta", PISOT, "--window", "0.2:0.5", "--n", "30", "--N", "5000", "--seed", "1",
+      "--format", "csv"], "csv format applies to row-shaped results (cyl, rate, compare-rates)"),
+    (["mc", "--beta", PISOT, "--window", "0.99:1", "--n", "30", "--N", "10", "--seed", "1",
+      "--format", "csv"], "csv format applies to row-shaped results (cyl, rate, compare-rates)"),
+    (["example32", "--n", "30", "--N", "500", "--seed", "1", "--format", "dot"],
+     "dot format applies to graph-shaped results (graph, components)"),
+    (["validate", "--beta", PISOT, "--maxlen", "4", "--seed", "1", "--format", "csv"],
+     "csv format applies to row-shaped results (cyl, rate, compare-rates)"),
+    (["rate", "--beta", PISOT, "--a", "0.3", "--format", "dot"],
+     "dot format applies to graph-shaped results (graph, components)"),
+], ids=["mc-csv", "mc-never-hit-csv", "example32-dot", "validate-csv", "rate-dot"])
+def test_format_checked_before_the_command_runs(argv, message, capsys, monkeypatch):
+    from negabeta import cli, intervalmaps, ldp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    for module, name in ((ldp, "mc_deviation"), (ldp, "level1_rate"),
+                         (intervalmaps, "circle_mc_deviation")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setitem(cli._COMMANDS, "validate", refuse)
+    assert invoke(argv, capsys) == (2, "", f"usage error: {message}\n")
+
+
 def test_validate_command_green(capsys):
     code, out, _ = invoke(["validate", "--beta", PISOT, "--maxlen", "7", "--seed", "3"], capsys)
     assert code == 0

@@ -35,6 +35,13 @@ for argv in (['graph', *beta], ['components', *beta], ['spec', *beta, '--oracle-
     assert cli.main(argv) == 0, argv[0]
     stray = {'negabeta.ldp', 'negabeta.intervalmaps', 'hashlib', 'logging'} & set(sys.modules)
     assert not stray, f'{argv[0]} loaded {sorted(stray)}'
+
+# the digit engines and the rate share no code with the companion systems
+for argv in (['rate', *beta, '--a', '0.3'],
+             ['mc', *beta, '--window', '0.2:0.5', '--n', '30', '--N', '500', '--seed', '1']):
+    assert cli.main(argv) == 0, argv[0]
+    assert 'negabeta.ldp' in sys.modules
+    assert 'negabeta.intervalmaps' not in sys.modules, f'{argv[0]} loaded negabeta.intervalmaps'
 """
 
 

@@ -20,7 +20,6 @@ from negabeta.intervalmaps import (
     CircleMap,
     IntervalMapError,
     PiecewiseExpandingMap,
-    _circle_thetas,
     _vectorized_circle,
     circle_mc_deviation,
     circle_nonwandering,
@@ -30,7 +29,7 @@ from negabeta.intervalmaps import (
     example31_word_admissible,
     predicted_occupation_rate,
 )
-from negabeta.ldp import _CHUNK, WindowNeverHit, _sample_block
+from negabeta.ldp import _CHUNK, WindowNeverHit, _sample_block, _sample_doubles
 from negabeta.measures import InadmissibleWord, image_walk
 from negabeta.shiftgraph import enumerate_words
 from negabeta.specprop import spec_bound
@@ -240,20 +239,31 @@ def test_derivative_at_source():
     assert fmap.derivative(0.5) < 1
 
 
-def test_inverse_is_inverse():
-    fmap = CircleMap()
-    rng = random.Random(5)
-    for _ in range(100):
-        y = rng.random()
-        x = fmap.inverse(y)
-        assert abs(fmap(x) - y) < 1e-12
-
-
 def test_nonwandering_set():
     clusters = circle_nonwandering(CircleMap())
     assert len(clusters) == 2
     assert min(abs(c - 0.0) for c in clusters) < 1e-6
     assert min(abs(c - 0.5) for c in clusters) < 1e-6
+
+
+@pytest.mark.parametrize("strength", [0.01, 0.1, 0.15])
+def test_nonwandering_set_is_the_exact_fixed_points(strength):
+    # an orientation-preserving circle homeomorphism with fixed points: late
+    # forward orbits from a grid gather at the sink 1/2, and the source 0
+    # stays put, so there is nothing else to find
+    fmap = CircleMap(strength)
+    assert circle_nonwandering(fmap) == [0.0, 0.5]
+    assert fmap(0.0) == 0.0 and fmap(0.5) == 0.5
+    theta = np.linspace(0.0, 1.0, 200, endpoint=False)[1:]
+    for _ in range(3000):
+        theta = _vectorized_circle(theta, strength)
+    assert np.all(np.abs(theta - 0.5) < 1e-3)
+
+
+@pytest.mark.parametrize("strength", [0.0, 0.2, -0.1, 1 / (2 * math.pi), math.nan])
+def test_nonwandering_refuses_strengths_without_a_homeomorphism_proof(strength):
+    with pytest.raises(ValueError, match="strength"):
+        circle_nonwandering(CircleMap(strength))
 
 
 def test_orbits_converge_to_sink():
@@ -309,7 +319,7 @@ def _pack(samples):
 def test_circle_thetas_of_hashed_samples_are_the_divided_integers():
     count = 5 * _CHUNK  # about 40 rows below 2^-9
     expected = np.array([s / 2.0**128 for s in _sample_ints(8, count)])
-    assert _circle_thetas(_sample_block(8, range(count))).tobytes() == expected.tobytes()
+    assert _sample_doubles(_sample_block(8, range(count))).tobytes() == expected.tobytes()
 
 
 def _crafted_samples():
@@ -335,8 +345,8 @@ def test_circle_thetas_of_crafted_samples_round_as_the_integers():
                           dtype=np.uint8).reshape(-1, 32)[:, :16]  # rows with a stride, as hashed
     assert any(s >> 64 < 2**55 for s in samples) and any(s >> 64 >= 2**55 for s in samples)
     expected = np.array([s / 2.0**128 for s in samples])
-    assert _circle_thetas(block).tobytes() == expected.tobytes()
-    assert _circle_thetas(_pack(samples)).tobytes() == expected.tobytes()
+    assert _sample_doubles(block).tobytes() == expected.tobytes()
+    assert _sample_doubles(_pack(samples)).tobytes() == expected.tobytes()
 
 
 def whole_array_hits(a_window, n, sample_count, seed, eps):

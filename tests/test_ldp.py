@@ -145,6 +145,33 @@ def test_rate_builds_the_component_graphs_once_per_point(pisot_sys, monkeypatch)
     assert len(evaluations) > 50
 
 
+def test_rate_finds_constant_radii_once_per_point(pisot_sys, monkeypatch):
+    # the cubic's two loop components carry only the digit 0: their matrix is
+    # the same at every t, so each spectral radius is found once, not once per
+    # pressure evaluation
+    chain = chain_for(pisot_sys)
+    constant = [c[2] is not None for c in ldp._weighted_components(chain, DIGIT1)]
+    assert constant == [True, True, False]
+    radii, evaluations = [], []
+    real_radius, real_pressure = ldp.spectral_radius, ldp.pressure
+    monkeypatch.setattr(ldp, "spectral_radius", lambda mat: radii.append(1) or real_radius(mat))
+    monkeypatch.setattr(ldp, "pressure",
+                        lambda *args, **kwargs: evaluations.append(1) or real_pressure(*args, **kwargs))
+    level1_rate(chain, DIGIT1, 0.3, pisot_sys.log_beta())
+    assert len(evaluations) > 50
+    assert len(radii) == 2 + len(evaluations)
+
+
+@pytest.mark.parametrize("psi", [DIGIT1, {0: 1.0, 1: 0.0}, {0: 0.25, 1: 0.25}, {0: -0.0, 1: 0.0},
+                                 {0: 0.7, 1: -2.5}])
+def test_constant_components_give_the_general_pressure_float_for_float(pisot_sys, two_sys, psi):
+    for sys in (pisot_sys, two_sys):
+        for n, edges, constant in ldp._weighted_components(chain_for(sys), psi):
+            for t in (-256.0, -3.7, -1e-6, 0.0, 1e-6, 0.5, 2.0, 255.9):
+                general = ldp._component_pressure((n, edges, None), t).hex()
+                assert ldp._component_pressure((n, edges, constant), t).hex() == general
+
+
 def test_rate_unachievable(two_sys):
     chain = chain_for(two_sys)
     with pytest.raises(UnachievableLevel):

@@ -1,18 +1,21 @@
-"""The lane-packed Monte Carlo engine against the scalar loop it replaced.
+"""The Monte Carlo engines against the scalar loop they replaced.
 
-`ldp._digit_means_generic` runs a batch of fixed-point orbits as lanes of one
-Python integer.  The reference below is the plain loop: one sample at a time,
-hashed on its own, stepped in Python integers with the digit clamped to
-[0, b], and the observable added in step order.  Lanes do the same integer
-arithmetic and add in the same order, so the means must be equal, not close.
+`ldp._digit_means_generic` runs a batch first as double orbits, each row
+with a certificate that its digits are the fixed-point ones, and the rows it
+cannot certify as fixed-point lanes of one Python integer.  The reference
+below is the plain loop: one sample at a time, hashed on its own, stepped in
+Python integers with the digit clamped to [0, b], and the observable added
+in step order.  Both engines read the same digits and add in the same order,
+so the means must be equal, not close.
 """
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negabeta import ldp
@@ -20,9 +23,11 @@ from negabeta.algebraic import parse_beta_spec
 from negabeta.ldp import (
     _CHUNK,
     _beta_fixed_point,
+    _certificate_bounds,
     _digit_means_beta2,
     _digit_means_generic,
     _digit_mean,
+    _double_means,
     _orbit_digits,
     _sample_block,
     mc_deviation,
@@ -122,7 +127,11 @@ def test_sample_blocks_match_one_shot_hash_across_chunks(seed):
     assert b"".join(block.tobytes() for block in blocks) == reference
 
 
+# the two sides of the certificate's horizon: 38 bits of orbit (the double
+# pass certifies nearly every row) and 55 bits (every row runs in the lanes)
 @settings(max_examples=60, deadline=None, derandomize=True)
+@example(name="golden", n=55, count=_CHUNK, kind="callable", seed=3)
+@example(name="x^2-3x+1", n=40, count=_CHUNK, kind="digit", seed=4)
 @given(
     name=st.sampled_from(sorted(SPECS)),
     n=st.integers(1, 60),
@@ -163,8 +172,9 @@ def _count_scalar_reruns(monkeypatch):
 def test_clamp_batches_rerun_in_scalar(monkeypatch):
     # For an integer beta, beta_fixed = (b + 1) << p, so a step from x = 2^p
     # reads the digit b + 1, which the scalar loop clamps to b.  The sample 0
-    # gets there in one step.  A batch where that happens is rerun in scalar;
-    # a batch where it does not stays in the lanes.
+    # gets there in one step.  Its double orbit starts on an integer, so it is
+    # not certified and goes to the lanes, whose batch (that one row) is
+    # rerun in scalar; the certified rows are never rerun.
     system = SYSTEMS["three"]
     psi = _observable("callable", system.b)
     n, precision = 12, _precision(system, 12)
@@ -178,7 +188,7 @@ def test_clamp_batches_rerun_in_scalar(monkeypatch):
     clamped = plain + [0]
     assert (_digit_means_generic(system, psi, n, _pack(clamped), precision, beta_fixed).tolist()
             == reference_means(system, psi, n, clamped, precision, beta_fixed))
-    assert len(calls) == len(clamped)
+    assert len(calls) == 1
 
 
 def test_beta_just_below_an_integer():
@@ -260,3 +270,88 @@ def test_hits_counted_across_batches():
                             precision, _beta_fixed_point(system, precision))
     est = mc_deviation(system, psi, window, n, count, seed)
     assert est.hits == sum(1 for m in means if window[0] <= m <= window[1])
+
+
+# -- the certificate of the double orbits ----------------------------------------------------
+
+
+def _lane_rows(monkeypatch):
+    """Record the number of rows each call of the integer lanes gets."""
+    rows = []
+    real = ldp._lane_means
+    monkeypatch.setattr(ldp, "_lane_means",
+                        lambda system, psi, n, block, *rest: rows.append(len(block))
+                        or real(system, psi, n, block, *rest))
+    return rows
+
+
+def test_horizon_of_the_certificate():
+    # B_{n-1} reaches 1/2 a little below 50 bits of orbit; from there no row
+    # can be certified and the double pass is skipped
+    for name, below, above in (("golden", 55, 80), ("cubic", 100, 140), ("three", 20, 40)):
+        system = SYSTEMS[name]
+        for n, runs in ((below, True), (above, False)):
+            precision = _precision(system, n)
+            bounds = _certificate_bounds(_beta_fixed_point(system, precision), precision, n)
+            assert (bounds is not None) == runs, (name, n)
+            if runs:
+                assert len(bounds) == n and list(bounds) == sorted(bounds) and bounds[-1] < 0.5
+
+
+@pytest.mark.parametrize("name", ["cubic", "golden", "x^2-3x+1", "decimal"])
+def test_near_boundary_samples_are_not_certified(name):
+    # samples next to a point k/beta of the digit boundaries, and next to its
+    # one-step preimages (D + 1 - k/beta)/beta, reach a product within a few
+    # ulps of the integer k; the double orbit cannot tell the digit there
+    system = SYSTEMS[name]
+    lo, hi = system.beta_element.approx(Fraction(1, 2**300))
+    beta = (lo + hi) / 2
+    points = []
+    for k in range(1, system.b + 1):
+        points.append(k / beta)
+        points += [(d + 1 - k / beta) / beta for d in range(system.b + 1)]
+    samples = sorted({s for q in points
+                      for s in (math.floor(q * 2**128) + e for e in (-1, 0, 1))
+                      if 0 <= s < 2**128})
+    assert len(samples) >= 9
+    n = 20
+    precision = _precision(system, n)
+    beta_fixed = _beta_fixed_point(system, precision)
+    psi = _observable("callable", system.b)
+    psi_vals = [psi(d) for d in range(system.b + 1)]
+    means, certified = _double_means(psi_vals, n, _pack(samples), precision, beta_fixed)
+    assert not certified.any()
+    assert (_digit_means_generic(system, psi, n, _pack(samples), precision, beta_fixed).tolist()
+            == reference_means(system, psi, n, samples, precision, beta_fixed))
+
+
+@pytest.mark.parametrize("name, n", [("cubic", 30), ("golden", 45), ("x^2-3x+1", 25),
+                                     ("three", 12), ("b300", 5), ("decimal", 60)])
+def test_failed_certificate_falls_back_to_the_lanes(monkeypatch, name, n):
+    # bounds of 1/2 certify no row: every row then runs through the lanes
+    system = SYSTEMS[name]
+    psi = _observable("callable", system.b)
+    precision = _precision(system, n)
+    beta_fixed = _beta_fixed_point(system, precision)
+    samples = [0, 1 << 127] + [_sample_fixed_point(6, i) for i in range(500)]
+    monkeypatch.setattr(ldp, "_certificate_bounds", lambda *args: (0.5,) * n)
+    rows = _lane_rows(monkeypatch)
+    assert (_digit_means_generic(system, psi, n, _pack(samples), precision, beta_fixed).tolist()
+            == reference_means(system, psi, n, samples, precision, beta_fixed))
+    assert rows == [len(samples)]
+
+
+def test_cubic_at_30_steps_never_runs_the_lanes(monkeypatch):
+    system = SYSTEMS["cubic"]
+    psi = {0: 0.0, 1: 1.0}
+    n, count, seed = 30, _CHUNK, 1
+    precision = _precision(system, n)
+    beta_fixed = _beta_fixed_point(system, precision)
+    rows = _lane_rows(monkeypatch)
+    means = _digit_means_generic(system, psi, n, _sample_block(seed, range(count)), precision,
+                                 beta_fixed)
+    samples = [_sample_fixed_point(seed, i) for i in range(count)]
+    assert means.tolist() == reference_means(system, psi, n, samples, precision, beta_fixed)
+    est = mc_deviation(system, psi, (0.2, 0.4), n, count, seed)
+    assert est.hits == sum(1 for m in means if 0.2 <= m <= 0.4)
+    assert rows == []
