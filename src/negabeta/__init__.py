@@ -39,9 +39,9 @@ _EXPORTS = {
         "weak_metric_truncated",
     ),
     "ldp": (
-        "DeviationEstimate", "OrbitTooLong", "RateResult", "UnachievableLevel",
-        "WindowNeverHit", "WrongBeta", "compare_rate_functions", "free_energy",
-        "level1_rate", "mc_deviation", "pressure",
+        "DeviationEstimate", "OrbitTooLong", "RateEnvelope", "RateResult",
+        "UnachievableLevel", "WindowNeverHit", "WrongBeta", "compare_rate_functions",
+        "free_energy", "level1_rate", "mc_deviation", "pressure", "rate_envelope",
     ),
     "intervalmaps": (
         "CircleMap", "PiecewiseExpandingMap", "circle_mc_deviation",

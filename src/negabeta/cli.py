@@ -386,8 +386,10 @@ def _cmd_rate(config: RunConfig):
         raise UsageError("give --a or --a-grid")
     if not all(math.isfinite(a) for a in targets):
         raise UsageError("target means must be finite")
+    envelope = ldp.rate_envelope(chain, psi)  # everything that does not depend on a
     try:
-        rows = [ldp.level1_rate(chain, psi, a, phi_const).to_json_dict() for a in targets]
+        rows = [ldp.level1_rate(chain, psi, a, phi_const, envelope=envelope).to_json_dict()
+                for a in targets]
     except ldp.UnachievableLevel as exc:
         raise UsageError(f"unachievable level: {exc}") from exc
     return {"rows": rows, "phi_const": phi_const, "note": "level-1 values are derived consequences"}

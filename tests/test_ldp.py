@@ -26,6 +26,7 @@ from negabeta.ldp import (
 from negabeta.measures import cylinder_interval, parry_measure
 from negabeta.shiftgraph import chain_for
 from negabeta.transform import MinusBetaSystem
+from pisot_bases import BASES
 
 DIGIT1 = {0: 0.0, 1: 1.0}
 
@@ -130,9 +131,12 @@ def test_rate_nonnegative_on_grid(two_sys):
         assert result.rate >= -1e-10
 
 
-def test_rate_builds_the_component_graphs_once_per_point(pisot_sys, monkeypatch):
-    # the ~70 pressure evaluations of one rate point share one weighted copy
-    # of the chain's components
+GRID = [0.15, 0.3, 0.45, 0.6, 0.75, 0.9]
+
+
+def test_rate_builds_the_component_graphs_once_per_call(pisot_sys, monkeypatch):
+    # every point of one rate call shares one weighted copy of the chain's
+    # components, and each point takes at most 15 pressure evaluations
     chain = chain_for(pisot_sys)
     built, evaluations = [], []
     real_graph, real_pressure = type(chain).component_graph, ldp.pressure
@@ -140,15 +144,19 @@ def test_rate_builds_the_component_graphs_once_per_point(pisot_sys, monkeypatch)
                         lambda self, i: built.append(i) or real_graph(self, i))
     monkeypatch.setattr(ldp, "pressure",
                         lambda *args, **kwargs: evaluations.append(1) or real_pressure(*args, **kwargs))
-    level1_rate(chain, DIGIT1, 0.4, pisot_sys.log_beta())
+    envelope = ldp.rate_envelope(chain, DIGIT1)
+    for a in GRID:
+        before = len(evaluations)
+        level1_rate(chain, DIGIT1, a, pisot_sys.log_beta(), envelope=envelope)
+        assert len(evaluations) - before <= 15
     assert built == list(range(chain.q))
-    assert len(evaluations) > 50
+    assert len(evaluations) <= 15 * len(GRID)
 
 
-def test_rate_finds_constant_radii_once_per_point(pisot_sys, monkeypatch):
-    # the cubic's two loop components carry only the digit 0: their matrix is
-    # the same at every t, so each spectral radius is found once, not once per
-    # pressure evaluation
+def test_rate_finds_constant_radii_once_per_call(pisot_sys, monkeypatch):
+    # the cubic's two loop components carry only one digit each: their matrix
+    # is the same at every t, so each spectral radius is found once per call,
+    # not once per pressure evaluation
     chain = chain_for(pisot_sys)
     constant = [c[2] is not None for c in ldp._weighted_components(chain, DIGIT1)]
     assert constant == [True, True, False]
@@ -157,8 +165,10 @@ def test_rate_finds_constant_radii_once_per_point(pisot_sys, monkeypatch):
     monkeypatch.setattr(ldp, "spectral_radius", lambda mat: radii.append(1) or real_radius(mat))
     monkeypatch.setattr(ldp, "pressure",
                         lambda *args, **kwargs: evaluations.append(1) or real_pressure(*args, **kwargs))
-    level1_rate(chain, DIGIT1, 0.3, pisot_sys.log_beta())
-    assert len(evaluations) > 50
+    envelope = ldp.rate_envelope(chain, DIGIT1)
+    for a in GRID:
+        level1_rate(chain, DIGIT1, a, pisot_sys.log_beta(), envelope=envelope)
+    assert 0 < len(evaluations) <= 15 * len(GRID)
     assert len(radii) == 2 + len(evaluations)
 
 
@@ -176,6 +186,136 @@ def test_rate_unachievable(two_sys):
     chain = chain_for(two_sys)
     with pytest.raises(UnachievableLevel):
         level1_rate(chain, DIGIT1, 1.5, math.log(2))
+
+
+# -- exact phase transitions -----------------------------------------------------
+
+T_GOLDEN = -math.log((1 + math.sqrt(5)) / 2)  # the cubic's kink: 1 - z - z^2 = 0, z = e^t
+
+
+def _binary_entropy(a):
+    return -(a * math.log(a) + (1 - a) * math.log(1 - a))
+
+
+def test_cubic_kink_polynomial_and_root(pisot_sys):
+    chain = chain_for(pisot_sys)
+    tail = ldp._weighted_components(chain, DIGIT1)[2]
+    exponents = [(s, d, int(value)) for s, d, value in tail[1]]
+    assert ldp._kink_polynomial(tail[0], exponents, 0, 1) == [1, -1, -1]
+    (kink,) = ldp.rate_envelope(chain, DIGIT1).kinks
+    assert abs(kink.left.t - T_GOLDEN) <= 1e-15
+    assert (kink.left.component, kink.right.component, kink.component) == (0, 2, 2)
+    assert kink.left.slope == 0.0
+    assert abs(kink.right.slope - (5 - 2 * math.sqrt(5))) <= 1e-12
+
+
+def test_cubic_t_star_is_the_isolated_root(pisot_sys, monkeypatch):
+    # every mean up to 5 - 2 sqrt 5 is answered at the kink, with no pressure evaluation
+    chain = chain_for(pisot_sys)
+    envelope = ldp.rate_envelope(chain, DIGIT1)
+    monkeypatch.setattr(ldp, "pressure", None)
+    for k in range(1, 53):
+        a = k / 100
+        result = level1_rate(chain, DIGIT1, a, pisot_sys.log_beta(), envelope=envelope)
+        assert abs(result.t_star - T_GOLDEN) <= 1e-15
+        assert result.component == 2  # the tail
+        assert abs(result.entropy + T_GOLDEN * a) <= 1e-15
+
+
+def test_beta2_closed_forms(two_sys):
+    chain = chain_for(two_sys)
+    envelope = ldp.rate_envelope(chain, DIGIT1)
+    for k in range(1, 100):
+        a = k / 100
+        result = level1_rate(chain, DIGIT1, a, math.log(2), envelope=envelope)
+        assert abs(result.t_star - math.log(a / (1 - a))) <= 1e-12
+        assert abs(result.rate - (math.log(2) - _binary_entropy(a))) <= 1e-13
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0])
+def test_extreme_means_are_reached_at_the_cap(pisot_sys, two_sys, a):
+    # H is 0 at both extreme means of both bases: the cubic's loops and the
+    # two fixed points of base 2 carry no entropy
+    for sys in (pisot_sys, two_sys):
+        result = level1_rate(chain_for(sys), DIGIT1, a, sys.log_beta())
+        assert abs(result.entropy) <= 1e-9 and abs(result.rate - sys.log_beta()) <= 1e-9
+        assert result.t_star == (256.0 if a else -256.0)
+
+
+def test_non_transitive_rates_beat_every_dual_point():
+    # H(a) = inf_t (P(t) - t a): no t of a dense grid may beat the returned H
+    grid = [k / 20 for k in range(-200, 201)]
+    checked = 0
+    for coeffs, lo, hi in BASES:
+        system = MinusBetaSystem(make_algebraic(IntPolynomial(coeffs), lo, hi))
+        chain = chain_for(system)
+        if chain.q == 1:
+            continue
+        checked += 1
+        envelope = ldp.rate_envelope(chain, DIGIT1)
+        values = [ldp.pressure(chain, DIGIT1, t, components=envelope.components)[0]
+                  for t in grid]
+        for k in range(1, 20):
+            a = k / 20
+            result = level1_rate(chain, DIGIT1, a, system.log_beta(), envelope=envelope)
+            assert min(p - t * a for p, t in zip(values, grid)) >= result.entropy - 1e-12
+    assert checked == 4
+
+
+def test_cubic_entropy_is_affine_on_the_kink_interval(pisot_sys):
+    chain = chain_for(pisot_sys)
+    envelope = ldp.rate_envelope(chain, DIGIT1)
+    h = [level1_rate(chain, DIGIT1, k / 40, pisot_sys.log_beta(), envelope=envelope).entropy
+         for k in range(1, 22)]
+    assert all(abs(h[i - 1] - 2 * h[i] + h[i + 1]) <= 1e-12 for i in range(1, len(h) - 1))
+
+
+def test_a_transition_without_kink_polynomial_is_found_numerically(pisot_sys):
+    # psi = 0.7 * digit1 has no integer values, so no kink is pinned exactly;
+    # its rate at 0.7 a is the digit1 rate at a, with t scaled by 1/0.7
+    chain = chain_for(pisot_sys)
+    scaled = {0: 0.0, 1: 0.7}
+    exact, numeric = ldp.rate_envelope(chain, DIGIT1), ldp.rate_envelope(chain, scaled)
+    assert len(exact.kinks) == 1 and numeric.kinks == []
+    for k in range(1, 20):
+        a = k / 20
+        want = level1_rate(chain, DIGIT1, a, 0.0, envelope=exact)
+        got = level1_rate(chain, scaled, 0.7 * a, 0.0, envelope=numeric)
+        assert abs(got.entropy - want.entropy) <= 1e-12
+        assert abs(0.7 * got.t_star - want.t_star) <= 1e-10
+        assert got.component == want.component
+
+
+def _rate_rows(system, grid):
+    chain = chain_for(system)
+    envelope = ldp.rate_envelope(chain, DIGIT1)
+    return [level1_rate(chain, DIGIT1, a, system.log_beta(), envelope=envelope) for a in grid]
+
+
+def test_rates_survive_a_perturbed_perron_root(pisot_sys, two_sys, monkeypatch):
+    # the rate engine reads Perron roots from spectral_radius (pressure) and
+    # _perron (slopes); a relative 1e-13 change of both moves no value by more
+    # than 1e-10, and no byte of a kink point
+    grid = [k / 20 for k in range(1, 20)]
+    before = {sys: _rate_rows(sys, grid) for sys in (pisot_sys, two_sys)}
+    real_radius, real_perron = ldp.spectral_radius, ldp._perron
+
+    def perron(mat):
+        rho, right = real_perron(mat)
+        return rho * (1 + 1e-13), right
+
+    monkeypatch.setattr(ldp, "spectral_radius", lambda mat: real_radius(mat) * (1 + 1e-13))
+    monkeypatch.setattr(ldp, "_perron", perron)
+    kink_points = 0
+    for sys, rows in before.items():
+        for old, new in zip(rows, _rate_rows(sys, grid)):
+            assert old.component == new.component
+            for field in ("rate", "entropy", "t_star"):
+                assert abs(getattr(old, field) - getattr(new, field)) <= 1e-10
+            if sys is pisot_sys and old.a <= 0.5:
+                kink_points += 1
+                assert old.to_json_dict() == new.to_json_dict() and old.component == 2
+    assert kink_points == 10
 
 
 # -- Monte Carlo -------------------------------------------------------------------

@@ -286,8 +286,8 @@ def _lane_rows(monkeypatch):
 
 
 def test_horizon_of_the_certificate():
-    # B_{n-1} reaches 1/2 a little below 50 bits of orbit; from there no row
-    # can be certified and the double pass is skipped
+    # the bound sum 2 B_k on the uncertified share reaches 1 a little below
+    # 50 bits of orbit; from there the double pass is skipped
     for name, below, above in (("golden", 55, 80), ("cubic", 100, 140), ("three", 20, 40)):
         system = SYSTEMS[name]
         for n, runs in ((below, True), (above, False)):
@@ -296,6 +296,29 @@ def test_horizon_of_the_certificate():
             assert (bounds is not None) == runs, (name, n)
             if runs:
                 assert len(bounds) == n and list(bounds) == sorted(bounds) and bounds[-1] < 0.5
+
+
+@pytest.mark.parametrize("name, n, runs", [("cubic", 116, False), ("golden", 70, False),
+                                           ("cubic", 30, True)])
+def test_double_pass_runs_only_where_rows_may_be_certified(monkeypatch, name, n, runs):
+    # at cubic n = 116 and golden n = 70 the double pass certified 0 of 4096
+    # rows (seed 1): sum 2 B_k, which bounds the share it leaves uncertified,
+    # is above 1 there, and the pass is skipped; at n = 30 it is about 4e-11
+    system = SYSTEMS[name]
+    psi = {0: 0.0, 1: 1.0}
+    precision = _precision(system, n)
+    beta_fixed = _beta_fixed_point(system, precision)
+    bounds = _certificate_bounds(beta_fixed, precision, n)
+    assert (bounds is not None) == runs
+    if runs:
+        assert 2 * sum(bounds) < 1e-10
+    passes = []
+    real = ldp._sample_doubles
+    monkeypatch.setattr(ldp, "_sample_doubles", lambda block: passes.append(1) or real(block))
+    samples = [_sample_fixed_point(1, i) for i in range(300)]
+    means = _digit_means_generic(system, psi, n, _pack(samples), precision, beta_fixed)
+    assert means.tolist() == reference_means(system, psi, n, samples, precision, beta_fixed)
+    assert passes == ([1] if runs else [])
 
 
 @pytest.mark.parametrize("name", ["cubic", "golden", "x^2-3x+1", "decimal"])
