@@ -20,7 +20,7 @@ _EXPORTS = {
         "field_arith", "make_algebraic", "parse_beta_spec", "sign_of", "to_decimal",
     ),
     "transform": (
-        "Case", "DigitSequence", "HitBoundary", "MinusBetaSystem",
+        "Case", "DigitSequence", "HitBoundary", "MinusBetaSystem", "NotAlgebraicInteger",
         "NotEventuallyPeriodic", "Ordering", "Side", "SignedPoint", "alt_compare",
     ),
     "shiftgraph": (

@@ -4,8 +4,10 @@ One subcommand per analysis; outputs are machine-readable (JSON with sorted
 keys, RFC-4180 CSV, or DOT) and byte-identical for identical configuration
 and seed.  All randomness flows from an explicit ``--seed``; stochastic
 commands refuse to run without one.  Exit codes: 0 success, 1 property
-violation found, 2 usage error, 3 step/exactness budget exhausted, 4 output
-error.
+violation found, 2 usage error, 3 refused: a step/exactness budget exhausted
+(stderr ``budget exhausted:``) or a proof that the expansion of 1 is not
+eventually periodic because beta is not an algebraic integer (``not
+Yrrap:``), 4 output error.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional, Sequence
 from negabeta import algebraic
 from negabeta.algebraic import parse_beta_spec
 from negabeta.transform import (
-    EXPANSION_STEPS, MinusBetaSystem, NotEventuallyPeriodic, word_to_text,
+    EXPANSION_STEPS, MinusBetaSystem, NotAlgebraicInteger, NotEventuallyPeriodic, word_to_text,
 )
 
 
@@ -320,7 +322,13 @@ def _cylinder_rows(system: MinusBetaSystem, maxlen: int, digits: int) -> list[di
 
 
 def _coeff_text(element) -> str:
-    return "[" + ",".join(str(c) for c in element.coeffs) + "]"
+    """The coefficient vector as "[c_0,c_1,...]", each c_k as n or n/d in lowest terms."""
+    den = element.den
+    parts = []
+    for num in element.nums:
+        g = math.gcd(num, den)
+        parts.append(str(num // g) if g == den else f"{num // g}/{den // g}")
+    return "[" + ",".join(parts) + "]"
 
 
 def _positive(config: RunConfig, key: str, flag: str) -> int:
@@ -589,6 +597,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except NotAlgebraicInteger as exc:
+        print(f"not Yrrap: {exc}", file=sys.stderr)
+        return 3
     except NotEventuallyPeriodic as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

@@ -79,8 +79,8 @@ class PiecewiseExpandingMap:
         slope = self.branches[0].slope
         if any(br.slope != slope for br in self.branches):
             raise IntervalMapError("the image table needs one slope for all branches")
-        return ImageTable(self.branches, [br.intercept for br in self.branches], 1 / slope,
-                          slope < 0, Fraction(1))
+        return ImageTable(self.branches, [br.intercept for br in self.branches], slope,
+                          1 / slope, slope < 0, Fraction(1))
 
     def on_open_boundary(self, x: Fraction) -> bool:
         return any(x == p for p in self.breakpoints[1:-1])

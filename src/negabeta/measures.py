@@ -1,15 +1,19 @@
 """Exact cylinder geometry and the measure-side objects.
 
 Cylinder sets pull back to genuine subintervals of [0, 1]; their endpoints
-are carried as exact field elements so the decay bounds and the partition
-identity can be asserted with equality, not tolerance.  Markov and empirical
-measures live on the folded automaton and feed the rate machinery.
+are exact field elements so the decay bounds and the partition identity can
+be asserted with equality, not tolerance.  The cylinder walk carries them as
+integer coefficient vectors over one denominator, so a word costs integer
+tuple additions, and it turns each distinct endpoint into a canonical field
+element once.  Markov and empirical measures live on the folded automaton
+and feed the rate machinery.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,8 +46,7 @@ class NotIrreducible(MeasureError):
 # -- cylinders -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CylinderInterval:
+class CylinderInterval(NamedTuple):
     """Interval of points whose coding starts with a fixed word."""
 
     word: Word
@@ -84,23 +87,25 @@ class _Depth(NamedTuple):
 class ImageTable:
     """The branches of an interval map acting on the endpoints of its images T^n[w].
 
-    The branches T_a(x) = x/inv_slope + intercept_a share one slope, each on
-    its cell of a partition of [0, 1].  T^n maps the cylinder [w] of a word of
-    length n onto its image J_w = T^n[w], and J_wa is T_a of the cut of J_w
-    by cell_a.  So every image endpoint lies in the closure P of {0, 1} and
-    the cell endpoints under the branches, each acting on its closed cell.
-    P must be finite: for the negative-beta map of a Yrrap beta it is
-    {0, 1}, the k/beta and the orbit of 1; for Example 3.1 it is the six
-    cell endpoints.  P is sorted once with exact comparisons, after which an
-    image is an :data:`Image` of indices and a digit's step compares integers.
+    The branches T_a(x) = slope*x + intercept_a share one slope, each on its
+    cell of a partition of [0, 1]; the caller passes the slope and its
+    inverse, so building the table inverts nothing.  T^n maps the cylinder
+    [w] of a word of length n onto its image J_w = T^n[w], and J_wa is T_a
+    of the cut of J_w by cell_a.  So every image endpoint lies in the
+    closure P of {0, 1} and the cell endpoints under the branches, each
+    acting on its closed cell.  P must be finite: for the negative-beta map
+    of a Yrrap beta it is {0, 1}, the k/beta and the orbit of 1; for
+    Example 3.1 it is the six cell endpoints.  P is sorted once with exact
+    comparisons, after which an image is an :data:`Image` of indices and a
+    digit's step compares integers.
 
     The inverse of T^n on [w] is phi_w(y) = s_n*y + c_w, with s_n = inv_slope^n
     and c_wa = c_w - s_{n+1}*intercept_a.  So [w] = phi_w(J_w) and
     |[w]| = |s_n| * |J_w|, exactly.
     """
 
-    def __init__(self, cells: Sequence, intercepts: Sequence, inv_slope, decreasing: bool, one):
-        slope = one / inv_slope
+    def __init__(self, cells: Sequence, intercepts: Sequence, slope, inv_slope, decreasing: bool,
+                 one):
         zero = one - one
 
         def forward(level: frozenset) -> frozenset:
@@ -230,7 +235,8 @@ def image_table(system: MinusBetaSystem) -> ImageTable:
     if system._table_cache is None:
         cells = system.partition()
         system._table_cache = ImageTable(cells, [a + 1 for a in range(len(cells))],
-                                         -system.beta_inverse, True, system.beta.one())
+                                         -system.beta_element, -system.beta_inverse, True,
+                                         system.beta.one())
     return system._table_cache
 
 
@@ -255,8 +261,7 @@ def cylinder_interval(system: MinusBetaSystem, word: Sequence[int]) -> CylinderI
     return table.cylinder(word, image, offset)
 
 
-@dataclass(frozen=True)
-class CylinderReport:
+class CylinderReport(NamedTuple):
     """Exact cylinder and its length together with the two decay bound checks.
 
     `scale` is the contraction of the inverse branch on the cylinder
@@ -310,21 +315,49 @@ def cylinder_walk(system: MinusBetaSystem, maxlen: int) -> Iterator[CylinderRepo
 
     Walks the folded automaton's words (the admissible words, in the order of
     :meth:`MinusBetaSystem.enumerate_admissible`) through :func:`image_walk`.
-    A word costs index comparisons in the image table, one subtraction for
-    c_w and two additions for the endpoints of [w]; its length and bound
-    checks are read off its image, once per (depth, image), so no word needs
-    a sign test.  A word branches when its end states have two followers.
+    c_w and the endpoints of [w] are integer vectors over one denominator D,
+    the lcm of the denominators of the depth constants s_n*p and
+    s_n*intercept_a up to maxlen.  So a word costs index comparisons in the
+    image table and three tuple additions, one for c_w and one per endpoint;
+    each distinct endpoint becomes a canonical field element once, looked up
+    by its vector.  A word's length and bound checks are read off its image,
+    once per (depth, image), so no word needs a sign test.  A word branches
+    when its end states have two followers.
     """
     graph = automaton_for(system).graph
     table = image_table(system)
     bounds = table.bounds(_lower_constant(system))
-    offsets = [table.zero]  # c_w for each prefix of the current word
+    depths = [table.depth(n) for n in range(maxlen + 1)]
+    den = math.lcm(*(x.den for depth in depths for x in (*depth.ends, *depth.terms)))
+
+    def over_den(x) -> tuple[int, ...]:
+        scale = den // x.den
+        return tuple(a * scale for a in x.nums)
+
+    ends = [tuple(map(over_den, depth.ends)) for depth in depths]
+    terms = [tuple(map(over_den, depth.terms)) for depth in depths]
+    elements: dict[tuple[int, ...], object] = {}
+
+    def endpoint(vector: tuple[int, ...]):
+        value = elements.get(vector)
+        if value is None:
+            value = elements[vector] = system.beta._element(vector, den)
+        return value
+
+    offsets = [(0,) * system.beta.degree]  # c_w * D for each prefix of the current word
     for word, states, image in image_walk(table, enumerate_words(graph, maxlen)):
         n = len(word)
         del offsets[n:]
-        offsets.append(offsets[-1] - table.depth(n).terms[word[-1]])
-        yield _report(table, table.cylinder(word, image, offsets[-1]), image, bounds,
-                      len(graph.followers(states)) >= 2)
+        offset = tuple(map(operator.sub, offsets[-1], terms[n][word[-1]]))
+        offsets.append(offset)
+        lo, lo_closed, hi, hi_closed = image
+        lo_end = endpoint(tuple(map(operator.add, ends[n][lo], offset)))
+        hi_end = endpoint(tuple(map(operator.add, ends[n][hi], offset)))
+        if depths[n].decreasing:
+            interval = CylinderInterval(word, hi_end, lo_end, hi_closed, lo_closed)
+        else:
+            interval = CylinderInterval(word, lo_end, hi_end, lo_closed, hi_closed)
+        yield _report(table, interval, image, bounds, len(graph.followers(states)) >= 2)
 
 
 # -- branching distance ------------------------------------------------------------

@@ -39,6 +39,10 @@ class NotEventuallyPeriodic(TransformError):
     """Orbit of 1 is not eventually periodic, or showed no cycle within the step budget."""
 
 
+class NotAlgebraicInteger(NotEventuallyPeriodic):
+    """Beta is not an algebraic integer, which proves the orbit of 1 aperiodic."""
+
+
 class HitBoundary(TransformError):
     """Orbit landed exactly on a partition endpoint."""
 
@@ -295,8 +299,13 @@ class MinusBetaSystem:
 
     @cached_property
     def beta_inverse(self) -> FieldElement:
-        """1/beta as an exact field element, computed once per system."""
-        return self.beta.one() / self._beta_el
+        """1/beta, read off the minimal polynomial c_0 + c_1 x + ... + c_d x^d.
+
+        beta^-1 = -(c_1 + c_2 beta + ... + c_d beta^(d-1)) / c_0, and c_0 != 0
+        because beta > 1 is a root of an irreducible polynomial; no solve.
+        """
+        c0, *rest = self.beta.minpoly.coefficients
+        return self.beta._element([-c for c in rest], c0)
 
     def beta_float(self) -> float:
         return float(self._beta_el)
@@ -363,19 +372,20 @@ class MinusBetaSystem:
         Iterates the side-tagged point (1, from_below); the digit at an
         endpoint k/beta is k-1 when approaching from below and k from above,
         and the side flips at every step because each branch is decreasing.
-        Raises :class:`NotEventuallyPeriodic` at once, before any step, when
+        Raises :class:`NotAlgebraicInteger` at once, before any step, when
         the minimal polynomial of beta is not monic: every orbit point is
         (d+1) - beta*x of the one before, an integer polynomial in beta with
         leading coefficient +-1, so a repeat makes beta a root of a monic
-        integer polynomial, and that refusal is a proof.  Raises it too when
-        the budget runs out, which is not a proof that the orbit is aperiodic.
+        integer polynomial, and that refusal is a proof.  Raises its base
+        :class:`NotEventuallyPeriodic` when the budget runs out, which is not
+        a proof that the orbit is aperiodic.
         """
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self._expansion is not None:
             return self._expansion
         if self.beta.minpoly.coefficients[-1] != 1:
-            raise NotEventuallyPeriodic(
+            raise NotAlgebraicInteger(
                 "beta is not an algebraic integer, so the orbit of 1 is not eventually periodic")
         value, side = self.beta.one(), Side.BELOW
         seen: dict = {}

@@ -14,15 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negabeta.algebraic import FieldElement
-from negabeta.cli import MAX_DIGITS, RunConfig, UsageError, emit_report, main, parse_config
+from negabeta.algebraic import FieldElement, parse_beta_spec
+from negabeta.cli import (
+    MAX_DIGITS, RunConfig, UsageError, _coeff_text, emit_report, main, parse_config,
+)
 from negabeta.transform import EXPANSION_STEPS, MinusBetaSystem
 
 PISOT = "poly:-1,-1,0,1;interval:1,2"
 TWO = "poly:-2,1;interval:1,3"
 GOLDEN = "poly:-1,-1,1;interval:1,2"
 DEFECT = "poly:-1,-1,-2,1;interval:2,3"  # x^3-2x^2-x-1: d(1) = 21(2), so "20" is inadmissible
-NON_MONIC = ("budget exhausted: beta is not an algebraic integer, "
+NON_MONIC = ("not Yrrap: beta is not an algebraic integer, "
              "so the orbit of 1 is not eventually periodic\n")
 
 
@@ -173,6 +175,25 @@ def test_cyl_json_and_csv(capsys, tmp_path):
     header = raw.split(b"\r\n")[0].decode()
     assert header.split(",")[:3] == ["word", "lo", "hi"]
     assert b"\r\n" in raw  # RFC 4180 line endings
+
+
+_FIELDS = [parse_beta_spec(spec) for spec in (TWO, GOLDEN, PISOT, "poly:-1,-1,0,0,1;interval:1,2")]
+
+
+@st.composite
+def _field_elements(draw):
+    """Elements in canonical form (den > 0, gcd 1), with zero, negative and integer coefficients."""
+    field = draw(st.sampled_from(_FIELDS))
+    nums = draw(st.lists(st.integers(-10**6, 10**6), min_size=field.degree,
+                         max_size=field.degree))
+    den = draw(st.one_of(st.just(1), st.integers(1, 10**6)))
+    return field._element(nums, den)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_field_elements())
+def test_coeff_text_matches_fraction_formatting(element):
+    assert _coeff_text(element) == "[" + ",".join(str(c) for c in element.coeffs) + "]"
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,10 @@ from fractions import Fraction
 
 import pytest
 
-from negabeta.algebraic import FieldElement, IntPolynomial, make_algebraic
+from negabeta.algebraic import (
+    AlgebraicNumber, FieldElement, IntPolynomial, make_algebraic, parse_beta_spec,
+)
+from negabeta.cli import main
 from negabeta.intervalmaps import example31_cylinder, example31_measure_bounds, example31_system
 from negabeta.measures import (
     InadmissibleWord, cylinder_interval, cylinder_walk, image_table, image_walk,
@@ -208,3 +211,65 @@ def test_no_word_needs_a_sign_test(monkeypatch):
         list(cylinder_walk(system, n))
         counts.append(calls[0] - before)
     assert counts[0] == counts[1]
+
+
+def _spec(coeffs, lo, hi):
+    return f"poly:{','.join(map(str, coeffs))};interval:{lo},{hi}"
+
+
+def test_cyl_inverts_no_field_element(monkeypatch, capsys):
+    """1/beta comes off the minimal polynomial and both slopes are passed in,
+    so no `cyl` table runs a field inversion."""
+    calls = []
+    inverse = FieldElement.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counted)
+    for coeffs, lo, hi in POOL_BASES + NON_PISOT:
+        assert main(["cyl", "--beta", _spec(coeffs, lo, hi), "--maxlen", "4",
+                     "--format", "csv"]) == 0, coeffs
+        capsys.readouterr()
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["cubic", "golden"])
+def test_walk_builds_each_endpoint_once(name, monkeypatch):
+    """Endpoints are integer vectors over one denominator: a field element is
+    built once per distinct endpoint and for the per-depth constants, not per
+    row."""
+    system = _system(*BASES[name])
+    automaton_for(system)
+    table = image_table(system)
+    element = AlgebraicNumber._element
+    calls = [0]
+
+    def counted(self, nums, den):
+        calls[0] += 1
+        return element(self, nums, den)
+
+    monkeypatch.setattr(AlgebraicNumber, "_element", counted)
+    maxlen = 12
+    reports = list(cylinder_walk(system, maxlen))
+    endpoints = {x for r in reports for x in (r.interval.lo, r.interval.hi)}
+    images = len({(r.image[0], r.image[2]) for r in reports})
+    # per depth: s_n, s_n*p for each point, s_n*(a+1) for each digit and, per
+    # image, |[w]| = |s_n| * (hi - lo); per image, its width and two bound
+    # comparisons; and the lower-bound constant 1 - b/beta
+    per_depth = 1 + len(table.points) + len(table.cells) + 2 * images
+    budget = len(endpoints) + maxlen * per_depth + 3 * images + 2
+    assert calls[0] <= budget < len(reports)
+
+
+@pytest.mark.parametrize("spec", [
+    *(_spec(*base) for base in POOL_BASES + NON_PISOT),
+    "poly:-2,0,-2,1;interval:2,3",  # x^3 - 2x^2 - 2: c_0 = -2, so 1/beta is not in Z[beta]
+    "decimal:2", "decimal:3", "decimal:2.5",  # rational: 1/beta = -c_1/c_0
+])
+def test_beta_inverse_is_read_off_the_minimal_polynomial(spec):
+    system = MinusBetaSystem(parse_beta_spec(spec))
+    beta = system.beta_element
+    assert system.beta_inverse == system.beta.one() / beta
+    assert system.beta_inverse * beta == 1
