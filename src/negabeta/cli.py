@@ -494,8 +494,9 @@ def _cmd_validate(config: RunConfig):
            f"word {word_to_text(low.interval.word, system.b)} has length/scale "
            f"{algebraic.to_decimal(low.length / low.scale, 6)} below (1 - b/beta)/beta = "
            f"{algebraic.to_decimal(corrected, 6)}")
-    totals = measures.length_totals(r.interval for r in sweep)
-    record("partition_identity", all(totals.get(n) == 1 for n in range(1, min(maxlen, 8) + 1)))
+    depth = min(maxlen, 8)
+    totals = measures.length_totals(r.interval for r in sweep if len(r.word) <= depth)
+    record("partition_identity", all(totals.get(n) == 1 for n in range(1, depth + 1)))
 
     pres = specprop.SoficPresentation.from_chain(chain)
     cert = specprop.spec_bound(pres)

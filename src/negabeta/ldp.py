@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -697,20 +698,27 @@ def _sample_block(seed: int, indices: Iterable[int]) -> np.ndarray:
     """Counter-based uniform samples on [0, 1), one row of 16 bytes per index.
 
     Row k is the first 16 bytes of sha256 of ``f"{seed}:{i}"`` for the k-th
-    index i: a 128-bit fixed-point number, big-endian.  The prefix is hashed
-    once and copied per index, and the digests are joined into one buffer, so
-    the batch is one ``(count, 16)`` uint8 array that every engine reads.
+    index i: a 128-bit fixed-point number, big-endian.  Each message is hashed
+    in one call of CPython's builtin SHA-256 (``_sha2`` on 3.12+, ``_sha256``
+    before), whose per-call cost is below OpenSSL's through ``hashlib``; a
+    build without it falls back to ``hashlib.sha256``, which gives the same
+    digests.  The digests are joined into one buffer, so the batch is one
+    ``(count, 16)`` uint8 array that every engine reads.
     """
-    import hashlib  # loaded by the sampling commands only
+    # imported here, so that only the sampling commands load a hash module; the
+    # version picks the module, since a failed import is retried on every call
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
     import numpy as np
 
-    prefix = hashlib.sha256(f"{seed}:".encode())
-    digests = []
-    for i in indices:
-        h = prefix.copy()
-        h.update(b"%d" % i)
-        digests.append(h.digest())
+    message = b"%d:%%d" % seed
+    digests = [sha256(message % i).digest() for i in indices]
     return np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(-1, 32)[:, :16]
 
 
@@ -978,17 +986,38 @@ def _digit_means_generic(system: MinusBetaSystem, psi: Psi, n: int, block: np.nd
     return means
 
 
+_ODD_BITS = 0x5555555555555555  # the complemented bit positions of a 64-bit word
+
+
+def _popcount64(x: np.ndarray) -> np.ndarray:
+    """Ones in each uint64 of x: bit counts summed in 2-, 4- and 8-bit fields,
+    then the eight byte counts added into the top byte by one multiply."""
+    import numpy as np
+
+    m1, m2, m4, h01 = map(np.uint64, (0x5555555555555555, 0x3333333333333333,
+                                      0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
+    x = x - ((x >> np.uint64(1)) & m1)
+    x = (x & m2) + ((x >> np.uint64(2)) & m2)
+    x = (x + (x >> np.uint64(4))) & m4
+    return (x * h01) >> np.uint64(56)
+
+
 def _digit_means_beta2(psi: Psi, n: int, block: np.ndarray) -> np.ndarray:
     """Base-2 fast path: the exact fixed-point orbit digits of x are the
     alternately complemented leading bits of x, so digit means reduce to
-    counts of ones.  The bytes of the block are complemented at the odd bit
-    positions (0x55), unpacked, and the first n bits of each row summed.
+    counts of ones.  Each row is read as big-endian 64-bit words, complemented
+    at the odd bit positions (0x55...55), shifted down to its first n bits
+    and popcounted; n <= 96 (``_ORBIT_BITS``) needs at most two words.
     Bit-for-bit equal to the generic engine away from dyadic boundary points
     (a zero-probability set for hashed samples)."""
     import numpy as np
 
     psi0, psi1 = _psi_value(psi, 0), _psi_value(psi, 1)
-    ones = np.unpackbits(block ^ np.uint8(0x55), axis=1, count=n).sum(axis=1, dtype=np.int64)
+    words = block.view(">u8")
+    ones = np.zeros(len(block), dtype=np.int64)
+    for k in range(0, n, 64):
+        head = (words[:, k // 64] ^ np.uint64(_ODD_BITS)) >> np.uint64(64 - min(n - k, 64))
+        ones += _popcount64(head).astype(np.int64)
     return (ones * psi1 + (n - ones) * psi0) / n
 
 
@@ -1066,9 +1095,10 @@ def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
 
     Samples are counter-based in the seed and the sample index, so results
     are byte-identical for a fixed (seed, N).  Each batch of ``_CHUNK``
-    samples is hashed into one buffer (:func:`_sample_block`), and the engine
-    reads its lanes from those bytes: the base-2 engine unpacks their bits, the
-    generic one (:func:`_digit_means_generic`) gives the means of fixed-point
+    samples is hashed into one buffer (:func:`_sample_block`, with CPython's
+    builtin SHA-256), and the engine reads its lanes from those bytes: the
+    base-2 engine popcounts their 64-bit words, the generic one
+    (:func:`_digit_means_generic`) gives the means of fixed-point
     orbits at a precision of n*log2(beta) + 64 bits, from certified double
     orbits where it can and from integer lanes for the other rows.  Hits are
     counted batch by batch.  A sample becomes a Python integer only when it

@@ -683,11 +683,26 @@ def weak_metric_truncated(mu, nu, K: int, alphabet_bound: int) -> float:
 
 
 def length_totals(cylinders: Iterable[CylinderInterval]) -> dict:
-    """Exact sum of the cylinder lengths at each word length."""
-    totals: dict = {}
+    """Exact sum of the cylinder lengths at each word length.
+
+    The endpoints are added as integer numerator vectors, hi with a plus and
+    lo with a minus sign, one running sum per (word length, denominator); the
+    sums of one word length become one field element at the end.
+    """
+    sums: dict[int, dict[int, tuple[int, ...]]] = {}  # word length -> den -> numerators
     for cyl in cylinders:
-        n = len(cyl.word)
-        totals[n] = totals[n] + cyl.length if n in totals else cyl.length
+        by_den = sums.get(len(cyl.word))
+        if by_den is None:
+            by_den = sums[len(cyl.word)] = {}
+            field = cyl.lo.field
+        for end, sign in ((cyl.hi, operator.add), (cyl.lo, operator.sub)):
+            total = by_den.get(end.den, (0,) * len(end.nums))
+            by_den[end.den] = tuple(map(sign, total, end.nums))
+    totals = {}
+    for n, by_den in sums.items():
+        den = math.lcm(*by_den)
+        scaled = ([a * (den // d) for a in nums] for d, nums in by_den.items())
+        totals[n] = field._element([sum(column) for column in zip(*scaled)], den)
     return totals
 
 

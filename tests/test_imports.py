@@ -33,7 +33,8 @@ for argv in (['graph', *beta], ['components', *beta], ['spec', *beta, '--oracle-
              ['entropy', *beta], ['gbeta', *beta, '--n', '10'], ['cyl', *beta, '--maxlen', '4'],
              ['validate', *beta, '--maxlen', '4', '--seed', '3']):
     assert cli.main(argv) == 0, argv[0]
-    stray = {'negabeta.ldp', 'negabeta.intervalmaps', 'hashlib', 'logging'} & set(sys.modules)
+    stray = {'negabeta.ldp', 'negabeta.intervalmaps', 'hashlib', '_sha2', '_sha256',
+             'logging'} & set(sys.modules)
     assert not stray, f'{argv[0]} loaded {sorted(stray)}'
 
 # the digit engines and the rate share no code with the companion systems

@@ -11,6 +11,7 @@ so the means must be equal, not close.
 
 import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -107,11 +108,32 @@ def _observable(kind, b):
 # -- tests ---------------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", [0, 7, -3, 10**12, 12345678901234567890])
+SAMPLER_SEEDS = [0, 7, -3, 10**12, 12345678901234567890]
+SAMPLER_INDICES = list(range(50)) + [_CHUNK - 1, _CHUNK, 10**9 + 7]
+
+
+@pytest.mark.parametrize("seed", SAMPLER_SEEDS)
 def test_shared_prefix_sampler_matches_one_shot_hash(seed):
-    indices = list(range(50)) + [_CHUNK - 1, _CHUNK, 10**9 + 7]
-    expected = _pack([_sample_fixed_point(seed, i) for i in indices])
-    assert _sample_block(seed, indices).tobytes() == expected.tobytes()
+    expected = _pack([_sample_fixed_point(seed, i) for i in SAMPLER_INDICES])
+    assert _sample_block(seed, SAMPLER_INDICES).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", SAMPLER_SEEDS)
+def test_sampler_without_builtin_sha256_hashes_through_hashlib(seed, monkeypatch):
+    # a build with neither _sha2 nor _sha256 falls back to hashlib.sha256
+    expected = _pack([_sample_fixed_point(seed, i) for i in SAMPLER_INDICES])
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    calls = []
+    sha256 = hashlib.sha256
+
+    def counted(data):
+        calls.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    assert _sample_block(seed, SAMPLER_INDICES).tobytes() == expected.tobytes()
+    assert calls == [f"{seed}:{i}".encode() for i in SAMPLER_INDICES]
 
 
 @pytest.mark.parametrize("seed", [0, -3, 12345678901234567890])
@@ -233,9 +255,25 @@ def test_base2_engine_matches_its_loop_and_the_scalar_orbit():
                                    _beta_fixed_point(system, precision)))
 
 
+def reference_means_unpackbits(psi, n, block):
+    """The base-2 engine before the popcount: one byte per unpacked bit."""
+    psi0, psi1 = _psi_value(psi, 0), _psi_value(psi, 1)
+    ones = np.unpackbits(block ^ np.uint8(0x55), axis=1, count=n).sum(axis=1, dtype=np.int64)
+    return (ones * psi1 + (n - ones) * psi0) / n
+
+
+def test_base2_popcount_matches_unpacked_bits():
+    block = _sample_block(6, range(_CHUNK + 7))
+    for n in range(1, 97):
+        for psi in ({0: 0.25, 1: 1.5}, {0: 0.0, 1: 1.0}):
+            means = _digit_means_beta2(psi, n, block)
+            assert means.dtype == np.float64
+            assert means.tobytes() == reference_means_unpackbits(psi, n, block).tobytes(), n
+
+
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 96])
 def test_base2_block_means_equal_the_scalar_orbit(n):
-    # the bits unpacked from the block are the digits of the exact orbit
+    # the bits counted in the block are the digits of the exact orbit
     system = MinusBetaSystem(parse_beta_spec("poly:-2,1;interval:1,3"))
     psi = {0: 0.0, 1: 1.0}
     precision = _precision(system, n)
