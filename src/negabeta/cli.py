@@ -15,12 +15,16 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import re
 import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+try:  # the C string encoder of the json package, without loading its decoder
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 # The other modules are imported by the commands that run them, so a process
 # loads only what its subcommand needs.
@@ -541,6 +545,75 @@ _COMMANDS = {
 # -- report emission ----------------------------------------------------------------------
 
 
+def _json_scalar(value) -> Optional[str]:
+    """The JSON text of a string, number, bool or None; None for anything else."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    return None
+
+
+def _json_parts(value, indent: str, parts: list[str]) -> None:
+    """Append the JSON text of ``value``, nested one level below ``indent``."""
+    text = _json_scalar(value)
+    if text is not None:
+        parts.append(text)
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        deeper = indent + "  "
+        separator = ",\n" + deeper
+        parts.append("[\n" + deeper)
+        for k, item in enumerate(value):
+            if k:
+                parts.append(separator)
+            _json_parts(item, deeper, parts)
+        parts.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        deeper = indent + "  "
+        separator, comma = "{\n" + deeper, ",\n" + deeper
+        for key, item in sorted(value.items()):
+            name = _json_scalar(key)
+            if name is None:
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {type(key).__name__}")
+            if not isinstance(key, str):
+                name = encode_basestring_ascii(name)
+            parts.append(separator + name + ": ")
+            separator = comma
+            _json_parts(item, deeper, parts)
+        parts.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)``, byte for byte.
+
+    The stdlib encodes with an indent in pure Python, through closures built
+    on every call that leave a reference cycle behind; this recursion builds
+    none.
+    """
+    parts: list[str] = []
+    _json_parts(value, "", parts)
+    return "".join(parts)
+
+
 def emit_report(result, fmt: str, out: Optional[str]) -> str:
     """Serialize a command result with stable field ordering."""
     if fmt == "dot":
@@ -558,7 +631,7 @@ def emit_report(result, fmt: str, out: Optional[str]) -> str:
         writer.writerows([row[key] for key in header] for row in rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(result, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        text = _json_text(result) + "\n"
     if out:
         try:
             with open(out, "w", encoding="utf-8", newline="") as handle:

@@ -16,8 +16,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
-from negabeta.ldp import DeviationEstimate, _sample_doubles, _window_deviation
+from negabeta.ldp import DeviationEstimate, _window_deviation
 from negabeta.measures import Image, ImageTable, InadmissibleWord
+from negabeta.sampling import _sample_doubles
 from negabeta.shiftgraph import LabeledGraph
 from negabeta.specprop import SoficPresentation
 from negabeta.transform import HitBoundary, Word
@@ -293,10 +294,12 @@ def circle_mc_deviation(a_window: tuple[float, float], n: int, sample_count: int
     eps of 0 (circle distance); the predicted decay rate of the tail at
     fraction a is a * log f'(0).  Uses the same counter-based sampler as the
     digit engine: each batch of ``_CHUNK`` samples is hashed into one buffer,
-    whose rows are read as doubles (:func:`negabeta.ldp._sample_doubles`,
+    whose rows are read as doubles (:func:`negabeta.sampling._sample_doubles`,
     which the generic digit engine reads too; only the rare row below 2^-9
     becomes a Python integer) and iterated in double precision.
-    Hits are counted per batch, so memory stays flat in the sample count.
+    Hits are counted per batch, in contiguous shares of the batches (one
+    per CPU, at most one per ``_MIN_SHARE`` samples), so memory stays flat
+    in the sample count.
     """
     import numpy as np
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from negabeta.measures import MarkovMeasure, parry_measure, _psi_value
+from negabeta.sampling import _count_hits, _sample_doubles, _sample_int
 from negabeta.shiftgraph import ComponentChain, chain_for, spectral_radius
 from negabeta.transform import MinusBetaSystem
 
@@ -686,66 +686,8 @@ _SAMPLE_BITS = 8 * _SAMPLE_BYTES
 # cap (a 32-bit margin below the sample's bits) it would read the truncation.
 _ORBIT_BITS = _SAMPLE_BITS - 32
 
-# Samples per lane batch: hits are counted chunk by chunk, so memory stays
-# flat in the sample count.
-_CHUNK = 4096
-
 # The scalar audit reruns every sample whose index is a multiple of this.
 _AUDIT_STEP = 100
-
-
-def _sample_block(seed: int, indices: Iterable[int]) -> np.ndarray:
-    """Counter-based uniform samples on [0, 1), one row of 16 bytes per index.
-
-    Row k is the first 16 bytes of sha256 of ``f"{seed}:{i}"`` for the k-th
-    index i: a 128-bit fixed-point number, big-endian.  Each message is hashed
-    in one call of CPython's builtin SHA-256 (``_sha2`` on 3.12+, ``_sha256``
-    before), whose per-call cost is below OpenSSL's through ``hashlib``; a
-    build without it falls back to ``hashlib.sha256``, which gives the same
-    digests.  The digests are joined into one buffer, so the batch is one
-    ``(count, 16)`` uint8 array that every engine reads.
-    """
-    # imported here, so that only the sampling commands load a hash module; the
-    # version picks the module, since a failed import is retried on every call
-    try:
-        if sys.version_info >= (3, 12):
-            from _sha2 import sha256
-        else:
-            from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
-
-    import numpy as np
-
-    message = b"%d:%%d" % seed
-    digests = [sha256(message % i).digest() for i in indices]
-    return np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(-1, 32)[:, :16]
-
-
-def _sample_int(row: np.ndarray) -> int:
-    """One row of a sample block as its 128-bit integer."""
-    return int.from_bytes(row.tobytes(), "big")
-
-
-_EXACT_HI = 2**55  # a sample whose top 64 bits reach this rounds from them and a sticky bit
-
-
-def _sample_doubles(block: np.ndarray) -> np.ndarray:
-    """The rows of a sample block as doubles: s / 2.0**128 for each 128-bit s.
-
-    With s = hi * 2^64 + lo and hi >= 2^55, hi carries at least 56 bits, so
-    rounding s to 53 bits looks at lo only as a sticky bit: setting the last
-    bit of hi when lo != 0 and converting hi rounds the same way.  The few
-    rows with a smaller hi (about 1 in 512) are divided as Python integers.
-    """
-    import numpy as np
-
-    words = block.view(">u8")
-    hi, lo = words[:, 0], words[:, 1]
-    x = (hi | (lo != 0)).astype(np.float64) * 2.0**-64
-    for k in np.flatnonzero(hi < _EXACT_HI):
-        x[k] = _sample_int(block[k]) / 2.0**128
-    return x
 
 
 def _scale_sample(sample: int, precision: int) -> int:
@@ -1070,22 +1012,12 @@ def deviation_estimate(n: int, sample_count: int, hits: int, seed: int) -> Devia
 
 def _window_deviation(window: tuple[float, float], n: int, sample_count: int, seed: int,
                       batch_means: Callable[[int, np.ndarray], np.ndarray]) -> DeviationEstimate:
-    """Deviation estimate from the n-step means, counted per batch of ``_CHUNK`` samples.
-
-    ``batch_means(start, block)`` gives the means of the batch that starts
-    at sample index ``start``, whose samples are the rows of the
-    :func:`_sample_block` ``block``; memory stays flat in the sample count.
+    """Deviation estimate from the n-step means of the samples in the window;
+    the hits are counted batch by batch (:func:`negabeta.sampling._count_hits`).
     """
-    import numpy as np
-
     if n < 1 or sample_count < 1:
         raise ValueError("need n >= 1 and sample_count >= 1")
-    lo, hi = window
-    hits = 0
-    for start in range(0, sample_count, _CHUNK):
-        block = _sample_block(seed, range(start, min(start + _CHUNK, sample_count)))
-        means = batch_means(start, block)
-        hits += int(np.count_nonzero((means >= lo) & (means <= hi)))
+    hits = _count_hits(window, sample_count, seed, batch_means)
     return deviation_estimate(n, sample_count, hits, seed)
 
 
@@ -1094,19 +1026,21 @@ def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
     """Lebesgue probability that the n-step observable mean falls in the window.
 
     Samples are counter-based in the seed and the sample index, so results
-    are byte-identical for a fixed (seed, N).  Each batch of ``_CHUNK``
-    samples is hashed into one buffer (:func:`_sample_block`, with CPython's
-    builtin SHA-256), and the engine reads its lanes from those bytes: the
-    base-2 engine popcounts their 64-bit words, the generic one
+    are byte-identical for a fixed (seed, N).  Each batch of samples is
+    hashed into one buffer (:func:`negabeta.sampling._sample_block`, with
+    CPython's builtin SHA-256), and the engine reads its lanes from those
+    bytes: the base-2 engine popcounts their 64-bit words, the generic one
     (:func:`_digit_means_generic`) gives the means of fixed-point
     orbits at a precision of n*log2(beta) + 64 bits, from certified double
     orbits where it can and from integer lanes for the other rows.  Hits are
-    counted batch by batch.  A sample becomes a Python integer only when it
-    is rerun in scalar: the audit reruns every sample whose index is a
-    multiple of ``_AUDIT_STEP`` (at doubled precision it must give the same
-    digits, and the mean of those digits must equal the engine's mean), and
-    the uncertified rows of a batch are rerun whole when one of their digits
-    needed the clamp.  Raises
+    counted batch by batch, in contiguous shares of the batches, one per CPU
+    and at most one per ``_MIN_SHARE`` samples
+    (:func:`negabeta.sampling._count_hits`).  A sample becomes a Python
+    integer only when it is rerun in scalar: the audit reruns every sample
+    whose index is a multiple of ``_AUDIT_STEP`` (at doubled precision it
+    must give the same digits, and the mean of those digits must equal the
+    engine's mean), and the uncertified rows of a batch are rerun whole when
+    one of their digits needed the clamp.  Raises
     :class:`OrbitTooLong` when n*log2(beta) exceeds ``_ORBIT_BITS``, and
     :class:`WindowNeverHit` when nothing lands inside.
     """

@@ -28,13 +28,14 @@ beta = ['--beta', 'poly:-1,-1,0,1;interval:1,2']
 assert cli.main(['yrrap', *beta]) == 0
 expected = {'negabeta', 'negabeta.algebraic', 'negabeta.transform', 'negabeta.cli'}
 assert loaded() == expected, f'yrrap loaded {sorted(loaded() - expected)}'
+assert 'json' not in sys.modules, 'yrrap loaded the json package'
 
 for argv in (['graph', *beta], ['components', *beta], ['spec', *beta, '--oracle-maxlen', '4'],
              ['entropy', *beta], ['gbeta', *beta, '--n', '10'], ['cyl', *beta, '--maxlen', '4'],
              ['validate', *beta, '--maxlen', '4', '--seed', '3']):
     assert cli.main(argv) == 0, argv[0]
-    stray = {'negabeta.ldp', 'negabeta.intervalmaps', 'hashlib', '_sha2', '_sha256',
-             'logging'} & set(sys.modules)
+    stray = {'negabeta.ldp', 'negabeta.sampling', 'negabeta.intervalmaps', 'hashlib', '_sha2',
+             '_sha256', 'logging'} & set(sys.modules)
     assert not stray, f'{argv[0]} loaded {sorted(stray)}'
 
 # the digit engines and the rate share no code with the companion systems

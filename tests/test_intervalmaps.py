@@ -29,8 +29,9 @@ from negabeta.intervalmaps import (
     example31_word_admissible,
     predicted_occupation_rate,
 )
-from negabeta.ldp import _CHUNK, WindowNeverHit, _sample_block, _sample_doubles
+from negabeta.ldp import WindowNeverHit
 from negabeta.measures import InadmissibleWord, image_walk
+from negabeta.sampling import _CHUNK, _sample_block, _sample_doubles
 from negabeta.shiftgraph import enumerate_words
 from negabeta.specprop import spec_bound
 from negabeta.transform import HitBoundary

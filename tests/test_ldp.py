@@ -14,7 +14,6 @@ from negabeta.ldp import (
     _beta_fixed_point,
     _digit_means_beta2,
     _digit_means_generic,
-    _sample_block,
     compare_rate_functions,
     deviation_estimate,
     free_energy,
@@ -24,6 +23,7 @@ from negabeta.ldp import (
     wilson_interval,
 )
 from negabeta.measures import cylinder_interval, parry_measure
+from negabeta.sampling import _sample_block
 from negabeta.shiftgraph import chain_for
 from negabeta.transform import MinusBetaSystem
 from pisot_bases import BASES

@@ -19,10 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from negabeta import ldp
+from negabeta import ldp, sampling
 from negabeta.algebraic import parse_beta_spec
 from negabeta.ldp import (
-    _CHUNK,
     _beta_fixed_point,
     _certificate_bounds,
     _digit_means_beta2,
@@ -30,9 +29,9 @@ from negabeta.ldp import (
     _digit_mean,
     _double_means,
     _orbit_digits,
-    _sample_block,
     mc_deviation,
 )
+from negabeta.sampling import _CHUNK, _sample_block
 from negabeta.transform import MinusBetaSystem
 
 # -- the scalar reference -----------------------------------------------------------------
@@ -413,6 +412,8 @@ def test_cubic_at_30_steps_never_runs_the_lanes(monkeypatch):
                                  beta_fixed)
     samples = [_sample_fixed_point(seed, i) for i in range(count)]
     assert means.tolist() == reference_means(system, psi, n, samples, precision, beta_fixed)
+    # one batch is counted in this process, so the patched lanes see every call
+    assert sampling._share_count(count) == 1
     est = mc_deviation(system, psi, (0.2, 0.4), n, count, seed)
     assert est.hits == sum(1 for m in means if 0.2 <= m <= 0.4)
     assert rows == []
