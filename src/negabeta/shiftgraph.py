@@ -1,20 +1,21 @@
 """Finite presentations of the symbolic system attached to an expansion of 1.
 
 Builds the infinite labeled graph prescribed by the expansion (a spine
-through the prefixes of the expansion, and the back edges that the border
-step of :func:`negabeta.transform.border_step` admits), folds it to a finite
-automaton using the periodicity of the tail, and decomposes the result into
-the ordered chain of irreducible pieces that carries every invariant measure.
+through the prefixes of the expansion, and back edges to the longest
+surviving border), one row of edge targets per vertex, each row read off the
+row of the vertex's KMP failure link; folds it to a finite automaton using
+the periodicity of the tail, and decomposes the result into the ordered chain
+of irreducible pieces that carries every invariant measure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from negabeta.transform import DigitSequence, MinusBetaSystem, Word, border_step, word_to_text
+from negabeta.transform import DigitSequence, MinusBetaSystem, Word, word_to_text
 
 Edge = tuple[int, int, int]  # (source, label, target)
 
@@ -183,36 +184,59 @@ class LabeledGraph:
         }
 
 
-def build_gamma(s: DigitSequence, horizon: int) -> LabeledGraph:
-    """Vertices V0..V_horizon and the edges of the admissible language of s.
+Row = list[tuple[int, int]]  # one vertex's out-edges (label, target), labels ascending
+
+
+def _gamma_rows(s: DigitSequence, horizon: int) -> list[Row]:
+    """The out-edges of V0..V_horizon, the last vertex's empty.
 
     V_i stands for the borders of the spine word s_0..s_{i-1} (the lengths
-    of its suffixes that are prefixes of s), which its longest border i
-    fixes.  Every digit a that :func:`border_step` accepts at V_i gets an
-    edge to V_j, where j is the longest border of the extended word, or 0
-    when none is left: a = s_i is the spine edge V_i -> V_{i+1}, any other
-    digit a back edge.  Every back edge must land at index at most u+v;
-    that bound is asserted during the build.
+    of its suffixes that are prefixes of s): i itself, then those of its
+    longest proper border f(i), the KMP failure link.  So V_i's row is f(i)'s
+    row (for V0, every digit to V0) less the digits that position i forbids
+    in the alternating order (a > s_i at even i, a < s_i at odd i), with
+    s_i sent to V_(i+1) when f(i)'s row admits it; its target there is
+    f(i+1).  Every back edge must land at index at most u+v; that bound is
+    asserted during the build.
     """
     u, v = s.u, s.v
     if horizon < u + 2 * v:
         raise HorizonTooSmall(f"horizon {horizon} < {u + 2 * v}")
-    spine = s.prefix(horizon + 1)
-    edges: set[Edge] = set()
-    borders: tuple[int, ...] = ()
-    for i in range(horizon):
-        for a in range(s.alphabet_bound + 1):
-            new = border_step(spine, borders, a)
-            if new is None:
-                continue
-            j = new[0] if new else 0  # the longest border, or none
-            if u + v < j <= i:
-                raise ShiftGraphError(
-                    f"back edge from V{i} lands at V{j} beyond u+v={u + v}"
-                )
-            edges.add((i, a, j))
-        borders = border_step(spine, borders, spine[i])
-    return LabeledGraph(horizon + 1, edges)
+    rows: list[Row] = []
+    border = [(a, 0) for a in range(s.alphabet_bound + 1)]
+    for i, d in enumerate(s.prefix(horizon)):
+        row, link, odd = [], None, i % 2
+        for a, j in border:
+            if a == d:
+                row.append((a, i + 1))
+                link = j
+            elif a > d if odd else a < d:
+                if u + v < j <= i:
+                    raise ShiftGraphError(f"back edge from V{i} lands at V{j} beyond u+v={u + v}")
+                row.append((a, j))
+        if link is None:
+            raise ShiftGraphError(f"spine digit {d} is refused at V{i}")
+        rows.append(row)
+        border = rows[link]
+    rows.append([])
+    return rows
+
+
+def build_gamma(s: DigitSequence, horizon: int) -> LabeledGraph:
+    """Vertices V0..V_horizon and the edges of the admissible language of s.
+
+    Every digit a that V_i's row admits gets an edge to V_j, where j is the
+    longest border of the extended word, or 0 when none is left: a = s_i is
+    the spine edge V_i -> V_(i+1), any other digit a back edge.  The rows
+    come from :func:`_gamma_rows`; this graph serves the tests and callers
+    that fold at another horizon.
+    """
+    rows = _gamma_rows(s, horizon)
+    return LabeledGraph(len(rows), frozenset((i, a, t) for i, row in enumerate(rows) for a, t in row))
+
+
+def _fold_index(i: int, start: int, period: int) -> int:
+    return i if i < start + period else start + (i - start) % period
 
 
 @dataclass(frozen=True)
@@ -224,9 +248,7 @@ class FoldedAutomaton:
     fold_period: int
 
     def fold_index(self, i: int) -> int:
-        if i < self.fold_start + self.fold_period:
-            return i
-        return self.fold_start + (i - self.fold_start) % self.fold_period
+        return _fold_index(i, self.fold_start, self.fold_period)
 
 
 def fold(g: LabeledGraph, u: int, v: int) -> FoldedAutomaton:
@@ -237,25 +259,34 @@ def fold(g: LabeledGraph, u: int, v: int) -> FoldedAutomaton:
     candidates are tried smallest first.  A start index s (from u upward)
     verifies period p when V_i and V_(i+p) carry the same spine label and
     exact back-edge sets for every i in the 2v window from s, which cannot be
-    fooled by the quotient map.  Each period is checked in one scan of i
-    from u that counts the run of matching pairs, restarting it after a
-    mismatch; the first run of 2v gives the smallest start.  Signatures are
-    read in the order of that scan, so an ambiguous spine raises at the first
-    vertex the scan reaches.
+    fooled by the quotient map.  The graph's edges become per-vertex rows for
+    :func:`_fold_rows`, the one fold, which :func:`automaton_for` calls on
+    :func:`_gamma_rows` directly.
     """
-    horizon = g.vertex_count - 1
+    rows: list[Row] = [[] for _ in range(g.vertex_count)]
+    for s_, a, t in sorted(g.edges):
+        rows[s_].append((a, t))
+    return _fold_rows(rows, u, v)
+
+
+def _fold_rows(rows: Sequence[Row], u: int, v: int) -> FoldedAutomaton:
+    """:func:`fold` on the out-edges of V0..V_horizon.
+
+    Each period is checked in one scan of i from u that counts the run of
+    matching pairs, restarting it after a mismatch; the first run of 2v gives
+    the smallest start.  Signatures are read in the order of that scan, so an
+    ambiguous spine raises at the first vertex the scan reaches.
+    """
+    horizon = len(rows) - 1
     periods = sorted(d for d in range(1, 2 * v + 1) if (2 * v) % d == 0)
-    out: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-    for s_, a, t in g.edges:
-        out[s_].append((a, t))
 
     @cache  # filled on first use, so an ambiguous spine raises where it is first read
     def signature(i: int) -> tuple[int, frozenset[tuple[int, int]]]:
         """The spine digit of V_i and its back edges (label, target)."""
-        lbls = [a for a, t in out[i] if t == i + 1]
+        lbls = [a for a, t in rows[i] if t == i + 1]
         if len(lbls) != 1:
             raise FoldNotVerified(f"ambiguous spine at V{i}")
-        return lbls[0], frozenset((a, t) for a, t in out[i] if (a, t) != (lbls[0], i + 1))
+        return lbls[0], frozenset((a, t) for a, t in rows[i] if (a, t) != (lbls[0], i + 1))
 
     last_error = None
     for p in periods:
@@ -267,7 +298,7 @@ def fold(g: LabeledGraph, u: int, v: int) -> FoldedAutomaton:
             if signature(i) != signature(i + p):
                 start = i + 1
             elif i - start + 1 == 2 * v:
-                return _build_folded(g, start, p, u, v)
+                return _build_folded(rows, start, p, u, v)
         last_error = f"period {p} not verified within horizon {horizon}"
     # period 2v is mathematically guaranteed for start >= u given enough room
     if horizon < u + 6 * v:
@@ -275,17 +306,16 @@ def fold(g: LabeledGraph, u: int, v: int) -> FoldedAutomaton:
     raise FoldNotVerified(last_error or "fold failed")
 
 
-def _build_folded(g: LabeledGraph, start: int, period: int, u: int, v: int) -> FoldedAutomaton:
+def _build_folded(rows: Sequence[Row], start: int, period: int, u: int, v: int) -> FoldedAutomaton:
     total = start + period
-    shape = FoldedAutomaton(LabeledGraph(total, frozenset()), start, period)
     edges = set()
-    for s_, a, t in g.edges:
-        if s_ < total:
-            target = shape.fold_index(t)
+    for s_ in range(total):
+        for a, t in rows[s_]:
+            target = _fold_index(t, start, period)
             if t != s_ + 1 and target > u + v:
                 raise FoldNotVerified(f"folded back edge V{s_}->V{target} beyond u+v={u + v}")
             edges.add((s_, a, target))
-    return replace(shape, graph=LabeledGraph(total, frozenset(edges)))
+    return FoldedAutomaton(LabeledGraph(total, frozenset(edges)), start, period)
 
 
 @dataclass(frozen=True)
@@ -471,12 +501,13 @@ def cross_validate(aut: FoldedAutomaton, system: MinusBetaSystem,
 def automaton_for(system: MinusBetaSystem) -> FoldedAutomaton:
     """The folded automaton of an exact system, built once and cached on it.
 
-    The graph is built to horizon u+6v+4, which leaves the guaranteed period
-    2v from index u the room that :func:`fold` needs to verify it.
+    The rows are built to horizon u+6v+4, which leaves the guaranteed period
+    2v from index u the room that the fold needs to verify it, and are folded
+    as they are: the folded graph is the only :class:`LabeledGraph` built.
     """
     if system._aut_cache is None:
         s = system.expansion_of_one()
-        system._aut_cache = fold(build_gamma(s, s.u + 6 * s.v + 4), s.u, s.v)
+        system._aut_cache = _fold_rows(_gamma_rows(s, s.u + 6 * s.v + 4), s.u, s.v)
     return system._aut_cache
 
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from typing import Iterator, Sequence, Union
 
 from negabeta.algebraic import AlgebraicNumber, FieldElement
@@ -165,13 +164,6 @@ def word_to_text(word: Sequence[int], alphabet_bound: int) -> str:
     return ",".join(str(d) for d in word)
 
 
-def _digit_stream_bound(s, t) -> int:
-    """Index past which two eventually periodic streams agreeing so far agree forever."""
-    u = max(s.u, t.u)
-    lcm = s.v * t.v // gcd(s.v, t.v)
-    return u + 2 * lcm
-
-
 def alt_compare(s: Union[DigitSequence, Sequence[int]],
                 t: Union[DigitSequence, Sequence[int]]) -> Ordering:
     """Alternating-order comparison by first disagreement.
@@ -185,7 +177,7 @@ def alt_compare(s: Union[DigitSequence, Sequence[int]],
     s_inf = isinstance(s, DigitSequence)
     t_inf = isinstance(t, DigitSequence)
     if s_inf and t_inf:
-        limit = _digit_stream_bound(s, t)
+        limit = max(s.u, t.u) + 2 * math.lcm(s.v, t.v)  # agreeing this far, they agree forever
     elif s_inf:
         limit = len(t)
     elif t_inf:
@@ -321,31 +313,29 @@ class MinusBetaSystem:
 
     # -- the map ------------------------------------------------------------------
 
+    def _side_step(self, t: FieldElement, side: Side) -> tuple[int, Side]:
+        """The digit of a side-tagged point x with beta*x = t, and the side of its image.
+
+        At an endpoint (t an integer k) the digit is k-1 from below and k from above.
+        """
+        k, is_int = _floor_exact(t)
+        if side is Side.BELOW:
+            if is_int and k == 0:
+                raise OutOfDomain("no points below 0")
+            return (k - 1 if is_int else k), Side.ABOVE
+        if side is Side.ABOVE:
+            if is_int and k >= self.b + 1:
+                raise OutOfDomain("no points above 1")
+            return k, Side.BELOW
+        if is_int:
+            raise HitBoundary(0)
+        return k, Side.EXACT
+
     def _signed_step(self, value, side: Side):
         """One application on a side-tagged point; returns (digit, value, side)."""
         t = self._beta_el * value
-        k, is_int = _floor_exact(t)
-        if is_int:
-            if side is Side.BELOW:
-                if k == 0:
-                    raise OutOfDomain("no points below 0")
-                digit = k - 1
-            elif side is Side.ABOVE:
-                if k >= self.b + 1:
-                    raise OutOfDomain("no points above 1")
-                digit = k
-            else:
-                raise HitBoundary(0)
-        else:
-            digit = k
-        new_value = (digit + 1) - t
-        if side is Side.BELOW:
-            new_side = Side.ABOVE
-        elif side is Side.ABOVE:
-            new_side = Side.BELOW
-        else:
-            new_side = Side.EXACT
-        return digit, new_value, new_side
+        digit, side = self._side_step(t, side)
+        return digit, (digit + 1) - t, side
 
     def apply_map(self, x: PointLike):
         """Map value at x, honoring the endpoint tables of the active case."""
@@ -369,16 +359,16 @@ class MinusBetaSystem:
     def expansion_of_one(self, max_steps: int = EXPANSION_STEPS) -> DigitSequence:
         """Digit expansion of 1 (limit from below), with cycle detection.
 
-        Iterates the side-tagged point (1, from_below); the digit at an
-        endpoint k/beta is k-1 when approaching from below and k from above,
-        and the side flips at every step because each branch is decreasing.
-        Raises :class:`NotAlgebraicInteger` at once, before any step, when
-        the minimal polynomial of beta is not monic: every orbit point is
+        Iterates the side-tagged point (1, from_below), whose side flips at
+        every step because each branch is decreasing.  Raises
+        :class:`NotAlgebraicInteger` at once, before any step, when the
+        minimal polynomial of beta is not monic: every orbit point is
         (d+1) - beta*x of the one before, an integer polynomial in beta with
         leading coefficient +-1, so a repeat makes beta a root of a monic
-        integer polynomial, and that refusal is a proof.  Raises its base
-        :class:`NotEventuallyPeriodic` when the budget runs out, which is not
-        a proof that the orbit is aperiodic.
+        integer polynomial, and that refusal is a proof.  Otherwise each
+        point is an integer vector, and beta times it is a companion shift.
+        Raises its base :class:`NotEventuallyPeriodic` when the budget runs
+        out, which is not a proof that the orbit is aperiodic.
         """
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
@@ -387,17 +377,19 @@ class MinusBetaSystem:
         if self.beta.minpoly.coefficients[-1] != 1:
             raise NotAlgebraicInteger(
                 "beta is not an algebraic integer, so the orbit of 1 is not eventually periodic")
-        value, side = self.beta.one(), Side.BELOW
+        *low, _ = self.beta.minpoly.coefficients
+        nums, side = (1,) + (0,) * (len(low) - 1), Side.BELOW
         seen: dict = {}
         digits: list[int] = []
         for step in range(max_steps):
-            key = (value, side)
-            if key in seen:
-                first = seen[key]
+            first = seen.setdefault((nums, side), step)
+            if first < step:
                 self._expansion = DigitSequence.from_parts(digits[:first], digits[first:], self.b)
                 return self._expansion
-            seen[key] = step
-            digit, value, side = self._signed_step(value, side)
+            top = nums[-1]
+            t = (-top * low[0],) + tuple(x - top * c for x, c in zip(nums, low[1:]))
+            digit, side = self._side_step(FieldElement(self.beta, t, 1), side)
+            nums = (digit + 1 - t[0],) + tuple(-x for x in t[1:])
             digits.append(digit)
         raise NotEventuallyPeriodic(f"no cycle within {max_steps} steps")
 
@@ -477,28 +469,22 @@ class MinusBetaSystem:
     # -- coding inverse -------------------------------------------------------------------
 
     def value_of(self, s: DigitSequence) -> FieldElement:
-        """The unique point whose itinerary is s, by exact geometric summation."""
-        inv = self.beta_inverse
-        acc = self.beta.zero()
-        power = inv
-        sign = 1
-        for d in s.preperiod:
-            acc = acc + power * (sign * (d + 1))
-            power = power * inv
-            sign = -sign
-        tail = self.beta.zero()
-        tail_power = inv
-        tail_sign = 1
-        for d in s.period:
-            tail = tail + tail_power * (tail_sign * (d + 1))
-            tail_power = tail_power * inv
-            tail_sign = -tail_sign
-        v = s.v
-        ratio = inv**v if v % 2 == 0 else -(inv**v)
-        tail = tail / (self.beta.one() - ratio)
-        u = s.u
-        head_scale = inv**u if u % 2 == 0 else -(inv**u)
-        return acc + head_scale * tail
+        """The unique point whose itinerary is s: the sum of -(d_k + 1) (-1/beta)^(k+1).
+
+        The period's part is summed once, as a geometric series.
+        """
+        step = -self.beta_inverse
+
+        def block(word: Word) -> tuple[FieldElement, FieldElement]:
+            acc, power = self.beta.zero(), self.beta.one()
+            for d in word:
+                power = power * step
+                acc = acc - power * (d + 1)
+            return acc, power  # the word's part, and (-1/beta)^len(word)
+
+        head, head_scale = block(s.preperiod)
+        tail, ratio = block(s.period)
+        return head + head_scale * tail / (1 - ratio)
 
     # -- coding partition --------------------------------------------------------------------
 

@@ -93,9 +93,14 @@ def test_yrrap_decimal_mode_is_budget_exit(capsys):
     assert err == NON_MONIC
 
 
-@pytest.mark.parametrize("beta", ["poly:-3,0,2;interval:1,2", "poly:-9,5;interval:1,2"])
+@pytest.mark.parametrize("beta", ["poly:-3,0,2;interval:1,2", "poly:-9,5;interval:1,2", "decimal:1.8"])
 def test_yrrap_refuses_non_monic_base(beta, capsys):
     assert invoke(["yrrap", "--beta", beta], capsys) == (3, "", NON_MONIC)
+
+
+def test_yrrap_refuses_when_the_step_budget_runs_out(capsys):
+    assert invoke(["yrrap", "--beta", PISOT, "--max-steps", "3"], capsys) == (
+        3, "", "budget exhausted: no cycle within 3 steps\n")
 
 
 _EXACT_COMMANDS = [

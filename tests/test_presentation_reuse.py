@@ -5,7 +5,7 @@ frontiers once for every start set, `_word_classes` takes the state sets of
 a component's words from one search over state-set pairs, `spec_bound`'s
 strong gap is the same gap intersection as `bruteforce_exact_min`,
 `g_beta_values` sweeps the lengths once, and `fold` reads each vertex's spine
-digit and back edges once, from one pass over the edges.  The references
+digit and back edges once, from its row of out-edges.  The references
 below are the plain versions: every component word listed and read with
 `reads`/`back_reads` from scratch, one frontier walk per (end set, start
 set) pair, the strong gap from per-vertex reachability powers, one subset
@@ -35,7 +35,6 @@ from negabeta.shiftgraph import (
     FoldedAutomaton,
     FoldNotVerified,
     LabeledGraph,
-    _build_folded,
     automaton_for,
     build_gamma,
     decompose,
@@ -217,6 +216,19 @@ def _back_edges(g, i, spine_label):
     return frozenset((a, t) for _, a, t in g.out_edges(i) if not (a == spine_label and t == i + 1))
 
 
+def reference_build_folded(g, start, period, u, v):
+    """The graph's edges from V0..V_(start+period-1), targets folded onto that range."""
+    total = start + period
+    edges = set()
+    for s_, a, t in sorted(g.edges):
+        if s_ < total:
+            target = t if t < total else start + (t - start) % period
+            if t != s_ + 1 and target > u + v:
+                raise FoldNotVerified(f"folded back edge V{s_}->V{target} beyond u+v={u + v}")
+            edges.add((s_, a, target))
+    return FoldedAutomaton(LabeledGraph(total, frozenset(edges)), start, period)
+
+
 def reference_fold(g, u, v):
     horizon = g.vertex_count - 1
     periods = sorted(d for d in range(1, 2 * v + 1) if (2 * v) % d == 0)
@@ -235,7 +247,7 @@ def reference_fold(g, u, v):
                     ok = False
                     break
             if ok:
-                return _build_folded(g, start, p, u, v)
+                return reference_build_folded(g, start, p, u, v)
         last_error = f"period {p} not verified within horizon {horizon}"
     if horizon < u + 6 * v:
         raise FoldNotVerified(f"horizon {horizon} too small to verify folding")

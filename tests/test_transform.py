@@ -6,6 +6,7 @@ from itertools import islice
 
 import pytest
 
+from negabeta import transform
 from negabeta.algebraic import IntPolynomial, make_algebraic, parse_beta_spec
 from negabeta.measures import (
     InadmissibleWord, additivity_holds, cylinder_interval, cylinder_measure,
@@ -189,7 +190,8 @@ def test_expansion_refused_for_non_monic_minpoly(spec, monkeypatch):
     def no_step(*args):
         raise AssertionError("expansion_of_one took a step")
 
-    monkeypatch.setattr(MinusBetaSystem, "_signed_step", no_step)
+    # every step reads one floor
+    monkeypatch.setattr(transform, "_floor_exact", no_step)
     with pytest.raises(NotEventuallyPeriodic, match="not an algebraic integer"):
         sys.expansion_of_one()
 
