@@ -62,20 +62,32 @@ def _frac(x: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def _solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Gauss-Jordan elimination over the rationals; the system must be nonsingular."""
-    n = len(rows)
-    aug = [[*row, b] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+def _bareiss(aug: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination of an n x (n + k) integer matrix [A | B].
+
+    Returns det(A) and the integer matrix det(A) * A^-1 B, whose rows are
+    the numerators of the solution X of A X = B over det(A); a singular A
+    returns (0, []).  Every entry stays a minor of [A | B], so each division
+    by the previous pivot is exact (Bareiss, Math. Comp. 22, 1968).
+    The rows of ``aug`` are overwritten.
+    """
+    n = len(aug)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if aug[i][k]), None)
+        if pivot is None:
+            return 0, []
+        if pivot != k:
+            aug[k], aug[pivot] = aug[pivot], aug[k]
+            sign = -sign
+        top = aug[k][k + 1:]
+        p = aug[k][k]
+        for i, row in enumerate(aug):
+            if i != k:
+                f = row[k]
+                row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], top)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in aug]
 
 
 @dataclass(frozen=True)
@@ -350,16 +362,20 @@ class FieldElement:
             raise ZeroDivisionError("field element is zero")
         if self.is_rational():
             return self.field.from_rational(Fraction(self.den, self.nums[0]))
-        # Solve self * y = 1: the columns of y -> self * y are self * X^j.
-        # The matrix is invertible because the field has no zero divisors.
-        d = self.field.degree
-        x = self.field.generator()
+        # Solve self * y = 1.  Column j of y -> self * y is self * X^j = nums_j / den_j,
+        # so with z_j = y_j / den_j the system has the integer columns nums_j.
+        # It is nonsingular because the field has no zero divisors.
+        field = self.field
+        x = field.generator()
         columns, column = [], self
-        for _ in range(d):
-            columns.append(column.coeffs)
+        for _ in range(field.degree):
+            columns.append(column)
             column = column * x
-        rhs = [Fraction(i == 0) for i in range(d)]
-        return self.field.from_coeffs(_solve_exact(list(zip(*columns)), rhs))
+        aug = [[c.nums[i] for c in columns] + [int(i == 0)] for i in range(field.degree)]
+        det, z = _bareiss(aug)
+        if not det:
+            raise ZeroDivisionError("element is a zero divisor: the polynomial is reducible")
+        return field._element([c.den * zj for c, (zj,) in zip(columns, z)], det)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

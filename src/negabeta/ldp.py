@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
+from negabeta.algebraic import _bareiss
 from negabeta.measures import MarkovMeasure, parry_measure, _psi_value
 from negabeta.sampling import _count_hits, _sample_doubles, _sample_int
 from negabeta.shiftgraph import ComponentChain, chain_for, spectral_radius
@@ -382,52 +383,31 @@ def _slopes(component: _WeightedComponent, means: tuple[float, float],
     return slope, curvature if math.isfinite(curvature) else 0.0
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Determinant of an integer matrix, by fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
 def _kink_polynomial(n: int, exponents: list[tuple[int, int, int]], power: int,
                      root: int) -> list[int]:
     """Integer coefficients, low degree first, of det(z^power root I - B(z)),
     where B(z) sums z^e over the (src, dst, e) of ``exponents``.
 
     The determinant is evaluated exactly at z = 0 .. D, D a bound on its
-    degree, and interpolated in Newton's form at those points.
+    degree, and interpolated in Newton's form at those points.  The divided
+    differences of an integer polynomial at consecutive integers are
+    integers (Delta^j f / j!), so every division is exact.
     """
     degree = n * max([power] + [e for _, _, e in exponents])
-    values = []
+    coeffs = []  # the values at 0 .. D, then their divided differences, then the coefficients
     for z in range(degree + 1):
         rows = [[0] * n for _ in range(n)]
         for v in range(n):
             rows[v][v] = z**power * root
         for s, d, e in exponents:
             rows[s][d] -= z**e
-        values.append(Fraction(_int_det(rows)))
+        coeffs.append(_bareiss(rows)[0])
     for j in range(1, degree + 1):  # divided differences at 0, 1, .., D
         for i in range(degree, j - 1, -1):
-            values[i] = (values[i] - values[i - 1]) / j
-    poly = [values[degree]]
-    for i in range(degree - 1, -1, -1):  # poly <- poly * (z - i) + values[i]
-        poly = [Fraction(0)] + poly
-        for k in range(len(poly) - 1):
-            poly[k] -= i * poly[k + 1]
-        poly[0] += values[i]
-    coeffs = [int(c) for c in poly]
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) // j
+    for i in range(degree - 1, -1, -1):  # coeffs[i:] <- coeffs[i + 1:] * (z - i) + coeffs[i]
+        for k in range(i, degree):
+            coeffs[k] -= i * coeffs[k + 1]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
@@ -468,7 +448,7 @@ def _exact_kinks(chain: ComponentChain, psi: Psi, components: list[_WeightedComp
             counts[s][d] -= 1
         for v in range(n_k):
             counts[v][v] += root
-        if root < 1 or _int_det(counts) != 0:
+        if root < 1 or _bareiss(counts)[0] != 0:
             continue
         v_k = edges_k[0][2]
         for j, component in enumerate(components):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from negabeta.algebraic import _solve_exact
+from negabeta.algebraic import _bareiss
 from negabeta.shiftgraph import (
     LabeledGraph, _levels, automaton_for, enumerate_words, spectral_radius,
 )
@@ -542,8 +542,8 @@ def random_markov_measure(graph: LabeledGraph, vertices: Sequence[int],
     """Random rational Markov measure on one strongly connected piece.
 
     Transition probabilities are random positive rationals on the component's
-    edges; the stationary distribution is solved exactly over the rationals,
-    so the balance equation holds with equality.
+    edges; the stationary distribution is solved exactly by fraction-free
+    elimination in integers, so the balance equation holds with equality.
     """
     from negabeta.shiftgraph import is_irreducible
 
@@ -556,26 +556,28 @@ def random_markov_measure(graph: LabeledGraph, vertices: Sequence[int],
         s, _, t = e
         if s in vset and t in vset:
             out[s].append(e)
-    edge_probs = {}
+    weight, total = {}, {}
     for v in verts:
-        weights = [Fraction(rng.randrange(1, 9)) for _ in out[v]]
-        total = sum(weights)
-        for e, w in zip(out[v], weights):
-            edge_probs[e] = w / total
-    # stationary distribution: solve pi P = pi exactly by Gaussian elimination
+        for e in out[v]:
+            weight[e] = rng.randrange(1, 9)
+        total[v] = sum(weight[e] for e in out[v])
+    edge_probs = {e: Fraction(w, total[e[0]]) for e, w in weight.items()}
+    # stationary distribution: pi P = pi, with the last balance equation replaced
+    # by sum(pi) = 1, nonsingular for irreducible P.  In q_v = pi_v / total_v the
+    # balance at t reads sum over edges s -> t of weight * q_s = total_t * q_t,
+    # so the system is integer and pi_v = total_v * q_v.
     n = len(verts)
     idx = {v: i for i, v in enumerate(verts)}
-    # (P^T - I) with its last row replaced by the normalization: nonsingular for irreducible P
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for e, p in edge_probs.items():
-        s, _, t = e
-        rows[idx[t]][idx[s]] += p
-    for i in range(n):
-        rows[i][i] -= 1
-    rows[-1] = [Fraction(1)] * n
-    rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
-    pi = _solve_exact(rows, rhs)
-    stationary = tuple((v, pi[idx[v]]) for v in verts)
+    aug = [[0] * (n + 1) for _ in range(n)]
+    for (s, _, t), w in weight.items():
+        aug[idx[t]][idx[s]] += w
+    for i, v in enumerate(verts):
+        aug[i][i] -= total[v]
+    aug[-1] = [total[v] for v in verts] + [1]
+    det, q = _bareiss(aug)
+    if not det:
+        raise NotIrreducible("the stationary distribution is not unique")
+    stationary = tuple((v, Fraction(total[v] * qv, det)) for v, (qv,) in zip(verts, q))
     bound = max(graph.labels()) if graph.edges else 0
     return MarkovMeasure(graph, tuple(sorted(edge_probs.items())), stationary, bound)
 
