@@ -262,10 +262,12 @@ def _vectorized_circle(theta: np.ndarray, strength: float) -> np.ndarray:
     import numpy as np
 
     t = theta - np.floor(theta)
-    reduced = np.where(t >= 0.5, t - 0.5, t)
-    folded = np.where(reduced > 0.25, 0.5 - reduced, reduced)
-    s = np.sin(2.0 * np.pi * folded)
-    s = np.where(t >= 0.5, -s, s)
+    upper = t >= 0.5
+    reduced = np.where(upper, t - 0.5, t)
+    # sin(2 pi r) = sin(2 pi (1/2 - r)): fold [0, 1/2) onto [0, 1/4].  Both
+    # subtractions are exact where their result is used (Sterbenz's lemma)
+    s = np.sin(2.0 * np.pi * np.minimum(reduced, 0.5 - reduced))
+    s = np.where(upper, -s, s)
     out = theta + strength * s
     return out - np.floor(out)
 
@@ -293,13 +295,12 @@ def circle_mc_deviation(a_window: tuple[float, float], n: int, sample_count: int
     The occupation observable is the fraction of the first n iterates within
     eps of 0 (circle distance); the predicted decay rate of the tail at
     fraction a is a * log f'(0).  Uses the same counter-based sampler as the
-    digit engine: each batch of ``_CHUNK`` samples is hashed into one buffer,
-    whose rows are read as doubles (:func:`negabeta.sampling._sample_doubles`,
-    which the generic digit engine reads too; only the rare row below 2^-9
-    becomes a Python integer) and iterated in double precision.
-    Hits are counted per batch, in contiguous shares of the batches (one
-    per CPU, at most one per ``_MIN_SHARE`` samples), so memory stays flat
-    in the sample count.
+    digit engine: each batch of ``_CHUNK`` samples is one block of Philox
+    output, whose rows are read as doubles
+    (:func:`negabeta.sampling._sample_doubles`, which the generic digit
+    engine reads too; only the rare row below 2^-9 becomes a Python integer)
+    and iterated in double precision.  Hits are counted per batch, so memory
+    stays flat in the sample count.
     """
     import numpy as np
 

@@ -1007,20 +1007,18 @@ def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
 
     Samples are counter-based in the seed and the sample index, so results
     are byte-identical for a fixed (seed, N).  Each batch of samples is
-    hashed into one buffer (:func:`negabeta.sampling._sample_block`, with
-    CPython's builtin SHA-256), and the engine reads its lanes from those
-    bytes: the base-2 engine popcounts their 64-bit words, the generic one
+    one block of Philox4x32-10 output (:func:`negabeta.sampling._sample_block`),
+    and the engine reads its lanes from those bytes: the base-2 engine
+    popcounts their 64-bit words, the generic one
     (:func:`_digit_means_generic`) gives the means of fixed-point
     orbits at a precision of n*log2(beta) + 64 bits, from certified double
     orbits where it can and from integer lanes for the other rows.  Hits are
-    counted batch by batch, in contiguous shares of the batches, one per CPU
-    and at most one per ``_MIN_SHARE`` samples
-    (:func:`negabeta.sampling._count_hits`).  A sample becomes a Python
-    integer only when it is rerun in scalar: the audit reruns every sample
-    whose index is a multiple of ``_AUDIT_STEP`` (at doubled precision it
-    must give the same digits, and the mean of those digits must equal the
-    engine's mean), and the uncertified rows of a batch are rerun whole when
-    one of their digits needed the clamp.  Raises
+    counted batch by batch (:func:`negabeta.sampling._count_hits`).  A
+    sample becomes a Python integer only when it is rerun in scalar: the
+    audit reruns every sample whose index is a multiple of ``_AUDIT_STEP``
+    (at doubled precision it must give the same digits, and the mean of
+    those digits must equal the engine's mean), and the uncertified rows of
+    a batch are rerun whole when one of their digits needed the clamp.  Raises
     :class:`OrbitTooLong` when n*log2(beta) exceeds ``_ORBIT_BITS``, and
     :class:`WindowNeverHit` when nothing lands inside.
     """

@@ -1,16 +1,16 @@
 """Counter-based Monte Carlo samples, and the batch loop that counts hits over them.
 
-Sample i of a seed is the first 16 bytes of sha256 of ``f"{seed}:{i}"``, read
-as a 128-bit fixed-point number in [0, 1).  A run hashes its samples in
-batches of ``_CHUNK``, so memory stays flat in the sample count, and counts
-the batches in contiguous shares, one per CPU and at most one per
-``_MIN_SHARE`` samples, each share but the first in a forked child.  A sample's mean does not depend on the batch or the process
-that computes it, so neither does the count.
+Sample i of a seed is the 128-bit output block of Philox4x32-10 (Salmon,
+Moraes, Dror & Shaw, *Parallel random numbers: as easy as 1, 2, 3*, SC 2011)
+at the counter ``(i mod 2^32, i >> 32, 0, 0)``, under a key read off the
+seed's SHA-256; its four words, big-endian, are a 128-bit fixed-point number
+in [0, 1).  A run computes its samples in batches of ``_CHUNK``, so memory
+stays flat in the sample count.  A sample depends on (seed, i) alone, so the
+count does not depend on the batches.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from typing import Callable, Iterable
 
@@ -18,23 +18,20 @@ from typing import Callable, Iterable
 # flat in the sample count.
 _CHUNK = 4096
 
-# The fewest samples a share is forked for.  A child costs about 1.5-2 ms in
-# a process of 70 MB (fork, copy-on-write faults, exit); on 2 CPUs the split
-# beat the serial count on every engine from 2 x 8192 samples on, and lost on
-# the base-2 engine at 12293 (see CHANGES.md).
-_MIN_SHARE = 2 * _CHUNK
+# Philox4x32's round multipliers and key increments (the golden ratio and sqrt(3) - 1)
+_M0, _M1 = 0xD2511F53, 0xCD9E8D57
+_W0, _W1 = 0x9E3779B9, 0xBB67AE85
+_ROUNDS = 10
+_WORD = 0xFFFFFFFF
 
 
-def _sample_block(seed: int, indices: Iterable[int]) -> np.ndarray:
-    """Counter-based uniform samples on [0, 1), one row of 16 bytes per index.
+def _seed_key(seed: int) -> tuple[int, int]:
+    """The Philox key of a seed: the first 8 bytes of sha256 of its decimal
+    text, as two big-endian 32-bit words, so every integer has a key of its own.
 
-    Row k is the first 16 bytes of sha256 of ``f"{seed}:{i}"`` for the k-th
-    index i: a 128-bit fixed-point number, big-endian.  Each message is hashed
-    in one call of CPython's builtin SHA-256 (``_sha2`` on 3.12+, ``_sha256``
-    before), whose per-call cost is below OpenSSL's through ``hashlib``; a
-    build without it falls back to ``hashlib.sha256``, which gives the same
-    digests.  The digests are joined into one buffer, so the batch is one
-    ``(count, 16)`` uint8 array that every engine reads.
+    The hash is CPython's builtin SHA-256 (``_sha2`` on 3.12+, ``_sha256``
+    before), which loads less than ``hashlib``; a build without it falls
+    back to ``hashlib.sha256``, which gives the same digest.
     """
     # imported here, so that only the sampling commands load a hash module; the
     # version picks the module, since a failed import is retried on every call
@@ -46,11 +43,50 @@ def _sample_block(seed: int, indices: Iterable[int]) -> np.ndarray:
     except ImportError:
         from hashlib import sha256
 
+    digest = sha256(b"%d" % seed).digest()
+    return int.from_bytes(digest[:4], "big"), int.from_bytes(digest[4:8], "big")
+
+
+def _philox_block(key: tuple[int, int], indices: Iterable[int]) -> np.ndarray:
+    """Philox4x32-10 under ``key`` at the counters of ``indices``, one row of 16 bytes each.
+
+    The 32-bit words are held in uint64 arrays, so that a round's two
+    products are exact and their high words are one shift away.  A range is
+    turned into its counters by ``np.arange``, any other iterable one index
+    at a time; neither builds the indices below the smallest one.
+    """
     import numpy as np
 
-    message = b"%d:%%d" % seed
-    digests = [sha256(message % i).digest() for i in indices]
-    return np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(-1, 32)[:, :16]
+    if isinstance(indices, range):
+        counter = np.arange(indices.start, indices.stop, indices.step, dtype=np.uint64)
+    else:
+        counter = np.fromiter(indices, dtype=np.uint64)
+    word, shift = np.uint64(_WORD), np.uint64(32)
+    m0, m1 = np.uint64(_M0), np.uint64(_M1)
+    x0, x1 = counter & word, counter >> shift
+    x2 = x3 = np.zeros_like(counter)
+    k0, k1 = key
+    for r in range(_ROUNDS):
+        if r:
+            k0, k1 = (k0 + _W0) & _WORD, (k1 + _W1) & _WORD
+        p0, p1 = m0 * x0, m1 * x2
+        x0, x1 = (p1 >> shift) ^ x1 ^ np.uint64(k0), p1 & word
+        x2, x3 = (p0 >> shift) ^ x3 ^ np.uint64(k1), p0 & word
+    out = np.empty((len(counter), 4), dtype=">u4")
+    for j, x in enumerate((x0, x1, x2, x3)):
+        out[:, j] = x
+    return out.view(np.uint8)
+
+
+def _sample_block(seed: int, indices: Iterable[int]) -> np.ndarray:
+    """Counter-based uniform samples on [0, 1), one row of 16 bytes per index.
+
+    Row k is the Philox4x32-10 block of the k-th index i under the seed's
+    key (:func:`_seed_key`), its four words big-endian: a 128-bit
+    fixed-point number.  The batch is one ``(count, 16)`` uint8 array that
+    every engine reads.
+    """
+    return _philox_block(_seed_key(seed), indices)
 
 
 def _sample_int(row: np.ndarray) -> int:
@@ -85,128 +121,15 @@ def _count_hits(window: tuple[float, float], sample_count: int, seed: int,
 
     ``batch_means(start, block)`` gives the means of the batch that starts
     at sample index ``start``, whose samples are the rows of the
-    :func:`_sample_block` ``block``.  The batches are counted in shares
-    (:func:`_count_in_shares`).
+    :func:`_sample_block` ``block``.  The seed is hashed once per run.
     """
     import numpy as np
 
     lo, hi = window
-
-    def count(start: int, stop: int) -> int:
-        hits = 0
-        for first in range(start, stop, _CHUNK):
-            block = _sample_block(seed, range(first, min(first + _CHUNK, stop)))
-            means = batch_means(first, block)
-            hits += int(np.count_nonzero((means >= lo) & (means <= hi)))
-        return hits
-
-    return _count_in_shares(count, sample_count)
-
-
-def _share_count(sample_count: int) -> int:
-    """Processes a run's batches are counted in: one per CPU of the process's
-    affinity set, at most one per ``_MIN_SHARE`` samples, and one where the
-    platform has no ``os.fork`` or ``os.sched_getaffinity``, or where the
-    process runs other Python threads (a lock one of them holds at the fork
-    would stay held in the child)."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    import threading
-
-    if threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), sample_count // _MIN_SHARE))
-
-
-def _count_in_shares(count: Callable[[int, int], int], sample_count: int) -> int:
-    """``count(0, sample_count)``, as a sum over contiguous shares of the samples.
-
-    There is one share per process of :func:`_share_count`, and the shares
-    differ in size by at most one sample.  The parent counts the first
-    share; each other share runs in a child made by ``os.fork``, which sends
-    back its count or its error through a pipe.  Errors are raised in share
-    order, so the one raised is the one the serial count meets first.  When
-    no pipe or no child can be made, the parent counts the rest itself.  No
-    child outlives the call: on an error the parent kills the children it
-    has not yet read.
-    """
-    shares = _share_count(sample_count)
-    if shares == 1:
-        return count(0, sample_count)
-    import pickle
-    import signal
-
-    edges = [sample_count * k // shares for k in range(shares + 1)]
-    children = []  # (pid, read end of its pipe), in share order, until reaped
-    rest = None  # the first sample of the shares no child could be forked for
-    try:
-        for start, stop in zip(edges[1:-1], edges[2:]):
-            child = _fork_share(count, start, stop)
-            if child is None:
-                rest = start
-                break
-            children.append(child)
-        hits = count(edges[0], edges[1])
-        while children:
-            pid, pipe = children[0]
-            payload = pipe.read()
-            del children[0]  # the child has closed its end: it is exiting
-            pipe.close()
-            os.waitpid(pid, 0)
-            if not payload:
-                raise RuntimeError(f"the share counted by process {pid} ended without a result")
-            share_hits, error = pickle.loads(payload)
-            if error is not None:
-                raise error
-            hits += share_hits
-        if rest is not None:
-            hits += count(rest, sample_count)
-        return hits
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _fork_share(count: Callable[[int, int], int], start: int, stop: int):
-    """(pid, read end of its pipe) of a child that counts ``count(start, stop)``,
-    or None when the system gives no pipe or no process."""
-    try:
-        read, write = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:
-        _count_in_child(count, start, stop, write)
-    os.close(write)
-    return pid, open(read, "rb")
-
-
-def _count_in_child(count: Callable[[int, int], int], start: int, stop: int,
-                    write: int) -> None:
-    """The body of a forked share: ``count(start, stop)``, or the error it
-    raised, pickled into the pipe ``write``.  The child leaves only through
-    ``os._exit``, so it runs no exit handler and flushes none of the stdio
-    buffers it inherited."""
-    try:
-        import pickle
-
-        try:
-            result = (count(start, stop), None)
-        except BaseException as exc:  # an interrupt too: the parent raises it
-            result = (None, exc)
-        try:
-            payload = pickle.dumps(result)
-        except Exception:  # an error that does not pickle goes back as its type and message
-            error = result[1]
-            payload = pickle.dumps((None, RuntimeError(f"{type(error).__name__}: {error}")))
-        with open(write, "wb") as pipe:
-            pipe.write(payload)
-    finally:
-        os._exit(0)
+    key = _seed_key(seed)
+    hits = 0
+    for first in range(0, sample_count, _CHUNK):
+        block = _philox_block(key, range(first, min(first + _CHUNK, sample_count)))
+        means = batch_means(first, block)
+        hits += int(np.count_nonzero((means >= lo) & (means <= hi)))
+    return hits

@@ -50,6 +50,7 @@ from negabeta.transform import (
     Ordering,
     alt_compare,
 )
+from exact_tails import MAX_SIGMAS, SEEDS, circle_tail, lebesgue_tail, sigmas
 
 DIGIT1 = {0: 0.0, 1: 1.0}
 
@@ -230,14 +231,17 @@ def test_c08_exact_decay_anchor(pisot_sys):
 
 def test_c09_mc_against_binomial(two_sys):
     start = time.perf_counter()
-    est = mc_deviation(two_sys, DIGIT1, (0.7, 0.75), 30, 10**6, seed=20260809)
+    n, window, count = 30, (0.7, 0.75), 10**6
+    p = sum(comb(30, k) for k in range(21, 23)) / 2**30  # means 21/30 and 22/30
+    exact_ok = float(lebesgue_tail(two_sys, n, window)) == p
+    away = [sigmas(mc_deviation(two_sys, DIGIT1, window, n, count, seed).hits, count, p)
+            for seed in SEEDS]
     elapsed = time.perf_counter() - start
-    hits = sum(comb(30, k) for k in range(21, 23))  # means 21/30 and 22/30
-    exact = -math.log(hits / 2**30) / 30
-    ok = est.ci_lo <= exact <= est.ci_hi and elapsed < 60.0
-    _report(9, "digit-frequency deviation matches the exact binomial rate within "
-               "the 95% CI at N=1e6, under a minute",
-            ok, f"exact={exact:.5f}, ci=[{est.ci_lo:.5f},{est.ci_hi:.5f}], {elapsed:.1f}s")
+    ok = exact_ok and max(away) <= MAX_SIGMAS and elapsed < 60.0
+    _report(9, "digit-frequency deviation matches the exact binomial tail within "
+               f"{MAX_SIGMAS} sigma on each of {len(SEEDS)} fixed seeds at N=1e6, under a minute",
+            ok, f"exact rate={-math.log(p) / n:.5f}, "
+                f"sigmas={[round(z, 2) for z in away]}, {elapsed:.1f}s")
 
 
 def test_c10_circle_map():
@@ -249,21 +253,27 @@ def test_c10_circle_map():
         and min(abs(c - 0.5) for c in clusters) < 1e-6
     )
     details = [f"clusters={clusters}"]
+    # the tails are exact (exact_tails.circle_tail); bandwidth 0.1 keeps the
+    # finite-n prefactor bias |log(2 eps)|/n inside the stated 20% tolerance
+    # (at eps=0.05 that bias alone is ~31% of the a=0.3 rate)
     rate_ok = True
-    # bandwidth 0.1 keeps the finite-n prefactor bias |log(2 eps)|/n inside the
-    # stated 20% tolerance (at eps=0.05 that bias alone is ~31% of the a=0.3
-    # rate); the a=0.5 tail is a ~2-in-a-million event, right at the sampling
-    # resolution, so the fixed seed must be one that registers it at all
     for a in (0.3, 0.5):
-        est = circle_mc_deviation((a, 1.0), 50, 10**6, seed=1, eps=0.1)
+        tail = circle_tail(a, 50, 0.1)
         predicted = predicted_occupation_rate(a)
-        rel = abs(est.rate - predicted) / predicted
-        details.append(f"a={a}: hits={est.hits}, rel={rel:.3f}")
+        rel = abs(-math.log(tail) / 50 - predicted) / predicted
+        details.append(f"a={a}: P={tail:.4g}, rel={rel:.3f}")
         if rel >= 0.2:
             rate_ok = False
-    _report(10, "circle map: nonwandering {0, 1/2} to 1e-6; occupation rates "
-                "within 20% of a*log(1+pi/5) at n=50, N=1e6",
-            cluster_ok and rate_ok, ", ".join(details))
+    # the sampled tail at a=0.3, about 22 hits per 1e5 samples, against the exact one
+    tail, count = circle_tail(0.3, 50, 0.1), 10**5
+    away = [sigmas(circle_mc_deviation((0.3, 1.0), 50, count, seed=seed, eps=0.1).hits,
+                   count, tail) for seed in SEEDS]
+    details.append(f"sigmas={[round(z, 2) for z in away]}")
+    _report(10, "circle map: nonwandering {0, 1/2} to 1e-6; exact occupation rates "
+                "within 20% of a*log(1+pi/5) at n=50; sampled hits within "
+                f"{MAX_SIGMAS} sigma of the exact tail on each of {len(SEEDS)} fixed seeds "
+                "at N=1e5",
+            cluster_ok and rate_ok and max(away) <= MAX_SIGMAS, ", ".join(details))
 
 
 def test_c11_rate_function_separation(pisot_sys):

@@ -114,31 +114,31 @@ def test_example31_stdout_is_pinned(capsys):
 STOCHASTIC = {
     "mc_cubic": (["mc", "--beta", BASES["cubic"], "--obs", "digit1", "--window", "0.0:0.2",
                   "--n", "30", "--N", "10000", "--seed", "1"],
-                 (0, "ce82758c514cecb48036f99654baeb012639e4b7713b08a26a40b1579ea9ab03")),
+                 (0, "187134d60b550529bbe1880345c5a3865317910209849a3066af5e5a4bc8d0c4")),
     "mc_golden": (["mc", "--beta", BASES["golden"], "--obs", "digit1", "--window", "0.0:0.3",
                    "--n", "30", "--N", "8192", "--seed", "2"],
-                  (0, "adb5c7ba9d70b70bb29ce262098519f84647b334e6ed2fdfcf69b6b2615488f3")),
+                  (0, "2a7158d3a90376028ebc47e1c3bfa273c12e7e0ae2f6c0188d4ff40ef8008695")),
     "mc_two": (["mc", "--beta", BASES["two"], "--obs", "digit1", "--window", "0.7:0.8",
                 "--n", "30", "--N", "20000", "--seed", "3"],
-               (0, "b88a40fc82c88e425dcf3ffcbad2c23f3fa8def6dea64e06eaff5b36eba74347")),
+               (0, "fb9355f59d3ffa8c59431789462cff06b35bb77152a2fbcca19d8a8ac1b37f2e")),
     "mc_silver": (["mc", "--beta", "poly:-1,-2,1;interval:2,3", "--obs", "digit1",
                    "--window", "0.4:0.6", "--n", "25", "--N", "4097", "--seed", "4"],
-                  (0, "29fabd501a9b4da97c48d88f32c9bbc63e30331e8c88fbaea2b8cb4c1253a866")),
+                  (0, "90911ff88060cede8bff367988124e804dda414d4eca449a4f77e9d16e86b99e")),
     "mc_decimal": (["mc", "--beta", "decimal:1.7;precision:30", "--obs", "digit1",
                     "--window", "0.0:0.3", "--n", "30", "--N", "5000", "--seed", "5"],
-                   (0, "3d75eab960783dae2bec0ecf485e83e6fc9df6014775b3030a60d783ae213ab6")),
+                   (0, "e7656b1f5d6646f0ecab434a01d870d0306586e7533efce1ffacbd497914ab3d")),
     "mc_b300": (["mc", "--beta", "poly:-300,1;interval:299,301", "--obs", "digit",
                  "--window", "140:160", "--n", "10", "--N", "3000", "--seed", "6"],
-                (0, "b5c4484c162d20058cafed6ad7d4b3c1baf62f7d619c28c2b5df400928031509")),
+                (0, "b63cc5d8e6764d3f03aa591a6a8ef253b2b0cf4829b56bb469acecc3d50f6283")),
     "mc_three": (["mc", "--beta", BASES["three"], "--obs", "digit2", "--window", "0.5:1.0",
                   "--n", "20", "--N", "4095", "--seed", "7"],
-                 (0, "916206e2456b256ba75eafe12d6560362f0eac76d04d318ca4cf2c2f5f0bfe87")),
+                 (0, "f52e406b895692397923ceba675a1807fc8be42ca7dd9fdb30d55d4ebd317703")),
     "mc_never_hit": (["mc", "--beta", BASES["cubic"], "--obs", "digit1", "--window", "0.99:1.0",
                       "--n", "40", "--N", "500", "--seed", "8"],
                      (3, "095ebd26b8e797fdf824b5d3d20fca6b15b995b740586cccfe6a72d9b04b7f87")),
     "example32": (["example32", "--n", "30", "--N", "20000", "--eps", "0.1",
                    "--a-window", "0.3:1.0", "--seed", "1"],
-                  (0, "58652c625bb9242273166d2f61fae35bee0f02b95731c9b472affbbb72d7d284")),
+                  (0, "4c1df551c448e2f8db523c305bdf4490b34344735f982378349c04d2c2f3d7ba")),
     "example32_never_hit": (["example32", "--n", "50", "--N", "2000", "--a-window", "0.99:1.0",
                              "--seed", "3"],
                             (3, "ce70cb2c7bc3eec4bef7e780f13256f31d3c07db1ef503361eb5abe6876bfa26")),

@@ -35,7 +35,7 @@ for argv in (['graph', *beta], ['components', *beta], ['spec', *beta, '--oracle-
              ['validate', *beta, '--maxlen', '4', '--seed', '3']):
     assert cli.main(argv) == 0, argv[0]
     stray = {'negabeta.ldp', 'negabeta.sampling', 'negabeta.intervalmaps', 'hashlib', '_sha2',
-             '_sha256', 'logging'} & set(sys.modules)
+             '_sha256', 'numpy.random', 'logging'} & set(sys.modules)
     assert not stray, f'{argv[0]} loaded {sorted(stray)}'
 
 # the digit engines and the rate share no code with the companion systems
@@ -44,6 +44,10 @@ for argv in (['rate', *beta, '--a', '0.3'],
     assert cli.main(argv) == 0, argv[0]
     assert 'negabeta.ldp' in sys.modules
     assert 'negabeta.intervalmaps' not in sys.modules, f'{argv[0]} loaded negabeta.intervalmaps'
+
+# the sampler hashes the seed with the builtin SHA-256 and runs Philox on its own
+stray = {'hashlib', 'numpy.random'} & set(sys.modules)
+assert not stray, f'mc loaded {sorted(stray)}'
 """
 
 

@@ -1,7 +1,6 @@
 """The slope-3 five-branch system and the circle map with source and sink."""
 
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -35,6 +34,7 @@ from negabeta.sampling import _CHUNK, _sample_block, _sample_doubles
 from negabeta.shiftgraph import enumerate_words
 from negabeta.specprop import spec_bound
 from negabeta.transform import HitBoundary
+from philox_reference import sample_int
 
 
 @pytest.fixture(scope="module")
@@ -307,9 +307,8 @@ def test_full_window_is_certain():
 
 
 def _sample_ints(seed, count):
-    """The counter-based samples, each hashed on its own, as 128-bit integers."""
-    return [int.from_bytes(hashlib.sha256(f"{seed}:{i}".encode()).digest()[:16], "big")
-            for i in range(count)]
+    """The counter-based samples, each from the scalar Philox, as 128-bit integers."""
+    return [sample_int(seed, i) for i in range(count)]
 
 
 def _pack(samples):
@@ -343,7 +342,7 @@ def _crafted_samples():
 def test_circle_thetas_of_crafted_samples_round_as_the_integers():
     samples = _crafted_samples()
     block = np.frombuffer(b"".join(s.to_bytes(16, "big") + bytes(16) for s in samples),
-                          dtype=np.uint8).reshape(-1, 32)[:, :16]  # rows with a stride, as hashed
+                          dtype=np.uint8).reshape(-1, 32)[:, :16]  # rows with a stride
     assert any(s >> 64 < 2**55 for s in samples) and any(s >> 64 >= 2**55 for s in samples)
     expected = np.array([s / 2.0**128 for s in samples])
     assert _sample_doubles(block).tobytes() == expected.tobytes()
@@ -362,6 +361,34 @@ def whole_array_hits(a_window, n, sample_count, seed, eps):
         theta = _vectorized_circle(theta, strength)
     fractions = near / n
     return int(np.count_nonzero((fractions >= lo) & (fractions <= hi)))
+
+
+def _where_circle(theta, strength):
+    """The vectorised circle map with both folds as np.where."""
+    t = theta - np.floor(theta)
+    reduced = np.where(t >= 0.5, t - 0.5, t)
+    folded = np.where(reduced > 0.25, 0.5 - reduced, reduced)
+    s = np.sin(2.0 * np.pi * folded)
+    s = np.where(t >= 0.5, -s, s)
+    out = theta + strength * s
+    return out - np.floor(out)
+
+
+def test_circle_map_folds_as_the_where_form():
+    # the quarter points and their neighbours, both ends of [0, 1], and
+    # thetas crowded near the source 0, the sink 1/2 and 1
+    rng = random.Random(12)
+    edges = [q + e for q in (0.0, 0.25, 0.5, 0.75, 1.0)
+             for e in (0.0, 5e-324, -5e-324, 2**-54, -(2**-54), 2**-53, -(2**-53))]
+    crowded = [c + d * rng.random() ** 12 for c in (0.0, 0.5, 1.0) for d in (1, -1)
+               for _ in range(300)]
+    theta = np.array([x for x in edges + crowded if 0.0 <= x <= 1.0]
+                     + [rng.random() for _ in range(5000)])
+    ours, where = theta, theta
+    for _ in range(40):
+        ours = _vectorized_circle(ours, CircleMap().strength)
+        where = _where_circle(where, CircleMap().strength)
+        assert ours.tobytes() == where.tobytes()
 
 
 def test_circle_map_is_elementwise_across_batch_sizes():

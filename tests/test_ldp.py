@@ -1,6 +1,7 @@
 """Pressure, level-1 rates, Monte Carlo deviations, rate-function separation."""
 
 import math
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -26,6 +27,7 @@ from negabeta.measures import cylinder_interval, parry_measure
 from negabeta.sampling import _sample_block
 from negabeta.shiftgraph import chain_for
 from negabeta.transform import MinusBetaSystem
+from exact_tails import MAX_SIGMAS, SEEDS, lebesgue_tail, sigmas
 from pisot_bases import BASES
 
 DIGIT1 = {0: 0.0, 1: 1.0}
@@ -43,6 +45,11 @@ def two_sys():
     sys = MinusBetaSystem(make_algebraic(IntPolynomial((-2, 1)), 1, 3))
     sys.expansion_of_one()
     return sys
+
+
+@pytest.fixture(scope="module")
+def golden_sys():
+    return MinusBetaSystem(make_algebraic(IntPolynomial((-1, -1, 1)), 1, 2))
 
 
 # -- free energy ----------------------------------------------------------------
@@ -334,10 +341,44 @@ def test_mc_full_window_rate_zero(two_sys):
     assert est.rate == 0.0
 
 
+def test_exact_tail_of_base_2_is_the_binomial_sum(two_sys):
+    for n, window in ((30, (0.7, 0.75)), (30, (0.0, 0.3)), (17, (0.4, 0.6)), (1, (0.0, 1.0))):
+        k_lo, k_hi = math.ceil(window[0] * n), math.floor(window[1] * n)
+        binomial = sum(comb(n, k) for k in range(k_lo, k_hi + 1))
+        assert lebesgue_tail(two_sys, n, window) == Fraction(binomial, 2**n)
+
+
+def test_exact_tails_are_exact(pisot_sys, golden_sys, two_sys):
+    # the tails add up to exactly 1 in the number field; the cubic's at
+    # n = 30 on [0, 0.2] is -803 + 581 beta + 19 beta^2
+    for system, n in ((pisot_sys, 30), (golden_sys, 40), (two_sys, 30)):
+        assert lebesgue_tail(system, n, (0.0, 1.0)) == 1
+    tail = lebesgue_tail(pisot_sys, 30, (0.0, 0.2))
+    beta = pisot_sys.beta_element
+    assert tail == -803 + 581 * beta + 19 * beta * beta
+    assert round(float(tail), 8) == 0.00380882
+
+
 def test_mc_beta2_matches_binomial(two_sys):
-    est = mc_deviation(two_sys, DIGIT1, (0.7, 0.75), 30, 200000, seed=7)
-    exact = exact_binomial_rate(30, 0.7, 0.75)
-    assert est.ci_lo <= exact <= est.ci_hi
+    # each fixed seed's hits lie within MAX_SIGMAS of N p, p the binomial tail
+    n, window, count = 30, (0.7, 0.75), 200000
+    p = sum(comb(n, k) for k in range(21, 23)) / 2**n  # means 21/30 and 22/30
+    assert p == float(lebesgue_tail(two_sys, n, window))
+    for seed in SEEDS:
+        hits = mc_deviation(two_sys, DIGIT1, window, n, count, seed).hits
+        assert sigmas(hits, count, p) <= MAX_SIGMAS, seed
+
+
+@pytest.mark.parametrize("name, n, window", [("cubic", 30, (0.0, 0.2)),
+                                             ("x^2-x-1", 40, (0.0, 0.25))],
+                         ids=["cubic", "x^2-x-1"])
+def test_mc_hits_lie_within_sigmas_of_the_exact_tail(name, n, window, pisot_sys, golden_sys):
+    system = {"cubic": pisot_sys, "x^2-x-1": golden_sys}[name]
+    count = 200000
+    p = float(lebesgue_tail(system, n, window))
+    for seed in SEEDS:
+        hits = mc_deviation(system, DIGIT1, window, n, count, seed).hits
+        assert sigmas(hits, count, p) <= MAX_SIGMAS, seed
 
 
 def test_mc_ci_coverage_over_seeds(two_sys):

@@ -3,9 +3,9 @@
 `ldp._digit_means_generic` runs a batch first as double orbits, each row
 with a certificate that its digits are the fixed-point ones, and the rows it
 cannot certify as fixed-point lanes of one Python integer.  The reference
-below is the plain loop: one sample at a time, hashed on its own, stepped in
-Python integers with the digit clamped to [0, b], and the observable added
-in step order.  Both engines read the same digits and add in the same order,
+below is the plain loop: one sample at a time, from the scalar Philox of
+``philox_reference``, stepped in Python integers with the digit clamped to
+[0, b], and the observable added in step order.  Both engines read the same digits and add in the same order,
 so the means must be equal, not close.
 """
 
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from negabeta import ldp, sampling
+from negabeta import ldp
 from negabeta.algebraic import parse_beta_spec
 from negabeta.ldp import (
     _beta_fixed_point,
@@ -31,15 +31,11 @@ from negabeta.ldp import (
     _orbit_digits,
     mc_deviation,
 )
-from negabeta.sampling import _CHUNK, _sample_block
+from negabeta.sampling import _CHUNK, _philox_block, _sample_block
 from negabeta.transform import MinusBetaSystem
+from philox_reference import philox4x32_10, sample_int
 
 # -- the scalar reference -----------------------------------------------------------------
-
-
-def _sample_fixed_point(seed, index):
-    digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
-    return int.from_bytes(digest[:16], "big")
 
 
 def _pack(samples):
@@ -110,17 +106,49 @@ def _observable(kind, b):
 SAMPLER_SEEDS = [0, 7, -3, 10**12, 12345678901234567890]
 SAMPLER_INDICES = list(range(50)) + [_CHUNK - 1, _CHUNK, 10**9 + 7]
 
+# sha256 of the sampler's bytes at SAMPLER_INDICES: a change of numpy or of the
+# key derivation that moved the stream fails here
+STREAM_DIGESTS = {
+    0: "f7e5c37fabc1c4db417f81da01014c0f74e2957e4e18db33a9dd95240e35d10e",
+    7: "0369edc5e577d29dcd4808491abb59eda4f636f9a6273409e66dc5271589c1f2",
+    -3: "c8c49d5152baf35515f0ec51f0fd9bdad7d369b7a290ba64f2c2a7042d028e90",
+    10**12: "ee813d9a7484c11ce68a850f2d13696e3b989fdbccf95a93af06fdc3e9339016",
+    12345678901234567890: "34a2228c0c3bcef02375a9912864a3fff986f849eff40dbe557c37b447f4cb9f",
+}
+
+
+def test_scalar_philox_meets_the_known_answers():
+    # the known-answer vectors of Random123 for philox4x32-10
+    word = 0xFFFFFFFF
+    assert philox4x32_10((0, 0, 0, 0), (0, 0)) == (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)
+    assert philox4x32_10((word,) * 4, (word, word)) == (0x408F276D, 0x41C83B0E, 0xA20BC7C6,
+                                                         0x6D5451FD)
+    assert philox4x32_10((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+                         (0xA4093822, 0x299F31D0)) == (0xD16CFE09, 0x94FDCCEB, 0x5001E420,
+                                                       0x24126EA1)
+    assert _philox_block((0, 0), [0]).tobytes().hex() == "6627e8d5e169c58dbc57ac4c9b00dbd8"
+
 
 @pytest.mark.parametrize("seed", SAMPLER_SEEDS)
 def test_shared_prefix_sampler_matches_one_shot_hash(seed):
-    expected = _pack([_sample_fixed_point(seed, i) for i in SAMPLER_INDICES])
+    # each index on its own through the scalar Philox; 10**9 + 7 is drawn
+    # without the indices below it
+    expected = _pack([sample_int(seed, i) for i in SAMPLER_INDICES])
     assert _sample_block(seed, SAMPLER_INDICES).tobytes() == expected.tobytes()
+    assert _sample_block(seed, iter(SAMPLER_INDICES)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", SAMPLER_SEEDS)
+def test_raw_stream_digest_is_pinned(seed):
+    block = _sample_block(seed, SAMPLER_INDICES)
+    assert hashlib.sha256(block.tobytes()).hexdigest() == STREAM_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("seed", SAMPLER_SEEDS)
 def test_sampler_without_builtin_sha256_hashes_through_hashlib(seed, monkeypatch):
-    # a build with neither _sha2 nor _sha256 falls back to hashlib.sha256
-    expected = _pack([_sample_fixed_point(seed, i) for i in SAMPLER_INDICES])
+    # a build with neither _sha2 nor _sha256 hashes the seed with hashlib.sha256,
+    # once per block
+    expected = _pack([sample_int(seed, i) for i in SAMPLER_INDICES])
     monkeypatch.setitem(sys.modules, "_sha2", None)
     monkeypatch.setitem(sys.modules, "_sha256", None)
     calls = []
@@ -132,20 +160,24 @@ def test_sampler_without_builtin_sha256_hashes_through_hashlib(seed, monkeypatch
 
     monkeypatch.setattr(hashlib, "sha256", counted)
     assert _sample_block(seed, SAMPLER_INDICES).tobytes() == expected.tobytes()
-    assert calls == [f"{seed}:{i}".encode() for i in SAMPLER_INDICES]
+    assert calls == [str(seed).encode()]
 
 
 @pytest.mark.parametrize("seed", [0, -3, 12345678901234567890])
 def test_sample_blocks_match_one_shot_hash_across_chunks(seed):
-    # the batches _window_deviation draws, joined, are the one-shot digests in order
+    # the batches _count_hits draws, and blocks that start at odd indices and
+    # cross a batch edge, joined, are the one-shot stream in order
     count = 2 * _CHUNK + 5
-    blocks = [_sample_block(seed, range(start, min(start + _CHUNK, count)))
-              for start in range(0, count, _CHUNK)]
-    assert [len(block) for block in blocks] == [_CHUNK, _CHUNK, 5]
-    assert all(block.shape[1] == 16 and block.dtype == np.uint8 for block in blocks)
-    reference = b"".join(hashlib.sha256(f"{seed}:{i}".encode()).digest()[:16]
-                         for i in range(count))
-    assert b"".join(block.tobytes() for block in blocks) == reference
+    one_shot = _sample_block(seed, range(count)).tobytes()
+    reference = _pack([sample_int(seed, i) for i in range(count)]).tobytes()
+    assert one_shot == reference
+    for edges in ([0, _CHUNK, 2 * _CHUNK, count], [0, 1, _CHUNK + 1, count],
+                  [0, 3, _CHUNK - 1, _CHUNK + 7, 2 * _CHUNK + 1, count]):
+        blocks = [_sample_block(seed, range(start, stop))
+                  for start, stop in zip(edges, edges[1:])]
+        assert [len(block) for block in blocks] == [b - a for a, b in zip(edges, edges[1:])]
+        assert all(block.shape[1] == 16 and block.dtype == np.uint8 for block in blocks)
+        assert b"".join(block.tobytes() for block in blocks) == one_shot
 
 
 # the two sides of the certificate's horizon: 38 bits of orbit (the double
@@ -167,14 +199,14 @@ def test_lanes_match_scalar_loop(name, n, count, kind, seed):
     beta_fixed = _beta_fixed_point(system, precision)
     block = _sample_block(seed, range(count))
     lanes = _digit_means_generic(system, psi, n, block, precision, beta_fixed)
-    samples = [_sample_fixed_point(seed, i) for i in range(count)]
+    samples = [sample_int(seed, i) for i in range(count)]
     assert lanes.tolist() == reference_means(system, psi, n, samples, precision, beta_fixed)
 
 
 def test_small_precision_and_edge_samples():
     # precisions below and above the 128 sample bits, and the extreme samples
     system = SYSTEMS["cubic"]
-    samples = [0, 1, (1 << 128) - 1, 1 << 127] + [_sample_fixed_point(4, i) for i in range(60)]
+    samples = [0, 1, (1 << 128) - 1, 1 << 127] + [sample_int(4, i) for i in range(60)]
     for precision in (40, 65, 127, 128, 129, 200):
         beta_fixed = _beta_fixed_point(system, precision)
         lanes = _digit_means_generic(system, {0: 0.0, 1: 1.0}, 17, _pack(samples), precision,
@@ -201,7 +233,7 @@ def test_clamp_batches_rerun_in_scalar(monkeypatch):
     n, precision = 12, _precision(system, 12)
     beta_fixed = _beta_fixed_point(system, precision)
     assert beta_fixed == (system.b + 1) << precision
-    plain = [_sample_fixed_point(2, i) for i in range(40)]
+    plain = [sample_int(2, i) for i in range(40)]
     calls = _count_scalar_reruns(monkeypatch)
     assert (_digit_means_generic(system, psi, n, _pack(plain), precision, beta_fixed).tolist()
             == reference_means(system, psi, n, plain, precision, beta_fixed))
@@ -219,7 +251,7 @@ def test_beta_just_below_an_integer():
     precision = _precision(system, n)
     beta_fixed = _beta_fixed_point(system, precision)
     assert system.b == 2 and beta_fixed == 3 << precision
-    samples = [0] + [_sample_fixed_point(5, i) for i in range(300)]
+    samples = [0] + [sample_int(5, i) for i in range(300)]
     psi = _observable("digit", system.b)
     assert (_digit_means_generic(system, psi, n, _pack(samples), precision, beta_fixed).tolist()
             == reference_means(system, psi, n, samples, precision, beta_fixed))
@@ -242,7 +274,7 @@ def test_base2_engine_matches_its_loop_and_the_scalar_orbit():
     # boundary points where the two differ.
     system = MinusBetaSystem(parse_beta_spec("poly:-2,1;interval:1,3"))
     block = _sample_block(11, range(_CHUNK + 1))
-    samples = [_sample_fixed_point(11, i) for i in range(_CHUNK + 1)]
+    samples = [sample_int(11, i) for i in range(_CHUNK + 1)]
     for n in (1, 2, 29, 64, 128):
         for psi in ({0: 0.3, 1: 1.1}, {0: 0.0, 1: 1.0}, {0: 1.0, 1: 0.0}):
             assert _digit_means_beta2(psi, n, block).tolist() == reference_means_beta2(psi, n, samples)
@@ -278,7 +310,7 @@ def test_base2_block_means_equal_the_scalar_orbit(n):
     precision = _precision(system, n)
     beta_fixed = _beta_fixed_point(system, precision)
     indices = range(_CHUNK - 50, _CHUNK + 50)
-    scalar = [_digit_mean(_orbit_digits(system, n, _sample_fixed_point(3, i), precision,
+    scalar = [_digit_mean(_orbit_digits(system, n, sample_int(3, i), precision,
                                         beta_fixed), [0.0, 1.0]) for i in indices]
     assert _digit_means_beta2(psi, n, _sample_block(3, indices)).tolist() == scalar
 
@@ -303,7 +335,7 @@ def test_hits_counted_across_batches():
     psi = {0: 0.0, 1: 1.0}
     n, count, seed, window = 15, 2 * _CHUNK + 3, 9, (0.0, 0.3)
     precision = _precision(system, n)
-    means = reference_means(system, psi, n, [_sample_fixed_point(seed, i) for i in range(count)],
+    means = reference_means(system, psi, n, [sample_int(seed, i) for i in range(count)],
                             precision, _beta_fixed_point(system, precision))
     est = mc_deviation(system, psi, window, n, count, seed)
     assert est.hits == sum(1 for m in means if window[0] <= m <= window[1])
@@ -352,7 +384,7 @@ def test_double_pass_runs_only_where_rows_may_be_certified(monkeypatch, name, n,
     passes = []
     real = ldp._sample_doubles
     monkeypatch.setattr(ldp, "_sample_doubles", lambda block: passes.append(1) or real(block))
-    samples = [_sample_fixed_point(1, i) for i in range(300)]
+    samples = [sample_int(1, i) for i in range(300)]
     means = _digit_means_generic(system, psi, n, _pack(samples), precision, beta_fixed)
     assert means.tolist() == reference_means(system, psi, n, samples, precision, beta_fixed)
     assert passes == ([1] if runs else [])
@@ -393,7 +425,7 @@ def test_failed_certificate_falls_back_to_the_lanes(monkeypatch, name, n):
     psi = _observable("callable", system.b)
     precision = _precision(system, n)
     beta_fixed = _beta_fixed_point(system, precision)
-    samples = [0, 1 << 127] + [_sample_fixed_point(6, i) for i in range(500)]
+    samples = [0, 1 << 127] + [sample_int(6, i) for i in range(500)]
     monkeypatch.setattr(ldp, "_certificate_bounds", lambda *args: (0.5,) * n)
     rows = _lane_rows(monkeypatch)
     assert (_digit_means_generic(system, psi, n, _pack(samples), precision, beta_fixed).tolist()
@@ -407,13 +439,15 @@ def test_cubic_at_30_steps_never_runs_the_lanes(monkeypatch):
     n, count, seed = 30, _CHUNK, 1
     precision = _precision(system, n)
     beta_fixed = _beta_fixed_point(system, precision)
+    # a row misses the certificate with probability at most sum 2 B_k, so
+    # the chance that any of the batch's rows runs in the lanes is below 1e-6
+    # for every seed, not for this one alone
+    assert count * 2 * sum(_certificate_bounds(beta_fixed, precision, n)) < 1e-6
     rows = _lane_rows(monkeypatch)
     means = _digit_means_generic(system, psi, n, _sample_block(seed, range(count)), precision,
                                  beta_fixed)
-    samples = [_sample_fixed_point(seed, i) for i in range(count)]
+    samples = [sample_int(seed, i) for i in range(count)]
     assert means.tolist() == reference_means(system, psi, n, samples, precision, beta_fixed)
-    # one batch is counted in this process, so the patched lanes see every call
-    assert sampling._share_count(count) == 1
     est = mc_deviation(system, psi, (0.2, 0.4), n, count, seed)
     assert est.hits == sum(1 for m in means if 0.2 <= m <= 0.4)
     assert rows == []
