@@ -299,19 +299,40 @@ def circle_mc_deviation(a_window: tuple[float, float], n: int, sample_count: int
     output, whose rows are read as doubles
     (:func:`negabeta.sampling._sample_doubles`, which the generic digit
     engine reads too; only the rare row below 2^-9 becomes a Python integer)
-    and iterated in double precision.  Hits are counted per batch, so memory
-    stays flat in the sample count.
+    and iterated in double precision.  A point that leaves the
+    eps-neighbourhood never comes back (see ``occupation_fractions``), so
+    each batch iterates only the rows still near 0 and stops when none is
+    left: the cost grows with the rows near the source, not with N*n.  Hits
+    are counted per batch, so memory stays flat in the sample count.
+    Raises ValueError for an eps outside (0, 1/2): from 1/2 on, the
+    neighbourhood holds the sink 1/2.
     """
     import numpy as np
 
+    if not 0 < eps < 0.5:  # nan too
+        raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
     fmap = CircleMap()
 
     def occupation_fractions(start: int, block: np.ndarray) -> np.ndarray:
+        """The fraction of the first n iterates of each row within eps of 0.
+
+        The float map never decreases min(theta, 1 - theta): on [0, 1/2) it
+        adds s*sin >= 0, on [1/2, 1) it subtracts a term >= 0, rounding to
+        nearest is monotone, and 0 and 1/2 are exact fixed points.  So a
+        row's near iterates are a prefix of its orbit, and a row is dropped
+        at its first iterate farther than eps.  ``np.sin`` is elementwise,
+        so mapping the surviving rows gives each the double it would get in
+        the whole batch.
+        """
         theta = _sample_doubles(block)
         near = np.zeros(len(block))
+        live = np.arange(len(block))
         for _ in range(n):
-            dist = np.minimum(theta, 1.0 - theta)
-            near += dist <= eps
+            inside = np.minimum(theta, 1.0 - theta) <= eps
+            live, theta = live[inside], theta[inside]
+            if not live.size:
+                break
+            near[live] += 1
             theta = _vectorized_circle(theta, fmap.strength)
         return near / n
 

@@ -34,6 +34,7 @@ from negabeta.sampling import _CHUNK, _sample_block, _sample_doubles
 from negabeta.shiftgraph import enumerate_words
 from negabeta.specprop import spec_bound
 from negabeta.transform import HitBoundary
+from exact_tails import MAX_SIGMAS, SEEDS, circle_tail, sigmas
 from philox_reference import sample_int
 
 
@@ -282,10 +283,15 @@ def test_orbits_converge_to_sink():
 
 
 def test_occupation_rate_prediction():
-    for a, n, samples in ((0.3, 50, 120000),):
-        est = circle_mc_deviation((a, 1.0), n, samples, seed=13, eps=0.1)
-        pred = predicted_occupation_rate(a)
-        assert abs(est.rate - pred) / pred < 0.2
+    # the exact tail's rate lies within 20% of the closed form, and each
+    # fixed seed's hits (about 26.5 expected) within MAX_SIGMAS of N p
+    a, n, samples = 0.3, 50, 120000
+    tail = circle_tail(a, n, 0.1)
+    pred = predicted_occupation_rate(a)
+    assert abs(-math.log(tail) / n - pred) / pred < 0.2
+    for seed in SEEDS:
+        est = circle_mc_deviation((a, 1.0), n, samples, seed=seed, eps=0.1)
+        assert sigmas(est.hits, samples, tail) <= MAX_SIGMAS, seed
 
 
 def test_occupation_monotone_in_a():
@@ -304,6 +310,12 @@ def test_occupation_window_never_hit():
 def test_full_window_is_certain():
     est = circle_mc_deviation((0.0, 1.0), 20, 5000, seed=4)
     assert est.hits == est.sample_count and est.rate == 0.0
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, math.nan])
+def test_occupation_refuses_eps_outside_the_open_half(eps):
+    with pytest.raises(ValueError, match="eps"):
+        circle_mc_deviation((0.3, 1.0), 30, 100, seed=1, eps=eps)
 
 
 def _sample_ints(seed, count):
@@ -374,16 +386,21 @@ def _where_circle(theta, strength):
     return out - np.floor(out)
 
 
-def test_circle_map_folds_as_the_where_form():
-    # the quarter points and their neighbours, both ends of [0, 1], and
-    # thetas crowded near the source 0, the sink 1/2 and 1
+def _crafted_thetas(random_count):
+    """The quarter points and their neighbours (1 ulp and subnormal steps),
+    both ends of [0, 1], thetas crowded near the source 0, the sink 1/2 and
+    1, then ``random_count`` uniform thetas."""
     rng = random.Random(12)
     edges = [q + e for q in (0.0, 0.25, 0.5, 0.75, 1.0)
              for e in (0.0, 5e-324, -5e-324, 2**-54, -(2**-54), 2**-53, -(2**-53))]
     crowded = [c + d * rng.random() ** 12 for c in (0.0, 0.5, 1.0) for d in (1, -1)
                for _ in range(300)]
-    theta = np.array([x for x in edges + crowded if 0.0 <= x <= 1.0]
-                     + [rng.random() for _ in range(5000)])
+    return np.array([x for x in edges + crowded if 0.0 <= x <= 1.0]
+                    + [rng.random() for _ in range(random_count)])
+
+
+def test_circle_map_folds_as_the_where_form():
+    theta = _crafted_thetas(5000)
     ours, where = theta, theta
     for _ in range(40):
         ours = _vectorized_circle(ours, CircleMap().strength)
@@ -391,18 +408,41 @@ def test_circle_map_folds_as_the_where_form():
         assert ours.tobytes() == where.tobytes()
 
 
+def test_circle_distance_to_the_source_never_decreases():
+    # circle_mc_deviation drops a row at its first iterate farther than eps
+    # from 0: that is exact only if no later iterate comes back
+    largest = _sample_doubles(_pack([(1 << 128) - 1]))
+    assert largest.tolist() == [1.0]
+    theta = np.concatenate([_crafted_thetas(200000), largest])
+    dist = np.minimum(theta, 1.0 - theta)
+    for _ in range(60):
+        theta = _vectorized_circle(theta, CircleMap().strength)
+        after = np.minimum(theta, 1.0 - theta)
+        assert np.all(after >= dist)
+        dist = after
+
+
 def test_circle_map_is_elementwise_across_batch_sizes():
     theta = np.array([s / 2.0**128 for s in _sample_ints(6, 4096 + 4095 + 7 + 1)])
     whole, parts = theta, np.split(theta, [4096, 4096 + 4095, 4096 + 4095 + 7])
+    rng = random.Random(6)
     for _ in range(30):
+        # a gathered subset of another size and order, as the engine maps its live rows
+        rows = np.array(rng.sample(range(len(whole)), rng.randrange(1, len(whole))))
+        picked = _vectorized_circle(whole[rows], CircleMap().strength)
         whole = _vectorized_circle(whole, CircleMap().strength)
         parts = [_vectorized_circle(part, CircleMap().strength) for part in parts]
+        assert picked.tobytes() == whole[rows].tobytes()
     assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
+# 4097 and 10001 cut their last batch short; eps = 2^-9 keeps the rows above
+# 1 - 2^-9 and those below 2^-9, which the sampler divides as Python
+# integers; the window [0, 0] counts the rows that are never near the source
 @pytest.mark.parametrize("count", [4095, 4097, 10001])
 def test_circle_hits_counted_per_batch(count):
-    for window, eps in (((0.3, 1.0), 0.1), ((0.0, 0.25), 0.05)):
+    for window, eps in (((0.3, 1.0), 0.1), ((0.0, 0.25), 0.05), ((0.0, 0.0), 0.1),
+                        ((0.5, 1.0), 0.45), ((0.3, 1.0), 0.4999), ((1 / 30, 1.0), 2**-9)):
         est = circle_mc_deviation(window, 30, count, seed=5, eps=eps)
         assert est.hits == whole_array_hits(window, 30, count, 5, eps)
 

@@ -414,12 +414,18 @@ def test_mc_engines_agree(two_sys):
 
 
 def test_mc_pisot_near_maximal_mean(pisot_sys):
-    est = mc_deviation(pisot_sys, DIGIT1, (1.0 - 1 / 30, 1.0), 30, 20000, seed=5)
+    # N p is about 32.7, so no fixed seed misses the window, and each rate
+    # lies more than 10 of its standard deviations inside both bounds
+    n, window, count = 30, (1.0 - 1 / 30, 1.0), 200000
+    p = float(lebesgue_tail(pisot_sys, n, window))
     log_beta = pisot_sys.log_beta()
     # cross-check against the exact all-ones cylinder decay
-    exact = -math.log(float(cylinder_interval(pisot_sys, (1,) * 30).length)) / 30
-    assert abs(est.rate - log_beta) < 0.12
-    assert est.rate <= exact + 0.05
+    exact = -math.log(float(cylinder_interval(pisot_sys, (1,) * n).length)) / n
+    for seed in SEEDS:
+        est = mc_deviation(pisot_sys, DIGIT1, window, n, count, seed)
+        assert sigmas(est.hits, count, p) <= MAX_SIGMAS, seed
+        assert abs(est.rate - log_beta) < 0.12
+        assert est.rate <= exact + 0.05
 
 
 def test_mc_deterministic_given_seed(two_sys):
