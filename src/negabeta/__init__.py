@@ -15,7 +15,7 @@ import importlib
 # The public names of each module; ``__all__`` is their union.
 _EXPORTS = {
     "algebraic": (
-        "AlgebraicNumber", "FieldElement", "IntPolynomial",
+        "FieldElement", "IntPolynomial",
         "MixedFields", "MultipleRootsInInterval", "NoRootInInterval",
         "field_arith", "make_algebraic", "parse_beta_spec", "sign_of", "to_decimal",
     ),

@@ -135,7 +135,10 @@ def _halvings(num: int, den: int) -> int:
 class AlgebraicNumber:
     """One real root of an irreducible integer polynomial.
 
-    The isolating interval [a/q, b/q] is held as the integers (a, b, q) and
+    The constructor takes ``minpoly`` as given and does not test that it is
+    irreducible.  :func:`make_algebraic` and :func:`parse_beta_spec` are the constructors
+    that guarantee a minimal polynomial, and the class is not exported from
+    the package.  The isolating interval [a/q, b/q] is held as the integers (a, b, q) and
     only ever shrinks; refinement results are cached on the instance, which
     keeps the value immutable as observed through the public operations and
     safe to share between threads.

@@ -200,8 +200,8 @@ def example31_measure_bounds(maxlen: int) -> list[Example31BoundsReport]:
     fmap, presentation = example31_system()
     graph, table = presentation.graph, fmap.image_table
     bounds = table.bounds(Fraction(1, 2))
-    # (end states, image) -> [one word of the class, for error messages; number of words]
-    level = {(frozenset(range(graph.vertex_count)), table.root): [(), 1]}
+    # (end state mask, image) -> [one word of the class, for error messages; number of words]
+    level = {(graph.vertex_mask, table.root): [(), 1]}
     reports = []
     for n in range(1, maxlen + 1):
         children: dict = {}

@@ -377,8 +377,9 @@ def g_beta_word(system: MinusBetaSystem, word: Sequence[int]) -> int:
     return _g_from_followers(graph, start)
 
 
-def _g_from_followers(graph: LabeledGraph, start: frozenset[int]) -> int:
-    def step(level: frozenset[frozenset[int]]) -> frozenset[frozenset[int]]:
+def _g_from_followers(graph: LabeledGraph, start: int) -> int:
+    """Extensions from the state mask ``start`` to the nearest mask with two followers."""
+    def step(level: frozenset[int]) -> frozenset[int]:
         return frozenset(t for states in level for _, t in graph.followers(states))
 
     for depth, level in enumerate(_levels(step, frozenset((start,)))):
@@ -397,7 +398,7 @@ def g_beta_values(system: MinusBetaSystem, n: int) -> list[int]:
         raise ValueError("n must be >= 1")
     graph = automaton_for(system).graph
     distance = cache(lambda states: _g_from_followers(graph, states))
-    frontier = {frozenset(range(graph.vertex_count))}
+    frontier = {graph.vertex_mask}  # the state masks of the words of length k
     values = []
     for k in range(1, n + 1):
         frontier = {t for states in frontier for _, t in graph.followers(states)}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from negabeta.transform import DigitSequence, MinusBetaSystem, Word, word_to_text
 
@@ -35,24 +35,53 @@ class FoldNotVerified(ShiftGraphError):
 @dataclass(frozen=True)
 class _GraphIndex:
     out: tuple[tuple[Edge, ...], ...]  # sorted out-edges per vertex
-    succ: dict[int, frozenset[int]]  # vertex -> successors
-    pred: dict[int, frozenset[int]]  # vertex -> predecessors
-    targets: dict[tuple[int, int], frozenset[int]]  # (source, label) -> targets
-    sources: dict[tuple[int, int], frozenset[int]]  # (target, label) -> sources
+    succ: tuple[int, ...]  # vertex -> mask of its successors
+    pred: tuple[int, ...]  # vertex -> mask of its predecessors
+    targets: dict[int, tuple[int, ...]]  # label -> per source vertex, the mask of its targets
+    sources: dict[int, tuple[int, ...]]  # label -> per target vertex, the mask of its sources
     labels: tuple[int, ...]  # ascending
-    followers: dict  # state set -> its (label, end set) pairs, filled by LabeledGraph.followers
+    followers: dict  # state mask -> its (label, end mask) pairs, filled by LabeledGraph.followers
 
 
-def _union(sets: Mapping, keys: Iterable) -> frozenset[int]:
-    out: set[int] = set()
-    for k in keys:
-        out.update(sets.get(k, ()))
-    return frozenset(out)
+def mask_of(vertices: Iterable[int]) -> int:
+    """The state mask of a collection of vertices: bit v is set iff v is in it."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def vertices_of(mask: int) -> list[int]:
+    """The vertices of a state mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _gather(rows: Sequence[int], states: int) -> int:
+    """The union of the masks ``rows[v]`` over the vertices v of ``states``."""
+    out = 0
+    while states:
+        low = states & -states
+        out |= rows[low.bit_length() - 1]
+        states ^= low
+    return out
 
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """Immutable labeled directed graph on vertices 0..vertex_count-1."""
+    """Immutable labeled directed graph on vertices 0..vertex_count-1.
+
+    A set of vertices (a state set) is one int, its mask: bit v is set iff
+    vertex v is in the set, so 0 is the empty set and :attr:`vertex_mask`
+    the whole graph.  :meth:`step`, :meth:`back_step`, :meth:`forward`,
+    :meth:`backward`, :meth:`reads`, :meth:`back_reads`, :meth:`followers`
+    and :meth:`successors` take and return masks; :func:`mask_of` and
+    :func:`vertices_of` convert.
+    """
 
     vertex_count: int
     edges: frozenset[Edge]
@@ -64,26 +93,33 @@ class LabeledGraph:
             if label < 0:
                 raise ValueError("labels are nonnegative digits")
 
+    @property
+    def vertex_mask(self) -> int:
+        """The mask of every vertex."""
+        return (1 << self.vertex_count) - 1
+
     @cached_property
     def _index(self) -> _GraphIndex:
-        """Edge lists and endpoint sets per vertex, built on first use."""
-        out: list[list[Edge]] = [[] for _ in range(self.vertex_count)]
-        pred: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        targets: dict[tuple[int, int], set[int]] = {}
-        sources: dict[tuple[int, int], set[int]] = {}
+        """Edge lists and endpoint masks per vertex, built on first use."""
+        n = self.vertex_count
+        out: list[list[Edge]] = [[] for _ in range(n)]
+        succ, pred = [0] * n, [0] * n
+        targets: dict[int, list[int]] = {}
+        sources: dict[int, list[int]] = {}
         for e in sorted(self.edges):
             s, a, t = e
             out[s].append(e)
-            pred[t].add(s)
-            targets.setdefault((s, a), set()).add(t)
-            sources.setdefault((t, a), set()).add(s)
+            succ[s] |= 1 << t
+            pred[t] |= 1 << s
+            targets.setdefault(a, [0] * n)[s] |= 1 << t
+            sources.setdefault(a, [0] * n)[t] |= 1 << s
         return _GraphIndex(
             out=tuple(map(tuple, out)),
-            succ={v: frozenset(t for _, _, t in es) for v, es in enumerate(out)},
-            pred={v: frozenset(ss) for v, ss in enumerate(pred)},
-            targets={k: frozenset(v) for k, v in targets.items()},
-            sources={k: frozenset(v) for k, v in sources.items()},
-            labels=tuple(sorted({a for _, a, _ in self.edges})),
+            succ=tuple(succ),
+            pred=tuple(pred),
+            targets={a: tuple(rows) for a, rows in targets.items()},
+            sources={a: tuple(rows) for a, rows in sources.items()},
+            labels=tuple(sorted(targets)),
             followers={},
         )
 
@@ -93,15 +129,17 @@ class LabeledGraph:
     def labels(self) -> set[int]:
         return set(self._index.labels)
 
-    def successors(self, v: int) -> frozenset[int]:
+    def successors(self, v: int) -> int:
+        """The mask of the vertices one edge from ``v``."""
         return self._index.succ[v]
 
-    def step(self, states: Iterable[int], label: int) -> frozenset[int]:
-        """End states of the edges labeled ``label`` that leave ``states``."""
-        return _union(self._index.targets, ((s, label) for s in states))
+    def step(self, states: int, label: int) -> int:
+        """End states of the edges labeled ``label`` that leave ``states``, as a mask."""
+        rows = self._index.targets.get(label)
+        return _gather(rows, states) if rows else 0
 
-    def followers(self, states: frozenset[int]) -> tuple[tuple[int, frozenset[int]], ...]:
-        """(label, end states) for each label, ascending, whose step from ``states`` is nonempty.
+    def followers(self, states: int) -> tuple[tuple[int, int], ...]:
+        """(label, end mask) for each label, ascending, whose step from ``states`` is nonempty.
 
         Computed once per state set and kept on the graph index.
         """
@@ -111,28 +149,29 @@ class LabeledGraph:
             self._index.followers[states] = pairs
         return pairs
 
-    def back_step(self, states: Iterable[int], label: int) -> frozenset[int]:
-        """Start states of the edges labeled ``label`` that enter ``states``."""
-        return _union(self._index.sources, ((t, label) for t in states))
+    def back_step(self, states: int, label: int) -> int:
+        """Start states of the edges labeled ``label`` that enter ``states``, as a mask."""
+        rows = self._index.sources.get(label)
+        return _gather(rows, states) if rows else 0
 
-    def forward(self, states: Iterable[int]) -> frozenset[int]:
-        """Successors of ``states`` along edges of any label."""
-        return _union(self._index.succ, states)
+    def forward(self, states: int) -> int:
+        """Successors of the mask ``states`` along edges of any label."""
+        return _gather(self._index.succ, states)
 
-    def backward(self, states: Iterable[int]) -> frozenset[int]:
-        """Predecessors of ``states`` along edges of any label."""
-        return _union(self._index.pred, states)
+    def backward(self, states: int) -> int:
+        """Predecessors of the mask ``states`` along edges of any label."""
+        return _gather(self._index.pred, states)
 
-    def reads(self, word: Sequence[int]) -> frozenset[int]:
-        """End states of all readings of the word, starting anywhere."""
-        states = frozenset(range(self.vertex_count))
+    def reads(self, word: Sequence[int]) -> int:
+        """The mask of the end states of all readings of the word, starting anywhere."""
+        states = self.vertex_mask
         for a in word:
             states = self.step(states, a)
         return states
 
-    def back_reads(self, word: Sequence[int]) -> frozenset[int]:
-        """Start states of all readings of the word, ending anywhere."""
-        states = frozenset(range(self.vertex_count))
+    def back_reads(self, word: Sequence[int]) -> int:
+        """The mask of the start states of all readings of the word, ending anywhere."""
+        states = self.vertex_mask
         for a in reversed(word):
             states = self.back_step(states, a)
         return states
@@ -347,18 +386,29 @@ class ComponentChain:
         return {"N": self.N, "components": out}
 
 
-def _levels(step, start: frozenset) -> Iterator[frozenset]:
+def _levels(step, start):
     """The items first reached from ``start`` after 0, 1, 2, ... steps.
 
     ``step`` maps a level to everything one step on: a graph's ``forward`` or
-    ``backward``, or a step over state sets.  A caller that bounds the walk
-    intersects inside its step.  The walk stops at the first empty level.
+    ``backward`` on state masks, or a step over sets of state masks.  A
+    caller that bounds the walk intersects inside its step.  The walk stops
+    at the first empty level.  ``new - (new & seen)`` is the difference of
+    two frozensets and of two masks alike.
     """
     seen = level = start
     while level:
         yield level
-        level = step(level) - seen
+        new = step(level)
+        level = new - (new & seen)
         seen = seen | level  # rebound: ``start`` may be the caller's set
+
+
+def _reach(step, start: int) -> int:
+    """The mask of everything the level walk from the mask ``start`` reaches."""
+    reached = 0
+    for level in _levels(step, start):
+        reached |= level
+    return reached
 
 
 def is_irreducible(g: LabeledGraph, vertices: Iterable[int]) -> bool:
@@ -367,14 +417,13 @@ def is_irreducible(g: LabeledGraph, vertices: Iterable[int]) -> bool:
     A single vertex counts only when it carries a self-loop: a loop-free
     vertex generates no shift-invariant set.
     """
-    vset = frozenset(vertices)
+    vset = mask_of(vertices)
     if not vset:
         raise ValueError("vertex subset must be nonempty")
-    root = min(vset)
-    if len(vset) == 1:
-        return root in g.successors(root)
-    return all(frozenset().union(*_levels(lambda level, step=step: step(level) & vset,
-                                          frozenset((root,)))) == vset
+    root = vset & -vset
+    if root == vset:
+        return bool(g.successors(root.bit_length() - 1) & root)
+    return all(_reach(lambda level, step=step: step(level) & vset, root) == vset
                for step in (g.forward, g.backward))
 
 
@@ -383,16 +432,15 @@ def _cyclic_components(g: LabeledGraph) -> list[tuple[int, ...]]:
 
     Each takes what a backward level walk reaches inside a forward one, both off assigned states.
     """
-    free = frozenset(range(g.vertex_count))
+    free = g.vertex_mask
     found = []
     while free:
-        v = min(free)
-        root = frozenset((v,))
-        ahead = frozenset().union(*_levels(lambda level: g.forward(level) & free, root))
-        comp = frozenset().union(*_levels(lambda level: g.backward(level) & ahead, root))
-        free -= comp
-        if len(comp) > 1 or v in g.successors(v):
-            found.append(tuple(sorted(comp)))
+        root = free & -free
+        ahead = _reach(lambda level: g.forward(level) & free, root)
+        comp = _reach(lambda level: g.backward(level) & ahead, root)
+        free ^= comp
+        if comp != root or g.successors(root.bit_length() - 1) & root:
+            found.append(tuple(vertices_of(comp)))
     return found
 
 
@@ -431,9 +479,9 @@ def count_words(graph: LabeledGraph, n: int) -> int:
     """Number of distinct label words of length n readable from any state."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    counts: dict[frozenset[int], int] = {frozenset(range(graph.vertex_count)): 1}
+    counts: dict[int, int] = {graph.vertex_mask: 1}  # state mask -> words ending there
     for _ in range(n):
-        nxt: dict[frozenset[int], int] = {}
+        nxt: dict[int, int] = {}
         for states, c in counts.items():
             for _, t in graph.followers(states):
                 nxt[t] = nxt.get(t, 0) + c
@@ -442,8 +490,8 @@ def count_words(graph: LabeledGraph, n: int) -> int:
 
 
 def enumerate_words(graph: LabeledGraph,
-                    maxlen: int) -> Iterator[tuple[Word, frozenset[int]]]:
-    """All distinct readable words of length 1..maxlen, each with its end states.
+                    maxlen: int) -> Iterator[tuple[Word, int]]:
+    """All distinct readable words of length 1..maxlen, each with the mask of its end states.
 
     The end states of a word are those of all its readings, starting anywhere.
     Words come in preorder, children in label order: each word follows its
@@ -452,7 +500,7 @@ def enumerate_words(graph: LabeledGraph,
     # An explicit stack, not recursion: words may be longer than Python's
     # recursion limit.  Children are pushed in reverse label order, so the
     # smallest label comes off first.
-    stack = [((), frozenset(range(graph.vertex_count)))]
+    stack = [((), graph.vertex_mask)]
     while stack:
         word, states = stack.pop()
         if word:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
-from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
+from functools import cache, cached_property
+from typing import Callable, Iterator, Optional, Sequence
 
 from negabeta.measures import point_mass_on_cycle, random_markov_measure
 from negabeta.shiftgraph import (
-    ComponentChain, Edge, LabeledGraph, _levels, cycle_vertices, is_irreducible,
+    ComponentChain, Edge, LabeledGraph, _levels, cycle_vertices, is_irreducible, mask_of,
 )
 from negabeta.transform import Word, word_to_text
 
@@ -42,13 +42,19 @@ class SoficPresentation:
     components: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
+        seen = 0  # the mask of the vertices of the components so far
         for comp in self.components:
-            if seen.intersection(comp):
+            cset = mask_of(comp)
+            if seen & cset:
                 raise ValueError("components must be pairwise disjoint")
-            seen.update(comp)
+            seen |= cset
             if not is_irreducible(self.graph, comp):
                 raise ValueError(f"component {comp} is not strongly connected")
+
+    @cached_property
+    def diameters(self) -> tuple[int, ...]:
+        """Each component's diameter inside itself, computed once per presentation."""
+        return tuple(_component_diameter(self.graph, comp) for comp in self.components)
 
     @classmethod
     def from_chain(cls, chain: ComponentChain) -> "SoficPresentation":
@@ -91,26 +97,28 @@ class SpecCertificate:
 
 
 def _component_diameter(graph: LabeledGraph, comp: Sequence[int]) -> int:
-    within = frozenset(comp)
+    within = mask_of(comp)
     diam = 0
     for p in comp:
-        levels = list(_levels(lambda level: graph.forward(level) & within, frozenset((p,))))
-        if sum(map(len, levels)) != len(within):
+        reached = 0
+        for depth, level in enumerate(_levels(lambda level: graph.forward(level) & within, 1 << p)):
+            reached |= level
+        if reached != within:
             raise ValueError("component not strongly connected")
-        diam = max(diam, len(levels) - 1)
+        diam = max(diam, depth)
     return diam
 
 
-def _shortest_path(graph: LabeledGraph, starts: Sequence[int], targets: AbstractSet[int],
-                   within: AbstractSet[int]) -> Optional[list[Edge]]:
-    """Edges of a shortest path from ``starts`` into ``targets`` inside ``within``.
+def _shortest_path(graph: LabeledGraph, starts: Sequence[int], targets: int,
+                   within: int) -> Optional[list[Edge]]:
+    """Edges of a shortest path from ``starts`` into the mask ``targets`` inside ``within``.
 
     Breadth-first from the starts in their given order along sorted out-edges;
     each vertex keeps the edge it was first reached by, and the search stops at
     the first target reached.  None when no target is reachable.
     """
     parent: dict[int, Optional[Edge]] = {v: None for v in starts}
-    if targets.intersection(starts):
+    if targets & mask_of(starts):
         return []
     frontier = list(starts)
     while frontier:
@@ -118,9 +126,9 @@ def _shortest_path(graph: LabeledGraph, starts: Sequence[int], targets: Abstract
         for v in frontier:
             for e in graph.out_edges(v):
                 t = e[2]
-                if t in within and t not in parent:
+                if within >> t & 1 and t not in parent:
                     parent[t] = e
-                    if t in targets:
+                    if targets >> t & 1:
                         path = []
                         while parent[t] is not None:
                             path.append(parent[t])
@@ -134,7 +142,7 @@ def _shortest_path(graph: LabeledGraph, starts: Sequence[int], targets: Abstract
 def _shortest_cross_word(graph: LabeledGraph, src: Sequence[int],
                          dst: Sequence[int]) -> Optional[Word]:
     """Labels of a shortest path from ``src`` into ``dst``; None when there is none."""
-    path = _shortest_path(graph, src, frozenset(dst), frozenset(range(graph.vertex_count)))
+    path = _shortest_path(graph, src, mask_of(dst), graph.vertex_mask)
     return None if path is None else tuple(a for _, a, _ in path)
 
 
@@ -142,8 +150,8 @@ def _shortest_cross_word(graph: LabeledGraph, src: Sequence[int],
 
 
 def _word_classes(graph: LabeledGraph, comp: Sequence[int], step,
-                  maxlen: Optional[int] = None) -> set[tuple[frozenset[int], frozenset[int]]]:
-    """(inside, anywhere) state sets of the component's words of length at most ``maxlen``.
+                  maxlen: Optional[int] = None) -> set[tuple[int, int]]:
+    """(inside, anywhere) state masks of the component's words of length at most ``maxlen``.
 
     ``inside`` is what a word reaches within the component, ``anywhere`` what it
     reaches in the full graph from every vertex.  With ``graph.step`` these are
@@ -151,15 +159,15 @@ def _word_classes(graph: LabeledGraph, comp: Sequence[int], step,
     its one-symbol extensions, so the level walk over pairs stops at the first
     level that adds none; ``maxlen=None`` sets no depth limit.
     """
-    cset = frozenset(comp)
+    cset = mask_of(comp)
     labels = graph.labels()
 
     def extend(level: frozenset) -> frozenset:
         return frozenset((t, step(anywhere, a)) for inside, anywhere in level for a in labels
                          if (t := step(inside, a) & cset))
 
-    classes: set[tuple[frozenset[int], frozenset[int]]] = set()
-    start = frozenset({(cset, frozenset(range(graph.vertex_count)))})
+    classes: set[tuple[int, int]] = set()
+    start = frozenset({(cset, graph.vertex_mask)})
     for depth, level in enumerate(_levels(extend, start)):
         classes |= level
         if depth == maxlen:  # the first maxlen + 1 levels
@@ -168,8 +176,8 @@ def _word_classes(graph: LabeledGraph, comp: Sequence[int], step,
 
 
 def _end_start_sets(p: SoficPresentation, maxlen: Optional[int],
-                    inside: bool) -> list[tuple[set[frozenset[int]], set[frozenset[int]]]]:
-    """Per component, the end sets and the start sets of its words, taken inside
+                    inside: bool) -> list[tuple[set[int], set[int]]]:
+    """Per component, the end masks and the start masks of its words, taken inside
     the component or in the full graph."""
     side = 0 if inside else 1
     return [tuple({pair[side] for pair in _word_classes(p.graph, comp, step, maxlen)}
@@ -179,7 +187,7 @@ def _end_start_sets(p: SoficPresentation, maxlen: Optional[int],
 
 def _loops_everywhere(p: SoficPresentation) -> bool:
     """Every component state carries a self-loop inside its component."""
-    return all(v in p.graph.successors(v) for comp in p.components for v in comp)
+    return all(p.graph.successors(v) >> v & 1 for comp in p.components for v in comp)
 
 
 # -- the certifier ------------------------------------------------------------------
@@ -201,7 +209,7 @@ def spec_bound(p: SoficPresentation, oracle_maxlen: Optional[int] = None) -> Spe
     q = len(p.components)
     if q == 0:
         raise ValueError("presentation has no components")
-    diams = [_component_diameter(p.graph, comp) for comp in p.components]
+    diams = p.diameters
     witnesses = []
     for i in range(q):
         for j in range(i, q):
@@ -241,13 +249,13 @@ class BruteForceTable:
 
 
 def _default_gap_cap(p: SoficPresentation) -> int:
-    diams = [_component_diameter(p.graph, comp) for comp in p.components]
-    return 2 * max(diams) + p.graph.vertex_count + 2
+    return 2 * max(p.diameters) + p.graph.vertex_count + 2
 
 
-def _gap_frontiers(forward: Callable[[frozenset[int]], frozenset[int]], ends: frozenset[int],
-                   gap_cap: int) -> Iterator[tuple[int, frozenset[int]]]:
-    """(g, states reached from ends along exactly g edges) for g <= gap_cap, while nonempty.
+def _gap_frontiers(forward: Callable[[int], int], ends: int,
+                   gap_cap: int) -> Iterator[tuple[int, int]]:
+    """(g, mask of the states reached from ends along exactly g edges) for g <= gap_cap,
+    while nonempty.
 
     ``forward`` is the graph's ``forward`` step, or a memo of it.
     """
@@ -259,38 +267,25 @@ def _gap_frontiers(forward: Callable[[frozenset[int]], frozenset[int]], ends: fr
         current = forward(current)
 
 
-def _frontier_lists(p: SoficPresentation, end_sets: Iterable[frozenset[int]],
-                    gap_cap: int) -> list[list[frozenset[int]]]:
-    """Per end set, its gap frontiers as a list indexed by the gap length."""
-    forward = cache(p.graph.forward)  # the walks of different end sets merge
-    return [[current for _, current in _gap_frontiers(forward, ends, gap_cap)]
-            for ends in end_sets]
-
-
-def _gap_pairs(p: SoficPresentation, classes,
-               gap_cap: int) -> Iterator[tuple[int, int, list[frozenset[int]], frozenset[int]]]:
-    """(i, j, gap frontiers of an end set of component i, a start set of component j)
-    for every ordered pair i <= j; the frontiers of each end set are walked once."""
-    q = len(p.components)
-    for i in range(q):
-        fronts = _frontier_lists(p, classes[i][0], gap_cap)
-        for j in range(i, q):
-            for front in fronts:
-                for starts in classes[j][1]:
-                    yield i, j, front, starts
-
-
 def _exact_gap(p: SoficPresentation, classes, gap_cap: int) -> Optional[int]:
     """Smallest g <= gap_cap that glues every end set of each component to every start
     set of itself and of each later component in exactly g symbols; None when none does.
+
+    The gaps are a mask too: bit g is set iff a gap of g symbols glues.  Each end
+    set's frontiers are walked to the cap once and shared by every start set.
     """
-    achievable: Optional[set[int]] = None
-    for _, _, front, starts in _gap_pairs(p, classes, gap_cap):
-        gaps = {g for g, current in enumerate(front) if current & starts}
-        achievable = gaps if achievable is None else achievable & gaps
-        if not achievable:
-            return None
-    return min(achievable) if achievable else None
+    forward = cache(p.graph.forward)  # the walks of different end sets merge
+    achievable = -1  # every gap
+    q = len(p.components)
+    for i in range(q):
+        for ends in classes[i][0]:
+            front = [current for _, current in _gap_frontiers(forward, ends, gap_cap)]
+            for j in range(i, q):
+                for starts in classes[j][1]:
+                    achievable &= sum(1 << g for g, current in enumerate(front) if current & starts)
+                    if not achievable:
+                        return None
+    return (achievable & -achievable).bit_length() - 1
 
 
 def spec_bruteforce(p: SoficPresentation, maxlen: int) -> BruteForceTable:
@@ -298,16 +293,35 @@ def spec_bruteforce(p: SoficPresentation, maxlen: int) -> BruteForceTable:
 
     Pairs are grouped by (end-state set, start-state set), which preserves the
     word-level semantics exactly while collapsing the quadratic blowup.  The
-    gap frontiers of each end set are walked once and shared by every start
-    set.
+    gap frontiers of each end set of component i are walked once, shared by
+    the start sets of every component j >= i, and stop once each of those
+    start sets is met; a start set still unmet at the cap raises
+    :class:`DisconnectedPair` for the least such j.
     """
     classes = _end_start_sets(p, maxlen, inside=False)
-    worst: dict[tuple[int, int], int] = {}
-    for i, j, front, starts in _gap_pairs(p, classes, _default_gap_cap(p)):
-        gap = next((g for g, current in enumerate(front) if current & starts), None)
-        if gap is None:
-            raise DisconnectedPair(i, j)
-        worst[i, j] = max(worst.get((i, j), 0), gap)
+    gap_cap = _default_gap_cap(p)
+    forward = cache(p.graph.forward)  # the walks of different end sets merge
+    q = len(p.components)
+    worst = {(i, j): 0 for i in range(q) for j in range(i, q)}
+    for i in range(q):
+        wanted = [(j, starts) for j in range(i, q) for starts in classes[j][1]]
+        unmet = q  # the least j with a start set some end set never meets
+        for ends in classes[i][0]:
+            pending = wanted
+            for g, current in _gap_frontiers(forward, ends, gap_cap):
+                left = []
+                for j, starts in pending:
+                    if current & starts:
+                        worst[i, j] = max(worst[i, j], g)
+                    else:
+                        left.append((j, starts))
+                pending = left
+                if not pending:
+                    break
+            if pending:  # in ascending j
+                unmet = min(unmet, pending[0][0])
+        if unmet < q:
+            raise DisconnectedPair(i, unmet)
     return BruteForceTable(tuple(worst.items()), max(worst.values(), default=0), maxlen)
 
 
@@ -357,8 +371,8 @@ def ergodic_support_check(p: SoficPresentation, trials: int, seed: int = 0) -> b
 def _some_cycle(graph: LabeledGraph, comp: Sequence[int], rng: random.Random):
     """A directed cycle through a random vertex of the component, if any."""
     start = rng.choice(list(comp))
-    cset = frozenset(comp)
-    path = _shortest_path(graph, [start], graph.backward((start,)) & cset, cset)
+    cset = mask_of(comp)
+    path = _shortest_path(graph, [start], graph.backward(1 << start) & cset, cset)
     if path is None:
         return None
     last = path[-1][2] if path else start

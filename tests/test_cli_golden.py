@@ -21,6 +21,8 @@ BASES = {
     "golden": "poly:-1,-1,1;interval:1,2",  # x^2 - x - 1
     "defective": "poly:-1,-1,-2,1;interval:2,3",  # x^3 - 2x^2 - x - 1: d(1) = 21(2), so "20" is inadmissible
     "quartic": "poly:-1,0,0,-1,1;interval:1,2",  # x^4 - x^3 - 1: 14 states, 2 components
+    "x4x1": "poly:-1,-1,0,0,1;interval:1,2",  # x^4 - x - 1: 15 states, 3 components
+    "quintic": "poly:-2,0,2,-1,-2,1;interval:2,3",  # x^5 - 2x^4 - x^3 + 2x^2 - 2: 52 states
 }
 
 COMMANDS = {
@@ -84,6 +86,14 @@ GOLDEN = {
     ("cubic", "spec_6"): (0, "77384c04086355939b5ab9f7990c837bdaa3c7f3fef8b66b234cdab0b4938b2c"),
     ("quartic", "spec_6"): (0, "b8b7cbd6237a8e4658f5ded9dc90ab4c250cc32787d4d3dc2e5fff3c5c7c9669"),
     ("quartic", "gbeta_30"): (0, "a77f575af8d96b09645794817661d4633949fd9d377a42aa2d2adff3dcfa56b0"),
+    ("x4x1", "graph_json"): (0, "173535d03770f9303e0b9f4393daede861ba99e8f2068655276d152ff725e549"),
+    ("x4x1", "components"): (0, "79535f0297bfe027f4e606cd405a9603f4acd29e350083e92d22d3cf52ba2ba7"),
+    ("x4x1", "spec_6"): (0, "9aea806143fa5bb4ca8acf9812a2bf5801735e574311e80e6eac427ce8311f54"),
+    ("x4x1", "gbeta_30"): (0, "144054b1dea32160bda47b83f66a7a77a8e43a1969e83c9b1493c1e466d3461a"),
+    ("quintic", "graph_json"): (0, "349f607f3550a336d009d14c365c363817c81603385662fc9f80d6229db7dd18"),
+    ("quintic", "components"): (0, "c8e9ae720b8af7dc60f7d2a850a42172f965edeca1365f066fa2bfdbe6c0bf24"),
+    ("quintic", "spec_6"): (0, "8eb97e89e879e6b91a6707672f6115513bcdbf5e1c79264852efeb7e16015271"),
+    ("quintic", "gbeta_30"): (0, "3a4b94ae5af7c1d9f9d9119bd2c27f6794a1ca72bc9f688649c0812f9fd6f61e"),
 }
 
 # example31 takes no --beta: maxlen -> (exit code, sha256 of stdout) of `example31 --maxlen <maxlen>`

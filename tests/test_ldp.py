@@ -328,13 +328,6 @@ def test_rates_survive_a_perturbed_perron_root(pisot_sys, two_sys, monkeypatch):
 # -- Monte Carlo -------------------------------------------------------------------
 
 
-def exact_binomial_rate(n, lo, hi):
-    k_lo = math.ceil(lo * n)
-    k_hi = math.floor(hi * n)
-    p = sum(comb(n, k) for k in range(k_lo, k_hi + 1)) / 2**n
-    return -math.log(p) / n
-
-
 def test_mc_full_window_rate_zero(two_sys):
     est = mc_deviation(two_sys, DIGIT1, (0.0, 1.0), 10, 2000, seed=1)
     assert est.hits == est.sample_count
@@ -382,13 +375,23 @@ def test_mc_hits_lie_within_sigmas_of_the_exact_tail(name, n, window, pisot_sys,
 
 
 def test_mc_ci_coverage_over_seeds(two_sys):
-    exact = exact_binomial_rate(20, 0.7, 0.8)
-    inside = 0
-    for seed in range(20):
-        est = mc_deviation(two_sys, DIGIT1, (0.7, 0.8), 20, 20000, seed=seed)
-        if est.ci_lo <= exact <= est.ci_hi:
-            inside += 1
-    assert inside >= 17  # 95% nominal coverage, allow slack
+    # the exact coverage of the 95% Wilson interval at this N and the exact
+    # tail p: the Binomial(N, p) mass of the hit counts whose interval covers
+    # p; then each fixed seed's hits lie within MAX_SIGMAS of N p
+    n, window, count = 20, (0.7, 0.8), 20000
+    p = sum(comb(n, k) for k in range(14, 17)) / 2**n  # means 14/20, 15/20 and 16/20
+    assert p == float(lebesgue_tail(two_sys, n, window))
+
+    def pmf(k):
+        return math.exp(math.lgamma(count + 1) - math.lgamma(k + 1) - math.lgamma(count - k + 1)
+                        + k * math.log(p) + (count - k) * math.log1p(-p))
+
+    intervals = (wilson_interval(k, count) for k in range(count + 1))
+    coverage = sum(pmf(k) for k, (lo, hi) in enumerate(intervals) if lo <= p <= hi)
+    assert coverage >= 0.94
+    for seed in SEEDS:
+        est = mc_deviation(two_sys, DIGIT1, window, n, count, seed)
+        assert sigmas(est.hits, count, p) <= MAX_SIGMAS, seed
 
 
 def test_mc_window_monotone(two_sys):

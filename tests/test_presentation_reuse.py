@@ -11,8 +11,13 @@ below are the plain versions: every component word listed and read with
 set) pair, the strong gap from per-vertex reachability powers, one subset
 frontier per length, and both signatures recomputed from the graph's edge
 lists per candidate fold.  Results and errors must be equal, not close.
+
+The code under test holds state sets as int masks; the references hold them
+as frozensets and step them with `Plain`, an index of the graph's edges of
+their own, so a mask is converted only where the two meet (`mask`, `members`).
 """
 
+from functools import cache
 from types import SimpleNamespace
 from typing import Optional
 from unittest import mock
@@ -60,10 +65,58 @@ from pisot_bases import BASES
 # -- the per-pair references ------------------------------------------------------------------
 
 
+def mask(states):
+    return sum(1 << v for v in frozenset(states))
+
+
+def members(m):
+    return frozenset(v for v in range(m.bit_length()) if m >> v & 1)
+
+
+class Plain:
+    """Frozenset steps over a graph's edges, indexed per (vertex, label) and per vertex."""
+
+    def __init__(self, graph):
+        self.vertex_count = graph.vertex_count
+        self.labels = sorted({a for _, a, _ in graph.edges})
+        self.targets, self.sources, self.succ = {}, {}, {}
+        for s, a, t in graph.edges:
+            self.targets.setdefault((s, a), set()).add(t)
+            self.sources.setdefault((t, a), set()).add(s)
+            self.succ.setdefault(s, set()).add(t)
+
+    def step(self, states, a):
+        return frozenset(t for s in states for t in self.targets.get((s, a), ()))
+
+    def back_step(self, states, a):
+        return frozenset(s for t in states for s in self.sources.get((t, a), ()))
+
+    def forward(self, states):
+        return frozenset(t for s in states for t in self.succ.get(s, ()))
+
+    def reads(self, word):
+        states = frozenset(range(self.vertex_count))
+        for a in word:
+            states = self.step(states, a)
+        return states
+
+    def back_reads(self, word):
+        states = frozenset(range(self.vertex_count))
+        for a in reversed(word):
+            states = self.back_step(states, a)
+        return states
+
+
+@cache
+def plain_index(graph):
+    return Plain(graph)
+
+
 def component_words(p, i, maxlen):
     """Every word of length at most maxlen that labels a path inside component i."""
+    plain = plain_index(p.graph)
     comp = frozenset(p.components[i])
-    labels = sorted(p.graph.labels())
+    labels = plain.labels
     words = [()]
     frontier = [((), comp)]
     while frontier:
@@ -71,7 +124,7 @@ def component_words(p, i, maxlen):
         if len(word) >= maxlen:
             continue
         for a in labels:
-            t = p.graph.step(states, a) & comp
+            t = plain.step(states, a) & comp
             if t:
                 words.append(word + (a,))
                 frontier.append((word + (a,), t))
@@ -79,18 +132,20 @@ def component_words(p, i, maxlen):
 
 
 def reference_state_classes(p, i, maxlen):
+    plain = plain_index(p.graph)
     words = component_words(p, i, maxlen)
-    return {p.graph.reads(w) for w in words}, {p.graph.back_reads(w) for w in words}
+    return {plain.reads(w) for w in words}, {plain.back_reads(w) for w in words}
 
 
 def reference_gluable_gaps(p, ends, starts, gap_cap):
+    plain = plain_index(p.graph)
     gaps, current = set(), ends
     for g in range(gap_cap + 1):
         if not current:
             break
         if current & starts:
             gaps.add(g)
-        current = p.graph.forward(current)
+        current = plain.forward(current)
     return gaps
 
 
@@ -140,7 +195,7 @@ def subset_family(graph, comp, step):
     while frontier:
         nxt = []
         for states in frontier:
-            for a in graph.labels():
+            for a in plain_index(graph).labels:
                 t = step(states, a) & cset
                 if t and t not in family:
                     family.add(t)
@@ -151,10 +206,11 @@ def subset_family(graph, comp, step):
 
 def bool_power_reach(graph, max_power):
     """reach[m][p] = set of vertices reachable from p along exactly m edges."""
+    plain = plain_index(graph)
     reach = [{v: frozenset((v,)) for v in range(graph.vertex_count)}]
     for _ in range(max_power):
         prev = reach[-1]
-        reach.append({v: graph.forward(prev[v]) for v in range(graph.vertex_count)})
+        reach.append({v: plain.forward(prev[v]) for v in range(graph.vertex_count)})
     return reach
 
 
@@ -181,8 +237,9 @@ def reference_spec_bound(p, oracle_maxlen=None):
             witnesses.append(((i, j), word))
     m_bound = max(diams) + max(len(word) for _, word in witnesses) + max(diams)
     if _loops_everywhere(p):
-        forward = [subset_family(p.graph, comp, p.graph.step) for comp in p.components]
-        backward = [subset_family(p.graph, comp, p.graph.back_step) for comp in p.components]
+        plain = plain_index(p.graph)
+        forward = [subset_family(p.graph, comp, plain.step) for comp in p.components]
+        backward = [subset_family(p.graph, comp, plain.back_step) for comp in p.components]
         reach = bool_power_reach(p.graph, m_bound)
         strong_m = next((m for m in range(m_bound + 1)
                          if exact_gap_everywhere(p, forward, backward, reach[m])), None)
@@ -195,14 +252,14 @@ def reference_spec_bound(p, oracle_maxlen=None):
 
 def reference_g_beta_n(system, n):
     aut = automaton_for(system)
-    labels = sorted(aut.graph.labels())
+    plain = plain_index(aut.graph)
     frontier = {frozenset(range(aut.graph.vertex_count))}
     for _ in range(n):
-        frontier = {aut.graph.step(states, a) for states in frontier for a in labels}
+        frontier = {plain.step(states, a) for states in frontier for a in plain.labels}
         frontier.discard(frozenset())
     if not frontier:
         raise InadmissibleWord(f"no admissible words of length {n}")
-    return max(_g_from_followers(aut.graph, states) for states in frontier)
+    return max(_g_from_followers(aut.graph, mask(states)) for states in frontier)
 
 
 def _spine_digit(g, i):
@@ -280,13 +337,19 @@ def assert_oracles_agree(p, maxlens, gap_cap=None):
                                                        gap_cap=gap_cap)
             assert (outcome(bruteforce_exact_min, p, maxlen)
                     == outcome(reference_exact_min, p, maxlen, gap_cap=gap_cap))
-            assert _end_start_sets(p, maxlen, inside=False) == [
+            assert as_frozensets(_end_start_sets(p, maxlen, inside=False)) == [
                 reference_state_classes(p, i, maxlen) for i in range(len(p.components))]
 
 
+def as_frozensets(classes):
+    """`_end_start_sets` with each state mask read as a frozenset of vertices."""
+    return [tuple({members(m) for m in masks} for masks in pair) for pair in classes]
+
+
 def assert_certificates_agree(p, maxlens):
-    assert _end_start_sets(p, None, inside=True) == [
-        (subset_family(p.graph, comp, p.graph.step), subset_family(p.graph, comp, p.graph.back_step))
+    plain = plain_index(p.graph)
+    assert as_frozensets(_end_start_sets(p, None, inside=True)) == [
+        (subset_family(p.graph, comp, plain.step), subset_family(p.graph, comp, plain.back_step))
         for comp in p.components
     ]
     assert outcome(spec_bound, p) == outcome(reference_spec_bound, p)
@@ -380,6 +443,20 @@ def test_disconnected_pair_names_the_same_pair():
     assert got[0] == "error" and got[3] == (0, 2)
     assert (outcome(bruteforce_exact_min, p, 3) == outcome(reference_exact_min, p, 3)
             == ("value", None))
+
+
+def test_a_start_set_met_at_the_cap_still_glues():
+    # the word 0 ends in {0} alone and the word 2 starts in {k} alone, k edges on:
+    # the frontier walk must reach the cap to glue them, and one gap less disconnects them
+    k = 4
+    edges = {(0, 0, 0), (k, 2, k)} | {(i, 1, i + 1) for i in range(k)}
+    p = SoficPresentation(LabeledGraph(k + 1, frozenset(edges)), ((0,), (k,)))
+    for cap in (k, k - 1):
+        assert_oracles_agree(p, range(4), gap_cap=cap)
+    with mock.patch.object(specprop, "_default_gap_cap", lambda _: k):
+        assert table_outcome(p, 1) == ("value", ((((0, 0), 0), ((0, 1), k), ((1, 1), 0)), k, 1))
+    with mock.patch.object(specprop, "_default_gap_cap", lambda _: k - 1):
+        assert table_outcome(p, 1)[3] == (0, 1)
 
 
 def _fake_system(graph):
