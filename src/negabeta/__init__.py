@@ -21,11 +21,11 @@ _EXPORTS = {
     ),
     "transform": (
         "Case", "DigitSequence", "HitBoundary", "MinusBetaSystem", "NotAlgebraicInteger",
-        "NotEventuallyPeriodic", "Ordering", "Side", "SignedPoint", "alt_compare",
+        "NotEventuallyPeriodic", "Side", "SignedPoint",
     ),
     "shiftgraph": (
         "ComponentChain", "FoldedAutomaton", "LabeledGraph", "automaton_for",
-        "build_gamma", "chain_for", "count_words", "cross_validate", "decompose",
+        "build_gamma", "chain_for", "decompose",
         "entropy_estimate", "fold", "is_irreducible",
     ),
     "specprop": (

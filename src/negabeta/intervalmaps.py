@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from negabeta.ldp import DeviationEstimate, _window_deviation
-from negabeta.measures import Image, ImageTable, InadmissibleWord
+from negabeta.measures import Image, ImageTable, word_classes
 from negabeta.sampling import _sample_doubles
 from negabeta.shiftgraph import LabeledGraph
 from negabeta.specprop import SoficPresentation
@@ -134,19 +134,6 @@ def example31_system() -> tuple[PiecewiseExpandingMap, SoficPresentation]:
     return fmap, presentation
 
 
-def example31_word_admissible(word: Sequence[int]) -> bool:
-    """Factor-of-u1v characterization: no digit >= 2 before a digit <= 1."""
-    word = tuple(word)
-    if any(not 0 <= d <= 4 for d in word):
-        return False
-    for prev, cur in zip(word, word[1:]):
-        if prev >= 2 and cur <= 1:
-            return False
-        if prev <= 1 and cur >= 2 and prev != 1:
-            return False
-    return True
-
-
 def example31_cylinder(fmap: PiecewiseExpandingMap, word: Sequence[int]):
     """Exact rational cylinder of a word under the half-open coding cells.
 
@@ -182,44 +169,29 @@ class Example31BoundsReport:
 def example31_measure_bounds(maxlen: int) -> list[Example31BoundsReport]:
     """Exact cylinder lengths with the (1/2)3^-n <= L <= 3^-n bounds, for all words up to maxlen.
 
-    Counts words instead of listing them.  A word's end-state set in the
-    presentation (read from all states) fixes its one-letter extensions, and
-    its image J_w = T^n[w] in the map's image table fixes theirs; so the
-    words of one length fall into classes keyed by (end states, J_w), each
-    class steps by ``graph.followers`` and :meth:`ImageTable.step`, and the
-    counts of classes that merge add.  The subset step is deterministic, so
-    each word lies in exactly one class and the counts are exact.  A word's
+    Counts words instead of listing them: the classes of
+    :func:`negabeta.measures.word_classes` of the presentation (read from
+    all states) and the map's image table, summed per image.  A word's
     length is 3^-n times the length of its image, so both bounds are bounds
     on the image (1/2 <= |J_w| <= 1), decided once per image.  Returns one
     report per (length, image); ``words`` sums to the number of words.
     Raises :class:`negabeta.measures.InadmissibleWord` when some word's
-    cylinder has no interior, naming one word of its class.
+    cylinder has no interior.
     """
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
     fmap, presentation = example31_system()
-    graph, table = presentation.graph, fmap.image_table
+    table = fmap.image_table
     bounds = table.bounds(Fraction(1, 2))
-    # (end state mask, image) -> [one word of the class, for error messages; number of words]
-    level = {(graph.vertex_mask, table.root): [(), 1]}
     reports = []
-    for n in range(1, maxlen + 1):
-        children: dict = {}
-        for (states, image), (word, count) in level.items():
-            for digit, ends in graph.followers(states):
-                child = table.step(image, digit)
-                if child is None or child[0] == child[2]:
-                    raise InadmissibleWord(f"no interior in the cylinder of word {word + (digit,)}")
-                entry = children.setdefault((ends, child), [word + (digit,), 0])
-                entry[1] += count
+    for n, level in enumerate(word_classes(presentation.graph, table, maxlen), 1):
         counts: dict[Image, int] = {}
-        for (_, image), (_, count) in children.items():
+        for (_, image), (_, count) in level.items():
             counts[image] = counts.get(image, 0) + count
         for image, count in counts.items():
             upper_ok, lower_ok = bounds(image[0], image[2])
             reports.append(Example31BoundsReport(n, image, table.length(n, image), count,
                                                  lower_ok, upper_ok))
-        level = children
     return reports
 
 

@@ -210,6 +210,74 @@ class ImageTable:
 
         return bounds
 
+    def interior_step(self, image: Image, digit: int) -> Optional[Image]:
+        """J_wa when the cylinder [wa] has interior, else None (also for a digit past the cells)."""
+        child = self.step(image, digit) if digit < len(self.cells) else None
+        return child if child is not None and child[0] != child[2] else None
+
+
+def word_classes(graph: LabeledGraph, table: ImageTable,
+                 maxlen: int) -> Iterator[dict[tuple[int, Image], list]]:
+    """The words of length 1, 2, ..., maxlen of ``graph``, one level per length, as classes.
+
+    A word's end-state set (read from all states) fixes its one-letter
+    extensions in the graph, and its image J_w in ``table`` fixes theirs; so
+    the words of one length fall into classes keyed by (end state mask,
+    J_w).  Each level maps a key to [the least word of the class in tuple
+    order, which is preorder; the number of words].  A class steps by
+    ``graph.followers`` and :meth:`ImageTable.step`, and the counts of
+    classes that merge add.  The subset step is deterministic, so each word
+    lies in exactly one class and the counts are exact; a level's classes
+    come in the order of their least words.  Raises :class:`InadmissibleWord`
+    when the cylinder of a word of the graph has no interior, naming the
+    least such word of the shortest length.
+    """
+    level = {(graph.vertex_mask, table.root): [(), 1]}
+    for _ in range(maxlen):
+        children: dict = {}
+        for (states, image), (word, count) in level.items():
+            for digit, ends in graph.followers(states):
+                child = table.interior_step(image, digit)
+                if child is None:
+                    raise InadmissibleWord(f"no interior in the cylinder of word {word + (digit,)}")
+                entry = children.get((ends, child))
+                if entry is None:
+                    children[ends, child] = [word + (digit,), count]
+                else:
+                    entry[1] += count
+        yield children
+        level = children
+
+
+def language_gap(graph: LabeledGraph, table: ImageTable) -> Optional[Word]:
+    """The shortest word that exactly one of ``graph`` and ``table`` admits, or None.
+
+    The graph admits a word it reads from some state; the table admits a
+    word whose cylinder has interior.  Among gaps of equal length the least
+    in tuple order comes first.  Walks the pairs (end state mask, J_w) of
+    :func:`word_classes` breadth first, digits ascending, to the fixed
+    point: whether a pair's words extend by a digit depends on the pair
+    alone, so a pair met at an earlier length is not walked again, and a
+    pair is first met with its least word.  So the two languages are
+    compared at every length in finitely many steps.
+    """
+    start = (graph.vertex_mask, table.root)
+    seen, level = {start}, {start: ()}
+    while level:
+        children = {}
+        for (states, image), word in level.items():
+            ends = dict(graph.followers(states))
+            for digit in sorted(ends.keys() | range(len(table.cells))):
+                child = table.interior_step(image, digit)
+                if (digit in ends) != (child is not None):
+                    return word + (digit,)
+                pair = (ends.get(digit), child)
+                if child is not None and pair not in seen:
+                    seen.add(pair)
+                    children[pair] = word + (digit,)
+        level = children
+    return None
+
 
 def image_walk(table: ImageTable,
                words: Iterable[tuple[Word, object]]) -> Iterator[tuple[Word, object, Image]]:
@@ -313,8 +381,8 @@ def cylinder_measure(system: MinusBetaSystem, word: Sequence[int]) -> CylinderRe
 def cylinder_walk(system: MinusBetaSystem, maxlen: int) -> Iterator[CylinderReport]:
     """Reports for every admissible word up to maxlen, in preorder.
 
-    Walks the folded automaton's words (the admissible words, in the order of
-    :meth:`MinusBetaSystem.enumerate_admissible`) through :func:`image_walk`.
+    Walks the folded automaton's words (the admissible words) through
+    :func:`image_walk`.
     c_w and the endpoints of [w] are integer vectors over one denominator D,
     the lcm of the denominators of the depth constants s_n*p and
     s_n*intercept_a up to maxlen.  So a word costs index comparisons in the
@@ -682,37 +750,7 @@ def weak_metric_truncated(mu, nu, K: int, alphabet_bound: int) -> float:
     return total
 
 
-# -- exhaustive cylinder sweeps ---------------------------------------------------------------
-
-
-def length_totals(cylinders: Iterable[CylinderInterval]) -> dict:
-    """Exact sum of the cylinder lengths at each word length.
-
-    The endpoints are added as integer numerator vectors, hi with a plus and
-    lo with a minus sign, one running sum per (word length, denominator); the
-    sums of one word length become one field element at the end.
-    """
-    sums: dict[int, dict[int, tuple[int, ...]]] = {}  # word length -> den -> numerators
-    for cyl in cylinders:
-        by_den = sums.get(len(cyl.word))
-        if by_den is None:
-            by_den = sums[len(cyl.word)] = {}
-            field = cyl.lo.field
-        for end, sign in ((cyl.hi, operator.add), (cyl.lo, operator.sub)):
-            total = by_den.get(end.den, (0,) * len(end.nums))
-            by_den[end.den] = tuple(map(sign, total, end.nums))
-    totals = {}
-    for n, by_den in sums.items():
-        den = math.lcm(*by_den)
-        scaled = ([a * (den // d) for a in nums] for d, nums in by_den.items())
-        totals[n] = field._element([sum(column) for column in zip(*scaled)], den)
-    return totals
-
-
-def partition_identity_holds(system: MinusBetaSystem, n: int) -> bool:
-    """Sum of cylinder lengths at length n equals one exactly."""
-    reports = cylinder_walk(system, n)
-    return length_totals(r.interval for r in reports if len(r.word) == n).get(n) == 1
+# -- cylinder identities ---------------------------------------------------------------------
 
 
 def additivity_holds(system: MinusBetaSystem, word: Sequence[int]) -> bool:

@@ -472,21 +472,7 @@ def decompose(aut: FoldedAutomaton) -> ComponentChain:
     return ComponentChain(tuple(components), aut)
 
 
-# -- counting and entropy --------------------------------------------------------
-
-
-def count_words(graph: LabeledGraph, n: int) -> int:
-    """Number of distinct label words of length n readable from any state."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    counts: dict[int, int] = {graph.vertex_mask: 1}  # state mask -> words ending there
-    for _ in range(n):
-        nxt: dict[int, int] = {}
-        for states, c in counts.items():
-            for _, t in graph.followers(states):
-                nxt[t] = nxt.get(t, 0) + c
-        counts = nxt
-    return sum(counts.values())
+# -- words and entropy -----------------------------------------------------------
 
 
 def enumerate_words(graph: LabeledGraph,
@@ -527,21 +513,6 @@ def entropy_estimate(aut: FoldedAutomaton, vertices: Optional[Sequence[int]] = N
     mat = aut.graph.adjacency(vertices)
     rho = spectral_radius(mat)
     return math.log(rho) if rho > 0 else float("-inf")
-
-
-def cross_validate(aut: FoldedAutomaton, system: MinusBetaSystem,
-                   n: int) -> tuple[bool, Optional[Word]]:
-    """Compare automaton words with order-admissible words up to length n.
-
-    Returns (True, None) when the two languages agree on every length up to
-    n, else (False, first counterexample word).
-    """
-    automaton_words = {w for w, _ in enumerate_words(aut.graph, n)}
-    admissible = set(system.enumerate_admissible(n))
-    if automaton_words == admissible:
-        return True, None
-    diff = sorted(automaton_words.symmetric_difference(admissible), key=lambda w: (len(w), w))
-    return False, diff[0]
 
 
 # -- construction convenience -----------------------------------------------------

@@ -1,4 +1,4 @@
-"""The negative-beta interval map: digits, expansions, admissibility.
+"""The negative-beta interval map: digits, expansions and the coding partition.
 
 The map acts on [0, 1], is affine with slope -beta on each branch, and its
 symbolic dynamics is governed by the expansion of 1 taken as the limit from
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from negabeta.algebraic import AlgebraicNumber, FieldElement
 
@@ -59,13 +59,6 @@ class Side(enum.Enum):
 class Case(enum.Enum):
     CASE1 = "Case1"
     CASE2 = "Case2"
-
-
-class Ordering(enum.Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    PREFIX = "prefix"
 
 
 @dataclass(frozen=True)
@@ -162,61 +155,6 @@ def word_to_text(word: Sequence[int], alphabet_bound: int) -> str:
     if alphabet_bound <= 9:
         return "".join(str(d) for d in word)
     return ",".join(str(d) for d in word)
-
-
-def alt_compare(s: Union[DigitSequence, Sequence[int]],
-                t: Union[DigitSequence, Sequence[int]]) -> Ordering:
-    """Alternating-order comparison by first disagreement.
-
-    At disagreement index n the result is LESS when (-1)^n (s_n - t_n) < 0;
-    the comparison direction flips with the parity of n, which is the
-    convention that keeps the interval coding order-preserving.  Eventually
-    periodic inputs are compared exactly; PREFIX is returned when a finite
-    word is an exact prefix of the other input.
-    """
-    s_inf = isinstance(s, DigitSequence)
-    t_inf = isinstance(t, DigitSequence)
-    if s_inf and t_inf:
-        limit = max(s.u, t.u) + 2 * math.lcm(s.v, t.v)  # agreeing this far, they agree forever
-    elif s_inf:
-        limit = len(t)
-    elif t_inf:
-        limit = len(s)
-    else:
-        limit = min(len(s), len(t))
-    get_s = s.digit if s_inf else lambda k: s[k]
-    get_t = t.digit if t_inf else lambda k: t[k]
-    for k in range(limit):
-        a, b = get_s(k), get_t(k)
-        if a != b:
-            diff = a - b if k % 2 == 0 else b - a
-            return Ordering.LESS if diff < 0 else Ordering.GREATER
-    if s_inf and t_inf:
-        return Ordering.EQUAL
-    if s_inf or t_inf:
-        return Ordering.PREFIX
-    return Ordering.EQUAL if len(s) == len(t) else Ordering.PREFIX
-
-
-def border_step(ref: Sequence[int], active: tuple[int, ...], a: int) -> tuple[int, ...] | None:
-    """Borders of the word w+a, from the borders ``active`` of w.
-
-    A border of w is the length of a suffix of w that is a prefix of ``ref``,
-    the digits of the expansion of 1 at least as far as index len(w);
-    ``active`` lists the nonzero borders, longest first.
-    Each of them, and the empty one, either extends (``a == ref_j``) or makes
-    the suffix of w+a differ from ``ref`` at index j.  Returns None when such
-    a suffix exceeds ``ref`` in the alternating order, so w+a is
-    inadmissible; otherwise the borders of w+a, longest first.
-    """
-    new = []
-    for pos in active + (0,):
-        r = ref[pos]
-        if a == r:
-            new.append(pos + 1)
-        elif (a - r if pos % 2 == 0 else r - a) > 0:
-            return None
-    return tuple(new)
 
 
 def _floor_exact(t) -> tuple[int, bool]:
@@ -427,44 +365,6 @@ class MinusBetaSystem:
             digits.append(k)
             x = (k + 1) - t
         return tuple(digits)
-
-    # -- admissibility ------------------------------------------------------------------
-
-    def word_admissible(self, w: Sequence[int]) -> bool:
-        """True iff no suffix of w exceeds the expansion of 1 in alternating order."""
-        ref = self.expansion_of_one()
-        w = tuple(w)
-        for d in w:
-            if not 0 <= d <= self.b:
-                return False
-        for start in range(len(w)):
-            if alt_compare(w[start:], ref) is Ordering.GREATER:
-                return False
-        return True
-
-    def enumerate_admissible(self, maxlen: int) -> Iterator[Word]:
-        """Yield every admissible word of length 1..maxlen, in preorder.
-
-        Each word follows its parent, children in digit order.  Carries the
-        borders of the current word through :func:`border_step`; a word dies
-        exactly when one of them extends on the wrong side of the alternating
-        order.  Equivalent to filtering by :meth:`word_admissible` but
-        exponentially cheaper on the inadmissible subtrees.
-        """
-        ref = self.expansion_of_one().prefix(maxlen)
-        # An explicit stack, not recursion: words may be longer than Python's
-        # recursion limit.  Children are pushed in reverse digit order, so the
-        # smallest digit comes off first.
-        stack: list[tuple[Word, tuple[int, ...]]] = [((), ())]
-        while stack:
-            word, active = stack.pop()
-            if word:
-                yield word
-            if len(word) < maxlen:
-                for a in range(self.b, -1, -1):
-                    new_active = border_step(ref, active, a)
-                    if new_active is not None:
-                        stack.append((word + (a,), new_active))
 
     # -- coding inverse -------------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """The KMP border table and the integer orbit of 1 against the code they replaced.
 
 `reference_build_gamma` is the builder that walked every border of every
-spine prefix through `transform.border_step`, once per vertex and digit.
+spine prefix through `border_step` (tests/word_reference.py), once per vertex and digit.
 `reference_expansion` steps the orbit of 1 as `FieldElement`s, one generic
 product per step.  The table must give the same edges and the same errors,
 and the integer orbit the same digits, the same errors and the same
@@ -34,11 +34,11 @@ from negabeta.transform import (
     OutOfDomain,
     Side,
     _floor_exact,
-    border_step,
 )
 
 from pisot_bases import BASES
 from test_cylinder_walk import NON_PISOT
+from word_reference import border_step
 
 CUBIC = "poly:-1,-1,0,1;interval:1,2"
 BIG = "poly:-2,0,2,-1,-2,1;interval:2,3"  # 52 states

@@ -321,19 +321,23 @@ def test_every_sample_hit_prints_zero_rate(argv, capsys):
     assert "-0.0" not in out
 
 
-def test_cyl_and_validate_read_the_automaton_only(monkeypatch, capsys):
-    """The cylinder walk decides branching from the automaton's state sets;
-    the word-level admissibility test is a reference for the tests alone."""
-    argvs = [["cyl", "--beta", PISOT, "--maxlen", "6", "--format", "csv"],
-             ["validate", "--beta", PISOT, "--maxlen", "6", "--seed", "3"]]
-    expected = [invoke(argv, capsys) for argv in argvs]
+def test_validate_lists_no_word(monkeypatch, capsys):
+    """validate counts words in classes of (state set, image) and decides the
+    language on pairs of them: the same bytes with every per-word walk
+    refused.  (cyl lists words by design; its bytes are pinned in
+    test_cli_golden.)"""
+    argv = ["validate", "--beta", PISOT, "--maxlen", "12", "--seed", "3"]
+    expected = invoke(argv, capsys)
 
-    def refuse(self, word):
-        raise AssertionError("word_admissible called")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word listing was reached")
 
-    monkeypatch.setattr(MinusBetaSystem, "word_admissible", refuse)
-    assert [invoke(argv, capsys) for argv in argvs] == expected
-    assert [code for code, _, _ in expected] == [0, 0]
+    for module in [m for name, m in sys.modules.items() if name.startswith("negabeta")]:
+        for name in ("enumerate_words", "image_walk", "cylinder_walk"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert invoke(argv, capsys) == expected
+    assert expected[0] == 0
 
 
 @pytest.mark.parametrize("argv, flag, value", [

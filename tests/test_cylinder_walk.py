@@ -22,12 +22,13 @@ from negabeta.algebraic import (
 from negabeta.cli import main
 from negabeta.intervalmaps import example31_cylinder, example31_measure_bounds, example31_system
 from negabeta.measures import (
-    InadmissibleWord, cylinder_interval, cylinder_walk, image_table, image_walk, length_totals,
+    InadmissibleWord, cylinder_interval, cylinder_walk, image_table, image_walk,
 )
 from negabeta.shiftgraph import automaton_for, enumerate_words
 from negabeta.transform import MinusBetaSystem
 
 from pisot_bases import BASES as POOL_BASES
+from word_reference import enumerate_admissible
 
 BASES = {
     "cubic": ((-1, -1, 0, 1), 1, 2),  # x^3 - x - 1
@@ -109,7 +110,7 @@ def test_walk_matches_pullback(system):
     scales = [one]  # beta^-n
     for _ in range(7):
         scales.append(scales[-1] / beta)
-    words = list(system.enumerate_admissible(7))
+    words = list(enumerate_admissible(system, 7))
     reports = list(cylinder_walk(system, 7))
     assert [r.word for r in reports] == words
     for report in reports:
@@ -187,23 +188,9 @@ def test_walk_matches_pullback_on_every_base():
     for coeffs, lo, hi in POOL_BASES:
         system = _system(coeffs, lo, hi)
         reports = list(cylinder_walk(system, SWEEP_DEPTH))
-        assert [r.word for r in reports] == list(system.enumerate_admissible(SWEEP_DEPTH))
+        assert [r.word for r in reports] == list(enumerate_admissible(system, SWEEP_DEPTH))
         for report in reports:
             assert _fields(report.interval) == reference_interval(system, report.word), coeffs
-
-
-def test_length_totals_match_field_sums_on_every_base():
-    """The numerator-vector sums equal the lengths added as field elements,
-    and every depth's total is 1 (the partition identity)."""
-    for coeffs, lo, hi in POOL_BASES:
-        intervals = [r.interval for r in cylinder_walk(_system(coeffs, lo, hi), 5)]
-        reference = {}
-        for cyl in intervals:
-            n = len(cyl.word)
-            reference[n] = reference[n] + (cyl.hi - cyl.lo) if n in reference else cyl.hi - cyl.lo
-        totals = length_totals(intervals)
-        assert totals == reference and list(totals) == list(range(1, 6)), coeffs
-        assert all(type(t) is FieldElement and t == 1 for t in totals.values()), coeffs
 
 
 def test_no_word_needs_a_sign_test(monkeypatch):

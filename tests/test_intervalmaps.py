@@ -25,7 +25,6 @@ from negabeta.intervalmaps import (
     example31_cylinder,
     example31_measure_bounds,
     example31_system,
-    example31_word_admissible,
     predicted_occupation_rate,
 )
 from negabeta.ldp import WindowNeverHit
@@ -36,6 +35,7 @@ from negabeta.specprop import spec_bound
 from negabeta.transform import HitBoundary
 from exact_tails import MAX_SIGMAS, SEEDS, circle_tail, sigmas
 from philox_reference import sample_int
+from word_reference import example31_word_admissible
 
 
 @pytest.fixture(scope="module")

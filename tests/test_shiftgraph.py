@@ -13,8 +13,6 @@ from negabeta.shiftgraph import (
     automaton_for,
     build_gamma,
     chain_for,
-    count_words,
-    cross_validate,
     cycle_vertices,
     decompose,
     entropy_estimate,
@@ -26,6 +24,7 @@ from negabeta.shiftgraph import (
 from negabeta.transform import MinusBetaSystem
 
 from pisot_bases import BASES
+from word_reference import count_words, cross_validate, enumerate_admissible
 
 
 @pytest.fixture(scope="module")
@@ -307,7 +306,7 @@ def test_automaton_walk_lists_the_admissible_words_in_order():
     for coeffs, lo, hi in BASES:
         sys = MinusBetaSystem(make_algebraic(IntPolynomial(coeffs), lo, hi))
         words = [w for w, _ in enumerate_words(automaton_for(sys).graph, 7)]
-        assert words == list(sys.enumerate_admissible(7)), coeffs
+        assert words == list(enumerate_admissible(sys, 7)), coeffs
 
 
 def test_word_walk_is_not_bounded_by_the_recursion_limit():

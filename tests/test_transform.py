@@ -17,14 +17,13 @@ from negabeta.transform import (
     HitBoundary,
     MinusBetaSystem,
     NotEventuallyPeriodic,
-    Ordering,
     OutOfDomain,
     Side,
     SignedPoint,
-    alt_compare,
 )
 
 from pisot_bases import BASES
+from word_reference import Ordering, alt_compare, enumerate_admissible, word_admissible
 
 PISOT = IntPolynomial((-1, -1, 0, 1))
 
@@ -289,29 +288,29 @@ def test_monotone_coding_random_pairs(pisot_sys, two_sys):
 
 
 def test_word_admissible_examples(pisot_sys):
-    assert pisot_sys.word_admissible((1, 1))
-    assert not pisot_sys.word_admissible((1, 0, 1))
-    assert pisot_sys.word_admissible(())
+    assert word_admissible(pisot_sys, (1, 1))
+    assert not word_admissible(pisot_sys, (1, 0, 1))
+    assert word_admissible(pisot_sys, ())
 
 
 def test_factor_closedness(pisot_sys):
     rng = random.Random(5)
     words = [tuple(rng.randrange(0, 2) for _ in range(8)) for _ in range(120)]
     for w in words:
-        if pisot_sys.word_admissible(w):
+        if word_admissible(pisot_sys, w):
             for i in range(len(w)):
                 for j in range(i, len(w) + 1):
-                    assert pisot_sys.word_admissible(w[i:j])
+                    assert word_admissible(pisot_sys, w[i:j])
 
 
 def test_enumerate_admissible_matches_filter(pisot_sys, three_sys):
     for sys, n in ((pisot_sys, 8), (three_sys, 5)):
-        listed = set(sys.enumerate_admissible(n))
+        listed = set(enumerate_admissible(sys, n))
         brute = set()
         stack = [()]
         while stack:
             w = stack.pop()
-            if 0 < len(w) <= n and sys.word_admissible(w):
+            if 0 < len(w) <= n and word_admissible(sys, w):
                 brute.add(w)
             if len(w) < n:
                 stack.extend(w + (a,) for a in range(sys.b + 1))
@@ -320,7 +319,7 @@ def test_enumerate_admissible_matches_filter(pisot_sys, three_sys):
 
 def test_enumerate_admissible_is_not_bounded_by_the_recursion_limit(pisot_sys):
     # in preorder the first words run down the smallest-digit branch, one letter longer each
-    words = list(islice(pisot_sys.enumerate_admissible(1500), 1500))
+    words = list(islice(enumerate_admissible(pisot_sys, 1500), 1500))
     assert len(words[-1]) == 1500
 
 
@@ -353,7 +352,7 @@ def test_round_trip_small_periods(pisot_sys, two_sys):
             s = DigitSequence.from_parts(pre, per, sys.b)
             # only sequences all of whose shifts stay admissible code actual points
             word = s.prefix(24)
-            if not sys.word_admissible(word):
+            if not word_admissible(sys, word):
                 continue
             if alt_compare(s, top) not in (Ordering.LESS,):
                 continue
