@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "shiftgraph": (
         "ComponentChain", "FoldedAutomaton", "LabeledGraph", "automaton_for",
-        "build_gamma", "chain_for", "decompose",
+        "chain_for", "decompose",
         "entropy_estimate", "fold", "is_irreducible",
     ),
     "specprop": (
@@ -35,8 +35,7 @@ _EXPORTS = {
     "measures": (
         "CylinderInterval", "EmpiricalMeasure", "InadmissibleWord", "MarkovMeasure",
         "cylinder_interval", "cylinder_measure", "cylinder_walk", "empirical_measure",
-        "g_beta_n", "g_beta_values", "g_beta_word", "markov_entropy", "parry_measure",
-        "weak_metric_truncated",
+        "g_beta_n", "g_beta_values", "parry_measure", "weak_metric_truncated",
     ),
     "ldp": (
         "DeviationEstimate", "OrbitTooLong", "RateEnvelope", "RateResult",

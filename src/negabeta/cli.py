@@ -63,6 +63,13 @@ class _NeverHit(Exception):
     """
 
 
+class _Violation(Exception):
+    """A property violation with no report to emit; maps to exit code 1.
+
+    Prints one ``property violation:`` line on stderr and nothing on stdout.
+    """
+
+
 @dataclass
 class RunConfig:
     """Validated invocation: command, beta, parameters, seed, output routing."""
@@ -343,9 +350,15 @@ def _positive(config: RunConfig, key: str, flag: str) -> int:
 
 
 def _cmd_cyl(config: RunConfig):
+    from negabeta import measures
+
     maxlen = _positive(config, "maxlen", "--maxlen")
     system = _system_for(config)
-    rows = _cylinder_rows(system, maxlen, config.digits)
+    try:
+        rows = _cylinder_rows(system, maxlen, config.digits)
+    except measures.InadmissibleWord as exc:
+        # the automaton admits a word whose cylinder has no interior
+        raise _Violation(str(exc)) from exc
     return {"rows": rows}
 
 
@@ -668,6 +681,9 @@ def run(config: RunConfig) -> int:
     except _NeverHit as exc:
         # a zero-hit run still certifies a rate lower bound: its report goes out like any other
         never_hit, result = exc.args
+    except _Violation as exc:
+        print(f"property violation: {exc}", file=sys.stderr)
+        return 1
     text = emit_report(result, config.fmt, config.out)
     if not config.out:
         sys.stdout.write(text)

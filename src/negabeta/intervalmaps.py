@@ -14,14 +14,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
 
 from negabeta.ldp import DeviationEstimate, _window_deviation
 from negabeta.measures import Image, ImageTable, word_classes
 from negabeta.sampling import _sample_doubles
 from negabeta.shiftgraph import LabeledGraph
 from negabeta.specprop import SoficPresentation
-from negabeta.transform import HitBoundary, Word
 
 
 class IntervalMapError(Exception):
@@ -39,37 +37,12 @@ class AffineBranch:
     slope: Fraction
     intercept: Fraction
 
-    def __call__(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.intercept
-
-    def contains(self, x: Fraction) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
-
 
 @dataclass(frozen=True)
 class PiecewiseExpandingMap:
     """Piecewise affine expanding map given by its branch cells."""
 
     branches: tuple[AffineBranch, ...]
-
-    @property
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        points = [self.branches[0].lo]
-        for br in self.branches:
-            points.append(br.hi)
-        return tuple(points)
-
-    def branch_of(self, x: Fraction) -> int:
-        for i, br in enumerate(self.branches):
-            if br.contains(x):
-                return i
-        raise IntervalMapError(f"{x} lies in no branch cell")
 
     @cached_property
     def image_table(self) -> ImageTable:
@@ -82,29 +55,6 @@ class PiecewiseExpandingMap:
             raise IntervalMapError("the image table needs one slope for all branches")
         return ImageTable(self.branches, [br.intercept for br in self.branches], slope,
                           1 / slope, slope < 0, Fraction(1))
-
-    def on_open_boundary(self, x: Fraction) -> bool:
-        return any(x == p for p in self.breakpoints[1:-1])
-
-    def code_point(self, x: Union[Fraction, int, float], n: int,
-                   strict: bool = True) -> Word:
-        """Branch itinerary of length n in exact rational arithmetic.
-
-        With ``strict`` the orbit must avoid the interior breakpoints (the
-        boundary step index is reported); otherwise the half-open cells decide
-        every point, endpoints included.
-        """
-        x = Fraction(x).limit_denominator(10**12) if isinstance(x, float) else Fraction(x)
-        if not (0 <= x <= 1):
-            raise IntervalMapError("point outside [0, 1]")
-        word = []
-        for step in range(n):
-            if strict and self.on_open_boundary(x):
-                raise HitBoundary(step)
-            i = self.branch_of(x)
-            word.append(i)
-            x = self.branches[i](x)
-        return tuple(word)
 
 
 def example31_system() -> tuple[PiecewiseExpandingMap, SoficPresentation]:
@@ -132,22 +82,6 @@ def example31_system() -> tuple[PiecewiseExpandingMap, SoficPresentation]:
     )
     presentation = SoficPresentation(graph, ((0,), (1,)))
     return fmap, presentation
-
-
-def example31_cylinder(fmap: PiecewiseExpandingMap, word: Sequence[int]):
-    """Exact rational cylinder of a word under the half-open coding cells.
-
-    Returns (lo, hi, lo_closed, hi_closed), or None when the cylinder is empty.
-    Raises :class:`negabeta.measures.InadmissibleWord` for a digit outside
-    the alphabet of branches.
-    """
-    table = fmap.image_table
-    word = tuple(word)
-    folded = table.fold(word)
-    if folded is None:
-        return None
-    cyl = table.cylinder(word, *folded)
-    return cyl.lo, cyl.hi, cyl.lo_closed, cyl.hi_closed
 
 
 @dataclass(frozen=True)

@@ -205,10 +205,6 @@ def pressure(chain: ComponentChain, psi: Psi, t: float, *,
     return best, arg
 
 
-def pressure_value(chain: ComponentChain, psi: Psi, t: float) -> float:
-    return pressure(chain, psi, t)[0]
-
-
 # -- achievable means ----------------------------------------------------------------------
 
 
@@ -1007,7 +1003,7 @@ def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
 
     Samples are counter-based in the seed and the sample index, so results
     are byte-identical for a fixed (seed, N).  Each batch of samples is
-    one block of Philox4x32-10 output (:func:`negabeta.sampling._sample_block`),
+    one block of Philox4x32-10 output (:func:`negabeta.sampling._philox_block`),
     and the engine reads its lanes from those bytes: the base-2 engine
     popcounts their 64-bit words, the generic one
     (:func:`_digit_means_generic`) gives the means of fixed-point

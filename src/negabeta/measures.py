@@ -59,15 +59,6 @@ class CylinderInterval(NamedTuple):
     def length(self):
         return self.hi - self.lo
 
-    def contains(self, x) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
-
 
 # An interval with endpoints in ImageTable.points: (lo index, lo_closed, hi index, hi_closed).
 Image = tuple[int, bool, int, bool]
@@ -431,20 +422,6 @@ def cylinder_walk(system: MinusBetaSystem, maxlen: int) -> Iterator[CylinderRepo
 # -- branching distance ------------------------------------------------------------
 
 
-def g_beta_word(system: MinusBetaSystem, word: Sequence[int]) -> int:
-    """Distance (in extension length) from the word to the nearest branching.
-
-    Works on follower sets of the folded automaton: the answer depends on the
-    word only through the set of states its readings end in, so this is a
-    breadth-first search over subsets rather than over words.
-    """
-    graph = automaton_for(system).graph
-    start = graph.reads(tuple(word))
-    if not start:
-        raise InadmissibleWord(f"word {tuple(word)} is not admissible")
-    return _g_from_followers(graph, start)
-
-
 def _g_from_followers(graph: LabeledGraph, start: int) -> int:
     """Extensions from the state mask ``start`` to the nearest mask with two followers."""
     def step(level: frozenset[int]) -> frozenset[int]:
@@ -498,9 +475,6 @@ class MarkovMeasure:
     stationary: tuple  # (vertex, prob) pairs
     alphabet_bound: int
 
-    def probs(self) -> dict:
-        return dict(self.edge_probs)
-
     def pi(self) -> dict:
         return dict(self.stationary)
 
@@ -508,19 +482,12 @@ class MarkovMeasure:
         return {e for e, p in self.edge_probs if p > 0}
 
     def entropy(self) -> float:
+        """Shannon entropy rate (nats per symbol)."""
         pi = self.pi()
         acc = 0.0
         for (src, _, _), p in self.edge_probs:
             if p > 0:
                 acc -= float(pi[src]) * float(p) * math.log(float(p))
-        return acc
-
-    def mean_label(self, psi) -> float:
-        pi = self.pi()
-        acc = 0.0
-        for (src, label, _), p in self.edge_probs:
-            if p > 0:
-                acc += float(pi[src]) * float(p) * _psi_value(psi, label)
         return acc
 
     @cached_property
@@ -569,11 +536,6 @@ def _perron_vector(mat: np.ndarray, rho: float) -> np.ndarray:
             vec = (mat + np.eye(mat.shape[0])) @ vec
             vec /= np.linalg.norm(vec)
     return vec
-
-
-def markov_entropy(measure: MarkovMeasure) -> float:
-    """Shannon entropy rate of the Markov measure (nats per symbol)."""
-    return measure.entropy()
 
 
 def parry_measure(graph: LabeledGraph, vertices: Optional[Sequence[int]] = None) -> MarkovMeasure:
@@ -749,19 +711,3 @@ def weak_metric_truncated(mu, nu, K: int, alphabet_bound: int) -> float:
         total += abs(diff) * Fraction(1, 2 ** (n + 1))
     return total
 
-
-# -- cylinder identities ---------------------------------------------------------------------
-
-
-def additivity_holds(system: MinusBetaSystem, word: Sequence[int]) -> bool:
-    """Cylinder length equals the sum over its one-letter extensions.
-
-    Each extension's length is read off its image, |[wa]| = beta^-(n+1) |J_wa|,
-    so the identity checks the table's branch maps against the partition.
-    """
-    word = tuple(word)
-    table, image, _ = _fold(system, word)
-    n = len(word)
-    children = (table.step(image, digit) for digit in range(len(table.cells)))
-    return sum((table.length(n + 1, child) for child in children if child is not None),
-               system.beta.zero()) == table.length(n, image)

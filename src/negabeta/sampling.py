@@ -50,6 +50,11 @@ def _seed_key(seed: int) -> tuple[int, int]:
 def _philox_block(key: tuple[int, int], indices: Iterable[int]) -> np.ndarray:
     """Philox4x32-10 under ``key`` at the counters of ``indices``, one row of 16 bytes each.
 
+    Under a seed's key (:func:`_seed_key`), row k is sample i of the k-th
+    index i, its four words big-endian: a 128-bit fixed-point number on
+    [0, 1).  The batch is one ``(count, 16)`` uint8 array that every engine
+    reads.
+
     The 32-bit words are held in uint64 arrays, so that a round's two
     products are exact and their high words are one shift away.  A range is
     turned into its counters by ``np.arange``, any other iterable one index
@@ -76,17 +81,6 @@ def _philox_block(key: tuple[int, int], indices: Iterable[int]) -> np.ndarray:
     for j, x in enumerate((x0, x1, x2, x3)):
         out[:, j] = x
     return out.view(np.uint8)
-
-
-def _sample_block(seed: int, indices: Iterable[int]) -> np.ndarray:
-    """Counter-based uniform samples on [0, 1), one row of 16 bytes per index.
-
-    Row k is the Philox4x32-10 block of the k-th index i under the seed's
-    key (:func:`_seed_key`), its four words big-endian: a 128-bit
-    fixed-point number.  The batch is one ``(count, 16)`` uint8 array that
-    every engine reads.
-    """
-    return _philox_block(_seed_key(seed), indices)
 
 
 def _sample_int(row: np.ndarray) -> int:
@@ -121,7 +115,7 @@ def _count_hits(window: tuple[float, float], sample_count: int, seed: int,
 
     ``batch_means(start, block)`` gives the means of the batch that starts
     at sample index ``start``, whose samples are the rows of the
-    :func:`_sample_block` ``block``.  The seed is hashed once per run.
+    :func:`_philox_block` ``block`` under the seed's key.  The seed is hashed once per run.
     """
     import numpy as np
 

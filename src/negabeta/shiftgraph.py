@@ -261,19 +261,6 @@ def _gamma_rows(s: DigitSequence, horizon: int) -> list[Row]:
     return rows
 
 
-def build_gamma(s: DigitSequence, horizon: int) -> LabeledGraph:
-    """Vertices V0..V_horizon and the edges of the admissible language of s.
-
-    Every digit a that V_i's row admits gets an edge to V_j, where j is the
-    longest border of the extended word, or 0 when none is left: a = s_i is
-    the spine edge V_i -> V_(i+1), any other digit a back edge.  The rows
-    come from :func:`_gamma_rows`; this graph serves the tests and callers
-    that fold at another horizon.
-    """
-    rows = _gamma_rows(s, horizon)
-    return LabeledGraph(len(rows), frozenset((i, a, t) for i, row in enumerate(rows) for a, t in row))
-
-
 def _fold_index(i: int, start: int, period: int) -> int:
     return i if i < start + period else start + (i - start) % period
 
@@ -285,9 +272,6 @@ class FoldedAutomaton:
     graph: LabeledGraph
     fold_start: int
     fold_period: int
-
-    def fold_index(self, i: int) -> int:
-        return _fold_index(i, self.fold_start, self.fold_period)
 
 
 def fold(g: LabeledGraph, u: int, v: int) -> FoldedAutomaton:

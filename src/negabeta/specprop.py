@@ -244,9 +244,6 @@ class BruteForceTable:
     overall_max: int
     maxlen: int
 
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.pair_max)
-
 
 def _default_gap_cap(p: SoficPresentation) -> int:
     return 2 * max(p.diameters) + p.graph.vertex_count + 2

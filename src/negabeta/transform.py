@@ -131,22 +131,6 @@ class DigitSequence:
             per = ",".join(str(d) for d in self.period)
         return f"{pre}({per})"
 
-    @classmethod
-    def from_text(cls, text: str, alphabet_bound: int) -> "DigitSequence":
-        head, sep, tail = text.partition("(")
-        if not sep or not tail.endswith(")"):
-            raise ValueError("expected pre(per) form")
-        body = tail[:-1]
-
-        def parse(chunk: str) -> list[int]:
-            if not chunk:
-                return []
-            if alphabet_bound <= 9 and "," not in chunk:
-                return [int(c) for c in chunk]
-            return [int(c) for c in chunk.split(",")]
-
-        return cls.from_parts(parse(head), parse(body), alphabet_bound)
-
     def __str__(self) -> str:
         return self.to_text()
 
@@ -275,23 +259,6 @@ class MinusBetaSystem:
         digit, side = self._side_step(t, side)
         return digit, (digit + 1) - t, side
 
-    def apply_map(self, x: PointLike):
-        """Map value at x, honoring the endpoint tables of the active case."""
-        if isinstance(x, (int, Fraction)):
-            x = self.beta.from_rational(x)
-        zero, one = self.beta.zero(), self.beta.one()
-        if x < zero or x > one:
-            raise OutOfDomain("point outside [0, 1]")
-        if x == zero:
-            return one
-        if x == one:
-            return (self.b + 1) - self._beta_el * one
-        t = self._beta_el * x
-        k, is_int = _floor_exact(t)
-        if is_int:
-            return zero if self.case is Case.CASE1 else one
-        return (k + 1) - t
-
     # -- expansion of 1 -------------------------------------------------------------
 
     def expansion_of_one(self, max_steps: int = EXPANSION_STEPS) -> DigitSequence:
@@ -365,26 +332,6 @@ class MinusBetaSystem:
             digits.append(k)
             x = (k + 1) - t
         return tuple(digits)
-
-    # -- coding inverse -------------------------------------------------------------------
-
-    def value_of(self, s: DigitSequence) -> FieldElement:
-        """The unique point whose itinerary is s: the sum of -(d_k + 1) (-1/beta)^(k+1).
-
-        The period's part is summed once, as a geometric series.
-        """
-        step = -self.beta_inverse
-
-        def block(word: Word) -> tuple[FieldElement, FieldElement]:
-            acc, power = self.beta.zero(), self.beta.one()
-            for d in word:
-                power = power * step
-                acc = acc - power * (d + 1)
-            return acc, power  # the word's part, and (-1/beta)^len(word)
-
-        head, head_scale = block(s.preperiod)
-        tail, ratio = block(s.period)
-        return head + head_scale * tail / (1 - ratio)
 
     # -- coding partition --------------------------------------------------------------------
 

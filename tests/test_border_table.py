@@ -3,7 +3,8 @@
 `reference_build_gamma` is the builder that walked every border of every
 spine prefix through `border_step` (tests/word_reference.py), once per vertex and digit.
 `reference_expansion` steps the orbit of 1 as `FieldElement`s, one generic
-product per step.  The table must give the same edges and the same errors,
+product per step.  The table (`shiftgraph._gamma_rows`, made a graph by
+`word_reference.build_gamma`) must give the same edges and the same errors,
 and the integer orbit the same digits, the same errors and the same
 isolating interval afterwards, because it reads the same floors.
 """
@@ -23,7 +24,6 @@ from negabeta.shiftgraph import (
     LabeledGraph,
     ShiftGraphError,
     automaton_for,
-    build_gamma,
     fold,
 )
 from negabeta.transform import (
@@ -38,7 +38,7 @@ from negabeta.transform import (
 
 from pisot_bases import BASES
 from test_cylinder_walk import NON_PISOT
-from word_reference import border_step
+from word_reference import border_step, build_gamma
 
 CUBIC = "poly:-1,-1,0,1;interval:1,2"
 BIG = "poly:-2,0,2,-1,-2,1;interval:2,3"  # 52 states

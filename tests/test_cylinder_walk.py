@@ -7,7 +7,7 @@ here, which changes no value).  The walk and the
 one-word fold must reproduce them exactly: the same words in the same order,
 the same exact endpoints and the same closure flags, and the same refusals.
 The image table they read is checked against the paper's point set, computed
-here from the orbit of 1 under `apply_map`.
+here from the orbit of 1 under `map_reference.apply_map`.
 """
 
 import functools
@@ -20,13 +20,15 @@ from negabeta.algebraic import (
     AlgebraicNumber, FieldElement, IntPolynomial, make_algebraic, parse_beta_spec,
 )
 from negabeta.cli import main
-from negabeta.intervalmaps import example31_cylinder, example31_measure_bounds, example31_system
+from negabeta.intervalmaps import example31_measure_bounds, example31_system
 from negabeta.measures import (
     InadmissibleWord, cylinder_interval, cylinder_walk, image_table, image_walk,
 )
 from negabeta.shiftgraph import automaton_for, enumerate_words
 from negabeta.transform import MinusBetaSystem
 
+from map_reference import apply_map
+from measure_reference import example31_cylinder
 from pisot_bases import BASES as POOL_BASES
 from word_reference import enumerate_admissible
 
@@ -174,7 +176,7 @@ def test_image_table_is_the_orbit_of_one(coeffs, lo, hi):
     expected = {system.beta.zero(), system.beta.one()}
     expected |= {system.beta_inverse * k for k in range(1, system.b + 1)}
     x = system.beta.one()
-    while (x := system.apply_map(x)) not in expected:
+    while (x := apply_map(system, x)) not in expected:
         expected.add(x)
     assert set(points) == expected
     s = system.expansion_of_one()

@@ -22,18 +22,19 @@ from negabeta.intervalmaps import (
     _vectorized_circle,
     circle_mc_deviation,
     circle_nonwandering,
-    example31_cylinder,
     example31_measure_bounds,
     example31_system,
     predicted_occupation_rate,
 )
 from negabeta.ldp import WindowNeverHit
 from negabeta.measures import InadmissibleWord, image_walk
-from negabeta.sampling import _CHUNK, _sample_block, _sample_doubles
+from negabeta.sampling import _CHUNK, _philox_block, _sample_doubles, _seed_key
 from negabeta.shiftgraph import enumerate_words
 from negabeta.specprop import spec_bound
 from negabeta.transform import HitBoundary
 from exact_tails import MAX_SIGMAS, SEEDS, circle_tail, sigmas
+from map_reference import breakpoints, code_point
+from measure_reference import example31_cylinder
 from philox_reference import sample_int
 from word_reference import example31_word_admissible
 
@@ -48,34 +49,34 @@ def system():
 
 def test_code_point_oh_one(system):
     fmap, _ = system
-    word = fmap.code_point(Fraction(1, 10), 4)
+    word = code_point(fmap, Fraction(1, 10), 4)
     assert word[:2] == (0, 1)
 
 
 def test_code_point_zero_one_sided(system):
     fmap, _ = system
-    assert fmap.code_point(0, 6, strict=False) == (0,) * 6
+    assert code_point(fmap, 0, 6, strict=False) == (0,) * 6
 
 
 def test_code_point_empty(system):
     fmap, _ = system
-    assert fmap.code_point(Fraction(1, 10), 0) == ()
+    assert code_point(fmap, Fraction(1, 10), 0) == ()
 
 
 def test_code_point_boundary_reported(system):
     fmap, _ = system
     with pytest.raises(HitBoundary) as err:
-        fmap.code_point(Fraction(1, 6), 3)
+        code_point(fmap, Fraction(1, 6), 3)
     assert err.value.step == 0
     with pytest.raises(HitBoundary) as err:
-        fmap.code_point(Fraction(1, 18), 3)  # 1/18 -> 1/6
+        code_point(fmap, Fraction(1, 18), 3)  # 1/18 -> 1/6
     assert err.value.step == 1
 
 
 def test_code_point_outside_domain(system):
     fmap, _ = system
     with pytest.raises(IntervalMapError):
-        fmap.code_point(Fraction(3, 2), 1)
+        code_point(fmap, Fraction(3, 2), 1)
 
 
 # -- language --------------------------------------------------------------------
@@ -111,7 +112,7 @@ def test_coded_points_match_language(system):
     for _ in range(10000):
         x = Fraction(rng.randrange(0, 10**6), 10**6)
         try:
-            word = fmap.code_point(x, 8)
+            word = code_point(fmap, x, 8)
         except HitBoundary:
             continue
         assert example31_word_admissible(word)
@@ -124,7 +125,7 @@ def test_coded_points_match_language(system):
         assert cyl is not None
         lo, hi, _, _ = cyl
         mid = (lo + hi) / 2
-        assert fmap.code_point(mid, len(word), strict=False) == word
+        assert code_point(fmap, mid, len(word), strict=False) == word
 
 
 # -- exact cylinder bounds ------------------------------------------------------------
@@ -146,7 +147,7 @@ def test_cylinder_rejects_digits_outside_alphabet(system, word):
 
 def test_image_table_is_the_cell_endpoints(system):
     fmap, _ = system
-    assert fmap.image_table.points == fmap.breakpoints
+    assert fmap.image_table.points == breakpoints(fmap)
 
 
 def test_image_table_needs_one_slope(system):
@@ -331,7 +332,8 @@ def _pack(samples):
 def test_circle_thetas_of_hashed_samples_are_the_divided_integers():
     count = 5 * _CHUNK  # about 40 rows below 2^-9
     expected = np.array([s / 2.0**128 for s in _sample_ints(8, count)])
-    assert _sample_doubles(_sample_block(8, range(count))).tobytes() == expected.tobytes()
+    block = _philox_block(_seed_key(8), range(count))
+    assert _sample_doubles(block).tobytes() == expected.tobytes()
 
 
 def _crafted_samples():

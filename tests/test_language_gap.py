@@ -162,6 +162,20 @@ def test_validate_names_the_gap_word_instead_of_a_traceback(monkeypatch, capsys)
         assert checks[name]["detail"] == "no interior in the cylinder of word (1, 0, 1)"
 
 
+def test_cyl_exits_1_on_a_word_without_interior(monkeypatch, capsys):
+    """The same automaton makes cyl stop at 0101, whose cylinder has no interior:
+    exit 1, one stderr line, nothing on stdout."""
+    system = MinusBetaSystem(parse_beta_spec(CUBIC))
+    mutated = _mutated(automaton_for(system), add=[(1, 0, 0)])
+    for module in (shiftgraph, measures):
+        monkeypatch.setattr(module, "automaton_for", lambda system: mutated)
+    assert cli.main(["cyl", "--beta", CUBIC, "--maxlen", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "property violation: no interior in the cylinder of word (0, 1, 0, 1)\n")
+
+
 def test_validate_decides_depth_40_on_base_3(capsys):
     """The class walk makes a long --maxlen cheap: the all-ok digest at depth 40."""
     start = time.perf_counter()

@@ -20,14 +20,15 @@ from negabeta.ldp import (
     free_energy,
     level1_rate,
     mc_deviation,
-    pressure_value,
+    pressure,
     wilson_interval,
 )
 from negabeta.measures import cylinder_interval, parry_measure
-from negabeta.sampling import _sample_block
+from negabeta.sampling import _philox_block, _seed_key
 from negabeta.shiftgraph import chain_for
 from negabeta.transform import MinusBetaSystem
 from exact_tails import MAX_SIGMAS, SEEDS, lebesgue_tail, sigmas
+from measure_reference import mean_label
 from pisot_bases import BASES
 
 DIGIT1 = {0: 0.0, 1: 1.0}
@@ -76,26 +77,26 @@ def test_free_energy_non_invariant_is_minus_infinity(pisot_sys):
 def test_pressure_at_zero_is_topological_entropy(pisot_sys, two_sys):
     for sys in (pisot_sys, two_sys):
         chain = chain_for(sys)
-        assert abs(pressure_value(chain, DIGIT1, 0.0) - sys.log_beta()) < 1e-9
+        assert abs(pressure(chain, DIGIT1, 0.0)[0] - sys.log_beta()) < 1e-9
 
 
 def test_pressure_beta2_closed_form(two_sys):
     chain = chain_for(two_sys)
     psi = {0: 0.0, 1: 1.0}
     for t in (-3.0, -1.0, 0.0, 0.5, 2.0):
-        assert abs(pressure_value(chain, psi, t) - math.log(1 + math.exp(t))) < 1e-9
+        assert abs(pressure(chain, psi, t)[0] - math.log(1 + math.exp(t))) < 1e-9
 
 
 def test_pressure_negative_limit_selects_loop_component(pisot_sys):
     chain = chain_for(pisot_sys)
-    assert abs(pressure_value(chain, DIGIT1, -60.0)) < 1e-9
+    assert abs(pressure(chain, DIGIT1, -60.0)[0]) < 1e-9
 
 
 def test_pressure_convexity(pisot_sys, two_sys):
     for sys in (pisot_sys, two_sys):
         chain = chain_for(sys)
         grid = [(-3 + k * 0.25) for k in range(25)]
-        values = [pressure_value(chain, DIGIT1, t) for t in grid]
+        values = [pressure(chain, DIGIT1, t)[0] for t in grid]
         for i in range(1, len(grid) - 1):
             second = values[i - 1] - 2 * values[i] + values[i + 1]
             assert second >= -1e-8
@@ -107,7 +108,7 @@ def test_pressure_convexity(pisot_sys, two_sys):
 def test_rate_zero_at_equilibrium_mean(pisot_sys):
     chain = chain_for(pisot_sys)
     measure = parry_measure(chain.component_graph(2))
-    a_star = measure.mean_label(DIGIT1)
+    a_star = mean_label(measure, DIGIT1)
     result = level1_rate(chain, DIGIT1, a_star, pisot_sys.log_beta())
     assert abs(result.rate) < 1e-8
     assert abs(result.t_star) < 1e-4
@@ -409,7 +410,7 @@ def test_mc_never_hit(two_sys):
 
 
 def test_mc_engines_agree(two_sys):
-    block = _sample_block(9, range(500))
+    block = _philox_block(_seed_key(9), range(500))
     fast = _digit_means_beta2(DIGIT1, 24, block).tolist()
     slow = _digit_means_generic(two_sys, DIGIT1, 24, block, precision=90,
                                 beta_fixed=_beta_fixed_point(two_sys, 90)).tolist()

@@ -31,7 +31,7 @@ from negabeta.ldp import (
     _orbit_digits,
     mc_deviation,
 )
-from negabeta.sampling import _CHUNK, _philox_block, _sample_block
+from negabeta.sampling import _CHUNK, _philox_block, _seed_key
 from negabeta.transform import MinusBetaSystem
 from philox_reference import philox4x32_10, sample_int
 
@@ -134,20 +134,20 @@ def test_shared_prefix_sampler_matches_one_shot_hash(seed):
     # each index on its own through the scalar Philox; 10**9 + 7 is drawn
     # without the indices below it
     expected = _pack([sample_int(seed, i) for i in SAMPLER_INDICES])
-    assert _sample_block(seed, SAMPLER_INDICES).tobytes() == expected.tobytes()
-    assert _sample_block(seed, iter(SAMPLER_INDICES)).tobytes() == expected.tobytes()
+    assert _philox_block(_seed_key(seed), SAMPLER_INDICES).tobytes() == expected.tobytes()
+    assert _philox_block(_seed_key(seed), iter(SAMPLER_INDICES)).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("seed", SAMPLER_SEEDS)
 def test_raw_stream_digest_is_pinned(seed):
-    block = _sample_block(seed, SAMPLER_INDICES)
+    block = _philox_block(_seed_key(seed), SAMPLER_INDICES)
     assert hashlib.sha256(block.tobytes()).hexdigest() == STREAM_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("seed", SAMPLER_SEEDS)
 def test_sampler_without_builtin_sha256_hashes_through_hashlib(seed, monkeypatch):
     # a build with neither _sha2 nor _sha256 hashes the seed with hashlib.sha256,
-    # once per block
+    # once per key
     expected = _pack([sample_int(seed, i) for i in SAMPLER_INDICES])
     monkeypatch.setitem(sys.modules, "_sha2", None)
     monkeypatch.setitem(sys.modules, "_sha256", None)
@@ -159,7 +159,7 @@ def test_sampler_without_builtin_sha256_hashes_through_hashlib(seed, monkeypatch
         return sha256(data)
 
     monkeypatch.setattr(hashlib, "sha256", counted)
-    assert _sample_block(seed, SAMPLER_INDICES).tobytes() == expected.tobytes()
+    assert _philox_block(_seed_key(seed), SAMPLER_INDICES).tobytes() == expected.tobytes()
     assert calls == [str(seed).encode()]
 
 
@@ -168,12 +168,12 @@ def test_sample_blocks_match_one_shot_hash_across_chunks(seed):
     # the batches _count_hits draws, and blocks that start at odd indices and
     # cross a batch edge, joined, are the one-shot stream in order
     count = 2 * _CHUNK + 5
-    one_shot = _sample_block(seed, range(count)).tobytes()
+    one_shot = _philox_block(_seed_key(seed), range(count)).tobytes()
     reference = _pack([sample_int(seed, i) for i in range(count)]).tobytes()
     assert one_shot == reference
     for edges in ([0, _CHUNK, 2 * _CHUNK, count], [0, 1, _CHUNK + 1, count],
                   [0, 3, _CHUNK - 1, _CHUNK + 7, 2 * _CHUNK + 1, count]):
-        blocks = [_sample_block(seed, range(start, stop))
+        blocks = [_philox_block(_seed_key(seed), range(start, stop))
                   for start, stop in zip(edges, edges[1:])]
         assert [len(block) for block in blocks] == [b - a for a, b in zip(edges, edges[1:])]
         assert all(block.shape[1] == 16 and block.dtype == np.uint8 for block in blocks)
@@ -197,7 +197,7 @@ def test_lanes_match_scalar_loop(name, n, count, kind, seed):
     psi = _observable(kind, system.b)
     precision = _precision(system, n)
     beta_fixed = _beta_fixed_point(system, precision)
-    block = _sample_block(seed, range(count))
+    block = _philox_block(_seed_key(seed), range(count))
     lanes = _digit_means_generic(system, psi, n, block, precision, beta_fixed)
     samples = [sample_int(seed, i) for i in range(count)]
     assert lanes.tolist() == reference_means(system, psi, n, samples, precision, beta_fixed)
@@ -273,7 +273,7 @@ def test_base2_engine_matches_its_loop_and_the_scalar_orbit():
     # below the 128 sample bits; near 128 the orbit reaches the dyadic
     # boundary points where the two differ.
     system = MinusBetaSystem(parse_beta_spec("poly:-2,1;interval:1,3"))
-    block = _sample_block(11, range(_CHUNK + 1))
+    block = _philox_block(_seed_key(11), range(_CHUNK + 1))
     samples = [sample_int(11, i) for i in range(_CHUNK + 1)]
     for n in (1, 2, 29, 64, 128):
         for psi in ({0: 0.3, 1: 1.1}, {0: 0.0, 1: 1.0}, {0: 1.0, 1: 0.0}):
@@ -294,7 +294,7 @@ def reference_means_unpackbits(psi, n, block):
 
 
 def test_base2_popcount_matches_unpacked_bits():
-    block = _sample_block(6, range(_CHUNK + 7))
+    block = _philox_block(_seed_key(6), range(_CHUNK + 7))
     for n in range(1, 97):
         for psi in ({0: 0.25, 1: 1.5}, {0: 0.0, 1: 1.0}):
             means = _digit_means_beta2(psi, n, block)
@@ -312,7 +312,7 @@ def test_base2_block_means_equal_the_scalar_orbit(n):
     indices = range(_CHUNK - 50, _CHUNK + 50)
     scalar = [_digit_mean(_orbit_digits(system, n, sample_int(3, i), precision,
                                         beta_fixed), [0.0, 1.0]) for i in indices]
-    assert _digit_means_beta2(psi, n, _sample_block(3, indices)).tolist() == scalar
+    assert _digit_means_beta2(psi, n, _philox_block(_seed_key(3), indices)).tolist() == scalar
 
 
 def test_audit_checks_the_engine_that_ran(monkeypatch):
@@ -444,8 +444,8 @@ def test_cubic_at_30_steps_never_runs_the_lanes(monkeypatch):
     # for every seed, not for this one alone
     assert count * 2 * sum(_certificate_bounds(beta_fixed, precision, n)) < 1e-6
     rows = _lane_rows(monkeypatch)
-    means = _digit_means_generic(system, psi, n, _sample_block(seed, range(count)), precision,
-                                 beta_fixed)
+    block = _philox_block(_seed_key(seed), range(count))
+    means = _digit_means_generic(system, psi, n, block, precision, beta_fixed)
     samples = [sample_int(seed, i) for i in range(count)]
     assert means.tolist() == reference_means(system, psi, n, samples, precision, beta_fixed)
     est = mc_deviation(system, psi, (0.2, 0.4), n, count, seed)

@@ -16,7 +16,7 @@ from negabeta import ldp, sampling
 from negabeta.algebraic import parse_beta_spec
 from negabeta.intervalmaps import circle_mc_deviation
 from negabeta.ldp import WindowNeverHit, mc_deviation
-from negabeta.sampling import _CHUNK, _sample_block
+from negabeta.sampling import _CHUNK, _philox_block, _seed_key
 from negabeta.transform import MinusBetaSystem
 
 DIGIT1 = {0: 0.0, 1: 1.0}
@@ -78,13 +78,13 @@ def test_shares_cover_the_samples_once():
     hits = sampling._count_hits(window, count, seed, batch_means)
     assert starts == list(range(0, count, _CHUNK))
     assert [len(b) for b in blocks] == [_CHUNK] * 4 + [_CHUNK - 1]
-    assert np.array_equal(np.concatenate(blocks), _sample_block(seed, range(count)))
+    assert np.array_equal(np.concatenate(blocks), _philox_block(_seed_key(seed), range(count)))
     assert hits == sum(1 for i in range(count) if 0.25 <= i / count <= 0.5)
 
 
 def _nudge_samples(monkeypatch, seed, indices):
     """Move the generic engine's mean of the samples at ``indices`` up one ulp."""
-    rows = _sample_block(seed, indices)
+    rows = _philox_block(_seed_key(seed), indices)
     real = ldp._digit_means_generic
 
     def nudged(system, psi, n, block, *rest):

@@ -41,7 +41,6 @@ from negabeta.shiftgraph import (
     FoldNotVerified,
     LabeledGraph,
     automaton_for,
-    build_gamma,
     decompose,
     fold,
 )
@@ -61,6 +60,7 @@ from negabeta.specprop import (
 from negabeta.transform import MinusBetaSystem
 
 from pisot_bases import BASES
+from word_reference import build_gamma
 
 # -- the per-pair references ------------------------------------------------------------------
 

@@ -10,8 +10,8 @@ from negabeta.shiftgraph import (
     FoldNotVerified,
     HorizonTooSmall,
     LabeledGraph,
+    _fold_index,
     automaton_for,
-    build_gamma,
     chain_for,
     cycle_vertices,
     decompose,
@@ -24,7 +24,7 @@ from negabeta.shiftgraph import (
 from negabeta.transform import MinusBetaSystem
 
 from pisot_bases import BASES
-from word_reference import count_words, cross_validate, enumerate_admissible
+from word_reference import build_gamma, count_words, cross_validate, enumerate_admissible
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +96,8 @@ def test_fold_pisot_five_states(pisot_sys):
     aut = automaton_for(pisot_sys)
     assert aut.graph.vertex_count == 5
     assert aut.fold_start == 3
-    assert aut.fold_index(5) == 3
-    assert aut.fold_index(6) == 4
+    assert _fold_index(5, aut.fold_start, aut.fold_period) == 3
+    assert _fold_index(6, aut.fold_start, aut.fold_period) == 4
 
 
 def test_fold_beta2_two_states(two_sys):

@@ -48,7 +48,7 @@ def test_example31_strong_with_minimal_gap_one(ex31):
 
 def test_example31_bruteforce_table(ex31):
     table = spec_bruteforce(ex31, 6)
-    assert table.as_dict() == {(0, 0): 0, (0, 1): 1, (1, 1): 0}
+    assert dict(table.pair_max) == {(0, 0): 0, (0, 1): 1, (1, 1): 0}
     # "02" needs one symbol of glue; "012" realizes it
     assert table.overall_max == 1
 
@@ -85,7 +85,7 @@ def test_bruteforce_maxlen_zero(ex31):
 
 def test_gap_within_component_bounded_by_diameter(pisot_presentation):
     table = spec_bruteforce(pisot_presentation, 4)
-    pairs = table.as_dict()
+    pairs = dict(table.pair_max)
     # tail component diameter is 2; the same-component entries stay within it
     assert pairs[(0, 0)] == 0
     assert pairs[(1, 1)] == 0

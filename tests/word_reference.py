@@ -25,7 +25,10 @@ package reads them:
   u1v with u over {0,1} and v over {2,3,4} (test_intervalmaps);
 - `partition_identity_holds(system, n)`: the lengths hi - lo of the
   cylinders of the words of length n sum to 1 (test_measures,
-  test_acceptance).
+  test_acceptance);
+- `build_gamma(s, horizon)`: the unfolded graph V0..V_horizon, built from
+  the same border rows that `automaton_for` folds (test_shiftgraph,
+  test_border_table, test_presentation_reuse).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import math
 from typing import Iterator, Optional, Sequence, Union
 
 from negabeta.measures import cylinder_walk
-from negabeta.shiftgraph import FoldedAutomaton, LabeledGraph, enumerate_words
+from negabeta.shiftgraph import FoldedAutomaton, LabeledGraph, _gamma_rows, enumerate_words
 from negabeta.transform import DigitSequence, MinusBetaSystem, Word
 
 
@@ -181,3 +184,16 @@ def partition_identity_holds(system: MinusBetaSystem, n: int) -> bool:
     """The cylinder lengths hi - lo of the words of length n sum to one exactly."""
     lengths = [r.interval.hi - r.interval.lo for r in cylinder_walk(system, n) if len(r.word) == n]
     return sum(lengths, system.beta.zero()) == 1
+
+
+def build_gamma(s: DigitSequence, horizon: int) -> LabeledGraph:
+    """Vertices V0..V_horizon and the edges of the admissible language of s.
+
+    Every digit a that V_i's row admits gets an edge to V_j, where j is the
+    longest border of the extended word, or 0 when none is left: a = s_i is
+    the spine edge V_i -> V_(i+1), any other digit a back edge.  Raises as
+    `shiftgraph._gamma_rows` does, on a horizon below u+2v or a back edge
+    beyond u+v.
+    """
+    rows = _gamma_rows(s, horizon)
+    return LabeledGraph(len(rows), frozenset((i, a, t) for i, row in enumerate(rows) for a, t in row))
