@@ -21,7 +21,7 @@ _EXPORTS = {
     ),
     "transform": (
         "Case", "DigitSequence", "HitBoundary", "MinusBetaSystem", "NotAlgebraicInteger",
-        "NotEventuallyPeriodic", "Side", "SignedPoint",
+        "NotEventuallyPeriodic", "Side",
     ),
     "shiftgraph": (
         "ComponentChain", "FoldedAutomaton", "LabeledGraph", "automaton_for",

@@ -106,13 +106,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def __call__(self, x: Rational) -> Fraction:
-        x = _frac(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
     def __str__(self) -> str:
         parts = []
         for k, c in enumerate(self.coefficients):

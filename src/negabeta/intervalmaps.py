@@ -132,29 +132,14 @@ def example31_measure_bounds(maxlen: int) -> list[Example31BoundsReport]:
 # -- circle map with a source and a sink ---------------------------------------------------
 
 
-def _sin_two_pi(theta: float) -> float:
-    """sin(2*pi*theta) with exact zeros at theta in {0, 1/2}.
-
-    Range-reduces so the argument passed to sin is exactly zero at the two
-    fixed points, which keeps them genuine fixed points in floating point.
-    """
-    t = theta - math.floor(theta)
-    if t >= 0.5:
-        return -_sin_two_pi(t - 0.5)
-    if t > 0.25:
-        t = 0.5 - t
-    return math.sin(2.0 * math.pi * t)
-
-
 @dataclass(frozen=True)
 class CircleMap:
-    """theta -> theta + sin(2*pi*theta)/10 on representatives [0, 1)."""
+    """theta -> theta + strength * sin(2*pi*theta) on representatives [0, 1).
+
+    The commands iterate it on arrays (`_vectorized_circle`).
+    """
 
     strength: float = 0.1
-
-    def __call__(self, theta: float) -> float:
-        out = theta + self.strength * _sin_two_pi(theta)
-        return out - math.floor(out)
 
     def derivative(self, theta: float) -> float:
         return 1.0 + self.strength * 2.0 * math.pi * math.cos(2.0 * math.pi * theta)

@@ -14,13 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from negabeta.algebraic import _bareiss
 from negabeta.shiftgraph import (
     LabeledGraph, _levels, automaton_for, enumerate_words, spectral_radius,
 )
@@ -478,9 +476,6 @@ class MarkovMeasure:
     def pi(self) -> dict:
         return dict(self.stationary)
 
-    def support_edges(self) -> set:
-        return {e for e, p in self.edge_probs if p > 0}
-
     def entropy(self) -> float:
         """Shannon entropy rate (nats per symbol)."""
         pi = self.pi()
@@ -566,61 +561,6 @@ def parry_measure(graph: LabeledGraph, vertices: Optional[Sequence[int]] = None)
     stationary = tuple((v, pi[index[v]]) for v in verts)
     bound = max(graph.labels()) if graph.edges else 0
     return MarkovMeasure(graph, tuple(edge_probs), stationary, bound)
-
-
-def random_markov_measure(graph: LabeledGraph, vertices: Sequence[int],
-                          rng: random.Random) -> MarkovMeasure:
-    """Random rational Markov measure on one strongly connected piece.
-
-    Transition probabilities are random positive rationals on the component's
-    edges; the stationary distribution is solved exactly by fraction-free
-    elimination in integers, so the balance equation holds with equality.
-    """
-    from negabeta.shiftgraph import is_irreducible
-
-    verts = sorted(vertices)
-    if not is_irreducible(graph, verts):
-        raise NotIrreducible("random Markov measures are built on strongly connected pieces")
-    vset = set(verts)
-    out: dict[int, list] = {v: [] for v in verts}
-    for e in sorted(graph.edges):
-        s, _, t = e
-        if s in vset and t in vset:
-            out[s].append(e)
-    weight, total = {}, {}
-    for v in verts:
-        for e in out[v]:
-            weight[e] = rng.randrange(1, 9)
-        total[v] = sum(weight[e] for e in out[v])
-    edge_probs = {e: Fraction(w, total[e[0]]) for e, w in weight.items()}
-    # stationary distribution: pi P = pi, with the last balance equation replaced
-    # by sum(pi) = 1, nonsingular for irreducible P.  In q_v = pi_v / total_v the
-    # balance at t reads sum over edges s -> t of weight * q_s = total_t * q_t,
-    # so the system is integer and pi_v = total_v * q_v.
-    n = len(verts)
-    idx = {v: i for i, v in enumerate(verts)}
-    aug = [[0] * (n + 1) for _ in range(n)]
-    for (s, _, t), w in weight.items():
-        aug[idx[t]][idx[s]] += w
-    for i, v in enumerate(verts):
-        aug[i][i] -= total[v]
-    aug[-1] = [total[v] for v in verts] + [1]
-    det, q = _bareiss(aug)
-    if not det:
-        raise NotIrreducible("the stationary distribution is not unique")
-    stationary = tuple((v, Fraction(total[v] * qv, det)) for v, (qv,) in zip(verts, q))
-    bound = max(graph.labels()) if graph.edges else 0
-    return MarkovMeasure(graph, tuple(sorted(edge_probs.items())), stationary, bound)
-
-
-def point_mass_on_cycle(graph: LabeledGraph, cycle_vertices_list: Sequence[int],
-                        cycle_edges: Sequence[tuple[int, int, int]],
-                        alphabet_bound: int) -> MarkovMeasure:
-    """Invariant measure equidistributed along one directed cycle."""
-    k = len(cycle_edges)
-    edge_probs = tuple((e, Fraction(1)) for e in cycle_edges)
-    stationary = tuple((v, Fraction(1, k)) for v in cycle_vertices_list)
-    return MarkovMeasure(graph, edge_probs, stationary, alphabet_bound)
 
 
 # -- empirical measures -----------------------------------------------------------------

@@ -78,8 +78,8 @@ class LabeledGraph:
     A set of vertices (a state set) is one int, its mask: bit v is set iff
     vertex v is in the set, so 0 is the empty set and :attr:`vertex_mask`
     the whole graph.  :meth:`step`, :meth:`back_step`, :meth:`forward`,
-    :meth:`backward`, :meth:`reads`, :meth:`back_reads`, :meth:`followers`
-    and :meth:`successors` take and return masks; :func:`mask_of` and
+    :meth:`backward`, :meth:`reads`, :meth:`followers` and
+    :meth:`successors` take and return masks; :func:`mask_of` and
     :func:`vertices_of` convert.
     """
 
@@ -167,13 +167,6 @@ class LabeledGraph:
         states = self.vertex_mask
         for a in word:
             states = self.step(states, a)
-        return states
-
-    def back_reads(self, word: Sequence[int]) -> int:
-        """The mask of the start states of all readings of the word, ending anywhere."""
-        states = self.vertex_mask
-        for a in reversed(word):
-            states = self.back_step(states, a)
         return states
 
     def induced(self, vertices: Iterable[int]) -> "LabeledGraph":

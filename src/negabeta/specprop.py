@@ -10,14 +10,13 @@ length, backs the state machinery.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
-from negabeta.measures import point_mass_on_cycle, random_markov_measure
 from negabeta.shiftgraph import (
-    ComponentChain, Edge, LabeledGraph, _levels, cycle_vertices, is_irreducible, mask_of,
+    ComponentChain, Edge, LabeledGraph, _cyclic_components, _levels, cycle_vertices,
+    is_irreducible, mask_of,
 )
 from negabeta.transform import Word, word_to_text
 
@@ -63,9 +62,6 @@ class SoficPresentation:
     def component_graph(self, i: int) -> LabeledGraph:
         return self.graph.induced(self.components[i])
 
-    def alphabet_bound(self) -> int:
-        return max(self.graph.labels()) if self.graph.edges else 0
-
 
 @dataclass(frozen=True)
 class SpecCertificate:
@@ -109,9 +105,9 @@ def _component_diameter(graph: LabeledGraph, comp: Sequence[int]) -> int:
     return diam
 
 
-def _shortest_path(graph: LabeledGraph, starts: Sequence[int], targets: int,
-                   within: int) -> Optional[list[Edge]]:
-    """Edges of a shortest path from ``starts`` into the mask ``targets`` inside ``within``.
+def _shortest_path(graph: LabeledGraph, starts: Sequence[int],
+                   targets: int) -> Optional[list[Edge]]:
+    """Edges of a shortest path from ``starts`` into the mask ``targets``.
 
     Breadth-first from the starts in their given order along sorted out-edges;
     each vertex keeps the edge it was first reached by, and the search stops at
@@ -126,7 +122,7 @@ def _shortest_path(graph: LabeledGraph, starts: Sequence[int], targets: int,
         for v in frontier:
             for e in graph.out_edges(v):
                 t = e[2]
-                if within >> t & 1 and t not in parent:
+                if t not in parent:
                     parent[t] = e
                     if targets >> t & 1:
                         path = []
@@ -142,7 +138,7 @@ def _shortest_path(graph: LabeledGraph, starts: Sequence[int], targets: int,
 def _shortest_cross_word(graph: LabeledGraph, src: Sequence[int],
                          dst: Sequence[int]) -> Optional[Word]:
     """Labels of a shortest path from ``src`` into ``dst``; None when there is none."""
-    path = _shortest_path(graph, src, mask_of(dst), graph.vertex_mask)
+    path = _shortest_path(graph, src, mask_of(dst))
     return None if path is None else tuple(a for _, a, _ in path)
 
 
@@ -338,91 +334,84 @@ def omega_coverage_check(p: SoficPresentation) -> bool:
     return cycle_vertices(p.graph).issubset(covered)
 
 
-def ergodic_support_check(p: SoficPresentation, trials: int, seed: int = 0) -> bool:
-    """Random single-component Markov measures stay confined to their component.
+def ergodic_support_check(p: SoficPresentation) -> bool:
+    """Every ergodic measure of the graph lives on one component of the presentation.
 
-    Also checks point masses on cycles.  The construction confines supports by
-    design; the check guards the plumbing against regressions.
+    An ergodic measure is carried by one cyclic strong component of the graph,
+    so the property holds iff each of them is one of ``p.components``.
     """
-    rng = random.Random(seed)
-    comps = [comp for comp in p.components]
-    for _ in range(trials):
-        i = rng.randrange(len(comps))
-        comp = comps[i]
-        measure = random_markov_measure(p.graph, comp, rng)
-        vertices = {v for e in measure.support_edges() for v in (e[0], e[2])}
-        if not vertices.issubset(set(comp)):
-            return False
-        for other in range(len(comps)):
-            if other != i and vertices.intersection(comps[other]):
-                return False
-        cycle = _some_cycle(p.graph, comp, rng)
-        if cycle is not None:
-            verts, edges = cycle
-            mass = point_mass_on_cycle(p.graph, verts, edges, p.alphabet_bound())
-            if not {v for v, _ in mass.stationary}.issubset(set(comp)):
-                return False
-    return True
+    listed = {mask_of(comp) for comp in p.components}
+    return all(mask_of(comp) in listed for comp in _cyclic_components(p.graph))
 
 
-def _some_cycle(graph: LabeledGraph, comp: Sequence[int], rng: random.Random):
-    """A directed cycle through a random vertex of the component, if any."""
-    start = rng.choice(list(comp))
+# -- exhaustive soundness of issued certificates ---------------------------------------------
+
+
+_GLUING_WORD_LEN = 4  # longest component word the gluing check glues
+
+
+def _word_relations(graph: LabeledGraph, comp: Sequence[int]) -> set[tuple[tuple[int, int], ...]]:
+    """The relations of the words of paths of 1..``_GLUING_WORD_LEN`` edges inside the component.
+
+    A word's relation lists (v, mask of the states that reading it from v ends
+    in, in the full graph) for each state v it can be read from.  Words with one
+    relation glue alike, and a word's state set inside the component and its
+    relation fix those of its one-symbol extensions.
+    """
     cset = mask_of(comp)
-    path = _shortest_path(graph, [start], graph.backward(1 << start) & cset, cset)
-    if path is None:
-        return None
-    last = path[-1][2] if path else start
-    edges = path + [next(e for e in graph.out_edges(last) if e[2] == start)]
-    return [e[0] for e in edges], edges
+    labels = graph.labels()
+    level = {(cset, tuple((v, 1 << v) for v in range(graph.vertex_count)))}
+    relations = set()
+    for _ in range(_GLUING_WORD_LEN):
+        level = {(t, tuple((v, ends) for v, reached in relation
+                           if (ends := graph.step(reached, a))))
+                 for inside, relation in level for a in labels
+                 if (t := graph.step(inside, a) & cset)}
+        relations |= {relation for _, relation in level}
+    return relations
 
 
-# -- randomized soundness of issued certificates ---------------------------------------------
+def _read(relation: tuple[tuple[int, int], ...], states: int) -> int:
+    """The mask of the states that reading a word from ``states`` ends in."""
+    ends = 0
+    for v, reached in relation:
+        if states >> v & 1:
+            ends |= reached
+    return ends
 
 
-_GLUING_WORD_LEN = 4  # longest component word a gluing trial draws
+def gluing_test(p: SoficPresentation, cert: SpecCertificate) -> bool:
+    """Whether the certificate's gaps glue every ordered sequence of component words.
 
-
-def gluing_test(p: SoficPresentation, cert: SpecCertificate, k: int, trials: int,
-                seed: int) -> bool:
-    """Randomized k-segment gluing trials against an issued certificate.
-
-    Draws k component words of at most ``_GLUING_WORD_LEN`` symbols with
-    nondecreasing component indices and checks that gaps of exactly M
-    (strong) or at most M (weak) realize the concatenation in the full graph.
+    The words are the labels of paths of 1..``_GLUING_WORD_LEN`` edges inside
+    one component.  A sequence with nondecreasing component indices is glued
+    from the left: from the states its words have reached so far, the first
+    gap of exactly M (strong) or at most M (weak) symbols whose frontier meets
+    the start states of the next word carries them there, and the states met
+    read that word.  What follows depends on a sequence only through the
+    states it has reached and its last component index, so a walk over
+    these (state mask, component index) pairs to their fixed point decides
+    sequences of every number of words.  False when some sequence finds no
+    such gap.
     """
-    rng = random.Random(seed)
-    q = len(p.components)
-
-    def random_component_word(i: int) -> Word:
-        comp = set(p.components[i])
-        v = rng.choice(sorted(comp))
-        word = []
-        for _ in range(rng.randrange(1, _GLUING_WORD_LEN + 1)):
-            options = [e for e in p.graph.out_edges(v) if e[2] in comp]
-            if not options:
-                break
-            e = rng.choice(options)
-            word.append(e[1])
-            v = e[2]
-        return tuple(word)
-
-    for _ in range(trials):
-        idx = sorted(rng.randrange(q) for _ in range(k))
-        words = [random_component_word(i) for i in idx]
-        states = p.graph.reads(words[0])
-        if not states:
-            return False
-        gaps = [cert.M] if cert.kind == "strong_one_way" else range(cert.M + 1)
-        for w in words[1:]:
-            starts = p.graph.back_reads(w)
-            glued = next((current & starts
-                          for g, current in _gap_frontiers(p.graph.forward, states, cert.M)
-                          if g in gaps and current & starts), None)
-            if glued is None:
-                return False
-            # continue from the glued start states after reading w
-            states = glued
-            for a in w:
-                states = p.graph.step(states, a)
+    forward = cache(p.graph.forward)  # the frontier walks of different masks merge
+    relations = [[(mask_of(v for v, _ in relation), relation)
+                  for relation in _word_relations(p.graph, comp)] for comp in p.components]
+    least_gap = cert.M if cert.kind == "strong_one_way" else 0
+    seen = {(_read(relation, p.graph.vertex_mask), i)
+            for i, words in enumerate(relations) for _, relation in words}
+    todo = list(seen)
+    while todo:
+        states, i = todo.pop()
+        front = [current for g, current in _gap_frontiers(forward, states, cert.M)
+                 if g >= least_gap]
+        for j in range(i, len(relations)):
+            for starts, relation in relations[j]:
+                glued = next((current & starts for current in front if current & starts), 0)
+                if not glued:
+                    return False
+                pair = (_read(relation, glued), j)
+                if pair not in seen:
+                    seen.add(pair)
+                    todo.append(pair)
     return True

@@ -13,14 +13,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Sequence
 
 from negabeta.algebraic import AlgebraicNumber, FieldElement
 
 Word = tuple[int, ...]
-PointLike = Union[FieldElement, Fraction, int]
 
 # Step budget of the expansion of 1, shared by every command that needs it.
 EXPANSION_STEPS = 4096
@@ -62,18 +60,6 @@ class Case(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SignedPoint:
-    """A point of [0, 1] with a one-sided tag.
-
-    The tag only carries information when the value sits on a partition
-    endpoint (0, k/beta, or 1); everywhere else iteration ignores it.
-    """
-
-    value: FieldElement
-    side: Side
-
-
-@dataclass(frozen=True)
 class DigitSequence:
     """Eventually periodic digit string, canonical (minimal preperiod and period)."""
 
@@ -102,12 +88,6 @@ class DigitSequence:
             per = [per[-1]] + per[:-1]
             pre.pop()
         return cls(tuple(pre), tuple(per), alphabet_bound)
-
-    def digit(self, k: int) -> int:
-        u = len(self.preperiod)
-        if k < u:
-            return self.preperiod[k]
-        return self.period[(k - u) % len(self.period)]
 
     def prefix(self, n: int) -> Word:
         """The first n digits (none for n <= 0)."""
@@ -253,12 +233,6 @@ class MinusBetaSystem:
             raise HitBoundary(0)
         return k, Side.EXACT
 
-    def _signed_step(self, value, side: Side):
-        """One application on a side-tagged point; returns (digit, value, side)."""
-        t = self._beta_el * value
-        digit, side = self._side_step(t, side)
-        return digit, (digit + 1) - t, side
-
     # -- expansion of 1 -------------------------------------------------------------
 
     def expansion_of_one(self, max_steps: int = EXPANSION_STEPS) -> DigitSequence:
@@ -297,41 +271,6 @@ class MinusBetaSystem:
             nums = (digit + 1 - t[0],) + tuple(-x for x in t[1:])
             digits.append(digit)
         raise NotEventuallyPeriodic(f"no cycle within {max_steps} steps")
-
-    # -- itineraries -------------------------------------------------------------------
-
-    def itinerary(self, x: Union[PointLike, SignedPoint], n: int) -> Word:
-        """Branch itinerary of length n.
-
-        Plain points must avoid the partition endpoints for n steps (checked
-        exactly); side-tagged points iterate through endpoints using the side
-        convention.
-        """
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        if isinstance(x, SignedPoint):
-            value, side = x.value, x.side
-            digits = []
-            for _ in range(n):
-                digit, value, side = self._signed_step(value, side)
-                digits.append(digit)
-            return tuple(digits)
-        if isinstance(x, (int, Fraction)):
-            x = self.beta.from_rational(x)
-        zero, one = self.beta.zero(), self.beta.one()
-        if x < zero or x > one:
-            raise OutOfDomain("point outside [0, 1]")
-        digits = []
-        for step in range(n):
-            if x == zero or x == one:
-                raise HitBoundary(step)
-            t = self._beta_el * x
-            k, is_int = _floor_exact(t)
-            if is_int:
-                raise HitBoundary(step)
-            digits.append(k)
-            x = (k + 1) - t
-        return tuple(digits)
 
     # -- coding partition --------------------------------------------------------------------
 

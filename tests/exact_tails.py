@@ -14,6 +14,8 @@ from collections import Counter
 from negabeta.intervalmaps import CircleMap
 from negabeta.measures import image_table
 
+from map_reference import circle_step
+
 # The seeds a Monte Carlo test runs on, fixed before the samples were drawn,
 # and how far each seed's hits may lie from N p
 SEEDS = (1, 2, 3, 4, 5)
@@ -63,6 +65,6 @@ def circle_tail(a, n, eps):
     for _ in range(k - 1):
         lo, hi = 0.0, half
         while (mid := (lo + hi) / 2) not in (lo, hi):
-            lo, hi = (mid, hi) if fmap(mid) < half else (lo, mid)
+            lo, hi = (mid, hi) if circle_step(fmap, mid) < half else (lo, mid)
         half = hi
     return 2 * half

@@ -20,16 +20,18 @@ from negabeta.algebraic import (
     to_decimal,
 )
 
+from map_reference import poly_value
+
 PISOT = IntPolynomial((-1, -1, 0, 1))  # x^3 - x - 1
 
 
 def bisect_root(poly, lo, hi, steps=80):
     """Independent oracle: plain rational bisection on a sign change."""
     lo, hi = Fraction(lo), Fraction(hi)
-    s_lo = poly(lo)
+    s_lo = poly_value(poly, lo)
     for _ in range(steps):
         mid = (lo + hi) / 2
-        s_mid = poly(mid)
+        s_mid = poly_value(poly, mid)
         if s_mid == 0:
             return mid, mid
         if (s_mid > 0) == (s_lo > 0):

@@ -90,10 +90,12 @@ GOLDEN = {
     ("x4x1", "components"): (0, "79535f0297bfe027f4e606cd405a9603f4acd29e350083e92d22d3cf52ba2ba7"),
     ("x4x1", "spec_6"): (0, "9aea806143fa5bb4ca8acf9812a2bf5801735e574311e80e6eac427ce8311f54"),
     ("x4x1", "gbeta_30"): (0, "144054b1dea32160bda47b83f66a7a77a8e43a1969e83c9b1493c1e466d3461a"),
+    ("x4x1", "validate"): (1, "c92f9b97177402ded874bdb3acf2155dfb0a1e2b72fd4959bfdb5af9dd901648"),
     ("quintic", "graph_json"): (0, "349f607f3550a336d009d14c365c363817c81603385662fc9f80d6229db7dd18"),
     ("quintic", "components"): (0, "c8e9ae720b8af7dc60f7d2a850a42172f965edeca1365f066fa2bfdbe6c0bf24"),
     ("quintic", "spec_6"): (0, "8eb97e89e879e6b91a6707672f6115513bcdbf5e1c79264852efeb7e16015271"),
     ("quintic", "gbeta_30"): (0, "3a4b94ae5af7c1d9f9d9119bd2c27f6794a1ca72bc9f688649c0812f9fd6f61e"),
+    ("quintic", "validate"): (0, "f8c4b1cb93d2a1fafd87b8bc9994863031f286bcddefa2d3f35ff80dc1689679"),
 }
 
 # example31 takes no --beta: maxlen -> (exit code, sha256 of stdout) of `example31 --maxlen <maxlen>`
@@ -109,6 +111,16 @@ def test_cli_stdout_is_pinned(base, command, capsys):
     code = main([name, "--beta", BASES[base], *options])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[(base, command)]
+
+
+@pytest.mark.parametrize("base", ["cubic", "x4x1", "quintic"])
+def test_validate_reads_no_seed(base, capsys):
+    # every check of validate is exhaustive, so a seed, or none, changes no byte
+    runs = set()
+    for seed in (["--seed", "1"], ["--seed", "3"], ["--seed", "12345"], []):
+        code = main(["validate", "--beta", BASES[base], "--maxlen", "7", *seed])
+        runs.add((code, capsys.readouterr().out))
+    assert len(runs) == 1
 
 
 def test_example31_stdout_is_pinned(capsys):

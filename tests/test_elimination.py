@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 
 from negabeta import ldp
 from negabeta.algebraic import AlgebraicNumber, IntPolynomial, _bareiss, parse_beta_spec
-from negabeta.measures import random_markov_measure
 from negabeta.shiftgraph import automaton_for, chain_for, decompose
 from negabeta.transform import MinusBetaSystem
+
+from measure_reference import random_markov_measure
 
 BIG = "poly:-2,0,2,-1,-2,1;interval:2,3"  # x^5-2x^4-x^3+2x^2-2, a 52-state automaton
 

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from negabeta.algebraic import parse_beta_spec
 
+from map_reference import poly_value
+
 # -- the Fraction-vector reference --------------------------------------------------------------
 
 
@@ -292,7 +294,7 @@ def test_batched_bisection_matches_single_steps(name):
     assert one_at_a_time.interval() == batched.interval() == ref.iv
     lo, hi = batched.interval()
     assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
-    assert field.minpoly(lo) * field.minpoly(hi) <= 0
+    assert poly_value(field.minpoly, lo) * poly_value(field.minpoly, hi) <= 0
 
 
 def test_refine_stops_at_the_first_width_below_the_target():

@@ -1,20 +1,19 @@
 """The graph layer's reachability answers against a Floyd-Warshall closure.
 
-`is_irreducible`, `cycle_vertices`, `_cyclic_components`, `_component_diameter`,
-`_shortest_cross_word` and `_some_cycle` walk the graph index level by level.
+`is_irreducible`, `cycle_vertices`, `_cyclic_components`, `_component_diameter`
+and `_shortest_cross_word` walk the graph index level by level.
 The reference here is the closure of the edge relation: the length of a
 shortest path of one or more edges between every pair of vertices, built by
 the Warshall triple loop.
 """
 
 import math
-import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negabeta.shiftgraph import LabeledGraph, _cyclic_components, cycle_vertices, is_irreducible
-from negabeta.specprop import _component_diameter, _shortest_cross_word, _some_cycle
+from negabeta.specprop import _component_diameter, _shortest_cross_word
 
 MAX_VERTICES = 8
 MAX_LABEL = 2
@@ -110,20 +109,3 @@ def test_shortest_cross_word_matches_closure(gs, data):
     for a in word:
         states = g.step(states, a)
     assert any(states >> v & 1 for v in dst)
-
-
-@settings(max_examples=300, deadline=None)
-@given(graph_and_subset(), st.integers(0, 2**32))
-def test_some_cycle_is_a_shortest_cycle_in_the_component(gs, seed):
-    g, comp = gs
-    start = random.Random(seed).choice(comp)  # _some_cycle draws its start the same way
-    shortest = closure(g, comp)[start][start]
-    cycle = _some_cycle(g, comp, random.Random(seed))
-    if shortest == math.inf:
-        assert cycle is None
-        return
-    verts, edges = cycle
-    assert len(edges) == shortest and verts[0] == start
-    assert all(e in g.edges and e[0] in comp and e[2] in comp for e in edges)
-    assert verts == [e[0] for e in edges]
-    assert [e[2] for e in edges] == verts[1:] + [start]

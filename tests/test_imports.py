@@ -16,6 +16,10 @@ import negabeta
 _CHECK = r"""
 import sys
 
+# a startup hook may have imported the stdlib random (site-packages' .pth files
+# can reach it through tempfile); forget it, so that a later import shows
+sys.modules.pop('random', None)
+
 def loaded():
     return {m for m in sys.modules if m == 'negabeta' or m.startswith('negabeta.')}
 
@@ -30,13 +34,22 @@ expected = {'negabeta', 'negabeta.algebraic', 'negabeta.transform', 'negabeta.cl
 assert loaded() == expected, f'yrrap loaded {sorted(loaded() - expected)}'
 assert 'json' not in sys.modules, 'yrrap loaded the json package'
 
+STRAY = {'negabeta.ldp', 'negabeta.sampling', 'negabeta.intervalmaps', 'hashlib', '_sha2',
+         '_sha256', 'numpy.random', 'logging'}
+
+# the exact commands draw nothing at random, so none loads the stdlib sampler;
+# validate needs no seed
 for argv in (['graph', *beta], ['components', *beta], ['spec', *beta, '--oracle-maxlen', '4'],
-             ['entropy', *beta], ['gbeta', *beta, '--n', '10'], ['cyl', *beta, '--maxlen', '4'],
-             ['validate', *beta, '--maxlen', '4', '--seed', '3']):
+             ['gbeta', *beta, '--n', '10'], ['cyl', *beta, '--maxlen', '4'],
+             ['validate', *beta, '--maxlen', '4']):
     assert cli.main(argv) == 0, argv[0]
-    stray = {'negabeta.ldp', 'negabeta.sampling', 'negabeta.intervalmaps', 'hashlib', '_sha2',
-             '_sha256', 'numpy.random', 'logging'} & set(sys.modules)
+    stray = (STRAY | {'random'}) & set(sys.modules)
     assert not stray, f'{argv[0]} loaded {sorted(stray)}'
+
+# numpy imports the stdlib random itself, so entropy runs after them
+assert cli.main(['entropy', *beta]) == 0, 'entropy'
+stray = STRAY & set(sys.modules)
+assert not stray, f'entropy loaded {sorted(stray)}'
 
 # the digit engines and the rate share no code with the companion systems
 for argv in (['rate', *beta, '--a', '0.3'],

@@ -33,7 +33,7 @@ from negabeta.shiftgraph import enumerate_words
 from negabeta.specprop import spec_bound
 from negabeta.transform import HitBoundary
 from exact_tails import MAX_SIGMAS, SEEDS, circle_tail, sigmas
-from map_reference import breakpoints, code_point
+from map_reference import breakpoints, circle_step, code_point
 from measure_reference import example31_cylinder
 from philox_reference import sample_int
 from word_reference import example31_word_admissible
@@ -232,8 +232,8 @@ def test_presentation_certificate():
 
 def test_fixed_points_exact():
     fmap = CircleMap()
-    assert fmap(0.0) == 0.0
-    assert fmap(0.5) == 0.5
+    assert circle_step(fmap, 0.0) == 0.0
+    assert circle_step(fmap, 0.5) == 0.5
 
 
 def test_derivative_at_source():
@@ -256,7 +256,7 @@ def test_nonwandering_set_is_the_exact_fixed_points(strength):
     # stays put, so there is nothing else to find
     fmap = CircleMap(strength)
     assert circle_nonwandering(fmap) == [0.0, 0.5]
-    assert fmap(0.0) == 0.0 and fmap(0.5) == 0.5
+    assert circle_step(fmap, 0.0) == 0.0 and circle_step(fmap, 0.5) == 0.5
     theta = np.linspace(0.0, 1.0, 200, endpoint=False)[1:]
     for _ in range(3000):
         theta = _vectorized_circle(theta, strength)
@@ -277,7 +277,7 @@ def test_orbits_converge_to_sink():
     for _ in range(total):
         x = rng.random()
         for _ in range(300):
-            x = fmap(x)
+            x = circle_step(fmap, x)
         if abs(x - 0.5) > 1e-6:
             stray += 1
     assert stray <= math.isqrt(total)

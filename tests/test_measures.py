@@ -19,15 +19,15 @@ from negabeta.measures import (
     g_beta_n,
     max_truncation,
     parry_measure,
-    point_mass_on_cycle,
-    random_markov_measure,
     weak_metric_truncated,
 )
 from negabeta.shiftgraph import LabeledGraph, automaton_for, decompose
 from negabeta.transform import MinusBetaSystem
 
 from map_reference import in_interval
-from measure_reference import additivity_holds, g_beta_word
+from measure_reference import (
+    additivity_holds, g_beta_word, point_mass_on_cycle, random_markov_measure,
+)
 from pisot_bases import BASES
 from word_reference import enumerate_admissible, partition_identity_holds, word_admissible
 

@@ -4,13 +4,14 @@
 frontiers once for every start set, `_word_classes` takes the state sets of
 a component's words from one search over state-set pairs, `spec_bound`'s
 strong gap is the same gap intersection as `bruteforce_exact_min`,
-`g_beta_values` sweeps the lengths once, and `fold` reads each vertex's spine
-digit and back edges once, from its row of out-edges.  The references
-below are the plain versions: every component word listed and read with
+`g_beta_values` sweeps the lengths once, `fold` reads each vertex's spine
+digit and back edges once, from its row of out-edges, and `gluing_test`
+glues each class of words with one relation once.  The references below are
+the plain versions: every component word listed and read with
 `reads`/`back_reads` from scratch, one frontier walk per (end set, start
 set) pair, the strong gap from per-vertex reachability powers, one subset
-frontier per length, and both signatures recomputed from the graph's edge
-lists per candidate fold.  Results and errors must be equal, not close.
+frontier per length, both signatures recomputed from the graph's edge lists
+per candidate fold, and each listed word glued and read on its own.  Results and errors must be equal, not close.
 
 The code under test holds state sets as int masks; the references hold them
 as frozensets and step them with `Plain`, an index of the graph's edges of
@@ -248,6 +249,33 @@ def reference_spec_bound(p, oracle_maxlen=None):
             return SpecCertificate("strong_one_way", strong_m, tuple(witnesses), exact)
     exact = None if oracle_maxlen is None else reference_spec_bruteforce(p, oracle_maxlen)[1]
     return SpecCertificate("w_one_way", m_bound, tuple(witnesses), exact)
+
+
+def reference_gluing(p, cert):
+    """`gluing_test` on listed words: each word of 1..4 symbols inside a component
+    glued and read on its own, over the (states reached, last component) pairs."""
+    plain = plain_index(p.graph)
+    words = [component_words(p, i, 4)[1:] for i in range(len(p.components))]
+    gaps = [cert.M] if cert.kind == "strong_one_way" else range(cert.M + 1)
+    seen = {(plain.reads(w), i) for i, listed in enumerate(words) for w in listed}
+    todo = list(seen)
+    while todo:
+        states, i = todo.pop()
+        fronts = [states]
+        for _ in range(cert.M):
+            fronts.append(plain.forward(fronts[-1]))
+        for j in range(i, len(words)):
+            for w in words[j]:
+                starts = plain.back_reads(w)
+                glued = next((fronts[g] & starts for g in gaps if fronts[g] & starts), None)
+                if glued is None:
+                    return False
+                for a in w:
+                    glued = plain.step(glued, a)
+                if (glued, j) not in seen:
+                    seen.add((glued, j))
+                    todo.append((glued, j))
+    return True
 
 
 def reference_g_beta_n(system, n):
@@ -541,6 +569,14 @@ def test_oracles_agree_on_random_presentations(p, gap_cap):
 def test_certificates_agree_on_looped_presentations(p):
     assert _loops_everywhere(p)
     assert_certificates_agree(p, range(5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(presentations(loops=True) | presentations(), st.sampled_from(["strong_one_way", "w_one_way"]),
+       st.integers(0, 4))
+def test_gluing_walk_agrees_on_random_presentations(p, kind, m):
+    cert = SpecCertificate(kind, m, ())
+    assert specprop.gluing_test(p, cert) == reference_gluing(p, cert)
 
 
 @st.composite

@@ -23,6 +23,7 @@ from negabeta.shiftgraph import (
 )
 from negabeta.transform import MinusBetaSystem
 
+from map_reference import nth_digit
 from pisot_bases import BASES
 from word_reference import build_gamma, count_words, cross_validate, enumerate_admissible
 
@@ -54,7 +55,7 @@ def three_sys():
 def test_build_gamma_pisot_edges(pisot_sys):
     s = pisot_sys.expansion_of_one()
     g = build_gamma(s, 7)
-    spine = {(i, s.digit(i), i + 1) for i in range(7)}
+    spine = {(i, nth_digit(s, i), i + 1) for i in range(7)}
     extra = {(0, 0, 0), (1, 1, 1), (4, 0, 2), (6, 0, 2)}
     assert g.edges == frozenset(spine | extra)
 
@@ -62,7 +63,7 @@ def test_build_gamma_pisot_edges(pisot_sys):
 def test_build_gamma_beta2_edges(two_sys):
     s = two_sys.expansion_of_one()
     g = build_gamma(s, 5)
-    spine = {(i, s.digit(i), i + 1) for i in range(5)}
+    spine = {(i, nth_digit(s, i), i + 1) for i in range(5)}
     extra = {(0, 0, 0), (1, 1, 1), (2, 0, 0), (3, 1, 1), (4, 0, 0)}
     assert g.edges == frozenset(spine | extra)
 
@@ -71,7 +72,7 @@ def test_build_gamma_spine_always_present(pisot_sys, two_sys, three_sys):
     for sys in (pisot_sys, two_sys, three_sys):
         s = sys.expansion_of_one()
         g = build_gamma(s, s.u + 2 * s.v + 2)
-        assert (0, s.digit(0), 1) in g.edges
+        assert (0, nth_digit(s, 0), 1) in g.edges
 
 
 def test_build_gamma_horizon_check(pisot_sys):

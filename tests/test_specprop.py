@@ -1,4 +1,4 @@
-"""Gluing certificates: bounds, oracle agreement, coverage, support."""
+"""Gluing certificates: bounds, oracle agreement, exhaustive gluing, coverage, support."""
 
 import pytest
 
@@ -15,6 +15,8 @@ from negabeta.specprop import (
     spec_bruteforce,
 )
 from negabeta.transform import MinusBetaSystem
+
+from pisot_bases import BASES
 
 
 @pytest.fixture(scope="module")
@@ -100,21 +102,45 @@ def test_disconnected_pair_reported():
     assert err.value.pair == (0, 1)
 
 
-def test_randomized_gluing_strong(ex31):
+def test_gluing_strong(ex31):
     cert = spec_bound(ex31)
-    assert gluing_test(ex31, cert, 3, 500, seed=2026)
+    assert gluing_test(ex31, cert)
 
 
-def test_randomized_gluing_weak(pisot_presentation):
+def test_gluing_weak(pisot_presentation):
     cert = spec_bound(pisot_presentation)
-    assert gluing_test(pisot_presentation, cert, 3, 500, seed=2027)
+    assert gluing_test(pisot_presentation, cert)
+    # with no gap allowed, some ordered pair of component words does not concatenate
+    assert not gluing_test(pisot_presentation, SpecCertificate("w_one_way", 0, cert.witnesses))
 
 
 def test_strong_certificate_gaps_are_exact(ex31):
     cert = spec_bound(ex31)
     # shrinking M below the certificate must break exactness for some tuple
     broken = SpecCertificate("strong_one_way", cert.M - 1, cert.witnesses)
-    assert not gluing_test(ex31, broken, 2, 300, seed=4)
+    assert not gluing_test(ex31, broken)
+
+
+def _presentation(coeffs, lo, hi):
+    system = MinusBetaSystem(make_algebraic(IntPolynomial(coeffs), lo, hi))
+    system.expansion_of_one()
+    return SoficPresentation.from_chain(decompose(automaton_for(system)))
+
+
+NON_PISOT = [
+    ((-1, -1, 0, 0, 1), 1, 2),           # x^4 - x - 1
+    ((-1, 0, -1, 0, 0, 1), 1, 2),        # x^5 - x^2 - 1
+    ((-1, -1, 0, 0, 0, 0, 1), 1, 2),     # x^6 - x - 1
+    ((-2, 0, 2, -1, -2, 1), 2, 3),       # x^5 - 2x^4 - x^3 + 2x^2 - 2, 52 states in its tail
+]
+
+
+@pytest.mark.parametrize("coeffs, lo, hi", BASES + NON_PISOT,
+                         ids=[str(c) for c, _, _ in BASES + NON_PISOT])
+def test_exact_checks_pass_on_every_base(coeffs, lo, hi):
+    pres = _presentation(coeffs, lo, hi)
+    assert gluing_test(pres, spec_bound(pres))
+    assert ergodic_support_check(pres)
 
 
 def test_omega_coverage(ex31, pisot_presentation):
@@ -139,5 +165,16 @@ def test_omega_coverage_monotone(pisot_presentation):
 
 
 def test_ergodic_support_confinement(pisot_presentation, ex31):
-    assert ergodic_support_check(pisot_presentation, 100, seed=7)
-    assert ergodic_support_check(ex31, 50, seed=8)
+    assert ergodic_support_check(pisot_presentation)
+    assert ergodic_support_check(ex31)
+
+
+def test_ergodic_support_fails_on_a_split_or_missing_component(pisot_presentation):
+    # 0 <-> 1 is one strong component; {0} with its loop is strongly connected, but a
+    # measure on the cycle 0 -> 1 -> 0 lives on no listed piece
+    graph = LabeledGraph(3, frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 2), (2, 0, 2)}))
+    assert ergodic_support_check(SoficPresentation(graph, ((0, 1), (2,))))
+    assert not ergodic_support_check(SoficPresentation(graph, ((0,), (2,))))
+    # the tail component left out
+    graph, components = pisot_presentation.graph, pisot_presentation.components
+    assert not ergodic_support_check(SoficPresentation(graph, components[:-1]))

@@ -1,12 +1,15 @@
 """The package's surface: what `src/negabeta` defines has a reader, and each module stays small.
 
 A definition is a top-level function or class of a module, or a method of a
-top-level class.  It has a reader when its name is read (as a name, an
-attribute or an imported name) by another module of the package, by its own
-module outside its own body, or by a `perfbench` file, whose strings count
-too because the benchmark names its spans ``module.function``.  The
-package's `__init__` does not count: an export is not a reader.  Dunder
-methods are skipped, since Python calls them by protocol, not by name.
+top-level class.  It has a reader when its name is read by another module of
+the package, by its own module outside its own body, or by a `perfbench`
+file, whose strings count too because the benchmark names its spans
+``module.function``.  A top-level definition is read as a name, an attribute
+or an imported name.  A method is read only as an attribute (``x.name``) or
+in a benchmark string, so a local variable or parameter of the same name
+does not hide it.  The package's `__init__` does not count: an export is not
+a reader.  Dunder methods are skipped, since Python calls them by protocol,
+not by name.
 Definitions that only the tests read belong in the tests' reference modules
 (`word_reference`, `map_reference`, `measure_reference`).
 
@@ -40,54 +43,53 @@ KEPT = {
 COMPILE_STEP_TOKENS = 8190
 
 
-def _names(tree: ast.AST, skip: ast.AST = None, strings: bool = False) -> set[str]:
-    """The names read in a tree, leaving out the subtree ``skip``."""
-    out = set()
+def _reads(tree: ast.AST, skip: ast.AST = None, strings: bool = False) -> tuple[set, set]:
+    """The names read in a tree, leaving out the subtree ``skip``: (every name, attribute
+    or imported name, and the attribute names alone), with the words of its strings in both."""
+    names, attributes = set(), set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            out.add(node.name.rpartition(".")[2])
+            names.add(node.name.rpartition(".")[2])
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.update(re.findall(r"\w+", node.value))
+            attributes.update(re.findall(r"\w+", node.value))
         stack.extend(ast.iter_child_nodes(node))
-    return out
+    return names | attributes, attributes
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, name, node) of each top-level def and class, and of their methods."""
+    """(qualified name, name, node, is a method) of each top-level def and class, and of
+    their methods."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.name, node
+            yield node.name, node.name, node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (
                         item.name.startswith("__") and item.name.endswith("__")):
-                    yield f"{node.name}.{item.name}", item.name, item
+                    yield f"{node.name}.{item.name}", item.name, item, True
 
 
 def unread_definitions() -> set[str]:
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
-    read_elsewhere = {stem: set() for stem in trees}
-    for stem, tree in trees.items():
-        for other in trees:
-            if other != stem:
-                read_elsewhere[other] |= _names(tree)
-    benchmark = set()
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        benchmark |= _names(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+    reads = {stem: _reads(tree) for stem, tree in trees.items()}
+    benchmark = [_reads(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+                 for path in sorted((ROOT / "perfbench").glob("*.py"))]
     unread = set()
     for stem, tree in trees.items():
-        for qualified, name, node in _definitions(tree):
-            if name in read_elsewhere[stem] or name in benchmark:
-                continue
-            if name not in _names(tree, skip=node):
+        for qualified, name, node, method in _definitions(tree):
+            kind = int(method)  # a method counts only attribute reads and strings
+            readers = [read[kind] for other, read in reads.items() if other != stem]
+            readers += [read[kind] for read in benchmark]
+            readers.append(_reads(tree, skip=node)[kind])
+            if not any(name in read for read in readers):
                 unread.add(f"{stem}.{qualified}")
     return unread
 

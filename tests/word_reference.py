@@ -20,7 +20,9 @@ package reads them:
   `enumerate_admissible` up to length n (test_shiftgraph, test_acceptance,
   test_language_gap);
 - `count_words(graph, n)`: the automaton's words of one length, counted on
-  its state sets alone (test_shiftgraph, test_language_gap);
+  its state sets alone (test_shiftgraph, test_language_gap), and
+  `back_reads(graph, word)`: the mask of the states a word can be read from
+  (test_graph_index);
 - `example31_word_admissible(word)`: Example 3.1's language, the factors of
   u1v with u over {0,1} and v over {2,3,4} (test_intervalmaps);
 - `partition_identity_holds(system, n)`: the lengths hi - lo of the
@@ -69,10 +71,10 @@ def alt_compare(s: Union[DigitSequence, Sequence[int]],
         limit = len(s)
     else:
         limit = min(len(s), len(t))
-    get_s = s.digit if s_inf else lambda k: s[k]
-    get_t = t.digit if t_inf else lambda k: t[k]
+    head_s = s.prefix(limit) if s_inf else s
+    head_t = t.prefix(limit) if t_inf else t
     for k in range(limit):
-        a, b = get_s(k), get_t(k)
+        a, b = head_s[k], head_t[k]
         if a != b:
             diff = a - b if k % 2 == 0 else b - a
             return Ordering.LESS if diff < 0 else Ordering.GREATER
@@ -165,6 +167,14 @@ def count_words(graph: LabeledGraph, n: int) -> int:
                 nxt[t] = nxt.get(t, 0) + c
         counts = nxt
     return sum(counts.values())
+
+
+def back_reads(graph: LabeledGraph, word: Sequence[int]) -> int:
+    """The mask of the start states of all readings of the word, ending anywhere."""
+    states = graph.vertex_mask
+    for a in reversed(word):
+        states = graph.back_step(states, a)
+    return states
 
 
 def example31_word_admissible(word: Sequence[int]) -> bool:
