@@ -20,7 +20,7 @@ _EXPORTS = {
         "field_arith", "make_algebraic", "parse_beta_spec", "sign_of", "to_decimal",
     ),
     "transform": (
-        "Case", "DigitSequence", "HitBoundary", "MinusBetaSystem", "NotAlgebraicInteger",
+        "Case", "DigitSequence", "MinusBetaSystem", "NotAlgebraicInteger",
         "NotEventuallyPeriodic", "Side",
     ),
     "shiftgraph": (
@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "measures": (
         "CylinderInterval", "EmpiricalMeasure", "InadmissibleWord", "MarkovMeasure",
-        "cylinder_interval", "cylinder_measure", "cylinder_walk", "empirical_measure",
+        "cylinder_interval", "cylinder_measure", "empirical_measure",
         "g_beta_n", "g_beta_values", "parry_measure", "weak_metric_truncated",
     ),
     "ldp": (

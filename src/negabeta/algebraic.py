@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -429,13 +429,15 @@ class FieldElement:
             lo, hi = min(products) + c_scaled, max(products) + c_scaled
         return lo, hi, self.den * q_pow
 
-    def _bracket(self, width_num: int, width_den: int) -> tuple[int, int, int]:
-        """An enclosure at most width_num/width_den wide.
+    def _bracket(self, width_num: int, width_den: int,
+                 enclosure: Optional[tuple[int, int, int]] = None) -> tuple[int, int, int]:
+        """An enclosure at most width_num/width_den wide, starting from ``enclosure``
+        (the current one, when given).
 
         The enclosure width roughly halves with each bisection of the
         isolating interval, so one batch of bisections usually suffices.
         """
-        lo, hi, den = self._enclosure()
+        lo, hi, den = enclosure or self._enclosure()
         while (hi - lo) * width_den > width_num * den:
             self.field._refine_step(_halvings((hi - lo) * width_den, width_num * den))
             lo, hi, den = self._enclosure()
@@ -507,10 +509,18 @@ class FieldElement:
             neg = self.nums[0] < 0
             n = (2 * abs(self.nums[0]) * scale + self.den) // (2 * self.den)
         else:
-            neg = self.sign() < 0
+            # The sign comes from the first enclosure when it excludes 0, and
+            # the enclosure then starts the bracket: the box is refined just
+            # as sign() followed by a fresh bracket would refine it.
+            enclosure = self._enclosure()
+            if enclosure[0] <= 0 <= enclosure[1]:
+                neg = self.sign() < 0
+                enclosure = None  # sign() refined the box
+            else:
+                neg = enclosure[1] < 0
             width_den = scale * 1000
             while True:
-                lo, hi, den = self._bracket(1, width_den)
+                enclosure = lo, hi, den = self._bracket(1, width_den, enclosure)
                 if neg:
                     lo, hi = hi, lo
                 # round half up: floor(|x| * scale + 1/2) at both ends

@@ -70,6 +70,18 @@ class _Violation(Exception):
     """
 
 
+@dataclass(frozen=True)
+class _Table:
+    """Rows of one fixed header, each a tuple in header order.
+
+    CSV writes the header and the tuples; JSON writes each row as an object
+    with sorted keys, the bytes a list of dicts would give.
+    """
+
+    header: tuple[str, ...]
+    rows: list[tuple]
+
+
 @dataclass
 class RunConfig:
     """Validated invocation: command, beta, parameters, seed, output routing."""
@@ -296,52 +308,6 @@ def _cmd_spec(config: RunConfig):
     return cert.to_json_dict(system.b)
 
 
-def _cylinder_rows(system: MinusBetaSystem, maxlen: int, digits: int) -> list[dict]:
-    from negabeta import measures
-
-    # Neighbouring cylinders share endpoints and many share a length, so each
-    # value is formatted once, keyed by its canonical vector: a value costs one
-    # tuple lookup instead of a hash of the element.
-    formatted: dict[tuple, tuple[str, str]] = {}
-
-    def texts(value) -> tuple[str, str]:
-        key = value.nums, value.den
-        pair = formatted.get(key)
-        if pair is None:
-            pair = formatted[key] = (_coeff_text(value), algebraic.to_decimal(value, digits))
-        return pair
-
-    rows = []
-    for report in measures.cylinder_walk(system, maxlen):
-        interval = report.interval
-        lo, lo_decimal = texts(interval.lo)
-        hi, hi_decimal = texts(interval.hi)
-        rows.append(
-            {
-                "word": word_to_text(interval.word, system.b),
-                "lo": lo,
-                "hi": hi,
-                "lo_decimal": lo_decimal,
-                "hi_decimal": hi_decimal,
-                "length": texts(report.length)[1],
-                "upper_bound_ok": report.upper_bound_ok,
-                "lower_bound_applicable": report.lower_bound_applicable,
-                "lower_bound_ok": report.lower_bound_ok,
-            }
-        )
-    return rows
-
-
-def _coeff_text(element) -> str:
-    """The coefficient vector as "[c_0,c_1,...]", each c_k as n or n/d in lowest terms."""
-    den = element.den
-    parts = []
-    for num in element.nums:
-        g = math.gcd(num, den)
-        parts.append(str(num // g) if g == den else f"{num // g}/{den // g}")
-    return "[" + ",".join(parts) + "]"
-
-
 def _positive(config: RunConfig, key: str, flag: str) -> int:
     value = config.params[key]
     if value < 1:
@@ -355,11 +321,11 @@ def _cmd_cyl(config: RunConfig):
     maxlen = _positive(config, "maxlen", "--maxlen")
     system = _system_for(config)
     try:
-        rows = _cylinder_rows(system, maxlen, config.digits)
+        rows = measures.cylinder_table(system, maxlen, config.digits)
     except measures.InadmissibleWord as exc:
         # the automaton admits a word whose cylinder has no interior
         raise _Violation(str(exc)) from exc
-    return {"rows": rows}
+    return {"rows": _Table(measures.CYLINDER_COLUMNS, rows)}
 
 
 def _cmd_gbeta(config: RunConfig):
@@ -610,6 +576,27 @@ def _json_parts(value, indent: str, parts: list[str]) -> None:
                 parts.append(separator)
             _json_parts(item, deeper, parts)
         parts.append("\n" + indent + "]")
+    elif isinstance(value, _Table):
+        if not value.rows:
+            parts.append("[]")
+            return
+        # each row as the dict branch writes an object, one level deeper
+        deeper, inner = indent + "  ", indent + "    "
+        header = value.header
+        keys = [(encode_basestring_ascii(header[i]) + ": ", i)
+                for i in sorted(range(len(header)), key=header.__getitem__)]
+        opening, comma = "{\n" + inner, ",\n" + inner
+        parts.append("[\n" + deeper)
+        for k, row in enumerate(value.rows):
+            if k:
+                parts.append(",\n" + deeper)
+            separator = opening
+            for name, i in keys:
+                parts.append(separator + name)
+                separator = comma
+                _json_parts(row[i], inner, parts)
+            parts.append("\n" + deeper + "}" if keys else "{}")
+        parts.append("\n" + indent + "]")
     elif isinstance(value, dict):
         if not value:
             parts.append("{}")
@@ -650,14 +637,16 @@ def emit_report(result, fmt: str, out: Optional[str]) -> str:
             raise UsageError(_FORMAT_COMMANDS["dot"][1])
         text = result
     elif fmt == "csv":
-        rows = result.get("rows") if isinstance(result, dict) else None
-        if rows is None:
+        table = result.get("rows") if isinstance(result, dict) else None
+        if table is None:
             raise UsageError(_FORMAT_COMMANDS["csv"][1])
-        header = list(rows[0]) if rows else []
+        if not isinstance(table, _Table):  # dicts, in the key order of the first
+            header = tuple(table[0]) if table else ()
+            table = _Table(header, [tuple(row[key] for key in header) for row in table])
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows([row[key] for key in header] for row in rows)
+        writer.writerow(table.header)
+        writer.writerows(table.rows)
         text = buf.getvalue()
     else:
         text = _json_text(result) + "\n"

@@ -2,11 +2,10 @@
 
 Cylinder sets pull back to genuine subintervals of [0, 1]; their endpoints
 are exact field elements so the decay bounds and the partition identity can
-be asserted with equality, not tolerance.  The cylinder walk carries them as
-integer coefficient vectors over one denominator, so a word costs integer
-tuple additions, and it turns each distinct endpoint into a canonical field
-element once.  Markov and empirical measures live on the folded automaton
-and feed the rate machinery.
+be asserted with equality, not tolerance.  The cylinder table carries them
+as integer coefficient vectors over one denominator, so a word costs integer
+tuple additions, and it formats each distinct endpoint once.  Markov and
+empirical measures live on the folded automaton and feed the rate machinery.
 """
 
 from __future__ import annotations
@@ -17,11 +16,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from negabeta.shiftgraph import (
-    LabeledGraph, _levels, automaton_for, enumerate_words, spectral_radius,
-)
+from negabeta.algebraic import FieldElement, to_decimal
+from negabeta.shiftgraph import LabeledGraph, _levels, automaton_for, spectral_radius
 from negabeta.transform import MinusBetaSystem, Word
 
 
@@ -268,25 +266,6 @@ def language_gap(graph: LabeledGraph, table: ImageTable) -> Optional[Word]:
     return None
 
 
-def image_walk(table: ImageTable,
-               words: Iterable[tuple[Word, object]]) -> Iterator[tuple[Word, object, Image]]:
-    """(word, tag, J_w) for each (word, tag) given in preorder, one step per word.
-
-    Each word must come after its parent, with no word of the parent's length
-    or shorter in between (the order of :func:`negabeta.shiftgraph.enumerate_words`,
-    whose end states are the tags).  A stack holds one image per depth.
-    Raises :class:`InadmissibleWord` when a word's cylinder has no interior.
-    """
-    stack = [table.root]
-    for word, tag in words:
-        del stack[len(word):]
-        image = table.step(stack[-1], word[-1])
-        if image is None or image[0] == image[2]:
-            raise InadmissibleWord(f"no interior in the cylinder of word {word}")
-        stack.append(image)
-        yield word, tag, image
-
-
 def image_table(system: MinusBetaSystem) -> ImageTable:
     """The image table of x -> (a+1) - beta*x on the partition, cached on the system."""
     if system._table_cache is None:
@@ -339,14 +318,6 @@ class CylinderReport(NamedTuple):
         return self.interval.word
 
 
-def _report(table: ImageTable, interval: CylinderInterval, image: Image, bounds,
-            branching: bool) -> CylinderReport:
-    n = len(interval.word)
-    upper_ok, lower_ok = bounds(image[0], image[2])
-    return CylinderReport(interval, table.length(n, image), table.depth(n).scale, upper_ok,
-                          branching, lower_ok if branching else None, image)
-
-
 def _lower_constant(system: MinusBetaSystem):
     """1 - b/beta, the constant of the lower bound on branching words."""
     return system.beta.one() - system.b * system.beta_inverse
@@ -363,23 +334,44 @@ def cylinder_measure(system: MinusBetaSystem, word: Sequence[int]) -> CylinderRe
     table, image, offset = _fold(system, word)
     graph = automaton_for(system).graph
     branching = len(graph.followers(graph.reads(word))) >= 2
-    return _report(table, table.cylinder(word, image, offset), image,
-                   table.bounds(_lower_constant(system)), branching)
+    upper_ok, lower_ok = table.bounds(_lower_constant(system))(image[0], image[2])
+    n = len(word)
+    return CylinderReport(table.cylinder(word, image, offset), table.length(n, image),
+                          table.depth(n).scale, upper_ok, branching,
+                          lower_ok if branching else None, image)
 
 
-def cylinder_walk(system: MinusBetaSystem, maxlen: int) -> Iterator[CylinderReport]:
-    """Reports for every admissible word up to maxlen, in preorder.
+# The columns of a cylinder table row, in the order of :func:`cylinder_table`.
+CYLINDER_COLUMNS = ("word", "lo", "hi", "lo_decimal", "hi_decimal", "length",
+                    "upper_bound_ok", "lower_bound_applicable", "lower_bound_ok")
 
-    Walks the folded automaton's words (the admissible words) through
-    :func:`image_walk`.
-    c_w and the endpoints of [w] are integer vectors over one denominator D,
-    the lcm of the denominators of the depth constants s_n*p and
-    s_n*intercept_a up to maxlen.  So a word costs index comparisons in the
-    image table and three tuple additions, one for c_w and one per endpoint;
-    each distinct endpoint becomes a canonical field element once, looked up
-    by its vector.  A word's length and bound checks are read off its image,
-    once per (depth, image), so no word needs a sign test.  A word branches
-    when its end states have two followers.
+
+def _coeff_text(nums: Sequence[int], den: int) -> str:
+    """The vector nums/den as "[c_0,c_1,...]", each c_k as n or n/d in lowest terms."""
+    parts = []
+    for num in nums:
+        g = math.gcd(num, den)
+        parts.append(str(num // g) if g == den else f"{num // g}/{den // g}")
+    return "[" + ",".join(parts) + "]"
+
+
+def cylinder_table(system: MinusBetaSystem, maxlen: int, digits: int) -> list[tuple]:
+    """One row of :data:`CYLINDER_COLUMNS` for every admissible word up to maxlen, in preorder.
+
+    One depth-first walk over the folded automaton's words (the admissible
+    words), children in digit order, on an explicit stack of (word text,
+    length n, end state mask, image J_w, c_w).  c_w and the endpoints
+    phi_w(J_w) of [w] are integer vectors over one denominator D, the lcm of
+    the denominators of the depth constants s_n*p and s_n*intercept_a up to
+    maxlen, so a word costs index comparisons in the image table and three
+    tuple additions.  Each distinct endpoint vector is formatted once, its
+    decimal read off the vector over D as it stands: a decimal depends on the
+    value alone, so no vector is brought to lowest terms.  A word's length
+    (the difference of its endpoints) and both bound checks are read off
+    its image, once per (depth, image), so no word needs a sign test.  A
+    word branches when its end states have two followers.  Raises
+    :class:`InadmissibleWord` at the first word in preorder whose cylinder
+    has no interior.
     """
     graph = automaton_for(system).graph
     table = image_table(system)
@@ -393,28 +385,54 @@ def cylinder_walk(system: MinusBetaSystem, maxlen: int) -> Iterator[CylinderRepo
 
     ends = [tuple(map(over_den, depth.ends)) for depth in depths]
     terms = [tuple(map(over_den, depth.terms)) for depth in depths]
-    elements: dict[tuple[int, ...], object] = {}
+    field = system.beta
 
-    def endpoint(vector: tuple[int, ...]):
-        value = elements.get(vector)
-        if value is None:
-            value = elements[vector] = system.beta._element(vector, den)
-        return value
+    def decimal(vector: tuple[int, ...]) -> str:
+        return to_decimal(FieldElement(field, vector, den), digits)
 
-    offsets = [(0,) * system.beta.degree]  # c_w * D for each prefix of the current word
-    for word, states, image in image_walk(table, enumerate_words(graph, maxlen)):
-        n = len(word)
-        del offsets[n:]
-        offset = tuple(map(operator.sub, offsets[-1], terms[n][word[-1]]))
-        offsets.append(offset)
-        lo, lo_closed, hi, hi_closed = image
-        lo_end = endpoint(tuple(map(operator.add, ends[n][lo], offset)))
-        hi_end = endpoint(tuple(map(operator.add, ends[n][hi], offset)))
-        if depths[n].decreasing:
-            interval = CylinderInterval(word, hi_end, lo_end, hi_closed, lo_closed)
-        else:
-            interval = CylinderInterval(word, lo_end, hi_end, lo_closed, hi_closed)
-        yield _report(table, interval, image, bounds, len(graph.followers(states)) >= 2)
+    endpoints: dict[tuple[int, ...], tuple[str, str]] = {}
+
+    def endpoint(vector: tuple[int, ...]) -> tuple[str, str]:
+        texts = endpoints.get(vector)
+        if texts is None:
+            texts = endpoints[vector] = _coeff_text(vector, den), decimal(vector)
+        return texts
+
+    # per depth: (lo index, hi index) of J_w -> (|[w]| as a decimal, upper ok, lower ok)
+    images: list[dict] = [{} for _ in depths]
+    sep = "" if system.b <= 9 else ","  # as in word_to_text
+    rows = []
+    stack = [("", 0, graph.vertex_mask, table.root, (0,) * field.degree)]
+    while stack:
+        text, n, states, image, offset = stack.pop()
+        followers = graph.followers(states)
+        if n:
+            if image is None:
+                word = tuple(map(int, text.split(",") if sep else text))
+                raise InadmissibleWord(f"no interior in the cylinder of word {word}")
+            lo, _, hi, _ = image
+            at = ends[n]
+            lo_end = endpoint(tuple(map(operator.add, at[lo], offset)))
+            hi_end = endpoint(tuple(map(operator.add, at[hi], offset)))
+            if depths[n].decreasing:
+                lo_end, hi_end = hi_end, lo_end
+            measured = images[n].get((lo, hi))
+            if measured is None:
+                width = tuple(map(operator.sub, at[hi], at[lo]))
+                if depths[n].decreasing:
+                    width = tuple(map(operator.neg, width))
+                measured = images[n][lo, hi] = (decimal(width), *bounds(lo, hi))
+            length, upper_ok, lower_ok = measured
+            branching = len(followers) >= 2
+            rows.append((text, lo_end[0], hi_end[0], lo_end[1], hi_end[1], length, upper_ok,
+                         branching, lower_ok if branching else None))
+        if n < maxlen:
+            prefix, m = (text + sep if n else ""), n + 1
+            step = terms[m]
+            stack.extend((prefix + str(a), m, t, table.interior_step(image, a),
+                          tuple(map(operator.sub, offset, step[a])))
+                         for a, t in reversed(followers))
+    return rows
 
 
 # -- branching distance ------------------------------------------------------------

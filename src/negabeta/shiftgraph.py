@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from negabeta.transform import DigitSequence, MinusBetaSystem, Word, word_to_text
+from negabeta.transform import DigitSequence, MinusBetaSystem, word_to_text
 
 Edge = tuple[int, int, int]  # (source, label, target)
 
@@ -450,26 +450,6 @@ def decompose(aut: FoldedAutomaton) -> ComponentChain:
 
 
 # -- words and entropy -----------------------------------------------------------
-
-
-def enumerate_words(graph: LabeledGraph,
-                    maxlen: int) -> Iterator[tuple[Word, int]]:
-    """All distinct readable words of length 1..maxlen, each with the mask of its end states.
-
-    The end states of a word are those of all its readings, starting anywhere.
-    Words come in preorder, children in label order: each word follows its
-    parent, with no word of the parent's length or shorter in between.
-    """
-    # An explicit stack, not recursion: words may be longer than Python's
-    # recursion limit.  Children are pushed in reverse label order, so the
-    # smallest label comes off first.
-    stack = [((), graph.vertex_mask)]
-    while stack:
-        word, states = stack.pop()
-        if word:
-            yield word, states
-        if len(word) < maxlen:
-            stack.extend((word + (a,), t) for a, t in reversed(graph.followers(states)))
 
 
 def spectral_radius(mat: np.ndarray) -> float:

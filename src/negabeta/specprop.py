@@ -59,9 +59,6 @@ class SoficPresentation:
     def from_chain(cls, chain: ComponentChain) -> "SoficPresentation":
         return cls(chain.automaton.graph, chain.components)
 
-    def component_graph(self, i: int) -> LabeledGraph:
-        return self.graph.induced(self.components[i])
-
 
 @dataclass(frozen=True)
 class SpecCertificate:

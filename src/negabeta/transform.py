@@ -40,18 +40,9 @@ class NotAlgebraicInteger(NotEventuallyPeriodic):
     """Beta is not an algebraic integer, which proves the orbit of 1 aperiodic."""
 
 
-class HitBoundary(TransformError):
-    """Orbit landed exactly on a partition endpoint."""
-
-    def __init__(self, step: int):
-        self.step = step
-        super().__init__(f"orbit hit a partition endpoint at step {step}")
-
-
 class Side(enum.Enum):
     BELOW = "from_below"
     ABOVE = "from_above"
-    EXACT = "exact"
 
 
 class Case(enum.Enum):
@@ -216,7 +207,8 @@ class MinusBetaSystem:
     # -- the map ------------------------------------------------------------------
 
     def _side_step(self, t: FieldElement, side: Side) -> tuple[int, Side]:
-        """The digit of a side-tagged point x with beta*x = t, and the side of its image.
+        """The digit of a point x approached from ``side`` (BELOW or ABOVE), with
+        beta*x = t, and the side of its image.
 
         At an endpoint (t an integer k) the digit is k-1 from below and k from above.
         """
@@ -225,13 +217,9 @@ class MinusBetaSystem:
             if is_int and k == 0:
                 raise OutOfDomain("no points below 0")
             return (k - 1 if is_int else k), Side.ABOVE
-        if side is Side.ABOVE:
-            if is_int and k >= self.b + 1:
-                raise OutOfDomain("no points above 1")
-            return k, Side.BELOW
-        if is_int:
-            raise HitBoundary(0)
-        return k, Side.EXACT
+        if is_int and k >= self.b + 1:
+            raise OutOfDomain("no points above 1")
+        return k, Side.BELOW
 
     # -- expansion of 1 -------------------------------------------------------------
 

@@ -17,6 +17,9 @@ the paper's formulas, and no module of the package reads them:
 - `SignedPoint`, `signed_step(system, value, side)` and
   `itinerary(system, x, n)`: the branch itinerary of a point, plain or
   side-tagged (test_transform, test_integer_build, test_acceptance);
+  `HitBoundary`, raised by `itinerary` and `code_point` when an orbit
+  lands on a partition endpoint (test_transform, test_acceptance,
+  test_border_table, test_intervalmaps);
 - `in_interval(interval, x)`: x lies in a branch cell or a cylinder, its
   endpoint flags honoured (test_measures);
 - `code_point(fmap, x, n, strict)` and `breakpoints(fmap)`: the branch
@@ -38,10 +41,18 @@ from typing import Union
 from negabeta.algebraic import FieldElement, IntPolynomial
 from negabeta.intervalmaps import CircleMap, IntervalMapError, PiecewiseExpandingMap
 from negabeta.transform import (
-    Case, DigitSequence, HitBoundary, MinusBetaSystem, OutOfDomain, Side, Word, _floor_exact,
+    Case, DigitSequence, MinusBetaSystem, OutOfDomain, Side, TransformError, Word, _floor_exact,
 )
 
 PointLike = Union[FieldElement, Fraction, int]
+
+
+class HitBoundary(TransformError):
+    """Orbit landed exactly on a partition endpoint."""
+
+    def __init__(self, step: int):
+        self.step = step
+        super().__init__(f"orbit hit a partition endpoint at step {step}")
 
 
 def apply_map(system: MinusBetaSystem, x):

@@ -1,11 +1,21 @@
 """Measure-side identities and per-word readings, as references for the tests.
 
 The program reads cylinders, branching distances and Markov measures off
-whole levels of the automaton and the image table (`measures.cylinder_walk`,
+whole levels of the automaton and the image table (`measures.cylinder_table`,
 `measures.g_beta_values`, `ldp`'s weighted components).  The definitions
 here read one word or one measure at a time, and no module of the package
 reads them:
 
+- `image_walk(table, words)` and `cylinder_walk(system, maxlen)`: one
+  `CylinderReport` per admissible word, in preorder, from the word listing
+  of `word_reference.enumerate_words` (test_measures, test_cylinder_walk,
+  test_language_gap, test_intervalmaps);
+- `cylinder_rows(system, maxlen, digits)` and `cylinder_text(rows, fmt)`:
+  the `cyl` table as one dict per report, and its CSV or JSON text through
+  the standard library's writers (test_cylinder_table);
+- `partition_identity_holds(system, n)`: the lengths hi - lo of the
+  cylinders of the words of length n sum to 1 (test_measures,
+  test_acceptance);
 - `additivity_holds(system, word)`: a cylinder's length is the sum of the
   lengths of its one-letter extensions (test_measures, test_transform);
 - `g_beta_word(system, word)`: the distance from one word to the nearest
@@ -23,17 +33,138 @@ reads them:
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import math
+import operator
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from negabeta.algebraic import _bareiss
+from negabeta.algebraic import _bareiss, to_decimal
 from negabeta.intervalmaps import PiecewiseExpandingMap
 from negabeta.measures import (
-    InadmissibleWord, MarkovMeasure, NotIrreducible, _fold, _g_from_followers, _psi_value,
+    CylinderInterval, CylinderReport, Image, ImageTable, InadmissibleWord, MarkovMeasure,
+    NotIrreducible, _coeff_text, _fold, _g_from_followers, _lower_constant, _psi_value,
+    image_table,
 )
 from negabeta.shiftgraph import LabeledGraph, automaton_for, is_irreducible
-from negabeta.transform import MinusBetaSystem
+from negabeta.transform import MinusBetaSystem, Word, word_to_text
+
+from word_reference import enumerate_words
+
+
+def image_walk(table: ImageTable,
+               words: Iterable[tuple[Word, object]]) -> Iterator[tuple[Word, object, Image]]:
+    """(word, tag, J_w) for each (word, tag) given in preorder, one step per word.
+
+    Each word must come after its parent, with no word of the parent's length
+    or shorter in between (the order of `word_reference.enumerate_words`,
+    whose end states are the tags).  A stack holds one image per depth.
+    Raises :class:`InadmissibleWord` when a word's cylinder has no interior.
+    """
+    stack = [table.root]
+    for word, tag in words:
+        del stack[len(word):]
+        image = table.step(stack[-1], word[-1])
+        if image is None or image[0] == image[2]:
+            raise InadmissibleWord(f"no interior in the cylinder of word {word}")
+        stack.append(image)
+        yield word, tag, image
+
+
+def cylinder_walk(system: MinusBetaSystem, maxlen: int) -> Iterator[CylinderReport]:
+    """Reports for every admissible word up to maxlen, in preorder.
+
+    Walks the folded automaton's words (the admissible words) through
+    :func:`image_walk`.  c_w and the endpoints of [w] are integer vectors
+    over one denominator D, the lcm of the denominators of the depth
+    constants up to maxlen; each distinct endpoint becomes a canonical field
+    element once, looked up by its vector.  A word's length and bound checks
+    are read off its image.  A word branches when its end states have two
+    followers.
+    """
+    graph = automaton_for(system).graph
+    table = image_table(system)
+    bounds = table.bounds(_lower_constant(system))
+    depths = [table.depth(n) for n in range(maxlen + 1)]
+    den = math.lcm(*(x.den for depth in depths for x in (*depth.ends, *depth.terms)))
+
+    def over_den(x) -> tuple[int, ...]:
+        scale = den // x.den
+        return tuple(a * scale for a in x.nums)
+
+    ends = [tuple(map(over_den, depth.ends)) for depth in depths]
+    terms = [tuple(map(over_den, depth.terms)) for depth in depths]
+    elements: dict[tuple[int, ...], object] = {}
+
+    def endpoint(vector: tuple[int, ...]):
+        value = elements.get(vector)
+        if value is None:
+            value = elements[vector] = system.beta._element(vector, den)
+        return value
+
+    offsets = [(0,) * system.beta.degree]  # c_w * D for each prefix of the current word
+    for word, states, image in image_walk(table, enumerate_words(graph, maxlen)):
+        n = len(word)
+        del offsets[n:]
+        offset = tuple(map(operator.sub, offsets[-1], terms[n][word[-1]]))
+        offsets.append(offset)
+        lo, lo_closed, hi, hi_closed = image
+        lo_end = endpoint(tuple(map(operator.add, ends[n][lo], offset)))
+        hi_end = endpoint(tuple(map(operator.add, ends[n][hi], offset)))
+        if depths[n].decreasing:
+            interval = CylinderInterval(word, hi_end, lo_end, hi_closed, lo_closed)
+        else:
+            interval = CylinderInterval(word, lo_end, hi_end, lo_closed, hi_closed)
+        branching = len(graph.followers(states)) >= 2
+        upper_ok, lower_ok = bounds(lo, hi)
+        yield CylinderReport(interval, table.length(n, image), depths[n].scale, upper_ok,
+                             branching, lower_ok if branching else None, image)
+
+
+def cylinder_rows(system: MinusBetaSystem, maxlen: int, digits: int) -> list[dict]:
+    """The `cyl` table as one dict per report of :func:`cylinder_walk`."""
+    def texts(value) -> tuple[str, str]:
+        return _coeff_text(value.nums, value.den), to_decimal(value, digits)
+
+    rows = []
+    for report in cylinder_walk(system, maxlen):
+        interval = report.interval
+        lo, lo_decimal = texts(interval.lo)
+        hi, hi_decimal = texts(interval.hi)
+        rows.append({
+            "word": word_to_text(interval.word, system.b),
+            "lo": lo,
+            "hi": hi,
+            "lo_decimal": lo_decimal,
+            "hi_decimal": hi_decimal,
+            "length": texts(report.length)[1],
+            "upper_bound_ok": report.upper_bound_ok,
+            "lower_bound_applicable": report.lower_bound_applicable,
+            "lower_bound_ok": report.lower_bound_ok,
+        })
+    return rows
+
+
+def cylinder_text(rows: list[dict], fmt: str) -> str:
+    """The `cyl` stdout for the rows of :func:`cylinder_rows`: CSV rows in the key
+    order of the first row, or JSON with sorted keys and an indent of 2."""
+    if fmt == "json":
+        return json.dumps({"rows": rows}, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    header = list(rows[0]) if rows else []
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([row[key] for key in header] for row in rows)
+    return buf.getvalue()
+
+
+def partition_identity_holds(system: MinusBetaSystem, n: int) -> bool:
+    """The cylinder lengths hi - lo of the words of length n sum to one exactly."""
+    lengths = [r.interval.hi - r.interval.lo for r in cylinder_walk(system, n) if len(r.word) == n]
+    return sum(lengths, system.beta.zero()) == 1
 
 
 def additivity_holds(system: MinusBetaSystem, word: Sequence[int]) -> bool:

@@ -43,14 +43,13 @@ from negabeta.specprop import (
 )
 from negabeta.transform import (
     Case,
-    HitBoundary,
     MinusBetaSystem,
 )
 from exact_tails import MAX_SIGMAS, SEEDS, circle_tail, lebesgue_tail, sigmas
-from map_reference import itinerary
+from map_reference import HitBoundary, itinerary
+from measure_reference import partition_identity_holds
 from word_reference import (
-    Ordering, alt_compare, cross_validate, enumerate_admissible, partition_identity_holds,
-    word_admissible,
+    Ordering, alt_compare, cross_validate, enumerate_admissible, word_admissible,
 )
 
 DIGIT1 = {0: 0.0, 1: 1.0}

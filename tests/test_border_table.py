@@ -28,7 +28,6 @@ from negabeta.shiftgraph import (
 )
 from negabeta.transform import (
     DigitSequence,
-    HitBoundary,
     MinusBetaSystem,
     NotEventuallyPeriodic,
     OutOfDomain,
@@ -36,7 +35,7 @@ from negabeta.transform import (
     _floor_exact,
 )
 
-from map_reference import nth_digit
+from map_reference import HitBoundary, nth_digit
 from pisot_bases import BASES
 from test_cylinder_walk import NON_PISOT
 from word_reference import border_step, build_gamma

@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negabeta import measures
 from negabeta.algebraic import FieldElement, parse_beta_spec
-from negabeta.cli import (
-    MAX_DIGITS, RunConfig, UsageError, _coeff_text, emit_report, main, parse_config,
-)
+from negabeta.cli import MAX_DIGITS, RunConfig, UsageError, emit_report, main, parse_config
 from negabeta.transform import EXPANSION_STEPS, MinusBetaSystem
 
 PISOT = "poly:-1,-1,0,1;interval:1,2"
@@ -198,7 +197,8 @@ def _field_elements(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_field_elements())
 def test_coeff_text_matches_fraction_formatting(element):
-    assert _coeff_text(element) == "[" + ",".join(str(c) for c in element.coeffs) + "]"
+    expected = "[" + ",".join(str(c) for c in element.coeffs) + "]"
+    assert measures._coeff_text(element.nums, element.den) == expected
 
 
 @pytest.mark.parametrize(
@@ -323,19 +323,18 @@ def test_every_sample_hit_prints_zero_rate(argv, capsys):
 
 def test_validate_lists_no_word(monkeypatch, capsys):
     """validate counts words in classes of (state set, image) and decides the
-    language on pairs of them: the same bytes with every per-word walk
-    refused.  (cyl lists words by design; its bytes are pinned in
-    test_cli_golden.)"""
+    language on pairs of them: the same bytes with the package's one
+    word-by-word walk, the cylinder table, refused.  (cyl lists words by
+    design; its bytes are pinned in test_cli_golden.)"""
     argv = ["validate", "--beta", PISOT, "--maxlen", "12", "--seed", "3"]
     expected = invoke(argv, capsys)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a word listing was reached")
 
-    for module in [m for name, m in sys.modules.items() if name.startswith("negabeta")]:
-        for name in ("enumerate_words", "image_walk", "cylinder_walk"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(measures, "cylinder_table", refuse)
+    with pytest.raises(AssertionError, match="a word listing"):
+        main(["cyl", "--beta", PISOT, "--maxlen", "2"])
     assert invoke(argv, capsys) == expected
     assert expected[0] == 0
 

@@ -3,11 +3,12 @@
 `reference_interval` and `reference_example31` are the pullbacks the walk
 replaced: each word is pulled back from [0, 1] through the inverse branches,
 last digit first, dividing by the slope at every step (memoized on suffixes
-here, which changes no value).  The walk and the
-one-word fold must reproduce them exactly: the same words in the same order,
-the same exact endpoints and the same closure flags, and the same refusals.
-The image table they read is checked against the paper's point set, computed
-here from the orbit of 1 under `map_reference.apply_map`.
+here, which changes no value).  The reports of `measure_reference.cylinder_walk`
+and the one-word fold must reproduce them exactly: the same words in the same
+order, the same exact endpoints and the same closure flags, and the same
+refusals (test_cylinder_table ties `measures.cylinder_table` to those reports
+byte for byte).  The image table they read is checked against the paper's
+point set, computed here from the orbit of 1 under `map_reference.apply_map`.
 """
 
 import functools
@@ -21,16 +22,14 @@ from negabeta.algebraic import (
 )
 from negabeta.cli import main
 from negabeta.intervalmaps import example31_measure_bounds, example31_system
-from negabeta.measures import (
-    InadmissibleWord, cylinder_interval, cylinder_walk, image_table, image_walk,
-)
-from negabeta.shiftgraph import automaton_for, enumerate_words
+from negabeta.measures import InadmissibleWord, cylinder_interval, cylinder_table, image_table
+from negabeta.shiftgraph import automaton_for
 from negabeta.transform import MinusBetaSystem
 
 from map_reference import apply_map
-from measure_reference import example31_cylinder
+from measure_reference import cylinder_walk, example31_cylinder, image_walk
 from pisot_bases import BASES as POOL_BASES
-from word_reference import enumerate_admissible
+from word_reference import enumerate_admissible, enumerate_words
 
 BASES = {
     "cubic": ((-1, -1, 0, 1), 1, 2),  # x^3 - x - 1
@@ -196,8 +195,9 @@ def test_walk_matches_pullback_on_every_base():
 
 
 def test_no_word_needs_a_sign_test(monkeypatch):
-    """The walk's sign tests build the table and decide each image's bounds
-    once, so their count stops growing with the depth."""
+    """The table's sign tests, formatting aside, build the image table and
+    decide each image's bounds once, so their count stops growing with the
+    depth."""
     sign = FieldElement.sign
     calls = [0]
 
@@ -206,12 +206,13 @@ def test_no_word_needs_a_sign_test(monkeypatch):
         return sign(self)
 
     monkeypatch.setattr(FieldElement, "sign", counted)
+    monkeypatch.setattr(FieldElement, "decimal", lambda self, digits: "")
     counts = []
     for n in (8, 12):
         system = _system(*BASES["cubic"])
         automaton_for(system)
         before = calls[0]
-        list(cylinder_walk(system, n))
+        cylinder_table(system, n, 15)
         counts.append(calls[0] - before)
     assert counts[0] == counts[1]
 
@@ -239,10 +240,13 @@ def test_cyl_inverts_no_field_element(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("name", ["cubic", "golden"])
-def test_walk_builds_each_endpoint_once(name, monkeypatch):
-    """Endpoints are integer vectors over one denominator: a field element is
-    built once per distinct endpoint and for the per-depth constants, not per
-    row."""
+def test_table_builds_no_element_per_row(name, monkeypatch):
+    """Endpoints and lengths are integer vectors over one denominator, formatted
+    straight from the vector: canonical field elements are built for the
+    per-depth constants and once per image, not per row or per endpoint."""
+    maxlen = 12
+    # the images, read on a system of their own: the table keeps its depth constants
+    images = len({(r.image[0], r.image[2]) for r in cylinder_walk(_system(*BASES[name]), maxlen)})
     system = _system(*BASES[name])
     automaton_for(system)
     table = image_table(system)
@@ -254,16 +258,13 @@ def test_walk_builds_each_endpoint_once(name, monkeypatch):
         return element(self, nums, den)
 
     monkeypatch.setattr(AlgebraicNumber, "_element", counted)
-    maxlen = 12
-    reports = list(cylinder_walk(system, maxlen))
-    endpoints = {x for r in reports for x in (r.interval.lo, r.interval.hi)}
-    images = len({(r.image[0], r.image[2]) for r in reports})
-    # per depth: s_n, s_n*p for each point, s_n*(a+1) for each digit and, per
-    # image, |[w]| = |s_n| * (hi - lo); per image, its width and two bound
-    # comparisons; and the lower-bound constant 1 - b/beta
-    per_depth = 1 + len(table.points) + len(table.cells) + 2 * images
-    budget = len(endpoints) + maxlen * per_depth + 3 * images + 2
-    assert calls[0] <= budget < len(reports)
+    rows = cylinder_table(system, maxlen, 15)
+    # per depth: s_n, s_n*p for each point and s_n*(a+1) for each digit; per
+    # image, its width and two bound comparisons; and the lower-bound
+    # constant 1 - b/beta
+    per_depth = 1 + len(table.points) + len(table.cells)
+    budget = maxlen * per_depth + 3 * images + 2
+    assert calls[0] <= budget < len(rows)
 
 
 @pytest.mark.parametrize("spec", [

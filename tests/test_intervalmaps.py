@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from negabeta import cli
+from negabeta import cli, measures
 from negabeta.intervalmaps import (
     CircleMap,
     IntervalMapError,
@@ -27,16 +27,14 @@ from negabeta.intervalmaps import (
     predicted_occupation_rate,
 )
 from negabeta.ldp import WindowNeverHit
-from negabeta.measures import InadmissibleWord, image_walk
+from negabeta.measures import InadmissibleWord
 from negabeta.sampling import _CHUNK, _philox_block, _sample_doubles, _seed_key
-from negabeta.shiftgraph import enumerate_words
 from negabeta.specprop import spec_bound
-from negabeta.transform import HitBoundary
 from exact_tails import MAX_SIGMAS, SEEDS, circle_tail, sigmas
-from map_reference import breakpoints, circle_step, code_point
-from measure_reference import example31_cylinder
+from map_reference import HitBoundary, breakpoints, circle_step, code_point
+from measure_reference import example31_cylinder, image_walk
 from philox_reference import sample_int
-from word_reference import example31_word_admissible
+from word_reference import enumerate_words, example31_word_admissible
 
 
 @pytest.fixture(scope="module")
@@ -193,14 +191,13 @@ def test_words_checked_has_a_closed_form(capsys):
 
 
 def test_example31_lists_no_word(monkeypatch, capsys):
-    """The CLI reaches neither the word enumeration nor the per-word image walk."""
+    """The CLI never reaches the package's one word-by-word walk, the cylinder table."""
     def refuse(*args, **kwargs):
         raise AssertionError("a word listing was reached")
 
-    for module in [m for name, m in sys.modules.items() if name.startswith("negabeta")]:
-        for name in ("enumerate_words", "image_walk"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(measures, "cylinder_table", refuse)
+    with pytest.raises(AssertionError, match="a word listing"):
+        cli.main(["cyl", "--beta", "poly:-2,1;interval:1,3", "--maxlen", "2"])
     assert cli.main(["example31", "--maxlen", "12"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["bounds_ok"] is True

@@ -23,6 +23,7 @@ from negabeta.measures import (
 from negabeta.shiftgraph import FoldedAutomaton, LabeledGraph, automaton_for
 from negabeta.transform import MinusBetaSystem
 
+from measure_reference import cylinder_walk
 from pisot_bases import BASES
 from test_cylinder_walk import NON_PISOT
 from word_reference import count_words, cross_validate
@@ -126,7 +127,7 @@ def test_class_words_are_the_least_in_preorder():
     system = MinusBetaSystem(parse_beta_spec(CUBIC))
     graph, table = automaton_for(system).graph, image_table(system)
     least = {}
-    for report in measures.cylinder_walk(system, 7):
+    for report in cylinder_walk(system, 7):
         key = len(report.word), graph.reads(report.word), report.image
         least.setdefault(key, report.word)
     classes = {}

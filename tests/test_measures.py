@@ -14,7 +14,6 @@ from negabeta.measures import (
     NotIrreducible,
     cylinder_interval,
     cylinder_measure,
-    cylinder_walk,
     empirical_measure,
     g_beta_n,
     max_truncation,
@@ -26,10 +25,11 @@ from negabeta.transform import MinusBetaSystem
 
 from map_reference import in_interval
 from measure_reference import (
-    additivity_holds, g_beta_word, point_mass_on_cycle, random_markov_measure,
+    additivity_holds, cylinder_walk, g_beta_word, partition_identity_holds, point_mass_on_cycle,
+    random_markov_measure,
 )
 from pisot_bases import BASES
-from word_reference import enumerate_admissible, partition_identity_holds, word_admissible
+from word_reference import enumerate_admissible, word_admissible
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,6 @@ from negabeta.measures import InadmissibleWord, cylinder_interval, cylinder_meas
 from negabeta.transform import (
     Case,
     DigitSequence,
-    HitBoundary,
     MinusBetaSystem,
     NotEventuallyPeriodic,
     OutOfDomain,
@@ -20,7 +19,7 @@ from negabeta.transform import (
 )
 
 from map_reference import (
-    SignedPoint, apply_map, itinerary, nth_digit, sequence_from_text, value_of,
+    HitBoundary, SignedPoint, apply_map, itinerary, nth_digit, sequence_from_text, value_of,
 )
 from measure_reference import additivity_holds
 from pisot_bases import BASES

@@ -16,6 +16,9 @@ package reads them:
   words in preorder, each carrying its borders against the expansion of 1
   (test_transform, test_shiftgraph, test_cylinder_walk, test_measures,
   test_acceptance, and the reference builder of test_border_table);
+- `enumerate_words(graph, maxlen)`: the graph's readable words in
+  preorder, each with the mask of its end states (test_shiftgraph,
+  test_intervalmaps, test_cylinder_walk, and `measure_reference.cylinder_walk`);
 - `cross_validate(aut, system, n)`: the automaton's words against
   `enumerate_admissible` up to length n (test_shiftgraph, test_acceptance,
   test_language_gap);
@@ -25,9 +28,6 @@ package reads them:
   (test_graph_index);
 - `example31_word_admissible(word)`: Example 3.1's language, the factors of
   u1v with u over {0,1} and v over {2,3,4} (test_intervalmaps);
-- `partition_identity_holds(system, n)`: the lengths hi - lo of the
-  cylinders of the words of length n sum to 1 (test_measures,
-  test_acceptance);
 - `build_gamma(s, horizon)`: the unfolded graph V0..V_horizon, built from
   the same border rows that `automaton_for` folds (test_shiftgraph,
   test_border_table, test_presentation_reuse).
@@ -39,8 +39,7 @@ import enum
 import math
 from typing import Iterator, Optional, Sequence, Union
 
-from negabeta.measures import cylinder_walk
-from negabeta.shiftgraph import FoldedAutomaton, LabeledGraph, _gamma_rows, enumerate_words
+from negabeta.shiftgraph import FoldedAutomaton, LabeledGraph, _gamma_rows
 from negabeta.transform import DigitSequence, MinusBetaSystem, Word
 
 
@@ -140,6 +139,26 @@ def enumerate_admissible(system: MinusBetaSystem, maxlen: int) -> Iterator[Word]
                     stack.append((word + (a,), new_active))
 
 
+def enumerate_words(graph: LabeledGraph,
+                    maxlen: int) -> Iterator[tuple[Word, int]]:
+    """All distinct readable words of length 1..maxlen, each with the mask of its end states.
+
+    The end states of a word are those of all its readings, starting anywhere.
+    Words come in preorder, children in label order: each word follows its
+    parent, with no word of the parent's length or shorter in between.
+    """
+    # An explicit stack, not recursion: words may be longer than Python's
+    # recursion limit.  Children are pushed in reverse label order, so the
+    # smallest label comes off first.
+    stack = [((), graph.vertex_mask)]
+    while stack:
+        word, states = stack.pop()
+        if word:
+            yield word, states
+        if len(word) < maxlen:
+            stack.extend((word + (a,), t) for a, t in reversed(graph.followers(states)))
+
+
 def cross_validate(aut: FoldedAutomaton, system: MinusBetaSystem,
                    n: int) -> tuple[bool, Optional[Word]]:
     """Compare automaton words with order-admissible words up to length n.
@@ -188,12 +207,6 @@ def example31_word_admissible(word: Sequence[int]) -> bool:
         if prev <= 1 and cur >= 2 and prev != 1:
             return False
     return True
-
-
-def partition_identity_holds(system: MinusBetaSystem, n: int) -> bool:
-    """The cylinder lengths hi - lo of the words of length n sum to one exactly."""
-    lengths = [r.interval.hi - r.interval.lo for r in cylinder_walk(system, n) if len(r.word) == n]
-    return sum(lengths, system.beta.zero()) == 1
 
 
 def build_gamma(s: DigitSequence, horizon: int) -> LabeledGraph:
