@@ -74,8 +74,8 @@ class _Violation(Exception):
 class _Table:
     """Rows of one fixed header, each a tuple in header order.
 
-    CSV writes the header and the tuples; JSON writes each row as an object
-    with sorted keys, the bytes a list of dicts would give.
+    CSV writes the header and the tuples; JSON writes the list of dicts
+    the rows stand for.
     """
 
     header: tuple[str, ...]
@@ -576,27 +576,6 @@ def _json_parts(value, indent: str, parts: list[str]) -> None:
                 parts.append(separator)
             _json_parts(item, deeper, parts)
         parts.append("\n" + indent + "]")
-    elif isinstance(value, _Table):
-        if not value.rows:
-            parts.append("[]")
-            return
-        # each row as the dict branch writes an object, one level deeper
-        deeper, inner = indent + "  ", indent + "    "
-        header = value.header
-        keys = [(encode_basestring_ascii(header[i]) + ": ", i)
-                for i in sorted(range(len(header)), key=header.__getitem__)]
-        opening, comma = "{\n" + inner, ",\n" + inner
-        parts.append("[\n" + deeper)
-        for k, row in enumerate(value.rows):
-            if k:
-                parts.append(",\n" + deeper)
-            separator = opening
-            for name, i in keys:
-                parts.append(separator + name)
-                separator = comma
-                _json_parts(row[i], inner, parts)
-            parts.append("\n" + deeper + "}" if keys else "{}")
-        parts.append("\n" + indent + "]")
     elif isinstance(value, dict):
         if not value:
             parts.append("{}")
@@ -649,6 +628,9 @@ def emit_report(result, fmt: str, out: Optional[str]) -> str:
         writer.writerows(table.rows)
         text = buf.getvalue()
     else:
+        table = result.get("rows") if isinstance(result, dict) else None
+        if isinstance(table, _Table):  # as the list of dicts it stands for
+            result = {**result, "rows": [dict(zip(table.header, row)) for row in table.rows]}
         text = _json_text(result) + "\n"
     if out:
         try:

@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from negabeta.algebraic import FieldElement, to_decimal
 from negabeta.shiftgraph import LabeledGraph, _levels, automaton_for, spectral_radius
-from negabeta.transform import MinusBetaSystem, Word
+from negabeta.transform import MinusBetaSystem, Word, word_from_text, word_separator
 
 
 class MeasureError(Exception):
@@ -400,7 +400,7 @@ def cylinder_table(system: MinusBetaSystem, maxlen: int, digits: int) -> list[tu
 
     # per depth: (lo index, hi index) of J_w -> (|[w]| as a decimal, upper ok, lower ok)
     images: list[dict] = [{} for _ in depths]
-    sep = "" if system.b <= 9 else ","  # as in word_to_text
+    sep = word_separator(system.b)
     rows = []
     stack = [("", 0, graph.vertex_mask, table.root, (0,) * field.degree)]
     while stack:
@@ -408,8 +408,8 @@ def cylinder_table(system: MinusBetaSystem, maxlen: int, digits: int) -> list[tu
         followers = graph.followers(states)
         if n:
             if image is None:
-                word = tuple(map(int, text.split(",") if sep else text))
-                raise InadmissibleWord(f"no interior in the cylinder of word {word}")
+                raise InadmissibleWord(
+                    f"no interior in the cylinder of word {word_from_text(text, system.b)}")
             lo, _, hi, _ = image
             at = ends[n]
             lo_end = endpoint(tuple(map(operator.add, at[lo], offset)))

@@ -94,22 +94,28 @@ class DigitSequence:
         return len(self.period)
 
     def to_text(self) -> str:
-        if self.alphabet_bound <= 9:
-            pre = "".join(str(d) for d in self.preperiod)
-            per = "".join(str(d) for d in self.period)
-        else:
-            pre = ",".join(str(d) for d in self.preperiod)
-            per = ",".join(str(d) for d in self.period)
+        pre = word_to_text(self.preperiod, self.alphabet_bound)
+        per = word_to_text(self.period, self.alphabet_bound)
         return f"{pre}({per})"
 
     def __str__(self) -> str:
         return self.to_text()
 
 
+def word_separator(alphabet_bound: int) -> str:
+    """What goes between two digits of a word's text: nothing while every
+    digit is one character, else a comma."""
+    return "" if alphabet_bound <= 9 else ","
+
+
 def word_to_text(word: Sequence[int], alphabet_bound: int) -> str:
-    if alphabet_bound <= 9:
-        return "".join(str(d) for d in word)
-    return ",".join(str(d) for d in word)
+    return word_separator(alphabet_bound).join(str(d) for d in word)
+
+
+def word_from_text(text: str, alphabet_bound: int) -> Word:
+    """The word that :func:`word_to_text` prints as ``text``."""
+    sep = word_separator(alphabet_bound)
+    return tuple(map(int, text.split(sep) if sep and text else text))
 
 
 def _floor_exact(t) -> tuple[int, bool]:

@@ -26,18 +26,21 @@ from test_cylinder_walk import NON_PISOT, _spec
 from test_language_gap import _mutated
 
 BIG = ((-2, 0, 2, -1, -2, 1), 2, 3)  # x^5 - 2x^4 - x^3 + 2x^2 - 2, 52 states
-SWEEP = BASES + NON_PISOT + [BIG]
 MAXLEN = 5
+# beta = 11 and beta = 5 + sqrt(26): digits up to 10 or more, so words are
+# written with commas; 1,464 and 1,256 rows at depth 3
+WIDE = [((-11, 1), 10, 12, 3), ((-1, -10, 1), 10, 11, 3)]
+SWEEP = [(*base, MAXLEN) for base in BASES + NON_PISOT + [BIG]] + WIDE
 DIGITS = (1, 15, 60)
 
 
-@pytest.mark.parametrize("coeffs, lo, hi", SWEEP, ids=[str(c) for c, _, _ in SWEEP])
-def test_cyl_matches_the_reference(coeffs, lo, hi, capsys):
+@pytest.mark.parametrize("coeffs, lo, hi, maxlen", SWEEP, ids=[str(c) for c, *_ in SWEEP])
+def test_cyl_matches_the_reference(coeffs, lo, hi, maxlen, capsys):
     system = MinusBetaSystem(make_algebraic(IntPolynomial(coeffs), lo, hi))
     for digits in DIGITS:
-        rows = cylinder_rows(system, MAXLEN, digits)
+        rows = cylinder_rows(system, maxlen, digits)
         for fmt in ("csv", "json"):
-            code = main(["cyl", "--beta", _spec(coeffs, lo, hi), "--maxlen", str(MAXLEN),
+            code = main(["cyl", "--beta", _spec(coeffs, lo, hi), "--maxlen", str(maxlen),
                          "--digits", str(digits), "--format", fmt])
             assert (code, *capsys.readouterr()) == (0, cylinder_text(rows, fmt), ""), (digits, fmt)
 

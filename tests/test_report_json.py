@@ -92,25 +92,6 @@ def test_emitter_edge_values():
         assert cli._json_text(value) == _stdlib(value)
 
 
-@st.composite
-def _tables(draw):
-    """A cli._Table and the list of dicts it stands for."""
-    header = draw(st.lists(st.text(max_size=6), unique=True, max_size=5))
-    rows = draw(st.lists(st.tuples(*(_reports for _ in header)), max_size=4))
-    return cli._Table(tuple(header), rows), [dict(zip(header, row)) for row in rows]
-
-
-@settings(max_examples=300, deadline=None)
-@given(_tables(), st.integers(0, 2))
-def test_a_table_is_written_as_its_list_of_dicts(table, depth):
-    """Rows given as tuples under one header give the bytes of the dicts they
-    stand for, at any nesting depth (cyl writes its rows this way)."""
-    value, expected = {"rows": table[0]}, {"rows": table[1]}
-    for _ in range(depth):
-        value, expected = [value], [expected]
-    assert _outcome(cli._json_text, value) == _outcome(_stdlib, expected)
-
-
 def _command_results():
     """The result objects of some commands, before any emission."""
     out = []

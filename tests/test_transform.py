@@ -16,6 +16,8 @@ from negabeta.transform import (
     NotEventuallyPeriodic,
     OutOfDomain,
     Side,
+    word_from_text,
+    word_to_text,
 )
 
 from map_reference import (
@@ -386,6 +388,13 @@ def test_digit_sequence_text_round_trip():
     assert sequence_from_text("100(1)", 1) == s
     wide = DigitSequence.from_parts((10,), (11, 0), 12)
     assert sequence_from_text(wide.to_text(), 12) == wide
+
+
+def test_word_text_round_trip():
+    for word, bound, text in (((0, 1, 0, 1), 1, "0101"), ((9, 0), 9, "90"),
+                              ((10, 0, 11), 11, "10,0,11"), ((0, 1), 12, "0,1"), ((), 12, "")):
+        assert word_to_text(word, bound) == text
+        assert word_from_text(text, bound) == word
 
 
 def test_case1_period_ends_in_zero(two_sys, three_sys, pisot_sys):
