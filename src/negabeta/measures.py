@@ -19,7 +19,7 @@ from functools import cache, cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from negabeta.algebraic import FieldElement, to_decimal
-from negabeta.shiftgraph import LabeledGraph, _levels, automaton_for, spectral_radius
+from negabeta.shiftgraph import LabeledGraph, _levels, _perron, automaton_for, is_irreducible
 from negabeta.transform import MinusBetaSystem, Word, word_from_text, word_separator
 
 
@@ -533,49 +533,23 @@ def _psi_value(psi, label: int) -> float:
     return float(psi[label])
 
 
-def _perron_vector(mat: np.ndarray, rho: float) -> np.ndarray:
-    """Strictly positive eigenvector for the leading eigenvalue."""
-    import numpy as np
-
-    values, vectors = np.linalg.eig(mat)
-    k = int(np.argmin(np.abs(values - rho)))
-    vec = np.real(vectors[:, k])
-    if vec.sum() < 0:
-        vec = -vec
-    if np.any(vec <= 0):
-        # polish with a few shifted power steps; irreducibility makes it positive
-        vec = np.abs(vec) + 1e-9
-        for _ in range(200):
-            vec = (mat + np.eye(mat.shape[0])) @ vec
-            vec /= np.linalg.norm(vec)
-    return vec
-
-
 def parry_measure(graph: LabeledGraph, vertices: Optional[Sequence[int]] = None) -> MarkovMeasure:
     """Maximal-entropy Markov measure of an irreducible graph piece.
 
-    Built from the Perron eigendata of the adjacency matrix: each edge out of
-    p into q gets probability r_q / (rho * r_p), and the stationary law is the
-    normalized product of left and right eigenvectors.  Its entropy equals the
-    log of the spectral radius.
+    Built from the Perron data of the adjacency matrix
+    (:func:`negabeta.shiftgraph._perron`): each edge out of p into q gets
+    probability r_q / (rho * r_p), and the stationary law is that chain's.
+    Its entropy equals the log of the spectral radius.
     """
-    from negabeta.shiftgraph import is_irreducible
-
     verts = sorted(vertices) if vertices is not None else list(range(graph.vertex_count))
     if not is_irreducible(graph, verts):
         raise NotIrreducible("the maximal-entropy construction needs a strongly connected piece")
     index = {v: i for i, v in enumerate(verts)}
-    mat = graph.adjacency(verts)
-    rho = spectral_radius(mat)
-    right = _perron_vector(mat, rho)
-    left = _perron_vector(mat.T, rho)
-    pi = left * right
-    pi /= pi.sum()
+    _, scale, pi = _perron(graph.adjacency(verts))
     edge_probs = []
     for (s, a, t) in sorted(graph.edges):
         if s in index and t in index:
-            p = right[index[t]] / (rho * right[index[s]])
-            edge_probs.append(((s, a, t), p))
+            edge_probs.append(((s, a, t), scale[index[s], index[t]]))
     stationary = tuple((v, pi[index[v]]) for v in verts)
     bound = max(graph.labels()) if graph.edges else 0
     return MarkovMeasure(graph, tuple(edge_probs), stationary, bound)

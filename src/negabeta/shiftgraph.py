@@ -465,6 +465,52 @@ def spectral_radius(mat: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
+def _perron(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The Perron data of an irreducible nonnegative matrix A: its Perron root
+    rho, the edge probabilities Q_ij = r_j / (rho r_i) of its equilibrium
+    chain (r the right Perron vector), and that chain's stationary law.
+
+    An edge i -> j of weight w is taken with probability w Q_ij, so the
+    chain's transition matrix is S = A Q, entry by entry; on an adjacency
+    matrix each single edge has probability Q_ij, which is the Parry chain.
+
+    The Perron root is the eigenvalue of largest real part, also when
+    others share its modulus.  An eigensolver gives each vector entry to an
+    absolute error near the largest entry times 2^-52, so entries many
+    orders smaller (far out in t, for a weighted matrix) may be noise.
+    While some entry i of r misses (A r)_i = rho r_i by a relative 1e-12, r
+    is corrected by the Perron vector of diag(r)^-1 A diag(r), whose entries
+    are near 1 where r is right: each pass gains about 16 orders of
+    magnitude.  The stationary law is read off the off-diagonal entries of S
+    by Grassmann-Taksar-Heyman elimination, which subtracts nothing and so
+    keeps its relative accuracy when the chain is nearly reducible.
+    """
+    import numpy as np
+
+    scaled = mat
+    right = np.ones(len(mat))
+    for _ in range(8):
+        values, vectors = np.linalg.eig(scaled)
+        k = int(np.argmax(values.real))
+        rho = float(values[k].real)
+        right = right * np.abs(vectors[:, k].real)
+        right = np.maximum(right / right.max(), 1e-150)
+        if np.all(np.abs(mat @ right - rho * right) <= 1e-12 * rho * right):
+            break
+        scaled = mat * right[None, :] / right[:, None]
+    scale = right[None, :] / (rho * right[:, None])
+    p = mat * scale
+    n = len(p)
+    for k in range(n - 1, 0, -1):
+        p[:k, k] /= p[k, :k].sum()
+        p[:k, :k] += np.outer(p[:k, k], p[k, :k])
+    pi = np.empty(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ p[:k, k]
+    return rho, scale, pi / pi.sum()
+
+
 def entropy_estimate(aut: FoldedAutomaton, vertices: Optional[Sequence[int]] = None) -> float:
     """Log of the spectral radius of the (component) adjacency matrix."""
     mat = aut.graph.adjacency(vertices)

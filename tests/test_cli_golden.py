@@ -155,6 +155,11 @@ STOCHASTIC = {
     "mc_three": (["mc", "--beta", BASES["three"], "--obs", "digit2", "--window", "0.5:1.0",
                   "--n", "20", "--N", "4095", "--seed", "7"],
                  (0, "f52e406b895692397923ceba675a1807fc8be42ca7dd9fdb30d55d4ebd317703")),
+    # 130 steps use 90.25 bits of orbit: no double orbit can be certified
+    # (_certificate_bounds is None), so every row runs in the integer lanes
+    "mc_golden_lanes": (["mc", "--beta", BASES["golden"], "--obs", "digit1", "--window",
+                         "0.3:0.45", "--n", "130", "--N", "3000", "--seed", "4"],
+                        (0, "2908a978e16c9c7f26c9353e69b863906f0c2b74e23e6b4fb97d3ded04ec6865")),
     "mc_never_hit": (["mc", "--beta", BASES["cubic"], "--obs", "digit1", "--window", "0.99:1.0",
                       "--n", "40", "--N", "500", "--seed", "8"],
                      (3, "095ebd26b8e797fdf824b5d3d20fca6b15b995b740586cccfe6a72d9b04b7f87")),

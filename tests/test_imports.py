@@ -51,12 +51,16 @@ assert cli.main(['entropy', *beta]) == 0, 'entropy'
 stray = STRAY & set(sys.modules)
 assert not stray, f'entropy loaded {sorted(stray)}'
 
-# the digit engines and the rate share no code with the companion systems
-for argv in (['rate', *beta, '--a', '0.3'],
-             ['mc', *beta, '--window', '0.2:0.5', '--n', '30', '--N', '500', '--seed', '1']):
+# the rate commands run no digit engine, so they load no sampler; the digit
+# engines and the rate share no code with the companion systems
+for argv in (['rate', *beta, '--a', '0.3'], ['compare-rates', *beta]):
     assert cli.main(argv) == 0, argv[0]
     assert 'negabeta.ldp' in sys.modules
-    assert 'negabeta.intervalmaps' not in sys.modules, f'{argv[0]} loaded negabeta.intervalmaps'
+    stray = {'negabeta.sampling', 'negabeta.intervalmaps'} & set(sys.modules)
+    assert not stray, f'{argv[0]} loaded {sorted(stray)}'
+assert cli.main(['mc', *beta, '--window', '0.2:0.5', '--n', '30', '--N', '500', '--seed', '1']) == 0
+assert 'negabeta.sampling' in sys.modules
+assert 'negabeta.intervalmaps' not in sys.modules, 'mc loaded negabeta.intervalmaps'
 
 # the sampler hashes the seed with the builtin SHA-256 and runs Philox on its own
 stray = {'hashlib', 'numpy.random'} & set(sys.modules)
@@ -64,12 +68,30 @@ assert not stray, f'mc loaded {sorted(stray)}'
 """
 
 
-def test_each_command_loads_only_its_modules():
+# the samples and the digit engines take plain numbers: the sampler stands alone
+_SAMPLER_ALONE = r"""
+import sys
+import negabeta.sampling
+loaded = {m for m in sys.modules if m == 'negabeta' or m.startswith('negabeta.')}
+assert loaded == {'negabeta', 'negabeta.sampling'}, f'negabeta.sampling loaded {sorted(loaded)}'
+"""
+
+
+def _run(code):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _CHECK], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def test_each_command_loads_only_its_modules():
+    proc = _run(_CHECK)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_sampler_loads_no_other_module_of_the_package():
+    proc = _run(_SAMPLER_ALONE)
     assert proc.returncode == 0, proc.stderr
 
 

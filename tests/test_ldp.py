@@ -13,8 +13,6 @@ from negabeta.ldp import (
     WindowNeverHit,
     WrongBeta,
     _beta_fixed_point,
-    _digit_means_beta2,
-    _digit_means_generic,
     compare_rate_functions,
     deviation_estimate,
     free_energy,
@@ -24,7 +22,7 @@ from negabeta.ldp import (
     wilson_interval,
 )
 from negabeta.measures import cylinder_interval, parry_measure
-from negabeta.sampling import _philox_block, _seed_key
+from negabeta.sampling import _digit_means_beta2, _digit_means_generic, _philox_block, _seed_key
 from negabeta.shiftgraph import chain_for
 from negabeta.transform import MinusBetaSystem
 from exact_tails import MAX_SIGMAS, SEEDS, lebesgue_tail, sigmas
@@ -302,17 +300,24 @@ def _rate_rows(system, grid):
 
 def test_rates_survive_a_perturbed_perron_root(pisot_sys, two_sys, monkeypatch):
     # the rate engine reads Perron roots from spectral_radius (pressure) and
-    # _perron (slopes); a relative 1e-13 change of both moves no value by more
-    # than 1e-10, and no byte of a kink point
+    # shiftgraph._perron (slopes, through the edge probabilities r_j / (rho r_i));
+    # a relative 1e-13 change of both moves no value by more than 1e-10, and no
+    # byte of a kink point
     grid = [k / 20 for k in range(1, 20)]
     before = {sys: _rate_rows(sys, grid) for sys in (pisot_sys, two_sys)}
     real_radius, real_perron = ldp.spectral_radius, ldp._perron
+    radii, perrons = [], []
+
+    def radius(mat):
+        radii.append(1)
+        return real_radius(mat) * (1 + 1e-13)
 
     def perron(mat):
-        rho, right = real_perron(mat)
-        return rho * (1 + 1e-13), right
+        perrons.append(1)
+        rho, scale, pi = real_perron(mat)
+        return rho * (1 + 1e-13), scale / (1 + 1e-13), pi
 
-    monkeypatch.setattr(ldp, "spectral_radius", lambda mat: real_radius(mat) * (1 + 1e-13))
+    monkeypatch.setattr(ldp, "spectral_radius", radius)
     monkeypatch.setattr(ldp, "_perron", perron)
     kink_points = 0
     for sys, rows in before.items():
@@ -324,6 +329,7 @@ def test_rates_survive_a_perturbed_perron_root(pisot_sys, two_sys, monkeypatch):
                 kink_points += 1
                 assert old.to_json_dict() == new.to_json_dict() and old.component == 2
     assert kink_points == 10
+    assert radii and perrons  # both patches were read
 
 
 # -- Monte Carlo -------------------------------------------------------------------
@@ -411,8 +417,8 @@ def test_mc_never_hit(two_sys):
 
 def test_mc_engines_agree(two_sys):
     block = _philox_block(_seed_key(9), range(500))
-    fast = _digit_means_beta2(DIGIT1, 24, block).tolist()
-    slow = _digit_means_generic(two_sys, DIGIT1, 24, block, precision=90,
+    fast = _digit_means_beta2([0.0, 1.0], 24, block).tolist()
+    slow = _digit_means_generic(two_sys.b, [0.0, 1.0], 24, block, precision=90,
                                 beta_fixed=_beta_fixed_point(two_sys, 90)).tolist()
     assert fast == slow
 

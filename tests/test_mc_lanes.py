@@ -1,6 +1,6 @@
 """The Monte Carlo engines against the scalar loop they replaced.
 
-`ldp._digit_means_generic` runs a batch first as double orbits, each row
+`sampling._digit_means_generic` runs a batch first as double orbits, each row
 with a certificate that its digits are the fixed-point ones, and the rows it
 cannot certify as fixed-point lanes of one Python integer.  The reference
 below is the plain loop: one sample at a time, from the scalar Philox of
@@ -19,19 +19,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from negabeta import ldp
+from negabeta import sampling
 from negabeta.algebraic import parse_beta_spec
-from negabeta.ldp import (
-    _beta_fixed_point,
+from negabeta.ldp import _beta_fixed_point, mc_deviation
+from negabeta.sampling import (
+    _CHUNK,
     _certificate_bounds,
-    _digit_means_beta2,
-    _digit_means_generic,
     _digit_mean,
+    _digit_means_beta2,
     _double_means,
     _orbit_digits,
-    mc_deviation,
+    _philox_block,
+    _seed_key,
 )
-from negabeta.sampling import _CHUNK, _philox_block, _seed_key
 from negabeta.transform import MinusBetaSystem
 from philox_reference import philox4x32_10, sample_int
 
@@ -52,6 +52,17 @@ def _scale_sample(sample, precision):
 
 def _psi_value(psi, label):
     return float(psi(label)) if callable(psi) else float(psi[label])
+
+
+def _values(psi, b):
+    """The observable at the digits 0..b, as the engines take it."""
+    return [_psi_value(psi, d) for d in range(b + 1)]
+
+
+def generic_means(system, psi, n, block, precision, beta_fixed):
+    """The generic engine on one system and observable, called as mc_deviation calls it."""
+    return sampling._digit_means_generic(system.b, _values(psi, system.b), n, block, precision,
+                                         beta_fixed)
 
 
 def reference_means(system, psi, n, samples, precision, beta_fixed):
@@ -198,7 +209,7 @@ def test_lanes_match_scalar_loop(name, n, count, kind, seed):
     precision = _precision(system, n)
     beta_fixed = _beta_fixed_point(system, precision)
     block = _philox_block(_seed_key(seed), range(count))
-    lanes = _digit_means_generic(system, psi, n, block, precision, beta_fixed)
+    lanes = generic_means(system, psi, n, block, precision, beta_fixed)
     samples = [sample_int(seed, i) for i in range(count)]
     assert lanes.tolist() == reference_means(system, psi, n, samples, precision, beta_fixed)
 
@@ -209,7 +220,7 @@ def test_small_precision_and_edge_samples():
     samples = [0, 1, (1 << 128) - 1, 1 << 127] + [sample_int(4, i) for i in range(60)]
     for precision in (40, 65, 127, 128, 129, 200):
         beta_fixed = _beta_fixed_point(system, precision)
-        lanes = _digit_means_generic(system, {0: 0.0, 1: 1.0}, 17, _pack(samples), precision,
+        lanes = generic_means(system, {0: 0.0, 1: 1.0}, 17, _pack(samples), precision,
                                      beta_fixed)
         assert lanes.tolist() == reference_means(system, {0: 0.0, 1: 1.0}, 17, samples,
                                                  precision, beta_fixed)
@@ -217,8 +228,8 @@ def test_small_precision_and_edge_samples():
 
 def _count_scalar_reruns(monkeypatch):
     calls = []
-    real = ldp._orbit_digits
-    monkeypatch.setattr(ldp, "_orbit_digits", lambda *args: calls.append(1) or real(*args))
+    real = sampling._orbit_digits
+    monkeypatch.setattr(sampling, "_orbit_digits", lambda *args: calls.append(1) or real(*args))
     return calls
 
 
@@ -235,11 +246,11 @@ def test_clamp_batches_rerun_in_scalar(monkeypatch):
     assert beta_fixed == (system.b + 1) << precision
     plain = [sample_int(2, i) for i in range(40)]
     calls = _count_scalar_reruns(monkeypatch)
-    assert (_digit_means_generic(system, psi, n, _pack(plain), precision, beta_fixed).tolist()
+    assert (generic_means(system, psi, n, _pack(plain), precision, beta_fixed).tolist()
             == reference_means(system, psi, n, plain, precision, beta_fixed))
     assert calls == []
     clamped = plain + [0]
-    assert (_digit_means_generic(system, psi, n, _pack(clamped), precision, beta_fixed).tolist()
+    assert (generic_means(system, psi, n, _pack(clamped), precision, beta_fixed).tolist()
             == reference_means(system, psi, n, clamped, precision, beta_fixed))
     assert len(calls) == 1
 
@@ -253,7 +264,7 @@ def test_beta_just_below_an_integer():
     assert system.b == 2 and beta_fixed == 3 << precision
     samples = [0] + [sample_int(5, i) for i in range(300)]
     psi = _observable("digit", system.b)
-    assert (_digit_means_generic(system, psi, n, _pack(samples), precision, beta_fixed).tolist()
+    assert (generic_means(system, psi, n, _pack(samples), precision, beta_fixed).tolist()
             == reference_means(system, psi, n, samples, precision, beta_fixed))
 
 
@@ -277,11 +288,12 @@ def test_base2_engine_matches_its_loop_and_the_scalar_orbit():
     samples = [sample_int(11, i) for i in range(_CHUNK + 1)]
     for n in (1, 2, 29, 64, 128):
         for psi in ({0: 0.3, 1: 1.1}, {0: 0.0, 1: 1.0}, {0: 1.0, 1: 0.0}):
-            assert _digit_means_beta2(psi, n, block).tolist() == reference_means_beta2(psi, n, samples)
+            assert (_digit_means_beta2(_values(psi, 1), n, block).tolist()
+                    == reference_means_beta2(psi, n, samples))
         if n == 128:
             continue
         precision = _precision(system, n)
-        assert (_digit_means_beta2({0: 0.0, 1: 1.0}, n, block).tolist()
+        assert (_digit_means_beta2([0.0, 1.0], n, block).tolist()
                 == reference_means(system, {0: 0.0, 1: 1.0}, n, samples, precision,
                                    _beta_fixed_point(system, precision)))
 
@@ -297,7 +309,7 @@ def test_base2_popcount_matches_unpacked_bits():
     block = _philox_block(_seed_key(6), range(_CHUNK + 7))
     for n in range(1, 97):
         for psi in ({0: 0.25, 1: 1.5}, {0: 0.0, 1: 1.0}):
-            means = _digit_means_beta2(psi, n, block)
+            means = _digit_means_beta2(_values(psi, 1), n, block)
             assert means.dtype == np.float64
             assert means.tobytes() == reference_means_unpackbits(psi, n, block).tobytes(), n
 
@@ -310,21 +322,22 @@ def test_base2_block_means_equal_the_scalar_orbit(n):
     precision = _precision(system, n)
     beta_fixed = _beta_fixed_point(system, precision)
     indices = range(_CHUNK - 50, _CHUNK + 50)
-    scalar = [_digit_mean(_orbit_digits(system, n, sample_int(3, i), precision,
+    scalar = [_digit_mean(_orbit_digits(system.b, n, sample_int(3, i), precision,
                                         beta_fixed), [0.0, 1.0]) for i in indices]
-    assert _digit_means_beta2(psi, n, _philox_block(_seed_key(3), indices)).tolist() == scalar
+    block = _philox_block(_seed_key(3), indices)
+    assert _digit_means_beta2(_values(psi, 1), n, block).tolist() == scalar
 
 
 def test_audit_checks_the_engine_that_ran(monkeypatch):
     system = SYSTEMS["cubic"]
     psi = {0: 0.0, 1: 1.0}
-    real = ldp._digit_means_generic
+    real = sampling._digit_means_generic
 
     def off_by_one_ulp(*args):
         means = real(*args)
         return np.nextafter(means, np.inf)
 
-    monkeypatch.setattr(ldp, "_digit_means_generic", off_by_one_ulp)
+    monkeypatch.setattr(sampling, "_digit_means_generic", off_by_one_ulp)
     with pytest.raises(ArithmeticError, match="lane audit failed at sample 0"):
         mc_deviation(system, psi, (0.0, 1.0), 20, 300, seed=1)
 
@@ -347,10 +360,10 @@ def test_hits_counted_across_batches():
 def _lane_rows(monkeypatch):
     """Record the number of rows each call of the integer lanes gets."""
     rows = []
-    real = ldp._lane_means
-    monkeypatch.setattr(ldp, "_lane_means",
-                        lambda system, psi, n, block, *rest: rows.append(len(block))
-                        or real(system, psi, n, block, *rest))
+    real = sampling._lane_means
+    monkeypatch.setattr(sampling, "_lane_means",
+                        lambda b, psi_vals, n, block, *rest: rows.append(len(block))
+                        or real(b, psi_vals, n, block, *rest))
     return rows
 
 
@@ -382,10 +395,10 @@ def test_double_pass_runs_only_where_rows_may_be_certified(monkeypatch, name, n,
     if runs:
         assert 2 * sum(bounds) < 1e-10
     passes = []
-    real = ldp._sample_doubles
-    monkeypatch.setattr(ldp, "_sample_doubles", lambda block: passes.append(1) or real(block))
+    real = sampling._sample_doubles
+    monkeypatch.setattr(sampling, "_sample_doubles", lambda block: passes.append(1) or real(block))
     samples = [sample_int(1, i) for i in range(300)]
-    means = _digit_means_generic(system, psi, n, _pack(samples), precision, beta_fixed)
+    means = generic_means(system, psi, n, _pack(samples), precision, beta_fixed)
     assert means.tolist() == reference_means(system, psi, n, samples, precision, beta_fixed)
     assert passes == ([1] if runs else [])
 
@@ -410,10 +423,10 @@ def test_near_boundary_samples_are_not_certified(name):
     precision = _precision(system, n)
     beta_fixed = _beta_fixed_point(system, precision)
     psi = _observable("callable", system.b)
-    psi_vals = [psi(d) for d in range(system.b + 1)]
+    psi_vals = _values(psi, system.b)
     means, certified = _double_means(psi_vals, n, _pack(samples), precision, beta_fixed)
     assert not certified.any()
-    assert (_digit_means_generic(system, psi, n, _pack(samples), precision, beta_fixed).tolist()
+    assert (generic_means(system, psi, n, _pack(samples), precision, beta_fixed).tolist()
             == reference_means(system, psi, n, samples, precision, beta_fixed))
 
 
@@ -426,9 +439,9 @@ def test_failed_certificate_falls_back_to_the_lanes(monkeypatch, name, n):
     precision = _precision(system, n)
     beta_fixed = _beta_fixed_point(system, precision)
     samples = [0, 1 << 127] + [sample_int(6, i) for i in range(500)]
-    monkeypatch.setattr(ldp, "_certificate_bounds", lambda *args: (0.5,) * n)
+    monkeypatch.setattr(sampling, "_certificate_bounds", lambda *args: (0.5,) * n)
     rows = _lane_rows(monkeypatch)
-    assert (_digit_means_generic(system, psi, n, _pack(samples), precision, beta_fixed).tolist()
+    assert (generic_means(system, psi, n, _pack(samples), precision, beta_fixed).tolist()
             == reference_means(system, psi, n, samples, precision, beta_fixed))
     assert rows == [len(samples)]
 
@@ -445,9 +458,13 @@ def test_cubic_at_30_steps_never_runs_the_lanes(monkeypatch):
     assert count * 2 * sum(_certificate_bounds(beta_fixed, precision, n)) < 1e-6
     rows = _lane_rows(monkeypatch)
     block = _philox_block(_seed_key(seed), range(count))
-    means = _digit_means_generic(system, psi, n, block, precision, beta_fixed)
+    means = generic_means(system, psi, n, block, precision, beta_fixed)
     samples = [sample_int(seed, i) for i in range(count)]
     assert means.tolist() == reference_means(system, psi, n, samples, precision, beta_fixed)
     est = mc_deviation(system, psi, (0.2, 0.4), n, count, seed)
     assert est.hits == sum(1 for m in means if 0.2 <= m <= 0.4)
     assert rows == []
+    # the patch is read: the sample 0 starts its double orbit on an integer,
+    # so no certificate holds for it and it runs in the lanes
+    generic_means(system, psi, n, _pack([0]), precision, beta_fixed)
+    assert rows == [1]

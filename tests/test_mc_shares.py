@@ -12,7 +12,7 @@ of the run, whichever batch holds it.  The split is changed by patching
 import numpy as np
 import pytest
 
-from negabeta import ldp, sampling
+from negabeta import sampling
 from negabeta.algebraic import parse_beta_spec
 from negabeta.intervalmaps import circle_mc_deviation
 from negabeta.ldp import WindowNeverHit, mc_deviation
@@ -85,14 +85,14 @@ def test_shares_cover_the_samples_once():
 def _nudge_samples(monkeypatch, seed, indices):
     """Move the generic engine's mean of the samples at ``indices`` up one ulp."""
     rows = _philox_block(_seed_key(seed), indices)
-    real = ldp._digit_means_generic
+    real = sampling._digit_means_generic
 
-    def nudged(system, psi, n, block, *rest):
-        means = real(system, psi, n, block, *rest)
+    def nudged(b, psi_vals, n, block, *rest):
+        means = real(b, psi_vals, n, block, *rest)
         marked = (block[:, None, :] == rows[None, :, :]).all(axis=2).any(axis=1)
         return np.where(marked, np.nextafter(means, np.inf), means)
 
-    monkeypatch.setattr(ldp, "_digit_means_generic", nudged)
+    monkeypatch.setattr(sampling, "_digit_means_generic", nudged)
 
 
 @pytest.mark.parametrize("indices, first", [([4100], 4100), ([0, 4100], 0),
