@@ -63,13 +63,6 @@ class _NeverHit(Exception):
     """
 
 
-class _Violation(Exception):
-    """A property violation with no report to emit; maps to exit code 1.
-
-    Prints one ``property violation:`` line on stderr and nothing on stdout.
-    """
-
-
 @dataclass(frozen=True)
 class _Table:
     """Rows of one fixed header, each a tuple in header order.
@@ -320,11 +313,7 @@ def _cmd_cyl(config: RunConfig):
 
     maxlen = _positive(config, "maxlen", "--maxlen")
     system = _system_for(config)
-    try:
-        rows = measures.cylinder_table(system, maxlen, config.digits)
-    except measures.InadmissibleWord as exc:
-        # the automaton admits a word whose cylinder has no interior
-        raise _Violation(str(exc)) from exc
+    rows = measures.cylinder_table(system, maxlen, config.digits)
     return {"rows": _Table(measures.CYLINDER_COLUMNS, rows)}
 
 
@@ -467,35 +456,29 @@ def _cmd_validate(config: RunConfig):
     record("language_cross_validation", gap is None,
            "" if gap is None else f"counterexample {word_to_text(gap, system.b)}")
 
-    # The words up to maxlen in classes of (end states, image): the words of
-    # a class share their branching and their image, so both bounds too.
-    try:
-        levels, unread = list(measures.word_classes(graph, table, maxlen)), ""
-    except measures.InadmissibleWord as exc:
-        # an admitted word has no cylinder with interior: each check read off the classes fails
-        levels, unread = [], str(exc)
-    classes = [(states, image, word) for level in levels
-               for (states, image), (word, _) in level.items()]
+    # The words up to maxlen in classes of their image, which fixes a word's
+    # branching and both bounds.
+    levels = list(measures.word_classes(table, maxlen))
+    classes = [(image, word) for level in levels for image, (word, _) in level.items()]
     corrected = (system.beta.one() - system.b * system.beta_inverse) * system.beta_inverse
     bounds = table.bounds(corrected)
-    record("cylinder_upper_bounds",
-           not unread and all(bounds(image[0], image[2])[0] for _, image, _ in classes), unread)
+    record("cylinder_upper_bounds", all(bounds(image[0], image[2])[0] for image, _ in classes))
     # the least word in preorder that branches and falls below the bound
-    low = min(((word, image) for states, image, word in classes
-               if len(graph.followers(states)) >= 2 and not bounds(image[0], image[2])[1]),
+    low = min(((word, image) for image, word in classes
+               if len(table.children(image)) >= 2 and not bounds(image[0], image[2])[1]),
               default=None)
-    detail = unread
+    detail = ""
     if low is not None:
         word, (lo, _, hi, _) = low
         # length/scale is the width of the word's image
         detail = (f"word {word_to_text(word, system.b)} has length/scale "
                   f"{algebraic.to_decimal(table.points[hi] - table.points[lo], 6)} below "
                   f"(1 - b/beta)/beta = {algebraic.to_decimal(corrected, 6)}")
-    record("cylinder_lower_bounds_corrected", not unread and low is None, detail)
+    record("cylinder_lower_bounds_corrected", low is None, detail)
     shallow = levels[:min(maxlen, 8)]
-    totals = [sum((count * table.length(n, image) for (_, image), (_, count) in level.items()),
+    totals = [sum((count * table.length(n, image) for image, (_, count) in level.items()),
                   system.beta.zero()) for n, level in enumerate(shallow, 1)]
-    record("partition_identity", not unread and all(total == 1 for total in totals), unread)
+    record("partition_identity", all(total == 1 for total in totals))
 
     pres = specprop.SoficPresentation.from_chain(chain)
     cert = specprop.spec_bound(pres)
@@ -514,7 +497,7 @@ def _cmd_validate(config: RunConfig):
         for n in range(len(counts))
         for m in range(len(counts) - n)
     )
-    record("count_submultiplicativity", not unread and submult, unread)
+    record("count_submultiplicativity", submult)
 
     all_ok = all(c["ok"] for c in checks)
     return {"ok": all_ok, "checks": checks}
@@ -612,13 +595,9 @@ def _json_text(value) -> str:
 def emit_report(result, fmt: str, out: Optional[str]) -> str:
     """Serialize a command result with stable field ordering."""
     if fmt == "dot":
-        if not isinstance(result, str):
-            raise UsageError(_FORMAT_COMMANDS["dot"][1])
         text = result
     elif fmt == "csv":
-        table = result.get("rows") if isinstance(result, dict) else None
-        if table is None:
-            raise UsageError(_FORMAT_COMMANDS["csv"][1])
+        table = result["rows"]
         if not isinstance(table, _Table):  # dicts, in the key order of the first
             header = tuple(table[0]) if table else ()
             table = _Table(header, [tuple(row[key] for key in header) for row in table])
@@ -652,9 +631,6 @@ def run(config: RunConfig) -> int:
     except _NeverHit as exc:
         # a zero-hit run still certifies a rate lower bound: its report goes out like any other
         never_hit, result = exc.args
-    except _Violation as exc:
-        print(f"property violation: {exc}", file=sys.stderr)
-        return 1
     text = emit_report(result, config.fmt, config.out)
     if not config.out:
         sys.stdout.write(text)

@@ -103,26 +103,20 @@ class Example31BoundsReport:
 def example31_measure_bounds(maxlen: int) -> list[Example31BoundsReport]:
     """Exact cylinder lengths with the (1/2)3^-n <= L <= 3^-n bounds, for all words up to maxlen.
 
-    Counts words instead of listing them: the classes of
-    :func:`negabeta.measures.word_classes` of the presentation (read from
-    all states) and the map's image table, summed per image.  A word's
-    length is 3^-n times the length of its image, so both bounds are bounds
-    on the image (1/2 <= |J_w| <= 1), decided once per image.  Returns one
-    report per (length, image); ``words`` sums to the number of words.
-    Raises :class:`negabeta.measures.InadmissibleWord` when some word's
-    cylinder has no interior.
+    Counts words instead of listing them: the classes of the map's image
+    table (:func:`negabeta.measures.word_classes`), one per image.  A
+    word's length is 3^-n times the length of its image, so both bounds are
+    bounds on the image (1/2 <= |J_w| <= 1), decided once per image.
+    Returns one report per (length, image); ``words`` sums to the number of
+    words.
     """
     if maxlen < 1:
         raise ValueError("maxlen must be >= 1")
-    fmap, presentation = example31_system()
-    table = fmap.image_table
+    table = example31_system()[0].image_table
     bounds = table.bounds(Fraction(1, 2))
     reports = []
-    for n, level in enumerate(word_classes(presentation.graph, table, maxlen), 1):
-        counts: dict[Image, int] = {}
-        for (_, image), (_, count) in level.items():
-            counts[image] = counts.get(image, 0) + count
-        for image, count in counts.items():
+    for n, level in enumerate(word_classes(table, maxlen), 1):
+        for image, (_, count) in level.items():
             upper_ok, lower_ok = bounds(image[0], image[2])
             reports.append(Example31BoundsReport(n, image, table.length(n, image), count,
                                                  lower_ok, upper_ok))

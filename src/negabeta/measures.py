@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from negabeta.algebraic import FieldElement, to_decimal
 from negabeta.shiftgraph import LabeledGraph, _levels, _perron, automaton_for, is_irreducible
-from negabeta.transform import MinusBetaSystem, Word, word_from_text, word_separator
+from negabeta.transform import MinusBetaSystem, Word, word_separator
 
 
 class MeasureError(Exception):
@@ -197,39 +197,32 @@ class ImageTable:
 
         return bounds
 
-    def interior_step(self, image: Image, digit: int) -> Optional[Image]:
-        """J_wa when the cylinder [wa] has interior, else None (also for a digit past the cells)."""
-        child = self.step(image, digit) if digit < len(self.cells) else None
-        return child if child is not None and child[0] != child[2] else None
+    def children(self, image: Image) -> tuple[tuple[int, Image], ...]:
+        """(a, J_wa) for each digit a, ascending, whose cylinder [wa] has interior, from J_w."""
+        return tuple((digit, child) for digit in range(len(self.cells))
+                     if (child := self.step(image, digit)) is not None and child[0] != child[2])
 
 
-def word_classes(graph: LabeledGraph, table: ImageTable,
-                 maxlen: int) -> Iterator[dict[tuple[int, Image], list]]:
-    """The words of length 1, 2, ..., maxlen of ``graph``, one level per length, as classes.
+def word_classes(table: ImageTable, maxlen: int) -> Iterator[dict[Image, list]]:
+    """The words of length 1, 2, ..., maxlen whose cylinders have interior, by length, as classes.
 
-    A word's end-state set (read from all states) fixes its one-letter
-    extensions in the graph, and its image J_w in ``table`` fixes theirs; so
-    the words of one length fall into classes keyed by (end state mask,
-    J_w).  Each level maps a key to [the least word of the class in tuple
-    order, which is preorder; the number of words].  A class steps by
-    ``graph.followers`` and :meth:`ImageTable.step`, and the counts of
-    classes that merge add.  The subset step is deterministic, so each word
-    lies in exactly one class and the counts are exact; a level's classes
-    come in the order of their least words.  Raises :class:`InadmissibleWord`
-    when the cylinder of a word of the graph has no interior, naming the
-    least such word of the shortest length.
+    A word's image J_w in ``table`` fixes its one-letter extensions and
+    their images, so the words of one length fall into classes keyed by J_w.
+    Each level maps an image to [the least word of the class in tuple order,
+    which is preorder; the number of words].  A class steps by
+    :meth:`ImageTable.children`, and the counts of classes that merge add.
+    The step is deterministic, so each word lies in exactly one class and the
+    counts are exact; a level's classes come in the order of their least
+    words.
     """
-    level = {(graph.vertex_mask, table.root): [(), 1]}
+    level = {table.root: [(), 1]}
     for _ in range(maxlen):
         children: dict = {}
-        for (states, image), (word, count) in level.items():
-            for digit, ends in graph.followers(states):
-                child = table.interior_step(image, digit)
-                if child is None:
-                    raise InadmissibleWord(f"no interior in the cylinder of word {word + (digit,)}")
-                entry = children.get((ends, child))
+        for image, (word, count) in level.items():
+            for digit, child in table.children(image):
+                entry = children.get(child)
                 if entry is None:
-                    children[ends, child] = [word + (digit,), count]
+                    children[child] = [word + (digit,), count]
                 else:
                     entry[1] += count
         yield children
@@ -241,25 +234,24 @@ def language_gap(graph: LabeledGraph, table: ImageTable) -> Optional[Word]:
 
     The graph admits a word it reads from some state; the table admits a
     word whose cylinder has interior.  Among gaps of equal length the least
-    in tuple order comes first.  Walks the pairs (end state mask, J_w) of
-    :func:`word_classes` breadth first, digits ascending, to the fixed
-    point: whether a pair's words extend by a digit depends on the pair
-    alone, so a pair met at an earlier length is not walked again, and a
-    pair is first met with its least word.  So the two languages are
-    compared at every length in finitely many steps.
+    in tuple order comes first.  Walks the pairs (end state mask, J_w)
+    breadth first, digits ascending, to the fixed point: whether a pair's
+    words extend by a digit depends on the pair alone, so a pair met at an
+    earlier length is not walked again, and a pair is first met with its
+    least word.  So the two languages are compared at every length in
+    finitely many steps.
     """
     start = (graph.vertex_mask, table.root)
     seen, level = {start}, {start: ()}
     while level:
         children = {}
         for (states, image), word in level.items():
-            ends = dict(graph.followers(states))
-            for digit in sorted(ends.keys() | range(len(table.cells))):
-                child = table.interior_step(image, digit)
-                if (digit in ends) != (child is not None):
+            ends, images = dict(graph.followers(states)), dict(table.children(image))
+            for digit in sorted(ends.keys() | images.keys()):
+                if (digit in ends) != (digit in images):
                     return word + (digit,)
-                pair = (ends.get(digit), child)
-                if child is not None and pair not in seen:
+                pair = (ends[digit], images[digit])
+                if pair not in seen:
                     seen.add(pair)
                     children[pair] = word + (digit,)
         level = children
@@ -327,13 +319,13 @@ def cylinder_measure(system: MinusBetaSystem, word: Sequence[int]) -> CylinderRe
     """Exact Lebesgue length of the cylinder, with its bound report.
 
     The length never exceeds beta^-n; when the word admits two distinct
-    one-letter extensions it is also at least (1 - b/beta) * beta^-n.  Both
-    are decided exactly on the word's image (see :meth:`ImageTable.bounds`).
+    one-letter extensions (two children of its image) it is also at least
+    (1 - b/beta) * beta^-n.  Both are decided exactly on the word's image
+    (see :meth:`ImageTable.bounds`).
     """
     word = tuple(word)
     table, image, offset = _fold(system, word)
-    graph = automaton_for(system).graph
-    branching = len(graph.followers(graph.reads(word))) >= 2
+    branching = len(table.children(image)) >= 2
     upper_ok, lower_ok = table.bounds(_lower_constant(system))(image[0], image[2])
     n = len(word)
     return CylinderReport(table.cylinder(word, image, offset), table.length(n, image),
@@ -358,9 +350,10 @@ def _coeff_text(nums: Sequence[int], den: int) -> str:
 def cylinder_table(system: MinusBetaSystem, maxlen: int, digits: int) -> list[tuple]:
     """One row of :data:`CYLINDER_COLUMNS` for every admissible word up to maxlen, in preorder.
 
-    One depth-first walk over the folded automaton's words (the admissible
-    words), children in digit order, on an explicit stack of (word text,
-    length n, end state mask, image J_w, c_w).  c_w and the endpoints
+    One depth-first walk over the words whose cylinders have interior (the
+    admissible words), children in digit order, on an explicit stack of
+    (word text, length n, image J_w, c_w); a word's children are those of
+    its image (:meth:`ImageTable.children`).  c_w and the endpoints
     phi_w(J_w) of [w] are integer vectors over one denominator D, the lcm of
     the denominators of the depth constants s_n*p and s_n*intercept_a up to
     maxlen, so a word costs index comparisons in the image table and three
@@ -369,11 +362,8 @@ def cylinder_table(system: MinusBetaSystem, maxlen: int, digits: int) -> list[tu
     value alone, so no vector is brought to lowest terms.  A word's length
     (the difference of its endpoints) and both bound checks are read off
     its image, once per (depth, image), so no word needs a sign test.  A
-    word branches when its end states have two followers.  Raises
-    :class:`InadmissibleWord` at the first word in preorder whose cylinder
-    has no interior.
+    word branches when its image has two children.
     """
-    graph = automaton_for(system).graph
     table = image_table(system)
     bounds = table.bounds(_lower_constant(system))
     depths = [table.depth(n) for n in range(maxlen + 1)]
@@ -402,14 +392,11 @@ def cylinder_table(system: MinusBetaSystem, maxlen: int, digits: int) -> list[tu
     images: list[dict] = [{} for _ in depths]
     sep = word_separator(system.b)
     rows = []
-    stack = [("", 0, graph.vertex_mask, table.root, (0,) * field.degree)]
+    stack = [("", 0, table.root, (0,) * field.degree)]
     while stack:
-        text, n, states, image, offset = stack.pop()
-        followers = graph.followers(states)
+        text, n, image, offset = stack.pop()
+        children = table.children(image)
         if n:
-            if image is None:
-                raise InadmissibleWord(
-                    f"no interior in the cylinder of word {word_from_text(text, system.b)}")
             lo, _, hi, _ = image
             at = ends[n]
             lo_end = endpoint(tuple(map(operator.add, at[lo], offset)))
@@ -423,15 +410,14 @@ def cylinder_table(system: MinusBetaSystem, maxlen: int, digits: int) -> list[tu
                     width = tuple(map(operator.neg, width))
                 measured = images[n][lo, hi] = (decimal(width), *bounds(lo, hi))
             length, upper_ok, lower_ok = measured
-            branching = len(followers) >= 2
+            branching = len(children) >= 2
             rows.append((text, lo_end[0], hi_end[0], lo_end[1], hi_end[1], length, upper_ok,
                          branching, lower_ok if branching else None))
         if n < maxlen:
             prefix, m = (text + sep if n else ""), n + 1
             step = terms[m]
-            stack.extend((prefix + str(a), m, t, table.interior_step(image, a),
-                          tuple(map(operator.sub, offset, step[a])))
-                         for a, t in reversed(followers))
+            stack.extend((prefix + str(a), m, child, tuple(map(operator.sub, offset, step[a])))
+                         for a, child in reversed(children))
     return rows
 
 

@@ -78,7 +78,7 @@ class LabeledGraph:
     A set of vertices (a state set) is one int, its mask: bit v is set iff
     vertex v is in the set, so 0 is the empty set and :attr:`vertex_mask`
     the whole graph.  :meth:`step`, :meth:`back_step`, :meth:`forward`,
-    :meth:`backward`, :meth:`reads`, :meth:`followers` and
+    :meth:`backward`, :meth:`followers` and
     :meth:`successors` take and return masks; :func:`mask_of` and
     :func:`vertices_of` convert.
     """
@@ -161,13 +161,6 @@ class LabeledGraph:
     def backward(self, states: int) -> int:
         """Predecessors of the mask ``states`` along edges of any label."""
         return _gather(self._index.pred, states)
-
-    def reads(self, word: Sequence[int]) -> int:
-        """The mask of the end states of all readings of the word, starting anywhere."""
-        states = self.vertex_mask
-        for a in word:
-            states = self.step(states, a)
-        return states
 
     def induced(self, vertices: Iterable[int]) -> "LabeledGraph":
         """Subgraph on the given vertices, re-indexed in sorted order."""

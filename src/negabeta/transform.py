@@ -112,12 +112,6 @@ def word_to_text(word: Sequence[int], alphabet_bound: int) -> str:
     return word_separator(alphabet_bound).join(str(d) for d in word)
 
 
-def word_from_text(text: str, alphabet_bound: int) -> Word:
-    """The word that :func:`word_to_text` prints as ``text``."""
-    sep = word_separator(alphabet_bound)
-    return tuple(map(int, text.split(sep) if sep and text else text))
-
-
 def _floor_exact(t) -> tuple[int, bool]:
     """Floor of an exact value; flags whether t is an integer.
 

@@ -52,7 +52,7 @@ from negabeta.measures import (
 from negabeta.shiftgraph import LabeledGraph, automaton_for, is_irreducible
 from negabeta.transform import MinusBetaSystem, Word, word_to_text
 
-from word_reference import enumerate_words
+from word_reference import enumerate_words, reads
 
 
 def image_walk(table: ImageTable,
@@ -189,7 +189,7 @@ def g_beta_word(system: MinusBetaSystem, word: Sequence[int]) -> int:
     readings end in, so this is a breadth-first search over state sets.
     """
     graph = automaton_for(system).graph
-    start = graph.reads(tuple(word))
+    start = reads(graph, tuple(word))
     if not start:
         raise InadmissibleWord(f"word {tuple(word)} is not admissible")
     return _g_from_followers(graph, start)

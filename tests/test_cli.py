@@ -322,8 +322,8 @@ def test_every_sample_hit_prints_zero_rate(argv, capsys):
 
 
 def test_validate_lists_no_word(monkeypatch, capsys):
-    """validate counts words in classes of (state set, image) and decides the
-    language on pairs of them: the same bytes with the package's one
+    """validate counts words in classes of their image and decides the
+    language on pairs (state set, image): the same bytes with the package's one
     word-by-word walk, the cylinder table, refused.  (cyl lists words by
     design; its bytes are pinned in test_cli_golden.)"""
     argv = ["validate", "--beta", PISOT, "--maxlen", "12", "--seed", "3"]
@@ -584,6 +584,27 @@ def test_format_checked_before_the_command_runs(argv, message, capsys, monkeypat
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.setitem(cli._COMMANDS, "validate", refuse)
     assert invoke(argv, capsys) == (2, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "usage error: a subcommand is required"),
+    (["mc", "--beta", PISOT, "--window", "0.5", "--n", "30", "--N", "10", "--seed", "1"],
+     "usage error: window must be lo:hi, got '0.5'"),
+    (["mc", "--beta", PISOT, "--window", "0.6:0.5", "--n", "30", "--N", "10", "--seed", "1"],
+     "usage error: window lower end exceeds upper end"),
+    (["rate", "--beta", PISOT, "--a-grid", "1:2"], "usage error: a-grid must be lo:hi:count"),
+    (["rate", "--beta", PISOT], "usage error: give --a or --a-grid"),
+], ids=["no-subcommand", "window-one-end", "window-reversed", "a-grid-two-parts", "no-target"])
+def test_usage_errors_print_one_line(argv, message, capsys):
+    assert invoke(argv, capsys) == (2, "", message + "\n")
+
+
+def test_unwritable_out_is_exit_4(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = invoke(["cyl", "--beta", PISOT, "--maxlen", "2", "--format", "csv",
+                             "--out", str(target)], capsys)
+    assert (code, out) == (4, "") and not target.parent.exists()
+    assert err.startswith("output error: ") and str(target) in err and err.count("\n") == 1
 
 
 def test_validate_command_green(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from negabeta.shiftgraph import LabeledGraph
 
-from word_reference import back_reads
+from word_reference import back_reads, reads
 
 MAX_VERTICES = 6
 MAX_LABEL = 3
@@ -97,7 +97,7 @@ def test_followers_match_scan(gs):
 @settings(max_examples=200, deadline=None)
 @given(graphs(), words)
 def test_reads_match_scan(g, word):
-    assert members(g.reads(word)) == scan_reads(g, word, scan_step)
+    assert members(reads(g, word)) == scan_reads(g, word, scan_step)
     assert members(back_reads(g, word)) == scan_reads(g, word[::-1], scan_back_step)
 
 

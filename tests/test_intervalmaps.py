@@ -34,7 +34,7 @@ from exact_tails import MAX_SIGMAS, SEEDS, circle_tail, sigmas
 from map_reference import HitBoundary, breakpoints, circle_step, code_point
 from measure_reference import example31_cylinder, image_walk
 from philox_reference import sample_int
-from word_reference import enumerate_words, example31_word_admissible
+from word_reference import enumerate_words, example31_word_admissible, reads
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,7 @@ def test_coded_points_match_language(system):
         except HitBoundary:
             continue
         assert example31_word_admissible(word)
-        assert presentation.graph.reads(word)
+        assert reads(presentation.graph, word)
         seen.add(word)
     # realization: every admissible word of length <= 8 owns a cylinder with
     # interior, and its midpoint codes back to the word

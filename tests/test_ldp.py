@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from negabeta import ldp
-from negabeta.algebraic import IntPolynomial, make_algebraic
+from negabeta.algebraic import IntPolynomial, make_algebraic, parse_beta_spec
 from negabeta.ldp import (
     UnachievableLevel,
     WindowNeverHit,
@@ -30,6 +30,7 @@ from measure_reference import mean_label
 from pisot_bases import BASES
 
 DIGIT1 = {0: 0.0, 1: 1.0}
+DIGIT0 = {0: 1.0, 1: 0.0}
 
 
 @pytest.fixture(scope="module")
@@ -248,8 +249,13 @@ def test_extreme_means_are_reached_at_the_cap(pisot_sys, two_sys, a):
         assert result.t_star == (256.0 if a else -256.0)
 
 
+def _indicator(k, b):
+    return {d: float(d == k) for d in range(b + 1)}
+
+
 def test_non_transitive_rates_beat_every_dual_point():
-    # H(a) = inf_t (P(t) - t a): no t of a dense grid may beat the returned H
+    # H(a) = inf_t (P(t) - t a): no t of a dense grid may beat the returned H,
+    # for the indicators of digit 1 and of digit 0
     grid = [k / 20 for k in range(-200, 201)]
     checked = 0
     for coeffs, lo, hi in BASES:
@@ -258,14 +264,85 @@ def test_non_transitive_rates_beat_every_dual_point():
         if chain.q == 1:
             continue
         checked += 1
-        envelope = ldp.rate_envelope(chain, DIGIT1)
-        values = [ldp.pressure(chain, DIGIT1, t, components=envelope.components)[0]
-                  for t in grid]
-        for k in range(1, 20):
-            a = k / 20
-            result = level1_rate(chain, DIGIT1, a, system.log_beta(), envelope=envelope)
-            assert min(p - t * a for p, t in zip(values, grid)) >= result.entropy - 1e-12
+        for psi in (_indicator(1, system.b), _indicator(0, system.b)):
+            envelope = ldp.rate_envelope(chain, psi)
+            values = [ldp.pressure(chain, psi, t, components=envelope.components)[0]
+                      for t in grid]
+            for k in range(1, 20):
+                a = k / 20
+                result = level1_rate(chain, psi, a, system.log_beta(), envelope=envelope)
+                assert min(p - t * a for p, t in zip(values, grid)) >= result.entropy - 1e-12
     assert checked == 4
+
+
+@pytest.mark.parametrize("coeffs", [(-1, -1, 0, 1), (-1, -1, 1), (-1, -1, 0, 0, 1),
+                                    (-1, 0, -1, 0, 0, 1)],
+                         ids=["x^3-x-1", "x^2-x-1", "x^4-x-1", "x^5-x^2-1"])
+def test_digit0_rates_mirror_digit1(coeffs):
+    """For b = 1, digit0 = 1 - digit1: P_0(t) = t + P_1(-t), so H_0(a) = H_1(1 - a)
+    and the dual point is negated."""
+    system = MinusBetaSystem(make_algebraic(IntPolynomial(coeffs), 1, 2))
+    assert system.b == 1
+    chain = chain_for(system)
+    zero, one = ldp.rate_envelope(chain, DIGIT0), ldp.rate_envelope(chain, DIGIT1)
+    for k in range(1, 20):
+        a = k / 20
+        got = level1_rate(chain, DIGIT0, a, system.log_beta(), envelope=zero)
+        want = level1_rate(chain, DIGIT1, 1 - a, system.log_beta(), envelope=one)
+        assert abs(got.entropy - want.entropy) <= 1e-12, a
+        assert abs(got.t_star + want.t_star) <= 1e-10, a
+
+
+def test_cubic_digit0_means_below_the_kink(pisot_sys):
+    # digit0's kink on the cubic spans the slopes (2 sqrt 5 - 4, 1): every mean
+    # below it is solved from the kink's left point, with the kink as right end
+    (kink,) = ldp.rate_envelope(chain_for(pisot_sys), DIGIT0).kinks
+    assert abs(kink.left.slope - (2 * math.sqrt(5) - 4)) <= 1e-12
+    assert kink.right.slope == 1.0
+    assert abs(kink.left.t + T_GOLDEN) <= 1e-15
+
+
+_INV_GOLDEN = (math.sqrt(5) - 1) / 2
+
+
+def _golden_section_min(f, lo: float, hi: float, steps: int) -> float:
+    """The least value of a convex f on [lo, hi] that golden-section search meets."""
+    x1, x2 = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(steps):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_GOLDEN * (hi - lo)
+            f2 = f(x2)
+    return min(f1, f2)
+
+
+@pytest.mark.parametrize("spec", ["poly:-1,-1,0,0,1;interval:1,2",
+                                  "poly:-2,0,2,-1,-2,1;interval:2,3"],
+                         ids=["x^4-x-1", "52-state"])
+def test_rates_meet_the_golden_section_dual_minimum(spec):
+    """H(a) = min_t (P(t) - t a), met to 1e-12, where the equilibrium chain's
+    Perron data misses stochasticity far out in t (the tail of x^4-x-1 at
+    t = 50 and -50, the 52-state base at t = 20 and 50)."""
+    system = MinusBetaSystem(parse_beta_spec(spec))
+    chain = chain_for(system)
+    for digit in (0, 1):
+        psi = _indicator(digit, system.b)
+        envelope = ldp.rate_envelope(chain, psi)
+        for k in range(1, 8):
+            a = k / 8
+            result = level1_rate(chain, psi, a, system.log_beta(), envelope=envelope)
+            assert abs(result.t_star) < 64
+
+            def dual(t):
+                return ldp.pressure(chain, psi, t, components=envelope.components)[0] - t * a
+
+            assert abs(_golden_section_min(dual, -64.0, 64.0, 80) - result.entropy) <= 1e-12, (
+                digit, a)
 
 
 def test_cubic_entropy_is_affine_on_the_kink_interval(pisot_sys):

@@ -3,7 +3,7 @@
 The program decides the language of the negative-beta shift from two finite
 descriptions: the folded automaton and the image table of the map's branches
 (`measures.language_gap` compares them at every length, and
-`measures.word_classes` counts their words in classes).  The engines here
+`measures.word_classes` counts the table's words in classes of their image).  The engines here
 work from the definition instead, one word at a time, and no module of the
 package reads them:
 
@@ -24,8 +24,9 @@ package reads them:
   test_language_gap);
 - `count_words(graph, n)`: the automaton's words of one length, counted on
   its state sets alone (test_shiftgraph, test_language_gap), and
-  `back_reads(graph, word)`: the mask of the states a word can be read from
-  (test_graph_index);
+  `reads(graph, word)` and `back_reads(graph, word)`: the masks of the
+  states a word can end in and be read from (test_graph_index,
+  test_language_gap, test_intervalmaps, `measure_reference.g_beta_word`);
 - `example31_word_admissible(word)`: Example 3.1's language, the factors of
   u1v with u over {0,1} and v over {2,3,4} (test_intervalmaps);
 - `build_gamma(s, horizon)`: the unfolded graph V0..V_horizon, built from
@@ -186,6 +187,14 @@ def count_words(graph: LabeledGraph, n: int) -> int:
                 nxt[t] = nxt.get(t, 0) + c
         counts = nxt
     return sum(counts.values())
+
+
+def reads(graph: LabeledGraph, word: Sequence[int]) -> int:
+    """The mask of the end states of all readings of the word, starting anywhere."""
+    states = graph.vertex_mask
+    for a in word:
+        states = graph.step(states, a)
+    return states
 
 
 def back_reads(graph: LabeledGraph, word: Sequence[int]) -> int:
