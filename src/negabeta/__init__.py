@@ -26,16 +26,15 @@ _EXPORTS = {
     "shiftgraph": (
         "ComponentChain", "FoldedAutomaton", "LabeledGraph", "automaton_for",
         "chain_for", "decompose",
-        "entropy_estimate", "fold", "is_irreducible",
+        "entropy_estimate", "is_irreducible",
     ),
     "specprop": (
         "DisconnectedPair", "SoficPresentation", "SpecCertificate",
         "ergodic_support_check", "omega_coverage_check", "spec_bound", "spec_bruteforce",
     ),
     "measures": (
-        "CylinderInterval", "EmpiricalMeasure", "InadmissibleWord", "MarkovMeasure",
-        "cylinder_interval", "cylinder_measure", "empirical_measure",
-        "g_beta_n", "g_beta_values", "parry_measure", "weak_metric_truncated",
+        "EmpiricalMeasure", "InadmissibleWord", "MarkovMeasure", "empirical_measure",
+        "g_beta_values", "parry_measure", "weak_metric_truncated",
     ),
     "ldp": (
         "DeviationEstimate", "OrbitTooLong", "RateEnvelope", "RateResult",

@@ -460,7 +460,7 @@ def _cmd_validate(config: RunConfig):
     # branching and both bounds.
     levels = list(measures.word_classes(table, maxlen))
     classes = [(image, word) for level in levels for image, (word, _) in level.items()]
-    corrected = (system.beta.one() - system.b * system.beta_inverse) * system.beta_inverse
+    corrected = measures._lower_constant(system) * system.beta_inverse
     bounds = table.bounds(corrected)
     record("cylinder_upper_bounds", all(bounds(image[0], image[2])[0] for image, _ in classes))
     # the least word in preorder that branches and falls below the bound

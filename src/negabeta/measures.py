@@ -2,9 +2,10 @@
 
 Cylinder sets pull back to genuine subintervals of [0, 1]; their endpoints
 are exact field elements so the decay bounds and the partition identity can
-be asserted with equality, not tolerance.  The cylinder table carries them
-as integer coefficient vectors over one denominator, so a word costs integer
-tuple additions, and it formats each distinct endpoint once.  Markov and
+be asserted with equality, not tolerance.  The cylinder table, the one
+pullback, carries them as integer coefficient vectors over one denominator,
+so a word costs integer tuple additions, and it formats each distinct
+endpoint once.  Markov and
 empirical measures live on the folded automaton and feed the rate machinery.
 """
 
@@ -40,20 +41,6 @@ class NotIrreducible(MeasureError):
 
 
 # -- cylinders -------------------------------------------------------------------
-
-
-class CylinderInterval(NamedTuple):
-    """Interval of points whose coding starts with a fixed word."""
-
-    word: Word
-    lo: object
-    hi: object
-    lo_closed: bool
-    hi_closed: bool
-
-    @property
-    def length(self):
-        return self.hi - self.lo
 
 
 # An interval with endpoints in ImageTable.points: (lo index, lo_closed, hi index, hi_closed).
@@ -109,7 +96,6 @@ class ImageTable:
                                 for i, p in enumerate(self.points))
                           for (lo, _, hi, _), c in zip(self.cells, intercepts))
         self.root: Image = (index[zero], True, index[one], True)
-        self.zero = zero
         self.inv_slope = inv_slope
         self.intercepts = tuple(intercepts)
         self.decreasing = decreasing
@@ -148,31 +134,6 @@ class ImageTable:
         if self.decreasing:
             return image_of[hi], hi_closed, image_of[lo], lo_closed
         return image_of[lo], lo_closed, image_of[hi], hi_closed
-
-    def fold(self, word: Word) -> Optional[tuple[Image, object]]:
-        """(J_w, c_w) of one word by :meth:`step`; None when [w] is empty.
-
-        Raises :class:`InadmissibleWord` for a digit that names no branch.
-        """
-        for digit in word:
-            if not 0 <= digit < len(self.cells):
-                raise InadmissibleWord(f"digit {digit} outside the alphabet")
-        image, offset = self.root, self.zero
-        for n, digit in enumerate(word, 1):
-            image = self.step(image, digit)
-            if image is None:
-                return None
-            offset = offset - self.depth(n).terms[digit]
-        return image, offset
-
-    def cylinder(self, word: Word, image: Image, offset) -> CylinderInterval:
-        """[w] = phi_w(J_w), from J_w and c_w: two additions."""
-        depth = self.depth(len(word))
-        lo, lo_closed, hi, hi_closed = image
-        lo_end, hi_end = depth.ends[lo] + offset, depth.ends[hi] + offset
-        if depth.decreasing:
-            return CylinderInterval(word, hi_end, lo_end, hi_closed, lo_closed)
-        return CylinderInterval(word, lo_end, hi_end, lo_closed, hi_closed)
 
     def length(self, n: int, image: Image):
         """|[w]| = |s_n| * |J_w| for a word of length n, once per (depth, image)."""
@@ -268,69 +229,9 @@ def image_table(system: MinusBetaSystem) -> ImageTable:
     return system._table_cache
 
 
-def _fold(system: MinusBetaSystem, word: Word) -> tuple[ImageTable, Image, object]:
-    table = image_table(system)
-    folded = table.fold(word)
-    if folded is None:
-        raise InadmissibleWord(f"empty cylinder for word {word}")
-    image, offset = folded
-    if image[0] == image[2]:
-        raise InadmissibleWord(f"degenerate cylinder for word {word}")
-    return table, image, offset
-
-
-def cylinder_interval(system: MinusBetaSystem, word: Sequence[int]) -> CylinderInterval:
-    """Exact coding cylinder, read off the word's image in the image table.
-
-    Raises :class:`InadmissibleWord` when the cylinder has no interior.
-    """
-    word = tuple(word)
-    table, image, offset = _fold(system, word)
-    return table.cylinder(word, image, offset)
-
-
-class CylinderReport(NamedTuple):
-    """Exact cylinder and its length together with the two decay bound checks.
-
-    `scale` is the contraction of the inverse branch on the cylinder
-    (beta^-n for a word of length n), and `image` is the word's image T^n[w]
-    in the image table, so that length = scale * |image|.
-    """
-
-    interval: CylinderInterval
-    length: object
-    scale: object
-    upper_bound_ok: bool
-    lower_bound_applicable: bool
-    lower_bound_ok: Optional[bool]
-    image: Image
-
-    @property
-    def word(self) -> Word:
-        return self.interval.word
-
-
 def _lower_constant(system: MinusBetaSystem):
     """1 - b/beta, the constant of the lower bound on branching words."""
     return system.beta.one() - system.b * system.beta_inverse
-
-
-def cylinder_measure(system: MinusBetaSystem, word: Sequence[int]) -> CylinderReport:
-    """Exact Lebesgue length of the cylinder, with its bound report.
-
-    The length never exceeds beta^-n; when the word admits two distinct
-    one-letter extensions (two children of its image) it is also at least
-    (1 - b/beta) * beta^-n.  Both are decided exactly on the word's image
-    (see :meth:`ImageTable.bounds`).
-    """
-    word = tuple(word)
-    table, image, offset = _fold(system, word)
-    branching = len(table.children(image)) >= 2
-    upper_ok, lower_ok = table.bounds(_lower_constant(system))(image[0], image[2])
-    n = len(word)
-    return CylinderReport(table.cylinder(word, image, offset), table.length(n, image),
-                          table.depth(n).scale, upper_ok, branching,
-                          lower_ok if branching else None, image)
 
 
 # The columns of a cylinder table row, in the order of :func:`cylinder_table`.
@@ -453,11 +354,6 @@ def g_beta_values(system: MinusBetaSystem, n: int) -> list[int]:
             raise InadmissibleWord(f"no admissible words of length {k}")
         values.append(max(distance(states) for states in frontier))
     return values
-
-
-def g_beta_n(system: MinusBetaSystem, n: int) -> int:
-    """Worst branching distance over all admissible words of length n."""
-    return g_beta_values(system, n)[-1]
 
 
 # -- Markov measures -----------------------------------------------------------------

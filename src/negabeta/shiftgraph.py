@@ -260,31 +260,19 @@ class FoldedAutomaton:
     fold_period: int
 
 
-def fold(g: LabeledGraph, u: int, v: int) -> FoldedAutomaton:
-    """Fold the graph onto a finite automaton by detected tail periodicity.
+def _fold_rows(rows: Sequence[Row], u: int, v: int) -> FoldedAutomaton:
+    """Fold the out-edges of V0..V_horizon onto a finite automaton by tail periodicity.
 
     Periodicity of the edge structure is guaranteed with period 2v, but a
     proper divisor of 2v may already work (integer bases fold at period v);
     candidates are tried smallest first.  A start index s (from u upward)
     verifies period p when V_i and V_(i+p) carry the same spine label and
     exact back-edge sets for every i in the 2v window from s, which cannot be
-    fooled by the quotient map.  The graph's edges become per-vertex rows for
-    :func:`_fold_rows`, the one fold, which :func:`automaton_for` calls on
-    :func:`_gamma_rows` directly.
-    """
-    rows: list[Row] = [[] for _ in range(g.vertex_count)]
-    for s_, a, t in sorted(g.edges):
-        rows[s_].append((a, t))
-    return _fold_rows(rows, u, v)
-
-
-def _fold_rows(rows: Sequence[Row], u: int, v: int) -> FoldedAutomaton:
-    """:func:`fold` on the out-edges of V0..V_horizon.
-
-    Each period is checked in one scan of i from u that counts the run of
-    matching pairs, restarting it after a mismatch; the first run of 2v gives
-    the smallest start.  Signatures are read in the order of that scan, so an
-    ambiguous spine raises at the first vertex the scan reaches.
+    fooled by the quotient map.  Each period is checked in one scan of i
+    from u that counts the run of matching pairs, restarting it after a
+    mismatch; the first run of 2v gives the smallest start.  Signatures are
+    read in the order of that scan, so an ambiguous spine raises at the
+    first vertex the scan reaches.
     """
     horizon = len(rows) - 1
     periods = sorted(d for d in range(1, 2 * v + 1) if (2 * v) % d == 0)

@@ -6,10 +6,21 @@ whole levels of the automaton and the image table (`measures.cylinder_table`,
 here read one word or one measure at a time, and no module of the package
 reads them:
 
+- `reference_interval(system, word)` and `reference_example31(fmap, word)`:
+  the cylinder of one word as (lo, hi, lo_closed, hi_closed), pulled back
+  from [0, 1] through the inverse branches, last digit first, dividing by
+  the slope at every step, or None when it has no interior; the first
+  memoizes on suffixes, which changes no value (test_cylinder_walk,
+  test_measures, test_language_gap, test_transform, test_intervalmaps);
 - `image_walk(table, words)` and `cylinder_walk(system, maxlen)`: one
-  `CylinderReport` per admissible word, in preorder, from the word listing
-  of `word_reference.enumerate_words` (test_measures, test_cylinder_walk,
+  `CylinderReport` (a `CylinderInterval` with its length and bound checks)
+  per admissible word, in preorder, from the word listing of
+  `word_reference.enumerate_words` (test_measures, test_cylinder_walk,
   test_language_gap, test_intervalmaps);
+- `word_image(table, word)` and `cylinder_length(system, word)`: a word's
+  image J_w, stepped by `ImageTable.step` over its prefixes, and its length
+  `ImageTable.length` read off J_w (test_measures, test_acceptance,
+  test_ldp, test_transform, test_cylinder_walk, test_intervalmaps);
 - `cylinder_rows(system, maxlen, digits)` and `cylinder_text(rows, fmt)`:
   the `cyl` table as one dict per report, and its CSV or JSON text through
   the standard library's writers (test_cylinder_table);
@@ -22,9 +33,6 @@ reads them:
   branching (test_measures);
 - `mean_label(measure, psi)`: the mean of an observable under a Markov
   measure (test_ldp);
-- `example31_cylinder(fmap, word)`: the cylinder of one word of
-  Example 3.1, read off the map's image table (test_intervalmaps,
-  test_cylinder_walk);
 - `random_markov_measure(graph, vertices, rng)` and
   `point_mass_on_cycle(...)`: Markov measures with exact rational
   probabilities, as inputs for the measure tests (test_measures,
@@ -34,25 +42,110 @@ reads them:
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 import operator
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from negabeta.algebraic import _bareiss, to_decimal
 from negabeta.intervalmaps import PiecewiseExpandingMap
 from negabeta.measures import (
-    CylinderInterval, CylinderReport, Image, ImageTable, InadmissibleWord, MarkovMeasure,
-    NotIrreducible, _coeff_text, _fold, _g_from_followers, _lower_constant, _psi_value,
-    image_table,
+    Image, ImageTable, InadmissibleWord, MarkovMeasure, NotIrreducible, _coeff_text,
+    _g_from_followers, _lower_constant, _psi_value, image_table,
 )
 from negabeta.shiftgraph import LabeledGraph, automaton_for, is_irreducible
 from negabeta.transform import MinusBetaSystem, Word, word_to_text
 
 from word_reference import enumerate_words, reads
+
+
+class CylinderInterval(NamedTuple):
+    """Interval of points whose coding starts with a fixed word."""
+
+    word: Word
+    lo: object
+    hi: object
+    lo_closed: bool
+    hi_closed: bool
+
+    @property
+    def length(self):
+        return self.hi - self.lo
+
+
+class CylinderReport(NamedTuple):
+    """Exact cylinder and its length together with the two decay bound checks.
+
+    `scale` is the contraction of the inverse branch on the cylinder
+    (beta^-n for a word of length n), and `image` is the word's image T^n[w]
+    in the image table, so that length = scale * |image|.
+    """
+
+    interval: CylinderInterval
+    length: object
+    scale: object
+    upper_bound_ok: bool
+    lower_bound_applicable: bool
+    lower_bound_ok: Optional[bool]
+    image: Image
+
+    @property
+    def word(self) -> Word:
+        return self.interval.word
+
+
+def reference_interval(system: MinusBetaSystem, word: Sequence[int]):
+    """(lo, hi, lo_closed, hi_closed) of [w] by backward pullback; None when it has no interior."""
+    pulled = _pullback(system, tuple(word))
+    if pulled is None or pulled[0] == pulled[1]:
+        return None
+    return pulled
+
+
+@functools.lru_cache(maxsize=None)
+def _pullback(system: MinusBetaSystem, word: Word):
+    """The pullback of word[1:] (memoized: suffixes repeat), pulled back once more."""
+    if not word:
+        return system.beta.zero(), system.beta.one(), True, True
+    digit = word[0]
+    if not 0 <= digit <= system.b:
+        return None
+    rest = _pullback(system, word[1:])
+    if rest is None:
+        return None
+    lo, hi, lo_closed, hi_closed = rest
+    beta = system.beta_element
+    lo, hi = (digit + 1 - hi) / beta, (digit + 1 - lo) / beta
+    lo_closed, hi_closed = hi_closed, lo_closed
+    cell = system.partition()[digit]
+    if cell.lo > lo or (cell.lo == lo and not cell.lo_closed and lo_closed):
+        lo, lo_closed = cell.lo, cell.lo_closed
+    if cell.hi < hi or (cell.hi == hi and not cell.hi_closed and hi_closed):
+        hi, hi_closed = cell.hi, cell.hi_closed
+    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+        return None
+    return lo, hi, lo_closed, hi_closed
+
+
+def reference_example31(fmap: PiecewiseExpandingMap, word: Sequence[int]):
+    """(lo, hi, lo_closed, hi_closed) of a word's cylinder of Example 3.1 under the
+    half-open coding cells, by backward pullback; None when the cylinder is empty."""
+    lo, hi = Fraction(0), Fraction(1)
+    lo_closed, hi_closed = True, True
+    for digit in reversed(tuple(word)):
+        br = fmap.branches[digit]
+        lo, hi = (lo - br.intercept) / br.slope, (hi - br.intercept) / br.slope
+        if br.lo > lo or (br.lo == lo and not br.lo_closed and lo_closed):
+            lo, lo_closed = br.lo, br.lo_closed
+        if br.hi < hi or (br.hi == hi and not br.hi_closed and hi_closed):
+            hi, hi_closed = br.hi, br.hi_closed
+        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+            return None
+    return lo, hi, lo_closed, hi_closed
 
 
 def image_walk(table: ImageTable,
@@ -72,6 +165,24 @@ def image_walk(table: ImageTable,
             raise InadmissibleWord(f"no interior in the cylinder of word {word}")
         stack.append(image)
         yield word, tag, image
+
+
+def word_image(table: ImageTable, word: Sequence[int]) -> Image:
+    """J_w, by :func:`image_walk` over the word's prefixes; the table's root for ().
+
+    Raises :class:`InadmissibleWord` when the cylinder of a prefix has no interior.
+    """
+    word = tuple(word)
+    image = table.root
+    for _, _, image in image_walk(table, ((word[:k], None) for k in range(1, len(word) + 1))):
+        pass
+    return image
+
+
+def cylinder_length(system: MinusBetaSystem, word: Sequence[int]):
+    """|[w]|, read off the word's image in the system's image table."""
+    table = image_table(system)
+    return table.length(len(word), word_image(table, word))
 
 
 def cylinder_walk(system: MinusBetaSystem, maxlen: int) -> Iterator[CylinderReport]:
@@ -174,8 +285,8 @@ def additivity_holds(system: MinusBetaSystem, word: Sequence[int]) -> bool:
     so the identity checks the table's branch maps against the partition.
     Raises :class:`InadmissibleWord` when the word's cylinder has no interior.
     """
-    word = tuple(word)
-    table, image, _ = _fold(system, word)
+    table = image_table(system)
+    image = word_image(table, word)
     n = len(word)
     children = (table.step(image, digit) for digit in range(len(table.cells)))
     return sum((table.length(n + 1, child) for child in children if child is not None),
@@ -203,22 +314,6 @@ def mean_label(measure: MarkovMeasure, psi) -> float:
         if p > 0:
             acc += float(pi[src]) * float(p) * _psi_value(psi, label)
     return acc
-
-
-def example31_cylinder(fmap: PiecewiseExpandingMap, word: Sequence[int]):
-    """Exact rational cylinder of a word under the half-open coding cells.
-
-    Returns (lo, hi, lo_closed, hi_closed), or None when the cylinder is empty.
-    Raises :class:`InadmissibleWord` for a digit outside the alphabet of
-    branches.
-    """
-    table = fmap.image_table
-    word = tuple(word)
-    folded = table.fold(word)
-    if folded is None:
-        return None
-    cyl = table.cylinder(word, *folded)
-    return cyl.lo, cyl.hi, cyl.lo_closed, cyl.hi_closed
 
 
 def random_markov_measure(graph: LabeledGraph, vertices: Sequence[int],

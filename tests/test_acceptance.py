@@ -23,9 +23,8 @@ from negabeta.intervalmaps import (
 from negabeta.ldp import compare_rate_functions, mc_deviation
 from negabeta.measures import (
     MixtureMeasure,
-    cylinder_interval,
     empirical_measure,
-    g_beta_n,
+    g_beta_values,
     max_truncation,
     weak_metric_truncated,
 )
@@ -47,7 +46,7 @@ from negabeta.transform import (
 )
 from exact_tails import MAX_SIGMAS, SEEDS, circle_tail, lebesgue_tail, sigmas
 from map_reference import HitBoundary, itinerary
-from measure_reference import partition_identity_holds
+from measure_reference import cylinder_length, partition_identity_holds
 from word_reference import (
     Ordering, alt_compare, cross_validate, enumerate_admissible, word_admissible,
 )
@@ -155,7 +154,7 @@ def test_c05_cylinder_bounds(pisot_sys):
     corridor_ok = True
     corrected_ok = True
     for w in words:
-        length = cylinder_interval(pisot_sys, w).length
+        length = cylinder_length(pisot_sys, w)
         n = len(w)
         if not length <= 1 / g**n:
             upper_ok = False
@@ -178,8 +177,8 @@ def test_c05_cylinder_bounds(pisot_sys):
 
 
 def test_c06_branching_distance(pisot_sys, two_sys):
-    pisot_vals = [g_beta_n(pisot_sys, n) for n in range(1, 13)]
-    two_vals = [g_beta_n(two_sys, n) for n in range(1, 13)]
+    pisot_vals = g_beta_values(pisot_sys, 12)
+    two_vals = g_beta_values(two_sys, 12)
     ok = max(pisot_vals) <= 2 and all(v == 0 for v in two_vals)
     _report(6, "branching distance <= 2 (cubic) and identically 0 (base 2) to n=12",
             ok, f"cubic max={max(pisot_vals)}")
@@ -216,12 +215,12 @@ def test_c08_exact_decay_anchor(pisot_sys):
     width = abs(math.log(1 - 1 / float(g)))
     ok = True
     for n in range(1, 41):
-        length = cylinder_interval(pisot_sys, (1,) * n).length
+        length = cylinder_length(pisot_sys, (1,) * n)
         rate = -math.log(float(length)) / n
         if not (log_beta - 1e-12 <= rate <= log_beta + width / n + 1e-12):
             ok = False
             break
-    rate30 = -math.log(float(cylinder_interval(pisot_sys, (1,) * 30).length)) / 30
+    rate30 = -math.log(float(cylinder_length(pisot_sys, (1,) * 30))) / 30
     pinned = abs(rate30 - log_beta) <= 0.05
     _report(8, "all-ones cylinder decay sits in the corridor to n=40; n=30 pins "
                "the rate to log beta +/- 0.05",

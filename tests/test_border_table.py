@@ -24,7 +24,6 @@ from negabeta.shiftgraph import (
     LabeledGraph,
     ShiftGraphError,
     automaton_for,
-    fold,
 )
 from negabeta.transform import (
     DigitSequence,
@@ -38,7 +37,7 @@ from negabeta.transform import (
 from map_reference import HitBoundary, nth_digit
 from pisot_bases import BASES
 from test_cylinder_walk import NON_PISOT
-from word_reference import border_step, build_gamma
+from word_reference import border_step, build_gamma, fold
 
 CUBIC = "poly:-1,-1,0,1;interval:1,2"
 BIG = "poly:-2,0,2,-1,-2,1;interval:2,3"  # 52 states

@@ -1,17 +1,17 @@
 """The depth-first cylinder walk against the backward pullback it replaced.
 
-`reference_interval` and `reference_example31` are the pullbacks the walk
-replaced: each word is pulled back from [0, 1] through the inverse branches,
-last digit first, dividing by the slope at every step (memoized on suffixes
-here, which changes no value).  The reports of `measure_reference.cylinder_walk`
-and the one-word fold must reproduce them exactly: the same words in the same
-order, the same exact endpoints and the same closure flags, and the same
-refusals (test_cylinder_table ties `measures.cylinder_table` to those reports
-byte for byte).  The image table they read is checked against the paper's
-point set, computed here from the orbit of 1 under `map_reference.apply_map`.
+`measure_reference.reference_interval` and `reference_example31` are the
+pullbacks the walk replaced: each word is pulled back from [0, 1] through the
+inverse branches, last digit first, dividing by the slope at every step.  The
+reports of `measure_reference.cylinder_walk` must reproduce them exactly: the
+same words in the same order, the same exact endpoints and the same closure
+flags (test_cylinder_table ties `measures.cylinder_table` to those reports
+byte for byte).  Stepping the image table over any word refuses exactly the
+words the pullback refuses and gives the same lengths.  The image table is
+checked against the paper's point set, computed here from the orbit of 1
+under `map_reference.apply_map`.
 """
 
-import functools
 import itertools
 from fractions import Fraction
 
@@ -22,12 +22,14 @@ from negabeta.algebraic import (
 )
 from negabeta.cli import main
 from negabeta.intervalmaps import example31_measure_bounds, example31_system
-from negabeta.measures import InadmissibleWord, cylinder_interval, cylinder_table, image_table
+from negabeta.measures import InadmissibleWord, cylinder_table, image_table
 from negabeta.shiftgraph import automaton_for
 from negabeta.transform import MinusBetaSystem
 
 from map_reference import apply_map
-from measure_reference import cylinder_walk, example31_cylinder, image_walk
+from measure_reference import (
+    cylinder_walk, image_walk, reference_example31, reference_interval, word_image,
+)
 from pisot_bases import BASES as POOL_BASES
 from word_reference import enumerate_admissible, enumerate_words
 
@@ -51,54 +53,6 @@ def system(request):
     sys = MinusBetaSystem(make_algebraic(IntPolynomial(coeffs), lo, hi))
     sys.expansion_of_one()
     return sys
-
-
-def reference_interval(system, word):
-    """(lo, hi, lo_closed, hi_closed) by backward pullback; None when refused."""
-    pulled = _pullback(system, tuple(word))
-    if pulled is None or pulled[0] == pulled[1]:
-        return None
-    return pulled
-
-
-@functools.lru_cache(maxsize=None)
-def _pullback(system, word):
-    """The pullback of word[1:] (memoized: suffixes repeat), pulled back once more."""
-    if not word:
-        return system.beta.zero(), system.beta.one(), True, True
-    digit = word[0]
-    if not 0 <= digit <= system.b:
-        return None
-    rest = _pullback(system, word[1:])
-    if rest is None:
-        return None
-    lo, hi, lo_closed, hi_closed = rest
-    beta = system.beta_element
-    lo, hi = (digit + 1 - hi) / beta, (digit + 1 - lo) / beta
-    lo_closed, hi_closed = hi_closed, lo_closed
-    cell = system.partition()[digit]
-    if cell.lo > lo or (cell.lo == lo and not cell.lo_closed and lo_closed):
-        lo, lo_closed = cell.lo, cell.lo_closed
-    if cell.hi < hi or (cell.hi == hi and not cell.hi_closed and hi_closed):
-        hi, hi_closed = cell.hi, cell.hi_closed
-    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-        return None
-    return lo, hi, lo_closed, hi_closed
-
-
-def reference_example31(fmap, word):
-    lo, hi = Fraction(0), Fraction(1)
-    lo_closed, hi_closed = True, True
-    for digit in reversed(tuple(word)):
-        br = fmap.branches[digit]
-        lo, hi = (lo - br.intercept) / br.slope, (hi - br.intercept) / br.slope
-        if br.lo > lo or (br.lo == lo and not br.lo_closed and lo_closed):
-            lo, lo_closed = br.lo, br.lo_closed
-        if br.hi < hi or (br.hi == hi and not br.hi_closed and hi_closed):
-            hi, hi_closed = br.hi, br.hi_closed
-        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-            return None
-    return lo, hi, lo_closed, hi_closed
 
 
 def _fields(interval):
@@ -128,24 +82,30 @@ def test_walk_matches_pullback(system):
             assert report.lower_bound_ok is None
 
 
+def _steps_like_pullback(table, word, ref):
+    """The table refuses the word exactly when the pullback ref has no interior,
+    and otherwise reads ref's length off the word's image."""
+    if ref is None or ref[0] == ref[1]:
+        with pytest.raises(InadmissibleWord):
+            word_image(table, word)
+    else:
+        assert table.length(len(word), word_image(table, word)) == ref[1] - ref[0], word
+
+
 def test_fold_matches_pullback_on_every_word(system):
-    """All digit strings up to length 4, admissible or not, and stray digits."""
-    alphabet = range(-1, system.b + 2)
+    """Every digit string up to length 4, admissible or not, stepped through the image table."""
+    table = image_table(system)
     for n in range(5):
-        for word in itertools.product(alphabet, repeat=n):
-            ref = reference_interval(system, word)
-            if ref is None:
-                with pytest.raises(InadmissibleWord):
-                    cylinder_interval(system, word)
-            else:
-                assert _fields(cylinder_interval(system, word)) == ref
+        for word in itertools.product(range(system.b + 1), repeat=n):
+            _steps_like_pullback(table, word, reference_interval(system, word))
 
 
 def test_example31_fold_matches_pullback():
+    """The same on Example 3.1's half-open cells, every word up to length 5."""
     fmap, _ = example31_system()
     for n in range(6):
         for word in itertools.product(range(5), repeat=n):
-            assert example31_cylinder(fmap, word) == reference_example31(fmap, word)
+            _steps_like_pullback(fmap.image_table, word, reference_example31(fmap, word))
 
 
 def test_example31_walk_matches_pullback():

@@ -27,12 +27,11 @@ from negabeta.intervalmaps import (
     predicted_occupation_rate,
 )
 from negabeta.ldp import WindowNeverHit
-from negabeta.measures import InadmissibleWord
 from negabeta.sampling import _CHUNK, _philox_block, _sample_doubles, _seed_key
 from negabeta.specprop import spec_bound
 from exact_tails import MAX_SIGMAS, SEEDS, circle_tail, sigmas
 from map_reference import HitBoundary, breakpoints, circle_step, code_point
-from measure_reference import example31_cylinder, image_walk
+from measure_reference import image_walk, reference_example31, word_image
 from philox_reference import sample_int
 from word_reference import enumerate_words, example31_word_admissible, reads
 
@@ -119,7 +118,7 @@ def test_coded_points_match_language(system):
     # realization: every admissible word of length <= 8 owns a cylinder with
     # interior, and its midpoint codes back to the word
     for word, _ in enumerate_words(presentation.graph, 8):
-        cyl = example31_cylinder(fmap, word)
+        cyl = reference_example31(fmap, word)
         assert cyl is not None
         lo, hi, _, _ = cyl
         mid = (lo + hi) / 2
@@ -131,16 +130,11 @@ def test_coded_points_match_language(system):
 
 def test_cylinder_single_digit(system):
     fmap, _ = system
-    lo, hi, lo_closed, hi_closed = example31_cylinder(fmap, (1,))
+    lo, hi, lo_closed, hi_closed = reference_example31(fmap, (1,))
     assert (lo, hi) == (Fraction(1, 6), Fraction(1, 2))
     assert lo_closed and not hi_closed
-
-
-@pytest.mark.parametrize("word", [(-1,), (5,), (1, -1), (0, 5)])
-def test_cylinder_rejects_digits_outside_alphabet(system, word):
-    fmap, _ = system
-    with pytest.raises(InadmissibleWord):
-        example31_cylinder(fmap, word)
+    table = fmap.image_table
+    assert table.length(1, word_image(table, (1,))) == hi - lo
 
 
 def test_image_table_is_the_cell_endpoints(system):
@@ -153,7 +147,7 @@ def test_image_table_needs_one_slope(system):
     first, *rest = fmap.branches
     mixed = PiecewiseExpandingMap((dataclasses.replace(first, slope=Fraction(6)), *rest))
     with pytest.raises(IntervalMapError):
-        example31_cylinder(mixed, (0,))
+        mixed.image_table
 
 
 def listing(maxlen):
@@ -206,8 +200,9 @@ def test_example31_lists_no_word(monkeypatch, capsys):
 
 def test_measure_bounds_empty_word_is_unit(system):
     fmap, _ = system
-    lo, hi, _, _ = example31_cylinder(fmap, ())
-    assert hi - lo == 1
+    lo, hi, _, _ = reference_example31(fmap, ())
+    table = fmap.image_table
+    assert hi - lo == table.length(0, table.root) == 1
 
 
 def test_cylinder_denominators_divide_2_3n():

@@ -18,13 +18,11 @@ import pytest
 from negabeta import cli, measures, shiftgraph
 from negabeta.algebraic import IntPolynomial, make_algebraic, parse_beta_spec
 from negabeta.intervalmaps import example31_system
-from negabeta.measures import (
-    InadmissibleWord, cylinder_interval, image_table, language_gap, word_classes,
-)
+from negabeta.measures import image_table, language_gap, word_classes
 from negabeta.shiftgraph import FoldedAutomaton, LabeledGraph, automaton_for
 from negabeta.transform import MinusBetaSystem
 
-from measure_reference import cylinder_walk
+from measure_reference import cylinder_walk, reference_interval
 from pisot_bases import BASES
 from test_cylinder_walk import NON_PISOT
 from word_reference import count_words, cross_validate, reads
@@ -45,12 +43,7 @@ def _mutated(aut, drop=(), add=()):
 
 def _sides(graph, system, word):
     """(graph admits the word, its cylinder has interior)."""
-    try:
-        cylinder_interval(system, word)
-        interior = True
-    except InadmissibleWord:
-        interior = False
-    return bool(reads(graph, word)), interior
+    return bool(reads(graph, word)), reference_interval(system, word) is not None
 
 
 @pytest.mark.parametrize("coeffs, lo, hi", BASES + NON_PISOT,

@@ -21,12 +21,12 @@ from negabeta.ldp import (
     pressure,
     wilson_interval,
 )
-from negabeta.measures import cylinder_interval, parry_measure
+from negabeta.measures import parry_measure
 from negabeta.sampling import _digit_means_beta2, _digit_means_generic, _philox_block, _seed_key
 from negabeta.shiftgraph import chain_for
 from negabeta.transform import MinusBetaSystem
 from exact_tails import MAX_SIGMAS, SEEDS, lebesgue_tail, sigmas
-from measure_reference import mean_label
+from measure_reference import cylinder_length, mean_label
 from pisot_bases import BASES
 
 DIGIT1 = {0: 0.0, 1: 1.0}
@@ -507,7 +507,7 @@ def test_mc_pisot_near_maximal_mean(pisot_sys):
     p = float(lebesgue_tail(pisot_sys, n, window))
     log_beta = pisot_sys.log_beta()
     # cross-check against the exact all-ones cylinder decay
-    exact = -math.log(float(cylinder_interval(pisot_sys, (1,) * n).length)) / n
+    exact = -math.log(float(cylinder_length(pisot_sys, (1,) * n))) / n
     for seed in SEEDS:
         est = mc_deviation(pisot_sys, DIGIT1, window, n, count, seed)
         assert sigmas(est.hits, count, p) <= MAX_SIGMAS, seed
@@ -552,10 +552,10 @@ def test_all_ones_cylinder_corridor(pisot_sys):
     log_beta = pisot_sys.log_beta()
     width = abs(math.log(1 - 1 / float(g)))
     for n in range(1, 41):
-        length = cylinder_interval(pisot_sys, (1,) * n).length
+        length = cylinder_length(pisot_sys, (1,) * n)
         rate = -math.log(float(length)) / n
         assert log_beta - 1e-12 <= rate <= log_beta + width / n + 1e-12
-    rate30 = -math.log(float(cylinder_interval(pisot_sys, (1,) * 30).length)) / 30
+    rate30 = -math.log(float(cylinder_length(pisot_sys, (1,) * 30))) / 30
     assert abs(rate30 - log_beta) <= 0.05
 
 
@@ -563,7 +563,7 @@ def test_all_ones_cylinder_exact_form(pisot_sys):
     # the all-ones cylinder contracts by exactly one branch slope per step
     g = pisot_sys.beta.generator()
     for n in range(1, 20):
-        length = cylinder_interval(pisot_sys, (1,) * n).length
+        length = cylinder_length(pisot_sys, (1,) * n)
         assert length == (g - 1) / g**n
 
 

@@ -12,10 +12,8 @@ from negabeta.measures import (
     InadmissibleWord,
     MixtureMeasure,
     NotIrreducible,
-    cylinder_interval,
-    cylinder_measure,
     empirical_measure,
-    g_beta_n,
+    g_beta_values,
     max_truncation,
     parry_measure,
     weak_metric_truncated,
@@ -25,8 +23,8 @@ from negabeta.transform import MinusBetaSystem
 
 from map_reference import in_interval
 from measure_reference import (
-    additivity_holds, cylinder_walk, g_beta_word, partition_identity_holds, point_mass_on_cycle,
-    random_markov_measure,
+    CylinderInterval, additivity_holds, cylinder_length, cylinder_walk, g_beta_word,
+    partition_identity_holds, point_mass_on_cycle, random_markov_measure, reference_interval,
 )
 from pisot_bases import BASES
 from word_reference import enumerate_admissible, word_admissible
@@ -49,40 +47,44 @@ def two_sys():
 # -- cylinders -------------------------------------------------------------------
 
 
+def _cylinder(system, word):
+    return CylinderInterval(tuple(word), *reference_interval(system, word))
+
+
 def test_cylinder_beta2_single_digit(two_sys):
-    cyl = cylinder_interval(two_sys, (1,))
+    cyl = _cylinder(two_sys, (1,))
     assert cyl.lo == Fraction(1, 2) and not cyl.lo_closed
     assert cyl.hi == 1 and cyl.hi_closed
-    assert cyl.length == Fraction(1, 2)
+    assert cyl.length == cylinder_length(two_sys, (1,)) == Fraction(1, 2)
 
 
 def test_cylinder_beta2_contains_fixed_point(two_sys):
-    cyl = cylinder_interval(two_sys, (1, 1))
-    assert cyl.length == Fraction(1, 4)
+    cyl = _cylinder(two_sys, (1, 1))
+    assert cyl.length == cylinder_length(two_sys, (1, 1)) == Fraction(1, 4)
     assert in_interval(cyl, two_sys.beta.from_rational(Fraction(2, 3)))
 
 
 def test_cylinder_empty_word(two_sys):
-    cyl = cylinder_interval(two_sys, ())
-    assert cyl.lo == 0 and cyl.hi == 1 and cyl.length == 1
+    cyl = _cylinder(two_sys, ())
+    assert cyl.lo == 0 and cyl.hi == 1 and cylinder_length(two_sys, ()) == 1
 
 
 def test_cylinder_pisot_single_digit(pisot_sys):
     g = pisot_sys.beta.generator()
-    cyl = cylinder_interval(pisot_sys, (1,))
-    assert cyl.length == 1 - 1 / g
+    assert _cylinder(pisot_sys, (1,)).length == cylinder_length(pisot_sys, (1,)) == 1 - 1 / g
 
 
 def test_cylinder_inadmissible(pisot_sys):
+    assert reference_interval(pisot_sys, (1, 0, 1)) is None
     with pytest.raises(InadmissibleWord):
-        cylinder_interval(pisot_sys, (1, 0, 1))
-    with pytest.raises(InadmissibleWord):
-        cylinder_interval(pisot_sys, (5,))
+        cylinder_length(pisot_sys, (1, 0, 1))
+    assert reference_interval(pisot_sys, (5,)) is None
 
 
 def test_beta2_cylinders_are_uniform(two_sys):
+    reports = {r.word: r for r in cylinder_walk(two_sys, 4)}
     for w in ((0,), (1, 0), (0, 1, 1), (1, 1, 0, 1)):
-        report = cylinder_measure(two_sys, w)
+        report = reports[w]
         assert report.length == Fraction(1, 2 ** len(w))
         assert report.upper_bound_ok and report.lower_bound_ok
 
@@ -107,8 +109,6 @@ def test_branching_flag_counts_admissible_extensions(coeffs, lo, hi):
     for report in cylinder_walk(sys, 6):
         count = sum(1 for c in range(sys.b + 1) if word_admissible(sys, report.word + (c,)))
         assert report.lower_bound_applicable == (count >= 2), report.word
-        if len(report.word) <= 3:
-            assert cylinder_measure(sys, report.word) == report
 
 
 def test_per_word_lower_bound_counterexample(pisot_sys):
@@ -119,8 +119,9 @@ def test_per_word_lower_bound_counterexample(pisot_sys):
     one = pisot_sys.beta.one()
     assert word_admissible(pisot_sys, (1, 0, 0, 1, 0))
     assert word_admissible(pisot_sys, (1, 0, 0, 1, 1))
-    length = cylinder_interval(pisot_sys, (1, 0, 0, 1)).length
-    assert length == cylinder_interval(pisot_sys, (1, 0, 0)).length
+    length = cylinder_length(pisot_sys, (1, 0, 0, 1))
+    assert length == cylinder_length(pisot_sys, (1, 0, 0))
+    assert length == _cylinder(pisot_sys, (1, 0, 0, 1)).length
     assert length == (one - 1 / g) / g**5
     assert not length >= (one - 1 / g) / g**4
 
@@ -146,14 +147,13 @@ def test_cylinder_shorter_than_scale(pisot_sys):
 
 
 def test_g_pisot_bounded_by_two(pisot_sys):
-    values = [g_beta_n(pisot_sys, n) for n in range(1, 13)]
+    values = g_beta_values(pisot_sys, 12)
     assert max(values) <= 2
     assert 2 in values
 
 
 def test_g_beta2_identically_zero(two_sys):
-    for n in range(1, 9):
-        assert g_beta_n(two_sys, n) == 0
+    assert g_beta_values(two_sys, 8) == [0] * 8
 
 
 def test_g_word_at_branching_state(pisot_sys):

@@ -16,7 +16,6 @@ from negabeta.shiftgraph import (
     cycle_vertices,
     decompose,
     entropy_estimate,
-    fold,
     is_irreducible,
     spectral_radius,
 )
@@ -25,7 +24,7 @@ from negabeta.transform import MinusBetaSystem
 from map_reference import nth_digit
 from pisot_bases import BASES
 from word_reference import (
-    build_gamma, count_words, cross_validate, enumerate_admissible, enumerate_words,
+    build_gamma, count_words, cross_validate, enumerate_admissible, enumerate_words, fold,
 )
 
 

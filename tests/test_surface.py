@@ -2,14 +2,14 @@
 
 A definition is a top-level function or class of a module, or a method of a
 top-level class.  It has a reader when its name is read by another module of
-the package, by its own module outside its own body, or by a `perfbench`
-file, whose strings count too because the benchmark names its spans
-``module.function``.  A top-level definition is read as a name, an attribute
-or an imported name.  A method is read only as an attribute (``x.name``) or
-in a benchmark string, so a local variable or parameter of the same name
-does not hide it.  The package's `__init__` does not count: an export is not
-a reader.  Dunder methods are skipped, since Python calls them by protocol,
-not by name.
+the package, by its own module outside its own body, or by the code of a
+`perfbench` file.  A top-level definition is read as a name, an attribute or
+an imported name.  A method is read only as an attribute (``x.name``), so a
+local variable or parameter of the same name does not hide it.  Strings
+never count: the benchmark names its spans ``module.function``, and a span
+name that outlives its function must not keep dead code alive.  The
+package's `__init__` does not count: an export is not a reader.  Dunder
+methods are skipped, since Python calls them by protocol, not by name.
 Definitions that only the tests read belong in the tests' reference modules
 (`word_reference`, `map_reference`, `measure_reference`).
 
@@ -21,7 +21,6 @@ not counted.  Each module stays below the step.
 
 import ast
 import io
-import re
 import tokenize
 from pathlib import Path
 
@@ -31,6 +30,7 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 # Kept although no module and no benchmark file reads them, each for its reason.
 KEPT = {
+    "cli._Parser.error": "argparse calls it by name on a usage error",
     "ldp.free_energy": "q(mu) = h(mu) - log beta, which the level-2 rate checks of "
                        "ROADMAP items 5 and 6 read",
     "measures.empirical_measure": "a weak-metric object: ROADMAP item 5 gives it a reader or "
@@ -43,9 +43,9 @@ KEPT = {
 COMPILE_STEP_TOKENS = 8190
 
 
-def _reads(tree: ast.AST, skip: ast.AST = None, strings: bool = False) -> tuple[set, set]:
+def _reads(tree: ast.AST, skip: ast.AST = None) -> tuple[set, set]:
     """The names read in a tree, leaving out the subtree ``skip``: (every name, attribute
-    or imported name, and the attribute names alone), with the words of its strings in both."""
+    or imported name, and the attribute names alone)."""
     names, attributes = set(), set()
     stack = [tree]
     while stack:
@@ -58,8 +58,6 @@ def _reads(tree: ast.AST, skip: ast.AST = None, strings: bool = False) -> tuple[
             attributes.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.rpartition(".")[2])
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            attributes.update(re.findall(r"\w+", node.value))
         stack.extend(ast.iter_child_nodes(node))
     return names | attributes, attributes
 
@@ -80,12 +78,12 @@ def _definitions(tree: ast.Module):
 def unread_definitions() -> set[str]:
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
     reads = {stem: _reads(tree) for stem, tree in trees.items()}
-    benchmark = [_reads(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+    benchmark = [_reads(ast.parse(path.read_text(encoding="utf-8")))
                  for path in sorted((ROOT / "perfbench").glob("*.py"))]
     unread = set()
     for stem, tree in trees.items():
         for qualified, name, node, method in _definitions(tree):
-            kind = int(method)  # a method counts only attribute reads and strings
+            kind = int(method)  # a method counts only attribute reads
             readers = [read[kind] for other, read in reads.items() if other != stem]
             readers += [read[kind] for read in benchmark]
             readers.append(_reads(tree, skip=node)[kind])

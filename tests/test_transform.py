@@ -8,7 +8,7 @@ import pytest
 
 from negabeta import transform
 from negabeta.algebraic import IntPolynomial, make_algebraic, parse_beta_spec
-from negabeta.measures import InadmissibleWord, cylinder_interval, cylinder_measure
+from negabeta.measures import InadmissibleWord
 from negabeta.transform import (
     Case,
     DigitSequence,
@@ -21,7 +21,7 @@ from negabeta.transform import (
 from map_reference import (
     HitBoundary, SignedPoint, apply_map, itinerary, nth_digit, sequence_from_text, value_of,
 )
-from measure_reference import additivity_holds
+from measure_reference import additivity_holds, cylinder_length, reference_interval
 from pisot_bases import BASES
 from word_reference import Ordering, alt_compare, enumerate_admissible, word_admissible
 
@@ -108,7 +108,7 @@ def test_a_fresh_system_computes_the_expansion_on_first_use():
         assert MinusBetaSystem(beta).case is warm.case
         fresh = MinusBetaSystem(beta)
         assert [apply_map(fresh, x) for x in endpoints] == [apply_map(warm, x) for x in endpoints]
-        for probe in (cylinder_interval, cylinder_measure, additivity_holds):
+        for probe in (reference_interval, cylinder_length, additivity_holds):
             for w in words:
                 got = _outcome(lambda: probe(MinusBetaSystem(beta), w))
                 assert got == _outcome(lambda: probe(warm, w)), (coeffs, probe.__name__, w)

@@ -30,8 +30,10 @@ package reads them:
 - `example31_word_admissible(word)`: Example 3.1's language, the factors of
   u1v with u over {0,1} and v over {2,3,4} (test_intervalmaps);
 - `build_gamma(s, horizon)`: the unfolded graph V0..V_horizon, built from
-  the same border rows that `automaton_for` folds (test_shiftgraph,
-  test_border_table, test_presentation_reuse).
+  the same border rows that `automaton_for` folds, and `fold(graph, u, v)`:
+  a graph's edges folded by `shiftgraph._fold_rows`, the fold that
+  `automaton_for` runs (test_shiftgraph, test_border_table,
+  test_presentation_reuse).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import enum
 import math
 from typing import Iterator, Optional, Sequence, Union
 
-from negabeta.shiftgraph import FoldedAutomaton, LabeledGraph, _gamma_rows
+from negabeta.shiftgraph import FoldedAutomaton, LabeledGraph, _fold_rows, _gamma_rows
 from negabeta.transform import DigitSequence, MinusBetaSystem, Word
 
 
@@ -229,3 +231,11 @@ def build_gamma(s: DigitSequence, horizon: int) -> LabeledGraph:
     """
     rows = _gamma_rows(s, horizon)
     return LabeledGraph(len(rows), frozenset((i, a, t) for i, row in enumerate(rows) for a, t in row))
+
+
+def fold(graph: LabeledGraph, u: int, v: int) -> FoldedAutomaton:
+    """`shiftgraph._fold_rows` on the graph's edges, each vertex's row in edge order."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
+    for s, a, t in sorted(graph.edges):
+        rows[s].append((a, t))
+    return _fold_rows(rows, u, v)
