@@ -54,7 +54,7 @@ class PiecewiseExpandingMap:
         if any(br.slope != slope for br in self.branches):
             raise IntervalMapError("the image table needs one slope for all branches")
         return ImageTable(self.branches, [br.intercept for br in self.branches], slope,
-                          1 / slope, slope < 0, Fraction(1))
+                          1 / slope, slope < 0, {x for br in self.branches for x in (br.lo, br.hi)})
 
 
 def example31_system() -> tuple[PiecewiseExpandingMap, SoficPresentation]:

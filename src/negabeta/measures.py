@@ -5,7 +5,9 @@ are exact field elements so the decay bounds and the partition identity can
 be asserted with equality, not tolerance.  The cylinder table, the one
 pullback, carries them as integer coefficient vectors over one denominator,
 so a word costs integer tuple additions, and it formats each distinct
-endpoint once.  Markov and
+endpoint once.  Its set-up reads integer data too: the image table takes
+its points from the orbit of 1 that the expansion walks, with no closure,
+and the per-depth constants step as integer vectors.  Markov and
 empirical measures live on the folded automaton and feed the rate machinery.
 """
 
@@ -17,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from negabeta.algebraic import FieldElement, to_decimal
 from negabeta.shiftgraph import LabeledGraph, _levels, _perron, automaton_for, is_irreducible
@@ -40,6 +42,10 @@ class NotIrreducible(MeasureError):
     """The operation needs a strongly connected component."""
 
 
+class PointsNotClosed(MeasureError):
+    """An image table's point set misses a cell endpoint or an image T_a(p) of one of its points."""
+
+
 # -- cylinders -------------------------------------------------------------------
 
 
@@ -53,8 +59,6 @@ class _Depth(NamedTuple):
     slope: object  # s_n = inv_slope^n
     scale: object  # |s_n|
     decreasing: bool  # s_n < 0, read off the branches' orientation
-    ends: tuple  # s_n * p for each table point p
-    terms: tuple  # s_n * intercept_a for each digit a
     lengths: dict  # (lo index, hi index) of J_w -> |[w]|
 
 
@@ -65,13 +69,16 @@ class ImageTable:
     cell of a partition of [0, 1]; the caller passes the slope and its
     inverse, so building the table inverts nothing.  T^n maps the cylinder
     [w] of a word of length n onto its image J_w = T^n[w], and J_wa is T_a
-    of the cut of J_w by cell_a.  So every image endpoint lies in the
-    closure P of {0, 1} and the cell endpoints under the branches, each
-    acting on its closed cell.  P must be finite: for the negative-beta map
-    of a Yrrap beta it is {0, 1}, the k/beta and the orbit of 1; for
-    Example 3.1 it is the six cell endpoints.  P is sorted once with exact
-    comparisons, after which an image is an :data:`Image` of indices and a
-    digit's step compares integers.
+    of the cut of J_w by cell_a.  So every image endpoint lies in any point
+    set P of [0, 1] that holds the cell endpoints and is closed under the
+    branches, each acting on its closed cell.  The caller supplies P: for
+    the negative-beta map of a Yrrap beta it is the cell endpoints {0, 1}
+    and the k/beta together with the orbit of 1 (Ito & Sadahiro); for
+    Example 3.1 it is the six cell endpoints.  P is sorted once, after which
+    a point is its index: "p lies in the closed cell a" compares indices,
+    an image is an :data:`Image` of indices and a digit's step compares
+    integers.  Looking up every T_a(p) in P proves P closed; a point that
+    is missing raises :class:`PointsNotClosed`.
 
     The inverse of T^n on [w] is phi_w(y) = s_n*y + c_w, with s_n = inv_slope^n
     and c_wa = c_w - s_{n+1}*intercept_a.  So [w] = phi_w(J_w) and
@@ -79,27 +86,28 @@ class ImageTable:
     """
 
     def __init__(self, cells: Sequence, intercepts: Sequence, slope, inv_slope, decreasing: bool,
-                 one):
-        zero = one - one
-
-        def forward(level: frozenset) -> frozenset:
-            return frozenset(slope * p + c for p in level
-                             for cell, c in zip(cells, intercepts) if cell.lo <= p <= cell.hi)
-
-        start = frozenset((zero, one, *(x for cell in cells for x in (cell.lo, cell.hi))))
-        self.points = tuple(sorted(frozenset().union(*_levels(forward, start))))
+                 points: Iterable):
+        self.points = tuple(sorted(set(points)))
         index = {p: i for i, p in enumerate(self.points)}
-        self.cells = tuple((index[cell.lo], cell.lo_closed, index[cell.hi], cell.hi_closed)
+
+        def find(p) -> int:
+            i = index.get(p)
+            if i is None:
+                raise PointsNotClosed(f"{p!r} is a cell endpoint or an image of a point, "
+                                      "but not in the point set")
+            return i
+
+        self.cells = tuple((find(cell.lo), cell.lo_closed, find(cell.hi), cell.hi_closed)
                            for cell in cells)
         # the index of T_a(p) for each point p of the closed cell a, None off it
-        self.maps = tuple(tuple(index[slope * p + c] if lo <= i <= hi else None
+        self.maps = tuple(tuple(find(slope * p + c) if lo <= i <= hi else None
                                 for i, p in enumerate(self.points))
                           for (lo, _, hi, _), c in zip(self.cells, intercepts))
-        self.root: Image = (index[zero], True, index[one], True)
+        self.root: Image = (0, True, len(self.points) - 1, True)
         self.inv_slope = inv_slope
-        self.intercepts = tuple(intercepts)
         self.decreasing = decreasing
-        self._depths = [_Depth(one, one, False, self.points, (), {})]
+        self._depths = [_Depth(self.points[-1], self.points[-1], False, {})]
+        self._children: dict[Image, tuple[tuple[int, Image], ...]] = {}
 
     def depth(self, n: int) -> _Depth:
         """The constants of phi_w for words of length n, computed once per depth."""
@@ -107,9 +115,7 @@ class ImageTable:
         while len(depths) <= n:
             slope = depths[-1].slope * self.inv_slope
             decreasing = depths[-1].decreasing != self.decreasing
-            depths.append(_Depth(slope, -slope if decreasing else slope, decreasing,
-                                 tuple(slope * p for p in self.points),
-                                 tuple(slope * c for c in self.intercepts), {}))
+            depths.append(_Depth(slope, -slope if decreasing else slope, decreasing, {}))
         return depths[n]
 
     def step(self, image: Image, digit: int) -> Optional[Image]:
@@ -159,9 +165,16 @@ class ImageTable:
         return bounds
 
     def children(self, image: Image) -> tuple[tuple[int, Image], ...]:
-        """(a, J_wa) for each digit a, ascending, whose cylinder [wa] has interior, from J_w."""
-        return tuple((digit, child) for digit in range(len(self.cells))
-                     if (child := self.step(image, digit)) is not None and child[0] != child[2])
+        """(a, J_wa) for each digit a, ascending, whose cylinder [wa] has interior, from J_w.
+
+        Found once per image and kept on the table.
+        """
+        found = self._children.get(image)
+        if found is None:
+            found = self._children[image] = tuple(
+                (digit, child) for digit in range(len(self.cells))
+                if (child := self.step(image, digit)) is not None and child[0] != child[2])
+        return found
 
 
 def word_classes(table: ImageTable, maxlen: int) -> Iterator[dict[Image, list]]:
@@ -220,12 +233,18 @@ def language_gap(graph: LabeledGraph, table: ImageTable) -> Optional[Word]:
 
 
 def image_table(system: MinusBetaSystem) -> ImageTable:
-    """The image table of x -> (a+1) - beta*x on the partition, cached on the system."""
+    """The image table of x -> (a+1) - beta*x on the partition, cached on the system.
+
+    Its points are the cell endpoints and the orbit of 1 that the expansion
+    of 1 walks.
+    """
     if system._table_cache is None:
         cells = system.partition()
+        points = {x for cell in cells for x in (cell.lo, cell.hi)}
+        points.update(FieldElement(system.beta, nums, 1) for nums in system.orbit_of_one)
         system._table_cache = ImageTable(cells, [a + 1 for a in range(len(cells))],
                                          -system.beta_element, -system.beta_inverse, True,
-                                         system.beta.one())
+                                         points)
     return system._table_cache
 
 
@@ -248,6 +267,31 @@ def _coeff_text(nums: Sequence[int], den: int) -> str:
     return "[" + ",".join(parts) + "]"
 
 
+def _depth_vectors(system: MinusBetaSystem, maxlen: int) -> tuple[int, list, list]:
+    """(D, ends, terms): D*s_n*p for each table point p and D*s_n*(a+1) for each
+    digit a, for n = 0..maxlen, as integer vectors, with s_n = (-1/beta)^n.
+
+    Each depth steps the one before by the companion map of -1/beta: for the
+    minimal polynomial c_0 + c_1 x + ... + x^d, v -> (v_0 c_(k+1)/c_0 - v_(k+1))_k,
+    with v_d = 0.  The points lie in Z[beta]/L, L the lcm of their
+    denominators, and each step divides by c_0 once, so over
+    D = L*|c_0|^maxlen every division is exact.  The point 1 is the table's
+    last, so D*s_n*(a+1) is (a+1) times its vector.
+    """
+    table = image_table(system)
+    coefficients = system.beta.minpoly.coefficients
+    c0, shifted = coefficients[0], coefficients[1:]
+    den = math.lcm(*(p.den for p in table.points)) * abs(c0) ** maxlen
+    at = [tuple(x * (den // p.den) for x in p.nums) for p in table.points]
+    ends = [at]
+    for _ in range(maxlen):
+        at = [tuple(v[0] // c0 * c - x for c, x in zip(shifted, (*v[1:], 0))) for v in at]
+        ends.append(at)
+    digits = range(1, len(table.cells) + 1)
+    terms = [[tuple(a * x for x in at[-1]) for a in digits] for at in ends]
+    return den, ends, terms
+
+
 def cylinder_table(system: MinusBetaSystem, maxlen: int, digits: int) -> list[tuple]:
     """One row of :data:`CYLINDER_COLUMNS` for every admissible word up to maxlen, in preorder.
 
@@ -255,27 +299,18 @@ def cylinder_table(system: MinusBetaSystem, maxlen: int, digits: int) -> list[tu
     admissible words), children in digit order, on an explicit stack of
     (word text, length n, image J_w, c_w); a word's children are those of
     its image (:meth:`ImageTable.children`).  c_w and the endpoints
-    phi_w(J_w) of [w] are integer vectors over one denominator D, the lcm of
-    the denominators of the depth constants s_n*p and s_n*intercept_a up to
-    maxlen, so a word costs index comparisons in the image table and three
-    tuple additions.  Each distinct endpoint vector is formatted once, its
-    decimal read off the vector over D as it stands: a decimal depends on the
-    value alone, so no vector is brought to lowest terms.  A word's length
-    (the difference of its endpoints) and both bound checks are read off
-    its image, once per (depth, image), so no word needs a sign test.  A
-    word branches when its image has two children.
+    phi_w(J_w) of [w] are integer vectors over one denominator D
+    (:func:`_depth_vectors`), so a word costs index comparisons in the image
+    table and three tuple additions.  Each distinct endpoint vector is
+    formatted once, its decimal read off the vector over D as it stands: a
+    decimal depends on the value alone, so no vector is brought to lowest
+    terms.  A word's length (the difference of its endpoints) and both bound
+    checks are read off its image, once per (depth, image), so no word needs
+    a sign test.  A word branches when its image has two children.
     """
     table = image_table(system)
     bounds = table.bounds(_lower_constant(system))
-    depths = [table.depth(n) for n in range(maxlen + 1)]
-    den = math.lcm(*(x.den for depth in depths for x in (*depth.ends, *depth.terms)))
-
-    def over_den(x) -> tuple[int, ...]:
-        scale = den // x.den
-        return tuple(a * scale for a in x.nums)
-
-    ends = [tuple(map(over_den, depth.ends)) for depth in depths]
-    terms = [tuple(map(over_den, depth.terms)) for depth in depths]
+    den, ends, terms = _depth_vectors(system, maxlen)
     field = system.beta
 
     def decimal(vector: tuple[int, ...]) -> str:
@@ -290,7 +325,7 @@ def cylinder_table(system: MinusBetaSystem, maxlen: int, digits: int) -> list[tu
         return texts
 
     # per depth: (lo index, hi index) of J_w -> (|[w]| as a decimal, upper ok, lower ok)
-    images: list[dict] = [{} for _ in depths]
+    images: list[dict] = [{} for _ in ends]
     sep = word_separator(system.b)
     rows = []
     stack = [("", 0, table.root, (0,) * field.degree)]
@@ -300,14 +335,15 @@ def cylinder_table(system: MinusBetaSystem, maxlen: int, digits: int) -> list[tu
         if n:
             lo, _, hi, _ = image
             at = ends[n]
+            decreasing = n % 2 == 1  # s_n = (-1/beta)^n
             lo_end = endpoint(tuple(map(operator.add, at[lo], offset)))
             hi_end = endpoint(tuple(map(operator.add, at[hi], offset)))
-            if depths[n].decreasing:
+            if decreasing:
                 lo_end, hi_end = hi_end, lo_end
             measured = images[n].get((lo, hi))
             if measured is None:
                 width = tuple(map(operator.sub, at[hi], at[lo]))
-                if depths[n].decreasing:
+                if decreasing:
                     width = tuple(map(operator.neg, width))
                 measured = images[n][lo, hi] = (decimal(width), *bounds(lo, hi))
             length, upper_ok, lower_ok = measured

@@ -166,6 +166,7 @@ class MinusBetaSystem:
         self._beta_el = gen
         self.b = self._floor_of_beta()
         self._expansion: DigitSequence | None = None
+        self._orbit: tuple[tuple[int, ...], ...] = ()
         self._partition: tuple[JInterval, ...] | None = None
         self._aut_cache = None  # set lazily by negabeta.shiftgraph
         self._table_cache = None  # set lazily by negabeta.measures
@@ -235,7 +236,8 @@ class MinusBetaSystem:
         integer polynomial, and that refusal is a proof.  Otherwise each
         point is an integer vector, and beta times it is a companion shift.
         Raises its base :class:`NotEventuallyPeriodic` when the budget runs
-        out, which is not a proof that the orbit is aperiodic.
+        out, which is not a proof that the orbit is aperiodic.  The distinct
+        points it walks are kept as :attr:`orbit_of_one`.
         """
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
@@ -252,6 +254,7 @@ class MinusBetaSystem:
             first = seen.setdefault((nums, side), step)
             if first < step:
                 self._expansion = DigitSequence.from_parts(digits[:first], digits[first:], self.b)
+                self._orbit = tuple(dict.fromkeys(point for point, _ in seen))
                 return self._expansion
             top = nums[-1]
             t = (-top * low[0],) + tuple(x - top * c for x, c in zip(nums, low[1:]))
@@ -259,6 +262,14 @@ class MinusBetaSystem:
             nums = (digit + 1 - t[0],) + tuple(-x for x in t[1:])
             digits.append(digit)
         raise NotEventuallyPeriodic(f"no cycle within {max_steps} steps")
+
+    @property
+    def orbit_of_one(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct points of the orbit of 1, 1 first, in the order the
+        expansion walks them, each as its integer vector in the power basis
+        of Z[beta]."""
+        self.expansion_of_one()
+        return self._orbit
 
     # -- coding partition --------------------------------------------------------------------
 

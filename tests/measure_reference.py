@@ -6,6 +6,11 @@ whole levels of the automaton and the image table (`measures.cylinder_table`,
 here read one word or one measure at a time, and no module of the package
 reads them:
 
+- `closure_table(cells, intercepts, slope, one)`: the image table's points,
+  cells, maps and root, with the points found as the closure of {0, 1} and
+  the cell endpoints under the branches, in exact arithmetic, as the
+  program found them before it read them off the orbit of 1
+  (test_image_table);
 - `reference_interval(system, word)` and `reference_example31(fmap, word)`:
   the cylinder of one word as (lo, hi, lo_closed, hi_closed), pulled back
   from [0, 1] through the inverse branches, last digit first, dividing by
@@ -57,7 +62,7 @@ from negabeta.measures import (
     Image, ImageTable, InadmissibleWord, MarkovMeasure, NotIrreducible, _coeff_text,
     _g_from_followers, _lower_constant, _psi_value, image_table,
 )
-from negabeta.shiftgraph import LabeledGraph, automaton_for, is_irreducible
+from negabeta.shiftgraph import LabeledGraph, _levels, automaton_for, is_irreducible
 from negabeta.transform import MinusBetaSystem, Word, word_to_text
 
 from word_reference import enumerate_words, reads
@@ -96,6 +101,31 @@ class CylinderReport(NamedTuple):
     @property
     def word(self) -> Word:
         return self.interval.word
+
+
+def closure_table(cells: Sequence, intercepts: Sequence, slope, one) -> tuple:
+    """(points, cells, maps, root) of an image table, with its points found by closure.
+
+    P is the closure of {0, 1} and the cell endpoints under the branches,
+    each acting on its closed cell, walked level by level in exact
+    arithmetic and sorted with exact comparisons; cells, maps and root are
+    read off it by value, as `ImageTable` reads them off the point set its
+    caller supplies.
+    """
+    zero = one - one
+
+    def forward(level: frozenset) -> frozenset:
+        return frozenset(slope * p + c for p in level
+                         for cell, c in zip(cells, intercepts) if cell.lo <= p <= cell.hi)
+
+    start = frozenset((zero, one, *(x for cell in cells for x in (cell.lo, cell.hi))))
+    points = tuple(sorted(frozenset().union(*_levels(forward, start))))
+    index = {p: i for i, p in enumerate(points)}
+    table_cells = tuple((index[cell.lo], cell.lo_closed, index[cell.hi], cell.hi_closed)
+                        for cell in cells)
+    maps = tuple(tuple(index[slope * p + c] if cell.lo <= p <= cell.hi else None for p in points)
+                 for cell, c in zip(cells, intercepts))
+    return points, table_cells, maps, (index[zero], True, index[one], True)
 
 
 def reference_interval(system: MinusBetaSystem, word: Sequence[int]):
@@ -194,20 +224,24 @@ def cylinder_walk(system: MinusBetaSystem, maxlen: int) -> Iterator[CylinderRepo
     constants up to maxlen; each distinct endpoint becomes a canonical field
     element once, looked up by its vector.  A word's length and bound checks
     are read off its image.  A word branches when its end states have two
-    followers.
+    followers.  The depth constants come from field products, not from the
+    program's integer step (:func:`negabeta.measures._depth_vectors`).
     """
     graph = automaton_for(system).graph
     table = image_table(system)
     bounds = table.bounds(_lower_constant(system))
     depths = [table.depth(n) for n in range(maxlen + 1)]
-    den = math.lcm(*(x.den for depth in depths for x in (*depth.ends, *depth.terms)))
+    # s_n*p for each table point p and s_n*(a+1) for each digit a, by field products
+    ends = [tuple(depth.slope * p for p in table.points) for depth in depths]
+    terms = [tuple(depth.slope * (a + 1) for a in range(len(table.cells))) for depth in depths]
+    den = math.lcm(*(x.den for row in ends + terms for x in row))
 
     def over_den(x) -> tuple[int, ...]:
         scale = den // x.den
         return tuple(a * scale for a in x.nums)
 
-    ends = [tuple(map(over_den, depth.ends)) for depth in depths]
-    terms = [tuple(map(over_den, depth.terms)) for depth in depths]
+    ends = [tuple(map(over_den, row)) for row in ends]
+    terms = [tuple(map(over_den, row)) for row in terms]
     elements: dict[tuple[int, ...], object] = {}
 
     def endpoint(vector: tuple[int, ...]):

@@ -22,7 +22,7 @@ from negabeta.algebraic import (
 )
 from negabeta.cli import main
 from negabeta.intervalmaps import example31_measure_bounds, example31_system
-from negabeta.measures import InadmissibleWord, cylinder_table, image_table
+from negabeta.measures import ImageTable, InadmissibleWord, cylinder_table, image_table
 from negabeta.shiftgraph import automaton_for
 from negabeta.transform import MinusBetaSystem
 
@@ -177,6 +177,26 @@ def test_no_word_needs_a_sign_test(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_each_image_steps_once(monkeypatch):
+    """The table keeps each image's children, so cylinder_table's digit steps
+    stop growing with the depth once every image has been met."""
+    step = ImageTable.step
+    calls = [0]
+
+    def counted(self, image, digit):
+        calls[0] += 1
+        return step(self, image, digit)
+
+    monkeypatch.setattr(ImageTable, "step", counted)
+    counts = []
+    for n in (8, 12):
+        system = _system(*BASES["cubic"])
+        before = calls[0]
+        cylinder_table(system, n, 15)
+        counts.append(calls[0] - before)
+    assert counts[0] == counts[1]
+
+
 def _spec(coeffs, lo, hi):
     return f"poly:{','.join(map(str, coeffs))};interval:{lo},{hi}"
 
@@ -201,15 +221,15 @@ def test_cyl_inverts_no_field_element(monkeypatch, capsys):
 
 @pytest.mark.parametrize("name", ["cubic", "golden"])
 def test_table_builds_no_element_per_row(name, monkeypatch):
-    """Endpoints and lengths are integer vectors over one denominator, formatted
-    straight from the vector: canonical field elements are built for the
-    per-depth constants and once per image, not per row or per endpoint."""
+    """Endpoints, lengths and the per-depth constants are integer vectors over
+    one denominator, formatted straight from the vector: canonical field
+    elements are built once per image, not per depth, row or endpoint."""
     maxlen = 12
-    # the images, read on a system of their own: the table keeps its depth constants
+    # the images, read on a system of their own, so the counted table starts fresh
     images = len({(r.image[0], r.image[2]) for r in cylinder_walk(_system(*BASES[name]), maxlen)})
     system = _system(*BASES[name])
     automaton_for(system)
-    table = image_table(system)
+    image_table(system)  # built before the count starts
     element = AlgebraicNumber._element
     calls = [0]
 
@@ -219,11 +239,9 @@ def test_table_builds_no_element_per_row(name, monkeypatch):
 
     monkeypatch.setattr(AlgebraicNumber, "_element", counted)
     rows = cylinder_table(system, maxlen, 15)
-    # per depth: s_n, s_n*p for each point and s_n*(a+1) for each digit; per
-    # image, its width and two bound comparisons; and the lower-bound
+    # per image, its width and two bound comparisons; and the lower-bound
     # constant 1 - b/beta
-    per_depth = 1 + len(table.points) + len(table.cells)
-    budget = maxlen * per_depth + 3 * images + 2
+    budget = 3 * images + 2
     assert calls[0] <= budget < len(rows)
 
 
