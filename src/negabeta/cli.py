@@ -18,7 +18,7 @@ import io
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 try:  # the C string encoder of the json package, without loading its decoder
@@ -73,19 +73,6 @@ class _Table:
 
     header: tuple[str, ...]
     rows: list[tuple]
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation: command, beta, parameters, seed, output routing."""
-
-    command: str
-    beta_text: Optional[str]
-    seed: Optional[int]
-    fmt: str
-    out: Optional[str]
-    digits: int
-    params: dict = field(default_factory=dict)
 
 
 _STOCHASTIC = {"mc", "example32"}
@@ -181,31 +168,18 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
-def parse_config(argv: Sequence[str]) -> RunConfig:
-    """Parse and validate an argument vector into a RunConfig."""
-    ns = _PARSER.parse_args(list(argv))
-    if not ns.command:
+def parse_config(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse and validate an argument vector; each command reads its flags off the namespace."""
+    config = _PARSER.parse_args(list(argv))
+    if not config.command:
         raise UsageError("a subcommand is required")
-    if ns.command in _STOCHASTIC and ns.seed is None:
-        raise UsageError(f"--seed is mandatory for '{ns.command}'")
-    if not 1 <= ns.digits <= MAX_DIGITS:
-        raise UsageError(f"--digits must be in 1..{MAX_DIGITS}, got {ns.digits}")
-    if ns.fmt in _FORMAT_COMMANDS and ns.command not in _FORMAT_COMMANDS[ns.fmt][0]:
-        raise UsageError(_FORMAT_COMMANDS[ns.fmt][1])
-    params = {
-        k: v
-        for k, v in vars(ns).items()
-        if k not in {"command", "beta", "fmt", "out", "seed", "digits"}
-    }
-    return RunConfig(
-        command=ns.command,
-        beta_text=getattr(ns, "beta", None),
-        seed=ns.seed,
-        fmt=ns.fmt,
-        out=ns.out,
-        digits=ns.digits,
-        params=params,
-    )
+    if config.command in _STOCHASTIC and config.seed is None:
+        raise UsageError(f"--seed is mandatory for '{config.command}'")
+    if not 1 <= config.digits <= MAX_DIGITS:
+        raise UsageError(f"--digits must be in 1..{MAX_DIGITS}, got {config.digits}")
+    if config.fmt in _FORMAT_COMMANDS and config.command not in _FORMAT_COMMANDS[config.fmt][0]:
+        raise UsageError(_FORMAT_COMMANDS[config.fmt][1])
+    return config
 
 
 # -- observable grammar ---------------------------------------------------------------
@@ -239,9 +213,9 @@ def _parse_window(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _system_for(config: RunConfig) -> MinusBetaSystem:
+def _system_for(config: argparse.Namespace) -> MinusBetaSystem:
     try:
-        return MinusBetaSystem(parse_beta_spec(config.beta_text))
+        return MinusBetaSystem(parse_beta_spec(config.beta))
     except (ValueError, algebraic.AlgebraicError) as exc:
         raise UsageError(str(exc)) from exc
 
@@ -249,8 +223,8 @@ def _system_for(config: RunConfig) -> MinusBetaSystem:
 # -- command bodies --------------------------------------------------------------------
 
 
-def _cmd_yrrap(config: RunConfig):
-    max_steps = _positive(config, "max_steps", "--max-steps")
+def _cmd_yrrap(config: argparse.Namespace):
+    max_steps = _positive(config.max_steps, "--max-steps")
     system = _system_for(config)
     seq = system.expansion_of_one(max_steps=max_steps)
     return {
@@ -264,19 +238,19 @@ def _cmd_yrrap(config: RunConfig):
     }
 
 
-def _cmd_graph(config: RunConfig):
+def _cmd_graph(config: argparse.Namespace):
     from negabeta import shiftgraph
 
     system = _system_for(config)
     aut = shiftgraph.automaton_for(system)
-    payload = aut.graph.to_json_dict()
-    payload["fold"] = {"start": aut.fold_start, "period": aut.fold_period}
     if config.fmt == "dot":
         return aut.graph.to_dot(alphabet_bound=system.b)
+    payload = aut.graph.to_json_dict()
+    payload["fold"] = {"start": aut.fold_start, "period": aut.fold_period}
     return payload
 
 
-def _cmd_components(config: RunConfig):
+def _cmd_components(config: argparse.Namespace):
     from negabeta import shiftgraph
 
     system = _system_for(config)
@@ -288,10 +262,10 @@ def _cmd_components(config: RunConfig):
     return payload
 
 
-def _cmd_spec(config: RunConfig):
+def _cmd_spec(config: argparse.Namespace):
     from negabeta import shiftgraph, specprop
 
-    maxlen = config.params["oracle_maxlen"]
+    maxlen = config.oracle_maxlen
     if maxlen < 0:
         raise UsageError(f"--oracle-maxlen must be >= 0, got {maxlen}")
     system = _system_for(config)
@@ -301,32 +275,31 @@ def _cmd_spec(config: RunConfig):
     return cert.to_json_dict(system.b)
 
 
-def _positive(config: RunConfig, key: str, flag: str) -> int:
-    value = config.params[key]
+def _positive(value: int, flag: str) -> int:
     if value < 1:
         raise UsageError(f"{flag} must be >= 1, got {value}")
     return value
 
 
-def _cmd_cyl(config: RunConfig):
+def _cmd_cyl(config: argparse.Namespace):
     from negabeta import measures
 
-    maxlen = _positive(config, "maxlen", "--maxlen")
+    maxlen = _positive(config.maxlen, "--maxlen")
     system = _system_for(config)
     rows = measures.cylinder_table(system, maxlen, config.digits)
     return {"rows": _Table(measures.CYLINDER_COLUMNS, rows)}
 
 
-def _cmd_gbeta(config: RunConfig):
+def _cmd_gbeta(config: argparse.Namespace):
     from negabeta import measures
 
-    n = _positive(config, "n", "--n")
+    n = _positive(config.n, "--n")
     system = _system_for(config)
     values = measures.g_beta_values(system, n)
     return {"n": n, "g": values, "max": max(values)}
 
 
-def _cmd_entropy(config: RunConfig):
+def _cmd_entropy(config: argparse.Namespace):
     from negabeta import shiftgraph
 
     system = _system_for(config)
@@ -343,19 +316,19 @@ def _cmd_entropy(config: RunConfig):
     }
 
 
-def _cmd_rate(config: RunConfig):
+def _cmd_rate(config: argparse.Namespace):
     from negabeta import ldp, shiftgraph
 
     system = _system_for(config)
     chain = shiftgraph.chain_for(system)
-    psi = parse_observable(config.params["obs"], system.b)
+    psi = parse_observable(config.obs, system.b)
     phi_const = system.log_beta()
     targets = []
-    if config.params.get("a") is not None:
-        targets.append(config.params["a"])
-    if config.params.get("a_grid"):
+    if config.a is not None:
+        targets.append(config.a)
+    if config.a_grid:
         try:
-            lo, hi, count = config.params["a_grid"].split(":")
+            lo, hi, count = config.a_grid.split(":")
             lo, hi, count = float(lo), float(hi), int(count)
         except ValueError as exc:
             raise UsageError("a-grid must be lo:hi:count") from exc
@@ -368,21 +341,20 @@ def _cmd_rate(config: RunConfig):
         raise UsageError("target means must be finite")
     envelope = ldp.rate_envelope(chain, psi)  # everything that does not depend on a
     try:
-        rows = [ldp.level1_rate(chain, psi, a, phi_const, envelope=envelope).to_json_dict()
-                for a in targets]
+        rows = [ldp.level1_rate(envelope, a, phi_const).to_json_dict() for a in targets]
     except ldp.UnachievableLevel as exc:
         raise UsageError(f"unachievable level: {exc}") from exc
     return {"rows": rows, "phi_const": phi_const, "note": "level-1 values are derived consequences"}
 
 
-def _cmd_mc(config: RunConfig):
+def _cmd_mc(config: argparse.Namespace):
     from negabeta import ldp
 
-    n = _positive(config, "n", "--n")
-    samples = _positive(config, "samples", "--N")
+    n = _positive(config.n, "--n")
+    samples = _positive(config.samples, "--N")
     system = _system_for(config)
-    psi = parse_observable(config.params["obs"], system.b)
-    window = _parse_window(config.params["window"])
+    psi = parse_observable(config.obs, system.b)
+    window = _parse_window(config.window)
     try:
         estimate = ldp.mc_deviation(system, psi, window, n, samples, config.seed)
     except ldp.OrbitTooLong as exc:
@@ -392,7 +364,7 @@ def _cmd_mc(config: RunConfig):
     return estimate.to_json_dict()
 
 
-def _cmd_compare_rates(config: RunConfig):
+def _cmd_compare_rates(config: argparse.Namespace):
     from negabeta import ldp
 
     system = _system_for(config)
@@ -403,10 +375,10 @@ def _cmd_compare_rates(config: RunConfig):
     return {"rows": [r.to_json_dict() for r in rows]}
 
 
-def _cmd_example31(config: RunConfig):
+def _cmd_example31(config: argparse.Namespace):
     from negabeta import intervalmaps, specprop
 
-    maxlen = _positive(config, "maxlen", "--maxlen")
+    maxlen = _positive(config.maxlen, "--maxlen")
     _, pres = intervalmaps.example31_system()
     cert = specprop.spec_bound(pres, oracle_maxlen=maxlen)
     reports = intervalmaps.example31_measure_bounds(maxlen)
@@ -418,13 +390,13 @@ def _cmd_example31(config: RunConfig):
     }
 
 
-def _cmd_example32(config: RunConfig):
+def _cmd_example32(config: argparse.Namespace):
     from negabeta import intervalmaps, ldp
 
-    n = _positive(config, "n", "--n")
-    samples = _positive(config, "samples", "--N")
-    window = _parse_window(config.params["a_window"])
-    eps = config.params["eps"]
+    n = _positive(config.n, "--n")
+    samples = _positive(config.samples, "--N")
+    window = _parse_window(config.a_window)
+    eps = config.eps
     if not 0 < eps < 0.5:  # nan too; from 0.5 on, the neighbourhood holds the sink 1/2
         raise UsageError(f"--eps must lie in (0, 0.5), got {eps}")
     circle = {
@@ -432,16 +404,16 @@ def _cmd_example32(config: RunConfig):
         "predicted_rate": intervalmaps.predicted_occupation_rate(window[0]),
     }
     try:
-        estimate = intervalmaps.circle_mc_deviation(window, n, samples, config.seed, eps=eps)
+        estimate = intervalmaps.circle_mc_deviation(window, n, samples, config.seed, eps)
     except ldp.WindowNeverHit as exc:
         raise _NeverHit(str(exc), {**exc.report, **circle}) from exc
     return {**estimate.to_json_dict(), **circle}
 
 
-def _cmd_validate(config: RunConfig):
+def _cmd_validate(config: argparse.Namespace):
     from negabeta import measures, shiftgraph, specprop
 
-    maxlen = _positive(config, "maxlen", "--maxlen")
+    maxlen = _positive(config.maxlen, "--maxlen")
     system = _system_for(config)
     checks = []
 
@@ -620,14 +592,11 @@ def emit_report(result, fmt: str, out: Optional[str]) -> str:
     return text
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Execute a validated configuration; returns the process exit code."""
-    body = _COMMANDS.get(config.command)
-    if body is None:
-        raise UsageError(f"unknown command {config.command!r}")
     never_hit = None
     try:
-        result = body(config)
+        result = _COMMANDS[config.command](config)
     except _NeverHit as exc:
         # a zero-hit run still certifies a rate lower bound: its report goes out like any other
         never_hit, result = exc.args

@@ -174,7 +174,7 @@ def circle_nonwandering(fmap: CircleMap) -> list[float]:
 
 
 def circle_mc_deviation(a_window: tuple[float, float], n: int, sample_count: int,
-                        seed: int, eps: float = 0.05) -> DeviationEstimate:
+                        seed: int, eps: float) -> DeviationEstimate:
     """Lebesgue probability of spending a given fraction of time near the source.
 
     The occupation observable is the fraction of the first n iterates within

@@ -13,14 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from negabeta.algebraic import _bareiss
-from negabeta.measures import MarkovMeasure, parry_measure, _psi_value
+from negabeta.measures import MarkovMeasure, parry_measure
 from negabeta.shiftgraph import ComponentChain, _perron, chain_for, spectral_radius
 from negabeta.transform import MinusBetaSystem
 
-Psi = Union[dict, Callable[[int], float]]
+Psi = Union[dict, Sequence[float]]  # read as psi[d] for each digit d
 
 _Z95 = 1.959963984540054
 
@@ -126,7 +126,7 @@ def free_energy(mu: Union[MarkovMeasure, float], phi_const: float,
 
 
 # One component of the chain with the observable on its edges: the vertex
-# count, the edges as (src, dst, psi(label)) in sorted (src, label, dst) order,
+# count, the edges as (src, dst, psi[label]) in sorted (src, label, dst) order,
 # and, when psi takes one finite value on every edge, the log of the spectral
 # radius of the component's t-independent matrix (else None).
 _WeightedComponent = tuple[int, list[tuple[int, int, float]], Optional[float]]
@@ -135,7 +135,6 @@ _WeightedComponent = tuple[int, list[tuple[int, int, float]], Optional[float]]
 def _weighted_components(chain: ComponentChain, psi: Psi) -> list[_WeightedComponent]:
     """The chain's components with the observable's value on every edge.
 
-    :func:`pressure` builds them on each call unless it is given them;
     :func:`rate_envelope` builds them once for all the points of a rate.  A
     component on whose edges psi is one value v has every shifted weight
     ``t*v - t*v = 0.0`` at every t, so its matrix does not depend on t and its
@@ -145,7 +144,7 @@ def _weighted_components(chain: ComponentChain, psi: Psi) -> list[_WeightedCompo
     for i in range(chain.q):
         graph = chain.component_graph(i)
         n = graph.vertex_count
-        edges = [(s, d, _psi_value(psi, a)) for s, a, d in sorted(graph.edges)]
+        edges = [(s, d, float(psi[a])) for s, a, d in sorted(graph.edges)]
         constant = None
         if len({value for _, _, value in edges}) == 1 and math.isfinite(edges[0][2]):
             rho = _radius(n, edges, [0.0] * len(edges))
@@ -182,17 +181,14 @@ def _component_pressure(component: _WeightedComponent, t: float) -> float:
     return shift + math.log(rho)
 
 
-def pressure(chain: ComponentChain, psi: Psi, t: float, *,
-             components: Optional[list[_WeightedComponent]] = None) -> tuple[float, int]:
+def pressure(components: list[_WeightedComponent], t: float) -> tuple[float, int]:
     """Best weighted growth rate over the chain, with the achieving component.
 
     Invariant measures decompose over the ordered pieces, so the supremum
     over all of them is the maximum of the per-component weighted spectral
-    radii; mixtures never beat the best piece.  ``components``, if given,
-    is ``_weighted_components(chain, psi)``.
+    radii; mixtures never beat the best piece.  ``components`` is
+    ``_weighted_components(chain, psi)``.
     """
-    if components is None:
-        components = _weighted_components(chain, psi)
     best = float("-inf")
     arg = 0
     for i, component in enumerate(components):
@@ -358,7 +354,7 @@ def _kink_polynomial(n: int, exponents: list[tuple[int, int, int]], power: int,
     return coeffs
 
 
-def _exact_kinks(chain: ComponentChain, psi: Psi, components: list[_WeightedComponent],
+def _exact_kinks(components: list[_WeightedComponent],
                  means: list[tuple[float, float]]) -> list[_Kink]:
     """The phase transitions of the pressure against constant components, found exactly.
 
@@ -415,7 +411,7 @@ def _exact_kinks(chain: ComponentChain, psi: Psi, components: list[_WeightedComp
                 if not abs(t) < _T_CAP:
                     continue
                 tie = v_k * t + math.log(root)
-                value, _ = pressure(chain, psi, t, components=components)
+                value, _ = pressure(components, t)
                 if abs(value - tie) > 1e-9 * (1 + abs(tie)):
                     continue
                 width = Fraction(z.real) / 10**9
@@ -445,8 +441,6 @@ class RateEnvelope:
     point with no kink beside it starts.
     """
 
-    chain: ComponentChain
-    psi: Psi
     components: list[_WeightedComponent]
     means: list[tuple[float, float]]
     kinks: list[_Kink]
@@ -462,7 +456,7 @@ class RateEnvelope:
 
     def evaluate(self, t: float) -> _Point:
         """One pressure evaluation, with the slope and curvature of the achieving component."""
-        value, comp = pressure(self.chain, self.psi, t, components=self.components)
+        value, comp = pressure(self.components, t)
         slope, curvature = _slopes(self.components[comp], self.means[comp], t)
         return _Point(t, value, comp, slope, curvature)
 
@@ -477,8 +471,7 @@ def rate_envelope(chain: ComponentChain, psi: Psi) -> RateEnvelope:
     built once for all the points of a rate."""
     components = _weighted_components(chain, psi)
     means = [_cycle_mean_range(component) for component in components]
-    return RateEnvelope(chain, psi, components, means,
-                        _exact_kinks(chain, psi, components, means))
+    return RateEnvelope(components, means, _exact_kinks(components, means))
 
 
 def _newton_step(x: _Point, means: tuple[float, float], a: float) -> Optional[float]:
@@ -554,8 +547,7 @@ def _solve(envelope: RateEnvelope, a: float) -> tuple[float, float, int]:
             if left.component == right.component or not lo_t < step < hi_t:
                 step = (lo_t + hi_t) / 2
             if min(abs(step - x.t), hi_t - lo_t) <= _KINK_TOL * (1 + abs(x.t)):
-                value, _ = pressure(envelope.chain, envelope.psi, step,
-                                    components=envelope.components)
+                value, _ = pressure(envelope.components, step)
                 comp = (max(left.component, right.component)
                         if left.component != right.component else x.component)
                 return step, value - step * a, comp
@@ -563,14 +555,12 @@ def _solve(envelope: RateEnvelope, a: float) -> tuple[float, float, int]:
     return x.t, x.value - x.t * a, x.component
 
 
-def level1_rate(chain: ComponentChain, psi: Psi, a: float, phi_const: float, *,
-                envelope: Optional[RateEnvelope] = None) -> RateResult:
+def level1_rate(envelope: RateEnvelope, a: float, phi_const: float) -> RateResult:
     """Level-1 rate at mean a, by convex duality against the pressure.
 
     H(a) = inf_t (P(t) - t a), attained where a lies between the one-sided
     slopes of the convex pressure P; the rate is phi_const - H(a).
-    ``envelope``, if given, is ``rate_envelope(chain, psi)``, built once for
-    many means.
+    ``envelope`` is ``rate_envelope(chain, psi)``, built once for many means.
 
     - At an exact kink t* (:func:`_exact_kinks`) whose one-sided slopes
       enclose a, the answer is t* with no search.  The component reported
@@ -588,8 +578,6 @@ def level1_rate(chain: ComponentChain, psi: Psi, a: float, phi_const: float, *,
       t -> -inf or +inf: t is the cap -256 or 256, and the component is the
       first one achieving the pressure there.
     """
-    if envelope is None:
-        envelope = rate_envelope(chain, psi)
     lo_mean, hi_mean = envelope.lo, envelope.hi
     if a < lo_mean - 1e-9 or a > hi_mean + 1e-9:
         raise UnachievableLevel(f"mean {a} outside [{lo_mean}, {hi_mean}]")
@@ -597,7 +585,7 @@ def level1_rate(chain: ComponentChain, psi: Psi, a: float, phi_const: float, *,
         t_star, entropy, comp = _solve(envelope, a)
     else:
         t_star = -_T_CAP if a <= lo_mean else _T_CAP
-        value, comp = pressure(chain, psi, t_star, components=envelope.components)
+        value, comp = pressure(envelope.components, t_star)
         entropy = value - t_star * a
     return RateResult(a, phi_const - entropy, entropy, t_star, comp)
 
@@ -681,7 +669,7 @@ def mc_deviation(system: MinusBetaSystem, psi: Psi, window: tuple[float, float],
             f"of a {_SAMPLE_BITS}-bit sample"
         )
     b = system.b
-    psi_vals = [_psi_value(psi, d) for d in range(b + 1)]
+    psi_vals = [float(psi[d]) for d in range(b + 1)]
     if system.beta_element == 2:
         return _window_deviation(window, n, sample_count, seed,
                                  lambda start, block: _digit_means_beta2(psi_vals, n, block))

@@ -445,13 +445,7 @@ class MarkovMeasure:
         return sum(states.values())
 
 
-def _psi_value(psi, label: int) -> float:
-    if callable(psi):
-        return float(psi(label))
-    return float(psi[label])
-
-
-def parry_measure(graph: LabeledGraph, vertices: Optional[Sequence[int]] = None) -> MarkovMeasure:
+def parry_measure(graph: LabeledGraph) -> MarkovMeasure:
     """Maximal-entropy Markov measure of an irreducible graph piece.
 
     Built from the Perron data of the adjacency matrix
@@ -459,18 +453,14 @@ def parry_measure(graph: LabeledGraph, vertices: Optional[Sequence[int]] = None)
     probability r_q / (rho * r_p), and the stationary law is that chain's.
     Its entropy equals the log of the spectral radius.
     """
-    verts = sorted(vertices) if vertices is not None else list(range(graph.vertex_count))
+    verts = range(graph.vertex_count)
     if not is_irreducible(graph, verts):
         raise NotIrreducible("the maximal-entropy construction needs a strongly connected piece")
-    index = {v: i for i, v in enumerate(verts)}
-    _, scale, pi = _perron(graph.adjacency(verts))
-    edge_probs = []
-    for (s, a, t) in sorted(graph.edges):
-        if s in index and t in index:
-            edge_probs.append(((s, a, t), scale[index[s], index[t]]))
-    stationary = tuple((v, pi[index[v]]) for v in verts)
+    _, scale, pi = _perron(graph.adjacency())
+    edge_probs = tuple(((s, a, t), scale[s, t]) for s, a, t in sorted(graph.edges))
+    stationary = tuple((v, pi[v]) for v in verts)
     bound = max(graph.labels()) if graph.edges else 0
-    return MarkovMeasure(graph, tuple(edge_probs), stationary, bound)
+    return MarkovMeasure(graph, edge_probs, stationary, bound)
 
 
 # -- empirical measures -----------------------------------------------------------------

@@ -183,7 +183,7 @@ class LabeledGraph:
         return mat
 
     def to_dot(self, components: Optional[Sequence[Sequence[int]]] = None,
-               alphabet_bound: int = 9) -> str:
+               *, alphabet_bound: int) -> str:
         lines = ["digraph shift {", "  rankdir=LR;"]
         claimed = set()
         if components:

@@ -75,7 +75,7 @@ class SpecCertificate:
     witnesses: tuple[tuple[tuple[int, int], Word], ...]
     exact_min_M: Optional[int] = None
 
-    def to_json_dict(self, alphabet_bound: int = 9) -> dict:
+    def to_json_dict(self, alphabet_bound: int) -> dict:
         pairs = [
             {"i": i + 1, "j": j + 1, "gap": len(w), "witness": word_to_text(w, alphabet_bound)}
             for (i, j), w in self.witnesses

@@ -60,7 +60,7 @@ from negabeta.algebraic import _bareiss, to_decimal
 from negabeta.intervalmaps import PiecewiseExpandingMap
 from negabeta.measures import (
     Image, ImageTable, InadmissibleWord, MarkovMeasure, NotIrreducible, _coeff_text,
-    _g_from_followers, _lower_constant, _psi_value, image_table,
+    _g_from_followers, _lower_constant, image_table,
 )
 from negabeta.shiftgraph import LabeledGraph, _levels, automaton_for, is_irreducible
 from negabeta.transform import MinusBetaSystem, Word, word_to_text
@@ -341,12 +341,12 @@ def g_beta_word(system: MinusBetaSystem, word: Sequence[int]) -> int:
 
 
 def mean_label(measure: MarkovMeasure, psi) -> float:
-    """The stationary mean of psi(label) over the measure's edges."""
+    """The stationary mean of psi[label] over the measure's edges."""
     pi = measure.pi()
     acc = 0.0
     for (src, label, _), p in measure.edge_probs:
         if p > 0:
-            acc += float(pi[src]) * float(p) * _psi_value(psi, label)
+            acc += float(pi[src]) * float(p) * float(psi[label])
     return acc
 
 

@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import os
 import subprocess
 import sys
 import time
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 
 from negabeta import measures
 from negabeta.algebraic import FieldElement, parse_beta_spec
-from negabeta.cli import MAX_DIGITS, RunConfig, UsageError, emit_report, main, parse_config
+from negabeta.cli import MAX_DIGITS, UsageError, emit_report, main, parse_config
 from negabeta.transform import EXPANSION_STEPS, MinusBetaSystem
 
 PISOT = "poly:-1,-1,0,1;interval:1,2"
@@ -44,7 +43,7 @@ def schema_for(name: str) -> dict:
 def test_parse_yrrap_config():
     config = parse_config(["yrrap", "--beta", PISOT])
     assert config.command == "yrrap"
-    assert config.beta_text == PISOT
+    assert config.beta == PISOT
     assert config.fmt == "json"
 
 
@@ -55,7 +54,7 @@ def test_parse_mc_config():
     ])
     assert config.command == "mc"
     assert config.seed == 7
-    assert config.params["samples"] == 1000000
+    assert config.samples == 1000000
 
 
 def test_missing_seed_is_usage_error():
@@ -405,7 +404,7 @@ def test_huge_interval_bound_is_cut_to_the_root_bound(upper, capsys):
 
 def test_one_expansion_budget():
     library = MinusBetaSystem.expansion_of_one.__defaults__[0]
-    assert library == parse_config(["yrrap", "--beta", PISOT]).params["max_steps"]
+    assert library == parse_config(["yrrap", "--beta", PISOT]).max_steps
     assert library == EXPANSION_STEPS
 
 
@@ -594,7 +593,11 @@ def test_format_checked_before_the_command_runs(argv, message, capsys, monkeypat
      "usage error: window lower end exceeds upper end"),
     (["rate", "--beta", PISOT, "--a-grid", "1:2"], "usage error: a-grid must be lo:hi:count"),
     (["rate", "--beta", PISOT], "usage error: give --a or --a-grid"),
-], ids=["no-subcommand", "window-one-end", "window-reversed", "a-grid-two-parts", "no-target"])
+    (["frobnicate"], "usage error: argument command: invalid choice: 'frobnicate' (choose from "
+     "'yrrap', 'graph', 'components', 'spec', 'cyl', 'gbeta', 'entropy', 'rate', 'mc', "
+     "'compare-rates', 'example31', 'example32', 'validate')"),
+], ids=["no-subcommand", "window-one-end", "window-reversed", "a-grid-two-parts", "no-target",
+        "unknown-command"])
 def test_usage_errors_print_one_line(argv, message, capsys):
     assert invoke(argv, capsys) == (2, "", message + "\n")
 
@@ -626,18 +629,6 @@ def test_reports_byte_identical(capsys):
     assert first == second
 
 
-def test_reports_identical_across_thread_counts(capsys):
-    argv = ["mc", "--beta", PISOT, "--obs", "digit1", "--window", "0.2:0.6",
-            "--n", "12", "--N", "3000", "--seed", "5"]
-    _, single, _ = invoke(argv, capsys)
-    os.environ["NEGABETA_THREADS"] = "4"
-    try:
-        _, multi, _ = invoke(argv, capsys)
-    finally:
-        del os.environ["NEGABETA_THREADS"]
-    assert single == multi
-
-
 def test_json_round_trips(capsys):
     for argv in (["yrrap", "--beta", TWO], ["entropy", "--beta", TWO]):
         _, out, _ = invoke(argv, capsys)
@@ -645,7 +636,6 @@ def test_json_round_trips(capsys):
 
 
 def test_emit_report_io_error(tmp_path):
-    config = RunConfig("yrrap", TWO, None, "json", None, 15, {"max_steps": 64})
     with pytest.raises(IOError):
         emit_report({"ok": True}, "json", str(tmp_path / "missing" / "file.json"))
 

@@ -297,11 +297,11 @@ def test_occupation_monotone_in_a():
 
 def test_occupation_window_never_hit():
     with pytest.raises(WindowNeverHit):
-        circle_mc_deviation((0.99, 1.0), 50, 2000, seed=3)
+        circle_mc_deviation((0.99, 1.0), 50, 2000, seed=3, eps=0.05)
 
 
 def test_full_window_is_certain():
-    est = circle_mc_deviation((0.0, 1.0), 20, 5000, seed=4)
+    est = circle_mc_deviation((0.0, 1.0), 20, 5000, seed=4, eps=0.05)
     assert est.hits == est.sample_count and est.rate == 0.0
 
 

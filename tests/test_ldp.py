@@ -75,27 +75,26 @@ def test_free_energy_non_invariant_is_minus_infinity(pisot_sys):
 
 def test_pressure_at_zero_is_topological_entropy(pisot_sys, two_sys):
     for sys in (pisot_sys, two_sys):
-        chain = chain_for(sys)
-        assert abs(pressure(chain, DIGIT1, 0.0)[0] - sys.log_beta()) < 1e-9
+        components = ldp._weighted_components(chain_for(sys), DIGIT1)
+        assert abs(pressure(components, 0.0)[0] - sys.log_beta()) < 1e-9
 
 
 def test_pressure_beta2_closed_form(two_sys):
-    chain = chain_for(two_sys)
-    psi = {0: 0.0, 1: 1.0}
+    components = ldp._weighted_components(chain_for(two_sys), {0: 0.0, 1: 1.0})
     for t in (-3.0, -1.0, 0.0, 0.5, 2.0):
-        assert abs(pressure(chain, psi, t)[0] - math.log(1 + math.exp(t))) < 1e-9
+        assert abs(pressure(components, t)[0] - math.log(1 + math.exp(t))) < 1e-9
 
 
 def test_pressure_negative_limit_selects_loop_component(pisot_sys):
-    chain = chain_for(pisot_sys)
-    assert abs(pressure(chain, DIGIT1, -60.0)[0]) < 1e-9
+    components = ldp._weighted_components(chain_for(pisot_sys), DIGIT1)
+    assert abs(pressure(components, -60.0)[0]) < 1e-9
 
 
 def test_pressure_convexity(pisot_sys, two_sys):
     for sys in (pisot_sys, two_sys):
-        chain = chain_for(sys)
+        components = ldp._weighted_components(chain_for(sys), DIGIT1)
         grid = [(-3 + k * 0.25) for k in range(25)]
-        values = [pressure(chain, DIGIT1, t)[0] for t in grid]
+        values = [pressure(components, t)[0] for t in grid]
         for i in range(1, len(grid) - 1):
             second = values[i - 1] - 2 * values[i] + values[i + 1]
             assert second >= -1e-8
@@ -108,21 +107,21 @@ def test_rate_zero_at_equilibrium_mean(pisot_sys):
     chain = chain_for(pisot_sys)
     measure = parry_measure(chain.component_graph(2))
     a_star = mean_label(measure, DIGIT1)
-    result = level1_rate(chain, DIGIT1, a_star, pisot_sys.log_beta())
+    result = level1_rate(ldp.rate_envelope(chain, DIGIT1), a_star, pisot_sys.log_beta())
     assert abs(result.rate) < 1e-8
     assert abs(result.t_star) < 1e-4
 
 
 def test_rate_at_all_ones_orbit(pisot_sys):
     chain = chain_for(pisot_sys)
-    result = level1_rate(chain, DIGIT1, 1.0, pisot_sys.log_beta())
+    result = level1_rate(ldp.rate_envelope(chain, DIGIT1), 1.0, pisot_sys.log_beta())
     assert abs(result.rate - pisot_sys.log_beta()) < 1e-6
 
 
 def test_rate_beta2_binary_entropy(two_sys):
     chain = chain_for(two_sys)
     for a in (0.1, 0.25, 0.5, 0.66, 0.9):
-        result = level1_rate(chain, DIGIT1, a, math.log(2))
+        result = level1_rate(ldp.rate_envelope(chain, DIGIT1), a, math.log(2))
         if a in (0.0, 1.0):
             h_bin = 0.0
         else:
@@ -134,7 +133,7 @@ def test_rate_nonnegative_on_grid(two_sys):
     chain = chain_for(two_sys)
     for k in range(11):
         a = k / 10
-        result = level1_rate(chain, DIGIT1, a, math.log(2))
+        result = level1_rate(ldp.rate_envelope(chain, DIGIT1), a, math.log(2))
         assert result.rate >= -1e-10
 
 
@@ -154,7 +153,7 @@ def test_rate_builds_the_component_graphs_once_per_call(pisot_sys, monkeypatch):
     envelope = ldp.rate_envelope(chain, DIGIT1)
     for a in GRID:
         before = len(evaluations)
-        level1_rate(chain, DIGIT1, a, pisot_sys.log_beta(), envelope=envelope)
+        level1_rate(envelope, a, pisot_sys.log_beta())
         assert len(evaluations) - before <= 15
     assert built == list(range(chain.q))
     assert len(evaluations) <= 15 * len(GRID)
@@ -174,7 +173,7 @@ def test_rate_finds_constant_radii_once_per_call(pisot_sys, monkeypatch):
                         lambda *args, **kwargs: evaluations.append(1) or real_pressure(*args, **kwargs))
     envelope = ldp.rate_envelope(chain, DIGIT1)
     for a in GRID:
-        level1_rate(chain, DIGIT1, a, pisot_sys.log_beta(), envelope=envelope)
+        level1_rate(envelope, a, pisot_sys.log_beta())
     assert 0 < len(evaluations) <= 15 * len(GRID)
     assert len(radii) == 2 + len(evaluations)
 
@@ -192,7 +191,7 @@ def test_constant_components_give_the_general_pressure_float_for_float(pisot_sys
 def test_rate_unachievable(two_sys):
     chain = chain_for(two_sys)
     with pytest.raises(UnachievableLevel):
-        level1_rate(chain, DIGIT1, 1.5, math.log(2))
+        level1_rate(ldp.rate_envelope(chain, DIGIT1), 1.5, math.log(2))
 
 
 # -- exact phase transitions -----------------------------------------------------
@@ -223,7 +222,7 @@ def test_cubic_t_star_is_the_isolated_root(pisot_sys, monkeypatch):
     monkeypatch.setattr(ldp, "pressure", None)
     for k in range(1, 53):
         a = k / 100
-        result = level1_rate(chain, DIGIT1, a, pisot_sys.log_beta(), envelope=envelope)
+        result = level1_rate(envelope, a, pisot_sys.log_beta())
         assert abs(result.t_star - T_GOLDEN) <= 1e-15
         assert result.component == 2  # the tail
         assert abs(result.entropy + T_GOLDEN * a) <= 1e-15
@@ -234,7 +233,7 @@ def test_beta2_closed_forms(two_sys):
     envelope = ldp.rate_envelope(chain, DIGIT1)
     for k in range(1, 100):
         a = k / 100
-        result = level1_rate(chain, DIGIT1, a, math.log(2), envelope=envelope)
+        result = level1_rate(envelope, a, math.log(2))
         assert abs(result.t_star - math.log(a / (1 - a))) <= 1e-12
         assert abs(result.rate - (math.log(2) - _binary_entropy(a))) <= 1e-13
 
@@ -244,7 +243,7 @@ def test_extreme_means_are_reached_at_the_cap(pisot_sys, two_sys, a):
     # H is 0 at both extreme means of both bases: the cubic's loops and the
     # two fixed points of base 2 carry no entropy
     for sys in (pisot_sys, two_sys):
-        result = level1_rate(chain_for(sys), DIGIT1, a, sys.log_beta())
+        result = level1_rate(ldp.rate_envelope(chain_for(sys), DIGIT1), a, sys.log_beta())
         assert abs(result.entropy) <= 1e-9 and abs(result.rate - sys.log_beta()) <= 1e-9
         assert result.t_star == (256.0 if a else -256.0)
 
@@ -266,11 +265,10 @@ def test_non_transitive_rates_beat_every_dual_point():
         checked += 1
         for psi in (_indicator(1, system.b), _indicator(0, system.b)):
             envelope = ldp.rate_envelope(chain, psi)
-            values = [ldp.pressure(chain, psi, t, components=envelope.components)[0]
-                      for t in grid]
+            values = [ldp.pressure(envelope.components, t)[0] for t in grid]
             for k in range(1, 20):
                 a = k / 20
-                result = level1_rate(chain, psi, a, system.log_beta(), envelope=envelope)
+                result = level1_rate(envelope, a, system.log_beta())
                 assert min(p - t * a for p, t in zip(values, grid)) >= result.entropy - 1e-12
     assert checked == 4
 
@@ -287,8 +285,8 @@ def test_digit0_rates_mirror_digit1(coeffs):
     zero, one = ldp.rate_envelope(chain, DIGIT0), ldp.rate_envelope(chain, DIGIT1)
     for k in range(1, 20):
         a = k / 20
-        got = level1_rate(chain, DIGIT0, a, system.log_beta(), envelope=zero)
-        want = level1_rate(chain, DIGIT1, 1 - a, system.log_beta(), envelope=one)
+        got = level1_rate(zero, a, system.log_beta())
+        want = level1_rate(one, 1 - a, system.log_beta())
         assert abs(got.entropy - want.entropy) <= 1e-12, a
         assert abs(got.t_star + want.t_star) <= 1e-10, a
 
@@ -335,11 +333,11 @@ def test_rates_meet_the_golden_section_dual_minimum(spec):
         envelope = ldp.rate_envelope(chain, psi)
         for k in range(1, 8):
             a = k / 8
-            result = level1_rate(chain, psi, a, system.log_beta(), envelope=envelope)
+            result = level1_rate(envelope, a, system.log_beta())
             assert abs(result.t_star) < 64
 
             def dual(t):
-                return ldp.pressure(chain, psi, t, components=envelope.components)[0] - t * a
+                return ldp.pressure(envelope.components, t)[0] - t * a
 
             assert abs(_golden_section_min(dual, -64.0, 64.0, 80) - result.entropy) <= 1e-12, (
                 digit, a)
@@ -348,8 +346,7 @@ def test_rates_meet_the_golden_section_dual_minimum(spec):
 def test_cubic_entropy_is_affine_on_the_kink_interval(pisot_sys):
     chain = chain_for(pisot_sys)
     envelope = ldp.rate_envelope(chain, DIGIT1)
-    h = [level1_rate(chain, DIGIT1, k / 40, pisot_sys.log_beta(), envelope=envelope).entropy
-         for k in range(1, 22)]
+    h = [level1_rate(envelope, k / 40, pisot_sys.log_beta()).entropy for k in range(1, 22)]
     assert all(abs(h[i - 1] - 2 * h[i] + h[i + 1]) <= 1e-12 for i in range(1, len(h) - 1))
 
 
@@ -362,8 +359,8 @@ def test_a_transition_without_kink_polynomial_is_found_numerically(pisot_sys):
     assert len(exact.kinks) == 1 and numeric.kinks == []
     for k in range(1, 20):
         a = k / 20
-        want = level1_rate(chain, DIGIT1, a, 0.0, envelope=exact)
-        got = level1_rate(chain, scaled, 0.7 * a, 0.0, envelope=numeric)
+        want = level1_rate(exact, a, 0.0)
+        got = level1_rate(numeric, 0.7 * a, 0.0)
         assert abs(got.entropy - want.entropy) <= 1e-12
         assert abs(0.7 * got.t_star - want.t_star) <= 1e-10
         assert got.component == want.component
@@ -372,7 +369,7 @@ def test_a_transition_without_kink_polynomial_is_found_numerically(pisot_sys):
 def _rate_rows(system, grid):
     chain = chain_for(system)
     envelope = ldp.rate_envelope(chain, DIGIT1)
-    return [level1_rate(chain, DIGIT1, a, system.log_beta(), envelope=envelope) for a in grid]
+    return [level1_rate(envelope, a, system.log_beta()) for a in grid]
 
 
 def test_rates_survive_a_perturbed_perron_root(pisot_sys, two_sys, monkeypatch):

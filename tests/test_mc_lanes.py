@@ -50,13 +50,9 @@ def _scale_sample(sample, precision):
     return sample >> (128 - precision)
 
 
-def _psi_value(psi, label):
-    return float(psi(label)) if callable(psi) else float(psi[label])
-
-
 def _values(psi, b):
     """The observable at the digits 0..b, as the engines take it."""
-    return [_psi_value(psi, d) for d in range(b + 1)]
+    return [float(psi[d]) for d in range(b + 1)]
 
 
 def generic_means(system, psi, n, block, precision, beta_fixed):
@@ -68,7 +64,7 @@ def generic_means(system, psi, n, block, precision, beta_fixed):
 def reference_means(system, psi, n, samples, precision, beta_fixed):
     b = system.b
     table = [(d + 1) << (2 * precision) for d in range(b + 1)]
-    psi_vals = [_psi_value(psi, d) for d in range(b + 1)]
+    psi_vals = _values(psi, b)
     out = []
     for sample in samples:
         x = _scale_sample(sample, precision)
@@ -108,7 +104,8 @@ def _observable(kind, b):
         return {d: float(d) for d in range(b + 1)}
     if kind == "digitK":
         return {d: 1.0 if d == b else 0.0 for d in range(b + 1)}
-    return lambda d: math.sin(d) / 3 + d / 7  # non-integer values: the summation order shows
+    # non-integer values: the summation order shows
+    return {d: math.sin(d) / 3 + d / 7 for d in range(b + 1)}
 
 
 # -- tests ---------------------------------------------------------------------------------
@@ -194,13 +191,13 @@ def test_sample_blocks_match_one_shot_hash_across_chunks(seed):
 # the two sides of the certificate's horizon: 38 bits of orbit (the double
 # pass certifies nearly every row) and 55 bits (every row runs in the lanes)
 @settings(max_examples=60, deadline=None, derandomize=True)
-@example(name="golden", n=55, count=_CHUNK, kind="callable", seed=3)
+@example(name="golden", n=55, count=_CHUNK, kind="sine", seed=3)
 @example(name="x^2-3x+1", n=40, count=_CHUNK, kind="digit", seed=4)
 @given(
     name=st.sampled_from(sorted(SPECS)),
     n=st.integers(1, 60),
     count=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
-    kind=st.sampled_from(["digit", "digitK", "callable"]),
+    kind=st.sampled_from(["digit", "digitK", "sine"]),
     seed=st.integers(0, 10**6),
 )
 def test_lanes_match_scalar_loop(name, n, count, kind, seed):
@@ -240,7 +237,7 @@ def test_clamp_batches_rerun_in_scalar(monkeypatch):
     # not certified and goes to the lanes, whose batch (that one row) is
     # rerun in scalar; the certified rows are never rerun.
     system = SYSTEMS["three"]
-    psi = _observable("callable", system.b)
+    psi = _observable("sine", system.b)
     n, precision = 12, _precision(system, 12)
     beta_fixed = _beta_fixed_point(system, precision)
     assert beta_fixed == (system.b + 1) << precision
@@ -269,7 +266,7 @@ def test_beta_just_below_an_integer():
 
 
 def reference_means_beta2(psi, n, samples):
-    psi0, psi1 = _psi_value(psi, 0), _psi_value(psi, 1)
+    psi0, psi1 = _values(psi, 1)
     odd_mask = sum(1 << (n - 1 - k) for k in range(1, n, 2))
     out = []
     for x in samples:
@@ -300,7 +297,7 @@ def test_base2_engine_matches_its_loop_and_the_scalar_orbit():
 
 def reference_means_unpackbits(psi, n, block):
     """The base-2 engine before the popcount: one byte per unpacked bit."""
-    psi0, psi1 = _psi_value(psi, 0), _psi_value(psi, 1)
+    psi0, psi1 = _values(psi, 1)
     ones = np.unpackbits(block ^ np.uint8(0x55), axis=1, count=n).sum(axis=1, dtype=np.int64)
     return (ones * psi1 + (n - ones) * psi0) / n
 
@@ -422,7 +419,7 @@ def test_near_boundary_samples_are_not_certified(name):
     n = 20
     precision = _precision(system, n)
     beta_fixed = _beta_fixed_point(system, precision)
-    psi = _observable("callable", system.b)
+    psi = _observable("sine", system.b)
     psi_vals = _values(psi, system.b)
     means, certified = _double_means(psi_vals, n, _pack(samples), precision, beta_fixed)
     assert not certified.any()
@@ -435,7 +432,7 @@ def test_near_boundary_samples_are_not_certified(name):
 def test_failed_certificate_falls_back_to_the_lanes(monkeypatch, name, n):
     # bounds of 1/2 certify no row: every row then runs through the lanes
     system = SYSTEMS[name]
-    psi = _observable("callable", system.b)
+    psi = _observable("sine", system.b)
     precision = _precision(system, n)
     beta_fixed = _beta_fixed_point(system, precision)
     samples = [0, 1 << 127] + [sample_int(6, i) for i in range(500)]

@@ -295,7 +295,7 @@ def test_cylinder_mass_matches_edge_scan(pisot_sys, two_sys):
     for g, components, b in cases:
         measures = []
         for comp in components:
-            measures.append(parry_measure(g, comp))
+            measures.append(parry_measure(g.induced(comp)))
             measures += [random_markov_measure(g, comp, rng) for _ in range(3)]
         alphabet = range(b + 2)  # one label that no edge carries
         words = [w for n in range(6) for w in itertools.product(alphabet, repeat=n)]
